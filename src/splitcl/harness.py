@@ -191,9 +191,11 @@ def run_once(
         if name == DR:
             est, cov = _run_dr(sc, real), None
         elif name == JOINT_EKF:
-            est, cov = _run_joint(sc, real, partial=False, reports=None)
+            est, cov, ev = _run_joint(sc, real, partial=False, reports=None)
+            events.extend(ev)
         elif name == PARTIAL_ORACLE:
-            est, cov = _run_joint(sc, real, partial=True, reports=reports)
+            est, cov, ev = _run_joint(sc, real, partial=True, reports=reports)
+            events.extend(ev)
         elif name == SA_SPLIT:
             est, cov, ev = _run_split(sc, real, reports=None)
             events.extend(ev)
@@ -227,13 +229,15 @@ def _run_joint(
     real: Realization,
     partial: bool,
     reports: Mapping[int, DeliveryReport] | None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, list[ProtocolEvent]]:
     ids = sc.robot_ids
+    name = PARTIAL_ORACLE if partial else JOINT_EKF
     belief = joint_ekf.JointBelief.initialize(
         means={i: real.init_means[i - 1] for i in ids},
         covs={i: sc.initial_cov() for i in ids},
     )
     noise = sc.meas_noise_cov()
+    events: list[ProtocolEvent] = []
     est = np.zeros((sc.n_robots, sc.n_steps + 1, 3))
     cov = np.zeros((sc.n_robots, sc.n_steps + 1, 3, 3))
     _record_joint(belief, est, cov, 0)
@@ -250,9 +254,18 @@ def _run_joint(
                 missed = report.missed
                 meas = [m for m in meas if gate_measurement(report, m)]
             for m in meas:
-                belief, _ = joint_ekf.partial_update(belief, m, noise, missed)
+                try:
+                    belief, _ = joint_ekf.partial_update(belief, m, noise, missed)
+                except NumericalError as exc:
+                    # Beliefs are values, so the failed update left no trace;
+                    # skip the measurement as the server does.
+                    events.append(ProtocolEvent(
+                        k, EVENT_NUMERIC_S,
+                        f"estimator={name} observer={m.observer} landmark={m.landmark} "
+                        f"reason={exc}",
+                    ))
         _record_joint(belief, est, cov, k)
-    return est, cov
+    return est, cov, events
 
 
 def _record_joint(belief: joint_ekf.JointBelief, est, cov, k: int) -> None:

@@ -19,7 +19,7 @@ Beliefs are values: every operation returns a new :class:`JointBelief`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import AbstractSet, Mapping
 
 import numpy as np

@@ -9,7 +9,7 @@ frame               layout
 common header       ``b"SCL1"`` format tag, 1 byte kind
 landmark (kind 1)   sender u32, time u32, landmark u32 (0 = none),
                     has_z u8, z 2xf64, mean 3xf64, cov 9xf64,
-                    jac_accum 9xf64  (206 bytes total)
+                    jac_accum 9xf64  (202 bytes total)
 update (kind 2)     single-measurement payload: recipient u32, time u32,
                     whitened residual 2xf64, update factor 6xf64 (77 bytes)
 update (kind 3)     summed multi-measurement payload: recipient u32,

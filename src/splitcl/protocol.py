@@ -214,10 +214,11 @@ class CooperationServer:
             for rid, s in snapshots.items()
         }
 
-        vec_sum = {i: np.zeros(3) for i in self.team}
-        mat_sum = {i: np.zeros((3, 3)) for i in self.team}
-        singles: list[tuple[np.ndarray, dict[int, np.ndarray]]] = []
-        processed = 0
+        index = self.store.index
+        n = len(self.team)
+        vec_sum = np.zeros((n, 3))
+        mat_sum = np.zeros((n, 3, 3))
+        singles: list[tuple[np.ndarray, np.ndarray]] = []
         for m in usable:
             a = m.sender
             observer = shadow[a]
@@ -229,11 +230,9 @@ class CooperationServer:
                 cross = self.store.factor(a, m.landmark)
             try:
                 innov = split_ekf.innovation(observer, landmark, cross, m.z, noise)
-                factors = split_ekf.update_factors(
-                    self.team, self.store, observer, landmark, innov
-                )
+                factors = split_ekf.update_factors(self.store, observer, landmark, innov)
                 new_shadow = {
-                    rid: split_ekf.apply_update(state, factors[rid], innov.white_residual)
+                    rid: split_ekf.apply_update(state, factors[index[rid]], innov.white_residual)
                     for rid, state in shadow.items()
                 }
             except NumericalError as exc:
@@ -246,16 +245,14 @@ class CooperationServer:
                 continue
             shadow = new_shadow
             self.store.update(factors, missed)
-            for i in self.team:
-                vec_sum[i] += factors[i] @ innov.white_residual
-                mat_sum[i] += factors[i] @ factors[i].T
+            vec_sum += factors @ innov.white_residual
+            mat_sum += factors @ factors.transpose(0, 2, 1)
             singles.append((innov.white_residual, factors))
-            processed += 1
 
         self.store.time = time
-        if processed == 0:
+        if not singles:
             return {}
-        if processed == 1:
+        if len(singles) == 1:
             white_residual, factors = singles[0]
             return {
                 i: UpdateMessage(
@@ -263,29 +260,17 @@ class CooperationServer:
                     time=time,
                     kind="single",
                     residual_payload=white_residual.copy(),
-                    gain_payload=factors[i].copy(),
+                    gain_payload=factors[pos].copy(),
                 )
-                for i in self.team
+                for pos, i in enumerate(self.team)
             }
         return {
             i: UpdateMessage(
                 recipient=i,
                 time=time,
                 kind="summed",
-                residual_payload=vec_sum[i],
-                gain_payload=mat_sum[i],
+                residual_payload=vec_sum[pos],
+                gain_payload=mat_sum[pos],
             )
-            for i in self.team
+            for pos, i in enumerate(self.team)
         }
-
-    def handle_absolute(
-        self,
-        msg: LandmarkMessage,
-        time: int,
-        missed: AbstractSet[int] = frozenset(),
-        noise_cov: np.ndarray | None = None,
-    ) -> dict[int, UpdateMessage]:
-        """Process a single absolute measurement announcement."""
-        if msg.z is None or msg.landmark is not None:
-            raise ProtocolError("expected an absolute-measurement announcement")
-        return self.handle_epoch([msg], time, missed, noise_cov)

@@ -265,22 +265,6 @@ def seconds_to_step(t_s: float, dt_s: float) -> int:
     return int(round(t_s / dt_s))
 
 
-def spiral_waypoints(path: SpiralPath, n_edges: int) -> np.ndarray:
-    """Corners of the square spiral, ``n_edges + 1`` points.
-
-    Edge ``m`` has length ``side0 + m * growth`` and heading ``m * pi/2``
-    (counter-clockwise traversal).
-    """
-    pts = np.zeros((n_edges + 1, 2))
-    pts[0] = path.center
-    heading = 0.0
-    for m in range(n_edges):
-        length = path.edge_length(m)
-        pts[m + 1] = pts[m] + length * np.array([math.cos(heading), math.sin(heading)])
-        heading += math.pi / 2
-    return pts
-
-
 def robot_scales(sc: Scenario) -> np.ndarray:
     if sc.path_scales is None:
         return np.ones(sc.n_robots)

@@ -11,21 +11,24 @@ factor held by the server. Propagation then touches only local quantities:
 each robot advances its own estimate, covariance and ``A_i``, while every
 ``C_ij`` stays constant between measurement epochs.
 
-At a measurement epoch the server turns the innovation into one whitened
-residual and one per-robot update factor ``D_i`` such that
-``A_i D_i inv_sqrt(S)`` equals the centralized gain ``K_i``. A robot applies
-its correction knowing only ``A_i`` and the two numbers the server sends;
-the server folds the same factors into the store via
-``C_ij <- C_ij - D_i D_j'`` (pairs where both robots missed the update keep
-their old factor, which is exactly what the centralized filter does to the
-corresponding cross block).
+The server keeps all factors in one dense team matrix
+(:class:`CrossFactorStore`): an ``(N, 3, N, 3)`` array in sorted-team
+order, symmetric, with zero diagonal blocks. At a measurement epoch the
+server turns the innovation into one whitened residual and the ``(N, 3, 2)``
+array ``D`` of per-robot update factors, such that ``A_i D_i inv_sqrt(S)``
+equals the centralized gain ``K_i``. A robot applies its correction knowing
+only ``A_i`` and the two numbers the server sends. The server folds the
+same factors into the store as one masked rank-2 update,
+``C <- C - D D'``, in which the blocks between two robots that both missed
+the update are masked out: they keep their old factor, which is exactly
+what the centralized filter does to the corresponding cross block.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Mapping
+from typing import AbstractSet, Iterable
 
 import numpy as np
 
@@ -174,11 +177,15 @@ def _checked_inverse(acc: np.ndarray, robot_id: int) -> np.ndarray:
 
 
 class CrossFactorStore:
-    """Server-held correlation factors, one 3x3 block per robot pair.
+    """Server-held correlation factors of the whole team, in one dense array.
 
-    Blocks are keyed ``(i, j)`` with ``i < j`` and start at zero; the
-    ``(j, i)`` block is served as the transpose. Mutations are expected to be
-    serialized by the owning server.
+    ``blocks`` has shape ``(N, 3, N, 3)`` and is indexed by team position
+    (``index`` maps a robot id to its place in the sorted ``team``):
+    ``blocks[a, :, b, :]`` is ``C_ij`` for the robots at positions ``a`` and
+    ``b``. Reshaped to ``(3N, 3N)`` it is the team matrix of factors, which
+    is kept symmetric, with zero diagonal blocks since a robot's own
+    covariance lives on the robot. Every block starts at zero. Mutations
+    are expected to be serialized by the owning server.
     """
 
     def __init__(self, team: Iterable[int]):
@@ -186,35 +193,36 @@ class CrossFactorStore:
         if len(ids) != len(set(ids)) or len(ids) < 1:
             raise ValueError(f"invalid team {ids}")
         self.team = ids
-        self.entries: dict[tuple[int, int], np.ndarray] = {
-            (i, j): np.zeros((3, 3)) for i in ids for j in ids if i < j
-        }
+        self.index = {rid: pos for pos, rid in enumerate(ids)}
+        n = len(ids)
+        self.blocks = np.zeros((n, 3, n, 3))
         self.time = 0
         # Flipped by the negative-control test hook only.
         self._update_sign = -1.0
 
     def factor(self, i: int, j: int) -> np.ndarray:
-        """Correlation factor oriented (i, j)."""
+        """Correlation factor oriented (i, j), a view into ``blocks``."""
         if i == j:
             raise KeyError("cross factors are defined for distinct robots only")
-        if i < j:
-            return self.entries[(i, j)]
-        return self.entries[(j, i)].T
+        return self.blocks[self.index[i], :, self.index[j], :]
 
-    def update(
-        self,
-        factors: Mapping[int, np.ndarray],
-        missed: AbstractSet[int] = frozenset(),
-    ) -> None:
-        """Fold one epoch's update factors into the store.
+    def update(self, factors: np.ndarray, missed: AbstractSet[int] = frozenset()) -> None:
+        """Fold one measurement's update factors into the store.
 
-        Pairs with both robots in ``missed`` are left untouched; every other
-        pair absorbs the outer product of its two factors.
+        ``factors`` is the ``(N, 3, 2)`` array ``D`` of :func:`update_factors`.
+        The store absorbs ``-D D'`` as one rank-2 product over the whole
+        team, with the diagonal blocks and the blocks between two robots in
+        ``missed`` zeroed first: those pairs keep their factor bit for bit,
+        as the centralized partial update keeps their cross block.
         """
-        for (i, j), block in self.entries.items():
-            if i in missed and j in missed:
-                continue
-            block += self._update_sign * (factors[i] @ factors[j].T)
+        n = len(self.team)
+        flat = factors.reshape(3 * n, 2)
+        product = ((self._update_sign * flat) @ flat.T).reshape(n, 3, n, 3)
+        diag = np.arange(n)
+        product[diag, :, diag, :] = 0.0
+        frozen = np.array([self.index[r] for r in missed], dtype=int)
+        product[frozen[:, None], :, frozen[None, :], :] = 0.0
+        self.blocks += product
 
     def reconstruct(self, i: int, j: int, acc_i: np.ndarray, acc_j: np.ndarray) -> np.ndarray:
         """Cross covariance between robots ``i`` and ``j`` implied by the store."""
@@ -222,53 +230,36 @@ class CrossFactorStore:
 
     def copy(self) -> "CrossFactorStore":
         dup = CrossFactorStore(self.team)
-        dup.entries = {k: v.copy() for k, v in self.entries.items()}
+        dup.blocks = self.blocks.copy()
         dup.time = self.time
         dup._update_sign = self._update_sign
         return dup
 
 
 def update_factors(
-    team: Iterable[int],
     store: CrossFactorStore,
     observer: SplitRobotState,
     landmark: SplitRobotState | None,
     innov: WhitenedInnovation,
-) -> dict[int, np.ndarray]:
-    """Per-robot update factors ``D_i`` for one measurement.
+) -> np.ndarray:
+    """Update factors ``D_i`` of every robot for one measurement, shape ``(N, 3, 2)``.
 
-    For every robot ``A_i D_i inv_sqrt(S)`` equals the centralized gain:
-    the measured pair contributes its own covariance through the inverse of
-    its accumulated Jacobian, every other robot contributes only through the
-    stored correlation factors (zero factor, zero correction).
+    Row ``store.index[i]`` holds ``D_i``, for which ``A_i D_i inv_sqrt(S)``
+    equals the centralized gain. Each measured robot ``u`` contributes its
+    block column of the store times ``A_u' H_u'``, and its own covariance,
+    through the inverse of its accumulated Jacobian, to its own row. A robot
+    with zero factors towards both measured robots gets a zero factor.
     """
-    a = observer.robot_id
-    isq = innov.inv_sqrt_cov
-    obs_term_own = _checked_inverse(observer.jac_accum, a) @ observer.cov @ innov.obs_jac.T
-    if landmark is None:
-        proj = {a: innov.obs_jac.T}
-        acc_t = {a: observer.jac_accum.T}
-        own = {a: obs_term_own}
-        pair = (a,)
-    else:
+    measured = [(observer, innov.obs_jac)]
+    if landmark is not None:
         assert innov.lm_jac is not None
-        b = landmark.robot_id
-        lm_term_own = _checked_inverse(landmark.jac_accum, b) @ landmark.cov @ innov.lm_jac.T
-        proj = {a: innov.obs_jac.T, b: innov.lm_jac.T}
-        acc_t = {a: observer.jac_accum.T, b: landmark.jac_accum.T}
-        own = {a: obs_term_own, b: lm_term_own}
-        pair = (a, b)
-
-    factors: dict[int, np.ndarray] = {}
-    for i in team:
-        acc = np.zeros((3, 2))
-        for u in pair:
-            if i == u:
-                acc += own[u]
-            else:
-                acc += store.factor(i, u) @ acc_t[u] @ proj[u]
-        factors[i] = acc @ isq
-    return factors
+        measured.append((landmark, innov.lm_jac))
+    acc = np.zeros((len(store.team), 3, 2))
+    for state, h in measured:
+        u = store.index[state.robot_id]
+        acc += store.blocks[:, :, u, :] @ (state.jac_accum.T @ h.T)
+        acc[u] += _checked_inverse(state.jac_accum, state.robot_id) @ state.cov @ h.T
+    return acc @ innov.inv_sqrt_cov
 
 
 def apply_update(

@@ -117,3 +117,12 @@ class TestUpdateMessage:
         raw = sample_landmark(np.random.default_rng(66)).encode()
         with pytest.raises(ProtocolError):
             UpdateMessage.decode(raw)
+
+
+def test_frame_lengths_match_the_documented_layout():
+    # 5-byte header + 13-byte ids + z, mean, cov, jac_accum (16 + 24 + 72 + 72)
+    rng = np.random.default_rng(67)
+    assert len(sample_landmark(rng).encode()) == 202
+    # 5-byte header + 8-byte ids + 2 + 6 floats, or 3 + 9 floats
+    assert len(UpdateMessage(1, 0, "single", np.zeros(2), np.zeros((3, 2))).encode()) == 77
+    assert len(UpdateMessage(1, 0, "summed", np.zeros(3), np.zeros((3, 3))).encode()) == 109

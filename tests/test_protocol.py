@@ -143,11 +143,10 @@ class TestServerSingleMeasurement:
     def test_no_measurements_no_messages_store_untouched(self):
         rng = np.random.default_rng(75)
         ids, nodes, server, _ = build_stack(rng, 3)
-        before = {k: v.copy() for k, v in server.store.entries.items()}
+        before = server.store.blocks.copy()
         updates = server.handle_epoch([nodes[1].landmark_message()], nodes[1].time)
         assert updates == {}
-        for key in before:
-            np.testing.assert_array_equal(server.store.entries[key], before[key])
+        np.testing.assert_array_equal(server.store.blocks, before)
 
     def test_single_measurement_matches_joint_filter(self):
         rng = np.random.default_rng(76)
@@ -281,10 +280,10 @@ class TestServerSequentialEpoch:
         ids, nodes, server, belief = build_stack(rng, 4, warmup_pairs=[(3, 4), (1, 4)])
         t = nodes[1].time
         z = rng.uniform(-1, 1, 2)
-        before = server.store.entries[(1, 4)].copy()
+        before = server.store.factor(1, 4).copy()
         msgs = [nodes[1].landmark_message(z=z, landmark=2), nodes[2].landmark_message()]
         server.handle_epoch(msgs, t, missed=frozenset({4}))
-        assert not np.array_equal(server.store.entries[(1, 4)], before)
+        assert not np.array_equal(server.store.factor(1, 4), before)
         # reconstruction still matches the partial-update reference
         belief, _ = joint_ekf.partial_update(
             belief, model.RelativeMeasurement(1, 2, z, t), NOISE, frozenset({4})
@@ -304,7 +303,7 @@ class TestServerAbsolute:
         z = nodes[2].state.mean[:2] + rng.uniform(-0.1, 0.1, 2)
         msg = nodes[2].landmark_message(z=z)
         before = {i: nodes[i].state.copy() for i in ids}
-        updates = server.handle_absolute(msg, t)
+        updates = server.handle_epoch([msg], t)
         for i in ids:
             nodes[i].apply_update(updates[i])
         assert not np.array_equal(nodes[2].state.mean, before[2].mean)
@@ -316,7 +315,7 @@ class TestServerAbsolute:
         ids, nodes, server, belief = build_stack(rng, 3, warmup_pairs=[(1, 2)])
         t = nodes[1].time
         z = rng.uniform(-2, 2, 2)
-        updates = server.handle_absolute(nodes[1].landmark_message(z=z), t)
+        updates = server.handle_epoch([nodes[1].landmark_message(z=z)], t)
         for i in ids:
             nodes[i].apply_update(updates[i])
         belief, _ = joint_ekf.absolute_update(
@@ -332,7 +331,7 @@ class TestServerAbsolute:
         t = nodes[1].time
         before2 = nodes[2].state.mean.copy()
         z = rng.uniform(-2, 2, 2)
-        updates = server.handle_absolute(nodes[1].landmark_message(z=z), t)
+        updates = server.handle_epoch([nodes[1].landmark_message(z=z)], t)
         for i in ids:
             nodes[i].apply_update(updates[i])
         assert not np.array_equal(nodes[2].state.mean, before2)
@@ -340,10 +339,3 @@ class TestServerAbsolute:
             belief, model.AbsoluteMeasurement(1, z, t), NOISE
         )
         assert_matches_belief(ids, nodes, belief)
-
-    def test_relative_announcement_rejected(self):
-        rng = np.random.default_rng(89)
-        ids, nodes, server, _ = build_stack(rng, 2)
-        msg = nodes[1].landmark_message(z=np.zeros(2), landmark=2)
-        with pytest.raises(ProtocolError):
-            server.handle_absolute(msg, nodes[1].time)

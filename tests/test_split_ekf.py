@@ -31,9 +31,15 @@ def split_team_from_belief(belief, n_steps_rng=None):
         for i in belief.robot_ids
     }
     store = CrossFactorStore(belief.robot_ids)
-    for key, block in belief.cross.items():
-        store.entries[key] = block.copy()
+    for (i, j), block in belief.cross.items():
+        set_factor(store, i, j, block)
     return states, store
+
+
+def set_factor(store, i, j, block):
+    """Write ``C_ij`` and its transpose ``C_ji``, keeping the store symmetric."""
+    store.factor(i, j)[:] = block
+    store.factor(j, i)[:] = block.T
 
 
 class TestPropagate:
@@ -158,9 +164,10 @@ class TestUpdateFactors:
         states, store = split_team_from_belief(belief)
         z = rng.uniform(-1, 1, 2)
         innov = split_ekf.innovation(states[1], states[2], store.factor(1, 2), z, np.eye(2) * 0.02)
-        factors = split_ekf.update_factors((1, 2, 3, 4), store, states[1], states[2], innov)
-        np.testing.assert_array_equal(factors[3], np.zeros((3, 2)))
-        np.testing.assert_array_equal(factors[4], np.zeros((3, 2)))
+        factors = split_ekf.update_factors(store, states[1], states[2], innov)
+        assert factors.shape == (4, 3, 2)
+        np.testing.assert_array_equal(factors[store.index[3]], np.zeros((3, 2)))
+        np.testing.assert_array_equal(factors[store.index[4]], np.zeros((3, 2)))
 
     def test_observer_factor_reduces_to_whitened_gain_at_identity(self):
         rng = np.random.default_rng(41)
@@ -171,9 +178,9 @@ class TestUpdateFactors:
         z = rng.uniform(-1, 1, 2)
         noise = np.eye(2) * 0.02
         innov = split_ekf.innovation(states[1], states[2], store.factor(1, 2), z, noise)
-        factors = split_ekf.update_factors((1, 2), store, states[1], states[2], innov)
+        factors = split_ekf.update_factors(store, states[1], states[2], innov)
         expected = states[1].cov @ innov.obs_jac.T @ innov.inv_sqrt_cov
-        np.testing.assert_allclose(factors[1], expected, atol=1e-12)
+        np.testing.assert_allclose(factors[store.index[1]], expected, atol=1e-12)
 
     def test_gain_identity_against_joint_filter(self):
         # accumulated_jacobian @ factor @ inv_sqrt(S) reproduces the
@@ -185,11 +192,11 @@ class TestUpdateFactors:
             z = rng.uniform(-1, 1, 2)
             noise = np.eye(2) * 0.02
             innov = split_ekf.innovation(states[2], states[4], store.factor(2, 4), z, noise)
-            factors = split_ekf.update_factors(belief.robot_ids, store, states[2], states[4], innov)
+            factors = split_ekf.update_factors(store, states[2], states[4], innov)
             meas = model.RelativeMeasurement(2, 4, z, 0)
             _, oracle = joint_ekf.update(belief, meas, noise)
             for i in belief.robot_ids:
-                gain = states[i].jac_accum @ factors[i] @ innov.inv_sqrt_cov
+                gain = states[i].jac_accum @ factors[store.index[i]] @ innov.inv_sqrt_cov
                 np.testing.assert_allclose(gain, oracle.gains[i], atol=GAIN_TOL)
 
     def test_factor_products_reconstruct_gain_products(self):
@@ -199,15 +206,16 @@ class TestUpdateFactors:
         z = rng.uniform(-1, 1, 2)
         noise = np.eye(2) * 0.02
         innov = split_ekf.innovation(states[1], states[3], store.factor(1, 3), z, noise)
-        factors = split_ekf.update_factors(belief.robot_ids, store, states[1], states[3], innov)
+        factors = split_ekf.update_factors(store, states[1], states[3], innov)
         meas = model.RelativeMeasurement(1, 3, z, 0)
         _, oracle = joint_ekf.update(belief, meas, noise)
+        d = {i: factors[store.index[i]] for i in belief.robot_ids}
         for i in belief.robot_ids:
             for j in belief.robot_ids:
-                lhs = states[i].jac_accum @ factors[i] @ factors[j].T @ states[j].jac_accum.T
+                lhs = states[i].jac_accum @ d[i] @ d[j].T @ states[j].jac_accum.T
                 rhs = oracle.gains[i] @ innov.cov @ oracle.gains[j].T
                 np.testing.assert_allclose(lhs, rhs, atol=GAIN_TOL)
-            lhs_vec = states[i].jac_accum @ factors[i] @ innov.white_residual
+            lhs_vec = states[i].jac_accum @ d[i] @ innov.white_residual
             rhs_vec = oracle.gains[i] @ innov.residual
             np.testing.assert_allclose(lhs_vec, rhs_vec, atol=GAIN_TOL)
 
@@ -218,7 +226,7 @@ class TestUpdateFactors:
         store = CrossFactorStore((1, 2))
         innov = split_ekf.innovation(sa, sb, store.factor(1, 2), np.zeros(2), np.eye(2) * 0.02)
         with pytest.raises(NumericalError):
-            split_ekf.update_factors((1, 2), store, sa, sb, innov)
+            split_ekf.update_factors(store, sa, sb, innov)
 
 
 class TestApplyUpdate:
@@ -238,11 +246,13 @@ class TestApplyUpdate:
             z = rng.uniform(-1, 1, 2)
             noise = np.eye(2) * 0.02
             innov = split_ekf.innovation(states[1], states[2], store.factor(1, 2), z, noise)
-            factors = split_ekf.update_factors(belief.robot_ids, store, states[1], states[2], innov)
+            factors = split_ekf.update_factors(store, states[1], states[2], innov)
             meas = model.RelativeMeasurement(1, 2, z, 0)
             updated, _ = joint_ekf.update(belief, meas, noise)
             for i in belief.robot_ids:
-                out = split_ekf.apply_update(states[i], factors[i], innov.white_residual)
+                out = split_ekf.apply_update(
+                    states[i], factors[store.index[i]], innov.white_residual
+                )
                 np.testing.assert_allclose(out.mean, updated.means[i], atol=GAIN_TOL)
                 np.testing.assert_allclose(out.cov, updated.covs[i], atol=GAIN_TOL)
 
@@ -266,10 +276,16 @@ class TestApplyUpdate:
 
 class TestCrossFactorStore:
     def test_starts_at_zero_and_serves_transpose(self):
-        store = CrossFactorStore((1, 2, 3))
+        rng = np.random.default_rng(51)
+        store = CrossFactorStore((3, 1, 2))
+        assert store.team == (1, 2, 3)
+        assert store.blocks.shape == (3, 3, 3, 3)
         np.testing.assert_array_equal(store.factor(1, 3), np.zeros((3, 3)))
-        store.entries[(1, 3)][0, 1] = 2.0
-        assert store.factor(3, 1)[1, 0] == 2.0
+        store.update(rng.standard_normal((3, 3, 2)))
+        np.testing.assert_array_equal(store.factor(3, 1), store.factor(1, 3).T)
+        assert np.shares_memory(store.factor(1, 3), store.blocks)
+        store.factor(1, 3)[0, 1] = 2.0
+        assert store.blocks[store.index[1], 0, store.index[3], 1] == 2.0
 
     def test_same_robot_rejected(self):
         store = CrossFactorStore((1, 2))
@@ -278,21 +294,44 @@ class TestCrossFactorStore:
 
     def test_zero_factors_leave_store_unchanged(self):
         store = CrossFactorStore((1, 2, 3))
-        store.entries[(1, 2)][:] = 1.5
-        before = {k: v.copy() for k, v in store.entries.items()}
-        store.update({i: np.zeros((3, 2)) for i in (1, 2, 3)})
-        for key in before:
-            np.testing.assert_array_equal(store.entries[key], before[key])
+        set_factor(store, 1, 2, np.full((3, 3), 1.5))
+        before = store.blocks.copy()
+        store.update(np.zeros((3, 3, 2)))
+        np.testing.assert_array_equal(store.blocks, before)
 
     def test_missed_pair_block_frozen(self):
         rng = np.random.default_rng(49)
         store = CrossFactorStore((1, 2, 3, 4))
-        factors = {i: rng.standard_normal((3, 2)) for i in (1, 2, 3, 4)}
-        before_34 = store.entries[(3, 4)].copy()
-        before_13 = store.entries[(1, 3)].copy()
+        store.update(rng.standard_normal((4, 3, 2)))
+        factors = rng.standard_normal((4, 3, 2))
+        before_34 = store.factor(3, 4).copy()
+        before_13 = store.factor(1, 3).copy()
         store.update(factors, missed={3, 4})
-        np.testing.assert_array_equal(store.entries[(3, 4)], before_34)
-        assert not np.array_equal(store.entries[(1, 3)], before_13)
+        np.testing.assert_array_equal(store.factor(3, 4), before_34)
+        np.testing.assert_array_equal(store.factor(4, 3), before_34.T)
+        assert not np.array_equal(store.factor(1, 3), before_13)
+
+    def test_update_subtracts_factor_products_outside_frozen_blocks(self):
+        rng = np.random.default_rng(52)
+        store = CrossFactorStore((1, 2, 3, 4, 5))
+        d = {i: rng.standard_normal((3, 2)) for i in store.team}
+        store.update(np.stack([d[i] for i in store.team]), missed={2, 5})
+        for i in store.team:
+            for j in store.team:
+                if i == j or {i, j} <= {2, 5}:
+                    continue
+                np.testing.assert_allclose(store.factor(i, j), -d[i] @ d[j].T, atol=1e-14)
+
+    def test_diagonal_stays_zero_and_store_symmetric_with_missed_robots(self):
+        rng = np.random.default_rng(53)
+        store = CrossFactorStore(range(1, 9))
+        n = len(store.team)
+        for missed in ({2, 5}, set(), {1, 3, 8}, {4}):
+            store.update(rng.standard_normal((n, 3, 2)), missed=missed)
+            square = store.blocks.reshape(3 * n, 3 * n)
+            np.testing.assert_array_equal(square, square.T)
+            for pos in range(n):
+                np.testing.assert_array_equal(store.blocks[pos, :, pos, :], np.zeros((3, 3)))
 
     def test_reconstruction_tracks_joint_filter_through_a_run(self):
         # 100 propagation steps with an update every tenth step: the stored
@@ -312,9 +351,11 @@ class TestCrossFactorStore:
                 a, b = pairs[(step // 10) % 3]
                 z = rng.uniform(-1, 1, 2)
                 innov = split_ekf.innovation(states[a], states[b], store.factor(a, b), z, noise)
-                factors = split_ekf.update_factors(belief.robot_ids, store, states[a], states[b], innov)
+                factors = split_ekf.update_factors(store, states[a], states[b], innov)
                 for i in states:
-                    states[i] = split_ekf.apply_update(states[i], factors[i], innov.white_residual)
+                    states[i] = split_ekf.apply_update(
+                        states[i], factors[store.index[i]], innov.white_residual
+                    )
                 store.update(factors)
                 belief, _ = joint_ekf.update(
                     belief, model.RelativeMeasurement(a, b, z, belief.time), noise
@@ -329,5 +370,5 @@ class TestCrossFactorStore:
     def test_copy_is_independent(self):
         store = CrossFactorStore((1, 2))
         dup = store.copy()
-        dup.entries[(1, 2)][0, 0] = 9.0
-        assert store.entries[(1, 2)][0, 0] == 0.0
+        dup.factor(1, 2)[0, 0] = 9.0
+        assert store.factor(1, 2)[0, 0] == 0.0

@@ -1,0 +1,119 @@
+"""The paper's headline claims, end to end through the simulator.
+
+The split protocol stack must match the centralized EKF to 1e-8 under
+perfect communication, and the partial-update EKF under dropouts; the
+negative control (every store update with the wrong sign) must fail both.
+"""
+
+import numpy as np
+import pytest
+
+from splitcl import harness, joint_ekf
+from splitcl.linalg import NumericalError
+from splitcl.protocol import EVENT_NUMERIC_S
+from splitcl.scenario import (
+    MeasurementWindow,
+    Scenario,
+    build_table1_scenario,
+    strip_dropouts,
+)
+from splitcl.verify import check_dropout_equivalence, check_exact_equivalence
+
+TOL = 1e-8
+CORRELATED = (1, 2, 3, 4)
+
+
+def overlapping_team_scenario() -> Scenario:
+    """Twelve robots; 1 and 2 measure each other in overlapping windows.
+
+    Robots 3 and 4 do the same, and 2 -> 3 links the two pairs, so most
+    epochs carry several measurements (summed update frames). With a 30%
+    link loss, two correlated robots often miss an epoch in which the
+    others measure, which freezes a nonzero missed x missed store block.
+    """
+    n = 12
+    windows = (
+        MeasurementWindow(1.0, 29.0, 1, 2),
+        MeasurementWindow(3.0, 27.0, 2, 1),
+        MeasurementWindow(1.0, 29.0, 3, 4),
+        MeasurementWindow(2.0, 28.0, 4, 3),
+        MeasurementWindow(8.0, 22.0, 2, 3),
+    )
+    sc = Scenario(
+        n_robots=n,
+        duration_s=30.0,
+        v_noise_frac=tuple(0.15 + 0.01 * r for r in range(n)),
+        w_noise_frac=tuple(0.25 - 0.01 * r for r in range(n)),
+        meas_windows=windows,
+        meas_period_s=0.5,
+        bernoulli_p=0.3,
+        seed=5,
+    )
+    sc.validate()
+    return sc
+
+
+@pytest.fixture(scope="module")
+def table1():
+    return build_table1_scenario()
+
+
+def test_table1_exact_equivalence(table1):
+    report = check_exact_equivalence(strip_dropouts(table1))
+    assert report.passed(TOL), report.summary()
+    assert report.n_measurements > 0
+
+
+def test_table1_dropout_equivalence(table1):
+    report = check_dropout_equivalence(table1)
+    assert report.passed(TOL), report.summary()
+    assert report.missed_updates_exact
+
+
+@pytest.mark.parametrize("check", [check_exact_equivalence, check_dropout_equivalence])
+def test_table1_negative_control_fails(table1, check):
+    report = check(table1, corrupt_cross_sign=True)
+    assert not report.passed(TOL)
+    assert report.max_cross_diff > 1e-3
+
+
+def test_overlapping_windows_with_link_loss_match_the_partial_update_filter():
+    sc = overlapping_team_scenario()
+    key = (sc.seed,)
+    real = harness.build_realization(sc, key)
+    reports = harness.delivery_reports(sc, real, key)
+    frozen_epochs = [
+        k for k, meas in real.measurements.items()
+        if any(reports[k].missed.isdisjoint({m.observer, m.landmark}) for m in meas)
+        and len(reports[k].missed & set(CORRELATED)) >= 2
+    ]
+    assert len(frozen_epochs) >= 3
+
+    report = check_dropout_equivalence(sc)
+    assert report.passed(TOL), report.summary()
+    assert report.n_measurements > report.n_epochs
+    assert not check_dropout_equivalence(sc, corrupt_cross_sign=True).passed(TOL)
+
+
+def test_numerical_error_in_the_joint_filter_skips_the_measurement(monkeypatch):
+    def failing_update(*args, **kwargs):
+        raise NumericalError("innovation covariance is not positive definite")
+
+    monkeypatch.setattr(joint_ekf, "partial_update", failing_update)
+    sc = Scenario(duration_s=60.0, meas_windows=(
+        MeasurementWindow(10.0, 15.0, 1, 2),
+        MeasurementWindow(40.0, 45.0, 3, 4),
+    ))
+    estimators = (harness.DR, harness.JOINT_EKF, harness.PARTIAL_ORACLE)
+    rec = harness.run_once(sc, estimators, seed=3)
+
+    n_meas = sum(len(m) for m in harness.build_realization(sc, (3,)).measurements.values())
+    numeric = [ev for ev in rec.events if ev.code == EVENT_NUMERIC_S]
+    assert len(numeric) == 2 * n_meas
+    assert {ev.detail.split()[0] for ev in numeric} == {
+        "estimator=joint_ekf", "estimator=partial_oracle"
+    }
+    # Every update was skipped whole: both filters only propagated.
+    for name in (harness.JOINT_EKF, harness.PARTIAL_ORACLE):
+        assert not rec.flagged[name]
+        np.testing.assert_array_equal(rec.estimates[name], rec.estimates[harness.DR])
