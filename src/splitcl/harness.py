@@ -269,9 +269,9 @@ def _run_joint(
 
 
 def _record_joint(belief: joint_ekf.JointBelief, est, cov, k: int) -> None:
-    for idx, i in enumerate(belief.robot_ids):
-        est[idx, k] = belief.means[i]
-        cov[idx, k] = belief.covs[i]
+    diag = np.arange(len(belief.team))
+    est[:, k] = belief.mean
+    cov[:, k] = belief.cov[diag, :, diag, :]
 
 
 def _run_split(

@@ -1,18 +1,29 @@
-"""Centralized team EKF that tracks every cross-covariance block.
+"""Centralized team EKF on one dense team covariance.
 
-This is the reference estimator: it holds the full team belief (one pose
-estimate and own-covariance per robot plus one cross-covariance block per
-robot pair) and performs the textbook EKF recursion on it, block by block.
-The distributed implementation in :mod:`splitcl.split_ekf` and
-:mod:`splitcl.protocol` is checked against it.
+This is the reference estimator: it holds the full team belief, a pose
+estimate per robot and the whole stacked covariance, and performs the
+textbook EKF recursion on it. The distributed implementation in
+:mod:`splitcl.split_ekf` and :mod:`splitcl.protocol` is checked against it.
+
+The belief uses the same layout as the server's factor store: the team in
+sorted order, ``mean`` of shape ``(N, 3)`` and ``cov`` of shape
+``(N, 3, N, 3)``, where ``cov[a, :, b, :]`` is the covariance block between
+the robots at positions ``a`` and ``b``. Reshaped to ``(3N, 3N)`` it is the
+stacked team covariance; every operation keeps a symmetric one exactly
+symmetric.
+
+Propagation is ``F P F' + G Q G'`` with a block-diagonal ``F``. An update
+forms ``P H'`` from the measured robots' block columns, the gains
+``K = P H' S^-1`` of every robot, and subtracts the symmetrized ``K S K'``
+as one product.
 
 ``partial_update`` supports epochs where a subset of robots never receives
-the correction: their estimates and own covariances are left untouched, the
-cross blocks between two such robots are left untouched, and every other
-cross block is still corrected using the minimum-variance gain of the robots
-that did receive the update (with the same gain expression evaluated for the
-skipped robots, applied to cross terms only). ``update`` is the special case
-with an empty skip set.
+the correction. The blocks of ``K S K'`` between two such robots are zeroed
+before the subtraction and their rows of ``K r`` are zeroed before the mean
+correction, so their estimates, own covariances and mutual cross blocks stay
+bit for bit unchanged, while every cross block between them and the robots
+that did receive the update is still corrected with the minimum-variance
+gain. ``update`` is the special case with an empty missed set.
 
 Beliefs are values: every operation returns a new :class:`JointBelief`.
 """
@@ -25,33 +36,37 @@ from typing import AbstractSet, Mapping
 import numpy as np
 
 from . import model
-from .linalg import check_spd_2x2, symmetrize
+from .linalg import block_diag_sandwich, check_spd_2x2, min_eigenvalue, symmetrize
 
 
 @dataclass(slots=True)
 class Innovation:
-    """Residual, innovation covariance and per-robot gains of one update.
+    """Residual, innovation covariance and gains of one update.
 
-    ``gains`` contains an entry for every robot, including robots that were
-    excluded from the state update (their gain only touches cross terms).
+    ``gains`` has shape ``(N, 3, 2)`` in team order and holds the gain of
+    every robot, including robots that were excluded from the state update
+    (their gain only touches cross terms).
     """
 
     residual: np.ndarray
     cov: np.ndarray
-    gains: dict[int, np.ndarray]
+    gains: np.ndarray
 
 
 @dataclass(slots=True)
 class JointBelief:
-    """Full-team belief: per-robot estimates plus all covariance blocks.
+    """Full-team belief in one dense array.
 
-    ``cross`` is keyed by ``(i, j)`` with ``i < j``; the block for ``(j, i)``
-    is served as the transpose.
+    ``team`` is the sorted tuple of robot ids and ``index`` maps a robot id
+    to its position in it. ``mean[a]`` is the pose estimate of the robot at
+    position ``a`` and ``cov[a, :, b, :]`` the covariance block between the
+    robots at positions ``a`` and ``b``.
     """
 
-    means: dict[int, np.ndarray]
-    covs: dict[int, np.ndarray]
-    cross: dict[tuple[int, int], np.ndarray]
+    team: tuple[int, ...]
+    index: dict[int, int]
+    mean: np.ndarray
+    cov: np.ndarray
     time: int = 0
 
     @classmethod
@@ -62,48 +77,34 @@ class JointBelief:
         time: int = 0,
     ) -> "JointBelief":
         """Start a belief with zero cross-covariance between all pairs."""
-        ids = sorted(means)
-        cross = {
-            (i, j): np.zeros((3, 3)) for i in ids for j in ids if i < j
-        }
+        team = tuple(sorted(means))
+        n = len(team)
+        cov = np.zeros((n, 3, n, 3))
+        for a, i in enumerate(team):
+            cov[a, :, a, :] = covs[i]
         return cls(
-            means={i: np.asarray(means[i], dtype=float).copy() for i in ids},
-            covs={i: np.asarray(covs[i], dtype=float).copy() for i in ids},
-            cross=cross,
+            team=team,
+            index={rid: pos for pos, rid in enumerate(team)},
+            mean=np.array([np.asarray(means[i], dtype=float) for i in team]).reshape(n, 3),
+            cov=cov,
             time=time,
         )
 
-    @property
-    def robot_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self.means))
-
     def block(self, i: int, j: int) -> np.ndarray:
-        """Covariance block between robots ``i`` and ``j`` (own block if equal)."""
-        if i == j:
-            return self.covs[i]
-        if i < j:
-            return self.cross[(i, j)]
-        return self.cross[(j, i)].T
+        """Covariance block between robots ``i`` and ``j``, a view into ``cov``."""
+        return self.cov[self.index[i], :, self.index[j], :]
 
     def joint_matrix(self) -> np.ndarray:
-        """Assemble the full stacked covariance matrix."""
-        ids = self.robot_ids
-        n = len(ids)
-        out = np.zeros((3 * n, 3 * n))
-        for ai, i in enumerate(ids):
-            for aj, j in enumerate(ids):
-                out[3 * ai:3 * ai + 3, 3 * aj:3 * aj + 3] = self.block(i, j)
-        return out
+        """The stacked ``(3N, 3N)`` covariance, a view into ``cov``."""
+        n = len(self.team)
+        return self.cov.reshape(3 * n, 3 * n)
 
     def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.joint_matrix())[0])
+        return min_eigenvalue(self.joint_matrix())
 
     def copy(self) -> "JointBelief":
         return JointBelief(
-            means={i: m.copy() for i, m in self.means.items()},
-            covs={i: p.copy() for i, p in self.covs.items()},
-            cross={k: c.copy() for k, c in self.cross.items()},
-            time=self.time,
+            self.team, self.index, self.mean.copy(), self.cov.copy(), self.time
         )
 
 
@@ -115,28 +116,30 @@ def propagate(
 ) -> JointBelief:
     """Advance every robot one timestep.
 
-    Own blocks follow ``F P F' + G Q G'``; the cross block between robots
-    ``i`` and ``j`` becomes ``F_i P_ij F_j'``.
+    The covariance becomes ``F P F' + G Q G'`` with block-diagonal ``F``
+    and ``G Q G'``: own blocks follow ``F_i P_ii F_i' + G_i Q_i G_i'`` and
+    the cross block between robots ``i`` and ``j`` becomes ``F_i P_ij F_j'``.
     """
-    ids = belief.robot_ids
-    if sorted(controls) != list(ids) or sorted(noises) != list(ids):
+    team = belief.team
+    if sorted(controls) != list(team) or sorted(noises) != list(team):
         raise ValueError("controls and noises must cover exactly the team")
-    means: dict[int, np.ndarray] = {}
-    covs: dict[int, np.ndarray] = {}
-    f_jacs: dict[int, np.ndarray] = {}
-    for i in ids:
-        f_jac, g_jac = model.motion_jacobians(belief.means[i], controls[i], dt)
+    n = len(team)
+    mean = np.empty((n, 3))
+    f_jacs = np.empty((n, 3, 3))
+    gqg = np.empty((n, 3, 3))
+    for a, i in enumerate(team):
+        f_jac, g_jac = model.motion_jacobians(belief.mean[a], controls[i], dt)
         q = np.asarray(noises[i], dtype=float)
         if q.shape != (2, 2):
             raise ValueError(f"process noise for robot {i} must be 2x2, got {q.shape}")
-        means[i] = model.propagate_pose(belief.means[i], controls[i], dt)
-        covs[i] = f_jac @ belief.covs[i] @ f_jac.T + g_jac @ q @ g_jac.T
-        f_jacs[i] = f_jac
-    cross = {
-        (i, j): f_jacs[i] @ block @ f_jacs[j].T
-        for (i, j), block in belief.cross.items()
-    }
-    return JointBelief(means=means, covs=covs, cross=cross, time=belief.time + 1)
+        mean[a] = model.propagate_pose(belief.mean[a], controls[i], dt)
+        f_jacs[a] = f_jac
+        gqg[a] = g_jac @ q @ g_jac.T
+    cov = block_diag_sandwich(f_jacs, belief.cov)
+    diag = np.arange(n)
+    cov[diag, :, diag, :] += gqg
+    cov = symmetrize(cov.reshape(3 * n, 3 * n)).reshape(n, 3, n, 3)
+    return JointBelief(team, belief.index, mean, cov, belief.time + 1)
 
 
 def update(
@@ -160,17 +163,17 @@ def partial_update(
     endpoints cannot be reached is discarded upstream, never processed here.
     """
     a, b = meas.observer, meas.landmark
-    ids = belief.robot_ids
-    if a not in ids or b not in ids:
-        raise ValueError(f"measurement endpoints ({a}, {b}) not in team {ids}")
+    if a not in belief.index or b not in belief.index:
+        raise ValueError(f"measurement endpoints ({a}, {b}) not in team {belief.team}")
     if a in missed or b in missed:
         raise ValueError(
             "observer and landmark must have received the update "
             f"(got missed set containing {sorted(set(missed) & {a, b})})"
         )
-    h_obs, h_lm = model.relative_jacobians(belief.means[a], belief.means[b])
-    predicted = model.relative_position(belief.means[a], belief.means[b])
-    residual = np.asarray(meas.z, dtype=float) - predicted
+    pose_a = belief.mean[belief.index[a]]
+    pose_b = belief.mean[belief.index[b]]
+    h_obs, h_lm = model.relative_jacobians(pose_a, pose_b)
+    residual = np.asarray(meas.z, dtype=float) - model.relative_position(pose_a, pose_b)
     return _apply_terms(belief, [(a, h_obs), (b, h_lm)], residual, noise_cov, missed)
 
 
@@ -191,13 +194,13 @@ def partial_absolute_update(
 ) -> tuple[JointBelief, Innovation]:
     """Absolute-measurement analogue of :func:`partial_update`."""
     a = meas.observer
-    if a not in belief.robot_ids:
-        raise ValueError(f"robot {a} not in team {belief.robot_ids}")
+    if a not in belief.index:
+        raise ValueError(f"robot {a} not in team {belief.team}")
     if a in missed:
         raise ValueError("the measured robot must have received the update")
-    residual = np.asarray(meas.z, dtype=float) - model.absolute_position(belief.means[a])
-    terms = [(a, model.absolute_jacobian())]
-    return _apply_terms(belief, terms, residual, noise_cov, missed)
+    pose = belief.mean[belief.index[a]]
+    residual = np.asarray(meas.z, dtype=float) - model.absolute_position(pose)
+    return _apply_terms(belief, [(a, model.absolute_jacobian())], residual, noise_cov, missed)
 
 
 def _apply_terms(
@@ -207,39 +210,28 @@ def _apply_terms(
     noise_cov: np.ndarray,
     missed: AbstractSet[int],
 ) -> tuple[JointBelief, Innovation]:
-    # Innovation covariance: measurement noise plus every pairwise
-    # H_u P_uv H_v' contribution, including the cross-covariance ones.
+    n = len(belief.team)
+    # P H' is one block column per measured robot; H P H' takes the measured
+    # robots' rows of it, cross-covariance contributions included.
+    pht = np.zeros((n, 3, 2))
+    for u, h_u in terms:
+        pht += belief.cov[:, :, belief.index[u], :] @ h_u.T
     innov_cov = np.asarray(noise_cov, dtype=float).copy()
     for u, h_u in terms:
-        for v, h_v in terms:
-            innov_cov += h_u @ belief.block(u, v) @ h_v.T
+        innov_cov += h_u @ pht[belief.index[u]]
     check_spd_2x2(innov_cov)
-    innov_inv = np.linalg.inv(innov_cov)
 
-    # The same gain expression serves both roles: state correction for the
-    # robots that receive the update, cross-term correction for the rest.
-    gains: dict[int, np.ndarray] = {}
-    for i in belief.robot_ids:
-        acc = np.zeros((3, 2))
-        for u, h_u in terms:
-            acc += belief.block(i, u) @ h_u.T
-        gains[i] = acc @ innov_inv
+    # The same gain serves both roles: state correction for the robots that
+    # receive the update, cross-term correction for the rest.
+    gains = pht @ np.linalg.inv(innov_cov)
+    flat = gains.reshape(3 * n, 2)
+    product = symmetrize(flat @ innov_cov @ flat.T).reshape(n, 3, n, 3)
+    frozen = np.array([belief.index[r] for r in missed], dtype=int)
+    product[frozen[:, None], :, frozen[None, :], :] = 0.0
+    correction = gains @ residual
+    correction[frozen] = 0.0
 
-    means: dict[int, np.ndarray] = {}
-    covs: dict[int, np.ndarray] = {}
-    for i in belief.robot_ids:
-        if i in missed:
-            means[i] = belief.means[i].copy()
-            covs[i] = belief.covs[i].copy()
-        else:
-            means[i] = belief.means[i] + gains[i] @ residual
-            covs[i] = symmetrize(belief.covs[i] - gains[i] @ innov_cov @ gains[i].T)
-    cross: dict[tuple[int, int], np.ndarray] = {}
-    for (i, j), block in belief.cross.items():
-        if i in missed and j in missed:
-            cross[(i, j)] = block.copy()
-        else:
-            cross[(i, j)] = block - gains[i] @ innov_cov @ gains[j].T
-
-    updated = JointBelief(means=means, covs=covs, cross=cross, time=belief.time)
+    updated = JointBelief(
+        belief.team, belief.index, belief.mean + correction, belief.cov - product, belief.time
+    )
     return updated, Innovation(residual=residual, cov=innov_cov, gains=gains)

@@ -25,6 +25,21 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
+def block_diag_sandwich(blocks: np.ndarray, team_matrix: np.ndarray) -> np.ndarray:
+    """``B M B'`` for a block-diagonal ``B``, in the ``(N, 3, N, 3)`` layout.
+
+    ``blocks`` is the ``(N, 3, 3)`` stack of diagonal blocks of ``B`` and
+    ``team_matrix`` holds ``M`` with ``[a, :, b, :]`` its block ``M_ab``;
+    block ``(a, b)`` of the result is ``B_a M_ab B_b'``. Two batched
+    products on the ``(N, 3, 3N)`` block rows do it: ``B M`` row by row, then
+    ``B (B M)'`` row by row, transposed back.
+    """
+    n = blocks.shape[0]
+    rows = np.matmul(blocks, team_matrix.reshape(n, 3, 3 * n)).reshape(3 * n, 3 * n)
+    cols = np.matmul(blocks, rows.T.reshape(n, 3, 3 * n)).reshape(3 * n, 3 * n)
+    return np.ascontiguousarray(cols.T).reshape(n, 3, n, 3)
+
+
 def eig_bounds_2x2(s: np.ndarray) -> tuple[float, float]:
     """(min, max) eigenvalues of a symmetric 2x2 matrix, closed form."""
     half_tr = 0.5 * (s[0, 0] + s[1, 1])

@@ -25,13 +25,16 @@ the following keys; distances are meters, times seconds, angles radians:
 ``zones``               list of [x_min, y_min, x_max, y_max] dropout areas
 ``initial_cov_diag``    diagonal of every robot's initial covariance
 ``perturb_initial``     draw the initial estimate error from the initial
-                        covariance (true start poses are the spiral corners)
+                        covariance (true start poses are given by
+                        ``start_poses``)
 ``seed``                default RNG seed for runs of this scenario
 
-All robots drive the same outward square spiral, each starting one corner
-further along, and all reach their next corner at the same instant (straight
-edges at constant speed, turns in place). Cross-covariances always start at
-zero.
+Every robot starts at the spiral's center; robot r heads out at
+(r-1) * 90 degrees and drives its own copy of the outward square spiral,
+rotated by that angle and scaled by its path scale. All robots reach their
+next corner at the same instant (straight edges at constant speed, turns in
+place). With more than four robots, headings repeat every four robots.
+Cross-covariances always start at zero.
 
 The 1e-6 floor on process-noise variances applies to the covariance the
 filters use, not to the injected noise, so a zero-noise scenario really is
@@ -67,8 +70,10 @@ class SpiralPath:
 
     ``growth_mode`` selects how edge lengths progress: ``"linear"`` adds
     ``growth`` meters per edge, ``"geometric"`` multiplies by ``growth`` per
-    edge. Robots start one corner apart on the same track and always corner
-    simultaneously, so a robot further along drives proportionally faster.
+    edge. Every robot drives its own copy of this track from the center,
+    rotated by (r-1) * 90 degrees for robot r and scaled by its path scale
+    (see :func:`start_poses`); all robots corner simultaneously, so a robot
+    with a larger scale drives proportionally faster.
     """
 
     side0: float = 1.0
@@ -137,6 +142,8 @@ class Scenario:
             raise ScenarioError("n_robots must be at least 1")
         if self.dt_s <= 0 or self.duration_s <= 0:
             raise ScenarioError("dt_s and duration_s must be positive")
+        if self.n_steps < 1:
+            raise ScenarioError("duration_s must span at least one step of dt_s")
         if self.meas_period_s <= 0:
             raise ScenarioError("meas_period_s must be positive")
         if self.meas_noise_std <= 0:

@@ -38,6 +38,7 @@ from .linalg import (
     COND_WARN,
     ConditioningWarning,
     NumericalError,
+    block_diag_sandwich,
     check_spd_2x2,
     sqrt_and_inv_sqrt_2x2,
 )
@@ -224,9 +225,14 @@ class CrossFactorStore:
         product[frozen[:, None], :, frozen[None, :], :] = 0.0
         self.blocks += product
 
-    def reconstruct(self, i: int, j: int, acc_i: np.ndarray, acc_j: np.ndarray) -> np.ndarray:
-        """Cross covariance between robots ``i`` and ``j`` implied by the store."""
-        return acc_i @ self.factor(i, j) @ acc_j.T
+    def reconstruct(self, accs: np.ndarray) -> np.ndarray:
+        """Every cross covariance implied by the store, shape ``(N, 3, N, 3)``.
+
+        ``accs`` stacks the robots' accumulated Jacobians ``A_i`` in team
+        order; block ``(a, b)`` of the result is ``A_a C_ab A_b'``. The
+        diagonal blocks are zero: own covariances live on the robots.
+        """
+        return block_diag_sandwich(accs, self.blocks)
 
     def copy(self) -> "CrossFactorStore":
         dup = CrossFactorStore(self.team)

@@ -2,15 +2,21 @@
 
 ``check_exact_equivalence`` runs the full message-passing stack and the
 centralized EKF side by side on one realization under perfect communication
-and reports the largest deviation between them (estimates, own covariances,
-reconstructed cross covariances) over the whole run. The two must agree to
-floating-point accumulation error; a tolerance of 1e-8 over hundreds of
-steps is the acceptance gate.
+and reports the largest deviation between them over the whole run. The two
+must agree to floating-point accumulation error; a tolerance of 1e-8 over
+hundreds of steps is the acceptance gate.
 
 ``check_dropout_equivalence`` does the same under the scenario's dropout
 schedule, comparing against the centralized filter's partial-update rule
 driven by the identical per-epoch missed sets, and additionally verifies
 that a robot that misses an epoch keeps exactly its propagated state.
+
+After every step the whole team is compared at once: the robots' stacked
+means, own covariances and accumulated Jacobians against the joint belief's
+means and diagonal blocks, and the store's whole-team reconstruction
+``A C A'`` against every off-diagonal block, reduced to one deviation per
+robot (a cross block counts for its lower-id robot). The step and robot of
+the largest deviation are reported.
 
 Both checks also police two structural properties along the way: the
 centralized joint covariance stays positive semidefinite (to tolerance) and
@@ -31,7 +37,6 @@ from .harness import (
     build_realization,
     delivery_reports,
 )
-from .model import wrap_angle
 from .network import gate_measurement, perfect_report
 from .protocol import CooperationServer, ProtocolEvent, RobotNode
 
@@ -117,76 +122,70 @@ def _run_side_by_side(
     )
     noise = sc.meas_noise_cov()
     events: list[ProtocolEvent] = []
+    diag = np.arange(len(ids))
+    upper = np.triu(np.ones((len(ids), len(ids)), dtype=bool), k=1)
 
-    max_pos = max_heading = max_cov = max_cross = 0.0
-    worst = (0.0, 0, 0)
+    # Largest position, heading, own-covariance and cross-block deviation
+    # over the run, and per step and robot the largest of the four; a cross
+    # block counts for its lower-id robot.
+    max_diffs = np.zeros(4)
+    local = np.empty((sc.n_steps, len(ids)))
     min_eig = math.inf
     max_trace_increase = -math.inf
     missed_exact = True
     n_epochs = n_meas = 0
 
     for k in range(1, sc.n_steps + 1):
-        for i in ids:
-            nodes[i].step(
-                real.controls_meas[i - 1, k - 1],
-                np.diag(real.filter_q[i - 1, k - 1]),
-                sc.dt_s,
-            )
         controls = {i: real.controls_meas[i - 1, k - 1] for i in ids}
         noises = {i: np.diag(real.filter_q[i - 1, k - 1]) for i in ids}
+        for i in ids:
+            nodes[i].step(controls[i], noises[i], sc.dt_s)
         belief = joint_ekf.propagate(belief, controls, noises, sc.dt_s)
 
         if k in real.measurements:
             report = reports.get(k) or perfect_report(ids, k)
             gated = [m for m in real.measurements[k] if gate_measurement(report, m)]
-            pre = {i: (nodes[i].state.mean.copy(), nodes[i].state.cov.copy()) for i in ids}
+            pre_means, pre_covs, _ = _stack_states(nodes, ids)
             _run_split_epoch(nodes, server, real.measurements[k], report, events)
             for m in gated:
                 belief, _ = joint_ekf.partial_update(belief, m, noise, report.missed)
             if gated:
                 n_epochs += 1
                 n_meas += len(gated)
-                for i in ids:
-                    delta = float(np.trace(nodes[i].state.cov) - np.trace(pre[i][1]))
-                    if i in report.missed:
-                        same = (
-                            np.array_equal(nodes[i].state.mean, pre[i][0])
-                            and np.array_equal(nodes[i].state.cov, pre[i][1])
-                        )
-                        missed_exact = missed_exact and same
-                    else:
-                        max_trace_increase = max(max_trace_increase, delta)
+                post_means, post_covs, _ = _stack_states(nodes, ids)
+                missed = np.isin(ids, list(report.missed))
+                missed_exact = missed_exact and (
+                    np.array_equal(post_means[missed], pre_means[missed])
+                    and np.array_equal(post_covs[missed], pre_covs[missed])
+                )
+                delta = np.trace(post_covs, axis1=1, axis2=2) - np.trace(
+                    pre_covs, axis1=1, axis2=2
+                )
+                max_trace_increase = max(max_trace_increase, float(delta[~missed].max()))
 
         min_eig = min(min_eig, belief.min_eigenvalue())
-        for i in ids:
-            mean_split = nodes[i].state.mean
-            mean_joint = belief.means[i]
-            pos = float(np.max(np.abs(mean_split[:2] - mean_joint[:2])))
-            heading = abs(wrap_angle(float(mean_split[2] - mean_joint[2])))
-            cov = float(np.max(np.abs(nodes[i].state.cov - belief.covs[i])))
-            local_max = max(pos, heading, cov)
-            if local_max > worst[0]:
-                worst = (local_max, k, i)
-            max_pos = max(max_pos, pos)
-            max_heading = max(max_heading, heading)
-            max_cov = max(max_cov, cov)
-        for (i, j), block in belief.cross.items():
-            recon = server.store.reconstruct(
-                i, j, nodes[i].state.jac_accum, nodes[j].state.jac_accum
-            )
-            diff = float(np.max(np.abs(recon - block)))
-            if diff > worst[0]:
-                worst = (diff, k, i)
-            max_cross = max(max_cross, diff)
+        means, covs, accs = _stack_states(nodes, ids)
+        offset = means - belief.mean
+        cross = np.abs(server.store.reconstruct(accs) - belief.cov).max(axis=(1, 3))
+        diffs = np.array([
+            np.abs(offset[:, :2]).max(axis=1),
+            np.abs(np.arctan2(np.sin(offset[:, 2]), np.cos(offset[:, 2]))),
+            np.abs(covs - belief.cov[diag, :, diag, :]).max(axis=(1, 2)),
+            np.where(upper, cross, 0.0).max(axis=1),
+        ])
+        max_diffs = np.maximum(max_diffs, diffs.max(axis=1))
+        local[k - 1] = diffs.max(axis=0)
+
+    worst_step, worst_pos = np.unravel_index(np.argmax(local), local.shape)
 
     return EquivalenceReport(
         mode="dropout" if dropouts else "exact",
-        max_position_diff=max_pos,
-        max_heading_diff=max_heading,
-        max_cov_diff=max_cov,
-        max_cross_diff=max_cross,
-        worst_time=worst[1],
-        worst_robot=worst[2],
+        max_position_diff=float(max_diffs[0]),
+        max_heading_diff=float(max_diffs[1]),
+        max_cov_diff=float(max_diffs[2]),
+        max_cross_diff=float(max_diffs[3]),
+        worst_time=int(worst_step) + 1,
+        worst_robot=ids[worst_pos],
         min_joint_eigenvalue=min_eig,
         max_trace_increase=(
             max_trace_increase if max_trace_increase > -math.inf else 0.0
@@ -195,4 +194,16 @@ def _run_side_by_side(
         n_epochs=n_epochs,
         n_measurements=n_meas,
         events=events,
+    )
+
+
+def _stack_states(
+    nodes: dict[int, RobotNode], ids: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Means ``(N, 3)``, covariances and accumulated Jacobians ``(N, 3, 3)``."""
+    states = [nodes[i].state for i in ids]
+    return (
+        np.array([st.mean for st in states]),
+        np.array([st.cov for st in states]),
+        np.array([st.jac_accum for st in states]),
     )

@@ -1,8 +1,10 @@
 """Dense full-matrix EKF used as an independent oracle in tests.
 
 Assembles the whole team into stacked vectors/matrices and runs the update
-with plain dense arithmetic, so any indexing or bookkeeping bug in the
-blockwise implementations shows up as a mismatch.
+with plain full-matrix arithmetic (a full measurement row, an explicit
+block-diagonal ``F``, missed blocks restored one by one), so any indexing,
+batching or masking bug in the implementations under test shows up as a
+mismatch.
 """
 
 import numpy as np
@@ -11,10 +13,14 @@ from splitcl import model
 
 
 def stack(belief):
-    ids = belief.robot_ids
-    x = np.concatenate([belief.means[i] for i in ids])
-    p = belief.joint_matrix()
-    return x, p
+    """Stacked mean vector and a copy of the stacked covariance of a belief."""
+    return belief.mean.reshape(-1).copy(), belief.joint_matrix().copy()
+
+
+def cross_blocks(team_matrix):
+    """The off-diagonal 3x3 blocks of an ``(N, 3, N, 3)`` array, shape ``(N(N-1), 3, 3)``."""
+    n = team_matrix.shape[0]
+    return team_matrix.transpose(0, 2, 1, 3)[~np.eye(n, dtype=bool)]
 
 
 def dense_propagate(x, p, controls, noises, dt):
@@ -75,7 +81,7 @@ def dense_update(x, p, z, noise_cov, obs_idx, lm_idx, missed_idx=()):
 
 
 def random_belief(rng, n_robots, corr_scale=0.1):
-    """A random well-formed joint belief (SPD stacked covariance)."""
+    """A random well-formed joint belief (exactly symmetric SPD covariance)."""
     from splitcl.joint_ekf import JointBelief
 
     ids = range(1, n_robots + 1)
@@ -83,9 +89,5 @@ def random_belief(rng, n_robots, corr_scale=0.1):
     root = rng.standard_normal((3 * n_robots, 3 * n_robots)) * corr_scale
     joint = root @ root.T + np.eye(3 * n_robots) * 0.05
     belief = JointBelief.initialize(means, {i: np.eye(3) for i in ids})
-    for ai, i in enumerate(ids):
-        belief.covs[i] = joint[3 * ai:3 * ai + 3, 3 * ai:3 * ai + 3].copy()
-        for aj, j in enumerate(ids):
-            if i < j:
-                belief.cross[(i, j)] = joint[3 * ai:3 * ai + 3, 3 * aj:3 * aj + 3].copy()
+    belief.cov[:] = (0.5 * (joint + joint.T)).reshape(n_robots, 3, n_robots, 3)
     return belief

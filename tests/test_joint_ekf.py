@@ -1,27 +1,22 @@
-"""Blockwise team EKF against the dense full-matrix oracle."""
+"""Dense team EKF against the full-matrix oracle."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from splitcl import joint_ekf, model
-from splitcl.linalg import NumericalError
+from splitcl.linalg import NumericalError, block_diag_sandwich
 
-from dense_oracle import dense_update, random_belief, stack
+from dense_oracle import dense_propagate, dense_update, random_belief, stack
 
 DENSE_TOL = 1e-12
 
 
 def unpack(belief, x, p):
-    """Compare a belief against stacked dense results, blockwise."""
-    ids = belief.robot_ids
-    for ai, i in enumerate(ids):
-        np.testing.assert_allclose(belief.means[i], x[3 * ai:3 * ai + 3], atol=DENSE_TOL)
-        for aj, j in enumerate(ids):
-            np.testing.assert_allclose(
-                belief.block(i, j),
-                p[3 * ai:3 * ai + 3, 3 * aj:3 * aj + 3],
-                atol=DENSE_TOL,
-            )
+    """Compare a belief against stacked dense results, every mean and block."""
+    n = len(belief.team)
+    np.testing.assert_allclose(belief.mean, x.reshape(n, 3), atol=DENSE_TOL)
+    np.testing.assert_allclose(belief.cov, p.reshape(n, 3, n, 3), atol=DENSE_TOL)
 
 
 def default_controls(rng, ids):
@@ -41,30 +36,31 @@ class TestPropagate:
         out = joint_ekf.propagate(
             belief, default_controls(rng, (1, 2)), default_noises((1, 2)), 0.1
         )
-        np.testing.assert_array_equal(out.cross[(1, 2)], np.zeros((3, 3)))
+        np.testing.assert_array_equal(out.block(1, 2), np.zeros((3, 3)))
+        np.testing.assert_array_equal(out.block(2, 1), np.zeros((3, 3)))
         assert out.time == belief.time + 1
 
     def test_single_robot_no_noise(self):
         belief = joint_ekf.JointBelief.initialize({1: np.array([1.0, 0, 0.2])}, {1: np.eye(3) * 0.5})
         control = np.array([0.7, 0.1])
         out = joint_ekf.propagate(belief, {1: control}, {1: np.zeros((2, 2))}, 0.1)
-        f, _ = model.motion_jacobians(belief.means[1], control, 0.1)
-        np.testing.assert_allclose(out.covs[1], f @ belief.covs[1] @ f.T, atol=1e-15)
+        f, _ = model.motion_jacobians(belief.mean[0], control, 0.1)
+        expected = f @ belief.block(1, 1) @ f.T
+        np.testing.assert_allclose(out.block(1, 1), expected, atol=1e-15)
 
     def test_matches_dense_on_random_beliefs(self):
         rng = np.random.default_rng(11)
         for n in (2, 3, 5):
             belief = random_belief(rng, n)
-            controls = default_controls(rng, belief.robot_ids)
-            noises = default_noises(belief.robot_ids)
+            controls = default_controls(rng, belief.team)
+            noises = default_noises(belief.team)
             out = joint_ekf.propagate(belief, controls, noises, 0.1)
 
-            from dense_oracle import dense_propagate
             x, p = stack(belief)
             x_d, p_d = dense_propagate(
                 x, p,
-                [controls[i] for i in belief.robot_ids],
-                [noises[i] for i in belief.robot_ids],
+                [controls[i] for i in belief.team],
+                [noises[i] for i in belief.team],
                 0.1,
             )
             unpack(out, x_d, p_d)
@@ -87,10 +83,8 @@ class TestUpdate:
             x_d, p_d, s_d, k_d = dense_update(x, p, meas.z, noise, 0, 2)
             unpack(out, x_d, p_d)
             np.testing.assert_allclose(innov.cov, s_d, atol=DENSE_TOL)
-            for ai, i in enumerate(belief.robot_ids):
-                np.testing.assert_allclose(
-                    innov.gains[i], k_d[3 * ai:3 * ai + 3], atol=DENSE_TOL
-                )
+            assert innov.gains.shape == (3, 3, 2)
+            np.testing.assert_allclose(innov.gains, k_d.reshape(3, 3, 2), atol=DENSE_TOL)
 
     def test_zero_correlation_innovation_has_no_cross_terms(self):
         rng = np.random.default_rng(13)
@@ -101,8 +95,10 @@ class TestUpdate:
         meas = model.RelativeMeasurement(1, 2, np.zeros(2), 0)
         noise = np.eye(2) * 0.05
         _, innov = joint_ekf.update(belief, meas, noise)
-        h_obs, h_lm = model.relative_jacobians(belief.means[1], belief.means[2])
-        expected = noise + h_obs @ belief.covs[1] @ h_obs.T + h_lm @ belief.covs[2] @ h_lm.T
+        h_obs, h_lm = model.relative_jacobians(belief.mean[0], belief.mean[1])
+        expected = (
+            noise + h_obs @ belief.block(1, 1) @ h_obs.T + h_lm @ belief.block(2, 2) @ h_lm.T
+        )
         np.testing.assert_allclose(innov.cov, expected, atol=1e-14)
 
     def test_trace_never_increases(self):
@@ -111,8 +107,8 @@ class TestUpdate:
             belief = random_belief(rng, 4)
             meas = model.RelativeMeasurement(2, 4, rng.uniform(-2, 2, 2), 0)
             out, _ = joint_ekf.update(belief, meas, np.eye(2) * 0.02)
-            for i in belief.robot_ids:
-                assert np.trace(out.covs[i]) <= np.trace(belief.covs[i]) + 1e-12
+            for i in belief.team:
+                assert np.trace(out.block(i, i)) <= np.trace(belief.block(i, i)) + 1e-12
 
     def test_unknown_endpoint_rejected(self):
         belief = joint_ekf.JointBelief.initialize({1: np.zeros(3)}, {1: np.eye(3)})
@@ -126,8 +122,8 @@ class TestUpdate:
             {1: np.eye(3), 2: np.eye(3)},
         )
         # deliberately malformed own covariance, bypassing the constructor
-        belief.covs[1] = -np.eye(3)
-        belief.covs[2] = -np.eye(3)
+        belief.block(1, 1)[:] = -np.eye(3)
+        belief.block(2, 2)[:] = -np.eye(3)
         meas = model.RelativeMeasurement(1, 2, np.zeros(2), 0)
         with pytest.raises(NumericalError):
             joint_ekf.update(belief, meas, np.eye(2) * 1e-12)
@@ -138,7 +134,7 @@ class TestUpdate:
         meas = model.RelativeMeasurement(3, 1, rng.uniform(-1, 1, 2), 0)
         out, _ = joint_ekf.update(belief, meas, np.eye(2) * 0.02)
         joint = out.joint_matrix()
-        assert np.max(np.abs(joint - joint.T)) <= 1e-12
+        np.testing.assert_array_equal(joint, joint.T)
 
 
 class TestPartialUpdate:
@@ -149,11 +145,8 @@ class TestPartialUpdate:
         noise = np.eye(2) * 0.01
         full, _ = joint_ekf.update(belief, meas, noise)
         part, _ = joint_ekf.partial_update(belief, meas, noise, missed=frozenset())
-        for i in belief.robot_ids:
-            np.testing.assert_array_equal(full.means[i], part.means[i])
-            np.testing.assert_array_equal(full.covs[i], part.covs[i])
-        for key in belief.cross:
-            np.testing.assert_array_equal(full.cross[key], part.cross[key])
+        np.testing.assert_array_equal(full.mean, part.mean)
+        np.testing.assert_array_equal(full.cov, part.cov)
 
     def test_branch_structure_when_only_pair_updates(self):
         rng = np.random.default_rng(17)
@@ -162,13 +155,14 @@ class TestPartialUpdate:
         missed = frozenset({3, 4})
         out, _ = joint_ekf.partial_update(belief, meas, np.eye(2) * 0.01, missed)
         for i in (3, 4):
-            np.testing.assert_array_equal(out.means[i], belief.means[i])
-            np.testing.assert_array_equal(out.covs[i], belief.covs[i])
-        np.testing.assert_array_equal(out.cross[(3, 4)], belief.cross[(3, 4)])
-        assert not np.array_equal(out.means[1], belief.means[1])
-        assert not np.array_equal(out.cross[(1, 2)], belief.cross[(1, 2)])
+            np.testing.assert_array_equal(out.mean[out.index[i]], belief.mean[belief.index[i]])
+            np.testing.assert_array_equal(out.block(i, i), belief.block(i, i))
+        np.testing.assert_array_equal(out.block(3, 4), belief.block(3, 4))
+        np.testing.assert_array_equal(out.block(4, 3), belief.block(4, 3))
+        assert not np.array_equal(out.mean[0], belief.mean[0])
+        assert not np.array_equal(out.block(1, 2), belief.block(1, 2))
         # cross terms between missed and updated robots still move
-        assert not np.array_equal(out.cross[(1, 3)], belief.cross[(1, 3)])
+        assert not np.array_equal(out.block(1, 3), belief.block(1, 3))
 
     def test_matches_dense_masked_update(self):
         rng = np.random.default_rng(18)
@@ -199,16 +193,16 @@ class TestPartialUpdate:
         missed = frozenset({4})
         out, innov = joint_ekf.partial_update(belief, meas, noise, missed)
         updated = [1, 2, 3]
-        best_trace = sum(np.trace(out.covs[i]) for i in updated)
+        best_trace = sum(np.trace(out.block(i, i)) for i in updated)
 
         x, p = stack(belief)
         m = len(updated)
         p_sub = p[: 3 * m, : 3 * m]
-        h_obs, h_lm = model.relative_jacobians(belief.means[1], belief.means[2])
+        h_obs, h_lm = model.relative_jacobians(belief.mean[0], belief.mean[1])
         h_row = np.zeros((2, 3 * m))
         h_row[:, 0:3] = h_obs
         h_row[:, 3:6] = h_lm
-        k_star = np.vstack([innov.gains[i] for i in updated])
+        k_star = np.vstack([innov.gains[belief.index[i]] for i in updated])
         for _ in range(100):
             k_try = k_star + rng.standard_normal(k_star.shape) * 0.05
             joseph = (np.eye(3 * m) - k_try @ h_row)
@@ -224,7 +218,7 @@ class TestAbsoluteUpdate:
         z = np.array([1.5, -0.5])
         meas = model.AbsoluteMeasurement(1, z, 0)
         out, _ = joint_ekf.absolute_update(belief, meas, np.eye(2) * 1e-12)
-        np.testing.assert_allclose(out.means[1][:2], z, atol=1e-5)
+        np.testing.assert_allclose(out.mean[0, :2], z, atol=1e-5)
 
     def test_zero_correlation_touches_only_observer(self):
         rng = np.random.default_rng(21)
@@ -234,8 +228,8 @@ class TestAbsoluteUpdate:
         )
         meas = model.AbsoluteMeasurement(1, rng.uniform(-1, 1, 2), 0)
         out, _ = joint_ekf.absolute_update(belief, meas, np.eye(2) * 0.01)
-        np.testing.assert_array_equal(out.means[2], belief.means[2])
-        np.testing.assert_array_equal(out.covs[2], belief.covs[2])
+        np.testing.assert_array_equal(out.mean[1], belief.mean[1])
+        np.testing.assert_array_equal(out.block(2, 2), belief.block(2, 2))
 
     def test_matches_dense_on_random_three_robot_belief(self):
         rng = np.random.default_rng(22)
@@ -254,17 +248,104 @@ class TestJointBelief:
         rng = np.random.default_rng(23)
         belief = random_belief(rng, 3)
         np.testing.assert_array_equal(belief.block(2, 1), belief.block(1, 2).T)
+        assert np.shares_memory(belief.block(2, 1), belief.cov)
+        assert np.shares_memory(belief.joint_matrix(), belief.cov)
+        np.testing.assert_array_equal(
+            belief.joint_matrix()[3:6, 0:3], belief.block(2, 1)
+        )
 
     def test_copy_is_deep(self):
         rng = np.random.default_rng(24)
         belief = random_belief(rng, 2)
         dup = belief.copy()
-        dup.means[1][0] += 1.0
-        dup.cross[(1, 2)][0, 0] += 1.0
-        assert belief.means[1][0] != dup.means[1][0]
-        assert belief.cross[(1, 2)][0, 0] != dup.cross[(1, 2)][0, 0]
+        dup.mean[0, 0] += 1.0
+        dup.block(1, 2)[0, 0] += 1.0
+        assert belief.mean[0, 0] != dup.mean[0, 0]
+        assert belief.block(1, 2)[0, 0] != dup.block(1, 2)[0, 0]
 
     def test_min_eigenvalue_of_psd_matrix(self):
         rng = np.random.default_rng(25)
         belief = random_belief(rng, 3)
         assert belief.min_eigenvalue() > 0
+
+
+class TestBlockDiagSandwich:
+    def test_matches_full_block_diagonal_product(self):
+        rng = np.random.default_rng(26)
+        for n in (1, 2, 5):
+            blocks = rng.standard_normal((n, 3, 3))
+            team_matrix = rng.standard_normal((n, 3, n, 3))
+            full = np.zeros((3 * n, 3 * n))
+            for a in range(n):
+                full[3 * a:3 * a + 3, 3 * a:3 * a + 3] = blocks[a]
+            expected = full @ team_matrix.reshape(3 * n, 3 * n) @ full.T
+            out = block_diag_sandwich(blocks, team_matrix)
+            assert out.shape == (n, 3, n, 3) and out.flags.c_contiguous
+            np.testing.assert_allclose(out.reshape(3 * n, 3 * n), expected, atol=1e-13)
+
+
+@st.composite
+def update_sequences(draw):
+    """A team size, a seed for the numbers, and a list of team operations.
+
+    Each operation is ``None`` (propagate one step) or an update
+    ``(observer, landmark, missed)``; ``landmark`` is ``None`` for an
+    absolute measurement, and ``missed`` never contains an endpoint.
+    """
+    n = draw(st.integers(2, 8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    ops = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()) and ops:
+            ops.append(None)
+            continue
+        observer = draw(st.integers(1, n))
+        landmark = draw(st.none() | st.integers(1, n).filter(lambda j: j != observer))
+        others = sorted(set(range(1, n + 1)) - {observer, landmark})
+        missed = frozenset(draw(st.sets(st.sampled_from(others)))) if others else frozenset()
+        ops.append((observer, landmark, missed))
+    return n, seed, ops
+
+
+class TestPartialUpdateProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(update_sequences())
+    def test_random_sequences_match_the_oracle_and_freeze_missed_robots(self, case):
+        n, seed, ops = case
+        rng = np.random.default_rng(seed)
+        belief = random_belief(rng, n)
+        noise = np.eye(2) * 0.02
+        for op in ops:
+            x, p = stack(belief)
+            if op is None:
+                controls = default_controls(rng, belief.team)
+                noises = default_noises(belief.team)
+                out = joint_ekf.propagate(belief, controls, noises, 0.1)
+                x_d, p_d = dense_propagate(
+                    x, p, [controls[i] for i in belief.team], [noises[i] for i in belief.team], 0.1
+                )
+                frozen = np.array([], dtype=int)
+            else:
+                observer, landmark, missed = op
+                z = rng.uniform(-2, 2, 2)
+                if landmark is None:
+                    meas = model.AbsoluteMeasurement(observer, z, belief.time)
+                    out, _ = joint_ekf.partial_absolute_update(belief, meas, noise, missed)
+                    lm_idx = None
+                else:
+                    meas = model.RelativeMeasurement(observer, landmark, z, belief.time)
+                    out, _ = joint_ekf.partial_update(belief, meas, noise, missed)
+                    lm_idx = belief.index[landmark]
+                frozen = np.array(sorted(belief.index[i] for i in missed), dtype=int)
+                x_d, p_d, _, _ = dense_update(
+                    x, p, z, noise, belief.index[observer], lm_idx, missed_idx=frozen
+                )
+            unpack(out, x_d, p_d)
+            np.testing.assert_array_equal(out.mean[frozen], belief.mean[frozen])
+            np.testing.assert_array_equal(
+                out.cov[frozen[:, None], :, frozen[None, :], :],
+                belief.cov[frozen[:, None], :, frozen[None, :], :],
+            )
+            joint = out.joint_matrix()
+            np.testing.assert_array_equal(joint, joint.T)
+            belief = out

@@ -12,7 +12,7 @@ from splitcl.protocol import (
     RobotNode,
 )
 
-from dense_oracle import random_belief
+from dense_oracle import cross_blocks
 
 NOISE = np.eye(2) * 0.02
 EQUIV_TOL = 1e-8
@@ -55,8 +55,8 @@ def build_stack(rng, n_robots, warmup_steps=20, warmup_pairs=()):
 
 def assert_matches_belief(ids, nodes, belief, tol=EQUIV_TOL):
     for i in ids:
-        np.testing.assert_allclose(nodes[i].state.mean, belief.means[i], atol=tol)
-        np.testing.assert_allclose(nodes[i].state.cov, belief.covs[i], atol=tol)
+        np.testing.assert_allclose(nodes[i].state.mean, belief.mean[belief.index[i]], atol=tol)
+        np.testing.assert_allclose(nodes[i].state.cov, belief.block(i, i), atol=tol)
 
 
 class TestRobotNode:
@@ -288,11 +288,8 @@ class TestServerSequentialEpoch:
         belief, _ = joint_ekf.partial_update(
             belief, model.RelativeMeasurement(1, 2, z, t), NOISE, frozenset({4})
         )
-        for (i, j), block in belief.cross.items():
-            recon = server.store.reconstruct(
-                i, j, nodes[i].state.jac_accum, nodes[j].state.jac_accum
-            )
-            np.testing.assert_allclose(recon, block, atol=EQUIV_TOL)
+        recon = server.store.reconstruct(np.array([nodes[i].state.jac_accum for i in ids]))
+        np.testing.assert_allclose(cross_blocks(recon), cross_blocks(belief.cov), atol=EQUIV_TOL)
 
 
 class TestServerAbsolute:

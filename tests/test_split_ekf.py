@@ -7,7 +7,7 @@ from splitcl import joint_ekf, model, split_ekf
 from splitcl.linalg import NumericalError, sqrt_and_inv_sqrt_2x2
 from splitcl.split_ekf import CrossFactorStore, SplitRobotState
 
-from dense_oracle import random_belief
+from dense_oracle import cross_blocks, random_belief
 
 GAIN_TOL = 1e-10
 
@@ -27,13 +27,22 @@ def split_team_from_belief(belief, n_steps_rng=None):
     are the cross blocks themselves.
     """
     states = {
-        i: SplitRobotState.initialize(i, belief.means[i], belief.covs[i])
-        for i in belief.robot_ids
+        i: SplitRobotState.initialize(i, belief.mean[a], belief.block(i, i))
+        for a, i in enumerate(belief.team)
     }
-    store = CrossFactorStore(belief.robot_ids)
-    for (i, j), block in belief.cross.items():
-        set_factor(store, i, j, block)
+    store = CrossFactorStore(belief.team)
+    store.blocks[:] = belief.cov
+    diag = np.arange(len(belief.team))
+    store.blocks[diag, :, diag, :] = 0.0
     return states, store
+
+
+def decorrelate(belief):
+    """Zero every cross block of a belief in place, keeping the own blocks."""
+    diag = np.arange(len(belief.team))
+    own = belief.cov[diag, :, diag, :].copy()
+    belief.cov[:] = 0.0
+    belief.cov[diag, :, diag, :] = own
 
 
 def set_factor(store, i, j, block):
@@ -69,15 +78,15 @@ class TestPropagate:
         rng = np.random.default_rng(32)
         belief = random_belief(rng, 3)
         states, _ = split_team_from_belief(belief)
-        q = {i: np.diag([0.02, 0.01]) for i in belief.robot_ids}
+        q = {i: np.diag([0.02, 0.01]) for i in belief.team}
         for _ in range(50):
-            controls = {i: rng.uniform(-1, 1, 2) for i in belief.robot_ids}
+            controls = {i: rng.uniform(-1, 1, 2) for i in belief.team}
             belief = joint_ekf.propagate(belief, controls, q, 0.1)
             for i in states:
                 states[i] = split_ekf.propagate(states[i], controls[i], q[i], 0.1)
         for i in states:
-            np.testing.assert_allclose(states[i].mean, belief.means[i], atol=1e-12)
-            np.testing.assert_allclose(states[i].cov, belief.covs[i], atol=1e-12)
+            np.testing.assert_allclose(states[i].mean, belief.mean[belief.index[i]], atol=1e-12)
+            np.testing.assert_allclose(states[i].cov, belief.block(i, i), atol=1e-12)
 
     def test_per_robot_updates_commute(self):
         rng = np.random.default_rng(33)
@@ -94,7 +103,7 @@ class TestInnovation:
     def test_zero_factor_matches_uncorrelated_innovation(self):
         rng = np.random.default_rng(34)
         belief = random_belief(rng, 2)
-        belief.cross[(1, 2)][:] = 0.0
+        decorrelate(belief)
         states, store = split_team_from_belief(belief)
         z = rng.uniform(-1, 1, 2)
         noise = np.eye(2) * 0.02
@@ -159,8 +168,7 @@ class TestUpdateFactors:
     def test_uncorrelated_bystander_gets_zero_factor(self):
         rng = np.random.default_rng(40)
         belief = random_belief(rng, 4)
-        for key in belief.cross:
-            belief.cross[key][:] = 0.0
+        decorrelate(belief)
         states, store = split_team_from_belief(belief)
         z = rng.uniform(-1, 1, 2)
         innov = split_ekf.innovation(states[1], states[2], store.factor(1, 2), z, np.eye(2) * 0.02)
@@ -172,8 +180,7 @@ class TestUpdateFactors:
     def test_observer_factor_reduces_to_whitened_gain_at_identity(self):
         rng = np.random.default_rng(41)
         belief = random_belief(rng, 2)
-        for key in belief.cross:
-            belief.cross[key][:] = 0.0
+        decorrelate(belief)
         states, store = split_team_from_belief(belief)
         z = rng.uniform(-1, 1, 2)
         noise = np.eye(2) * 0.02
@@ -195,9 +202,9 @@ class TestUpdateFactors:
             factors = split_ekf.update_factors(store, states[2], states[4], innov)
             meas = model.RelativeMeasurement(2, 4, z, 0)
             _, oracle = joint_ekf.update(belief, meas, noise)
-            for i in belief.robot_ids:
+            for i in belief.team:
                 gain = states[i].jac_accum @ factors[store.index[i]] @ innov.inv_sqrt_cov
-                np.testing.assert_allclose(gain, oracle.gains[i], atol=GAIN_TOL)
+                np.testing.assert_allclose(gain, oracle.gains[belief.index[i]], atol=GAIN_TOL)
 
     def test_factor_products_reconstruct_gain_products(self):
         rng = np.random.default_rng(43)
@@ -209,14 +216,15 @@ class TestUpdateFactors:
         factors = split_ekf.update_factors(store, states[1], states[3], innov)
         meas = model.RelativeMeasurement(1, 3, z, 0)
         _, oracle = joint_ekf.update(belief, meas, noise)
-        d = {i: factors[store.index[i]] for i in belief.robot_ids}
-        for i in belief.robot_ids:
-            for j in belief.robot_ids:
+        d = {i: factors[store.index[i]] for i in belief.team}
+        k = {i: oracle.gains[belief.index[i]] for i in belief.team}
+        for i in belief.team:
+            for j in belief.team:
                 lhs = states[i].jac_accum @ d[i] @ d[j].T @ states[j].jac_accum.T
-                rhs = oracle.gains[i] @ innov.cov @ oracle.gains[j].T
+                rhs = k[i] @ innov.cov @ k[j].T
                 np.testing.assert_allclose(lhs, rhs, atol=GAIN_TOL)
             lhs_vec = states[i].jac_accum @ d[i] @ innov.white_residual
-            rhs_vec = oracle.gains[i] @ innov.residual
+            rhs_vec = k[i] @ innov.residual
             np.testing.assert_allclose(lhs_vec, rhs_vec, atol=GAIN_TOL)
 
     def test_ill_conditioned_accumulator_raises(self):
@@ -249,12 +257,12 @@ class TestApplyUpdate:
             factors = split_ekf.update_factors(store, states[1], states[2], innov)
             meas = model.RelativeMeasurement(1, 2, z, 0)
             updated, _ = joint_ekf.update(belief, meas, noise)
-            for i in belief.robot_ids:
+            for i in belief.team:
                 out = split_ekf.apply_update(
                     states[i], factors[store.index[i]], innov.white_residual
                 )
-                np.testing.assert_allclose(out.mean, updated.means[i], atol=GAIN_TOL)
-                np.testing.assert_allclose(out.cov, updated.covs[i], atol=GAIN_TOL)
+                np.testing.assert_allclose(out.mean, updated.mean[updated.index[i]], atol=GAIN_TOL)
+                np.testing.assert_allclose(out.cov, updated.block(i, i), atol=GAIN_TOL)
 
     def test_trace_drops_by_squared_correction_norm(self):
         rng = np.random.default_rng(47)
@@ -339,11 +347,11 @@ class TestCrossFactorStore:
         rng = np.random.default_rng(50)
         belief = random_belief(rng, 3, corr_scale=0.0)
         states, store = split_team_from_belief(belief)
-        q = {i: np.diag([0.02, 0.01]) for i in belief.robot_ids}
+        q = {i: np.diag([0.02, 0.01]) for i in belief.team}
         noise = np.eye(2) * 0.02
         pairs = [(1, 2), (2, 3), (3, 1)]
         for step in range(1, 101):
-            controls = {i: rng.uniform(-1, 1, 2) for i in belief.robot_ids}
+            controls = {i: rng.uniform(-1, 1, 2) for i in belief.team}
             belief = joint_ekf.propagate(belief, controls, q, 0.1)
             for i in states:
                 states[i] = split_ekf.propagate(states[i], controls[i], q[i], 0.1)
@@ -360,12 +368,29 @@ class TestCrossFactorStore:
                 belief, _ = joint_ekf.update(
                     belief, model.RelativeMeasurement(a, b, z, belief.time), noise
                 )
-            for (i, j), block in belief.cross.items():
-                recon = store.reconstruct(i, j, states[i].jac_accum, states[j].jac_accum)
-                np.testing.assert_allclose(recon, block, atol=1e-9)
+            recon = store.reconstruct(np.array([states[i].jac_accum for i in store.team]))
+            np.testing.assert_allclose(
+                cross_blocks(recon), cross_blocks(belief.cov), atol=1e-9
+            )
             for i in states:
-                np.testing.assert_allclose(states[i].mean, belief.means[i], atol=1e-9)
-                np.testing.assert_allclose(states[i].cov, belief.covs[i], atol=1e-9)
+                np.testing.assert_allclose(states[i].mean, belief.mean[belief.index[i]], atol=1e-9)
+                np.testing.assert_allclose(states[i].cov, belief.block(i, i), atol=1e-9)
+
+    def test_reconstruct_is_the_per_pair_sandwich(self):
+        rng = np.random.default_rng(54)
+        store = CrossFactorStore((1, 2, 3, 4))
+        store.update(rng.standard_normal((4, 3, 2)), missed={2, 4})
+        accs = rng.standard_normal((4, 3, 3))
+        recon = store.reconstruct(accs)
+        assert recon.shape == (4, 3, 4, 3)
+        for i in store.team:
+            a = store.index[i]
+            np.testing.assert_array_equal(recon[a, :, a, :], np.zeros((3, 3)))
+            for j in store.team:
+                if i != j:
+                    b = store.index[j]
+                    expected = accs[a] @ store.factor(i, j) @ accs[b].T
+                    np.testing.assert_allclose(recon[a, :, b, :], expected, atol=1e-14)
 
     def test_copy_is_independent(self):
         store = CrossFactorStore((1, 2))

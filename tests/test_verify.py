@@ -1,0 +1,90 @@
+"""The side-by-side check localizes a planted error to its step and robot.
+
+A 1e-6 error is planted for one step only, into one server store block or
+into one robot's own covariance; the report must name that step and robot
+and fail the 1e-8 gate, while every other deviation stays at rounding level.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from splitcl.protocol import RobotNode
+from splitcl.scenario import (
+    Scenario,
+    ScenarioError,
+    build_table1_scenario,
+    measurement_schedule,
+    strip_dropouts,
+)
+from splitcl.split_ekf import CrossFactorStore
+from splitcl.verify import check_exact_equivalence
+
+PLANT = 1e-6
+TOL = 1e-8
+CORNER = np.zeros((3, 3))
+CORNER[0, 0] = 1.0
+
+
+@pytest.fixture(scope="module")
+def table1():
+    return strip_dropouts(build_table1_scenario())
+
+
+def test_store_block_error_is_named_by_step_and_robot(table1, monkeypatch):
+    # Step 200 precedes the first measurement (step 460), so the joint cross
+    # block and the store block are exactly zero there and the planted error
+    # is the whole deviation. A cross block is reported for its lower id.
+    step, (i, j) = 200, (3, 4)
+    assert step < min(measurement_schedule(table1))
+    original = CrossFactorStore.reconstruct
+    calls = itertools.count(1)
+
+    def reconstruct_with_error(self, accs):
+        # verify reconstructs once per step, so call k is step k.
+        if next(calls) != step:
+            return original(self, accs)
+        saved = self.blocks.copy()
+        self.factor(i, j)[:] += PLANT * CORNER
+        self.factor(j, i)[:] += PLANT * CORNER.T
+        try:
+            return original(self, accs)
+        finally:
+            self.blocks[:] = saved
+
+    monkeypatch.setattr(CrossFactorStore, "reconstruct", reconstruct_with_error)
+    report = check_exact_equivalence(table1)
+    assert report.max_cross_diff >= PLANT
+    assert (report.worst_time, report.worst_robot) == (step, i)
+    assert max(report.max_position_diff, report.max_heading_diff, report.max_cov_diff) < 1e-12
+    assert not report.passed(TOL)
+
+
+def test_robot_covariance_error_is_named_by_step_and_robot(table1, monkeypatch):
+    # A step between measurement epochs, after the team is correlated.
+    step, robot = 1500, 4
+    assert step not in measurement_schedule(table1) and step > min(measurement_schedule(table1))
+    original = RobotNode.step
+    saved = {}
+
+    def step_with_error(self, control, noise_cov, dt):
+        if self.robot_id == robot and self.time == step:
+            self.state.cov = saved.pop("cov")
+        original(self, control, noise_cov, dt)
+        if self.robot_id == robot and self.time == step:
+            saved["cov"] = self.state.cov
+            self.state.cov = self.state.cov + PLANT * CORNER
+
+    monkeypatch.setattr(RobotNode, "step", step_with_error)
+    report = check_exact_equivalence(table1)
+    # Equal to the plant up to the rounding-level agreement it lands on.
+    assert report.max_cov_diff == pytest.approx(PLANT, rel=1e-6)
+    assert (report.worst_time, report.worst_robot) == (step, robot)
+    assert max(report.max_position_diff, report.max_heading_diff, report.max_cross_diff) < 1e-12
+    assert not report.passed(TOL)
+
+
+def test_scenario_shorter_than_one_step_is_rejected():
+    with pytest.raises(ScenarioError, match="at least one step"):
+        check_exact_equivalence(Scenario(duration_s=0.04, dt_s=0.1))
