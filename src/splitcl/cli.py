@@ -75,6 +75,9 @@ def _cmd_run(args) -> int:
     print(f"scenario: {args.scenario} ({sc.n_robots} robots, {sc.duration_s:.0f} s)")
     print(f"runs: {report.runs_total}, estimators: {', '.join(estimators)}")
     for name in estimators:
+        if report.runs_flagged[name] == report.runs_total:
+            print(f"final RMS [{name}] none: all {report.runs_total} runs were flagged")
+            continue
         final = ", ".join(
             f"robot {r + 1}: {v:.4f} m" for r, v in enumerate(report.final_rms[name])
         )

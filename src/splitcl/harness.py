@@ -13,6 +13,16 @@ attributable to the algorithms alone. Available estimators:
 ``partial_oracle``      centralized EKF applying the partial-update rule with
                         exactly the dropout run's missed sets
 
+The simulator steps the whole team as one batch: ground truth and dead
+reckoning advance every robot's pose with one :func:`model.propagate_pose`
+call per step, the split stack holds the robots' local states as one
+:class:`split_ekf.SplitTeamState` advanced by :func:`split_ekf.propagate_team`,
+and the centralized filters propagate the joint belief in one call. Only at
+a measurement epoch does each robot act on its own, as a :class:`RobotNode`
+over its rows of the team state: it builds its landmark message, applies
+the server's update message, and its corrected rows are written back. The
+per-robot arithmetic is the same either way.
+
 Randomness is derived from a seed key; stream tags keep motion noise,
 measurement noise, initial error and channel draws independent, and
 Monte-Carlo run ``m`` uses key ``(base_seed, m)`` so enlarging a batch never
@@ -69,14 +79,14 @@ def simulate_truth(sc: scen.Scenario) -> np.ndarray:
 
 
 def _propagate_trajectories(start: np.ndarray, controls: np.ndarray, dt: float) -> np.ndarray:
+    """Poses ``(N, T+1, 3)`` from ``start`` under ``controls`` ``(N, T, 2)``, team by step."""
     n, t = controls.shape[:2]
-    out = np.zeros((n, t + 1, 3))
+    out = np.empty((n, t + 1, 3))
     out[:, 0] = start
-    for r in range(n):
-        pose = out[r, 0]
-        for k in range(t):
-            pose = model.propagate_pose(pose, controls[r, k], dt)
-            out[r, k + 1] = pose
+    pose = out[:, 0]
+    for k in range(t):
+        pose = model.propagate_pose(pose, controls[:, k], dt)
+        out[:, k + 1] = pose
     return out
 
 
@@ -242,9 +252,9 @@ def _run_joint(
     cov = np.zeros((sc.n_robots, sc.n_steps + 1, 3, 3))
     _record_joint(belief, est, cov, 0)
     for k in range(1, sc.n_steps + 1):
-        controls = {i: real.controls_meas[i - 1, k - 1] for i in ids}
-        noises = {i: np.diag(real.filter_q[i - 1, k - 1]) for i in ids}
-        belief = joint_ekf.propagate(belief, controls, noises, sc.dt_s)
+        belief = joint_ekf.propagate(
+            belief, real.controls_meas[:, k - 1], real.filter_q[:, k - 1], sc.dt_s
+        )
         if k in real.measurements:
             missed: frozenset[int] = frozenset()
             meas = real.measurements[k]
@@ -280,41 +290,39 @@ def _run_split(
     reports: Mapping[int, DeliveryReport] | None,
 ) -> tuple[np.ndarray, np.ndarray, list[ProtocolEvent]]:
     ids = sc.robot_ids
-    nodes = {
-        i: RobotNode(i, real.init_means[i - 1], sc.initial_cov()) for i in ids
-    }
+    team = split_ekf.SplitTeamState.initialize(ids, real.init_means, sc.initial_cov())
     server = CooperationServer(ids, sc.meas_noise_cov())
     events: list[ProtocolEvent] = []
     est = np.zeros((sc.n_robots, sc.n_steps + 1, 3))
     cov = np.zeros((sc.n_robots, sc.n_steps + 1, 3, 3))
-    for i in ids:
-        est[i - 1, 0] = nodes[i].state.mean
-        cov[i - 1, 0] = nodes[i].state.cov
+    est[:, 0] = team.mean
+    cov[:, 0] = team.cov
     for k in range(1, sc.n_steps + 1):
-        for i in ids:
-            nodes[i].step(
-                real.controls_meas[i - 1, k - 1],
-                np.diag(real.filter_q[i - 1, k - 1]),
-                sc.dt_s,
-            )
+        team = split_ekf.propagate_team(
+            team, real.controls_meas[:, k - 1], real.filter_q[:, k - 1], sc.dt_s
+        )
         if k in real.measurements:
             report = reports[k] if reports is not None else perfect_report(ids, k)
-            _run_split_epoch(nodes, server, real.measurements[k], report, events)
-        for i in ids:
-            est[i - 1, k] = nodes[i].state.mean
-            cov[i - 1, k] = nodes[i].state.cov
+            _run_split_epoch(team, server, real.measurements[k], report, events)
+        est[:, k] = team.mean
+        cov[:, k] = team.cov
     events.extend(server.events)
     return est, cov, events
 
 
 def _run_split_epoch(
-    nodes: Mapping[int, RobotNode],
+    team: split_ekf.SplitTeamState,
     server: CooperationServer,
     measurements: Sequence[model.RelativeMeasurement],
     report: DeliveryReport,
     events: list[ProtocolEvent],
 ) -> None:
-    """One measurement epoch over the lossy channel, wire encoding included."""
+    """One measurement epoch over the lossy channel, wire encoding included.
+
+    Each robot takes part through a :class:`RobotNode` over its rows of
+    ``team``; the corrections the robots accept are written back into
+    ``team`` in place.
+    """
     k = report.time
     accepted = []
     for m in measurements:
@@ -331,20 +339,24 @@ def _run_split_epoch(
     wire: list[bytes] = []
     landmark_only = {m.landmark for m in accepted} - {m.observer for m in accepted}
     for m in accepted:
-        wire.append(nodes[m.observer].landmark_message(z=m.z, landmark=m.landmark).encode())
+        node = RobotNode.over(team.robot(m.observer))
+        wire.append(node.landmark_message(z=m.z, landmark=m.landmark).encode())
     for i in sorted(landmark_only):
-        wire.append(nodes[i].landmark_message().encode())
+        wire.append(RobotNode.over(team.robot(i)).landmark_message().encode())
     msgs = [LandmarkMessage.decode(raw) for raw in wire]
     updates = server.handle_epoch(msgs, k, missed=report.missed)
     for i, msg in updates.items():
         if i not in report.delivered:
             continue
+        node = RobotNode.over(team.robot(i))
         try:
-            nodes[i].apply_update(UpdateMessage.decode(msg.encode()))
+            node.apply_update(UpdateMessage.decode(msg.encode()))
         except NumericalError as exc:
             # Keep the propagated state; an invalid correction is dropped
             # just like a lost message, but with its own reason code.
             events.append(ProtocolEvent(k, EVENT_NUMERIC_S, f"robot={i} reason={exc}"))
+            continue
+        team.write_back(node.state)
 
 
 @dataclass(slots=True)
@@ -404,7 +416,8 @@ def run_monte_carlo(
 
     Run ``m`` uses seed key ``(base, m)``: results for the first runs do not
     change when the batch grows. Diverged (non-finite) estimator runs are
-    excluded from the aggregates and counted in ``runs_flagged``.
+    excluded from the aggregates and counted in ``runs_flagged``; an
+    estimator whose every run was flagged has NaN RMS errors.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
@@ -438,8 +451,14 @@ def run_monte_carlo(
                 nees_count[name] += 1
         events.extend((m, ev) for ev in run_events)
 
+    # Flagged runs hold NaN, so the mean runs over the others; with every
+    # run flagged there is no RMS error at all, and it stays NaN.
     rms = {
-        name: np.sqrt(np.nanmean(per_run[name] ** 2, axis=0))
+        name: (
+            np.full((n, t1), np.nan)
+            if flagged_count[name] == n_runs
+            else np.sqrt(np.nanmean(per_run[name] ** 2, axis=0))
+        )
         for name in wanted
     }
     return MetricReport(
@@ -464,7 +483,9 @@ def export_metrics(report: MetricReport, path: str | Path) -> None:
 
     Columns are ``time_s``, ``robot`` and one ``rms_<estimator>`` column per
     estimator; values are formatted with 12 significant digits so a fixed
-    seed yields a byte-identical file.
+    seed yields a byte-identical file. The RMS errors run over the
+    estimator's unflagged runs; when every run of an estimator was flagged,
+    its column reads ``nan`` in every row.
     """
     path = Path(path)
     header = ["time_s", "robot"] + [f"rms_{name}" for name in report.estimators]

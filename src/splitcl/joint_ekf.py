@@ -110,36 +110,27 @@ class JointBelief:
 
 def propagate(
     belief: JointBelief,
-    controls: Mapping[int, np.ndarray],
-    noises: Mapping[int, np.ndarray],
+    controls: np.ndarray,
+    noise_diags: np.ndarray,
     dt: float,
 ) -> JointBelief:
     """Advance every robot one timestep.
 
-    The covariance becomes ``F P F' + G Q G'`` with block-diagonal ``F``
-    and ``G Q G'``: own blocks follow ``F_i P_ii F_i' + G_i Q_i G_i'`` and
-    the cross block between robots ``i`` and ``j`` becomes ``F_i P_ij F_j'``.
+    ``controls`` are the ``(N, 2)`` measured velocities and ``noise_diags``
+    the ``(N, 2)`` diagonals of the process-noise covariances, both in team
+    order. The means follow :func:`model.propagate_poses` in one call for
+    the team. The covariance becomes ``F P F' + G Q G'`` with
+    block-diagonal ``F`` and ``G Q G'``: own blocks follow
+    ``F_i P_ii F_i' + G_i Q_i G_i'`` and the cross block between robots
+    ``i`` and ``j`` becomes ``F_i P_ij F_j'``.
     """
-    team = belief.team
-    if sorted(controls) != list(team) or sorted(noises) != list(team):
-        raise ValueError("controls and noises must cover exactly the team")
-    n = len(team)
-    mean = np.empty((n, 3))
-    f_jacs = np.empty((n, 3, 3))
-    gqg = np.empty((n, 3, 3))
-    for a, i in enumerate(team):
-        f_jac, g_jac = model.motion_jacobians(belief.mean[a], controls[i], dt)
-        q = np.asarray(noises[i], dtype=float)
-        if q.shape != (2, 2):
-            raise ValueError(f"process noise for robot {i} must be 2x2, got {q.shape}")
-        mean[a] = model.propagate_pose(belief.mean[a], controls[i], dt)
-        f_jacs[a] = f_jac
-        gqg[a] = g_jac @ q @ g_jac.T
+    n = len(belief.team)
+    mean, f_jacs, g_jacs = model.propagate_poses(belief.mean, controls, dt)
     cov = block_diag_sandwich(f_jacs, belief.cov)
     diag = np.arange(n)
-    cov[diag, :, diag, :] += gqg
+    cov[diag, :, diag, :] += model.process_noise(g_jacs, noise_diags)
     cov = symmetrize(cov.reshape(3 * n, 3 * n)).reshape(n, 3, n, 3)
-    return JointBelief(team, belief.index, mean, cov, belief.time + 1)
+    return JointBelief(belief.team, belief.index, mean, cov, belief.time + 1)
 
 
 def update(

@@ -47,16 +47,29 @@ class ProtocolEvent:
 
 
 class RobotNode:
-    """A robot's local estimator: propagate, report, apply corrections.
+    """A robot's local protocol unit: report to the server, apply corrections.
 
-    Stores one pose estimate, one 3x3 covariance and one 3x3 accumulated
-    Jacobian, independent of how many robots are in the team.
+    Holds one :class:`SplitRobotState` (pose estimate, 3x3 covariance, 3x3
+    accumulated Jacobian), independent of how many robots are in the team.
+    The simulator does not step nodes one by one: it advances the whole
+    team as one :class:`split_ekf.SplitTeamState` per step and, at a
+    measurement epoch, wraps each robot's rows in a node (:meth:`over`) to
+    build its :class:`LandmarkMessage` and apply its :class:`UpdateMessage`,
+    then writes the corrected state back. :meth:`step` is the same
+    propagation for a node on its own.
     """
 
     __slots__ = ("state",)
 
     def __init__(self, robot_id: int, mean: np.ndarray, cov: np.ndarray, time: int = 0):
         self.state = SplitRobotState.initialize(robot_id, mean, cov, time)
+
+    @classmethod
+    def over(cls, state: SplitRobotState) -> "RobotNode":
+        """A node holding ``state`` as it is, e.g. a row of a team state."""
+        node = cls.__new__(cls)
+        node.state = state
+        return node
 
     @property
     def robot_id(self) -> int:
@@ -66,9 +79,13 @@ class RobotNode:
     def time(self) -> int:
         return self.state.time
 
-    def step(self, control: np.ndarray, noise_cov: np.ndarray, dt: float) -> None:
-        """Dead-reckon one timestep; requires no communication."""
-        self.state = split_ekf.propagate(self.state, control, noise_cov, dt)
+    def step(self, control: np.ndarray, noise_diag: np.ndarray, dt: float) -> None:
+        """Dead-reckon one timestep; requires no communication.
+
+        ``noise_diag`` is the diagonal ``[q_v, q_omega]`` of the process
+        noise covariance (see :func:`split_ekf.propagate`).
+        """
+        self.state = split_ekf.propagate(self.state, control, noise_diag, dt)
 
     def landmark_message(
         self, z: np.ndarray | None = None, landmark: int | None = None

@@ -29,12 +29,12 @@ the following keys; distances are meters, times seconds, angles radians:
                         ``start_poses``)
 ``seed``                default RNG seed for runs of this scenario
 
-Every robot starts at the spiral's center; robot r heads out at
-(r-1) * 90 degrees and drives its own copy of the outward square spiral,
-rotated by that angle and scaled by its path scale. All robots reach their
-next corner at the same instant (straight edges at constant speed, turns in
-place). With more than four robots, headings repeat every four robots.
-Cross-covariances always start at zero.
+Every robot starts at the spiral's center; in a team of N, robot r heads
+out at (r-1) * 360/N degrees and drives its own copy of the outward square
+spiral, rotated by that angle and scaled by its path scale, so no two
+robots share a trajectory (four robots head out 90 degrees apart). All
+robots reach their next corner at the same instant (straight edges at
+constant speed, turns in place). Cross-covariances always start at zero.
 
 The 1e-6 floor on process-noise variances applies to the covariance the
 filters use, not to the injected noise, so a zero-noise scenario really is
@@ -71,9 +71,9 @@ class SpiralPath:
     ``growth_mode`` selects how edge lengths progress: ``"linear"`` adds
     ``growth`` meters per edge, ``"geometric"`` multiplies by ``growth`` per
     edge. Every robot drives its own copy of this track from the center,
-    rotated by (r-1) * 90 degrees for robot r and scaled by its path scale
-    (see :func:`start_poses`); all robots corner simultaneously, so a robot
-    with a larger scale drives proportionally faster.
+    rotated by (r-1) * 360/N degrees for robot r of N and scaled by its
+    path scale (see :func:`start_poses`); all robots corner simultaneously,
+    so a robot with a larger scale drives proportionally faster.
     """
 
     side0: float = 1.0
@@ -281,16 +281,17 @@ def robot_scales(sc: Scenario) -> np.ndarray:
 def start_poses(sc: Scenario) -> np.ndarray:
     """True initial pose of each robot.
 
-    Robot r drives its own copy of the base spiral, rotated by (r-1) * 90
-    degrees about the shared center and scaled by its path scale, so the
-    team fans out from the center in four directions while cornering in
-    lockstep.
+    Robot r of N drives its own copy of the base spiral, rotated by
+    (r-1) * 360/N degrees about the shared center and scaled by its path
+    scale, so the team fans out from the center in N distinct directions
+    while cornering in lockstep. For N = 4 the headings are the multiples
+    of 90 degrees, bit for bit.
     """
     poses = np.zeros((sc.n_robots, 3))
     cx, cy = sc.path.center
     for r in range(sc.n_robots):
         poses[r, :2] = (cx, cy)
-        poses[r, 2] = wrap_angle(r * math.pi / 2)
+        poses[r, 2] = wrap_angle(r * math.tau / sc.n_robots)
     return poses
 
 

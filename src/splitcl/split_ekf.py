@@ -9,7 +9,10 @@ where ``A_i`` is robot i's accumulated motion Jacobian (the running product
 of its ``F`` matrices, identity at start) and ``C_ij`` is a correlation
 factor held by the server. Propagation then touches only local quantities:
 each robot advances its own estimate, covariance and ``A_i``, while every
-``C_ij`` stays constant between measurement epochs.
+``C_ij`` stays constant between measurement epochs. Since no robot needs
+another's data to propagate, a simulator may advance the whole team's
+stacked states (:class:`SplitTeamState`) in one batched call; each row
+gets exactly the arithmetic of a lone robot's :func:`propagate`.
 
 The server keeps all factors in one dense team matrix
 (:class:`CrossFactorStore`): an ``(N, 3, N, 3)`` array in sorted-team
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable
+from typing import AbstractSet, Iterable, Sequence
 
 import numpy as np
 
@@ -81,18 +84,101 @@ class SplitRobotState:
         )
 
 
-def propagate(
-    state: SplitRobotState, control: np.ndarray, noise_cov: np.ndarray, dt: float
-) -> SplitRobotState:
-    """Advance one robot one timestep; no cross term is touched."""
-    f_jac, g_jac = model.motion_jacobians(state.mean, control, dt)
-    return SplitRobotState(
-        robot_id=state.robot_id,
-        mean=model.propagate_pose(state.mean, control, dt),
-        cov=f_jac @ state.cov @ f_jac.T + g_jac @ np.asarray(noise_cov, dtype=float) @ g_jac.T,
-        jac_accum=f_jac @ state.jac_accum,
-        time=state.time + 1,
+@dataclass(slots=True)
+class SplitTeamState:
+    """The local states of a whole team, stacked in team order.
+
+    Row ``index[i]`` of ``mean`` ``(N, 3)``, ``cov`` ``(N, 3, 3)`` and
+    ``jac_accum`` ``(N, 3, 3)`` is robot ``i``'s :class:`SplitRobotState`;
+    the robots share one ``time``. Each row is still one robot's O(1)
+    state: stacking only lets :func:`propagate_team` advance every robot
+    with one batched kernel call, with the same arithmetic per robot as a
+    lone :func:`propagate`.
+    """
+
+    team: tuple[int, ...]
+    index: dict[int, int]
+    mean: np.ndarray
+    cov: np.ndarray
+    jac_accum: np.ndarray
+    time: int = 0
+
+    @classmethod
+    def initialize(
+        cls, team: Sequence[int], means: np.ndarray, cov: np.ndarray, time: int = 0
+    ) -> "SplitTeamState":
+        """Robots ``team`` at ``means`` (``(N, 3)``, in the same order), each
+        with covariance ``cov`` and an identity accumulated Jacobian."""
+        team = tuple(team)
+        n = len(team)
+        return cls(
+            team=team,
+            index={rid: pos for pos, rid in enumerate(team)},
+            mean=np.array(means, dtype=float).reshape(n, 3),
+            cov=np.repeat(np.asarray(cov, dtype=float).reshape(1, 3, 3), n, axis=0),
+            jac_accum=np.repeat(np.eye(3)[None], n, axis=0),
+            time=time,
+        )
+
+    def robot(self, robot_id: int) -> SplitRobotState:
+        """Robot ``robot_id``'s state; its arrays are views of the team rows."""
+        a = self.index[robot_id]
+        return SplitRobotState(
+            robot_id, self.mean[a], self.cov[a], self.jac_accum[a], self.time
+        )
+
+    def write_back(self, state: SplitRobotState) -> None:
+        """Write a corrected robot state back into its rows.
+
+        Measurement updates change a robot's mean and covariance only; its
+        accumulated Jacobian and the team time stay as they are.
+        """
+        a = self.index[state.robot_id]
+        self.mean[a] = state.mean
+        self.cov[a] = state.cov
+
+
+def propagate_team(
+    team: SplitTeamState, controls: np.ndarray, noise_diags: np.ndarray, dt: float
+) -> SplitTeamState:
+    """Advance every robot of the team one timestep; no cross term is touched.
+
+    ``controls`` are the ``(N, 2)`` measured velocities and ``noise_diags``
+    the ``(N, 2)`` diagonals of the robots' process-noise covariances, both
+    in team order. Each robot's mean follows :func:`model.propagate_poses`,
+    its covariance ``F P F' + G Q G'`` and its accumulated Jacobian
+    ``F A``, all in one batched call for the team.
+    """
+    mean, f_jac, g_jac = model.propagate_poses(team.mean, controls, dt)
+    cov = f_jac @ team.cov @ f_jac.transpose(0, 2, 1) + model.process_noise(
+        g_jac, noise_diags
     )
+    return SplitTeamState(
+        team.team, team.index, mean, cov, f_jac @ team.jac_accum, team.time + 1
+    )
+
+
+def propagate(
+    state: SplitRobotState, control: np.ndarray, noise_diag: np.ndarray, dt: float
+) -> SplitRobotState:
+    """Advance one robot one timestep: :func:`propagate_team` for a team of one.
+
+    ``noise_diag`` is the diagonal ``[q_v, q_omega]`` of the robot's process
+    noise covariance. The simulator steps the whole team at once; this is
+    the same arithmetic for a robot on its own.
+    """
+    alone = SplitTeamState(
+        team=(state.robot_id,),
+        index={state.robot_id: 0},
+        mean=np.reshape(state.mean, (1, 3)),
+        cov=np.reshape(state.cov, (1, 3, 3)),
+        jac_accum=np.reshape(state.jac_accum, (1, 3, 3)),
+        time=state.time,
+    )
+    moved = propagate_team(
+        alone, np.reshape(control, (1, 2)), np.reshape(noise_diag, (1, 2)), dt
+    )
+    return moved.robot(state.robot_id)
 
 
 @dataclass(slots=True)

@@ -11,16 +11,20 @@ schedule, comparing against the centralized filter's partial-update rule
 driven by the identical per-epoch missed sets, and additionally verifies
 that a robot that misses an epoch keeps exactly its propagated state.
 
-After every step the whole team is compared at once: the robots' stacked
-means, own covariances and accumulated Jacobians against the joint belief's
-means and diagonal blocks, and the store's whole-team reconstruction
-``A C A'`` against every off-diagonal block, reduced to one deviation per
-robot (a cross block counts for its lower-id robot). The step and robot of
-the largest deviation are reported.
+The robots are stepped as one team (:func:`split_ekf.propagate_team`), as
+in the simulator, and take part in each measurement epoch through their
+:class:`RobotNode`. After every step the whole team is compared at once:
+the robots' stacked means, own covariances and accumulated Jacobians
+against the joint belief's means and diagonal blocks, and the store's
+whole-team reconstruction ``A C A'`` against every off-diagonal block,
+reduced to one deviation per robot (a cross block counts for its lower-id
+robot). The step and robot of the largest deviation are reported.
 
-Both checks also police two structural properties along the way: the
-centralized joint covariance stays positive semidefinite (to tolerance) and
-no received update ever increases a robot's covariance trace.
+Both checks also police three properties along the way: the centralized
+joint covariance stays positive semidefinite (to tolerance), no received
+update ever increases a robot's covariance trace, and at every step one
+robot in turn, stepped alone through :meth:`RobotNode.step` from its
+pre-step state, lands bit for bit on its row of the batched team step.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import joint_ekf, scenario as scen
+from . import joint_ekf, scenario as scen, split_ekf
 from .harness import (
     _run_split_epoch,
     _seed_key,
@@ -57,6 +61,7 @@ class EquivalenceReport:
     min_joint_eigenvalue: float
     max_trace_increase: float
     missed_updates_exact: bool
+    lone_steps_exact: bool
     n_epochs: int
     n_measurements: int
     events: list[ProtocolEvent]
@@ -73,6 +78,7 @@ class EquivalenceReport:
         return (
             self.max_discrepancy() <= tol
             and self.missed_updates_exact
+            and self.lone_steps_exact
             and self.min_joint_eigenvalue >= -1e-9
             and self.max_trace_increase <= 1e-12
         )
@@ -85,6 +91,7 @@ class EquivalenceReport:
             f"worst at t={self.worst_time} robot={self.worst_robot}; "
             f"min joint eig {self.min_joint_eigenvalue:.3e}; "
             f"max trace increase {self.max_trace_increase:.3e}; "
+            f"lone steps {'exact' if self.lone_steps_exact else 'DIFFER'}; "
             f"{self.n_epochs} epochs, {self.n_measurements} measurements"
         )
 
@@ -112,7 +119,7 @@ def _run_side_by_side(
     reports = delivery_reports(sc, real, key) if dropouts else {}
 
     ids = sc.robot_ids
-    nodes = {i: RobotNode(i, real.init_means[i - 1], sc.initial_cov()) for i in ids}
+    team = split_ekf.SplitTeamState.initialize(ids, real.init_means, sc.initial_cov())
     server = CooperationServer(
         ids, sc.meas_noise_cov(), corrupt_cross_sign=corrupt_cross_sign
     )
@@ -133,44 +140,52 @@ def _run_side_by_side(
     min_eig = math.inf
     max_trace_increase = -math.inf
     missed_exact = True
+    lone_exact = True
     n_epochs = n_meas = 0
 
     for k in range(1, sc.n_steps + 1):
-        controls = {i: real.controls_meas[i - 1, k - 1] for i in ids}
-        noises = {i: np.diag(real.filter_q[i - 1, k - 1]) for i in ids}
-        for i in ids:
-            nodes[i].step(controls[i], noises[i], sc.dt_s)
+        controls = real.controls_meas[:, k - 1]
+        noises = real.filter_q[:, k - 1]
+        # One robot per step, in turn, also steps alone from its rows, as
+        # the robot itself would; the team's batched step must match it.
+        a = (k - 1) % len(ids)
+        lone = RobotNode.over(team.robot(ids[a]))
+        team = split_ekf.propagate_team(team, controls, noises, sc.dt_s)
+        lone.step(controls[a], noises[a], sc.dt_s)
+        lone_exact = lone_exact and (
+            np.array_equal(lone.state.mean, team.mean[a])
+            and np.array_equal(lone.state.cov, team.cov[a])
+            and np.array_equal(lone.state.jac_accum, team.jac_accum[a])
+        )
         belief = joint_ekf.propagate(belief, controls, noises, sc.dt_s)
 
         if k in real.measurements:
             report = reports.get(k) or perfect_report(ids, k)
             gated = [m for m in real.measurements[k] if gate_measurement(report, m)]
-            pre_means, pre_covs, _ = _stack_states(nodes, ids)
-            _run_split_epoch(nodes, server, real.measurements[k], report, events)
+            pre_means, pre_covs = team.mean.copy(), team.cov.copy()
+            _run_split_epoch(team, server, real.measurements[k], report, events)
             for m in gated:
                 belief, _ = joint_ekf.partial_update(belief, m, noise, report.missed)
             if gated:
                 n_epochs += 1
                 n_meas += len(gated)
-                post_means, post_covs, _ = _stack_states(nodes, ids)
                 missed = np.isin(ids, list(report.missed))
                 missed_exact = missed_exact and (
-                    np.array_equal(post_means[missed], pre_means[missed])
-                    and np.array_equal(post_covs[missed], pre_covs[missed])
+                    np.array_equal(team.mean[missed], pre_means[missed])
+                    and np.array_equal(team.cov[missed], pre_covs[missed])
                 )
-                delta = np.trace(post_covs, axis1=1, axis2=2) - np.trace(
+                delta = np.trace(team.cov, axis1=1, axis2=2) - np.trace(
                     pre_covs, axis1=1, axis2=2
                 )
                 max_trace_increase = max(max_trace_increase, float(delta[~missed].max()))
 
         min_eig = min(min_eig, belief.min_eigenvalue())
-        means, covs, accs = _stack_states(nodes, ids)
-        offset = means - belief.mean
-        cross = np.abs(server.store.reconstruct(accs) - belief.cov).max(axis=(1, 3))
+        offset = team.mean - belief.mean
+        cross = np.abs(server.store.reconstruct(team.jac_accum) - belief.cov).max(axis=(1, 3))
         diffs = np.array([
             np.abs(offset[:, :2]).max(axis=1),
             np.abs(np.arctan2(np.sin(offset[:, 2]), np.cos(offset[:, 2]))),
-            np.abs(covs - belief.cov[diag, :, diag, :]).max(axis=(1, 2)),
+            np.abs(team.cov - belief.cov[diag, :, diag, :]).max(axis=(1, 2)),
             np.where(upper, cross, 0.0).max(axis=1),
         ])
         max_diffs = np.maximum(max_diffs, diffs.max(axis=1))
@@ -191,19 +206,9 @@ def _run_side_by_side(
             max_trace_increase if max_trace_increase > -math.inf else 0.0
         ),
         missed_updates_exact=missed_exact,
+        lone_steps_exact=lone_exact,
         n_epochs=n_epochs,
         n_measurements=n_meas,
         events=events,
     )
 
-
-def _stack_states(
-    nodes: dict[int, RobotNode], ids: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Means ``(N, 3)``, covariances and accumulated Jacobians ``(N, 3, 3)``."""
-    states = [nodes[i].state for i in ids]
-    return (
-        np.array([st.mean for st in states]),
-        np.array([st.cov for st in states]),
-        np.array([st.jac_accum for st in states]),
-    )

@@ -1,5 +1,8 @@
 """CLI exit codes: 0 success, 2 invalid input, 3 divergence, 4 verification failure."""
 
+import csv
+import warnings
+
 import numpy as np
 
 from splitcl import cli, harness
@@ -42,3 +45,43 @@ def test_run_reports_a_diverged_estimator(tmp_path, monkeypatch, capsys):
     assert cli.main(argv) == cli.EXIT_DIVERGED
     assert f"diverged runs: {{'{harness.SA_SPLIT}': 1}}" in capsys.readouterr().err
     assert (tmp_path / "out" / "metrics.csv").exists()
+
+
+def test_run_with_every_run_of_an_estimator_flagged(tmp_path, monkeypatch, capsys):
+    sc = Scenario(duration_s=10.0, meas_windows=(MeasurementWindow(2.0, 4.0, 1, 2),))
+    path = tmp_path / "small.json"
+    sc.save(path)
+    original = harness.run_once
+
+    def diverging_run_once(*args, **kwargs):
+        rec = original(*args, **kwargs)
+        rec.estimates[harness.SA_SPLIT][:] = np.nan
+        rec.flagged[harness.SA_SPLIT] = True
+        return rec
+
+    monkeypatch.setattr(harness, "run_once", diverging_run_once)
+    out_dir = tmp_path / "out"
+    argv = ["run", "--scenario", str(path), "--mc", "2", "--out", str(out_dir)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(argv) == cli.EXIT_DIVERGED
+    captured = capsys.readouterr()
+    assert f"final RMS [{harness.SA_SPLIT}] none: all 2 runs were flagged" in captured.out
+    assert "nan m" not in captured.out
+    assert f"diverged runs: {{'{harness.SA_SPLIT}': 2}}" in captured.err
+    with (out_dir / "metrics.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4 * (sc.n_steps + 1)
+    assert {row[f"rms_{harness.SA_SPLIT}"] for row in rows} == {"nan"}
+    assert all(float(row[f"rms_{harness.DR}"]) >= 0.0 for row in rows)
+
+
+def test_metrics_file_is_byte_identical_for_a_fixed_seed(tmp_path):
+    argv = ["run", "--scenario", "table1", "--mc", "2", "--seed", "5"]
+    files = []
+    for name, extra in (("a", []), ("b", []), ("jobs", ["--jobs", "2"])):
+        out_dir = tmp_path / name
+        assert cli.main(argv + extra + ["--out", str(out_dir)]) == cli.EXIT_OK
+        files.append((out_dir / "metrics.csv").read_bytes())
+    assert files[0] == files[1] == files[2]
+    assert len(files[0].splitlines()) == 1 + 4 * 3001

@@ -20,11 +20,11 @@ def unpack(belief, x, p):
 
 
 def default_controls(rng, ids):
-    return {i: rng.uniform(-1, 1, 2) for i in ids}
+    return rng.uniform(-1, 1, (len(ids), 2))
 
 
 def default_noises(ids):
-    return {i: np.diag([0.01, 0.005]) for i in ids}
+    return np.tile([0.01, 0.005], (len(ids), 1))
 
 
 class TestPropagate:
@@ -43,7 +43,7 @@ class TestPropagate:
     def test_single_robot_no_noise(self):
         belief = joint_ekf.JointBelief.initialize({1: np.array([1.0, 0, 0.2])}, {1: np.eye(3) * 0.5})
         control = np.array([0.7, 0.1])
-        out = joint_ekf.propagate(belief, {1: control}, {1: np.zeros((2, 2))}, 0.1)
+        out = joint_ekf.propagate(belief, control[None], np.zeros((1, 2)), 0.1)
         f, _ = model.motion_jacobians(belief.mean[0], control, 0.1)
         expected = f @ belief.block(1, 1) @ f.T
         np.testing.assert_allclose(out.block(1, 1), expected, atol=1e-15)
@@ -57,18 +57,15 @@ class TestPropagate:
             out = joint_ekf.propagate(belief, controls, noises, 0.1)
 
             x, p = stack(belief)
-            x_d, p_d = dense_propagate(
-                x, p,
-                [controls[i] for i in belief.team],
-                [noises[i] for i in belief.team],
-                0.1,
-            )
+            x_d, p_d = dense_propagate(x, p, list(controls), [np.diag(q) for q in noises], 0.1)
             unpack(out, x_d, p_d)
 
     def test_wrong_team_rejected(self):
         belief = joint_ekf.JointBelief.initialize({1: np.zeros(3)}, {1: np.eye(3)})
         with pytest.raises(ValueError):
-            joint_ekf.propagate(belief, {2: np.zeros(2)}, {2: np.eye(2)}, 0.1)
+            joint_ekf.propagate(belief, np.zeros((2, 2)), np.ones((1, 2)), 0.1)
+        with pytest.raises(ValueError):
+            joint_ekf.propagate(belief, np.zeros((1, 2)), np.ones((2, 2)), 0.1)
 
 
 class TestUpdate:
@@ -322,7 +319,7 @@ class TestPartialUpdateProperties:
                 noises = default_noises(belief.team)
                 out = joint_ekf.propagate(belief, controls, noises, 0.1)
                 x_d, p_d = dense_propagate(
-                    x, p, [controls[i] for i in belief.team], [noises[i] for i in belief.team], 0.1
+                    x, p, list(controls), [np.diag(q) for q in noises], 0.1
                 )
                 frozen = np.array([], dtype=int)
             else:

@@ -30,12 +30,12 @@ def build_stack(rng, n_robots, warmup_steps=20, warmup_pairs=()):
     nodes = {i: RobotNode(i, means[i], cov) for i in ids}
     server = CooperationServer(ids, NOISE)
     belief = joint_ekf.JointBelief.initialize(means, {i: cov for i in ids})
-    q = np.diag([0.02, 0.01])
+    q = np.array([0.02, 0.01])
     for step in range(warmup_steps):
-        controls = {i: rng.uniform(-1, 1, 2) for i in ids}
-        for i in ids:
-            nodes[i].step(controls[i], q, 0.1)
-        belief = joint_ekf.propagate(belief, controls, {i: q for i in ids}, 0.1)
+        controls = rng.uniform(-1, 1, (n_robots, 2))
+        for a, i in enumerate(ids):
+            nodes[i].step(controls[a], q, 0.1)
+        belief = joint_ekf.propagate(belief, controls, np.tile(q, (n_robots, 1)), 0.1)
         if warmup_pairs and step == warmup_steps // 2:
             t = nodes[ids[0]].time
             for a, b in warmup_pairs:
@@ -64,9 +64,9 @@ class TestRobotNode:
         rng = np.random.default_rng(70)
         node = RobotNode(1, rng.uniform(-1, 1, 3), np.eye(3) * 0.1)
         expected = split_ekf.propagate(
-            node.state, np.array([0.5, 0.1]), np.diag([0.01, 0.01]), 0.1
+            node.state, np.array([0.5, 0.1]), np.array([0.01, 0.01]), 0.1
         )
-        node.step(np.array([0.5, 0.1]), np.diag([0.01, 0.01]), 0.1)
+        node.step(np.array([0.5, 0.1]), np.array([0.01, 0.01]), 0.1)
         np.testing.assert_array_equal(node.state.mean, expected.mean)
         np.testing.assert_array_equal(node.state.cov, expected.cov)
         assert node.time == 1
@@ -74,7 +74,7 @@ class TestRobotNode:
     def test_landmark_message_mirrors_state(self):
         rng = np.random.default_rng(71)
         node = RobotNode(2, rng.uniform(-1, 1, 3), np.eye(3) * 0.1)
-        node.step(np.array([0.3, 0.0]), np.diag([0.01, 0.01]), 0.1)
+        node.step(np.array([0.3, 0.0]), np.array([0.01, 0.01]), 0.1)
         msg = node.landmark_message(z=np.array([1.0, 2.0]), landmark=4)
         assert msg.sender == 2 and msg.time == 1 and msg.landmark == 4
         np.testing.assert_array_equal(msg.mean, node.state.mean)
@@ -86,7 +86,7 @@ class TestRobotNode:
     def test_stale_update_discarded(self):
         rng = np.random.default_rng(72)
         node = RobotNode(1, rng.uniform(-1, 1, 3), np.eye(3) * 0.1)
-        node.step(np.zeros(2), np.diag([0.01, 0.01]), 0.1)
+        node.step(np.zeros(2), np.array([0.01, 0.01]), 0.1)
         stale = UpdateMessage(1, 0, "single", np.ones(2), np.ones((3, 2)) * 0.01)
         before = node.state.mean.copy()
         assert node.apply_update(stale) is False

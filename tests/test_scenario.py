@@ -1,0 +1,90 @@
+"""Scenario JSON round trip and rejection, and the team's start poses."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from splitcl import harness
+from splitcl.model import wrap_angle
+from splitcl.scenario import (
+    Scenario,
+    ScenarioError,
+    build_table1_scenario,
+    random_scenario,
+    start_poses,
+)
+
+
+@pytest.mark.parametrize(
+    "sc",
+    [build_table1_scenario(), random_scenario(12, 4, bernoulli_p=0.2)],
+    ids=["table1", "random12"],
+)
+def test_save_load_round_trip(sc, tmp_path):
+    path = tmp_path / "sc.json"
+    sc.save(path)
+    loaded = Scenario.load(path)
+    assert loaded == sc
+    loaded.save(tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+def test_missing_file_is_not_found(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        Scenario.load(tmp_path / "nope.json")
+
+
+def _doc():
+    return build_table1_scenario().to_dict()
+
+
+def _write(tmp_path, text):
+    path = tmp_path / "sc.json"
+    path.write_text(text)
+    return path
+
+
+def test_invalid_json_is_rejected(tmp_path):
+    path = _write(tmp_path, json.dumps(_doc())[:-10])
+    with pytest.raises(ScenarioError, match="not valid JSON"):
+        Scenario.load(path)
+
+
+def test_missing_key_is_rejected(tmp_path):
+    doc = _doc()
+    del doc["meas_noise_std"]
+    with pytest.raises(ScenarioError, match="missing scenario keys"):
+        Scenario.load(_write(tmp_path, json.dumps(doc)))
+
+
+def test_out_of_range_value_is_rejected(tmp_path):
+    doc = _doc()
+    doc["bernoulli_p"] = 1
+    with pytest.raises(ScenarioError, match="bernoulli_p"):
+        Scenario.load(_write(tmp_path, json.dumps(doc)))
+
+
+def test_four_robots_head_out_at_multiples_of_ninety_degrees():
+    poses = start_poses(build_table1_scenario())
+    expected = np.zeros((4, 3))
+    expected[:, 2] = [wrap_angle(r * math.pi / 2) for r in range(4)]
+    np.testing.assert_array_equal(poses, expected)
+    assert poses.tobytes() == expected.tobytes()
+
+
+def test_no_two_of_eight_robots_share_a_trajectory():
+    sc = Scenario(
+        n_robots=8,
+        duration_s=60.0,
+        v_noise_frac=(0.2,) * 8,
+        w_noise_frac=(0.2,) * 8,
+    )
+    truth = harness.simulate_truth(sc)
+    headings = start_poses(sc)[:, 2]
+    assert len(set(headings.tolist())) == 8
+    for a in range(8):
+        for b in range(a + 1, 8):
+            gap = np.linalg.norm(truth[a, :, :2] - truth[b, :, :2], axis=1)
+            assert gap.max() > 1.0, (a + 1, b + 1)

@@ -56,7 +56,7 @@ class TestPropagate:
         rng = np.random.default_rng(30)
         state = make_state(rng, 1)
         control = rng.uniform(-1, 1, 2)
-        q = np.diag([0.01, 0.004])
+        q = np.array([0.01, 0.004])
         out = split_ekf.propagate(state, control, q, 0.1)
         f, _ = model.motion_jacobians(state.mean, control, 0.1)
         np.testing.assert_array_equal(out.jac_accum, f @ np.eye(3))
@@ -65,7 +65,7 @@ class TestPropagate:
     def test_accumulator_is_product_of_step_jacobians(self):
         rng = np.random.default_rng(31)
         state = make_state(rng, 2)
-        q = np.diag([0.01, 0.004])
+        q = np.array([0.01, 0.004])
         product = np.eye(3)
         for _ in range(25):
             control = rng.uniform(-1, 1, 2)
@@ -78,12 +78,13 @@ class TestPropagate:
         rng = np.random.default_rng(32)
         belief = random_belief(rng, 3)
         states, _ = split_team_from_belief(belief)
-        q = {i: np.diag([0.02, 0.01]) for i in belief.team}
+        q = np.tile([0.02, 0.01], (3, 1))
         for _ in range(50):
-            controls = {i: rng.uniform(-1, 1, 2) for i in belief.team}
+            controls = rng.uniform(-1, 1, (3, 2))
             belief = joint_ekf.propagate(belief, controls, q, 0.1)
             for i in states:
-                states[i] = split_ekf.propagate(states[i], controls[i], q[i], 0.1)
+                a = belief.index[i]
+                states[i] = split_ekf.propagate(states[i], controls[a], q[a], 0.1)
         for i in states:
             np.testing.assert_allclose(states[i].mean, belief.mean[belief.index[i]], atol=1e-12)
             np.testing.assert_allclose(states[i].cov, belief.block(i, i), atol=1e-12)
@@ -92,7 +93,7 @@ class TestPropagate:
         rng = np.random.default_rng(33)
         s1, s2 = make_state(rng, 1), make_state(rng, 2)
         u1, u2 = rng.uniform(-1, 1, (2, 2))
-        q = np.diag([0.01, 0.01])
+        q = np.array([0.01, 0.01])
         a_then_b = (split_ekf.propagate(s1, u1, q, 0.1), split_ekf.propagate(s2, u2, q, 0.1))
         b_then_a = (split_ekf.propagate(s2, u2, q, 0.1), split_ekf.propagate(s1, u1, q, 0.1))
         np.testing.assert_array_equal(a_then_b[0].mean, b_then_a[1].mean)
@@ -347,14 +348,15 @@ class TestCrossFactorStore:
         rng = np.random.default_rng(50)
         belief = random_belief(rng, 3, corr_scale=0.0)
         states, store = split_team_from_belief(belief)
-        q = {i: np.diag([0.02, 0.01]) for i in belief.team}
+        q = np.tile([0.02, 0.01], (3, 1))
         noise = np.eye(2) * 0.02
         pairs = [(1, 2), (2, 3), (3, 1)]
         for step in range(1, 101):
-            controls = {i: rng.uniform(-1, 1, 2) for i in belief.team}
+            controls = rng.uniform(-1, 1, (3, 2))
             belief = joint_ekf.propagate(belief, controls, q, 0.1)
             for i in states:
-                states[i] = split_ekf.propagate(states[i], controls[i], q[i], 0.1)
+                a = belief.index[i]
+                states[i] = split_ekf.propagate(states[i], controls[a], q[a], 0.1)
             if step % 10 == 0:
                 a, b = pairs[(step // 10) % 3]
                 z = rng.uniform(-1, 1, 2)

@@ -10,6 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
+from splitcl import split_ekf
 from splitcl.protocol import RobotNode
 from splitcl.scenario import (
     Scenario,
@@ -65,24 +66,46 @@ def test_robot_covariance_error_is_named_by_step_and_robot(table1, monkeypatch):
     # A step between measurement epochs, after the team is correlated.
     step, robot = 1500, 4
     assert step not in measurement_schedule(table1) and step > min(measurement_schedule(table1))
-    original = RobotNode.step
+    original = split_ekf.propagate_team
     saved = {}
 
-    def step_with_error(self, control, noise_cov, dt):
-        if self.robot_id == robot and self.time == step:
-            self.state.cov = saved.pop("cov")
-        original(self, control, noise_cov, dt)
-        if self.robot_id == robot and self.time == step:
-            saved["cov"] = self.state.cov
-            self.state.cov = self.state.cov + PLANT * CORNER
+    def propagate_with_error(team, controls, noise_diags, dt):
+        if len(team.team) == 1:
+            # A robot stepped alone by the lone-step check.
+            return original(team, controls, noise_diags, dt)
+        a = team.index[robot]
+        if team.time == step:
+            team.cov[a] = saved.pop("cov")
+        out = original(team, controls, noise_diags, dt)
+        if out.time == step:
+            saved["cov"] = out.cov[a].copy()
+            out.cov[a] += PLANT * CORNER
+        return out
 
-    monkeypatch.setattr(RobotNode, "step", step_with_error)
+    monkeypatch.setattr(split_ekf, "propagate_team", propagate_with_error)
     report = check_exact_equivalence(table1)
     # Equal to the plant up to the rounding-level agreement it lands on.
     assert report.max_cov_diff == pytest.approx(PLANT, rel=1e-6)
     assert (report.worst_time, report.worst_robot) == (step, robot)
     assert max(report.max_position_diff, report.max_heading_diff, report.max_cross_diff) < 1e-12
     assert not report.passed(TOL)
+
+
+def test_lone_step_off_the_team_step_fails_the_check(table1, monkeypatch):
+    # Only the robot stepped alone at step 700 is off; the team is not.
+    original = RobotNode.step
+
+    def step_with_error(self, control, noise_diag, dt):
+        original(self, control, noise_diag, dt)
+        if self.time == 700:
+            self.state.mean = self.state.mean + PLANT * CORNER[0]
+
+    monkeypatch.setattr(RobotNode, "step", step_with_error)
+    report = check_exact_equivalence(table1)
+    assert not report.lone_steps_exact
+    assert report.max_discrepancy() < 1e-12
+    assert not report.passed(TOL)
+    assert "lone steps DIFFER" in report.summary()
 
 
 def test_scenario_shorter_than_one_step_is_rejected():
