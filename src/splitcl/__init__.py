@@ -28,8 +28,6 @@ from .joint_ekf import JointBelief
 from .messages import LandmarkMessage, UpdateMessage
 from .model import (
     AbsoluteMeasurement,
-    ControlInput,
-    Pose,
     RelativeMeasurement,
     wrap_angle,
 )
@@ -49,7 +47,6 @@ __all__ = [
     "SA_SPLIT",
     "SA_SPLIT_DROPOUT",
     "AbsoluteMeasurement",
-    "ControlInput",
     "CooperationServer",
     "CrossFactorStore",
     "DeliveryReport",
@@ -57,7 +54,6 @@ __all__ = [
     "JointBelief",
     "LandmarkMessage",
     "MetricReport",
-    "Pose",
     "RelativeMeasurement",
     "RobotNode",
     "RunRecord",

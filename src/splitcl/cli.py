@@ -58,6 +58,8 @@ def _cmd_run(args) -> int:
     try:
         sc = _load_scenario(args.scenario)
         estimators = _parse_estimators(args.estimators)
+        if args.mc < 1:
+            raise ValueError(f"--mc must be at least 1, got {args.mc}")
     except (FileNotFoundError, ScenarioError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

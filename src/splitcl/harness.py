@@ -13,15 +13,21 @@ attributable to the algorithms alone. Available estimators:
 ``partial_oracle``      centralized EKF applying the partial-update rule with
                         exactly the dropout run's missed sets
 
+Each filter has one step loop, a generator of its state at steps
+``0..T``: :func:`joint_steps` (centralized) and :func:`split_steps` (split
+stack). :func:`run_once` records what they yield and :mod:`splitcl.verify`
+compares them. The four filtering estimators differ only in the channel
+reports they get: none (perfect links) or the dropout run's.
+
 The simulator steps the whole team as one batch: ground truth and dead
 reckoning advance every robot's pose with one :func:`model.propagate_pose`
 call per step, the split stack holds the robots' local states as one
 :class:`split_ekf.SplitTeamState` advanced by :func:`split_ekf.propagate_team`,
-and the centralized filters propagate the joint belief in one call. Only at
+and the centralized filter propagates the joint belief in one call. Only at
 a measurement epoch does each robot act on its own, as a :class:`RobotNode`
 over its rows of the team state: it builds its landmark message, applies
-the server's update message, and its corrected rows are written back. The
-per-robot arithmetic is the same either way.
+the server's update message, and its corrected rows go into a copy of the
+team. The per-robot arithmetic is the same either way.
 
 Randomness is derived from a seed key; stream tags keep motion noise,
 measurement noise, initial error and channel draws independent, and
@@ -33,9 +39,9 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -64,7 +70,8 @@ _STREAM_INIT = 3
 _STREAM_CHANNEL = 4
 
 
-def _seed_key(sc: scen.Scenario, seed) -> tuple[int, ...]:
+def seed_key(sc: scen.Scenario, seed) -> tuple[int, ...]:
+    """The run's seed key: the scenario's seed, an int, or a tuple of ints."""
     if seed is None:
         return (sc.seed,)
     if isinstance(seed, (int, np.integer)):
@@ -104,17 +111,17 @@ class Realization:
 
 def build_realization(
     sc: scen.Scenario,
-    seed_key: tuple[int, ...],
+    key: tuple[int, ...],
     truth: np.ndarray | None = None,
 ) -> Realization:
     controls = scen.true_controls(sc)
     if truth is None:
         truth = _propagate_trajectories(scen.start_poses(sc), controls, sc.dt_s)
     inject_q = scen.process_noise_diags(sc, controls)
-    rng_motion = np.random.default_rng([*seed_key, _STREAM_MOTION])
+    rng_motion = np.random.default_rng([*key, _STREAM_MOTION])
     controls_meas = controls + rng_motion.standard_normal(controls.shape) * np.sqrt(inject_q)
 
-    rng_meas = np.random.default_rng([*seed_key, _STREAM_MEAS])
+    rng_meas = np.random.default_rng([*key, _STREAM_MEAS])
     measurements: dict[int, list[model.RelativeMeasurement]] = {}
     for k, pairs in scen.measurement_schedule(sc).items():
         realized = []
@@ -126,7 +133,7 @@ def build_realization(
 
     init_means = truth[:, 0, :].copy()
     if sc.perturb_initial:
-        rng_init = np.random.default_rng([*seed_key, _STREAM_INIT])
+        rng_init = np.random.default_rng([*key, _STREAM_INIT])
         init_means += rng_init.standard_normal((sc.n_robots, 3)) * np.sqrt(
             np.asarray(sc.initial_cov_diag)
         )
@@ -141,11 +148,11 @@ def build_realization(
 
 
 def delivery_reports(
-    sc: scen.Scenario, real: Realization, seed_key: tuple[int, ...]
+    sc: scen.Scenario, real: Realization, key: tuple[int, ...]
 ) -> dict[int, DeliveryReport]:
     """Per-epoch connectivity for the scenario's dropout configuration."""
     sched = scen.dropout_schedule(sc)
-    channel_seed = [*seed_key, _STREAM_CHANNEL]
+    channel_seed = [*key, _STREAM_CHANNEL]
     reports = {}
     for k in real.measurements:
         poses = {i: real.truth[i - 1, k] for i in sc.robot_ids}
@@ -186,7 +193,7 @@ def run_once(
     if unknown:
         raise ValueError(f"unknown estimators {unknown}; choose from {ALL_ESTIMATORS}")
     sc.validate()
-    key = _seed_key(sc, seed)
+    key = seed_key(sc, seed)
     real = build_realization(sc, key, truth=_cached_truth)
 
     reports: dict[int, DeliveryReport] = {}
@@ -198,20 +205,18 @@ def run_once(
     events: list[ProtocolEvent] = []
     flagged: dict[str, bool] = {}
     for name in wanted:
+        links = reports if name in (SA_SPLIT_DROPOUT, PARTIAL_ORACLE) else {}
         if name == DR:
-            est, cov = _run_dr(sc, real), None
-        elif name == JOINT_EKF:
-            est, cov, ev = _run_joint(sc, real, partial=False, reports=None)
-            events.extend(ev)
-        elif name == PARTIAL_ORACLE:
-            est, cov, ev = _run_joint(sc, real, partial=True, reports=reports)
-            events.extend(ev)
-        elif name == SA_SPLIT:
-            est, cov, ev = _run_split(sc, real, reports=None)
-            events.extend(ev)
+            est = _propagate_trajectories(real.init_means, real.controls_meas, sc.dt_s)
+            cov = None
+        elif name in (JOINT_EKF, PARTIAL_ORACLE):
+            beliefs = joint_steps(sc, real, links, events, name)
+            est, cov = _stack(sc, ((b.mean, b.own_covs()) for b in beliefs))
         else:
-            est, cov, ev = _run_split(sc, real, reports=reports)
-            events.extend(ev)
+            server = CooperationServer(sc.robot_ids, sc.meas_noise_cov())
+            teams = split_steps(sc, real, links, server, events)
+            est, cov = _stack(sc, ((t.mean, t.cov) for _, t in teams))
+            events.extend(server.events)
         estimates[name] = est
         covs[name] = cov
         flagged[name] = not bool(np.isfinite(est).all())
@@ -230,42 +235,52 @@ def run_once(
     )
 
 
-def _run_dr(sc: scen.Scenario, real: Realization) -> np.ndarray:
-    return _propagate_trajectories(real.init_means, real.controls_meas, sc.dt_s)
+def _stack(
+    sc: scen.Scenario, states: Iterable[tuple[np.ndarray, np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-step ``(mean, own covariances)`` pairs as ``(N, T+1, ...)`` traces."""
+    est = np.empty((sc.n_robots, sc.n_steps + 1, 3))
+    cov = np.empty((sc.n_robots, sc.n_steps + 1, 3, 3))
+    for k, (mean, own) in enumerate(states):
+        est[:, k] = mean
+        cov[:, k] = own
+    return est, cov
 
 
-def _run_joint(
+def epoch_report(
+    reports: Mapping[int, DeliveryReport], team: Sequence[int], k: int
+) -> DeliveryReport:
+    """Connectivity at measurement epoch ``k``; empty ``reports`` mean perfect links."""
+    return reports[k] if reports else perfect_report(team, k)
+
+
+def joint_steps(
     sc: scen.Scenario,
     real: Realization,
-    partial: bool,
-    reports: Mapping[int, DeliveryReport] | None,
-) -> tuple[np.ndarray, np.ndarray, list[ProtocolEvent]]:
+    reports: Mapping[int, DeliveryReport],
+    events: list[ProtocolEvent],
+    name: str,
+) -> Iterator[joint_ekf.JointBelief]:
+    """The centralized belief at steps ``0..T``, updated with the partial-update
+    rule; a numerically invalid update is skipped and logged under ``name``."""
     ids = sc.robot_ids
-    name = PARTIAL_ORACLE if partial else JOINT_EKF
     belief = joint_ekf.JointBelief.initialize(
         means={i: real.init_means[i - 1] for i in ids},
         covs={i: sc.initial_cov() for i in ids},
     )
     noise = sc.meas_noise_cov()
-    events: list[ProtocolEvent] = []
-    est = np.zeros((sc.n_robots, sc.n_steps + 1, 3))
-    cov = np.zeros((sc.n_robots, sc.n_steps + 1, 3, 3))
-    _record_joint(belief, est, cov, 0)
+    yield belief
     for k in range(1, sc.n_steps + 1):
         belief = joint_ekf.propagate(
             belief, real.controls_meas[:, k - 1], real.filter_q[:, k - 1], sc.dt_s
         )
         if k in real.measurements:
-            missed: frozenset[int] = frozenset()
-            meas = real.measurements[k]
-            if partial:
-                assert reports is not None
-                report = reports[k]
-                missed = report.missed
-                meas = [m for m in meas if gate_measurement(report, m)]
-            for m in meas:
+            report = epoch_report(reports, ids, k)
+            for m in real.measurements[k]:
+                if not gate_measurement(report, m):
+                    continue
                 try:
-                    belief, _ = joint_ekf.partial_update(belief, m, noise, missed)
+                    belief, _ = joint_ekf.partial_update(belief, m, noise, report.missed)
                 except NumericalError as exc:
                     # Beliefs are values, so the failed update left no trace;
                     # skip the measurement as the server does.
@@ -274,40 +289,31 @@ def _run_joint(
                         f"estimator={name} observer={m.observer} landmark={m.landmark} "
                         f"reason={exc}",
                     ))
-        _record_joint(belief, est, cov, k)
-    return est, cov, events
+        yield belief
 
 
-def _record_joint(belief: joint_ekf.JointBelief, est, cov, k: int) -> None:
-    diag = np.arange(len(belief.team))
-    est[:, k] = belief.mean
-    cov[:, k] = belief.cov[diag, :, diag, :]
-
-
-def _run_split(
+def split_steps(
     sc: scen.Scenario,
     real: Realization,
-    reports: Mapping[int, DeliveryReport] | None,
-) -> tuple[np.ndarray, np.ndarray, list[ProtocolEvent]]:
+    reports: Mapping[int, DeliveryReport],
+    server: CooperationServer,
+    events: list[ProtocolEvent],
+) -> Iterator[tuple[split_ekf.SplitTeamState, split_ekf.SplitTeamState]]:
+    """The split team at steps ``0..T`` as ``(propagated, corrected)`` pairs;
+    ``corrected`` is ``propagated`` itself when no measurement reached the
+    server. The epochs log to ``events``, the server to ``server.events``."""
     ids = sc.robot_ids
     team = split_ekf.SplitTeamState.initialize(ids, real.init_means, sc.initial_cov())
-    server = CooperationServer(ids, sc.meas_noise_cov())
-    events: list[ProtocolEvent] = []
-    est = np.zeros((sc.n_robots, sc.n_steps + 1, 3))
-    cov = np.zeros((sc.n_robots, sc.n_steps + 1, 3, 3))
-    est[:, 0] = team.mean
-    cov[:, 0] = team.cov
+    yield team, team
     for k in range(1, sc.n_steps + 1):
-        team = split_ekf.propagate_team(
+        propagated = split_ekf.propagate_team(
             team, real.controls_meas[:, k - 1], real.filter_q[:, k - 1], sc.dt_s
         )
+        team = propagated
         if k in real.measurements:
-            report = reports[k] if reports is not None else perfect_report(ids, k)
-            _run_split_epoch(team, server, real.measurements[k], report, events)
-        est[:, k] = team.mean
-        cov[:, k] = team.cov
-    events.extend(server.events)
-    return est, cov, events
+            report = epoch_report(reports, ids, k)
+            team = _run_split_epoch(team, server, real.measurements[k], report, events)
+        yield propagated, team
 
 
 def _run_split_epoch(
@@ -316,12 +322,12 @@ def _run_split_epoch(
     measurements: Sequence[model.RelativeMeasurement],
     report: DeliveryReport,
     events: list[ProtocolEvent],
-) -> None:
+) -> split_ekf.SplitTeamState:
     """One measurement epoch over the lossy channel, wire encoding included.
 
     Each robot takes part through a :class:`RobotNode` over its rows of
-    ``team``; the corrections the robots accept are written back into
-    ``team`` in place.
+    ``team``. Returns a corrected copy of ``team``, or ``team`` itself when
+    no measurement reached the server.
     """
     k = report.time
     accepted = []
@@ -335,7 +341,7 @@ def _run_split_epoch(
                 f"unreachable={sorted(report.missed & {m.observer, m.landmark})}",
             ))
     if not accepted:
-        return
+        return team
     wire: list[bytes] = []
     landmark_only = {m.landmark for m in accepted} - {m.observer for m in accepted}
     for m in accepted:
@@ -345,6 +351,7 @@ def _run_split_epoch(
         wire.append(RobotNode.over(team.robot(i)).landmark_message().encode())
     msgs = [LandmarkMessage.decode(raw) for raw in wire]
     updates = server.handle_epoch(msgs, k, missed=report.missed)
+    corrected = replace(team, mean=team.mean.copy(), cov=team.cov.copy())
     for i, msg in updates.items():
         if i not in report.delivered:
             continue
@@ -356,7 +363,8 @@ def _run_split_epoch(
             # just like a lost message, but with its own reason code.
             events.append(ProtocolEvent(k, EVENT_NUMERIC_S, f"robot={i} reason={exc}"))
             continue
-        team.write_back(node.state)
+        corrected.write_back(node.state)
+    return corrected
 
 
 @dataclass(slots=True)

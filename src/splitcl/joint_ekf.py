@@ -99,6 +99,11 @@ class JointBelief:
         n = len(self.team)
         return self.cov.reshape(3 * n, 3 * n)
 
+    def own_covs(self) -> np.ndarray:
+        """Every robot's own covariance block, shape ``(N, 3, 3)`` in team order."""
+        diag = np.arange(len(self.team))
+        return self.cov[diag, :, diag, :]
+
     def min_eigenvalue(self) -> float:
         return min_eigenvalue(self.joint_matrix())
 

@@ -46,41 +46,6 @@ def wrap_angle(a: float) -> float:
 
 
 @dataclass(slots=True, frozen=True)
-class Pose:
-    """World-frame robot pose.
-
-    Attributes
-    ----------
-    x, y:
-        Position in meters.
-    theta:
-        Heading in radians, in ``(-pi, pi]``.
-    """
-
-    x: float
-    y: float
-    theta: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.theta], dtype=float)
-
-    @staticmethod
-    def from_array(arr: np.ndarray) -> "Pose":
-        return Pose(float(arr[0]), float(arr[1]), float(arr[2]))
-
-
-@dataclass(slots=True, frozen=True)
-class ControlInput:
-    """Commanded or measured self-motion: linear and angular velocity."""
-
-    v: float
-    omega: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.v, self.omega], dtype=float)
-
-
-@dataclass(slots=True, frozen=True)
 class RelativeMeasurement:
     """One robot observing another: landmark position in the observer frame.
 

@@ -30,7 +30,6 @@ from .messages import LandmarkMessage, ProtocolError, UpdateMessage
 from .split_ekf import CrossFactorStore, SplitRobotState
 
 EVENT_PAIR_UNREACHABLE = "PAIR_UNREACHABLE"
-EVENT_STALE = "STALE"
 EVENT_NUMERIC_S = "NUMERIC_S"
 
 
@@ -123,17 +122,8 @@ class RobotNode:
             )
         else:
             acc = self.state.jac_accum
-            cov = self.state.cov - acc @ msg.gain_payload @ acc.T
-            if float(np.linalg.eigvalsh(cov)[0]) < -1e-9:
-                raise NumericalError(
-                    f"summed update drove robot {self.state.robot_id} covariance indefinite"
-                )
-            self.state = SplitRobotState(
-                robot_id=self.state.robot_id,
-                mean=self.state.mean + acc @ msg.residual_payload,
-                cov=cov,
-                jac_accum=acc,
-                time=self.state.time,
+            self.state = split_ekf.apply_correction(
+                self.state, acc @ msg.residual_payload, acc @ msg.gain_payload @ acc.T
             )
         return True
 
@@ -173,7 +163,6 @@ class CooperationServer:
         msgs: Sequence[LandmarkMessage],
         time: int,
         missed: AbstractSet[int] = frozenset(),
-        noise_cov: np.ndarray | None = None,
     ) -> dict[int, UpdateMessage]:
         """Process every measurement announced for ``time``.
 
@@ -182,7 +171,6 @@ class CooperationServer:
         endpoints did not all reach the server are discarded with a logged
         event, as are measurements with a numerically invalid innovation.
         """
-        noise = self.meas_noise_cov if noise_cov is None else np.asarray(noise_cov, dtype=float)
         for msg in msgs:
             if msg.time != time:
                 raise ProtocolError(
@@ -246,7 +234,9 @@ class CooperationServer:
                 landmark = shadow[m.landmark]
                 cross = self.store.factor(a, m.landmark)
             try:
-                innov = split_ekf.innovation(observer, landmark, cross, m.z, noise)
+                innov = split_ekf.innovation(
+                    observer, landmark, cross, m.z, self.meas_noise_cov
+                )
                 factors = split_ekf.update_factors(self.store, observer, landmark, innov)
                 new_shadow = {
                     rid: split_ekf.apply_update(state, factors[index[rid]], innov.white_residual)
@@ -266,7 +256,6 @@ class CooperationServer:
             mat_sum += factors @ factors.transpose(0, 2, 1)
             singles.append((innov.white_residual, factors))
 
-        self.store.time = time
         if not singles:
             return {}
         if len(singles) == 1:

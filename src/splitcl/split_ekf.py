@@ -283,7 +283,6 @@ class CrossFactorStore:
         self.index = {rid: pos for pos, rid in enumerate(ids)}
         n = len(ids)
         self.blocks = np.zeros((n, 3, n, 3))
-        self.time = 0
         # Flipped by the negative-control test hook only.
         self._update_sign = -1.0
 
@@ -323,7 +322,6 @@ class CrossFactorStore:
     def copy(self) -> "CrossFactorStore":
         dup = CrossFactorStore(self.team)
         dup.blocks = self.blocks.copy()
-        dup.time = self.time
         dup._update_sign = self._update_sign
         return dup
 
@@ -363,14 +361,26 @@ def apply_update(
     norm of the correction gain from its trace.
     """
     gain = state.jac_accum @ factor
-    cov = state.cov - gain @ gain.T
+    return apply_correction(state, gain @ white_residual, gain @ gain.T)
+
+
+def apply_correction(
+    state: SplitRobotState, mean_step: np.ndarray, cov_drop: np.ndarray
+) -> SplitRobotState:
+    """The robot with ``mean_step`` added to its mean and ``cov_drop``
+    subtracted from its covariance; its accumulated Jacobian is unchanged.
+
+    Raises :class:`NumericalError` when the corrected covariance is
+    indefinite beyond rounding, before anything is changed.
+    """
+    cov = state.cov - cov_drop
     if float(np.linalg.eigvalsh(cov)[0]) < -1e-9:
         raise NumericalError(
             f"update drove robot {state.robot_id} covariance indefinite"
         )
     return SplitRobotState(
         robot_id=state.robot_id,
-        mean=state.mean + gain @ white_residual,
+        mean=state.mean + mean_step,
         cov=cov,
         jac_accum=state.jac_accum,
         time=state.time,

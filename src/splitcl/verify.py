@@ -11,20 +11,21 @@ schedule, comparing against the centralized filter's partial-update rule
 driven by the identical per-epoch missed sets, and additionally verifies
 that a robot that misses an epoch keeps exactly its propagated state.
 
-The robots are stepped as one team (:func:`split_ekf.propagate_team`), as
-in the simulator, and take part in each measurement epoch through their
-:class:`RobotNode`. After every step the whole team is compared at once:
-the robots' stacked means, own covariances and accumulated Jacobians
-against the joint belief's means and diagonal blocks, and the store's
-whole-team reconstruction ``A C A'`` against every off-diagonal block,
-reduced to one deviation per robot (a cross block counts for its lower-id
-robot). The step and robot of the largest deviation are reported.
+Verify runs no filter of its own: it drives the loops that
+:func:`harness.run_once` runs, :func:`harness.split_steps` and
+:func:`harness.joint_steps`, on one realization and only compares what
+they yield. After every step the robots' stacked means and own covariances
+are compared with the joint belief's means and diagonal blocks, and the
+store's reconstruction ``A C A'`` with every off-diagonal block, reduced
+to one deviation per robot (a cross block counts for its lower-id robot).
+The step and robot of the largest deviation are reported.
 
 Both checks also police three properties along the way: the centralized
 joint covariance stays positive semidefinite (to tolerance), no received
 update ever increases a robot's covariance trace, and at every step one
-robot in turn, stepped alone through :meth:`RobotNode.step` from its
-pre-step state, lands bit for bit on its row of the batched team step.
+robot in turn, stepped alone through :meth:`RobotNode.step` from its row
+of the previous step's team, lands bit for bit on its row of the batched
+team step.
 """
 
 from __future__ import annotations
@@ -34,14 +35,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import joint_ekf, scenario as scen, split_ekf
+from . import scenario as scen
 from .harness import (
-    _run_split_epoch,
-    _seed_key,
+    JOINT_EKF,
+    PARTIAL_ORACLE,
     build_realization,
     delivery_reports,
+    epoch_report,
+    joint_steps,
+    seed_key,
+    split_steps,
 )
-from .network import gate_measurement, perfect_report
+from .network import gate_measurement
 from .protocol import CooperationServer, ProtocolEvent, RobotNode
 
 DEFAULT_TOLERANCE = 1e-8
@@ -49,7 +54,10 @@ DEFAULT_TOLERANCE = 1e-8
 
 @dataclass(slots=True)
 class EquivalenceReport:
-    """Outcome of one side-by-side run."""
+    """Outcome of one side-by-side run.
+
+    ``events`` holds what both filters' loops and the server logged.
+    """
 
     mode: str
     max_position_diff: float
@@ -114,22 +122,19 @@ def _run_side_by_side(
     sc: scen.Scenario, seed, dropouts: bool, corrupt_cross_sign: bool
 ) -> EquivalenceReport:
     sc.validate()
-    key = _seed_key(sc, seed)
+    key = seed_key(sc, seed)
     real = build_realization(sc, key)
     reports = delivery_reports(sc, real, key) if dropouts else {}
 
     ids = sc.robot_ids
-    team = split_ekf.SplitTeamState.initialize(ids, real.init_means, sc.initial_cov())
     server = CooperationServer(
         ids, sc.meas_noise_cov(), corrupt_cross_sign=corrupt_cross_sign
     )
-    belief = joint_ekf.JointBelief.initialize(
-        means={i: real.init_means[i - 1] for i in ids},
-        covs={i: sc.initial_cov() for i in ids},
-    )
-    noise = sc.meas_noise_cov()
     events: list[ProtocolEvent] = []
-    diag = np.arange(len(ids))
+    steps = zip(
+        split_steps(sc, real, reports, server, events),
+        joint_steps(sc, real, reports, events, PARTIAL_ORACLE if dropouts else JOINT_EKF),
+    )
     upper = np.triu(np.ones((len(ids), len(ids)), dtype=bool), k=1)
 
     # Largest position, heading, own-covariance and cross-block deviation
@@ -143,39 +148,34 @@ def _run_side_by_side(
     lone_exact = True
     n_epochs = n_meas = 0
 
-    for k in range(1, sc.n_steps + 1):
-        controls = real.controls_meas[:, k - 1]
-        noises = real.filter_q[:, k - 1]
-        # One robot per step, in turn, also steps alone from its rows, as
-        # the robot itself would; the team's batched step must match it.
+    (_, previous), _ = next(steps)
+    for k, ((propagated, team), belief) in enumerate(steps, start=1):
+        # One robot per step, in turn, also steps alone from its rows of the
+        # previous step's team, as the robot itself would; the team's
+        # batched step must match it.
         a = (k - 1) % len(ids)
-        lone = RobotNode.over(team.robot(ids[a]))
-        team = split_ekf.propagate_team(team, controls, noises, sc.dt_s)
-        lone.step(controls[a], noises[a], sc.dt_s)
+        lone = RobotNode.over(previous.robot(ids[a]))
+        lone.step(real.controls_meas[a, k - 1], real.filter_q[a, k - 1], sc.dt_s)
         lone_exact = lone_exact and (
-            np.array_equal(lone.state.mean, team.mean[a])
-            and np.array_equal(lone.state.cov, team.cov[a])
-            and np.array_equal(lone.state.jac_accum, team.jac_accum[a])
+            np.array_equal(lone.state.mean, propagated.mean[a])
+            and np.array_equal(lone.state.cov, propagated.cov[a])
+            and np.array_equal(lone.state.jac_accum, propagated.jac_accum[a])
         )
-        belief = joint_ekf.propagate(belief, controls, noises, sc.dt_s)
+        previous = team
 
         if k in real.measurements:
-            report = reports.get(k) or perfect_report(ids, k)
+            report = epoch_report(reports, ids, k)
             gated = [m for m in real.measurements[k] if gate_measurement(report, m)]
-            pre_means, pre_covs = team.mean.copy(), team.cov.copy()
-            _run_split_epoch(team, server, real.measurements[k], report, events)
-            for m in gated:
-                belief, _ = joint_ekf.partial_update(belief, m, noise, report.missed)
             if gated:
                 n_epochs += 1
                 n_meas += len(gated)
                 missed = np.isin(ids, list(report.missed))
                 missed_exact = missed_exact and (
-                    np.array_equal(team.mean[missed], pre_means[missed])
-                    and np.array_equal(team.cov[missed], pre_covs[missed])
+                    np.array_equal(team.mean[missed], propagated.mean[missed])
+                    and np.array_equal(team.cov[missed], propagated.cov[missed])
                 )
                 delta = np.trace(team.cov, axis1=1, axis2=2) - np.trace(
-                    pre_covs, axis1=1, axis2=2
+                    propagated.cov, axis1=1, axis2=2
                 )
                 max_trace_increase = max(max_trace_increase, float(delta[~missed].max()))
 
@@ -185,11 +185,12 @@ def _run_side_by_side(
         diffs = np.array([
             np.abs(offset[:, :2]).max(axis=1),
             np.abs(np.arctan2(np.sin(offset[:, 2]), np.cos(offset[:, 2]))),
-            np.abs(team.cov - belief.cov[diag, :, diag, :]).max(axis=(1, 2)),
+            np.abs(team.cov - belief.own_covs()).max(axis=(1, 2)),
             np.where(upper, cross, 0.0).max(axis=1),
         ])
         max_diffs = np.maximum(max_diffs, diffs.max(axis=1))
         local[k - 1] = diffs.max(axis=0)
+    events.extend(server.events)
 
     worst_step, worst_pos = np.unravel_index(np.argmax(local), local.shape)
 

@@ -5,7 +5,9 @@ import warnings
 
 import numpy as np
 
-from splitcl import cli, harness
+from splitcl import cli, harness, joint_ekf, verify
+from splitcl.linalg import NumericalError
+from splitcl.protocol import EVENT_NUMERIC_S
 from splitcl.scenario import MeasurementWindow, Scenario
 
 
@@ -20,10 +22,45 @@ def test_verify_negative_control_fails(capsys):
     assert "FAIL [exact]" in out and "FAIL [dropout]" in out
 
 
+def test_verify_logs_a_numerical_error_in_the_joint_filter(monkeypatch, capsys):
+    # The first centralized update of the run fails and is skipped, so the
+    # exact check fails instead of raising.
+    original = joint_ekf.partial_update
+    failed = []
+
+    def failing_once(*args, **kwargs):
+        if not failed:
+            failed.append(True)
+            raise NumericalError("innovation covariance is not positive definite")
+        return original(*args, **kwargs)
+
+    reports = []
+    check = verify.check_exact_equivalence
+
+    def recording_check(*args, **kwargs):
+        reports.append(check(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(joint_ekf, "partial_update", failing_once)
+    monkeypatch.setattr(verify, "check_exact_equivalence", recording_check)
+    assert cli.main(["verify", "--scenario", "table1"]) == cli.EXIT_VERIFY
+    assert "FAIL [exact]" in capsys.readouterr().out
+    numeric = [ev.detail for ev in reports[0].events if ev.code == EVENT_NUMERIC_S]
+    assert len(numeric) == 1 and numeric[0].startswith("estimator=joint_ekf ")
+
+
 def test_verify_missing_scenario_file_is_invalid_input(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert cli.main(["verify", "--scenario", str(missing)]) == cli.EXIT_USAGE
     assert "error:" in capsys.readouterr().err
+
+
+def test_run_without_monte_carlo_runs_is_invalid_input(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    argv = ["run", "--scenario", "table1", "--mc", "0", "--out", str(out_dir)]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert "error: --mc must be at least 1" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_run_reports_a_diverged_estimator(tmp_path, monkeypatch, capsys):

@@ -219,12 +219,3 @@ class TestMeasurementRecords:
             model.RelativeMeasurement(observer=1, landmark=2, z=np.array([np.inf, 0]), time=0)
         with pytest.raises(model.ModelError):
             model.AbsoluteMeasurement(observer=1, z=np.array([np.nan, 0]), time=0)
-
-    def test_pose_array_round_trip(self):
-        pose = model.Pose(1.0, -2.0, 0.5)
-        assert model.Pose.from_array(pose.as_array()) == pose
-
-    def test_control_as_array(self):
-        np.testing.assert_array_equal(
-            model.ControlInput(1.0, -0.5).as_array(), [1.0, -0.5]
-        )

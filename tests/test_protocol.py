@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from splitcl import joint_ekf, model, split_ekf
+from splitcl.linalg import NumericalError
 from splitcl.messages import ProtocolError, UpdateMessage
 from splitcl.protocol import (
     EVENT_NUMERIC_S,
@@ -131,6 +132,19 @@ class TestRobotNode:
         np.testing.assert_allclose(node_summed.state.mean, node_seq.state.mean, atol=1e-12)
         np.testing.assert_allclose(node_summed.state.cov, node_seq.state.cov, atol=1e-12)
 
+    @pytest.mark.parametrize("kind", ["single", "summed"])
+    def test_indefinite_correction_raises_and_keeps_state(self, kind):
+        # Either frame kind removes far more than the robot's 0.1 * I.
+        node = RobotNode(1, np.array([0.5, -0.5, 0.1]), np.eye(3) * 0.1)
+        if kind == "single":
+            msg = UpdateMessage(1, 0, kind, np.ones(2), np.ones((3, 2)))
+        else:
+            msg = UpdateMessage(1, 0, kind, np.ones(3), np.eye(3) * 2.0)
+        before = node.state
+        with pytest.raises(NumericalError, match="covariance indefinite"):
+            node.apply_update(msg)
+        assert node.state is before
+
     def test_storage_is_constant_in_team_size(self):
         node = RobotNode(1, np.zeros(3), np.eye(3))
         assert node.__slots__ == ("state",)
@@ -194,7 +208,8 @@ class TestServerSingleMeasurement:
         msg_b = nodes[2].landmark_message()
         object.__setattr__(msg_a, "cov", -np.eye(3))
         object.__setattr__(msg_b, "cov", -np.eye(3))
-        updates = server.handle_epoch([msg_a, msg_b], t, noise_cov=np.eye(2) * 1e-12)
+        server.meas_noise_cov = np.eye(2) * 1e-12
+        updates = server.handle_epoch([msg_a, msg_b], t)
         assert updates == {}
         assert server.events[-1].code == EVENT_NUMERIC_S
 

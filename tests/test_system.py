@@ -10,7 +10,7 @@ import pytest
 
 from splitcl import harness, joint_ekf
 from splitcl.linalg import NumericalError
-from splitcl.protocol import EVENT_NUMERIC_S
+from splitcl.protocol import EVENT_NUMERIC_S, EVENT_PAIR_UNREACHABLE
 from splitcl.scenario import (
     MeasurementWindow,
     Scenario,
@@ -117,3 +117,17 @@ def test_numerical_error_in_the_joint_filter_skips_the_measurement(monkeypatch):
     for name in (harness.JOINT_EKF, harness.PARTIAL_ORACLE):
         assert not rec.flagged[name]
         np.testing.assert_array_equal(rec.estimates[name], rec.estimates[harness.DR])
+
+
+def test_dropout_check_and_simulator_log_the_same_unreachable_pairs(table1):
+    # verify drives the simulator's own split loop, so over the same
+    # channel reports both discard exactly the same measurements.
+    seed = 7
+    report = check_dropout_equivalence(table1, seed=seed)
+    rec = harness.run_once(table1, [harness.SA_SPLIT_DROPOUT], seed=seed)
+
+    def unreachable(events):
+        return [ev.as_line() for ev in events if ev.code == EVENT_PAIR_UNREACHABLE]
+
+    assert unreachable(report.events)
+    assert unreachable(report.events) == unreachable(rec.events)
