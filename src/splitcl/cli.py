@@ -54,10 +54,17 @@ def _parse_estimators(text: str) -> tuple[str, ...]:
     return names
 
 
+def _check_seed(seed: int | None) -> None:
+    # numpy seed sequences take non-negative integers only.
+    if seed is not None and seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {seed}")
+
+
 def _cmd_run(args) -> int:
     try:
         sc = _load_scenario(args.scenario)
         estimators = _parse_estimators(args.estimators)
+        _check_seed(args.seed)
         if args.mc < 1:
             raise ValueError(f"--mc must be at least 1, got {args.mc}")
     except (FileNotFoundError, ScenarioError, ValueError) as exc:
@@ -96,7 +103,8 @@ def _cmd_run(args) -> int:
 def _cmd_verify(args) -> int:
     try:
         sc = _load_scenario(args.scenario)
-    except (FileNotFoundError, ScenarioError) as exc:
+        _check_seed(args.seed)
+    except (FileNotFoundError, ScenarioError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

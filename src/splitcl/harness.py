@@ -24,10 +24,11 @@ reckoning advance every robot's pose with one :func:`model.propagate_pose`
 call per step, the split stack holds the robots' local states as one
 :class:`split_ekf.SplitTeamState` advanced by :func:`split_ekf.propagate_team`,
 and the centralized filter propagates the joint belief in one call. Only at
-a measurement epoch does each robot act on its own, as a :class:`RobotNode`
-over its rows of the team state: it builds its landmark message, applies
-the server's update message, and its corrected rows go into a copy of the
-team. The per-robot arithmetic is the same either way.
+a measurement epoch does a robot act on its own, as a :class:`RobotNode`
+over its rows of the team state: a measured robot builds its landmark
+message, and a robot the server sends an update message (one correlated
+with a measured robot) applies it, and its corrected rows go into a copy
+of the team. The per-robot arithmetic is the same either way.
 
 Randomness is derived from a seed key; stream tags keep motion noise,
 measurement noise, initial error and channel draws independent, and

@@ -8,9 +8,11 @@ the single per-epoch missed set the server works with. Disconnection causes:
 - the robot's true position lying inside a dropout zone,
 - an independent Bernoulli loss draw.
 
-Loss draws come from a counter-based generator keyed by
-``(seed, timestep, robot id)`` (numpy ``SeedSequence``/``default_rng``), so
-per-robot outcomes are independent of evaluation order and replayable.
+Loss draws come from one generator stream per ``(seed, timestep)`` (numpy
+``SeedSequence``/``default_rng``), indexed by robot id: robot ``r`` gets
+the stream's ``r``-th uniform. The stream is prefix-stable, so a robot's
+outcome depends on neither the evaluation order nor the rest of the team,
+and it is replayable.
 """
 
 from __future__ import annotations
@@ -93,14 +95,15 @@ def channel_epoch(
 ) -> DeliveryReport:
     """Connectivity of every robot at step ``t``; deterministic given ``seed``."""
     seed_key = [seed] if isinstance(seed, int) else list(seed)
+    if schedule.bernoulli_p > 0.0:
+        draws = np.random.default_rng(seed_key + [t]).random(max(poses, default=-1) + 1)
     missed = set()
     for robot, pose in poses.items():
         down = any(w.robot == robot and w.active(t) for w in schedule.windows)
         if not down:
             down = any(zone.contains(pose) for zone in schedule.zones)
         if not down and schedule.bernoulli_p > 0.0:
-            rng = np.random.default_rng(seed_key + [t, robot])
-            down = rng.random() < schedule.bernoulli_p
+            down = draws[robot] < schedule.bernoulli_p
         if down:
             missed.add(robot)
     delivered = frozenset(poses) - missed

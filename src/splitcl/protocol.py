@@ -5,16 +5,19 @@ relative (or absolute) measurement it announces it, and every robot involved
 in any measurement sends the server a :class:`LandmarkMessage`. The server,
 which is the only party holding the cross-correlation factors, computes one
 whitened residual and one update factor per measurement, folds the factors
-into its store, and broadcasts a fixed-size :class:`UpdateMessage` to every
-robot. Robots that receive the message apply it; robots that miss it simply
-keep their propagated estimate, and the server skips the store blocks
-between pairs of missed robots.
+into its store, and sends a fixed-size :class:`UpdateMessage` only to the
+robots whose update factor is non-zero: the measured robots and those
+correlated with them. Every other robot's factor is exactly zero, so its
+correction would be an exact no-op; it gets no message and does no work.
+Robots that receive the message apply it; robots that miss it simply keep
+their propagated estimate, and the server skips the store blocks between
+pairs of missed robots.
 
 Multiple measurements in the same epoch are processed one at a time in a
 fixed order (ascending ``(observer, landmark)``, absolutes after relatives).
 The server keeps a scratch copy of the measured robots' estimates so later
 measurements in the epoch are linearized against already-corrected values,
-and broadcasts a single summed update message per robot at the end.
+and sends a single summed update message per touched robot at the end.
 """
 
 from __future__ import annotations
@@ -54,8 +57,10 @@ class RobotNode:
     team as one :class:`split_ekf.SplitTeamState` per step and, at a
     measurement epoch, wraps each robot's rows in a node (:meth:`over`) to
     build its :class:`LandmarkMessage` and apply its :class:`UpdateMessage`,
-    then writes the corrected state back. :meth:`step` is the same
-    propagation for a node on its own.
+    then writes the corrected state back. Only robots whose update factor is
+    non-zero receive a message; for the others the correction would be an
+    exact no-op, so they keep their propagated rows. :meth:`step` is the
+    same propagation for a node on its own.
     """
 
     __slots__ = ("state",)
@@ -166,10 +171,14 @@ class CooperationServer:
     ) -> dict[int, UpdateMessage]:
         """Process every measurement announced for ``time``.
 
-        Returns one update message per team member (empty when nothing was
-        processed, in which case the store is untouched). Measurements whose
-        endpoints did not all reach the server are discarded with a logged
-        event, as are measurements with a numerically invalid innovation.
+        Returns one update message per robot whose update factor ``D_i`` is
+        non-zero in some processed measurement (empty when nothing was
+        processed, in which case the store is untouched). ``D_i`` is exactly
+        zero for a robot that is neither measured nor correlated with a
+        measured robot; its correction would be an exact no-op, so it gets
+        no message. Measurements whose endpoints did not all reach the
+        server are discarded with a logged event, as are measurements with
+        a numerically invalid innovation.
         """
         for msg in msgs:
             if msg.time != time:
@@ -223,6 +232,7 @@ class CooperationServer:
         n = len(self.team)
         vec_sum = np.zeros((n, 3))
         mat_sum = np.zeros((n, 3, 3))
+        touched = np.zeros(n, dtype=bool)
         singles: list[tuple[np.ndarray, np.ndarray]] = []
         for m in usable:
             a = m.sender
@@ -254,10 +264,12 @@ class CooperationServer:
             self.store.update(factors, missed)
             vec_sum += factors @ innov.white_residual
             mat_sum += factors @ factors.transpose(0, 2, 1)
+            touched |= factors.any(axis=(1, 2))
             singles.append((innov.white_residual, factors))
 
         if not singles:
             return {}
+        recipients = [(pos, self.team[pos]) for pos in np.flatnonzero(touched)]
         if len(singles) == 1:
             white_residual, factors = singles[0]
             return {
@@ -268,7 +280,7 @@ class CooperationServer:
                     residual_payload=white_residual.copy(),
                     gain_payload=factors[pos].copy(),
                 )
-                for pos, i in enumerate(self.team)
+                for pos, i in recipients
             }
         return {
             i: UpdateMessage(
@@ -278,5 +290,5 @@ class CooperationServer:
                 residual_payload=vec_sum[pos],
                 gain_payload=mat_sum[pos],
             )
-            for pos, i in enumerate(self.team)
+            for pos, i in recipients
         }

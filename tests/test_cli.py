@@ -63,6 +63,19 @@ def test_run_without_monte_carlo_runs_is_invalid_input(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_verify_negative_seed_is_invalid_input(capsys):
+    assert cli.main(["verify", "--scenario", "table1", "--seed", "-1"]) == cli.EXIT_USAGE
+    assert "error: --seed must be non-negative, got -1" in capsys.readouterr().err
+
+
+def test_run_negative_seed_is_invalid_input(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    argv = ["run", "--scenario", "table1", "--seed", "-1", "--out", str(out_dir)]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert "error: --seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_run_reports_a_diverged_estimator(tmp_path, monkeypatch, capsys):
     sc = Scenario(duration_s=10.0, meas_windows=(MeasurementWindow(2.0, 4.0, 1, 2),))
     path = tmp_path / "small.json"

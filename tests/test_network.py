@@ -46,3 +46,14 @@ def test_a_robot_outcome_does_not_depend_on_the_rest_of_the_team():
     half = {i: p for i, p in poses.items() if i % 2}
     sub = channel_epoch(SCHEDULE, half, 10, (5, 4))
     assert sub.missed == report.missed & set(half)
+
+
+def test_loss_draws_have_the_configured_rate_and_are_independent_per_robot():
+    schedule = DropoutSchedule(bernoulli_p=0.4)
+    poses = team_poses()
+    counts = np.array([
+        len(channel_epoch(schedule, poses, t, (2, 4)).missed) for t in range(1, 501)
+    ])
+    assert abs(counts.sum() / (len(poses) * len(counts)) - 0.4) <= 0.03
+    # One draw shared by the whole team would miss all robots or none.
+    assert ((counts > 0) & (counts < len(poses))).all()

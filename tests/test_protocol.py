@@ -46,8 +46,8 @@ def build_stack(rng, n_robots, warmup_steps=20, warmup_pairs=()):
                     nodes[b].landmark_message(),
                 ]
                 updates = server.handle_epoch(msgs, t)
-                for i in ids:
-                    nodes[i].apply_update(updates[i])
+                for i, msg in updates.items():
+                    nodes[i].apply_update(msg)
                 belief, _ = joint_ekf.update(
                     belief, model.RelativeMeasurement(a, b, z, t), NOISE
                 )
@@ -169,10 +169,11 @@ class TestServerSingleMeasurement:
         z = rng.uniform(-1, 1, 2)
         msgs = [nodes[3].landmark_message(z=z, landmark=4), nodes[4].landmark_message()]
         updates = server.handle_epoch(msgs, t)
-        assert set(updates) == set(ids)
+        # The warm-up pair (1, 2) is uncorrelated with (3, 4): no frame for it.
+        assert set(updates) == {3, 4}
         assert all(m.kind == "single" for m in updates.values())
-        for i in ids:
-            nodes[i].apply_update(updates[i])
+        for i, msg in updates.items():
+            nodes[i].apply_update(msg)
         belief, _ = joint_ekf.update(belief, model.RelativeMeasurement(3, 4, z, t), NOISE)
         assert_matches_belief(ids, nodes, belief)
 
@@ -244,8 +245,8 @@ class TestServerSequentialEpoch:
         ]
         updates = server.handle_epoch(msgs, t)
         assert all(m.kind == "summed" for m in updates.values())
-        for i in ids:
-            nodes[i].apply_update(updates[i])
+        for i, msg in updates.items():
+            nodes[i].apply_update(msg)
         # same fixed ordering: ascending (observer, landmark)
         belief, _ = joint_ekf.update(belief, model.RelativeMeasurement(1, 2, z12, t), NOISE)
         belief, _ = joint_ekf.update(belief, model.RelativeMeasurement(3, 4, z34, t), NOISE)
@@ -265,8 +266,8 @@ class TestServerSequentialEpoch:
             nodes[3].landmark_message(),
         ]
         updates = server.handle_epoch(msgs, t)
-        for i in ids:
-            nodes[i].apply_update(updates[i])
+        for i, msg in updates.items():
+            nodes[i].apply_update(msg)
         belief, _ = joint_ekf.update(belief, model.RelativeMeasurement(1, 2, z12, t), NOISE)
         belief, _ = joint_ekf.update(belief, model.RelativeMeasurement(2, 3, z23, t), NOISE)
         assert_matches_belief(ids, nodes, belief)
@@ -280,9 +281,9 @@ class TestServerSequentialEpoch:
         msgs = [nodes[1].landmark_message(z=z, landmark=2), nodes[2].landmark_message()]
         before4 = nodes[4].state.copy()
         updates = server.handle_epoch(msgs, t, missed=missed)
-        for i in ids:
+        for i, msg in updates.items():
             if i not in missed:
-                nodes[i].apply_update(updates[i])
+                nodes[i].apply_update(msg)
         belief, _ = joint_ekf.partial_update(
             belief, model.RelativeMeasurement(1, 2, z, t), NOISE, missed
         )
@@ -316,8 +317,9 @@ class TestServerAbsolute:
         msg = nodes[2].landmark_message(z=z)
         before = {i: nodes[i].state.copy() for i in ids}
         updates = server.handle_epoch([msg], t)
-        for i in ids:
-            nodes[i].apply_update(updates[i])
+        assert set(updates) == {2}
+        for i, msg in updates.items():
+            nodes[i].apply_update(msg)
         assert not np.array_equal(nodes[2].state.mean, before[2].mean)
         for i in (1, 3):
             np.testing.assert_array_equal(nodes[i].state.mean, before[i].mean)
@@ -328,8 +330,8 @@ class TestServerAbsolute:
         t = nodes[1].time
         z = rng.uniform(-2, 2, 2)
         updates = server.handle_epoch([nodes[1].landmark_message(z=z)], t)
-        for i in ids:
-            nodes[i].apply_update(updates[i])
+        for i, msg in updates.items():
+            nodes[i].apply_update(msg)
         belief, _ = joint_ekf.absolute_update(
             belief, model.AbsoluteMeasurement(1, z, t), NOISE
         )
@@ -344,10 +346,62 @@ class TestServerAbsolute:
         before2 = nodes[2].state.mean.copy()
         z = rng.uniform(-2, 2, 2)
         updates = server.handle_epoch([nodes[1].landmark_message(z=z)], t)
-        for i in ids:
-            nodes[i].apply_update(updates[i])
+        for i, msg in updates.items():
+            nodes[i].apply_update(msg)
         assert not np.array_equal(nodes[2].state.mean, before2)
         belief, _ = joint_ekf.absolute_update(
             belief, model.AbsoluteMeasurement(1, z, t), NOISE
         )
         assert_matches_belief(ids, nodes, belief)
+
+
+class TestSparseUpdateFrames:
+    """The server messages exactly the robots the centralized gain touches."""
+
+    # Warm-up correlates (1, 2) and (3, 4); robots 5 and 6 are never measured.
+    # Each epoch is a list of (observer, landmark) pairs, landmark None for
+    # an absolute measurement.
+    EPOCHS = {
+        "single": [(2, 5)],
+        "summed": [(1, 2), (2, 5)],
+        "absolute": [(3, None)],
+    }
+
+    @pytest.mark.parametrize("kind", sorted(EPOCHS))
+    def test_recipients_are_the_robots_with_a_nonzero_gain(self, kind):
+        rng = np.random.default_rng(89)
+        ids, nodes, server, belief = build_stack(rng, 6, warmup_pairs=[(1, 2), (3, 4)])
+        t = nodes[1].time
+        msgs = []
+        gained = set()
+        before_belief = belief
+        for a, b in self.EPOCHS[kind]:
+            if b is None:
+                z = nodes[a].state.mean[:2] + rng.uniform(-0.1, 0.1, 2)
+                msgs.append(nodes[a].landmark_message(z=z))
+                belief, innov = joint_ekf.absolute_update(
+                    belief, model.AbsoluteMeasurement(a, z, t), NOISE
+                )
+            else:
+                z = rng.uniform(-1, 1, 2)
+                msgs += [nodes[a].landmark_message(z=z, landmark=b), nodes[b].landmark_message()]
+                belief, innov = joint_ekf.update(
+                    belief, model.RelativeMeasurement(a, b, z, t), NOISE
+                )
+            gained |= {i for i in ids if innov.gains[belief.index[i]].any()}
+        before = {i: nodes[i].state.copy() for i in ids}
+
+        updates = server.handle_epoch(msgs, t)
+        assert set(updates) == gained
+        assert 0 < len(gained) < len(ids)
+        for i, msg in updates.items():
+            nodes[i].apply_update(msg)
+        assert_matches_belief(ids, nodes, belief)
+        # Without a message neither side moves that robot, bit for bit.
+        for i in set(ids) - gained:
+            np.testing.assert_array_equal(nodes[i].state.mean, before[i].mean)
+            np.testing.assert_array_equal(nodes[i].state.cov, before[i].cov)
+            np.testing.assert_array_equal(
+                belief.mean[belief.index[i]], before_belief.mean[belief.index[i]]
+            )
+            np.testing.assert_array_equal(belief.block(i, i), before_belief.block(i, i))

@@ -5,12 +5,15 @@ perfect communication, and the partial-update EKF under dropouts; the
 negative control (every store update with the wrong sign) must fail both.
 """
 
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
 from splitcl import harness, joint_ekf
 from splitcl.linalg import NumericalError
-from splitcl.protocol import EVENT_NUMERIC_S, EVENT_PAIR_UNREACHABLE
+from splitcl.messages import UpdateMessage
+from splitcl.protocol import EVENT_NUMERIC_S, EVENT_PAIR_UNREACHABLE, CooperationServer
 from splitcl.scenario import (
     MeasurementWindow,
     Scenario,
@@ -93,6 +96,52 @@ def test_overlapping_windows_with_link_loss_match_the_partial_update_filter():
     assert report.passed(TOL), report.summary()
     assert report.n_measurements > report.n_epochs
     assert not check_dropout_equivalence(sc, corrupt_cross_sign=True).passed(TOL)
+
+
+def test_frames_go_only_to_robots_a_measurement_touches(monkeypatch):
+    # Robots 5..12 of the overlapping team are never measured: they must
+    # never get a frame, and at every epoch the frames must go to exactly
+    # the delivered robots whose centralized gain is non-zero.
+    sc = overlapping_team_scenario()
+    key = (sc.seed,)
+    real = harness.build_realization(sc, key)
+    reports = harness.delivery_reports(sc, real, key)
+
+    frames = defaultdict(list)
+    encode = UpdateMessage.encode
+
+    def counting_encode(self):
+        frames[self.time].append(self.recipient)
+        return encode(self)
+
+    gained = defaultdict(set)
+    partial_update = joint_ekf.partial_update
+
+    def recording_update(belief, meas, noise_cov, missed):
+        updated, innov = partial_update(belief, meas, noise_cov, missed)
+        gained[meas.time] |= {i for i, g in zip(belief.team, innov.gains) if g.any()}
+        return updated, innov
+
+    monkeypatch.setattr(UpdateMessage, "encode", counting_encode)
+    monkeypatch.setattr(joint_ekf, "partial_update", recording_update)
+    server = CooperationServer(sc.robot_ids, sc.meas_noise_cov())
+    steps = list(harness.split_steps(sc, real, reports, server, []))
+    for _ in harness.joint_steps(sc, real, reports, [], harness.PARTIAL_ORACLE):
+        pass
+
+    untouched = [i for i in sc.robot_ids if not server.store.blocks[i - 1].any()]
+    assert untouched == list(range(5, 13))
+    assert frames and set(frames) <= set(real.measurements)
+    rows = np.array(untouched) - 1
+    for k in real.measurements:
+        assert sorted(frames[k]) == sorted(gained[k] - reports[k].missed), k
+        propagated, corrected = steps[k]
+        np.testing.assert_array_equal(corrected.mean[rows], propagated.mean[rows])
+        np.testing.assert_array_equal(corrected.cov[rows], propagated.cov[rows])
+    assert not any(set(untouched) & set(sent) for sent in frames.values())
+
+    assert check_exact_equivalence(strip_dropouts(sc)).passed(TOL)
+    assert check_dropout_equivalence(sc).passed(TOL)
 
 
 def test_numerical_error_in_the_joint_filter_skips_the_measurement(monkeypatch):
