@@ -108,12 +108,11 @@ def _cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    truth = harness.simulate_truth(sc)
     exact = verify.check_exact_equivalence(
-        strip_dropouts(sc), seed=args.seed, corrupt_cross_sign=args.corrupt_cross_sign
+        strip_dropouts(sc), args.seed, args.corrupt_cross_sign, truth
     )
-    dropout = verify.check_dropout_equivalence(
-        sc, seed=args.seed, corrupt_cross_sign=args.corrupt_cross_sign
-    )
+    dropout = verify.check_dropout_equivalence(sc, args.seed, args.corrupt_cross_sign, truth)
     ok = True
     for rep in (exact, dropout):
         print(rep.summary())

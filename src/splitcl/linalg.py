@@ -8,17 +8,9 @@ import numpy as np
 # fraction of the trace; an explicit failure beats silent NaN propagation.
 SPD_REL_TOL = 1e-12
 
-# Accumulated-Jacobian conditioning thresholds: warn, then refuse to invert.
-COND_WARN = 1e8
-COND_FAIL = 1e12
-
 
 class NumericalError(RuntimeError):
     """A covariance or innovation became numerically invalid."""
-
-
-class ConditioningWarning(RuntimeWarning):
-    """An accumulated Jacobian is close to losing invertibility."""
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:

@@ -6,10 +6,10 @@ the payload size provably does not depend on the team size:
 ==================  =======================================================
 frame               layout
 ==================  =======================================================
-common header       ``b"SCL1"`` format tag, 1 byte kind
+common header       ``b"SCL2"`` format tag, 1 byte kind
 landmark (kind 1)   sender u32, time u32, landmark u32 (0 = none),
                     has_z u8, z 2xf64, mean 3xf64, cov 9xf64,
-                    jac_accum 9xf64  (202 bytes total)
+                    jac_accum 2xf64  (146 bytes total)
 update (kind 2)     single-measurement payload: recipient u32, time u32,
                     whitened residual 2xf64, update factor 6xf64 (77 bytes)
 update (kind 3)     summed multi-measurement payload: recipient u32,
@@ -17,9 +17,11 @@ update (kind 3)     summed multi-measurement payload: recipient u32,
                     product 9xf64 (109 bytes)
 ==================  =======================================================
 
-Matrices are row-major. A landmark-role message carries no measurement
-(``z is None``); an observer's message carries ``z`` plus the landmark id,
-or ``z`` alone for an absolute measurement.
+Matrices are row-major; ``jac_accum`` is the translation of the sender's
+accumulated Jacobian, a shear (see :mod:`split_ekf`). A landmark-role
+message carries no measurement (``z is None``); an observer's message
+carries ``z`` plus the landmark id, or ``z`` alone for an absolute
+measurement.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-FORMAT_TAG = b"SCL1"
+FORMAT_TAG = b"SCL2"
 _KIND_LANDMARK = 1
 _KIND_UPDATE_SINGLE = 2
 _KIND_UPDATE_SUMMED = 3
@@ -69,7 +71,7 @@ class LandmarkMessage:
     Every involved robot reports its predicted estimate, own covariance and
     accumulated Jacobian; the observer additionally reports the measurement
     value and which robot it observed (``landmark is None`` marks an
-    absolute measurement).
+    absolute measurement). Shapes are checked at construction.
     """
 
     sender: int
@@ -79,6 +81,12 @@ class LandmarkMessage:
     jac_accum: np.ndarray
     landmark: int | None = None
     z: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        for name, want in (("mean", (3,)), ("cov", (3, 3)), ("jac_accum", (2,)), ("z", (2,))):
+            got = np.shape(getattr(self, name))
+            if got != want and not (name == "z" and self.z is None):
+                raise ProtocolError(f"landmark {name} must have shape {want}, got {got}")
 
     def encode(self) -> bytes:
         has_z = self.z is not None
@@ -100,17 +108,9 @@ class LandmarkMessage:
         z, offset = _read_f64(raw, offset, (2,))
         mean, offset = _read_f64(raw, offset, (3,))
         cov, offset = _read_f64(raw, offset, (3, 3))
-        jac_accum, offset = _read_f64(raw, offset, (3, 3))
+        jac_accum, offset = _read_f64(raw, offset, (2,))
         _check_consumed(raw, offset)
-        return cls(
-            sender=sender,
-            time=time,
-            mean=mean,
-            cov=cov,
-            jac_accum=jac_accum,
-            landmark=landmark or None,
-            z=z if has_z else None,
-        )
+        return cls(sender, time, mean, cov, jac_accum, landmark or None, z if has_z else None)
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,8 +5,10 @@ Conventions shared by every estimator in the package:
 - a robot pose is ``[x, y, theta]`` (meters, meters, radians), with ``theta``
   kept in ``(-pi, pi]`` after each propagation step;
 - a control input is ``[v, omega]`` (m/s, rad/s), integrated with a fixed-step
-  Euler scheme so the pose Jacobian has determinant exactly one and is always
-  invertible;
+  Euler scheme, so the pose Jacobian ``F`` is exactly a shear
+  ``[[1, 0, a], [0, 1, b], [0, 0, 1]]`` with ``(a, b)`` the step's
+  ``(-v dt sin(theta), v dt cos(theta))``; shears compose by adding their
+  translations, which the split filter relies on;
 - a relative measurement is the landmark robot's position expressed in the
   observer's body frame (2-vector, meters);
 - an absolute measurement is a direct readout of the robot's own position in
@@ -156,7 +158,7 @@ def propagate_poses(
 
     ``poses`` is ``(N, 3)`` and ``controls`` ``(N, 2)``. Returns the new
     poses of :func:`propagate_pose`, the pose Jacobians ``F`` ``(N, 3, 3)``
-    (``det F == 1`` for every input) and ``G`` ``(N, 3, 2)``, the
+    (exact shears for every input) and ``G`` ``(N, 3, 2)``, the
     sensitivity to additive velocity-space noise, both evaluated at the old
     poses.
     """

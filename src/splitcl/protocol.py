@@ -51,8 +51,8 @@ class ProtocolEvent:
 class RobotNode:
     """A robot's local protocol unit: report to the server, apply corrections.
 
-    Holds one :class:`SplitRobotState` (pose estimate, 3x3 covariance, 3x3
-    accumulated Jacobian), independent of how many robots are in the team.
+    Holds one :class:`SplitRobotState` (pose estimate, 3x3 covariance, the
+    accumulated Jacobian's 2-vector shear), independent of the team size.
     The simulator does not step nodes one by one: it advances the whole
     team as one :class:`split_ekf.SplitTeamState` per step and, at a
     measurement epoch, wraps each robot's rows in a node (:meth:`over`) to
@@ -126,7 +126,7 @@ class RobotNode:
                 self.state, msg.gain_payload, msg.residual_payload
             )
         else:
-            acc = self.state.jac_accum
+            acc = split_ekf.shear(self.state.jac_accum)
             self.state = split_ekf.apply_correction(
                 self.state, acc @ msg.residual_payload, acc @ msg.gain_payload @ acc.T
             )
@@ -217,14 +217,8 @@ class CooperationServer:
 
         # Scratch copies of the measured robots, refreshed after every
         # sub-measurement so later ones are linearized at corrected values.
-        shadow: dict[int, SplitRobotState] = {
-            rid: SplitRobotState(
-                robot_id=rid,
-                mean=s.mean.copy(),
-                cov=s.cov.copy(),
-                jac_accum=s.jac_accum,
-                time=time,
-            )
+        shadow = {
+            rid: SplitRobotState(rid, s.mean.copy(), s.cov.copy(), s.jac_accum, time)
             for rid, s in snapshots.items()
         }
 

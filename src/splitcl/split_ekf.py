@@ -7,12 +7,15 @@ Here each cross block is factored as::
 
 where ``A_i`` is robot i's accumulated motion Jacobian (the running product
 of its ``F`` matrices, identity at start) and ``C_ij`` is a correlation
-factor held by the server. Propagation then touches only local quantities:
-each robot advances its own estimate, covariance and ``A_i``, while every
-``C_ij`` stays constant between measurement epochs. Since no robot needs
-another's data to propagate, a simulator may advance the whole team's
-stacked states (:class:`SplitTeamState`) in one batched call; each row
-gets exactly the arithmetic of a lone robot's :func:`propagate`.
+factor held by the server. Every ``F`` is a shear (see :mod:`model`), so
+``A_i`` is exactly the shear of the sum of their translations: a robot
+stores that 2-vector, and ``A_i``'s inverse is exactly the shear of its
+negation. Propagation then touches only local quantities: each robot
+advances its own estimate, covariance and ``A_i``, while every ``C_ij``
+stays constant between measurement epochs. Since no robot needs another's
+data to propagate, a simulator may advance the whole team's stacked states
+(:class:`SplitTeamState`) in one batched call; each row gets exactly the
+arithmetic of a lone robot's :func:`propagate`.
 
 The server keeps all factors in one dense team matrix
 (:class:`CrossFactorStore`): an ``(N, 3, N, 3)`` array in sorted-team
@@ -29,31 +32,33 @@ what the centralized filter does to the corresponding cross block.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Sequence
 
 import numpy as np
 
 from . import model
-from .linalg import (
-    COND_FAIL,
-    COND_WARN,
-    ConditioningWarning,
-    NumericalError,
-    block_diag_sandwich,
-    check_spd_2x2,
-    sqrt_and_inv_sqrt_2x2,
-)
+from .linalg import NumericalError, block_diag_sandwich, check_spd_2x2, sqrt_and_inv_sqrt_2x2
+
+_IDENTITY = np.eye(3)
+
+
+def shear(translation: np.ndarray) -> np.ndarray:
+    """The accumulated Jacobian ``[[1, 0, a], [0, 1, b], [0, 0, 1]]`` of a
+    translation ``(a, b)``; a ``(..., 2)`` stack gives ``(..., 3, 3)``."""
+    out = np.empty(translation.shape[:-1] + (3, 3))
+    out[...] = _IDENTITY
+    out[..., :2, 2] = translation
+    return out
 
 
 @dataclass(slots=True)
 class SplitRobotState:
     """Everything a robot stores: O(1) in the team size.
 
-    ``jac_accum`` is the product of the robot's motion Jacobians since the
-    start of the run; it is identity at time zero and is never changed by
-    measurement updates.
+    ``jac_accum`` ``(2,)`` is the translation of ``A = shear(jac_accum)``,
+    the product of the robot's motion Jacobians since the start of the run;
+    it is zero at time zero and is never changed by measurement updates.
     """
 
     robot_id: int
@@ -70,7 +75,7 @@ class SplitRobotState:
             robot_id=robot_id,
             mean=np.asarray(mean, dtype=float).copy(),
             cov=np.asarray(cov, dtype=float).copy(),
-            jac_accum=np.eye(3),
+            jac_accum=np.zeros(2),
             time=time,
         )
 
@@ -89,7 +94,7 @@ class SplitTeamState:
     """The local states of a whole team, stacked in team order.
 
     Row ``index[i]`` of ``mean`` ``(N, 3)``, ``cov`` ``(N, 3, 3)`` and
-    ``jac_accum`` ``(N, 3, 3)`` is robot ``i``'s :class:`SplitRobotState`;
+    ``jac_accum`` ``(N, 2)`` is robot ``i``'s :class:`SplitRobotState`;
     the robots share one ``time``. Each row is still one robot's O(1)
     state: stacking only lets :func:`propagate_team` advance every robot
     with one batched kernel call, with the same arithmetic per robot as a
@@ -116,7 +121,7 @@ class SplitTeamState:
             index={rid: pos for pos, rid in enumerate(team)},
             mean=np.array(means, dtype=float).reshape(n, 3),
             cov=np.repeat(np.asarray(cov, dtype=float).reshape(1, 3, 3), n, axis=0),
-            jac_accum=np.repeat(np.eye(3)[None], n, axis=0),
+            jac_accum=np.zeros((n, 2)),
             time=time,
         )
 
@@ -147,14 +152,14 @@ def propagate_team(
     the ``(N, 2)`` diagonals of the robots' process-noise covariances, both
     in team order. Each robot's mean follows :func:`model.propagate_poses`,
     its covariance ``F P F' + G Q G'`` and its accumulated Jacobian
-    ``F A``, all in one batched call for the team.
+    ``F A`` (a sum of translations), all in one batched call for the team.
     """
     mean, f_jac, g_jac = model.propagate_poses(team.mean, controls, dt)
     cov = f_jac @ team.cov @ f_jac.transpose(0, 2, 1) + model.process_noise(
         g_jac, noise_diags
     )
     return SplitTeamState(
-        team.team, team.index, mean, cov, f_jac @ team.jac_accum, team.time + 1
+        team.team, team.index, mean, cov, team.jac_accum + f_jac[:, :2, 2], team.time + 1
     )
 
 
@@ -172,7 +177,7 @@ def propagate(
         index={state.robot_id: 0},
         mean=np.reshape(state.mean, (1, 3)),
         cov=np.reshape(state.cov, (1, 3, 3)),
-        jac_accum=np.reshape(state.jac_accum, (1, 3, 3)),
+        jac_accum=np.reshape(state.jac_accum, (1, 2)),
         time=state.time,
     )
     moved = propagate_team(
@@ -227,7 +232,7 @@ def innovation(
             raise ValueError("relative measurements need the pair's cross factor")
         h_obs_full, h_lm = model.relative_jacobians(observer.mean, landmark.mean)
         predicted = model.relative_position(observer.mean, landmark.mean)
-        cross_cov = observer.jac_accum @ cross_factor @ landmark.jac_accum.T
+        cross_cov = shear(observer.jac_accum) @ cross_factor @ shear(landmark.jac_accum).T
         mixed = h_obs_full @ cross_cov @ h_lm.T
         innov_cov += (
             h_obs_full @ observer.cov @ h_obs_full.T
@@ -246,21 +251,6 @@ def innovation(
         obs_jac=h_obs_full,
         lm_jac=h_lm,
     )
-
-
-def _checked_inverse(acc: np.ndarray, robot_id: int) -> np.ndarray:
-    cond = np.linalg.cond(acc)
-    if cond > COND_FAIL:
-        raise NumericalError(
-            f"accumulated Jacobian of robot {robot_id} is ill-conditioned ({cond:.3e})"
-        )
-    if cond > COND_WARN:
-        warnings.warn(
-            f"accumulated Jacobian of robot {robot_id} has condition number {cond:.3e}",
-            ConditioningWarning,
-            stacklevel=3,
-        )
-    return np.linalg.inv(acc)
 
 
 class CrossFactorStore:
@@ -313,11 +303,11 @@ class CrossFactorStore:
     def reconstruct(self, accs: np.ndarray) -> np.ndarray:
         """Every cross covariance implied by the store, shape ``(N, 3, N, 3)``.
 
-        ``accs`` stacks the robots' accumulated Jacobians ``A_i`` in team
-        order; block ``(a, b)`` of the result is ``A_a C_ab A_b'``. The
-        diagonal blocks are zero: own covariances live on the robots.
+        ``accs`` ``(N, 2)`` stacks the robots' ``jac_accum`` in team order;
+        block ``(a, b)`` of the result is ``A_a C_ab A_b'``. The diagonal
+        blocks are zero: own covariances live on the robots.
         """
-        return block_diag_sandwich(accs, self.blocks)
+        return block_diag_sandwich(shear(accs), self.blocks)
 
     def copy(self) -> "CrossFactorStore":
         dup = CrossFactorStore(self.team)
@@ -337,8 +327,8 @@ def update_factors(
     Row ``store.index[i]`` holds ``D_i``, for which ``A_i D_i inv_sqrt(S)``
     equals the centralized gain. Each measured robot ``u`` contributes its
     block column of the store times ``A_u' H_u'``, and its own covariance,
-    through the inverse of its accumulated Jacobian, to its own row. A robot
-    with zero factors towards both measured robots gets a zero factor.
+    through ``A_u``'s exact inverse ``shear(-jac_accum)``, to its own row. A
+    robot with zero factors towards both measured robots gets a zero factor.
     """
     measured = [(observer, innov.obs_jac)]
     if landmark is not None:
@@ -347,8 +337,8 @@ def update_factors(
     acc = np.zeros((len(store.team), 3, 2))
     for state, h in measured:
         u = store.index[state.robot_id]
-        acc += store.blocks[:, :, u, :] @ (state.jac_accum.T @ h.T)
-        acc[u] += _checked_inverse(state.jac_accum, state.robot_id) @ state.cov @ h.T
+        acc += store.blocks[:, :, u, :] @ (shear(state.jac_accum).T @ h.T)
+        acc[u] += shear(-state.jac_accum) @ state.cov @ h.T
     return acc @ innov.inv_sqrt_cov
 
 
@@ -360,7 +350,7 @@ def apply_update(
     The accumulated Jacobian is unchanged; the covariance loses the squared
     norm of the correction gain from its trace.
     """
-    gain = state.jac_accum @ factor
+    gain = shear(state.jac_accum) @ factor
     return apply_correction(state, gain @ white_residual, gain @ gain.T)
 
 
@@ -379,9 +369,5 @@ def apply_correction(
             f"update drove robot {state.robot_id} covariance indefinite"
         )
     return SplitRobotState(
-        robot_id=state.robot_id,
-        mean=state.mean + mean_step,
-        cov=cov,
-        jac_accum=state.jac_accum,
-        time=state.time,
+        state.robot_id, state.mean + mean_step, cov, state.jac_accum, state.time
     )

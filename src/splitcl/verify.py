@@ -25,7 +25,7 @@ joint covariance stays positive semidefinite (to tolerance), no received
 update ever increases a robot's covariance trace, and at every step one
 robot in turn, stepped alone through :meth:`RobotNode.step` from its row
 of the previous step's team, lands bit for bit on its row of the batched
-team step.
+team step. A caller may pass the noise-free ``truth`` to skip simulating it.
 """
 
 from __future__ import annotations
@@ -51,12 +51,18 @@ from .protocol import CooperationServer, ProtocolEvent, RobotNode
 
 DEFAULT_TOLERANCE = 1e-8
 
+# Most negative joint-covariance eigenvalue still taken as rounding.
+EIG_TOL = 1e-9
+
 
 @dataclass(slots=True)
 class EquivalenceReport:
     """Outcome of one side-by-side run.
 
     ``events`` holds what both filters' loops and the server logged.
+    Every step's joint covariance ``P`` must pass a Cholesky test of
+    ``P + EIG_TOL I``; ``min_joint_eigenvalue`` is the minimum over the
+    measurement epochs, the last step and any step failing that test.
     """
 
     mode: str
@@ -87,7 +93,7 @@ class EquivalenceReport:
             self.max_discrepancy() <= tol
             and self.missed_updates_exact
             and self.lone_steps_exact
-            and self.min_joint_eigenvalue >= -1e-9
+            and self.min_joint_eigenvalue >= -EIG_TOL
             and self.max_trace_increase <= 1e-12
         )
 
@@ -105,25 +111,35 @@ class EquivalenceReport:
 
 
 def check_exact_equivalence(
-    sc: scen.Scenario, seed=None, corrupt_cross_sign: bool = False
+    sc: scen.Scenario, seed=None, corrupt_cross_sign: bool = False, truth=None
 ) -> EquivalenceReport:
     """Split stack vs centralized EKF under perfect communication."""
-    return _run_side_by_side(sc, seed, dropouts=False, corrupt_cross_sign=corrupt_cross_sign)
+    return _run_side_by_side(sc, seed, False, corrupt_cross_sign, truth)
 
 
 def check_dropout_equivalence(
-    sc: scen.Scenario, seed=None, corrupt_cross_sign: bool = False
+    sc: scen.Scenario, seed=None, corrupt_cross_sign: bool = False, truth=None
 ) -> EquivalenceReport:
     """Split stack vs partial-update centralized EKF under the scenario's dropouts."""
-    return _run_side_by_side(sc, seed, dropouts=True, corrupt_cross_sign=corrupt_cross_sign)
+    return _run_side_by_side(sc, seed, True, corrupt_cross_sign, truth)
+
+
+def _cholesky_passes(belief) -> bool:
+    """Whether the joint covariance plus ``EIG_TOL I`` has a Cholesky factor."""
+    joint = belief.joint_matrix()
+    try:
+        np.linalg.cholesky(joint + EIG_TOL * np.eye(len(joint)))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _run_side_by_side(
-    sc: scen.Scenario, seed, dropouts: bool, corrupt_cross_sign: bool
+    sc: scen.Scenario, seed, dropouts: bool, corrupt_cross_sign: bool, truth
 ) -> EquivalenceReport:
     sc.validate()
     key = seed_key(sc, seed)
-    real = build_realization(sc, key)
+    real = build_realization(sc, key, truth=truth)
     reports = delivery_reports(sc, real, key) if dropouts else {}
 
     ids = sc.robot_ids
@@ -179,7 +195,8 @@ def _run_side_by_side(
                 )
                 max_trace_increase = max(max_trace_increase, float(delta[~missed].max()))
 
-        min_eig = min(min_eig, belief.min_eigenvalue())
+        if k in real.measurements or k == sc.n_steps or not _cholesky_passes(belief):
+            min_eig = min(min_eig, belief.min_eigenvalue())
         offset = team.mean - belief.mean
         cross = np.abs(server.store.reconstruct(team.jac_accum) - belief.cov).max(axis=(1, 3))
         diffs = np.array([

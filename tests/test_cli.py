@@ -1,7 +1,11 @@
 """CLI exit codes: 0 success, 2 invalid input, 3 divergence, 4 verification failure."""
 
 import csv
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 
@@ -20,6 +24,34 @@ def test_verify_negative_control_fails(capsys):
     assert cli.main(["verify", "--scenario", "table1", "--corrupt-cross-sign"]) == cli.EXIT_VERIFY
     out = capsys.readouterr().out
     assert "FAIL [exact]" in out and "FAIL [dropout]" in out
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "splitcl", "verify", "--scenario", "table1"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == cli.EXIT_OK, done.stderr
+    assert "OK: both checks within 1.0e-08" in done.stdout
+
+
+def test_verify_simulates_the_truth_once(tmp_path, monkeypatch, capsys):
+    sc = Scenario(duration_s=10.0, meas_windows=(MeasurementWindow(2.0, 4.0, 1, 2),))
+    path = tmp_path / "small.json"
+    sc.save(path)
+    original = harness._propagate_trajectories
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(harness, "_propagate_trajectories", counting)
+    assert cli.main(["verify", "--scenario", str(path)]) == cli.EXIT_OK
+    assert len(calls) == 1
+    assert "OK: both checks" in capsys.readouterr().out
 
 
 def test_verify_logs_a_numerical_error_in_the_joint_filter(monkeypatch, capsys):

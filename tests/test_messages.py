@@ -19,7 +19,7 @@ def sample_landmark(rng, sender=3, with_z=True, landmark=5):
         time=42,
         mean=rng.uniform(-2, 2, 3),
         cov=rng.uniform(-1, 1, (3, 3)),
-        jac_accum=rng.uniform(-1, 1, (3, 3)),
+        jac_accum=rng.uniform(-1, 1, 2),
         landmark=landmark if with_z else None,
         z=rng.uniform(-1, 1, 2) if with_z else None,
     )
@@ -59,6 +59,18 @@ class TestLandmarkMessage:
         }
         assert len(lengths) == 1
         assert len(dataclasses.fields(LandmarkMessage)) == 7
+
+    @pytest.mark.parametrize("field, bad", [
+        ("mean", np.zeros(2)),
+        ("cov", np.zeros(9)),
+        ("jac_accum", np.eye(3)),
+        ("jac_accum", np.zeros(3)),
+        ("z", np.zeros(3)),
+    ])
+    def test_bad_shapes_rejected_at_construction(self, field, bad):
+        msg = sample_landmark(np.random.default_rng(68))
+        with pytest.raises(ProtocolError, match=field):
+            dataclasses.replace(msg, **{field: bad})
 
 
 class TestUpdateMessage:
@@ -104,7 +116,7 @@ class TestUpdateMessage:
         raw[:4] = b"XXXX"
         with pytest.raises(ProtocolError):
             UpdateMessage.decode(bytes(raw))
-        assert FORMAT_TAG == b"SCL1"
+        assert FORMAT_TAG == b"SCL2"
 
     def test_truncated_and_padded_frames_rejected(self):
         raw = UpdateMessage(1, 0, "single", np.zeros(2), np.zeros((3, 2))).encode()
@@ -120,9 +132,9 @@ class TestUpdateMessage:
 
 
 def test_frame_lengths_match_the_documented_layout():
-    # 5-byte header + 13-byte ids + z, mean, cov, jac_accum (16 + 24 + 72 + 72)
+    # 5-byte header + 13-byte ids + z, mean, cov, jac_accum (16 + 24 + 72 + 16)
     rng = np.random.default_rng(67)
-    assert len(sample_landmark(rng).encode()) == 202
+    assert len(sample_landmark(rng).encode()) == 146
     # 5-byte header + 8-byte ids + 2 + 6 floats, or 3 + 9 floats
     assert len(UpdateMessage(1, 0, "single", np.zeros(2), np.zeros((3, 2))).encode()) == 77
     assert len(UpdateMessage(1, 0, "summed", np.zeros(3), np.zeros((3, 3))).encode()) == 109

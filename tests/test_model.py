@@ -109,6 +109,29 @@ class TestMotionJacobians:
             f_jac, _ = model.motion_jacobians(pose, control, rng.uniform(0.01, 1.0))
             assert np.linalg.det(f_jac) == pytest.approx(1.0, abs=1e-12)
 
+    # Turns per step (in units of pi) and the band of |theta + omega dt|
+    # they must reach: no wrap (every heading below pi), the one-addition
+    # wrap, and the wrap through math.remainder at 3 pi and beyond.
+    @pytest.mark.parametrize("turns, band", [
+        ((0.0, 0.4), (0.0, 1.0)), ((1.2, 1.9), (1.0, 3.0)), ((3.5, 40.0), (3.0, math.inf)),
+    ])
+    def test_every_f_is_an_exact_shear(self, turns, band):
+        # F is [[1, 0, a], [0, 1, b], [0, 0, 1]] bit for bit on every path
+        # of the kernel, so accumulated Jacobians can be held as (a, b).
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            n = 16
+            dt = rng.uniform(0.01, 1.0)
+            poses = rng.uniform(-1e4, 1e4, (n, 3))
+            poses[:, 2] = rng.uniform(-0.5, 0.5, n) * math.pi
+            controls = rng.uniform(-5.0, 5.0, (n, 2))
+            controls[:, 1] = rng.choice([-1.0, 1.0], n) * rng.uniform(*turns, n) * math.pi / dt
+            heading = np.abs(poses[:, 2] + controls[:, 1] * dt) / math.pi
+            assert ((band[0] <= heading) & (heading < band[1])).any()
+            _, f_jac, _ = model.propagate_poses(poses, controls, dt)
+            np.testing.assert_array_equal(f_jac[:, :, :2], np.tile(np.eye(3)[:, :2], (n, 1, 1)))
+            np.testing.assert_array_equal(f_jac[:, 2, 2], np.ones(n))
+
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(4)
         for _ in range(1000):

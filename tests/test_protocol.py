@@ -150,7 +150,7 @@ class TestRobotNode:
         assert node.__slots__ == ("state",)
         assert node.state.mean.shape == (3,)
         assert node.state.cov.shape == (3, 3)
-        assert node.state.jac_accum.shape == (3, 3)
+        assert node.state.jac_accum.shape == (2,)
 
 
 class TestServerSingleMeasurement:

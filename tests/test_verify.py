@@ -3,6 +3,7 @@
 A 1e-6 error is planted for one step only, into one server store block or
 into one robot's own covariance; the report must name that step and robot
 and fail the 1e-8 gate, while every other deviation stays at rounding level.
+An indefinite joint covariance planted between epochs must fail it too.
 """
 
 import itertools
@@ -10,7 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
-from splitcl import split_ekf
+from splitcl import harness, split_ekf, verify
 from splitcl.protocol import RobotNode
 from splitcl.scenario import (
     Scenario,
@@ -20,7 +21,7 @@ from splitcl.scenario import (
     strip_dropouts,
 )
 from splitcl.split_ekf import CrossFactorStore
-from splitcl.verify import check_exact_equivalence
+from splitcl.verify import check_dropout_equivalence, check_exact_equivalence
 
 PLANT = 1e-6
 TOL = 1e-8
@@ -111,3 +112,29 @@ def test_lone_step_off_the_team_step_fails_the_check(table1, monkeypatch):
 def test_scenario_shorter_than_one_step_is_rejected():
     with pytest.raises(ScenarioError, match="at least one step"):
         check_exact_equivalence(Scenario(duration_s=0.04, dt_s=0.1))
+
+
+def test_indefinite_joint_covariance_between_epochs_fails_the_check(table1, monkeypatch):
+    # Only epochs and the last step compute eigenvalues; the Cholesky test
+    # at every other step must catch the plant and measure it.
+    step = 1500
+    assert step not in measurement_schedule(table1)
+    original = verify.joint_steps
+
+    def joint_steps_with_plant(*args):
+        for k, belief in enumerate(original(*args)):
+            if k == step:
+                belief = belief.copy()
+                belief.cov[0, 0, 0, 0] = -1e-3
+            yield belief
+
+    monkeypatch.setattr(verify, "joint_steps", joint_steps_with_plant)
+    report = check_exact_equivalence(table1)
+    assert report.min_joint_eigenvalue < -verify.EIG_TOL
+    assert not report.passed(TOL)
+
+
+def test_precomputed_truth_gives_the_same_report():
+    sc = build_table1_scenario()
+    truth = harness.simulate_truth(sc)
+    assert check_dropout_equivalence(sc, truth=truth) == check_dropout_equivalence(sc)
