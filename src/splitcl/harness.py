@@ -156,7 +156,7 @@ def delivery_reports(
     channel_seed = [*key, _STREAM_CHANNEL]
     reports = {}
     for k in real.measurements:
-        poses = {i: real.truth[i - 1, k] for i in sc.robot_ids}
+        poses = dict(zip(sc.robot_ids, real.truth[:, k]))
         reports[k] = channel_epoch(sched, poses, k, channel_seed)
     return reports
 
@@ -404,7 +404,7 @@ def _reduce_run(rec: RunRecord) -> tuple[dict, dict, dict, list]:
         c = rec.covs[name]
         if c is not None and not rec.flagged[name]:
             e = _wrapped_error(rec.estimates[name], rec.truth)
-            nees[name] = np.einsum("rti,rtij,rtj->rt", e, np.linalg.inv(c), e)
+            nees[name] = np.einsum("rti,rti->rt", e, np.linalg.solve(c, e[..., None])[..., 0])
     return pos_err, nees, dict(rec.flagged), list(rec.events)
 
 

@@ -1,7 +1,8 @@
 """Wire formats exchanged between robot nodes and the server.
 
 Both message kinds serialize to a fixed-length little-endian binary frame so
-the payload size provably does not depend on the team size:
+the payload size provably does not depend on the team size. Each kind is one
+packed numpy record in ``_FRAMES``; its ``itemsize`` is the frame length:
 
 ==================  =======================================================
 frame               layout
@@ -26,42 +27,60 @@ measurement.
 
 from __future__ import annotations
 
-import struct
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 FORMAT_TAG = b"SCL2"
 _KIND_LANDMARK = 1
-_KIND_UPDATE_SINGLE = 2
-_KIND_UPDATE_SUMMED = 3
-
-_HEADER = struct.Struct("<4sB")
-_LANDMARK_HEAD = struct.Struct("<IIIB")
-_UPDATE_HEAD = struct.Struct("<II")
+_UPDATE_KINDS = {"single": 2, "summed": 3}
+_HEADER = [("tag", "S4"), ("kind", "u1")]
+_FRAMES = {
+    _KIND_LANDMARK: np.dtype(_HEADER + [
+        ("sender", "<u4"), ("time", "<u4"), ("landmark", "<u4"), ("has_z", "u1"),
+        ("z", "<f8", (2,)), ("mean", "<f8", (3,)), ("cov", "<f8", (3, 3)),
+        ("jac_accum", "<f8", (2,)),
+    ]),
+    _UPDATE_KINDS["single"]: np.dtype(_HEADER + [
+        ("recipient", "<u4"), ("time", "<u4"),
+        ("residual_payload", "<f8", (2,)), ("gain_payload", "<f8", (3, 2)),
+    ]),
+    _UPDATE_KINDS["summed"]: np.dtype(_HEADER + [
+        ("recipient", "<u4"), ("time", "<u4"),
+        ("residual_payload", "<f8", (3,)), ("gain_payload", "<f8", (3, 3)),
+    ]),
+}
 
 
 class ProtocolError(ValueError):
     """Malformed message or payload."""
 
 
-def _f64(values: np.ndarray) -> bytes:
-    return np.ascontiguousarray(values, dtype="<f8").tobytes()
+def _check_shapes(msg, kind: int, names: tuple[str, ...]) -> None:
+    for name in names:
+        want, got = _FRAMES[kind][name].shape, np.shape(getattr(msg, name))
+        if got != want:
+            raise ProtocolError(f"{name} must have shape {want}, got {got}")
 
 
-def _read_f64(raw: bytes, offset: int, shape: tuple[int, ...]) -> tuple[np.ndarray, int]:
-    count = int(np.prod(shape))
-    end = offset + 8 * count
-    if len(raw) < end:
-        raise ProtocolError("message truncated inside payload")
-    arr = np.frombuffer(raw[offset:end], dtype="<f8").reshape(shape).copy()
-    return arr, end
+def _pack(kind: int, ints: tuple, floats: tuple) -> bytes:
+    """One frame; a non-integer or out-of-range integer field raises."""
+    fields = (FORMAT_TAG, kind, *map(operator.index, ints), *floats)
+    return np.array(fields, _FRAMES[kind]).tobytes()
 
 
-def _unpack(struct_obj: struct.Struct, raw: bytes, offset: int) -> tuple:
-    if len(raw) < offset + struct_obj.size:
-        raise ProtocolError("message truncated inside header")
-    return struct_obj.unpack_from(raw, offset)
+def _unpack(raw: bytes, *kinds: int) -> np.void:
+    """The record of a frame of one of ``kinds``, or :class:`ProtocolError`."""
+    if raw[:4] != FORMAT_TAG:
+        raise ProtocolError(f"unknown format tag {bytes(raw[:4])!r}")
+    kind = raw[4] if len(raw) > 4 else None
+    if kind not in kinds:
+        raise ProtocolError(f"unexpected message kind {kind}")
+    frame = _FRAMES[kind]
+    if len(raw) != frame.itemsize:
+        raise ProtocolError(f"kind {kind} frame has {len(raw)} bytes, not {frame.itemsize}")
+    return np.frombuffer(raw, frame)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,34 +102,24 @@ class LandmarkMessage:
     z: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        for name, want in (("mean", (3,)), ("cov", (3, 3)), ("jac_accum", (2,)), ("z", (2,))):
-            got = np.shape(getattr(self, name))
-            if got != want and not (name == "z" and self.z is None):
-                raise ProtocolError(f"landmark {name} must have shape {want}, got {got}")
+        names = ("mean", "cov", "jac_accum") + (() if self.z is None else ("z",))
+        _check_shapes(self, _KIND_LANDMARK, names)
 
     def encode(self) -> bytes:
         has_z = self.z is not None
-        z = self.z if has_z else np.zeros(2)
-        return b"".join([
-            _HEADER.pack(FORMAT_TAG, _KIND_LANDMARK),
-            _LANDMARK_HEAD.pack(self.sender, self.time, self.landmark or 0, int(has_z)),
-            _f64(z),
-            _f64(self.mean),
-            _f64(self.cov),
-            _f64(self.jac_accum),
-        ])
+        return _pack(
+            _KIND_LANDMARK, (self.sender, self.time, self.landmark or 0, has_z),
+            (self.z if has_z else np.zeros(2), self.mean, self.cov, self.jac_accum),
+        )
 
     @classmethod
     def decode(cls, raw: bytes) -> "LandmarkMessage":
-        offset = _check_header(raw, _KIND_LANDMARK)
-        sender, time, landmark, has_z = _unpack(_LANDMARK_HEAD, raw, offset)
-        offset += _LANDMARK_HEAD.size
-        z, offset = _read_f64(raw, offset, (2,))
-        mean, offset = _read_f64(raw, offset, (3,))
-        cov, offset = _read_f64(raw, offset, (3, 3))
-        jac_accum, offset = _read_f64(raw, offset, (2,))
-        _check_consumed(raw, offset)
-        return cls(sender, time, mean, cov, jac_accum, landmark or None, z if has_z else None)
+        rec = _unpack(raw, _KIND_LANDMARK)
+        return cls(
+            int(rec["sender"]), int(rec["time"]), rec["mean"].copy(), rec["cov"].copy(),
+            rec["jac_accum"].copy(), int(rec["landmark"]) or None,
+            rec["z"].copy() if rec["has_z"] else None,
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,63 +141,21 @@ class UpdateMessage:
     gain_payload: np.ndarray
 
     def __post_init__(self) -> None:
-        shapes = {
-            "single": ((2,), (3, 2)),
-            "summed": ((3,), (3, 3)),
-        }
-        if self.kind not in shapes:
+        if self.kind not in _UPDATE_KINDS:
             raise ProtocolError(f"unknown update-message kind {self.kind!r}")
-        want_r, want_g = shapes[self.kind]
-        if self.residual_payload.shape != want_r or self.gain_payload.shape != want_g:
-            raise ProtocolError(
-                f"{self.kind} payload shapes must be {want_r}/{want_g}, got "
-                f"{self.residual_payload.shape}/{self.gain_payload.shape}"
-            )
+        _check_shapes(self, _UPDATE_KINDS[self.kind], ("residual_payload", "gain_payload"))
 
     def encode(self) -> bytes:
-        kind = _KIND_UPDATE_SINGLE if self.kind == "single" else _KIND_UPDATE_SUMMED
-        return b"".join([
-            _HEADER.pack(FORMAT_TAG, kind),
-            _UPDATE_HEAD.pack(self.recipient, self.time),
-            _f64(self.residual_payload),
-            _f64(self.gain_payload),
-        ])
+        return _pack(
+            _UPDATE_KINDS[self.kind], (self.recipient, self.time),
+            (self.residual_payload, self.gain_payload),
+        )
 
     @classmethod
     def decode(cls, raw: bytes) -> "UpdateMessage":
-        offset = _check_header(raw, _KIND_UPDATE_SINGLE, _KIND_UPDATE_SUMMED)
-        kind_byte = raw[_HEADER.size - 1]
-        recipient, time = _unpack(_UPDATE_HEAD, raw, offset)
-        offset += _UPDATE_HEAD.size
-        if kind_byte == _KIND_UPDATE_SINGLE:
-            kind = "single"
-            residual, offset = _read_f64(raw, offset, (2,))
-            gain, offset = _read_f64(raw, offset, (3, 2))
-        else:
-            kind = "summed"
-            residual, offset = _read_f64(raw, offset, (3,))
-            gain, offset = _read_f64(raw, offset, (3, 3))
-        _check_consumed(raw, offset)
+        rec = _unpack(raw, *_UPDATE_KINDS.values())
         return cls(
-            recipient=recipient,
-            time=time,
-            kind=kind,
-            residual_payload=residual,
-            gain_payload=gain,
+            int(rec["recipient"]), int(rec["time"]),
+            "single" if rec["kind"] == _UPDATE_KINDS["single"] else "summed",
+            rec["residual_payload"].copy(), rec["gain_payload"].copy(),
         )
-
-
-def _check_header(raw: bytes, *kinds: int) -> int:
-    if len(raw) < _HEADER.size:
-        raise ProtocolError("message truncated before header")
-    tag, kind = _HEADER.unpack_from(raw, 0)
-    if tag != FORMAT_TAG:
-        raise ProtocolError(f"unknown format tag {tag!r}")
-    if kind not in kinds:
-        raise ProtocolError(f"unexpected message kind {kind}")
-    return _HEADER.size
-
-
-def _check_consumed(raw: bytes, offset: int) -> None:
-    if len(raw) != offset:
-        raise ProtocolError(f"message has {len(raw) - offset} trailing bytes")

@@ -94,18 +94,17 @@ def channel_epoch(
     seed: int | Sequence[int],
 ) -> DeliveryReport:
     """Connectivity of every robot at step ``t``; deterministic given ``seed``."""
-    seed_key = [seed] if isinstance(seed, int) else list(seed)
+    missed = {w.robot for w in schedule.windows if w.active(t)} & poses.keys()
+    if schedule.zones:
+        missed.update(
+            robot for robot, pose in poses.items()
+            if any(zone.contains(pose) for zone in schedule.zones)
+        )
     if schedule.bernoulli_p > 0.0:
+        seed_key = [seed] if isinstance(seed, int) else list(seed)
         draws = np.random.default_rng(seed_key + [t]).random(max(poses, default=-1) + 1)
-    missed = set()
-    for robot, pose in poses.items():
-        down = any(w.robot == robot and w.active(t) for w in schedule.windows)
-        if not down:
-            down = any(zone.contains(pose) for zone in schedule.zones)
-        if not down and schedule.bernoulli_p > 0.0:
-            down = draws[robot] < schedule.bernoulli_p
-        if down:
-            missed.add(robot)
+        ids = np.fromiter(poses, dtype=np.intp, count=len(poses))
+        missed.update(ids[draws[ids] < schedule.bernoulli_p].tolist())
     delivered = frozenset(poses) - missed
     return DeliveryReport(time=t, delivered=delivered, missed=frozenset(missed))
 

@@ -126,9 +126,8 @@ class RobotNode:
                 self.state, msg.gain_payload, msg.residual_payload
             )
         else:
-            acc = split_ekf.shear(self.state.jac_accum)
-            self.state = split_ekf.apply_correction(
-                self.state, acc @ msg.residual_payload, acc @ msg.gain_payload @ acc.T
+            self.state = split_ekf.apply_summed_update(
+                self.state, msg.residual_payload, msg.gain_payload
             )
         return True
 

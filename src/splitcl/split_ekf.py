@@ -354,6 +354,18 @@ def apply_update(
     return apply_correction(state, gain @ white_residual, gain @ gain.T)
 
 
+def apply_summed_update(
+    state: SplitRobotState, vec_sum: np.ndarray, mat_sum: np.ndarray
+) -> SplitRobotState:
+    """Apply the pre-combined corrections of a multi-measurement epoch.
+
+    ``vec_sum`` is the sum of ``D_i r`` and ``mat_sum`` that of ``D_i D_i'``
+    over the epoch's measurements; the robot maps both through ``A_i``.
+    """
+    acc = shear(state.jac_accum)
+    return apply_correction(state, acc @ vec_sum, acc @ mat_sum @ acc.T)
+
+
 def apply_correction(
     state: SplitRobotState, mean_step: np.ndarray, cov_drop: np.ndarray
 ) -> SplitRobotState:

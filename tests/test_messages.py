@@ -1,6 +1,7 @@
 """Wire-format round trips and size invariance."""
 
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -102,12 +103,24 @@ class TestUpdateMessage:
         np.testing.assert_array_equal(back.gain_payload, msg.gain_payload)
 
     def test_bad_shapes_rejected(self):
-        with pytest.raises(ProtocolError):
-            UpdateMessage(1, 0, "single", np.zeros(3), np.zeros((3, 2)))
-        with pytest.raises(ProtocolError):
-            UpdateMessage(1, 0, "summed", np.zeros(3), np.zeros((3, 2)))
-        with pytest.raises(ProtocolError):
-            UpdateMessage(1, 0, "other", np.zeros(2), np.zeros((3, 2)))
+        bad = [
+            ("single", np.zeros(3), np.zeros((3, 2))),
+            ("summed", np.zeros(3), np.zeros((3, 2))),
+            ("other", np.zeros(2), np.zeros((3, 2))),
+            ("single", [0.0, 0.0, 0.0], np.zeros((3, 2))),
+            ("single", np.zeros(2), [[0.0, 0.0]] * 2),
+            ("summed", [0.0, 0.0], [[0.0] * 3] * 3),
+            ("summed", np.zeros(3), np.zeros(9)),
+        ]
+        for kind, residual, gain in bad:
+            with pytest.raises(ProtocolError):
+                UpdateMessage(1, 0, kind, residual, gain)
+
+    def test_right_shaped_list_payloads_round_trip(self):
+        msg = UpdateMessage(4, 3, "single", [0.5, -1.0], [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        back = UpdateMessage.decode(msg.encode())
+        np.testing.assert_array_equal(back.residual_payload, [0.5, -1.0])
+        np.testing.assert_array_equal(back.gain_payload, msg.gain_payload)
 
     def test_format_tag_checked(self):
         raw = bytearray(
@@ -120,10 +133,17 @@ class TestUpdateMessage:
 
     def test_truncated_and_padded_frames_rejected(self):
         raw = UpdateMessage(1, 0, "single", np.zeros(2), np.zeros((3, 2))).encode()
+        for bad in (raw[:10], raw[:5], raw[:4], b"", raw + b"\x00"):
+            with pytest.raises(ProtocolError):
+                UpdateMessage.decode(bad)
+
+    def test_kind_byte_must_match_the_frame_length(self):
+        single = UpdateMessage(1, 0, "single", np.zeros(2), np.zeros((3, 2))).encode()
+        summed = UpdateMessage(1, 0, "summed", np.zeros(3), np.zeros((3, 3))).encode()
         with pytest.raises(ProtocolError):
-            UpdateMessage.decode(raw[:10])
+            UpdateMessage.decode(single[:4] + b"\x03" + single[5:])
         with pytest.raises(ProtocolError):
-            UpdateMessage.decode(raw + b"\x00")
+            UpdateMessage.decode(summed[:4] + b"\x02" + summed[5:])
 
     def test_kind_mixup_rejected(self):
         raw = sample_landmark(np.random.default_rng(66)).encode()
@@ -138,3 +158,48 @@ def test_frame_lengths_match_the_documented_layout():
     # 5-byte header + 8-byte ids + 2 + 6 floats, or 3 + 9 floats
     assert len(UpdateMessage(1, 0, "single", np.zeros(2), np.zeros((3, 2))).encode()) == 77
     assert len(UpdateMessage(1, 0, "summed", np.zeros(3), np.zeros((3, 3))).encode()) == 109
+
+
+def test_frames_are_the_documented_bytes():
+    # Each frame built field by field, independently of the codec.
+    rng = np.random.default_rng(69)
+    observer = sample_landmark(rng, sender=3, landmark=5)
+    floats = [*observer.z, *observer.mean, *observer.cov.ravel(), *observer.jac_accum]
+    assert observer.encode() == struct.pack("<4sBIIIB16d", b"SCL2", 1, 3, 42, 5, 1, *floats)
+
+    observed = sample_landmark(rng, sender=2 ** 32 - 1, with_z=False)
+    floats = [0.0, 0.0, *observed.mean, *observed.cov.ravel(), *observed.jac_accum]
+    assert observed.encode() == struct.pack(
+        "<4sBIIIB16d", b"SCL2", 1, 2 ** 32 - 1, 42, 0, 0, *floats
+    )
+
+    r, g = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, (3, 2))
+    single = UpdateMessage(7, 11, "single", r, g)
+    assert single.encode() == struct.pack("<4sBII8d", b"SCL2", 2, 7, 11, *r, *g.ravel())
+
+    r, g = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, (3, 3))
+    summed = UpdateMessage(9, 2 ** 32 - 1, "summed", r, g)
+    assert summed.encode() == struct.pack(
+        "<4sBII12d", b"SCL2", 3, 9, 2 ** 32 - 1, *r, *g.ravel()
+    )
+
+
+@pytest.mark.parametrize("bad, error", [
+    (-1, OverflowError),
+    (2 ** 32, OverflowError),
+    (np.int64(-1), OverflowError),
+    (np.int64(2 ** 32), OverflowError),
+    (3.7, TypeError),
+])
+def test_ids_outside_u32_raise_at_encode(bad, error):
+    rng = np.random.default_rng(70)
+    messages = [
+        UpdateMessage(bad, 0, "single", np.zeros(2), np.zeros((3, 2))),
+        UpdateMessage(1, bad, "summed", np.zeros(3), np.zeros((3, 3))),
+        dataclasses.replace(sample_landmark(rng), sender=bad),
+        dataclasses.replace(sample_landmark(rng), time=bad),
+        dataclasses.replace(sample_landmark(rng), landmark=bad),
+    ]
+    for msg in messages:
+        with pytest.raises(error):
+            msg.encode()

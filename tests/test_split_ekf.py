@@ -288,6 +288,21 @@ class TestApplyUpdate:
             np.sum(gain**2), abs=1e-12
         )
 
+    def test_summed_update_equals_the_sequential_updates(self):
+        rng = np.random.default_rng(49)
+        state = make_state(rng, 1)
+        state.jac_accum = rng.uniform(-2, 2, 2)
+        parts = [(rng.standard_normal((3, 2)) * 0.05, rng.standard_normal(2)) for _ in range(3)]
+        seq = state
+        for factor, white in parts:
+            seq = split_ekf.apply_update(seq, factor, white)
+        vec = sum(f @ w for f, w in parts)
+        mat = sum(f @ f.T for f, _ in parts)
+        out = split_ekf.apply_summed_update(state, vec, mat)
+        np.testing.assert_allclose(out.mean, seq.mean, atol=1e-12)
+        np.testing.assert_allclose(out.cov, seq.cov, atol=1e-12)
+        np.testing.assert_array_equal(out.jac_accum, state.jac_accum)
+
     def test_overly_large_factor_raises(self):
         rng = np.random.default_rng(48)
         state = make_state(rng, 1)
