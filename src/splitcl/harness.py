@@ -19,16 +19,23 @@ stack). :func:`run_once` records what they yield and :mod:`splitcl.verify`
 compares them. The four filtering estimators differ only in the channel
 reports they get: none (perfect links) or the dropout run's.
 
-The simulator steps the whole team as one batch: ground truth and dead
-reckoning advance every robot's pose with one :func:`model.propagate_pose`
-call per step, the split stack holds the robots' local states as one
-:class:`split_ekf.SplitTeamState` advanced by :func:`split_ekf.propagate_team`,
-and the centralized filter propagates the joint belief in one call. Only at
-a measurement epoch does a robot act on its own, as a :class:`RobotNode`
-over its rows of the team state: a measured robot builds its landmark
-message, and a robot the server sends an update message (one correlated
-with a measured robot) applies it, and its corrected rows go into a copy
-of the team. The per-robot arithmetic is the same either way.
+The simulator steps the whole team by segment, not by step. Between two
+measurement epochs a robot only dead-reckons, so the poses of every robot
+over a whole segment come from one :func:`model.propagate_pose` call
+(:func:`segments`): each filter makes one per stretch of steps between
+epochs, and ground truth and dead reckoning one per stretch of the run; no
+call takes more than about a thousand robot-steps, which bounds the
+temporaries of a call (twelve calls for the truth of table1). The split
+stack holds the robots' local states as one
+:class:`split_ekf.SplitTeamState` advanced by
+:func:`split_ekf.propagate_team`, and the centralized filter goes through
+:func:`joint_ekf.propagate_segment`; both keep only their covariance
+recurrence per step, and both loops still yield every step. Only at a
+measurement epoch does a robot act on its own, as a :class:`RobotNode` over
+its rows of the team state: a measured robot builds its landmark message,
+and a robot the server sends an update message (one correlated with a
+measured robot) applies it, and its corrected rows go into a copy of the
+team. The per-robot arithmetic is the same either way.
 
 Randomness is derived from a seed key; stream tags keep motion noise,
 measurement noise, initial error and channel draws independent, and
@@ -80,21 +87,40 @@ def seed_key(sc: scen.Scenario, seed) -> tuple[int, ...]:
     return tuple(int(s) for s in seed)
 
 
+# Robot-steps per kernel call: bounds the temporaries of a segment, about 300
+# bytes per robot-step, to about 300 kB. Larger calls run no faster on
+# table1 or a 32-robot team.
+_SEGMENT_ROBOT_STEPS = 1024
+
+
+def segments(sc: scen.Scenario, epochs: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """The stretches of steps ``k0 + 1 .. k1`` that one kernel call covers,
+    as ``(k0, k1)``, through steps ``1..T`` in order.
+
+    Each ends at a measurement epoch, at the last step, or after at most
+    ``_SEGMENT_ROBOT_STEPS / N`` steps, so no epoch falls inside one.
+    """
+    longest = max(1, _SEGMENT_ROBOT_STEPS // sc.n_robots)
+    k0 = 0
+    for stop in [*sorted(epochs), sc.n_steps]:
+        while k0 < stop:
+            k1 = min(stop, k0 + longest)
+            yield k0, k1
+            k0 = k1
+
+
 def simulate_truth(sc: scen.Scenario) -> np.ndarray:
     """Noise-free trajectories from the commanded controls, shape (N, T+1, 3)."""
-    controls = scen.true_controls(sc)
-    return _propagate_trajectories(scen.start_poses(sc), controls, sc.dt_s)
+    return _trajectories(sc, scen.start_poses(sc), scen.true_controls(sc))
 
 
-def _propagate_trajectories(start: np.ndarray, controls: np.ndarray, dt: float) -> np.ndarray:
-    """Poses ``(N, T+1, 3)`` from ``start`` under ``controls`` ``(N, T, 2)``, team by step."""
-    n, t = controls.shape[:2]
-    out = np.empty((n, t + 1, 3))
+def _trajectories(sc: scen.Scenario, start: np.ndarray, controls: np.ndarray) -> np.ndarray:
+    """Poses ``(N, T+1, 3)`` from ``start`` under ``controls`` ``(N, T, 2)``,
+    one kernel call per bounded stretch of the run (:func:`segments`)."""
+    out = np.empty((sc.n_robots, sc.n_steps + 1, 3))
     out[:, 0] = start
-    pose = out[:, 0]
-    for k in range(t):
-        pose = model.propagate_pose(pose, controls[:, k], dt)
-        out[:, k + 1] = pose
+    for k0, k1 in segments(sc, ()):
+        out[:, k0:k1 + 1] = model.propagate_pose(out[:, k0], controls[:, k0:k1], sc.dt_s)[0]
     return out
 
 
@@ -115,9 +141,9 @@ def build_realization(
     key: tuple[int, ...],
     truth: np.ndarray | None = None,
 ) -> Realization:
-    controls = scen.true_controls(sc)
     if truth is None:
-        truth = _propagate_trajectories(scen.start_poses(sc), controls, sc.dt_s)
+        truth = simulate_truth(sc)
+    controls = scen.true_controls(sc)
     inject_q = scen.process_noise_diags(sc, controls)
     rng_motion = np.random.default_rng([*key, _STREAM_MOTION])
     controls_meas = controls + rng_motion.standard_normal(controls.shape) * np.sqrt(inject_q)
@@ -208,7 +234,7 @@ def run_once(
     for name in wanted:
         links = reports if name in (SA_SPLIT_DROPOUT, PARTIAL_ORACLE) else {}
         if name == DR:
-            est = _propagate_trajectories(real.init_means, real.controls_meas, sc.dt_s)
+            est = _trajectories(sc, real.init_means, real.controls_meas)
             cov = None
         elif name in (JOINT_EKF, PARTIAL_ORACLE):
             beliefs = joint_steps(sc, real, links, events, name)
@@ -271,26 +297,29 @@ def joint_steps(
     )
     noise = sc.meas_noise_cov()
     yield belief
-    for k in range(1, sc.n_steps + 1):
-        belief = joint_ekf.propagate(
-            belief, real.controls_meas[:, k - 1], real.filter_q[:, k - 1], sc.dt_s
+    for k0, k1 in segments(sc, real.measurements):
+        # The segment propagates from the belief it starts with; only its
+        # last step can be an epoch, so no update is lost.
+        moved = joint_ekf.propagate_segment(
+            belief, real.controls_meas[:, k0:k1], real.filter_q[:, k0:k1], sc.dt_s
         )
-        if k in real.measurements:
-            report = epoch_report(reports, ids, k)
-            for m in real.measurements[k]:
-                if not gate_measurement(report, m):
-                    continue
-                try:
-                    belief, _ = joint_ekf.partial_update(belief, m, noise, report.missed)
-                except NumericalError as exc:
-                    # Beliefs are values, so the failed update left no trace;
-                    # skip the measurement as the server does.
-                    events.append(ProtocolEvent(
-                        k, EVENT_NUMERIC_S,
-                        f"estimator={name} observer={m.observer} landmark={m.landmark} "
-                        f"reason={exc}",
-                    ))
-        yield belief
+        for k, belief in enumerate(moved, start=k0 + 1):
+            if k in real.measurements:
+                report = epoch_report(reports, ids, k)
+                for m in real.measurements[k]:
+                    if not gate_measurement(report, m):
+                        continue
+                    try:
+                        belief, _ = joint_ekf.partial_update(belief, m, noise, report.missed)
+                    except NumericalError as exc:
+                        # Beliefs are values, so the failed update left no
+                        # trace; skip the measurement as the server does.
+                        events.append(ProtocolEvent(
+                            k, EVENT_NUMERIC_S,
+                            f"estimator={name} observer={m.observer} landmark={m.landmark} "
+                            f"reason={exc}",
+                        ))
+            yield belief
 
 
 def split_steps(
@@ -306,15 +335,17 @@ def split_steps(
     ids = sc.robot_ids
     team = split_ekf.SplitTeamState.initialize(ids, real.init_means, sc.initial_cov())
     yield team, team
-    for k in range(1, sc.n_steps + 1):
-        propagated = split_ekf.propagate_team(
-            team, real.controls_meas[:, k - 1], real.filter_q[:, k - 1], sc.dt_s
+    for k0, k1 in segments(sc, real.measurements):
+        # As in joint_steps, only the segment's last step can be an epoch.
+        moved = split_ekf.propagate_team(
+            team, real.controls_meas[:, k0:k1], real.filter_q[:, k0:k1], sc.dt_s
         )
-        team = propagated
-        if k in real.measurements:
-            report = epoch_report(reports, ids, k)
-            team = _run_split_epoch(team, server, real.measurements[k], report, events)
-        yield propagated, team
+        for k, propagated in enumerate(moved, start=k0 + 1):
+            team = propagated
+            if k in real.measurements:
+                report = epoch_report(reports, ids, k)
+                team = _run_split_epoch(team, server, real.measurements[k], report, events)
+            yield propagated, team
 
 
 def _run_split_epoch(

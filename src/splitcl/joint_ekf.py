@@ -12,10 +12,12 @@ the robots at positions ``a`` and ``b``. Reshaped to ``(3N, 3N)`` it is the
 stacked team covariance; every operation keeps a symmetric one exactly
 symmetric.
 
-Propagation is ``F P F' + G Q G'`` with a block-diagonal ``F``. An update
-forms ``P H'`` from the measured robots' block columns, the gains
-``K = P H' S^-1`` of every robot, and subtracts the symmetrized ``K S K'``
-as one product.
+Propagation is ``F P F' + G Q G'`` with a block-diagonal ``F``. A segment
+of steps between two measurement epochs takes one motion-kernel call for
+every step's means and Jacobians, and then one ``(3N)^2`` sandwich per
+step. An update forms ``P H'`` from the measured robots' block columns, the
+gains ``K = P H' S^-1`` of every robot, and subtracts the symmetrized
+``K S K'`` as one product.
 
 ``partial_update`` supports epochs where a subset of robots never receives
 the correction. The blocks of ``K S K'`` between two such robots are zeroed
@@ -31,7 +33,7 @@ Beliefs are values: every operation returns a new :class:`JointBelief`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Mapping
+from typing import AbstractSet, Iterator, Mapping
 
 import numpy as np
 
@@ -113,27 +115,45 @@ class JointBelief:
         )
 
 
-def propagate(
+def propagate_segment(
     belief: JointBelief,
     controls: np.ndarray,
     noise_diags: np.ndarray,
     dt: float,
-) -> JointBelief:
-    """Advance every robot one timestep.
+) -> Iterator[JointBelief]:
+    """Advance every robot ``L`` timesteps, yielding the belief after each.
 
-    ``controls`` are the ``(N, 2)`` measured velocities and ``noise_diags``
-    the ``(N, 2)`` diagonals of the process-noise covariances, both in team
-    order. The means follow :func:`model.propagate_poses` in one call for
-    the team. The covariance becomes ``F P F' + G Q G'`` with
-    block-diagonal ``F`` and ``G Q G'``: own blocks follow
-    ``F_i P_ii F_i' + G_i Q_i G_i'`` and the cross block between robots
-    ``i`` and ``j`` becomes ``F_i P_ij F_j'``.
+    ``controls`` are the ``(N, L, 2)`` measured velocities and
+    ``noise_diags`` the ``(N, L, 2)`` diagonals of the process-noise
+    covariances, both in team order. One :func:`model.propagate_pose` call
+    gives every step's means and Jacobians; each step then goes through
+    :func:`propagate`.
+    """
+    poses, translations, g_jacs = model.propagate_pose(belief.mean, controls, dt)
+    # Time-major, so each step's slice is one block of memory.
+    f_jacs = model.shear(translations.transpose(1, 0, 2))
+    noise = model.process_noise(g_jacs, noise_diags).transpose(1, 0, 2, 3)
+    for step, f_jac in enumerate(f_jacs, start=1):
+        belief = propagate(belief, poses[:, step], f_jac, noise[step - 1])
+        yield belief
+
+
+def propagate(
+    belief: JointBelief, mean: np.ndarray, f_jacs: np.ndarray, noise: np.ndarray
+) -> JointBelief:
+    """One timestep of every robot, given the step's kernel outputs.
+
+    ``mean`` holds the ``(N, 3)`` propagated poses, ``f_jacs`` the
+    ``(N, 3, 3)`` pose Jacobians and ``noise`` the ``(N, 3, 3)`` process
+    noise ``G Q G'`` of the step, in team order. The covariance becomes
+    ``F P F' + G Q G'`` with block-diagonal ``F`` and ``G Q G'``: own
+    blocks follow ``F_i P_ii F_i' + G_i Q_i G_i'`` and the cross block
+    between robots ``i`` and ``j`` becomes ``F_i P_ij F_j'``.
     """
     n = len(belief.team)
-    mean, f_jacs, g_jacs = model.propagate_poses(belief.mean, controls, dt)
     cov = block_diag_sandwich(f_jacs, belief.cov)
     diag = np.arange(n)
-    cov[diag, :, diag, :] += model.process_noise(g_jacs, noise_diags)
+    cov[diag, :, diag, :] += noise
     cov = symmetrize(cov.reshape(3 * n, 3 * n)).reshape(n, 3, n, 3)
     return JointBelief(belief.team, belief.index, mean, cov, belief.time + 1)
 

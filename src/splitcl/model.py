@@ -14,11 +14,13 @@ Conventions shared by every estimator in the package:
 - an absolute measurement is a direct readout of the robot's own position in
   the world frame.
 
-The motion model steps a whole team at once: :func:`propagate_pose` takes
-one robot's pose or a team's ``(N, 3)`` stack, and :func:`propagate_poses`,
-the kernel of every filter's propagation, also returns the team's motion
-Jacobians. Each robot's row is bit for bit what the same step gives that
-robot alone.
+The motion model steps a whole team through a whole stretch of time at
+once: :func:`propagate_pose`, the one motion kernel, takes the team's
+``(N, 3)`` poses and ``(N, L, 2)`` controls and returns every pose of the
+``L`` steps with each step's motion Jacobians. Between two measurement
+epochs a robot only dead-reckons, so a simulator calls it once per such
+segment. Each robot's values are bit for bit what stepping that robot alone,
+one step at a time, gives.
 
 All functions here are pure and safe to call concurrently.
 """
@@ -81,119 +83,140 @@ class AbsoluteMeasurement:
 
 
 # A heading ``theta + omega dt`` of magnitude below ``3 pi`` wraps with one
-# exact addition of ``-tau``, ``0`` or ``tau``: by Sterbenz's lemma the sum
-# is exact and so equals what ``math.remainder`` yields in
-# :func:`wrap_angle`. Larger (or non-finite) headings go through it.
+# exact addition of ``-tau`` or ``tau``: by Sterbenz's lemma the sum is
+# exact and so equals what ``math.remainder`` yields in :func:`wrap_angle`.
+# Larger (or non-finite) headings go through it.
 _SINGLE_TURN = 3.0 * math.pi
 
-# The 3x3 identity as one row of 9, repeated to start N pose Jacobians.
-_IDENTITY_ROW = np.eye(3).reshape(1, 9)
+_IDENTITY = np.eye(3)
+_NEGATE_FIRST = np.array([-1.0, 1.0])
 
 
-def _step(
-    poses: np.ndarray, controls: np.ndarray, dt: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """New poses ``(N, 3)``, with ``cos(theta)``, ``sin(theta)``,
-    ``v dt cos(theta)`` and ``v dt sin(theta)`` of the old ones."""
+def shear(translation: np.ndarray) -> np.ndarray:
+    """The pose Jacobian ``[[1, 0, a], [0, 1, b], [0, 0, 1]]`` of a
+    translation ``(a, b)``; a ``(..., 2)`` stack gives ``(..., 3, 3)``."""
+    out = np.empty(translation.shape[:-1] + (3, 3))
+    out[...] = _IDENTITY
+    out[..., :2, 2] = translation
+    return out
+
+
+def propagate_pose(
+    start: np.ndarray, controls: np.ndarray, dt: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The motion kernel: ``L`` Euler steps of a team of N robots in one call.
+
+    ``start`` holds the ``(N, 3)`` poses and ``controls`` the ``(N, L, 2)``
+    velocities of each step. Returns
+
+    - the poses ``(N, L + 1, 3)``, row 0 being ``start``: per step
+      ``[x + v dt cos(theta), y + v dt sin(theta), wrap(theta + omega dt)]``;
+    - the translations ``(N, L, 2)`` of the steps' pose Jacobians
+      ``F = shear((-v dt sin(theta), v dt cos(theta)))``;
+    - ``G`` ``(N, L, 3, 2)``, each step's sensitivity to additive
+      velocity-space noise.
+
+    Both Jacobians are evaluated at the step's old pose. Every value is bit
+    for bit what ``L`` single steps give, robot by robot: the headings are
+    one running sum, re-summed from each step whose heading left
+    ``(-pi, pi]`` once it is wrapped, and the positions are running sums of
+    their steps. Raises :class:`ModelError` for a non-positive ``dt`` and
+    when any pose or control is not finite.
+    """
     if dt <= 0.0:
         raise ModelError(f"dt must be positive, got {dt}")
-    poses = np.asarray(poses, dtype=float)
+    start = np.asarray(start, dtype=float)
     controls = np.asarray(controls, dtype=float)
-    n = poses.shape[0]
-    if poses.shape != (n, 3) or controls.shape != (n, 2):
+    n = start.shape[0] if start.ndim == 2 else -1
+    if start.shape != (n, 3) or controls.ndim != 3 or controls.shape[::2] != (n, 2):
         raise ModelError(
-            f"expected poses (N, 3) and controls (N, 2), got {poses.shape} and {controls.shape}"
+            f"expected poses (N, 3) and controls (N, L, 2), got {start.shape} and {controls.shape}"
         )
-    theta = poses[:, 2]
-    c = np.cos(theta)
-    s = np.sin(theta)
-    vdt = controls[:, 0] * dt
-    # Per robot [v dt cos(theta), v dt sin(theta), omega dt], added to the
-    # old pose in one go.
-    delta = np.empty((n, 3))
-    np.multiply(vdt, c, out=delta[:, 0])
-    np.multiply(vdt, s, out=delta[:, 1])
-    np.multiply(controls[:, 1], dt, out=delta[:, 2])
-    out = poses + delta
-    # A non-finite input makes some output non-finite; only then are the
-    # inputs themselves checked (a finite input may still overflow).
-    max_x, max_y, max_heading = np.abs(out).max(axis=0).tolist()
-    if not math.isfinite(max_x + max_y + max_heading) and not (
-        np.isfinite(poses).all() and np.isfinite(controls).all()
-    ):
+    steps = controls.shape[1]
+    poses = np.empty((n, steps + 1, 3))
+    poses[:, 0] = start
+    turns = controls[:, :, 1] * dt
+    heading = poses[:, :, 2]
+    heading[:, 1:] = turns
+    np.add.accumulate(heading, axis=1, out=heading)
+    # A non-finite input makes some sum non-finite; only then are the
+    # inputs themselves checked (finite inputs may still overflow).
+    if steps:
+        max_heading = float(np.abs(heading[:, 1:]).max())
+        if not max_heading < math.pi:
+            if not math.isfinite(max_heading):
+                _check_finite(start, controls)
+            _wrap_headings(heading, turns)
+
+    c = np.cos(heading[:, :-1])
+    s = np.sin(heading[:, :-1])
+    g_jacs = np.zeros((n, steps, 3, 2))
+    np.multiply(c, dt, out=g_jacs[..., 0, 0])
+    np.multiply(s, dt, out=g_jacs[..., 1, 0])
+    g_jacs[..., 2, 1] = dt
+    vdt = controls[:, :, 0] * dt
+    np.multiply(vdt, c, out=poses[:, 1:, 0])
+    np.multiply(vdt, s, out=poses[:, 1:, 1])
+    # (-v dt sin(theta), v dt cos(theta)) from the steps (x, y) reversed.
+    translations = poses[:, 1:, 1::-1] * _NEGATE_FIRST
+    np.add.accumulate(poses[:, :, :2], axis=1, out=poses[:, :, :2])
+    if not np.isfinite(poses[:, -1]).all():
+        _check_finite(start, controls)
+    return poses, translations, g_jacs
+
+
+def _check_finite(start: np.ndarray, controls: np.ndarray) -> None:
+    if not (np.isfinite(start).all() and np.isfinite(controls).all()):
         raise ModelError("non-finite pose or control input")
-    if not max_heading < math.pi:
-        heading = out[:, 2].copy()
-        out[:, 2] = np.where(
-            heading > math.pi,
-            heading - math.tau,
-            np.where(heading <= -math.pi, heading + math.tau, heading),
-        )
-        far = ~(np.abs(heading) < _SINGLE_TURN)
+
+
+def _wrap_headings(heading: np.ndarray, turns: np.ndarray) -> None:
+    """Wrap the running heading sums ``(N, L + 1)`` in place as stepping does.
+
+    Each round finds, per robot, the earliest step whose heading left
+    ``(-pi, pi]``, wraps it, and re-sums that robot's later headings from
+    it over ``turns`` ``(N, L)``. The start heading is never wrapped.
+    """
+    rows = np.arange(heading.shape[0])
+    while rows.size:
+        tail = heading[rows, 1:]
+        out = (tail > math.pi) | (tail <= -math.pi)
+        hit = out.any(axis=1)
+        rows, out, tail = rows[hit], out[hit], tail[hit]
+        if not rows.size:
+            return
+        first = out.argmax(axis=1)
+        h = tail[np.arange(rows.size), first]
+        wrapped = np.where(h > math.pi, h - math.tau, h + math.tau)
+        far = ~(np.abs(h) < _SINGLE_TURN)
         if far.any():
-            out[far, 2] = [wrap_angle(a) for a in heading[far]]
-    return out, c, s, delta[:, 0], delta[:, 1]
-
-
-def propagate_pose(pose: np.ndarray, control: np.ndarray, dt: float) -> np.ndarray:
-    """One Euler step of the unicycle model, for one robot or a whole team.
-
-    ``pose`` is one robot's ``(3,)`` pose or a team's ``(N, 3)`` stack and
-    ``control`` the matching ``(2,)`` or ``(N, 2)`` velocities. Returns
-    ``[x + v dt cos(theta), y + v dt sin(theta), wrap(theta + omega dt)]``
-    per robot, in the shape of ``pose``; each row is bit for bit the same
-    whether the robot is stepped alone or with its team. Raises
-    :class:`ModelError` for a non-positive ``dt`` and when any robot's pose
-    or control is not finite.
-    """
-    if np.ndim(pose) == 1:
-        return _step(np.reshape(pose, (1, 3)), np.reshape(control, (1, 2)), dt)[0][0]
-    return _step(pose, control, dt)[0]
-
-
-def propagate_poses(
-    poses: np.ndarray, controls: np.ndarray, dt: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The filters' propagation kernel: one step of a team of N robots.
-
-    ``poses`` is ``(N, 3)`` and ``controls`` ``(N, 2)``. Returns the new
-    poses of :func:`propagate_pose`, the pose Jacobians ``F`` ``(N, 3, 3)``
-    (exact shears for every input) and ``G`` ``(N, 3, 2)``, the
-    sensitivity to additive velocity-space noise, both evaluated at the old
-    poses.
-    """
-    out, c, s, step_x, step_y = _step(poses, controls, dt)
-    n = out.shape[0]
-    f_jac = _IDENTITY_ROW.repeat(n, axis=0)
-    f_jac[:, 2] = -step_y
-    f_jac[:, 5] = step_x
-    g_jac = np.zeros((n, 6))
-    g_jac[:, 0] = dt * c
-    g_jac[:, 2] = dt * s
-    g_jac[:, 5] = dt
-    return out, f_jac.reshape(n, 3, 3), g_jac.reshape(n, 3, 2)
+            wrapped[far] = [wrap_angle(a) for a in h[far]]
+        # Re-sum from the earliest wrap of the round; -0.0 is the exact
+        # additive identity, so it stands in for the steps before a row's
+        # own wrap, whose sums are kept.
+        lo = int(first.min())
+        redo = turns[rows, lo:]
+        before = np.arange(lo, turns.shape[1]) < first[:, None]
+        redo[before] = -0.0
+        redo[np.arange(rows.size), first - lo] = wrapped
+        np.add.accumulate(redo, axis=1, out=redo)
+        heading[rows, 1 + lo:] = np.where(before, tail[:, lo:], redo)
 
 
 def process_noise(g_jacs: np.ndarray, q_diags: np.ndarray) -> np.ndarray:
-    """``G diag(q) G'`` per robot, shape ``(N, 3, 3)``.
+    """``G diag(q) G'`` per robot and step, shape ``g_jacs.shape[:-1] + (3,)``.
 
-    ``g_jacs`` are the ``(N, 3, 2)`` noise Jacobians of
-    :func:`propagate_poses` and ``q_diags`` the ``(N, 2)`` variances of the
-    linear and angular velocity noise. ``G diag(q)`` scales the columns of
-    ``G``; every other term of that product is an exact zero, so this is
-    the value of ``G @ diag(q) @ G'``.
+    ``g_jacs`` are noise Jacobians of :func:`propagate_pose`, ``(..., 3, 2)``,
+    and ``q_diags`` the matching ``(..., 2)`` variances of the linear and
+    angular velocity noise. ``G diag(q)`` scales the columns of ``G``;
+    every other term of that product is an exact zero, so this is the
+    value of ``G @ diag(q) @ G'``.
     """
     q_diags = np.asarray(q_diags, dtype=float)
-    n = g_jacs.shape[0]
-    if q_diags.shape != (n, 2):
-        raise ModelError(f"expected noise diagonals ({n}, 2), got {q_diags.shape}")
-    return (g_jacs * q_diags[:, None, :]) @ g_jacs.transpose(0, 2, 1)
-
-
-def motion_jacobians(pose: np.ndarray, control: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobians ``(F, G)`` of one robot's step: :func:`propagate_poses` with N = 1."""
-    _, f_jac, g_jac = propagate_poses(np.reshape(pose, (1, 3)), np.reshape(control, (1, 2)), dt)
-    return f_jac[0], g_jac[0]
+    expected = g_jacs.shape[:-2] + (2,)
+    if q_diags.shape != expected:
+        raise ModelError(f"expected noise diagonals {expected}, got {q_diags.shape}")
+    return (g_jacs * q_diags[..., None, :]) @ g_jacs.swapaxes(-1, -2)
 
 
 def relative_position(observer_pose: np.ndarray, landmark_pose: np.ndarray) -> np.ndarray:

@@ -54,13 +54,14 @@ class RobotNode:
     Holds one :class:`SplitRobotState` (pose estimate, 3x3 covariance, the
     accumulated Jacobian's 2-vector shear), independent of the team size.
     The simulator does not step nodes one by one: it advances the whole
-    team as one :class:`split_ekf.SplitTeamState` per step and, at a
-    measurement epoch, wraps each robot's rows in a node (:meth:`over`) to
+    team as one :class:`split_ekf.SplitTeamState`, a whole segment between
+    two measurement epochs per kernel call, and, at an epoch, wraps each
+    robot's rows in a node (:meth:`over`) to
     build its :class:`LandmarkMessage` and apply its :class:`UpdateMessage`,
     then writes the corrected state back. Only robots whose update factor is
     non-zero receive a message; for the others the correction would be an
     exact no-op, so they keep their propagated rows. :meth:`step` is the
-    same propagation for a node on its own.
+    same propagation for a node on its own, a segment of one step.
     """
 
     __slots__ = ("state",)

@@ -138,6 +138,10 @@ class Scenario:
         return np.diag(self.initial_cov_diag)
 
     def validate(self) -> None:
+        """Raise :class:`ScenarioError` unless the scenario can be run."""
+        non_finite = [name for name, value in asdict(self).items() if not _all_finite(value)]
+        if non_finite:
+            raise ScenarioError(f"non-finite values in {non_finite}")
         if self.n_robots < 1:
             raise ScenarioError("n_robots must be at least 1")
         if self.dt_s <= 0 or self.duration_s <= 0:
@@ -146,6 +150,14 @@ class Scenario:
             raise ScenarioError("duration_s must span at least one step of dt_s")
         if self.meas_period_s <= 0:
             raise ScenarioError("meas_period_s must be positive")
+        spans = {
+            "meas_period_s": self.meas_period_s,
+            "path.edge_time_s": self.path.edge_time_s,
+            "path.turn_time_s": self.path.turn_time_s,
+        }
+        for name, seconds in spans.items():
+            if seconds_to_step(seconds, self.dt_s) < 1:
+                raise ScenarioError(f"{name} must be at least one step of dt_s")
         if self.meas_noise_std <= 0:
             raise ScenarioError("meas_noise_std must be positive")
         if len(self.v_noise_frac) != self.n_robots or len(self.w_noise_frac) != self.n_robots:
@@ -266,6 +278,17 @@ class Scenario:
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"scenario file {p} is not valid JSON: {exc}") from exc
         return cls.from_dict(doc)
+
+
+def _all_finite(value) -> bool:
+    """Whether every float in a field value, nested lists and dicts included, is finite."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, dict):
+        value = value.values()
+    elif not isinstance(value, (list, tuple)):
+        return True
+    return all(_all_finite(v) for v in value)
 
 
 def seconds_to_step(t_s: float, dt_s: float) -> int:

@@ -13,9 +13,11 @@ stores that 2-vector, and ``A_i``'s inverse is exactly the shear of its
 negation. Propagation then touches only local quantities: each robot
 advances its own estimate, covariance and ``A_i``, while every ``C_ij``
 stays constant between measurement epochs. Since no robot needs another's
-data to propagate, a simulator may advance the whole team's stacked states
-(:class:`SplitTeamState`) in one batched call; each row gets exactly the
-arithmetic of a lone robot's :func:`propagate`.
+data to propagate, and nothing but its own covariance recurrence couples
+its steps, a simulator may advance the whole team's stacked states
+(:class:`SplitTeamState`) through a whole segment between two epochs with
+one :func:`propagate_team` call; each row gets exactly the arithmetic of a
+lone robot's step-by-step :func:`propagate`.
 
 The server keeps all factors in one dense team matrix
 (:class:`CrossFactorStore`): an ``(N, 3, N, 3)`` array in sorted-team
@@ -33,23 +35,13 @@ what the centralized filter does to the corresponding cross block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Sequence
+from typing import AbstractSet, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import model
 from .linalg import NumericalError, block_diag_sandwich, check_spd_2x2, sqrt_and_inv_sqrt_2x2
-
-_IDENTITY = np.eye(3)
-
-
-def shear(translation: np.ndarray) -> np.ndarray:
-    """The accumulated Jacobian ``[[1, 0, a], [0, 1, b], [0, 0, 1]]`` of a
-    translation ``(a, b)``; a ``(..., 2)`` stack gives ``(..., 3, 3)``."""
-    out = np.empty(translation.shape[:-1] + (3, 3))
-    out[...] = _IDENTITY
-    out[..., :2, 2] = translation
-    return out
+from .model import shear
 
 
 @dataclass(slots=True)
@@ -97,8 +89,8 @@ class SplitTeamState:
     ``jac_accum`` ``(N, 2)`` is robot ``i``'s :class:`SplitRobotState`;
     the robots share one ``time``. Each row is still one robot's O(1)
     state: stacking only lets :func:`propagate_team` advance every robot
-    with one batched kernel call, with the same arithmetic per robot as a
-    lone :func:`propagate`.
+    through a segment with one kernel call, with the same arithmetic per
+    robot as a lone :func:`propagate`.
     """
 
     team: tuple[int, ...]
@@ -145,32 +137,39 @@ class SplitTeamState:
 
 def propagate_team(
     team: SplitTeamState, controls: np.ndarray, noise_diags: np.ndarray, dt: float
-) -> SplitTeamState:
-    """Advance every robot of the team one timestep; no cross term is touched.
+) -> Iterator[SplitTeamState]:
+    """Advance every robot of the team ``L`` timesteps; no cross term is touched.
 
-    ``controls`` are the ``(N, 2)`` measured velocities and ``noise_diags``
-    the ``(N, 2)`` diagonals of the robots' process-noise covariances, both
-    in team order. Each robot's mean follows :func:`model.propagate_poses`,
-    its covariance ``F P F' + G Q G'`` and its accumulated Jacobian
-    ``F A`` (a sum of translations), all in one batched call for the team.
+    ``controls`` are the ``(N, L, 2)`` measured velocities and
+    ``noise_diags`` the ``(N, L, 2)`` diagonals of the robots' process-noise
+    covariances, both in team order. Yields the team after each step. One
+    :func:`model.propagate_pose` call gives every mean and, as running
+    sums of the steps' shear translations, every accumulated Jacobian
+    ``F A``; the steps' ``F`` and ``G Q G'`` are formed once for the
+    segment, so per step only the covariances' ``F P F' + G Q G'`` is left.
     """
-    mean, f_jac, g_jac = model.propagate_poses(team.mean, controls, dt)
-    cov = f_jac @ team.cov @ f_jac.transpose(0, 2, 1) + model.process_noise(
-        g_jac, noise_diags
-    )
-    return SplitTeamState(
-        team.team, team.index, mean, cov, team.jac_accum + f_jac[:, :2, 2], team.time + 1
-    )
+    poses, translations, g_jacs = model.propagate_pose(team.mean, controls, dt)
+    accs = np.concatenate([team.jac_accum[:, None], translations], axis=1)
+    np.add.accumulate(accs, axis=1, out=accs)
+    # Time-major, so each step's slice is one block of memory.
+    f_jacs = shear(translations.transpose(1, 0, 2))
+    noise = model.process_noise(g_jacs, noise_diags).transpose(1, 0, 2, 3)
+    cov = team.cov
+    for step, f_jac in enumerate(f_jacs, start=1):
+        cov = f_jac @ cov @ f_jac.transpose(0, 2, 1) + noise[step - 1]
+        yield SplitTeamState(
+            team.team, team.index, poses[:, step], cov, accs[:, step], team.time + step
+        )
 
 
 def propagate(
     state: SplitRobotState, control: np.ndarray, noise_diag: np.ndarray, dt: float
 ) -> SplitRobotState:
-    """Advance one robot one timestep: :func:`propagate_team` for a team of one.
+    """Advance one robot one timestep: :func:`propagate_team` for a team of
+    one and a segment of one step.
 
     ``noise_diag`` is the diagonal ``[q_v, q_omega]`` of the robot's process
-    noise covariance. The simulator steps the whole team at once; this is
-    the same arithmetic for a robot on its own.
+    noise covariance.
     """
     alone = SplitTeamState(
         team=(state.robot_id,),
@@ -180,8 +179,8 @@ def propagate(
         jac_accum=np.reshape(state.jac_accum, (1, 2)),
         time=state.time,
     )
-    moved = propagate_team(
-        alone, np.reshape(control, (1, 2)), np.reshape(noise_diag, (1, 2)), dt
+    (moved,) = propagate_team(
+        alone, np.reshape(control, (1, 1, 2)), np.reshape(noise_diag, (1, 1, 2)), dt
     )
     return moved.robot(state.robot_id)
 

@@ -24,8 +24,11 @@ Both checks also police three properties along the way: the centralized
 joint covariance stays positive semidefinite (to tolerance), no received
 update ever increases a robot's covariance trace, and at every step one
 robot in turn, stepped alone through :meth:`RobotNode.step` from its row
-of the previous step's team, lands bit for bit on its row of the batched
-team step. A caller may pass the noise-free ``truth`` to skip simulating it.
+of the previous step's team, lands bit for bit on its row of the team's
+step. Both loops step the team by segment, one motion-kernel call per
+stretch of steps between measurement epochs, and still yield every step,
+so every check here still sees every step. A caller may pass the
+noise-free ``truth`` to skip simulating it.
 """
 
 from __future__ import annotations
@@ -168,7 +171,7 @@ def _run_side_by_side(
     for k, ((propagated, team), belief) in enumerate(steps, start=1):
         # One robot per step, in turn, also steps alone from its rows of the
         # previous step's team, as the robot itself would; the team's
-        # batched step must match it.
+        # segment step must match it.
         a = (k - 1) % len(ids)
         lone = RobotNode.over(previous.robot(ids[a]))
         lone.step(real.controls_meas[a, k - 1], real.filter_q[a, k - 1], sc.dt_s)

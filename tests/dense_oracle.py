@@ -9,7 +9,7 @@ mismatch.
 
 import numpy as np
 
-from splitcl import model
+from splitcl import joint_ekf, model
 
 
 def stack(belief):
@@ -23,6 +23,22 @@ def cross_blocks(team_matrix):
     return team_matrix.transpose(0, 2, 1, 3)[~np.eye(n, dtype=bool)]
 
 
+def one_step(pose, control, dt):
+    """One robot's step through the motion kernel: new pose, ``F`` and ``G``."""
+    poses, translations, g_jacs = model.propagate_pose(
+        np.reshape(pose, (1, 3)), np.reshape(control, (1, 1, 2)), dt
+    )
+    return poses[0, 1], model.shear(translations[0, 0]), g_jacs[0, 0]
+
+
+def joint_step(belief, controls, noise_diags, dt):
+    """One step of the centralized filter: a segment one step long."""
+    (out,) = joint_ekf.propagate_segment(
+        belief, np.asarray(controls)[:, None], np.asarray(noise_diags)[:, None], dt
+    )
+    return out
+
+
 def dense_propagate(x, p, controls, noises, dt):
     """controls/noises are lists aligned with the stacked robot order."""
     n = len(controls)
@@ -31,8 +47,7 @@ def dense_propagate(x, p, controls, noises, dt):
     gqg = np.zeros((3 * n, 3 * n))
     for r in range(n):
         sl = slice(3 * r, 3 * r + 3)
-        f, g = model.motion_jacobians(x[sl], controls[r], dt)
-        x_out[sl] = model.propagate_pose(x[sl], controls[r], dt)
+        x_out[sl], f, g = one_step(x[sl], controls[r], dt)
         f_joint[sl, sl] = f
         gqg[sl, sl] = g @ noises[r] @ g.T
     return x_out, f_joint @ p @ f_joint.T + gqg

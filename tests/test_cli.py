@@ -1,6 +1,7 @@
 """CLI exit codes: 0 success, 2 invalid input, 3 divergence, 4 verification failure."""
 
 import csv
+import math
 import os
 import subprocess
 import sys
@@ -41,14 +42,14 @@ def test_verify_simulates_the_truth_once(tmp_path, monkeypatch, capsys):
     sc = Scenario(duration_s=10.0, meas_windows=(MeasurementWindow(2.0, 4.0, 1, 2),))
     path = tmp_path / "small.json"
     sc.save(path)
-    original = harness._propagate_trajectories
+    original = harness.simulate_truth
     calls = []
 
     def counting(*args):
         calls.append(1)
         return original(*args)
 
-    monkeypatch.setattr(harness, "_propagate_trajectories", counting)
+    monkeypatch.setattr(harness, "simulate_truth", counting)
     assert cli.main(["verify", "--scenario", str(path)]) == cli.EXIT_OK
     assert len(calls) == 1
     assert "OK: both checks" in capsys.readouterr().out
@@ -106,6 +107,18 @@ def test_run_negative_seed_is_invalid_input(tmp_path, capsys):
     assert cli.main(argv) == cli.EXIT_USAGE
     assert "error: --seed must be non-negative, got -1" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_non_finite_scenario_is_invalid_input(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    Scenario(meas_noise_std=math.nan).save(path)
+    out_dir = tmp_path / "out"
+    argv = ["run", "--scenario", str(path), "--out", str(out_dir)]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert not out_dir.exists()
+    assert cli.main(["verify", "--scenario", str(path)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("error: non-finite values in ['meas_noise_std']") == 2
 
 
 def test_run_reports_a_diverged_estimator(tmp_path, monkeypatch, capsys):

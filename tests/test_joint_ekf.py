@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from splitcl import joint_ekf, model
 from splitcl.linalg import NumericalError, block_diag_sandwich
 
-from dense_oracle import dense_propagate, dense_update, random_belief, stack
+from dense_oracle import dense_propagate, dense_update, joint_step, one_step, random_belief, stack
 
 DENSE_TOL = 1e-12
 
@@ -33,7 +33,7 @@ class TestPropagate:
         belief = joint_ekf.JointBelief.initialize(
             {1: np.zeros(3), 2: np.ones(3)}, {1: np.eye(3), 2: np.eye(3)}
         )
-        out = joint_ekf.propagate(
+        out = joint_step(
             belief, default_controls(rng, (1, 2)), default_noises((1, 2)), 0.1
         )
         np.testing.assert_array_equal(out.block(1, 2), np.zeros((3, 3)))
@@ -43,8 +43,8 @@ class TestPropagate:
     def test_single_robot_no_noise(self):
         belief = joint_ekf.JointBelief.initialize({1: np.array([1.0, 0, 0.2])}, {1: np.eye(3) * 0.5})
         control = np.array([0.7, 0.1])
-        out = joint_ekf.propagate(belief, control[None], np.zeros((1, 2)), 0.1)
-        f, _ = model.motion_jacobians(belief.mean[0], control, 0.1)
+        out = joint_step(belief, control[None], np.zeros((1, 2)), 0.1)
+        _, f, _ = one_step(belief.mean[0], control, 0.1)
         expected = f @ belief.block(1, 1) @ f.T
         np.testing.assert_allclose(out.block(1, 1), expected, atol=1e-15)
 
@@ -54,7 +54,7 @@ class TestPropagate:
             belief = random_belief(rng, n)
             controls = default_controls(rng, belief.team)
             noises = default_noises(belief.team)
-            out = joint_ekf.propagate(belief, controls, noises, 0.1)
+            out = joint_step(belief, controls, noises, 0.1)
 
             x, p = stack(belief)
             x_d, p_d = dense_propagate(x, p, list(controls), [np.diag(q) for q in noises], 0.1)
@@ -63,9 +63,9 @@ class TestPropagate:
     def test_wrong_team_rejected(self):
         belief = joint_ekf.JointBelief.initialize({1: np.zeros(3)}, {1: np.eye(3)})
         with pytest.raises(ValueError):
-            joint_ekf.propagate(belief, np.zeros((2, 2)), np.ones((1, 2)), 0.1)
+            joint_step(belief, np.zeros((2, 2)), np.ones((1, 2)), 0.1)
         with pytest.raises(ValueError):
-            joint_ekf.propagate(belief, np.zeros((1, 2)), np.ones((2, 2)), 0.1)
+            joint_step(belief, np.zeros((1, 2)), np.ones((2, 2)), 0.1)
 
 
 class TestUpdate:
@@ -317,7 +317,7 @@ class TestPartialUpdateProperties:
             if op is None:
                 controls = default_controls(rng, belief.team)
                 noises = default_noises(belief.team)
-                out = joint_ekf.propagate(belief, controls, noises, 0.1)
+                out = joint_step(belief, controls, noises, 0.1)
                 x_d, p_d = dense_propagate(
                     x, p, list(controls), [np.diag(q) for q in noises], 0.1
                 )

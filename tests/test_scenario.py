@@ -9,8 +9,10 @@ import pytest
 from splitcl import harness
 from splitcl.model import wrap_angle
 from splitcl.scenario import (
+    MeasurementWindow,
     Scenario,
     ScenarioError,
+    SpiralPath,
     build_table1_scenario,
     random_scenario,
     start_poses,
@@ -88,3 +90,40 @@ def test_no_two_of_eight_robots_share_a_trajectory():
         for b in range(a + 1, 8):
             gap = np.linalg.norm(truth[a, :, :2] - truth[b, :, :2], axis=1)
             assert gap.max() > 1.0, (a + 1, b + 1)
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"path": {"edge_time_s": 0.04}}, "path.edge_time_s must be at least one step"),
+    ({"path": {"turn_time_s": 0.0}}, "path.turn_time_s must be at least one step"),
+    ({"meas_period_s": 0.01}, "meas_period_s must be at least one step"),
+    ({"meas_noise_std": math.nan}, r"non-finite values in \['meas_noise_std'\]"),
+    ({"initial_cov_diag": [0.0025, math.nan, 0.00274]}, "initial_cov_diag"),
+    ({"duration_s": math.inf}, "duration_s"),
+    ({"path": {"center": [0.0, -math.inf]}}, r"non-finite values in \['path'\]"),
+    ({"v_noise_frac": [0.35, 0.30, math.nan, 0.20]}, "v_noise_frac"),
+    ({"meas_windows": [[45.0, math.nan, 1, 2]]}, "meas_windows"),
+], ids=["edge", "turn", "meas-period", "noise-nan", "cov-nan", "duration-inf",
+        "center-inf", "frac-nan", "window-nan"])
+def test_unrunnable_scenario_is_rejected(tmp_path, edit, message):
+    doc = _doc()
+    for key, value in edit.items():
+        if key == "path":
+            doc["path"].update(value)
+        else:
+            doc[key] = value
+    with pytest.raises(ScenarioError, match=message):
+        Scenario.load(_write(tmp_path, json.dumps(doc)))
+
+
+def test_shortest_runnable_spans_are_accepted():
+    # 0.06 s rounds to one step of 0.1 s, as the controls and the schedule
+    # count steps, so this scenario runs.
+    sc = Scenario(
+        duration_s=2.0,
+        path=SpiralPath(edge_time_s=0.06, turn_time_s=0.06),
+        meas_windows=(MeasurementWindow(0.0, 2.0, 1, 2),),
+        meas_period_s=0.06,
+    )
+    sc.validate()
+    rec = harness.run_once(sc, ["sa_split"], seed=1)
+    assert np.isfinite(rec.estimates["sa_split"]).all()

@@ -7,7 +7,7 @@ from splitcl import joint_ekf, model, split_ekf
 from splitcl.linalg import NumericalError, sqrt_and_inv_sqrt_2x2
 from splitcl.split_ekf import CrossFactorStore, SplitRobotState, shear
 
-from dense_oracle import cross_blocks, random_belief
+from dense_oracle import cross_blocks, joint_step, one_step, random_belief
 
 GAIN_TOL = 1e-10
 
@@ -58,7 +58,7 @@ class TestPropagate:
         control = rng.uniform(-1, 1, 2)
         q = np.array([0.01, 0.004])
         out = split_ekf.propagate(state, control, q, 0.1)
-        f, _ = model.motion_jacobians(state.mean, control, 0.1)
+        _, f, _ = one_step(state.mean, control, 0.1)
         np.testing.assert_array_equal(shear(out.jac_accum), f @ np.eye(3))
         assert out.time == 1
 
@@ -69,7 +69,7 @@ class TestPropagate:
         product = np.eye(3)
         for _ in range(25):
             control = rng.uniform(-1, 1, 2)
-            f, _ = model.motion_jacobians(state.mean, control, 0.1)
+            _, f, _ = one_step(state.mean, control, 0.1)
             product = f @ product
             state = split_ekf.propagate(state, control, q, 0.1)
         np.testing.assert_array_equal(shear(state.jac_accum), product)
@@ -81,7 +81,7 @@ class TestPropagate:
         q = np.tile([0.02, 0.01], (3, 1))
         for _ in range(50):
             controls = rng.uniform(-1, 1, (3, 2))
-            belief = joint_ekf.propagate(belief, controls, q, 0.1)
+            belief = joint_step(belief, controls, q, 0.1)
             for i in states:
                 a = belief.index[i]
                 states[i] = split_ekf.propagate(states[i], controls[a], q[a], 0.1)
@@ -381,7 +381,7 @@ class TestCrossFactorStore:
         pairs = [(1, 2), (2, 3), (3, 1)]
         for step in range(1, 101):
             controls = rng.uniform(-1, 1, (3, 2))
-            belief = joint_ekf.propagate(belief, controls, q, 0.1)
+            belief = joint_step(belief, controls, q, 0.1)
             for i in states:
                 a = belief.index[i]
                 states[i] = split_ekf.propagate(states[i], controls[a], q[a], 0.1)

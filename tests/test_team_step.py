@@ -1,19 +1,24 @@
-"""Stepping the team as one batch equals stepping each robot by itself.
+"""Stepping the team by segment equals stepping each robot by itself.
 
-The reference below is the per-robot arithmetic the simulator used before
-the team was batched, copied verbatim: the pose step, its Jacobians and the
-split filter's local propagation. Every batched result must equal it bit
-for bit, not just to a tolerance.
+The reference below is the per-robot, per-step arithmetic the simulator
+used before the team was batched, copied verbatim: the pose step, its
+Jacobians and the split filter's local propagation. The segment kernel and
+every loop built on it must equal it bit for bit, not just to a tolerance.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from splitcl import harness, model, split_ekf
+from splitcl import harness, joint_ekf, model, split_ekf
+from splitcl.linalg import NumericalError
 from splitcl.model import ModelError
-from splitcl.protocol import RobotNode
+from splitcl.network import gate_measurement
+from splitcl.protocol import EVENT_NUMERIC_S, CooperationServer, ProtocolEvent, RobotNode
+from splitcl.scenario import Scenario, SpiralPath, build_table1_scenario
 from splitcl.split_ekf import SplitRobotState, SplitTeamState
 
 N_ROBOTS = 7
@@ -70,6 +75,28 @@ def ref_split_propagate(mean, cov, acc, control, noise_cov, dt):
     )
 
 
+def ref_segment(start, controls, dt):
+    """Poses, shear translations and ``G`` of ``L`` reference steps per robot."""
+    n, steps = controls.shape[:2]
+    poses = np.empty((n, steps + 1, 3))
+    translations = np.empty((n, steps, 2))
+    g_jacs = np.empty((n, steps, 3, 2))
+    for a in range(n):
+        poses[a, 0] = start[a]
+        for k in range(steps):
+            f_jac, g_jacs[a, k] = ref_motion_jacobians(poses[a, k], controls[a, k], dt)
+            translations[a, k] = f_jac[:2, 2]
+            poses[a, k + 1] = ref_propagate_pose(poses[a, k], controls[a, k], dt)
+    return poses, translations, g_jacs
+
+
+def assert_kernel_is_the_reference(start, controls, dt=DT):
+    out = model.propagate_pose(start, controls, dt)
+    for got, want in zip(out, ref_segment(start, controls, dt)):
+        np.testing.assert_array_equal(got, want)
+    return out
+
+
 def assert_is_shear_of(jac_accum, products):
     """The 3x3 products of step Jacobians are exact shears, and their
     translation columns are the accumulated 2-vectors bit for bit."""
@@ -109,16 +136,23 @@ def test_batched_split_step_is_the_per_robot_step(seed):
     team = team_from(means, covs)
     ref = [(means[a], covs[a], np.eye(3)) for a in range(N_ROBOTS)]
     wrapped_far = False
-    for k in range(N_STEPS):
-        wrapped_far |= bool((np.abs(team.mean[:, 2] + controls[:, k, 1] * DT) >= 3 * math.pi).any())
-        team = split_ekf.propagate_team(team, controls[:, k], q_diags[:, k], DT)
-        ref = [
-            ref_split_propagate(*ref[a], controls[a, k], np.diag(q_diags[a, k]), DT)
-            for a in range(N_ROBOTS)
-        ]
-        np.testing.assert_array_equal(team.mean, [r[0] for r in ref])
-        np.testing.assert_array_equal(team.cov, [r[1] for r in ref])
-        assert_is_shear_of(team.jac_accum, [r[2] for r in ref])
+    # Segments of uneven lengths, one step long among them.
+    bounds = [0, 1, 2, 50, 51, 137, N_STEPS]
+    for k0, k1 in zip(bounds, bounds[1:]):
+        segment = split_ekf.propagate_team(team, controls[:, k0:k1], q_diags[:, k0:k1], DT)
+        for k, team in enumerate(segment, start=k0):
+            wrapped_far |= bool(
+                (np.abs(ref[0][0][2] + controls[0, k, 1] * DT) >= 3 * math.pi)
+                or (np.abs(ref[1][0][2] + controls[1, k, 1] * DT) >= 3 * math.pi)
+            )
+            ref = [
+                ref_split_propagate(*ref[a], controls[a, k], np.diag(q_diags[a, k]), DT)
+                for a in range(N_ROBOTS)
+            ]
+            np.testing.assert_array_equal(team.mean, [r[0] for r in ref])
+            np.testing.assert_array_equal(team.cov, [r[1] for r in ref])
+            assert_is_shear_of(team.jac_accum, [r[2] for r in ref])
+            assert team.time == k + 1
     assert team.time == N_STEPS
     assert wrapped_far
 
@@ -141,15 +175,18 @@ def test_robot_node_step_is_the_per_robot_step():
 
 def test_trajectories_are_the_per_robot_steps():
     means, _, controls, _ = random_team(4)
-    out = harness._propagate_trajectories(means, controls, DT)
-    expected = np.empty_like(out)
+    expected = np.empty((N_ROBOTS, N_STEPS + 1, 3))
     for a in range(N_ROBOTS):
         pose = means[a]
         expected[a, 0] = pose
         for k in range(N_STEPS):
             pose = ref_propagate_pose(pose, controls[a, k], DT)
             expected[a, k + 1] = pose
-    np.testing.assert_array_equal(out, expected)
+    np.testing.assert_array_equal(model.propagate_pose(means, controls, DT)[0], expected)
+    # Truth and dead reckoning, in stretches of 13 steps.
+    sc = Scenario(n_robots=N_ROBOTS, duration_s=N_STEPS * DT, dt_s=DT)
+    with mock.patch.object(harness, "_SEGMENT_ROBOT_STEPS", 13 * N_ROBOTS):
+        np.testing.assert_array_equal(harness._trajectories(sc, means, controls), expected)
 
 
 def test_headings_on_the_wrap_boundaries():
@@ -161,9 +198,73 @@ def test_headings_on_the_wrap_boundaries():
     ]
     poses = np.zeros((len(thetas), 3))
     poses[:, 2] = thetas
-    out = model.propagate_pose(poses, np.zeros((len(thetas), 2)), DT)
+    out = model.propagate_pose(poses, np.zeros((len(thetas), 1, 2)), DT)[0]
     expected = [ref_wrap_angle(t + 0.0 * DT) for t in thetas]
-    np.testing.assert_array_equal(out[:, 2], expected)
+    np.testing.assert_array_equal(out[:, 1, 2], expected)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 300])
+def test_segment_kernel_is_l_single_steps(steps):
+    rng = np.random.default_rng(steps)
+    start = rng.uniform(-3, 3, (N_ROBOTS, 3))
+    controls = rng.uniform(-1, 1, (N_ROBOTS, steps, 2))
+    # Fast turners: about a wrap per step, half of them at 3 pi or more.
+    controls[:2, :, 1] *= 80.0
+    poses, translations, g_jacs = assert_kernel_is_the_reference(start, controls)
+    assert poses.shape == (N_ROBOTS, steps + 1, 3)
+    assert translations.shape == (N_ROBOTS, steps, 2)
+    assert g_jacs.shape == (N_ROBOTS, steps, 3, 2)
+
+
+def test_wraps_at_the_first_and_the_last_step_of_a_segment():
+    steps = 120
+    turn = 0.01
+    start = np.zeros((4, 3))
+    controls = np.zeros((4, steps, 2))
+    controls[..., 0] = 1.0
+    controls[..., 1] = turn / DT
+    # Robots 1 and 2 cross +pi and -pi at the first step; robots 3 and 4
+    # at the last one.
+    start[0, 2] = math.pi - turn / 2
+    start[1, 2] = -math.pi + turn / 2
+    controls[1, :, 1] *= -1.0
+    start[2, 2] = math.pi - (steps - 0.5) * turn
+    start[3, 2] = -start[2, 2]
+    controls[3, :, 1] *= -1.0
+    heading = assert_kernel_is_the_reference(start, controls)[0][..., 2]
+    jumps = np.abs(np.diff(heading, axis=1)) > math.pi
+    assert jumps[:2, 0].all() and not jumps[:2, 1:].any()
+    assert jumps[2:, -1].all() and not jumps[2:, :-1].any()
+
+
+def test_headings_exactly_on_pi_and_beyond_three_pi():
+    pi3 = 3 * math.pi
+    thetas = [math.pi, -math.pi, pi3, -pi3, math.nextafter(pi3, 10.0), 1e3, -1e3]
+    steps = 40
+    start = np.zeros((2 * len(thetas), 3))
+    start[:, 2] = thetas * 2
+    controls = np.zeros((2 * len(thetas), steps, 2))
+    controls[:, :, 0] = 0.5
+    # The second copy turns by a multiple of tau every other step, so its
+    # sums land on pi, -pi and past 3 pi inside the segment too.
+    controls[len(thetas):, ::2, 1] = 2 * math.tau / DT
+    controls[len(thetas):, 1::2, 1] = -2 * math.tau / DT
+    heading = assert_kernel_is_the_reference(start, controls)[0][..., 2]
+    assert (heading[:, 1:] > -math.pi).all() and (heading[:, 1:] <= math.pi).all()
+
+
+def test_mid_segment_non_finite_control_is_rejected():
+    means, covs, controls, q_diags = random_team(9)
+    controls[3, N_STEPS // 2, 1] = math.nan
+    with pytest.raises(ModelError, match="non-finite"):
+        model.propagate_pose(means, controls, DT)
+    with pytest.raises(ModelError, match="non-finite"):
+        next(split_ekf.propagate_team(team_from(means, covs), controls, q_diags, DT))
+    belief = joint_ekf.JointBelief.initialize(
+        {a + 1: means[a] for a in range(N_ROBOTS)}, {a + 1: covs[a] for a in range(N_ROBOTS)}
+    )
+    with pytest.raises(ModelError, match="non-finite"):
+        next(joint_ekf.propagate_segment(belief, controls, q_diags, DT))
 
 
 @pytest.mark.parametrize("robot", range(N_ROBOTS))
@@ -171,13 +272,13 @@ def test_headings_on_the_wrap_boundaries():
 @pytest.mark.parametrize("column", [0, 1])
 def test_non_finite_control_of_any_robot_is_rejected(robot, bad, column):
     means, covs, controls, q_diags = random_team(5)
-    step = controls[:, 0].copy()
-    step[robot, column] = bad
+    step = controls[:, :1].copy()
+    step[robot, 0, column] = bad
     with pytest.raises(ModelError, match="non-finite"):
-        split_ekf.propagate_team(team_from(means, covs), step, q_diags[:, 0], DT)
+        next(split_ekf.propagate_team(team_from(means, covs), step, q_diags[:, :1], DT))
     controls[robot, 7, column] = bad
     with pytest.raises(ModelError, match="non-finite"):
-        harness._propagate_trajectories(means, controls, DT)
+        model.propagate_pose(means, controls, DT)
 
 
 @pytest.mark.parametrize("robot", [0, N_ROBOTS - 1])
@@ -186,19 +287,19 @@ def test_non_finite_pose_of_any_robot_is_rejected(robot, column):
     means, covs, controls, q_diags = random_team(6)
     means[robot, column] = math.nan
     with pytest.raises(ModelError, match="non-finite"):
-        split_ekf.propagate_team(team_from(means, covs), controls[:, 0], q_diags[:, 0], DT)
+        next(split_ekf.propagate_team(team_from(means, covs), controls, q_diags, DT))
 
 
 def test_non_positive_dt_is_rejected():
     means, covs, controls, q_diags = random_team(7)
     for dt in (0.0, -0.1):
         with pytest.raises(ModelError, match="dt must be positive"):
-            split_ekf.propagate_team(team_from(means, covs), controls[:, 0], q_diags[:, 0], dt)
+            next(split_ekf.propagate_team(team_from(means, covs), controls, q_diags, dt))
 
 
 def test_lone_robot_state_is_one_team_row():
     means, covs, controls, q_diags = random_team(8)
-    team = split_ekf.propagate_team(team_from(means, covs), controls[:, 0], q_diags[:, 0], DT)
+    team = next(split_ekf.propagate_team(team_from(means, covs), controls, q_diags, DT))
     alone = split_ekf.propagate(
         SplitRobotState.initialize(3, means[2], covs[2]), controls[2, 0], q_diags[2, 0], DT
     )
@@ -206,3 +307,179 @@ def test_lone_robot_state_is_one_team_row():
     for field in ("mean", "cov", "jac_accum"):
         np.testing.assert_array_equal(getattr(alone, field), getattr(row, field))
     assert (alone.robot_id, alone.time) == (row.robot_id, row.time) == (3, 1)
+
+
+def test_run_once_calls_the_kernel_once_per_segment(monkeypatch):
+    sc = build_table1_scenario()
+    original = model.propagate_pose
+    lengths = []
+
+    def counting(start, controls, dt):
+        lengths.append(controls.shape[1])
+        return original(start, controls, dt)
+
+    monkeypatch.setattr(model, "propagate_pose", counting)
+    harness.run_once(sc, harness.ALL_ESTIMATORS, seed=7)
+    n_segments = len(list(harness.segments(sc, harness.scen.measurement_schedule(sc))))
+    n_stretches = len(list(harness.segments(sc, ())))
+    # Truth and dead reckoning take one call per stretch of the run, each
+    # filter one per segment between epochs.
+    assert n_segments < 60 and n_stretches == 12
+    assert len(lengths) == 2 * n_stretches + 4 * n_segments
+    assert sum(lengths) == 6 * sc.n_steps
+
+
+# --- Segment loops against a per-step reference loop ----------------------
+
+
+def ref_split_steps(sc, real, reports, server, events):
+    """``harness.split_steps`` with every robot stepped alone, step by step."""
+    ids = sc.robot_ids
+    team = SplitTeamState.initialize(ids, real.init_means, sc.initial_cov())
+    yield team, team
+    for k in range(1, sc.n_steps + 1):
+        rows = [
+            ref_split_propagate(
+                team.mean[a], team.cov[a], split_ekf.shear(team.jac_accum[a]),
+                real.controls_meas[a, k - 1], np.diag(real.filter_q[a, k - 1]), sc.dt_s,
+            )
+            for a in range(len(ids))
+        ]
+        propagated = SplitTeamState(
+            team.team, team.index,
+            np.array([r[0] for r in rows]), np.array([r[1] for r in rows]),
+            np.array([r[2][:2, 2] for r in rows]), team.time + 1,
+        )
+        team = propagated
+        if k in real.measurements:
+            report = harness.epoch_report(reports, ids, k)
+            team = harness._run_split_epoch(team, server, real.measurements[k], report, events)
+        yield propagated, team
+
+
+def ref_joint_steps(sc, real, reports, events, name):
+    """``harness.joint_steps`` with the kernel replaced by the per-robot
+    reference step, one :func:`joint_ekf.propagate` call per step."""
+    ids = sc.robot_ids
+    belief = joint_ekf.JointBelief.initialize(
+        means={i: real.init_means[i - 1] for i in ids},
+        covs={i: sc.initial_cov() for i in ids},
+    )
+    noise = sc.meas_noise_cov()
+    yield belief
+    for k in range(1, sc.n_steps + 1):
+        mean, f_jacs, gqg = [], [], []
+        for a in range(len(ids)):
+            control, q = real.controls_meas[a, k - 1], real.filter_q[a, k - 1]
+            f_jac, g_jac = ref_motion_jacobians(belief.mean[a], control, sc.dt_s)
+            mean.append(ref_propagate_pose(belief.mean[a], control, sc.dt_s))
+            f_jacs.append(f_jac)
+            gqg.append(g_jac @ np.diag(q) @ g_jac.T)
+        belief = joint_ekf.propagate(belief, np.array(mean), np.array(f_jacs), np.array(gqg))
+        if k in real.measurements:
+            report = harness.epoch_report(reports, ids, k)
+            for m in real.measurements[k]:
+                if not gate_measurement(report, m):
+                    continue
+                try:
+                    belief, _ = joint_ekf.partial_update(belief, m, noise, report.missed)
+                except NumericalError as exc:
+                    events.append(ProtocolEvent(
+                        k, EVENT_NUMERIC_S,
+                        f"estimator={name} observer={m.observer} landmark={m.landmark} "
+                        f"reason={exc}",
+                    ))
+        yield belief
+
+
+@st.composite
+def segment_cases(draw):
+    n = draw(st.integers(2, 6))
+    n_steps = draw(st.integers(1, 60))
+    epochs = draw(st.sets(st.integers(1, n_steps), max_size=8))
+    pairs = {
+        k: draw(st.lists(
+            st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] != p[1]),
+            min_size=1, max_size=3,
+        ))
+        for k in sorted(epochs)
+    }
+    return dict(
+        n=n,
+        n_steps=n_steps,
+        pairs=pairs,
+        seed=draw(st.integers(0, 2**16)),
+        chunk=draw(st.sampled_from([1, 5, 8192])),
+        fast=draw(st.booleans()),
+        loss=draw(st.sampled_from([0.0, 0.5])),
+    )
+
+
+def case_realization(case):
+    """A small team's scenario and realization with the case's epochs."""
+    n = case["n"]
+    sc = Scenario(
+        n_robots=n,
+        duration_s=case["n_steps"] * 0.1,
+        path=SpiralPath(edge_time_s=0.5, turn_time_s=0.3),
+        v_noise_frac=(0.3,) * n,
+        w_noise_frac=(0.2,) * n,
+        bernoulli_p=case["loss"],
+    )
+    key = (case["seed"],)
+    real = harness.build_realization(sc, key)
+    rng = np.random.default_rng(case["seed"])
+    if case["fast"]:
+        real.controls_meas[:, :, 1] += rng.uniform(-90.0, 90.0, real.controls_meas.shape[:2])
+    real.measurements = {
+        k: [
+            model.RelativeMeasurement(
+                a, b, model.relative_position(real.truth[a - 1, k], real.truth[b - 1, k])
+                + 0.05 * rng.standard_normal(2), k,
+            )
+            for a, b in sorted(set(pairs))
+        ]
+        for k, pairs in case["pairs"].items()
+    }
+    return sc, real, harness.delivery_reports(sc, real, key)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(segment_cases())
+def test_segment_loops_equal_the_per_step_reference(case):
+    sc, real, reports = case_realization(case)
+    with mock.patch.object(harness, "_SEGMENT_ROBOT_STEPS", case["chunk"]):
+        events, ref_events = [], []
+        server = CooperationServer(sc.robot_ids, sc.meas_noise_cov())
+        ref_server = CooperationServer(sc.robot_ids, sc.meas_noise_cov())
+        split = list(harness.split_steps(sc, real, reports, server, events))
+        ref_split = list(ref_split_steps(sc, real, reports, ref_server, ref_events))
+        assert len(split) == len(ref_split) == sc.n_steps + 1
+        for states, ref_states in zip(split, ref_split):
+            for got, want in zip(states, ref_states):
+                for field in ("mean", "cov", "jac_accum"):
+                    np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+                assert got.time == want.time
+        np.testing.assert_array_equal(server.store.blocks, ref_server.store.blocks)
+        assert events == ref_events and server.events == ref_server.events
+
+        joint = list(harness.joint_steps(sc, real, reports, events, "partial_oracle"))
+        ref_joint = list(ref_joint_steps(sc, real, reports, ref_events, "partial_oracle"))
+        assert len(joint) == len(ref_joint)
+        for got, want in zip(joint, ref_joint):
+            np.testing.assert_array_equal(got.mean, want.mean)
+            np.testing.assert_array_equal(got.cov, want.cov)
+            assert got.time == want.time
+        assert events == ref_events
+
+
+def test_segments_end_at_every_epoch_and_cover_the_run():
+    sc = build_table1_scenario()
+    epochs = {5, 6, 40}
+    with mock.patch.object(harness, "_SEGMENT_ROBOT_STEPS", 4 * 16):
+        spans = list(harness.segments(sc, epochs))
+    assert spans[:4] == [(0, 5), (5, 6), (6, 22), (22, 38)]
+    assert all(k0 < k1 <= k0 + 16 for k0, k1 in spans)
+    assert [k1 for _, k1 in spans if k1 in epochs] == sorted(epochs)
+    assert [k0 for k0, _ in spans[1:]] == [k1 for _, k1 in spans[:-1]]
+    assert spans[0][0] == 0 and spans[-1][1] == sc.n_steps

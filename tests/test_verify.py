@@ -68,20 +68,20 @@ def test_robot_covariance_error_is_named_by_step_and_robot(table1, monkeypatch):
     step, robot = 1500, 4
     assert step not in measurement_schedule(table1) and step > min(measurement_schedule(table1))
     original = split_ekf.propagate_team
-    saved = {}
 
     def propagate_with_error(team, controls, noise_diags, dt):
-        if len(team.team) == 1:
-            # A robot stepped alone by the lone-step check.
-            return original(team, controls, noise_diags, dt)
-        a = team.index[robot]
-        if team.time == step:
-            team.cov[a] = saved.pop("cov")
-        out = original(team, controls, noise_diags, dt)
-        if out.time == step:
-            saved["cov"] = out.cov[a].copy()
+        for out in original(team, controls, noise_diags, dt):
+            # A robot stepped alone by the lone-step check passes through.
+            if len(team.team) == 1 or out.time != step:
+                yield out
+                continue
+            a = team.index[robot]
+            saved = out.cov[a].copy()
             out.cov[a] += PLANT * CORNER
-        return out
+            yield out
+            # Only the yielded step is off: the segment steps on from the
+            # true covariance.
+            out.cov[a] = saved
 
     monkeypatch.setattr(split_ekf, "propagate_team", propagate_with_error)
     report = check_exact_equivalence(table1)
