@@ -9,6 +9,12 @@ into its store, and sends a fixed-size :class:`UpdateMessage` only to the
 robots whose update factor is non-zero: the measured robots and those
 correlated with them. Every other robot's factor is exactly zero, so its
 correction would be an exact no-op; it gets no message and does no work.
+The server finds that support once per measurement, in the scan that also
+collects the recipients, and hands it to the store, which then touches
+only the block pairs within the support when it is a few robots of a large
+team (otherwise it forms one dense masked product over the whole team).
+The summed payloads of a multi-measurement epoch are formed once, at the
+end, over the recipients' rows only.
 Robots that receive the message apply it; robots that miss it simply keep
 their propagated estimate, and the server skips the store blocks between
 pairs of missed robots.
@@ -223,10 +229,7 @@ class CooperationServer:
         }
 
         index = self.store.index
-        n = len(self.team)
-        vec_sum = np.zeros((n, 3))
-        mat_sum = np.zeros((n, 3, 3))
-        touched = np.zeros(n, dtype=bool)
+        touched = np.zeros(len(self.team), dtype=bool)
         singles: list[tuple[np.ndarray, np.ndarray]] = []
         for m in usable:
             a = m.sender
@@ -255,15 +258,17 @@ class CooperationServer:
                 ))
                 continue
             shadow = new_shadow
-            self.store.update(factors, missed)
-            vec_sum += factors @ innov.white_residual
-            mat_sum += factors @ factors.transpose(0, 2, 1)
-            touched |= factors.any(axis=(1, 2))
+            # The robots with a non-zero D_i: the only ones whose store
+            # blocks, payloads and messages this measurement changes.
+            nonzero = factors.any(axis=(1, 2))
+            self.store.update(factors, missed, nonzero.nonzero()[0])
+            touched |= nonzero
             singles.append((innov.white_residual, factors))
 
         if not singles:
             return {}
-        recipients = [(pos, self.team[pos]) for pos in np.flatnonzero(touched)]
+        positions = touched.nonzero()[0]
+        recipients = [(pos, self.team[pos]) for pos in positions]
         if len(singles) == 1:
             white_residual, factors = singles[0]
             return {
@@ -276,13 +281,21 @@ class CooperationServer:
                 )
                 for pos, i in recipients
             }
+        # Each recipient's corrections summed over the epoch's measurements,
+        # in their processing order.
+        vec_sum = np.zeros((len(positions), 3))
+        mat_sum = np.zeros((len(positions), 3, 3))
+        for white_residual, factors in singles:
+            rows = factors[positions]
+            vec_sum += rows @ white_residual
+            mat_sum += rows @ rows.transpose(0, 2, 1)
         return {
             i: UpdateMessage(
                 recipient=i,
                 time=time,
                 kind="summed",
-                residual_payload=vec_sum[pos],
-                gain_payload=mat_sum[pos],
+                residual_payload=vec_sum[row],
+                gain_payload=mat_sum[row],
             )
-            for pos, i in recipients
+            for row, (_, i) in enumerate(recipients)
         }

@@ -106,3 +106,20 @@ def random_belief(rng, n_robots, corr_scale=0.1):
     belief = JointBelief.initialize(means, {i: np.eye(3) for i in ids})
     belief.cov[:] = (0.5 * (joint + joint.T)).reshape(n_robots, 3, n_robots, 3)
     return belief
+
+
+def dense_store_update(store, factors, missed=frozenset()):
+    """The store's blocks after one update, as one dense masked product.
+
+    ``-D D'`` (with the store's ``_update_sign``) is formed over the whole
+    team, its diagonal blocks and the blocks between two ``missed`` robots
+    are zeroed, and the rest is added to a copy of ``store.blocks``.
+    """
+    n = len(store.team)
+    flat = factors.reshape(3 * n, 2)
+    product = ((store._update_sign * flat) @ flat.T).reshape(n, 3, n, 3)
+    diag = np.arange(n)
+    product[diag, :, diag, :] = 0.0
+    frozen = np.array([store.index[r] for r in missed], dtype=int)
+    product[frozen[:, None], :, frozen[None, :], :] = 0.0
+    return store.blocks + product

@@ -291,6 +291,39 @@ class TestServerSequentialEpoch:
         np.testing.assert_array_equal(nodes[4].state.mean, before4.mean)
         np.testing.assert_array_equal(nodes[4].state.cov, before4.cov)
 
+    def test_small_supports_with_missed_robots_match_partial_filter(self):
+        # 48 robots: measurement (1, 2) touches robots 1, 2, 5 and 6
+        # (correlated by the warm-up), (7, 8) only its endpoints, so both
+        # store updates take the support path. Robots 5 and 6 of the support
+        # miss the epoch, so their block pair is frozen, and so does robot 9
+        # outside it.
+        rng = np.random.default_rng(90)
+        ids, nodes, server, belief = build_stack(
+            rng, 48, warmup_pairs=[(1, 2), (2, 5), (2, 6)]
+        )
+        t = nodes[1].time
+        missed = frozenset({5, 6, 9})
+        z12 = rng.uniform(-1, 1, 2)
+        z78 = rng.uniform(-1, 1, 2)
+        msgs = [
+            nodes[7].landmark_message(z=z78, landmark=8),
+            nodes[8].landmark_message(),
+            nodes[1].landmark_message(z=z12, landmark=2),
+            nodes[2].landmark_message(),
+        ]
+        updates = server.handle_epoch(msgs, t, missed=missed)
+        assert set(updates) == {1, 2, 5, 6, 7, 8}
+        for i, msg in updates.items():
+            if i not in missed:
+                nodes[i].apply_update(msg)
+        for a, b, z in ((1, 2, z12), (7, 8, z78)):
+            belief, _ = joint_ekf.partial_update(
+                belief, model.RelativeMeasurement(a, b, z, t), NOISE, missed
+            )
+        assert_matches_belief(ids, nodes, belief)
+        recon = server.store.reconstruct(np.array([nodes[i].state.jac_accum for i in ids]))
+        np.testing.assert_allclose(cross_blocks(recon), cross_blocks(belief.cov), atol=EQUIV_TOL)
+
     def test_store_rows_of_missed_robot_still_updated(self):
         rng = np.random.default_rng(85)
         ids, nodes, server, belief = build_stack(rng, 4, warmup_pairs=[(3, 4), (1, 4)])

@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from splitcl import joint_ekf, model, split_ekf
 from splitcl.linalg import NumericalError, sqrt_and_inv_sqrt_2x2
 from splitcl.split_ekf import CrossFactorStore, SplitRobotState, shear
 
-from dense_oracle import cross_blocks, joint_step, one_step, random_belief
+from dense_oracle import cross_blocks, dense_store_update, joint_step, one_step, random_belief
 
 GAIN_TOL = 1e-10
 
@@ -369,6 +370,69 @@ class TestCrossFactorStore:
             np.testing.assert_array_equal(square, square.T)
             for pos in range(n):
                 np.testing.assert_array_equal(store.blocks[pos, :, pos, :], np.zeros((3, 3)))
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.one_of(st.integers(2, 64), st.integers(40, 64)),
+        seed=st.integers(0, 2**32 - 1),
+        sign=st.sampled_from([-1.0, 1.0]),
+        pass_support=st.booleans(),
+        data=st.data(),
+    )
+    def test_update_equals_the_dense_masked_product(self, n, seed, sign, pass_support, data):
+        # Supports from one robot to the whole team, so both the support
+        # path (a few robots of more than 32) and the dense path run.
+        team = tuple(range(1, n + 1))
+        size = data.draw(st.one_of(st.integers(1, min(n, 6)), st.integers(1, n)))
+        support_ids = data.draw(st.sets(st.sampled_from(team), min_size=size, max_size=size))
+        # Missed robots anywhere, and often within the support, where the
+        # masking matters.
+        missed = data.draw(st.sets(st.sampled_from(team))) | data.draw(
+            st.sets(st.sampled_from(sorted(support_ids)))
+        )
+        rng = np.random.default_rng(seed)
+        store = CrossFactorStore(team)
+        store._update_sign = sign
+        root = rng.standard_normal((3 * n, 3 * n))
+        store.blocks[:] = (root + root.T).reshape(n, 3, n, 3)
+        diag = np.arange(n)
+        store.blocks[diag, :, diag, :] = 0.0
+        support = np.array(sorted(store.index[r] for r in support_ids))
+        factors = np.zeros((n, 3, 2))
+        factors[support] = rng.standard_normal((len(support), 3, 2))
+        before = store.blocks.copy()
+        expected = dense_store_update(store, factors, missed)
+
+        store.update(factors, missed, support if pass_support else None)
+
+        np.testing.assert_array_equal(store.blocks, expected)
+        square = store.blocks.reshape(3 * n, 3 * n)
+        np.testing.assert_array_equal(square, square.T)
+        np.testing.assert_array_equal(store.blocks[diag, :, diag, :], np.zeros((n, 3, 3)))
+        inside = np.isin(diag, support)
+        held = np.isin(team, list(missed))
+        kept = ~(inside[:, None] & inside) | (held[:, None] & held)
+        after, prior = store.blocks.transpose(0, 2, 1, 3), before.transpose(0, 2, 1, 3)
+        np.testing.assert_array_equal(after[kept], prior[kept])
+        changed = ~kept & ~np.eye(n, dtype=bool)
+        np.testing.assert_allclose(
+            (after - prior)[changed],
+            (sign * factors[:, None] @ factors[None].transpose(0, 1, 3, 2))[changed],
+            atol=1e-12,
+        )
+
+    @pytest.mark.parametrize("n_support", [2, 40])
+    def test_unknown_missed_robot_raises_before_any_change(self, n_support):
+        # Two of forty robots take the support path, forty the dense one.
+        rng = np.random.default_rng(55)
+        store = CrossFactorStore(range(1, 41))
+        store.update(rng.standard_normal((40, 3, 2)))
+        factors = np.zeros((40, 3, 2))
+        factors[:n_support] = rng.standard_normal((n_support, 3, 2))
+        before = store.blocks.copy()
+        with pytest.raises(KeyError):
+            store.update(factors, missed={1, 99})
+        np.testing.assert_array_equal(store.blocks, before)
 
     def test_reconstruction_tracks_joint_filter_through_a_run(self):
         # 100 propagation steps with an update every tenth step: the stored
