@@ -9,10 +9,9 @@ into its store, and sends a fixed-size :class:`UpdateMessage` only to the
 robots whose update factor is non-zero: the measured robots and those
 correlated with them. Every other robot's factor is exactly zero, so its
 correction would be an exact no-op; it gets no message and does no work.
-The server finds that support once per measurement, in the scan that also
-collects the recipients, and hands it to the store, which then touches
-only the block pairs within the support when it is a few robots of a large
-team (otherwise it forms one dense masked product over the whole team).
+Those robots are the measurement's support. The store adds only the block
+pairs between two of them and returns the support, so the server collects
+the recipients without scanning the factors again.
 The summed payloads of a multi-measurement epoch are formed once, at the
 end, over the recipients' rows only.
 Robots that receive the message apply it; robots that miss it simply keep
@@ -258,11 +257,10 @@ class CooperationServer:
                 ))
                 continue
             shadow = new_shadow
-            # The robots with a non-zero D_i: the only ones whose store
-            # blocks, payloads and messages this measurement changes.
-            nonzero = factors.any(axis=(1, 2))
-            self.store.update(factors, missed, nonzero.nonzero()[0])
-            touched |= nonzero
+            # The store returns the robots with a non-zero D_i: the only
+            # ones whose blocks, payloads and messages this measurement
+            # changes.
+            touched |= self.store.update(factors, missed)
             singles.append((innov.white_residual, factors))
 
         if not singles:

@@ -31,10 +31,10 @@ in which the blocks between two robots that both missed the update are
 masked out: they keep their old factor, which is exactly what the
 centralized filter does to the corresponding cross block. Only the
 measurement's *support* can change: the robots whose row ``D_i`` is
-non-zero, i.e. the measured robots and those correlated with them. When
-the support is a few robots of a large team the store updates just the
-block pairs within it; otherwise one dense masked product over the whole
-team is cheaper.
+non-zero, i.e. the measured robots and those correlated with them. The
+store forms the product over the support rows and updates just the block
+pairs within the support, so a measurement between two robots of a large
+team costs what its few block pairs cost, not what the team does.
 """
 
 from __future__ import annotations
@@ -289,51 +289,40 @@ class CrossFactorStore:
             raise KeyError("cross factors are defined for distinct robots only")
         return self.blocks[self.index[i], :, self.index[j], :]
 
-    def update(
-        self,
-        factors: np.ndarray,
-        missed: AbstractSet[int] = frozenset(),
-        support: np.ndarray | None = None,
-    ) -> None:
+    def update(self, factors: np.ndarray, missed: AbstractSet[int] = frozenset()) -> np.ndarray:
         """Fold one measurement's update factors into the store.
 
-        ``factors`` is the ``(N, 3, 2)`` array ``D`` of :func:`update_factors`
-        and ``support`` the ascending team positions of its non-zero rows,
-        found from ``factors`` when not given. The store absorbs ``-D D'``
-        without its diagonal blocks and without the blocks between two
-        robots in ``missed``: those pairs keep their factor bit for bit, as
-        the centralized partial update keeps their cross block. A robot
-        outside the support has a zero row, so its blocks cannot change.
-        For a support of ``k`` robots with ``16 k² + 32²`` at most ``N²``
-        the product and its masking cover only the support's block pairs;
-        otherwise they cover the whole team. Raises ``KeyError`` for a
-        missed robot outside the team, before any block changes.
+        ``factors`` is the ``(N, 3, 2)`` array ``D`` of :func:`update_factors`.
+        The store absorbs ``-D D'`` without its diagonal blocks and without
+        the blocks between two robots in ``missed``: those pairs keep their
+        factor, as the centralized partial update keeps their cross block.
+        Only the support, the robots whose row ``D_i`` is non-zero, can
+        change, so the product is formed over the support rows alone. Each
+        block above the diagonal is added as computed and, transposed, below
+        it, which keeps the store exactly symmetric whatever the rounding of
+        the matrix product. Returns the support as a boolean mask over team
+        positions. Raises ``KeyError`` for a missed robot outside the team,
+        before any block changes.
         """
-        n = len(self.team)
-        frozen = np.array([self.index[r] for r in missed], dtype=int)
-        if support is None:
-            support = np.flatnonzero(factors.any(axis=(1, 2)))
-        # Timed on one core: a block pair on the support path costs about
-        # sixteen block adds of the dense product, and its fixed overhead
-        # about a dense update of a 32-robot team.
-        if 16 * len(support) ** 2 + 32**2 > n * n:
-            self.blocks += self._masked_product(factors, frozen)
-            return
-        held = np.flatnonzero((support[:, None] == frozen).any(axis=1))
-        product = self._masked_product(factors[support], held)
-        self.blocks[support[:, None], :, support[None, :], :] += product.transpose(0, 2, 1, 3)
-
-    def _masked_product(self, rows: np.ndarray, held: np.ndarray) -> np.ndarray:
-        """``sign R R'`` of the ``(k, 3, 2)`` factor rows ``R`` as ``(k, 3, k, 3)``
-        blocks, with the diagonal blocks and those between two ``held``
-        rows zeroed."""
-        k = len(rows)
-        flat = rows.reshape(3 * k, 2)
-        product = ((self._update_sign * flat) @ flat.T).reshape(k, 3, k, 3)
-        diag = np.arange(k)
-        product[diag, :, diag, :] = 0.0
-        product[held[:, None], :, held[None, :], :] = 0.0
-        return product
+        held = np.zeros(len(self.team), dtype=bool)
+        held[[self.index[r] for r in missed]] = True
+        nonzero = factors.any(axis=(1, 2))
+        support = nonzero.nonzero()[0]
+        k = len(support)
+        rows = factors[support].reshape(3 * k, 2)
+        product = ((self._update_sign * rows) @ rows.T).reshape(k, 3, k, 3)
+        held = held[support]
+        upper = (support[:, None] < support) & ~(held[:, None] & held)
+        half = np.where(upper[:, None, :, None], product, 0.0)
+        change = half + half.transpose(2, 3, 0, 1)
+        if k == len(self.team):
+            # Every robot is in the support, as on a small team whose robots
+            # are all correlated: the indexed add below would cost several
+            # times a plain add of the same blocks.
+            self.blocks += change
+        else:
+            self.blocks[support[:, None], :, support[None, :], :] += change.transpose(0, 2, 1, 3)
+        return nonzero
 
     def reconstruct(self, accs: np.ndarray) -> np.ndarray:
         """Every cross covariance implied by the store, shape ``(N, 3, N, 3)``.

@@ -294,9 +294,9 @@ class TestServerSequentialEpoch:
     def test_small_supports_with_missed_robots_match_partial_filter(self):
         # 48 robots: measurement (1, 2) touches robots 1, 2, 5 and 6
         # (correlated by the warm-up), (7, 8) only its endpoints, so both
-        # store updates take the support path. Robots 5 and 6 of the support
-        # miss the epoch, so their block pair is frozen, and so does robot 9
-        # outside it.
+        # store updates cover a few robots of the team. Robots 5 and 6 of
+        # the support miss the epoch, so their block pair is frozen, and so
+        # does robot 9 outside it.
         rng = np.random.default_rng(90)
         ids, nodes, server, belief = build_stack(
             rng, 48, warmup_pairs=[(1, 2), (2, 5), (2, 6)]

@@ -373,15 +373,13 @@ class TestCrossFactorStore:
 
     @settings(max_examples=120, deadline=None)
     @given(
-        n=st.one_of(st.integers(2, 64), st.integers(40, 64)),
+        n=st.one_of(st.integers(2, 12), st.integers(2, 64), st.sampled_from([66, 68, 130])),
         seed=st.integers(0, 2**32 - 1),
         sign=st.sampled_from([-1.0, 1.0]),
-        pass_support=st.booleans(),
         data=st.data(),
     )
-    def test_update_equals_the_dense_masked_product(self, n, seed, sign, pass_support, data):
-        # Supports from one robot to the whole team, so both the support
-        # path (a few robots of more than 32) and the dense path run.
+    def test_update_equals_the_dense_masked_product(self, n, seed, sign, data):
+        # Supports from one robot to the whole team.
         team = tuple(range(1, n + 1))
         size = data.draw(st.one_of(st.integers(1, min(n, 6)), st.integers(1, n)))
         support_ids = data.draw(st.sets(st.sampled_from(team), min_size=size, max_size=size))
@@ -403,13 +401,21 @@ class TestCrossFactorStore:
         before = store.blocks.copy()
         expected = dense_store_update(store, factors, missed)
 
-        store.update(factors, missed, support if pass_support else None)
+        touched = store.update(factors, missed)
 
-        np.testing.assert_array_equal(store.blocks, expected)
+        inside = np.isin(diag, support)
+        np.testing.assert_array_equal(touched, inside)
+        if n <= 64:
+            np.testing.assert_array_equal(store.blocks, expected)
+        else:
+            # OpenBLAS rounds some entries of a product over more than 64
+            # robots differently from the same entries of a smaller product
+            # (and from their own transposes), so the support rows' product
+            # and the whole team's agree only to rounding there.
+            np.testing.assert_allclose(store.blocks, expected, rtol=1e-14, atol=1e-14)
         square = store.blocks.reshape(3 * n, 3 * n)
         np.testing.assert_array_equal(square, square.T)
         np.testing.assert_array_equal(store.blocks[diag, :, diag, :], np.zeros((n, 3, 3)))
-        inside = np.isin(diag, support)
         held = np.isin(team, list(missed))
         kept = ~(inside[:, None] & inside) | (held[:, None] & held)
         after, prior = store.blocks.transpose(0, 2, 1, 3), before.transpose(0, 2, 1, 3)
@@ -421,9 +427,20 @@ class TestCrossFactorStore:
             atol=1e-12,
         )
 
+    @pytest.mark.parametrize("n", [66, 68, 130])
+    def test_store_stays_symmetric_over_the_whole_team(self, n):
+        # At these sizes OpenBLAS's product of the factors with themselves
+        # is not exactly symmetric; the store must still be.
+        rng = np.random.default_rng(56)
+        store = CrossFactorStore(range(1, n + 1))
+        for missed in (set(), {2, 5, n}):
+            store.update(rng.standard_normal((n, 3, 2)), missed=missed)
+            square = store.blocks.reshape(3 * n, 3 * n)
+            np.testing.assert_array_equal(square, square.T)
+
     @pytest.mark.parametrize("n_support", [2, 40])
     def test_unknown_missed_robot_raises_before_any_change(self, n_support):
-        # Two of forty robots take the support path, forty the dense one.
+        # A support of two of forty robots, and the whole team.
         rng = np.random.default_rng(55)
         store = CrossFactorStore(range(1, 41))
         store.update(rng.standard_normal((40, 3, 2)))
