@@ -65,8 +65,9 @@ def _cmd_run(args) -> int:
         sc = _load_scenario(args.scenario)
         estimators = _parse_estimators(args.estimators)
         _check_seed(args.seed)
-        if args.mc < 1:
-            raise ValueError(f"--mc must be at least 1, got {args.mc}")
+        for flag, count in (("--mc", args.mc), ("--jobs", args.jobs)):
+            if count < 1:
+                raise ValueError(f"{flag} must be at least 1, got {count}")
     except (FileNotFoundError, ScenarioError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -104,6 +105,8 @@ def _cmd_verify(args) -> int:
     try:
         sc = _load_scenario(args.scenario)
         _check_seed(args.seed)
+        if not 0.0 < args.tol < float("inf"):
+            raise ValueError(f"--tol must be finite and positive, got {args.tol}")
     except (FileNotFoundError, ScenarioError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -130,6 +133,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_scenario_gen(args) -> int:
     try:
+        _check_seed(args.seed)
         if args.template == "table1":
             sc = build_table1_scenario()
         else:
@@ -138,7 +142,7 @@ def _cmd_scenario_gen(args) -> int:
                 seed=args.seed,
                 bernoulli_p=args.bernoulli_p,
             )
-    except ScenarioError as exc:
+    except (ScenarioError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     out = Path(args.out)

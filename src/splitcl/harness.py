@@ -35,7 +35,8 @@ measurement epoch does a robot act on its own, as a :class:`RobotNode` over
 its rows of the team state: a measured robot builds its landmark message,
 and a robot the server sends an update message (one correlated with a
 measured robot) applies it, and its corrected rows go into a copy of the
-team. The per-robot arithmetic is the same either way.
+team. The per-robot arithmetic is the same either way, and the same for a
+robot stepped alone through :meth:`RobotNode.step`, as a team of one.
 
 Randomness is derived from a seed key; stream tags keep motion noise,
 measurement noise, initial error and channel draws independent, and

@@ -35,7 +35,7 @@ import numpy as np
 from . import split_ekf
 from .linalg import NumericalError
 from .messages import LandmarkMessage, ProtocolError, UpdateMessage
-from .split_ekf import CrossFactorStore, SplitRobotState
+from .split_ekf import CrossFactorStore, SplitRobotState, SplitTeamState
 
 EVENT_PAIR_UNREACHABLE = "PAIR_UNREACHABLE"
 EVENT_NUMERIC_S = "NUMERIC_S"
@@ -66,7 +66,7 @@ class RobotNode:
     then writes the corrected state back. Only robots whose update factor is
     non-zero receive a message; for the others the correction would be an
     exact no-op, so they keep their propagated rows. :meth:`step` is the
-    same propagation for a node on its own, a segment of one step.
+    same propagation for a node on its own, as a team of one.
     """
 
     __slots__ = ("state",)
@@ -82,20 +82,30 @@ class RobotNode:
         return node
 
     @property
-    def robot_id(self) -> int:
-        return self.state.robot_id
-
-    @property
     def time(self) -> int:
         return self.state.time
 
-    def step(self, control: np.ndarray, noise_diag: np.ndarray, dt: float) -> None:
-        """Dead-reckon one timestep; requires no communication.
+    def step(
+        self, controls: np.ndarray, noise_diags: np.ndarray, dt: float
+    ) -> list[SplitRobotState]:
+        """Dead-reckon ``L`` timesteps; requires no communication.
 
-        ``noise_diag`` is the diagonal ``[q_v, q_omega]`` of the process
-        noise covariance (see :func:`split_ekf.propagate`).
+        ``controls`` are the ``(L, 2)`` measured velocities and
+        ``noise_diags`` the ``(L, 2)`` process-noise diagonals
+        ``[q_v, q_omega]`` of the steps (``L = 1`` for a single step). The
+        node is a team of one for :func:`split_ekf.propagate_team`, so it
+        gets exactly its row's arithmetic in a team. Returns its state after
+        each step; the node keeps the last.
         """
-        self.state = split_ekf.propagate(self.state, control, noise_diag, dt)
+        rid = self.state.robot_id
+        alone = SplitTeamState.initialize((rid,), self.state.mean, self.state.cov, self.state.time)
+        alone.jac_accum[0] = self.state.jac_accum
+        controls, noise_diags = np.asarray(controls)[None], np.asarray(noise_diags)[None]
+        states = []
+        for team in split_ekf.propagate_team(alone, controls, noise_diags, dt):
+            self.state = team.robot(rid)
+            states.append(self.state)
+        return states
 
     def landmark_message(
         self, z: np.ndarray | None = None, landmark: int | None = None

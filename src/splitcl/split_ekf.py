@@ -16,8 +16,9 @@ stays constant between measurement epochs. Since no robot needs another's
 data to propagate, and nothing but its own covariance recurrence couples
 its steps, a simulator may advance the whole team's stacked states
 (:class:`SplitTeamState`) through a whole segment between two epochs with
-one :func:`propagate_team` call; each row gets exactly the arithmetic of a
-lone robot's step-by-step :func:`propagate`.
+one :func:`propagate_team` call. A robot on its own is a team of one
+(:meth:`protocol.RobotNode.step`), and each row of a team gets exactly the
+arithmetic that robot gets alone.
 
 The server keeps all factors in one dense team matrix
 (:class:`CrossFactorStore`): an ``(N, 3, N, 3)`` array in sorted-team
@@ -95,7 +96,7 @@ class SplitTeamState:
     the robots share one ``time``. Each row is still one robot's O(1)
     state: stacking only lets :func:`propagate_team` advance every robot
     through a segment with one kernel call, with the same arithmetic per
-    robot as a lone :func:`propagate`.
+    robot as for a team of one.
     """
 
     team: tuple[int, ...]
@@ -165,29 +166,6 @@ def propagate_team(
         yield SplitTeamState(
             team.team, team.index, poses[:, step], cov, accs[:, step], team.time + step
         )
-
-
-def propagate(
-    state: SplitRobotState, control: np.ndarray, noise_diag: np.ndarray, dt: float
-) -> SplitRobotState:
-    """Advance one robot one timestep: :func:`propagate_team` for a team of
-    one and a segment of one step.
-
-    ``noise_diag`` is the diagonal ``[q_v, q_omega]`` of the robot's process
-    noise covariance.
-    """
-    alone = SplitTeamState(
-        team=(state.robot_id,),
-        index={state.robot_id: 0},
-        mean=np.reshape(state.mean, (1, 3)),
-        cov=np.reshape(state.cov, (1, 3, 3)),
-        jac_accum=np.reshape(state.jac_accum, (1, 2)),
-        time=state.time,
-    )
-    (moved,) = propagate_team(
-        alone, np.reshape(control, (1, 1, 2)), np.reshape(noise_diag, (1, 1, 2)), dt
-    )
-    return moved.robot(state.robot_id)
 
 
 @dataclass(slots=True)

@@ -22,13 +22,13 @@ The step and robot of the largest deviation are reported.
 
 Both checks also police three properties along the way: the centralized
 joint covariance stays positive semidefinite (to tolerance), no received
-update ever increases a robot's covariance trace, and at every step one
-robot in turn, stepped alone through :meth:`RobotNode.step` from its row
-of the previous step's team, lands bit for bit on its row of the team's
-step. Both loops step the team by segment, one motion-kernel call per
-stretch of steps between measurement epochs, and still yield every step,
-so every check here still sees every step. A caller may pass the
-noise-free ``truth`` to skip simulating it.
+update ever increases a robot's covariance trace, and per segment
+(:func:`harness.segments`) one robot in turn, stepped alone through the
+whole segment by one :meth:`RobotNode.step` call from its rows of the team
+the segment starts from, lands bit for bit on its row of the team at every
+step. Both loops step the team by segment and still yield every step, so
+every check here sees every step. A caller may pass the noise-free
+``truth`` to skip simulating it.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .harness import (
     epoch_report,
     joint_steps,
     seed_key,
+    segments,
     split_steps,
 )
 from .network import gate_measurement
@@ -127,11 +128,10 @@ def check_dropout_equivalence(
     return _run_side_by_side(sc, seed, True, corrupt_cross_sign, truth)
 
 
-def _cholesky_passes(belief) -> bool:
-    """Whether the joint covariance plus ``EIG_TOL I`` has a Cholesky factor."""
-    joint = belief.joint_matrix()
+def _cholesky_passes(belief, shift: np.ndarray) -> bool:
+    """Whether the joint covariance plus ``shift = EIG_TOL I`` has a Cholesky factor."""
     try:
-        np.linalg.cholesky(joint + EIG_TOL * np.eye(len(joint)))
+        np.linalg.cholesky(belief.joint_matrix() + shift)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -154,62 +154,69 @@ def _run_side_by_side(
         split_steps(sc, real, reports, server, events),
         joint_steps(sc, real, reports, events, PARTIAL_ORACLE if dropouts else JOINT_EKF),
     )
-    upper = np.triu(np.ones((len(ids), len(ids)), dtype=bool), k=1)
+    n = len(ids)
+    # Blocks on and below the block diagonal: a cross block counts for its lower-id robot.
+    robot = np.arange(3 * n) // 3
+    below = (robot <= robot[:, None]).reshape(n, 3, n, 3)
+    shift = EIG_TOL * np.eye(3 * n)
 
     # Largest position, heading, own-covariance and cross-block deviation
-    # over the run, and per step and robot the largest of the four; a cross
-    # block counts for its lower-id robot.
+    # over the run, and per step and robot the largest of the four.
     max_diffs = np.zeros(4)
-    local = np.empty((sc.n_steps, len(ids)))
+    local = np.empty((sc.n_steps, n))
     min_eig = math.inf
     max_trace_increase = -math.inf
     missed_exact = True
     lone_exact = True
     n_epochs = n_meas = 0
 
-    (_, previous), _ = next(steps)
-    for k, ((propagated, team), belief) in enumerate(steps, start=1):
-        # One robot per step, in turn, also steps alone from its rows of the
-        # previous step's team, as the robot itself would; the team's
-        # segment step must match it.
-        a = (k - 1) % len(ids)
-        lone = RobotNode.over(previous.robot(ids[a]))
-        lone.step(real.controls_meas[a, k - 1], real.filter_q[a, k - 1], sc.dt_s)
-        lone_exact = lone_exact and (
-            np.array_equal(lone.state.mean, propagated.mean[a])
-            and np.array_equal(lone.state.cov, propagated.cov[a])
-            and np.array_equal(lone.state.jac_accum, propagated.jac_accum[a])
+    (_, team), _ = next(steps)
+    for s, (k0, k1) in enumerate(segments(sc, real.measurements)):
+        # One robot per segment, in turn, also steps the segment alone from its
+        # rows of the team at its start; the team must match it at every step.
+        a = s % n
+        alone = RobotNode.over(team.robot(ids[a])).step(
+            real.controls_meas[a, k0:k1], real.filter_q[a, k0:k1], sc.dt_s
         )
-        previous = team
+        for k, lone in enumerate(alone, start=k0 + 1):
+            (propagated, team), belief = next(steps)
+            lone_exact = lone_exact and (
+                np.array_equal(lone.mean, propagated.mean[a])
+                and np.array_equal(lone.cov, propagated.cov[a])
+                and np.array_equal(lone.jac_accum, propagated.jac_accum[a])
+            )
 
-        if k in real.measurements:
-            report = epoch_report(reports, ids, k)
-            gated = [m for m in real.measurements[k] if gate_measurement(report, m)]
-            if gated:
-                n_epochs += 1
-                n_meas += len(gated)
-                missed = np.isin(ids, list(report.missed))
-                missed_exact = missed_exact and (
-                    np.array_equal(team.mean[missed], propagated.mean[missed])
-                    and np.array_equal(team.cov[missed], propagated.cov[missed])
-                )
-                delta = np.trace(team.cov, axis1=1, axis2=2) - np.trace(
-                    propagated.cov, axis1=1, axis2=2
-                )
-                max_trace_increase = max(max_trace_increase, float(delta[~missed].max()))
+            if k in real.measurements:
+                report = epoch_report(reports, ids, k)
+                gated = [m for m in real.measurements[k] if gate_measurement(report, m)]
+                if gated:
+                    n_epochs += 1
+                    n_meas += len(gated)
+                    missed = np.isin(ids, list(report.missed))
+                    missed_exact = missed_exact and (
+                        np.array_equal(team.mean[missed], propagated.mean[missed])
+                        and np.array_equal(team.cov[missed], propagated.cov[missed])
+                    )
+                    delta = np.trace(team.cov, axis1=1, axis2=2) - np.trace(
+                        propagated.cov, axis1=1, axis2=2
+                    )
+                    max_trace_increase = max(max_trace_increase, float(delta[~missed].max()))
 
-        if k in real.measurements or k == sc.n_steps or not _cholesky_passes(belief):
-            min_eig = min(min_eig, belief.min_eigenvalue())
-        offset = team.mean - belief.mean
-        cross = np.abs(server.store.reconstruct(team.jac_accum) - belief.cov).max(axis=(1, 3))
-        diffs = np.array([
-            np.abs(offset[:, :2]).max(axis=1),
-            np.abs(np.arctan2(np.sin(offset[:, 2]), np.cos(offset[:, 2]))),
-            np.abs(team.cov - belief.own_covs()).max(axis=(1, 2)),
-            np.where(upper, cross, 0.0).max(axis=1),
-        ])
-        max_diffs = np.maximum(max_diffs, diffs.max(axis=1))
-        local[k - 1] = diffs.max(axis=0)
+            if k in real.measurements or k == sc.n_steps or not _cholesky_passes(belief, shift):
+                min_eig = min(min_eig, belief.min_eigenvalue())
+            offset = team.mean - belief.mean
+            own = np.diagonal(belief.cov, axis1=0, axis2=2).transpose(2, 0, 1)
+            # Zeros copied in, not multiplied in, which would make a masked inf a NaN.
+            cross = np.abs(server.store.reconstruct(team.jac_accum) - belief.cov)
+            np.copyto(cross, 0.0, where=below)
+            diffs = np.array([
+                np.abs(offset[:, :2]).max(axis=1),
+                np.abs(np.arctan2(np.sin(offset[:, 2]), np.cos(offset[:, 2]))),
+                np.abs(team.cov - own).max(axis=(1, 2)),
+                cross.reshape(n, -1).max(axis=1),
+            ])
+            max_diffs = np.maximum(max_diffs, diffs.max(axis=1))
+            local[k - 1] = diffs.max(axis=0)
     events.extend(server.events)
 
     worst_step, worst_pos = np.unravel_index(np.argmax(local), local.shape)

@@ -9,6 +9,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from splitcl import cli, harness, joint_ekf, verify
 from splitcl.linalg import NumericalError
@@ -107,6 +108,23 @@ def test_run_negative_seed_is_invalid_input(tmp_path, capsys):
     assert cli.main(argv) == cli.EXIT_USAGE
     assert "error: --seed must be non-negative, got -1" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["scenario-gen", "random", "--seed", "-1", "--out", "out/x.json"],
+     "--seed must be non-negative, got -1"),
+    (["verify", "--scenario", "table1", "--tol", "nan"], "--tol must be finite and positive"),
+    (["verify", "--scenario", "table1", "--tol", "-1"], "--tol must be finite and positive"),
+    (["run", "--scenario", "table1", "--jobs", "0", "--out", "out"],
+     "--jobs must be at least 1, got 0"),
+    (["run", "--scenario", "table1", "--jobs", "-2", "--out", "out"],
+     "--jobs must be at least 1, got -2"),
+], ids=["gen-seed", "tol-nan", "tol-negative", "jobs-zero", "jobs-negative"])
+def test_out_of_range_argument_is_invalid_input(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_non_finite_scenario_is_invalid_input(tmp_path, capsys):

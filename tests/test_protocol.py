@@ -35,7 +35,7 @@ def build_stack(rng, n_robots, warmup_steps=20, warmup_pairs=()):
     for step in range(warmup_steps):
         controls = rng.uniform(-1, 1, (n_robots, 2))
         for a, i in enumerate(ids):
-            nodes[i].step(controls[a], q, 0.1)
+            nodes[i].step(controls[a:a + 1], q[None], 0.1)
         belief = joint_step(belief, controls, np.tile(q, (n_robots, 1)), 0.1)
         if warmup_pairs and step == warmup_steps // 2:
             t = nodes[ids[0]].time
@@ -61,21 +61,25 @@ def assert_matches_belief(ids, nodes, belief, tol=EQUIV_TOL):
 
 
 class TestRobotNode:
-    def test_step_delegates_to_split_propagate(self):
+    def test_step_is_one_team_of_one_segment(self):
         rng = np.random.default_rng(70)
         node = RobotNode(1, rng.uniform(-1, 1, 3), np.eye(3) * 0.1)
-        expected = split_ekf.propagate(
-            node.state, np.array([0.5, 0.1]), np.array([0.01, 0.01]), 0.1
-        )
-        node.step(np.array([0.5, 0.1]), np.array([0.01, 0.01]), 0.1)
-        np.testing.assert_array_equal(node.state.mean, expected.mean)
-        np.testing.assert_array_equal(node.state.cov, expected.cov)
-        assert node.time == 1
+        controls = rng.uniform(-1, 1, (5, 2))
+        q = np.full((5, 2), 0.01)
+        alone = split_ekf.SplitTeamState.initialize((1,), node.state.mean, node.state.cov)
+        expected = list(split_ekf.propagate_team(alone, controls[None], q[None], 0.1))
+        states = node.step(controls, q, 0.1)
+        assert [s.time for s in states] == [1, 2, 3, 4, 5]
+        for got, want in zip(states, expected, strict=True):
+            np.testing.assert_array_equal(got.mean, want.mean[0])
+            np.testing.assert_array_equal(got.cov, want.cov[0])
+            np.testing.assert_array_equal(got.jac_accum, want.jac_accum[0])
+        assert node.state is states[-1]
 
     def test_landmark_message_mirrors_state(self):
         rng = np.random.default_rng(71)
         node = RobotNode(2, rng.uniform(-1, 1, 3), np.eye(3) * 0.1)
-        node.step(np.array([0.3, 0.0]), np.array([0.01, 0.01]), 0.1)
+        node.step(np.array([[0.3, 0.0]]), np.array([[0.01, 0.01]]), 0.1)
         msg = node.landmark_message(z=np.array([1.0, 2.0]), landmark=4)
         assert msg.sender == 2 and msg.time == 1 and msg.landmark == 4
         np.testing.assert_array_equal(msg.mean, node.state.mean)
@@ -87,7 +91,7 @@ class TestRobotNode:
     def test_stale_update_discarded(self):
         rng = np.random.default_rng(72)
         node = RobotNode(1, rng.uniform(-1, 1, 3), np.eye(3) * 0.1)
-        node.step(np.zeros(2), np.array([0.01, 0.01]), 0.1)
+        node.step(np.zeros((1, 2)), np.array([[0.01, 0.01]]), 0.1)
         stale = UpdateMessage(1, 0, "single", np.ones(2), np.ones((3, 2)) * 0.01)
         before = node.state.mean.copy()
         assert node.apply_update(stale) is False

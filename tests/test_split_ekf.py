@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from splitcl import joint_ekf, model, split_ekf
 from splitcl.linalg import NumericalError, sqrt_and_inv_sqrt_2x2
+from splitcl.protocol import RobotNode
 from splitcl.split_ekf import CrossFactorStore, SplitRobotState, shear
 
 from dense_oracle import cross_blocks, dense_store_update, joint_step, one_step, random_belief
@@ -52,51 +53,58 @@ def set_factor(store, i, j, block):
     store.factor(j, i)[:] = block.T
 
 
+def step_alone(state, control, q, dt=0.1):
+    """``state`` one step on, through a node of its own."""
+    (out,) = RobotNode.over(state).step([control], [q], dt)
+    return out
+
+
 class TestPropagate:
     def test_one_step_accumulates_single_jacobian(self):
         rng = np.random.default_rng(30)
         state = make_state(rng, 1)
         control = rng.uniform(-1, 1, 2)
         q = np.array([0.01, 0.004])
-        out = split_ekf.propagate(state, control, q, 0.1)
+        out = step_alone(state, control, q)
         _, f, _ = one_step(state.mean, control, 0.1)
         np.testing.assert_array_equal(shear(out.jac_accum), f @ np.eye(3))
         assert out.time == 1
 
     def test_accumulator_is_product_of_step_jacobians(self):
+        # One segment of 25 steps; the accumulator after each step is the
+        # product of the Jacobians so far.
         rng = np.random.default_rng(31)
         state = make_state(rng, 2)
-        q = np.array([0.01, 0.004])
+        controls = rng.uniform(-1, 1, (25, 2))
+        states = RobotNode.over(state).step(controls, np.tile([0.01, 0.004], (25, 1)), 0.1)
         product = np.eye(3)
-        for _ in range(25):
-            control = rng.uniform(-1, 1, 2)
-            _, f, _ = one_step(state.mean, control, 0.1)
+        for before, control, after in zip([state, *states], controls, states):
+            _, f, _ = one_step(before.mean, control, 0.1)
             product = f @ product
-            state = split_ekf.propagate(state, control, q, 0.1)
-        np.testing.assert_array_equal(shear(state.jac_accum), product)
+            np.testing.assert_array_equal(shear(after.jac_accum), product)
 
     def test_trajectory_matches_joint_filter_block(self):
         rng = np.random.default_rng(32)
         belief = random_belief(rng, 3)
         states, _ = split_team_from_belief(belief)
         q = np.tile([0.02, 0.01], (3, 1))
-        for _ in range(50):
-            controls = rng.uniform(-1, 1, (3, 2))
-            belief = joint_step(belief, controls, q, 0.1)
-            for i in states:
-                a = belief.index[i]
-                states[i] = split_ekf.propagate(states[i], controls[a], q[a], 0.1)
+        controls = rng.uniform(-1, 1, (50, 3, 2))
+        for step in controls:
+            belief = joint_step(belief, step, q, 0.1)
         for i in states:
-            np.testing.assert_allclose(states[i].mean, belief.mean[belief.index[i]], atol=1e-12)
-            np.testing.assert_allclose(states[i].cov, belief.block(i, i), atol=1e-12)
+            a = belief.index[i]
+            node = RobotNode.over(states[i])
+            node.step(controls[:, a], np.tile(q[a], (50, 1)), 0.1)
+            np.testing.assert_allclose(node.state.mean, belief.mean[a], atol=1e-12)
+            np.testing.assert_allclose(node.state.cov, belief.block(i, i), atol=1e-12)
 
     def test_per_robot_updates_commute(self):
         rng = np.random.default_rng(33)
         s1, s2 = make_state(rng, 1), make_state(rng, 2)
         u1, u2 = rng.uniform(-1, 1, (2, 2))
         q = np.array([0.01, 0.01])
-        a_then_b = (split_ekf.propagate(s1, u1, q, 0.1), split_ekf.propagate(s2, u2, q, 0.1))
-        b_then_a = (split_ekf.propagate(s2, u2, q, 0.1), split_ekf.propagate(s1, u1, q, 0.1))
+        a_then_b = (step_alone(s1, u1, q), step_alone(s2, u2, q))
+        b_then_a = (step_alone(s2, u2, q), step_alone(s1, u1, q))
         np.testing.assert_array_equal(a_then_b[0].mean, b_then_a[1].mean)
         np.testing.assert_array_equal(a_then_b[1].cov, b_then_a[0].cov)
 
@@ -465,7 +473,7 @@ class TestCrossFactorStore:
             belief = joint_step(belief, controls, q, 0.1)
             for i in states:
                 a = belief.index[i]
-                states[i] = split_ekf.propagate(states[i], controls[a], q[a], 0.1)
+                states[i] = step_alone(states[i], controls[a], q[a])
             if step % 10 == 0:
                 a, b = pairs[(step // 10) % 3]
                 z = rng.uniform(-1, 1, 2)

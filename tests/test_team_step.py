@@ -19,11 +19,13 @@ from splitcl.model import ModelError
 from splitcl.network import gate_measurement
 from splitcl.protocol import EVENT_NUMERIC_S, CooperationServer, ProtocolEvent, RobotNode
 from splitcl.scenario import Scenario, SpiralPath, build_table1_scenario
-from splitcl.split_ekf import SplitRobotState, SplitTeamState
+from splitcl.split_ekf import SplitTeamState
 
 N_ROBOTS = 7
 N_STEPS = 200
 DT = 0.1
+# Segments of uneven lengths, one step long among them.
+SEGMENTS = list(zip([0, 1, 2, 50, 51, 137], [1, 2, 50, 51, 137, N_STEPS]))
 
 
 def ref_wrap_angle(a):
@@ -136,9 +138,7 @@ def test_batched_split_step_is_the_per_robot_step(seed):
     team = team_from(means, covs)
     ref = [(means[a], covs[a], np.eye(3)) for a in range(N_ROBOTS)]
     wrapped_far = False
-    # Segments of uneven lengths, one step long among them.
-    bounds = [0, 1, 2, 50, 51, 137, N_STEPS]
-    for k0, k1 in zip(bounds, bounds[1:]):
+    for k0, k1 in SEGMENTS:
         segment = split_ekf.propagate_team(team, controls[:, k0:k1], q_diags[:, k0:k1], DT)
         for k, team in enumerate(segment, start=k0):
             wrapped_far |= bool(
@@ -162,14 +162,17 @@ def test_robot_node_step_is_the_per_robot_step():
     for a in range(N_ROBOTS):
         node = RobotNode(a + 1, means[a], covs[a])
         mean, cov, acc = means[a], covs[a], np.eye(3)
-        for k in range(N_STEPS):
-            node.step(controls[a, k], q_diags[a, k], DT)
-            mean, cov, acc = ref_split_propagate(
-                mean, cov, acc, controls[a, k], np.diag(q_diags[a, k]), DT
-            )
-            np.testing.assert_array_equal(node.state.mean, mean)
-            np.testing.assert_array_equal(node.state.cov, cov)
-            assert_is_shear_of(node.state.jac_accum, acc)
+        for k0, k1 in SEGMENTS:
+            states = node.step(controls[a, k0:k1], q_diags[a, k0:k1], DT)
+            assert len(states) == k1 - k0
+            for k, state in enumerate(states, start=k0):
+                mean, cov, acc = ref_split_propagate(
+                    mean, cov, acc, controls[a, k], np.diag(q_diags[a, k]), DT
+                )
+                np.testing.assert_array_equal(state.mean, mean)
+                np.testing.assert_array_equal(state.cov, cov)
+                assert_is_shear_of(state.jac_accum, acc)
+                assert state.time == k + 1
         assert node.time == N_STEPS
 
 
@@ -299,14 +302,14 @@ def test_non_positive_dt_is_rejected():
 
 def test_lone_robot_state_is_one_team_row():
     means, covs, controls, q_diags = random_team(8)
-    team = next(split_ekf.propagate_team(team_from(means, covs), controls, q_diags, DT))
-    alone = split_ekf.propagate(
-        SplitRobotState.initialize(3, means[2], covs[2]), controls[2, 0], q_diags[2, 0], DT
-    )
-    row = team.robot(3)
-    for field in ("mean", "cov", "jac_accum"):
-        np.testing.assert_array_equal(getattr(alone, field), getattr(row, field))
-    assert (alone.robot_id, alone.time) == (row.robot_id, row.time) == (3, 1)
+    teams = split_ekf.propagate_team(team_from(means, covs), controls, q_diags, DT)
+    alone = RobotNode(3, means[2], covs[2]).step(controls[2], q_diags[2], DT)
+    for team, lone in zip(teams, alone, strict=True):
+        row = team.robot(3)
+        for field in ("mean", "cov", "jac_accum"):
+            np.testing.assert_array_equal(getattr(lone, field), getattr(row, field))
+        assert (lone.robot_id, lone.time) == (row.robot_id, row.time)
+    assert lone.time == N_STEPS
 
 
 def test_run_once_calls_the_kernel_once_per_segment(monkeypatch):

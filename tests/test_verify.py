@@ -3,6 +3,7 @@
 A 1e-6 error is planted for one step only, into one server store block or
 into one robot's own covariance; the report must name that step and robot
 and fail the 1e-8 gate, while every other deviation stays at rounding level.
+Planted into a robot stepped alone, it must fail the lone-step check.
 An indefinite joint covariance planted between epochs must fail it too.
 """
 
@@ -92,21 +93,45 @@ def test_robot_covariance_error_is_named_by_step_and_robot(table1, monkeypatch):
     assert not report.passed(TOL)
 
 
-def test_lone_step_off_the_team_step_fails_the_check(table1, monkeypatch):
-    # Only the robot stepped alone at step 700 is off; the team is not.
+def plant_in_lone_steps(monkeypatch, step, field):
+    """Every lone robot's state at ``step`` comes back ``PLANT`` off in ``field``."""
     original = RobotNode.step
 
-    def step_with_error(self, control, noise_diag, dt):
-        original(self, control, noise_diag, dt)
-        if self.time == 700:
-            self.state.mean = self.state.mean + PLANT * CORNER[0]
+    def step_with_error(self, controls, noise_diags, dt):
+        states = original(self, controls, noise_diags, dt)
+        for state in states:
+            if state.time == step:
+                setattr(state, field, getattr(state, field) + PLANT)
+        return states
 
     monkeypatch.setattr(RobotNode, "step", step_with_error)
+
+
+def test_lone_step_off_the_team_step_fails_the_check(table1, monkeypatch):
+    # Only the robot stepped alone at step 700 is off; the team is not.
+    plant_in_lone_steps(monkeypatch, 700, "mean")
     report = check_exact_equivalence(table1)
     assert not report.lone_steps_exact
     assert report.max_discrepancy() < 1e-12
     assert not report.passed(TOL)
     assert "lone steps DIFFER" in report.summary()
+
+
+def test_lone_step_off_inside_a_segment_fails_the_check(monkeypatch):
+    # The lone robot is off at the first step of a segment only, so a check
+    # of the segments' last steps would miss it.
+    sc = build_table1_scenario()
+    real = harness.build_realization(sc, harness.seed_key(sc, None))
+    k0, k1 = next(
+        (k0, k1)
+        for k0, k1 in harness.segments(sc, real.measurements)
+        if k0 > min(real.measurements) and k1 - k0 > 1
+    )
+    plant_in_lone_steps(monkeypatch, k0 + 1, "jac_accum")
+    report = check_dropout_equivalence(sc)
+    assert not report.lone_steps_exact
+    assert report.max_discrepancy() < 1e-12
+    assert not report.passed(TOL)
 
 
 def test_scenario_shorter_than_one_step_is_rejected():
