@@ -21,6 +21,7 @@ from pathlib import Path
 
 from . import harness, verify
 from .scenario import (
+    MAX_ROBOTS,
     Scenario,
     ScenarioError,
     build_table1_scenario,
@@ -186,7 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("scenario-gen", help="write a scenario file from a template")
     gen.add_argument("template", choices=["table1", "random"])
-    gen.add_argument("--robots", type=int, default=4, help="team size (random template)")
+    gen.add_argument(
+        "--robots", type=int, default=4, help=f"team size, at most {MAX_ROBOTS} (random template)"
+    )
     gen.add_argument("--seed", type=int, default=1, help="seed (random template)")
     gen.add_argument("--bernoulli-p", type=float, default=0.0, help="loss probability (random template)")
     gen.add_argument("--out", required=True, help="output scenario file")

@@ -28,15 +28,17 @@ call takes more than about a thousand robot-steps, which bounds the
 temporaries of a call (twelve calls for the truth of table1). The split
 stack holds the robots' local states as one
 :class:`split_ekf.SplitTeamState` advanced by
-:func:`split_ekf.propagate_team`, and the centralized filter goes through
-:func:`joint_ekf.propagate_segment`; both keep only their covariance
-recurrence per step, and both loops still yield every step. Only at a
-measurement epoch does a robot act on its own, as a :class:`RobotNode` over
-its rows of the team state: a measured robot builds its landmark message,
-and a robot the server sends an update message (one correlated with a
-measured robot) applies it, and its corrected rows go into a copy of the
-team. The per-robot arithmetic is the same either way, and the same for a
-robot stepped alone through :meth:`RobotNode.step`, as a team of one.
+:func:`split_ekf.propagate_team`, which forms every step's covariances of
+a segment in closed form, and the centralized filter goes through
+:func:`joint_ekf.propagate_segment`, which keeps its covariance recurrence
+per step as the independent reference; both loops still yield every step.
+Only at a measurement epoch does a robot act on its own, as a
+:class:`RobotNode` over its rows of the team state: a measured robot builds
+its landmark message, and a robot the server sends an update message (one
+correlated with a measured robot) applies it, and its corrected rows go
+into a copy of the team. The per-robot arithmetic is the same either way,
+and the same for a robot stepped alone through :meth:`RobotNode.step`, as a
+team of one.
 
 Randomness is derived from a seed key; stream tags keep motion noise,
 measurement noise, initial error and channel draws independent, and
@@ -436,8 +438,26 @@ def _reduce_run(rec: RunRecord) -> tuple[dict, dict, dict, list]:
         c = rec.covs[name]
         if c is not None and not rec.flagged[name]:
             e = _wrapped_error(rec.estimates[name], rec.truth)
-            nees[name] = np.einsum("rti,rti->rt", e, np.linalg.solve(c, e[..., None])[..., 0])
+            nees[name] = _nees(e, c)
     return pos_err, nees, dict(rec.flagged), list(rec.events)
+
+
+def _nees(err: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """``e' P^-1 e`` for errors ``(..., 3)`` and covariances ``(..., 3, 3)``.
+
+    Formed elementwise as ``e' C e / det(P)`` from ``P``'s cofactors ``C``,
+    the transposed adjugate: over a run's ``(N, T+1)`` blocks a batched
+    LAPACK solve costs several times as much.
+    """
+    (a, b, c), (d, e, f), (g, h, i) = np.moveaxis(cov, (-2, -1), (0, 1))
+    x, y, z = np.moveaxis(err, -1, 0)
+    cof = (
+        (e * i - f * h, f * g - d * i, d * h - e * g),
+        (c * h - b * i, a * i - c * g, b * g - a * h),
+        (b * f - c * e, c * d - a * f, a * e - b * d),
+    )
+    quad = sum(u * (row[0] * x + row[1] * y + row[2] * z) for u, row in zip((x, y, z), cof))
+    return quad / (a * cof[0][0] + b * cof[0][1] + c * cof[0][2])
 
 
 def _mc_worker(args) -> tuple[int, dict, dict, dict, list]:

@@ -208,15 +208,27 @@ def process_noise(g_jacs: np.ndarray, q_diags: np.ndarray) -> np.ndarray:
 
     ``g_jacs`` are noise Jacobians of :func:`propagate_pose`, ``(..., 3, 2)``,
     and ``q_diags`` the matching ``(..., 2)`` variances of the linear and
-    angular velocity noise. ``G diag(q)`` scales the columns of ``G``;
+    angular velocity noise. Such a ``G`` has zeros in its first column's
+    last entry and its second column's first two, so the product has four
+    distinct non-zero entries, ``(g_i q) g_j`` for ``i, j < 2`` from the
+    first column and ``(g q) g`` in the heading corner from the second.
+    They are written elementwise, associated as ``(G diag(q)) G'`` is, and
     every other term of that product is an exact zero, so this is the
-    value of ``G @ diag(q) @ G'``.
+    value of ``G @ diag(q) @ G'`` without a batched matrix product.
     """
     q_diags = np.asarray(q_diags, dtype=float)
     expected = g_jacs.shape[:-2] + (2,)
     if q_diags.shape != expected:
         raise ModelError(f"expected noise diagonals {expected}, got {q_diags.shape}")
-    return (g_jacs * q_diags[..., None, :]) @ g_jacs.swapaxes(-1, -2)
+    out = np.zeros(g_jacs.shape[:-1] + (3,))
+    gx, gy, turn = g_jacs[..., 0, 0], g_jacs[..., 1, 0], g_jacs[..., 2, 1]
+    gx_q, gy_q = gx * q_diags[..., 0], gy * q_diags[..., 0]
+    np.multiply(gx_q, gx, out=out[..., 0, 0])
+    np.multiply(gx_q, gy, out=out[..., 0, 1])
+    np.multiply(gy_q, gx, out=out[..., 1, 0])
+    np.multiply(gy_q, gy, out=out[..., 1, 1])
+    np.multiply(turn * q_diags[..., 1], turn, out=out[..., 2, 2])
+    return out
 
 
 def relative_position(observer_pose: np.ndarray, landmark_pose: np.ndarray) -> np.ndarray:

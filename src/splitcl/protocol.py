@@ -94,7 +94,8 @@ class RobotNode:
         ``noise_diags`` the ``(L, 2)`` process-noise diagonals
         ``[q_v, q_omega]`` of the steps (``L = 1`` for a single step). The
         node is a team of one for :func:`split_ekf.propagate_team`, so it
-        gets exactly its row's arithmetic in a team. Returns its state after
+        gets exactly its row's arithmetic in a team, the closed-form
+        covariances of the whole stretch included. Returns its state after
         each step; the node keeps the last.
         """
         rid = self.state.robot_id

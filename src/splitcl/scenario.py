@@ -3,7 +3,8 @@
 A scenario is a plain JSON document (format tag ``splitcl-scenario/1``) with
 the following keys; distances are meters, times seconds, angles radians:
 
-``n_robots``            team size N; robots are labelled 1..N
+``n_robots``            team size N, at most ``MAX_ROBOTS``; robots are
+                        labelled 1..N
 ``duration_s``          simulated time span
 ``dt_s``                integration step
 ``path``                square-spiral geometry, object with ``side0``
@@ -58,6 +59,11 @@ FORMAT_TAG = "splitcl-scenario/1"
 # Lower bound on filter-side process-noise variances, keeps Q positive
 # definite through zero-velocity segments.
 PROCESS_NOISE_FLOOR = 1e-6
+
+# Largest team a scenario may hold. The server's factor store and the
+# centralized filter's covariance are dense, 72 N^2 bytes each: 75 MB at
+# this size, and a mistyped team size is refused before anything is built.
+MAX_ROBOTS = 1024
 
 
 class ScenarioError(ValueError):
@@ -142,8 +148,7 @@ class Scenario:
         non_finite = [name for name, value in asdict(self).items() if not _all_finite(value)]
         if non_finite:
             raise ScenarioError(f"non-finite values in {non_finite}")
-        if self.n_robots < 1:
-            raise ScenarioError("n_robots must be at least 1")
+        _check_team_size(self.n_robots)
         if self.dt_s <= 0 or self.duration_s <= 0:
             raise ScenarioError("dt_s and duration_s must be positive")
         if self.n_steps < 1:
@@ -278,6 +283,13 @@ class Scenario:
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"scenario file {p} is not valid JSON: {exc}") from exc
         return cls.from_dict(doc)
+
+
+def _check_team_size(n_robots: int) -> None:
+    if n_robots < 1:
+        raise ScenarioError("n_robots must be at least 1")
+    if n_robots > MAX_ROBOTS:
+        raise ScenarioError(f"n_robots must be at most {MAX_ROBOTS}, got {n_robots}")
 
 
 def _all_finite(value) -> bool:
@@ -438,6 +450,7 @@ def random_scenario(
     """
     if n_robots < 2:
         raise ScenarioError("random scenarios need at least 2 robots")
+    _check_team_size(n_robots)
     rng = np.random.default_rng(seed)
     windows = []
     t = window_every_s

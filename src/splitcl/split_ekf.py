@@ -12,9 +12,11 @@ factor held by the server. Every ``F`` is a shear (see :mod:`model`), so
 stores that 2-vector, and ``A_i``'s inverse is exactly the shear of its
 negation. Propagation then touches only local quantities: each robot
 advances its own estimate, covariance and ``A_i``, while every ``C_ij``
-stays constant between measurement epochs. Since no robot needs another's
-data to propagate, and nothing but its own covariance recurrence couples
-its steps, a simulator may advance the whole team's stacked states
+stays constant between measurement epochs. No robot needs another's data
+to propagate, and since the shears compose by adding translations, a
+robot's covariance at every step of a segment follows in closed form from
+running sums over the segment, with no step-by-step recurrence. A
+simulator therefore advances the whole team's stacked states
 (:class:`SplitTeamState`) through a whole segment between two epochs with
 one :func:`propagate_team` call. A robot on its own is a team of one
 (:meth:`protocol.RobotNode.step`), and each row of a team gets exactly the
@@ -151,20 +153,61 @@ def propagate_team(
     covariances, both in team order. Yields the team after each step. One
     :func:`model.propagate_pose` call gives every mean and, as running
     sums of the steps' shear translations, every accumulated Jacobian
-    ``F A``; the steps' ``F`` and ``G Q G'`` are formed once for the
-    segment, so per step only the covariances' ``F P F' + G Q G'`` is left.
+    ``F A``. The covariances of every step come in closed form, with no
+    per-step recurrence: the product of a segment's first ``k`` shears is
+    the shear ``S(s_k)`` of their summed translation ``s_k``, so
+    ``F P F' + G Q G'`` unrolls to::
+
+        P_k = S(s_k) [P_0 + sum_{j <= k} S(-s_j) N_j S(-s_j)'] S(s_k)'
+
+    with ``N_j = G Q G'``. The bracket is one running sum over the segment,
+    and ``S(u) M S(u)'`` only adds ``u``-multiples of ``M``'s last row and
+    column to its position block. Only the six distinct entries of each
+    symmetric matrix are formed, so every covariance comes out exactly
+    symmetric, and every operation is elementwise per robot and step, so
+    each row of a team gets exactly the arithmetic that robot gets alone.
+    The yielded covariances are views of one ``(L, N, 3, 3)`` array.
     """
     poses, translations, g_jacs = model.propagate_pose(team.mean, controls, dt)
     accs = np.concatenate([team.jac_accum[:, None], translations], axis=1)
     np.add.accumulate(accs, axis=1, out=accs)
-    # Time-major, so each step's slice is one block of memory.
-    f_jacs = shear(translations.transpose(1, 0, 2))
-    noise = model.process_noise(g_jacs, noise_diags).transpose(1, 0, 2, 3)
-    cov = team.cov
-    for step, f_jac in enumerate(f_jacs, start=1):
-        cov = f_jac @ cov @ f_jac.transpose(0, 2, 1) + noise[step - 1]
+    # Time-major from here, so each step's covariances are one block of memory.
+    shift = np.add.accumulate(translations.transpose(1, 0, 2), axis=0)
+    noise = model.process_noise(g_jacs.transpose(1, 0, 2, 3), noise_diags.transpose(1, 0, 2))
+    sx, sy = shift[..., 0], shift[..., 1]
+    w = noise[..., 2, 2]
+    wx, wy = w * sx, w * sy
+    # Running sums of the distinct entries 00, 01, 11, 02, 12, 22 of the
+    # bracket, P_0 first. N's last column is (0, 0, w), so S(-s) N S(-s)' is
+    # N plus w s s' in the position block and -w s beside it.
+    steps = shift.shape[0]
+    sums = np.empty((steps + 1, 6, len(team.team)))
+    sums[0] = team.cov[:, [0, 0, 1, 0, 1, 2], [0, 1, 1, 2, 2, 2]].T
+    terms = sums[1:]
+    np.add(noise[..., 0, 0], wx * sx, out=terms[:, 0])
+    np.add(noise[..., 0, 1], wx * sy, out=terms[:, 1])
+    np.add(noise[..., 1, 1], wy * sy, out=terms[:, 2])
+    np.negative(wx, out=terms[:, 3])
+    np.negative(wy, out=terms[:, 4])
+    terms[:, 5] = w
+    np.add.accumulate(sums, axis=0, out=sums)
+    b00, b01, b11, b02, b12, b22 = terms.transpose(1, 0, 2)
+    # S(s) B S(s)': the last column b becomes p = b + b22 s, and the
+    # position block B + s b' + p s'.
+    p02 = b02 + b22 * sx
+    p12 = b12 + b22 * sy
+    p01 = b01 + sx * b12 + sy * p02
+    cov = np.empty(shift.shape[:2] + (3, 3))
+    np.add(b00, sx * (b02 + p02), out=cov[..., 0, 0])
+    np.add(b11, sy * (b12 + p12), out=cov[..., 1, 1])
+    cov[..., 0, 1] = cov[..., 1, 0] = p01
+    cov[..., 0, 2] = cov[..., 2, 0] = p02
+    cov[..., 1, 2] = cov[..., 2, 1] = p12
+    cov[..., 2, 2] = b22
+    for step in range(1, steps + 1):
         yield SplitTeamState(
-            team.team, team.index, poses[:, step], cov, accs[:, step], team.time + step
+            team.team, team.index, poses[:, step], cov[step - 1], accs[:, step],
+            team.time + step,
         )
 
 

@@ -27,8 +27,11 @@ update ever increases a robot's covariance trace, and per segment
 whole segment by one :meth:`RobotNode.step` call from its rows of the team
 the segment starts from, lands bit for bit on its row of the team at every
 step. Both loops step the team by segment and still yield every step, so
-every check here sees every step. A caller may pass the noise-free
-``truth`` to skip simulating it.
+every check here sees every step. The split side forms a segment's
+covariances in closed form while the centralized filter runs its
+``F P F' + G Q G'`` recurrence step by step, so the comparison also checks
+the closed form against an independent recursion. A caller may pass the
+noise-free ``truth`` to skip simulating it.
 """
 
 from __future__ import annotations

@@ -10,6 +10,12 @@ mismatch.
 import numpy as np
 
 from splitcl import joint_ekf, model
+from splitcl.split_ekf import SplitTeamState
+
+# Largest covariance deviation from a per-step reference, relative to the
+# largest entry of the robot's reference covariance, that a reordered
+# rounding may leave.
+ROBOTWISE_RTOL = 1e-12
 
 
 def stack(belief):
@@ -37,6 +43,35 @@ def joint_step(belief, controls, noise_diags, dt):
         belief, np.asarray(controls)[:, None], np.asarray(noise_diags)[:, None], dt
     )
     return out
+
+
+def ref_split_segment(team, controls, noise_diags, dt):
+    """:func:`split_ekf.propagate_team` by the per-step recurrence.
+
+    Each step's covariances are ``F P F' + G Q G'`` of the previous step's,
+    with ``F`` formed as a 3x3 shear; means and accumulated Jacobians come
+    from the same kernel call as in the closed form.
+    """
+    poses, translations, g_jacs = model.propagate_pose(team.mean, controls, dt)
+    accs = np.concatenate([team.jac_accum[:, None], translations], axis=1)
+    np.add.accumulate(accs, axis=1, out=accs)
+    f_jacs = model.shear(translations.transpose(1, 0, 2))
+    noise = ((g_jacs * noise_diags[..., None, :]) @ g_jacs.swapaxes(-1, -2)).transpose(1, 0, 2, 3)
+    cov = team.cov
+    for step, f_jac in enumerate(f_jacs, start=1):
+        cov = f_jac @ cov @ f_jac.transpose(0, 2, 1) + noise[step - 1]
+        yield SplitTeamState(
+            team.team, team.index, poses[:, step], cov, accs[:, step], team.time + step
+        )
+
+
+def assert_robotwise_close(got, want, rtol=ROBOTWISE_RTOL):
+    """Per robot (leading axis), ``max |got - want| <= rtol * max |want|``."""
+    got = np.asarray(got).reshape(len(want), -1)
+    want = np.asarray(want).reshape(len(want), -1)
+    diff = np.abs(got - want).max(axis=1)
+    bound = rtol * np.abs(want).max(axis=1)
+    assert (diff <= bound).all(), f"robotwise deviation {diff} exceeds {bound}"
 
 
 def dense_propagate(x, p, controls, noises, dt):

@@ -1,6 +1,7 @@
 """CLI exit codes: 0 success, 2 invalid input, 3 divergence, 4 verification failure."""
 
 import csv
+import json
 import math
 import os
 import subprocess
@@ -113,13 +114,15 @@ def test_run_negative_seed_is_invalid_input(tmp_path, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["scenario-gen", "random", "--seed", "-1", "--out", "out/x.json"],
      "--seed must be non-negative, got -1"),
+    (["scenario-gen", "random", "--robots", "100000000", "--out", "out/x.json"],
+     "n_robots must be at most 1024, got 100000000"),
     (["verify", "--scenario", "table1", "--tol", "nan"], "--tol must be finite and positive"),
     (["verify", "--scenario", "table1", "--tol", "-1"], "--tol must be finite and positive"),
     (["run", "--scenario", "table1", "--jobs", "0", "--out", "out"],
      "--jobs must be at least 1, got 0"),
     (["run", "--scenario", "table1", "--jobs", "-2", "--out", "out"],
      "--jobs must be at least 1, got -2"),
-], ids=["gen-seed", "tol-nan", "tol-negative", "jobs-zero", "jobs-negative"])
+], ids=["gen-seed", "gen-robots", "tol-nan", "tol-negative", "jobs-zero", "jobs-negative"])
 def test_out_of_range_argument_is_invalid_input(argv, message, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == cli.EXIT_USAGE
@@ -137,6 +140,20 @@ def test_non_finite_scenario_is_invalid_input(tmp_path, capsys):
     assert cli.main(["verify", "--scenario", str(path)]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert err.count("error: non-finite values in ['meas_noise_std']") == 2
+
+
+def test_oversized_team_is_invalid_input(tmp_path, capsys):
+    # Refused from the team size alone, before any per-robot data is built.
+    doc = Scenario().to_dict()
+    doc["n_robots"] = 100_000_000
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", "--scenario", str(path), "--out", str(out_dir)]) == cli.EXIT_USAGE
+    assert not out_dir.exists()
+    assert cli.main(["verify", "--scenario", str(path)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("error: n_robots must be at most 1024, got 100000000") == 2
 
 
 def test_run_reports_a_diverged_estimator(tmp_path, monkeypatch, capsys):

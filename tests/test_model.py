@@ -171,6 +171,30 @@ class TestMotionJacobians:
             np.testing.assert_allclose(g_jac, fd_g, atol=FD_TOL)
 
 
+class TestProcessNoise:
+    def test_equals_the_matrix_product(self):
+        rng = np.random.default_rng(6)
+        headings = [0.0, -0.0, math.pi, -math.pi, math.pi / 2, -math.pi / 2]
+        poses = rng.uniform(-5, 5, (64, 3))
+        poses[:len(headings), 2] = headings
+        controls = rng.uniform(-2, 2, (64, 30, 2))
+        controls[:8, :, 1] = 0.0  # The exact headings recur at every step.
+        for dt in (0.1, rng.uniform(0.01, 1.0)):
+            _, _, g_jacs = model.propagate_pose(poses, controls, dt)
+            q_diags = rng.uniform(0.0, 0.5, g_jacs.shape[:-2] + (2,))
+            q_diags[:4, :, 0] = 0.0
+            want = (g_jacs * q_diags[..., None, :]) @ g_jacs.swapaxes(-1, -2)
+            np.testing.assert_array_equal(model.process_noise(g_jacs, q_diags), want)
+            np.testing.assert_array_equal(
+                model.process_noise(g_jacs[0, 0], q_diags[0, 0]), want[0, 0]
+            )
+
+    def test_noise_diagonals_must_match(self):
+        _, _, g_jacs = model.propagate_pose(np.zeros((2, 3)), np.ones((2, 5, 2)), 0.1)
+        with pytest.raises(model.ModelError, match="noise diagonals"):
+            model.process_noise(g_jacs, np.ones((2, 4, 2)))
+
+
 class TestRelativeMeasurementModel:
     def test_identity_frame(self):
         z = model.relative_position(np.zeros(3), np.array([1.0, 0.0, 0.7]))

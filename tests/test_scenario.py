@@ -9,6 +9,7 @@ import pytest
 from splitcl import harness
 from splitcl.model import wrap_angle
 from splitcl.scenario import (
+    MAX_ROBOTS,
     MeasurementWindow,
     Scenario,
     ScenarioError,
@@ -127,3 +128,16 @@ def test_shortest_runnable_spans_are_accepted():
     sc.validate()
     rec = harness.run_once(sc, ["sa_split"], seed=1)
     assert np.isfinite(rec.estimates["sa_split"]).all()
+
+
+def test_team_size_is_bounded(monkeypatch):
+    assert MAX_ROBOTS == 1024
+    assert random_scenario(MAX_ROBOTS, 3, duration_s=30.0).n_robots == MAX_ROBOTS
+    fracs = (0.2,) * (MAX_ROBOTS + 1)
+    too_many = Scenario(n_robots=MAX_ROBOTS + 1, v_noise_frac=fracs, w_noise_frac=fracs)
+    with pytest.raises(ScenarioError, match="n_robots must be at most 1024, got 1025"):
+        too_many.validate()
+    # Refused before the generator draws anything.
+    monkeypatch.setattr(np.random, "default_rng", None)
+    with pytest.raises(ScenarioError, match="at most 1024, got 100000000"):
+        random_scenario(100_000_000, 1)
