@@ -31,7 +31,7 @@ from .model import (
     RelativeMeasurement,
     wrap_angle,
 )
-from .network import DeliveryReport, DropoutSchedule, channel_epoch, gate_measurement
+from .network import DeliveryReport, channel_epoch, gate_measurement
 from .protocol import CooperationServer, RobotNode
 from .scenario import Scenario, build_table1_scenario, random_scenario
 from .split_ekf import CrossFactorStore, SplitRobotState
@@ -50,7 +50,6 @@ __all__ = [
     "CooperationServer",
     "CrossFactorStore",
     "DeliveryReport",
-    "DropoutSchedule",
     "JointBelief",
     "LandmarkMessage",
     "MetricReport",

@@ -132,7 +132,6 @@ class Realization:
     """Everything random about one run, drawn once and shared by all estimators."""
 
     truth: np.ndarray
-    controls_true: np.ndarray
     controls_meas: np.ndarray
     filter_q: np.ndarray
     measurements: dict[int, list[model.RelativeMeasurement]]
@@ -169,7 +168,6 @@ def build_realization(
         )
     return Realization(
         truth=truth,
-        controls_true=controls,
         controls_meas=controls_meas,
         filter_q=scen.filter_noise_diags(sc, controls),
         measurements=measurements,
@@ -180,14 +178,10 @@ def build_realization(
 def delivery_reports(
     sc: scen.Scenario, real: Realization, key: tuple[int, ...]
 ) -> dict[int, DeliveryReport]:
-    """Per-epoch connectivity for the scenario's dropout configuration."""
-    sched = scen.dropout_schedule(sc)
+    """The channel's report at every measurement epoch, from the scenario's
+    dropout windows, zones and loss rate and the team's true poses."""
     channel_seed = [*key, _STREAM_CHANNEL]
-    reports = {}
-    for k in real.measurements:
-        poses = dict(zip(sc.robot_ids, real.truth[:, k]))
-        reports[k] = channel_epoch(sched, poses, k, channel_seed)
-    return reports
+    return {k: channel_epoch(sc, real.truth[:, k], k, channel_seed) for k in real.measurements}
 
 
 @dataclass(slots=True)
@@ -200,7 +194,6 @@ class RunRecord:
     estimates: dict[str, np.ndarray]
     covs: dict[str, np.ndarray | None]
     events: list[ProtocolEvent]
-    missed_history: dict[int, frozenset[int]]
     flagged: dict[str, bool]
 
     def position_error(self, estimator: str) -> np.ndarray:
@@ -251,7 +244,6 @@ def run_once(
         covs[name] = cov
         flagged[name] = not bool(np.isfinite(est).all())
 
-    missed_history = {k: r.missed for k, r in reports.items()}
     times = np.arange(sc.n_steps + 1) * sc.dt_s
     return RunRecord(
         times=times,
@@ -260,7 +252,6 @@ def run_once(
         estimates=estimates,
         covs=covs,
         events=events,
-        missed_history=missed_history,
         flagged=flagged,
     )
 
@@ -482,6 +473,7 @@ def run_monte_carlo(
     """
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
+    sc.validate()
     wanted = tuple(dict.fromkeys(estimators))
     base = sc.seed if seed is None else int(seed)
     truth = simulate_truth(sc)

@@ -2,72 +2,33 @@
 
 A robot is either fully connected or fully disconnected for a whole epoch
 (both the uplink landmark message and the downlink update message), matching
-the single per-epoch missed set the server works with. Disconnection causes:
+the single per-epoch missed set the server works with. The scenario
+(:class:`scenario.Scenario`) is the one description of the channel; robot
+``r`` is disconnected at step ``t`` when any of these holds:
 
-- a scheduled window ``(start_step, end_step]`` for that robot,
-- the robot's true position lying inside a dropout zone,
-- an independent Bernoulli loss draw.
+- ``t`` lies in one of its ``dropout_windows`` ``(start_s, end_s]``, both
+  ends rounded to steps by :func:`scenario.seconds_to_step`,
+- its true position lies inside one of the ``zones`` rectangles, edges
+  included,
+- its loss draw falls below ``bernoulli_p``.
 
-Loss draws come from one generator stream per ``(seed, timestep)`` (numpy
-``SeedSequence``/``default_rng``), indexed by robot id: robot ``r`` gets
-the stream's ``r``-th uniform. The stream is prefix-stable, so a robot's
-outcome depends on neither the evaluation order nor the rest of the team,
-and it is replayable.
+``channel_epoch(sc, positions, t, seed)`` takes the team's true poses at
+``t`` as ``(N, 3)`` rows in team order (row ``r - 1`` is robot ``r``). Loss
+draws come from one generator stream per ``(seed, t)`` (numpy
+``SeedSequence``/``default_rng``): robot ``r`` gets the stream's ``r``-th
+uniform. The stream is prefix-stable, so a robot's outcome does not depend
+on the size of the team, and it is replayable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .model import RelativeMeasurement
-
-
-@dataclass(frozen=True)
-class DropoutWindow:
-    """Robot ``robot`` is disconnected for steps ``start_step < k <= end_step``."""
-
-    robot: int
-    start_step: int
-    end_step: int
-
-    def __post_init__(self) -> None:
-        if self.start_step > self.end_step:
-            raise ValueError("dropout window must not end before it starts")
-
-    def active(self, t: int) -> bool:
-        return self.start_step < t <= self.end_step
-
-
-@dataclass(frozen=True)
-class DropoutZone:
-    """Axis-aligned rectangle (meters) inside which robots lose the server link."""
-
-    x_min: float
-    y_min: float
-    x_max: float
-    y_max: float
-
-    def contains(self, pose: np.ndarray) -> bool:
-        return bool(
-            self.x_min <= pose[0] <= self.x_max
-            and self.y_min <= pose[1] <= self.y_max
-        )
-
-
-@dataclass(frozen=True)
-class DropoutSchedule:
-    """Everything that can take a robot off the network."""
-
-    windows: tuple[DropoutWindow, ...] = ()
-    bernoulli_p: float = 0.0
-    zones: tuple[DropoutZone, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.bernoulli_p < 1.0:
-            raise ValueError("loss probability must be in [0, 1)")
+from .scenario import Scenario, seconds_to_step
 
 
 @dataclass(frozen=True)
@@ -88,25 +49,30 @@ def perfect_report(team: Sequence[int], t: int) -> DeliveryReport:
 
 
 def channel_epoch(
-    schedule: DropoutSchedule,
-    poses: Mapping[int, np.ndarray],
+    sc: Scenario,
+    positions: np.ndarray,
     t: int,
     seed: int | Sequence[int],
 ) -> DeliveryReport:
-    """Connectivity of every robot at step ``t``; deterministic given ``seed``."""
-    missed = {w.robot for w in schedule.windows if w.active(t)} & poses.keys()
-    if schedule.zones:
-        missed.update(
-            robot for robot, pose in poses.items()
-            if any(zone.contains(pose) for zone in schedule.zones)
-        )
-    if schedule.bernoulli_p > 0.0:
-        seed_key = [seed] if isinstance(seed, int) else list(seed)
-        draws = np.random.default_rng(seed_key + [t]).random(max(poses, default=-1) + 1)
-        ids = np.fromiter(poses, dtype=np.intp, count=len(poses))
-        missed.update(ids[draws[ids] < schedule.bernoulli_p].tolist())
-    delivered = frozenset(poses) - missed
-    return DeliveryReport(time=t, delivered=delivered, missed=frozenset(missed))
+    """Connectivity of every robot of ``sc`` at step ``t``, given the team's
+    true poses ``positions`` ``(N, 3)`` at ``t``; deterministic given ``seed``."""
+    missed = {
+        w.robot for w in sc.dropout_windows
+        if seconds_to_step(w.start_s, sc.dt_s) < t <= seconds_to_step(w.end_s, sc.dt_s)
+    }
+    if sc.zones or sc.bernoulli_p > 0.0:
+        lost = np.zeros(sc.n_robots, dtype=bool)
+        x, y = positions[:, 0], positions[:, 1]
+        for x_min, y_min, x_max, y_max in sc.zones:
+            lost |= (x_min <= x) & (x <= x_max) & (y_min <= y) & (y <= y_max)
+        if sc.bernoulli_p > 0.0:
+            seed_key = [seed] if isinstance(seed, int) else list(seed)
+            draws = np.random.default_rng(seed_key + [t]).random(sc.n_robots + 1)
+            lost |= draws[1:] < sc.bernoulli_p
+        missed.update((np.flatnonzero(lost) + 1).tolist())
+    return DeliveryReport(
+        time=t, delivered=frozenset(sc.robot_ids) - missed, missed=frozenset(missed)
+    )
 
 
 def gate_measurement(report: DeliveryReport, meas: RelativeMeasurement) -> bool:

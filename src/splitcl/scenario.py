@@ -23,7 +23,9 @@ the following keys; distances are meters, times seconds, angles radians:
 ``dropout_windows``     list of [robot, start_s, end_s]; the robot is
                         disconnected for times in (start_s, end_s]
 ``bernoulli_p``         extra i.i.d. per-robot, per-epoch loss probability
-``zones``               list of [x_min, y_min, x_max, y_max] dropout areas
+``zones``               list of [x_min, y_min, x_max, y_max] dropout areas;
+                        a robot whose true position lies inside one, edges
+                        included, is disconnected at that epoch
 ``initial_cov_diag``    diagonal of every robot's initial covariance
 ``perturb_initial``     draw the initial estimate error from the initial
                         covariance (true start poses are given by
@@ -52,7 +54,6 @@ from pathlib import Path
 import numpy as np
 
 from .model import wrap_angle
-from .network import DropoutSchedule, DropoutWindow, DropoutZone
 
 FORMAT_TAG = "splitcl-scenario/1"
 
@@ -238,7 +239,7 @@ class Scenario:
                 center=tuple(float(c) for c in d["path"]["center"]),
             )
             sc = cls(
-                n_robots=int(d["n_robots"]),
+                n_robots=_integer(d["n_robots"], "n_robots"),
                 duration_s=float(d["duration_s"]),
                 dt_s=float(d["dt_s"]),
                 path=path,
@@ -250,20 +251,27 @@ class Scenario:
                 v_noise_frac=tuple(float(f) for f in d["v_noise_frac"]),
                 w_noise_frac=tuple(float(f) for f in d["w_noise_frac"]),
                 meas_windows=tuple(
-                    MeasurementWindow(float(w[0]), float(w[1]), int(w[2]), int(w[3]))
+                    MeasurementWindow(
+                        float(w[0]),
+                        float(w[1]),
+                        _integer(w[2], "meas_windows observer"),
+                        _integer(w[3], "meas_windows landmark"),
+                    )
                     for w in d["meas_windows"]
                 ),
                 meas_period_s=float(d["meas_period_s"]),
                 meas_noise_std=float(d["meas_noise_std"]),
                 dropout_windows=tuple(
-                    DropoutWindowSpec(int(w[0]), float(w[1]), float(w[2]))
+                    DropoutWindowSpec(
+                        _integer(w[0], "dropout_windows robot"), float(w[1]), float(w[2])
+                    )
                     for w in d["dropout_windows"]
                 ),
                 bernoulli_p=float(d["bernoulli_p"]),
                 zones=tuple(tuple(float(v) for v in z) for z in d["zones"]),
                 initial_cov_diag=tuple(float(v) for v in d["initial_cov_diag"]),
-                perturb_initial=bool(d["perturb_initial"]),
-                seed=int(d["seed"]),
+                perturb_initial=_flag(d["perturb_initial"], "perturb_initial"),
+                seed=_integer(d["seed"], "seed"),
             )
         except (KeyError, TypeError, IndexError) as exc:
             raise ScenarioError(f"malformed scenario field: {exc}") from exc
@@ -290,6 +298,21 @@ def _check_team_size(n_robots: int) -> None:
         raise ScenarioError("n_robots must be at least 1")
     if n_robots > MAX_ROBOTS:
         raise ScenarioError(f"n_robots must be at most {MAX_ROBOTS}, got {n_robots}")
+
+
+def _integer(value, name: str) -> int:
+    """A JSON integer field as an int; a bool or a fractional number is refused."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ScenarioError(f"{name} must be an integer, got {value!r}")
+
+
+def _flag(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{name} must be true or false, got {value!r}")
+    return value
 
 
 def _all_finite(value) -> bool:
@@ -388,22 +411,6 @@ def measurement_schedule(sc: Scenario) -> dict[int, list[tuple[int, int]]]:
     for pairs in schedule.values():
         pairs.sort()
     return dict(sorted(schedule.items()))
-
-
-def dropout_schedule(sc: Scenario) -> DropoutSchedule:
-    """The scenario's channel behavior in step units."""
-    return DropoutSchedule(
-        windows=tuple(
-            DropoutWindow(
-                robot=w.robot,
-                start_step=seconds_to_step(w.start_s, sc.dt_s),
-                end_step=seconds_to_step(w.end_s, sc.dt_s),
-            )
-            for w in sc.dropout_windows
-        ),
-        bernoulli_p=sc.bernoulli_p,
-        zones=tuple(DropoutZone(*z) for z in sc.zones),
-    )
 
 
 def build_table1_scenario(**overrides) -> Scenario:

@@ -406,9 +406,12 @@ def apply_summed_update(
 
     ``vec_sum`` is the sum of ``D_i r`` and ``mat_sum`` that of ``D_i D_i'``
     over the epoch's measurements; the robot maps both through ``A_i``.
+    ``A_i M A_i'`` rounds differently above and below its diagonal, so the
+    drop is averaged with its transpose, which leaves a symmetric one as is.
     """
     acc = shear(state.jac_accum)
-    return apply_correction(state, acc @ vec_sum, acc @ mat_sum @ acc.T)
+    drop = acc @ mat_sum @ acc.T
+    return apply_correction(state, acc @ vec_sum, 0.5 * (drop + drop.T))
 
 
 def apply_correction(

@@ -1,9 +1,12 @@
 """Monte-Carlo aggregation in the harness."""
 
+import math
+
 import numpy as np
+import pytest
 
 from splitcl import harness
-from splitcl.scenario import MeasurementWindow, Scenario
+from splitcl.scenario import MeasurementWindow, Scenario, ScenarioError
 
 ESTIMATORS = (harness.DR, harness.JOINT_EKF, harness.SA_SPLIT)
 
@@ -42,3 +45,16 @@ def test_nees_mean_matches_a_per_step_loop_and_skips_flagged_runs(monkeypatch):
     for name, runs in kept.items():
         want = sum(loop_nees(records[m], name) for m in runs) / len(runs)
         np.testing.assert_allclose(report.nees_mean[name], want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("sc, message", [
+    (Scenario(n_robots=1025, duration_s=1.0), "at most 1024"),
+    (Scenario(dt_s=math.nan), "non-finite"),
+    (Scenario(n_robots=0), "at least 1"),
+], ids=["too-many", "dt-nan", "no-robots"])
+def test_monte_carlo_refuses_a_bad_scenario_before_simulating(sc, message, monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "simulate_truth", lambda *args: calls.append(args))
+    with pytest.raises(ScenarioError, match=message):
+        harness.run_monte_carlo(sc, 1, ESTIMATORS)
+    assert not calls

@@ -1,59 +1,75 @@
-"""The lossy channel is a pure function of its seed, step and robot ids."""
+"""The lossy channel is a pure function of the scenario, the team's poses,
+the seed and the step."""
 
 import numpy as np
 
-from splitcl.network import DropoutSchedule, DropoutWindow, DropoutZone, channel_epoch
-
-SCHEDULE = DropoutSchedule(
-    windows=(DropoutWindow(robot=3, start_step=5, end_step=20),),
-    bernoulli_p=0.4,
-    zones=(DropoutZone(-1.0, -1.0, 1.0, 1.0),),
-)
+from splitcl.network import channel_epoch
+from splitcl.scenario import DropoutWindowSpec, Scenario
 
 
-def team_poses(n=40):
-    poses = {i: np.array([2.0 * i, 5.0, 0.0]) for i in range(1, n + 1)}
-    poses[7] = np.array([0.5, -0.5, 1.0])  # inside the dropout zone
-    return poses
+def team(n=40, bernoulli_p=0.4, windows=(DropoutWindowSpec(3, 0.5, 2.0),),
+         zones=((-1.0, -1.0, 1.0, 1.0),)) -> Scenario:
+    """``n`` robots; with dt 0.1 s robot 3's window covers steps 6..20."""
+    sc = Scenario(
+        n_robots=n,
+        duration_s=60.0,
+        v_noise_frac=(0.2,) * n,
+        w_noise_frac=(0.2,) * n,
+        dropout_windows=windows,
+        bernoulli_p=bernoulli_p,
+        zones=zones,
+    )
+    sc.validate()
+    return sc
+
+
+def team_positions(n=40):
+    positions = np.array([[2.0 * i, 5.0, 0.0] for i in range(1, n + 1)])
+    positions[6] = (0.5, -0.5, 1.0)  # robot 7, inside the dropout zone
+    return positions
 
 
 def test_same_seed_gives_the_same_report():
-    poses = team_poses()
-    report = channel_epoch(SCHEDULE, poses, 10, (5, 4))
-    assert channel_epoch(SCHEDULE, poses, 10, (5, 4)) == report
-    assert channel_epoch(SCHEDULE, poses, 10, [5, 4]) == report
-    assert channel_epoch(SCHEDULE, poses, 10, 9) == channel_epoch(SCHEDULE, poses, 10, (9,))
-    assert report.delivered | report.missed == set(poses)
+    sc, positions = team(), team_positions()
+    report = channel_epoch(sc, positions, 10, (5, 4))
+    assert channel_epoch(sc, positions, 10, (5, 4)) == report
+    assert channel_epoch(sc, positions, 10, [5, 4]) == report
+    assert channel_epoch(sc, positions, 10, 9) == channel_epoch(sc, positions, 10, (9,))
+    assert report.delivered | report.missed == set(sc.robot_ids)
     assert {3, 7} <= report.missed
     # The Bernoulli draws really depend on the seed and the step.
-    assert channel_epoch(SCHEDULE, poses, 10, (6, 4)).missed != report.missed
-    assert channel_epoch(SCHEDULE, poses, 11, (5, 4)).missed != report.missed
+    assert channel_epoch(sc, positions, 10, (6, 4)).missed != report.missed
+    assert channel_epoch(sc, positions, 11, (5, 4)).missed != report.missed
 
 
-def test_report_does_not_depend_on_the_order_of_the_poses():
-    poses = team_poses()
-    report = channel_epoch(SCHEDULE, poses, 10, (5, 4))
-    reordered = dict(reversed(list(poses.items())))
-    assert channel_epoch(SCHEDULE, reordered, 10, (5, 4)) == report
-    shuffled_ids = np.random.default_rng(0).permutation(list(poses))
-    shuffled = {int(i): poses[int(i)] for i in shuffled_ids}
-    assert channel_epoch(SCHEDULE, shuffled, 10, (5, 4)) == report
+def test_windows_cover_their_steps_and_zones_their_edges():
+    sc = team(bernoulli_p=0.0, zones=((-1.0, -1.0, 1.0, 1.0), (3.0, 5.0, 4.0, 6.0)))
+    positions = team_positions()
+    positions[9] = (-1.0, 1.0, 0.0)  # robot 10, on a corner of the first zone
+    for t, expected in [(5, set()), (6, {3}), (20, {3}), (21, set())]:
+        report = channel_epoch(sc, positions, t, 1)
+        # Robot 2, at (4, 5), sits on a corner of the second zone.
+        assert report.missed == expected | {2, 7, 10}, t
 
 
 def test_a_robot_outcome_does_not_depend_on_the_rest_of_the_team():
-    poses = team_poses()
-    report = channel_epoch(SCHEDULE, poses, 10, (5, 4))
-    half = {i: p for i, p in poses.items() if i % 2}
-    sub = channel_epoch(SCHEDULE, half, 10, (5, 4))
-    assert sub.missed == report.missed & set(half)
+    report = channel_epoch(team(), team_positions(), 10, (5, 4))
+    sub = channel_epoch(team(20), team_positions(20), 10, (5, 4))
+    assert sub.missed == report.missed & set(range(1, 21))
+
+
+def test_robot_r_gets_the_r_th_uniform_of_the_step_stream():
+    sc, positions = team(windows=(), zones=()), team_positions()
+    draws = np.random.default_rng([5, 4, 10]).random(sc.n_robots + 1)
+    expected = {r for r in sc.robot_ids if draws[r] < sc.bernoulli_p}
+    assert channel_epoch(sc, positions, 10, (5, 4)).missed == expected
 
 
 def test_loss_draws_have_the_configured_rate_and_are_independent_per_robot():
-    schedule = DropoutSchedule(bernoulli_p=0.4)
-    poses = team_poses()
+    sc, positions = team(windows=(), zones=()), team_positions()
     counts = np.array([
-        len(channel_epoch(schedule, poses, t, (2, 4)).missed) for t in range(1, 501)
+        len(channel_epoch(sc, positions, t, (2, 4)).missed) for t in range(1, 501)
     ])
-    assert abs(counts.sum() / (len(poses) * len(counts)) - 0.4) <= 0.03
+    assert abs(counts.sum() / (sc.n_robots * len(counts)) - 0.4) <= 0.03
     # One draw shared by the whole team would miss all robots or none.
-    assert ((counts > 0) & (counts < len(poses))).all()
+    assert ((counts > 0) & (counts < sc.n_robots)).all()

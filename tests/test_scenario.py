@@ -94,6 +94,33 @@ def test_no_two_of_eight_robots_share_a_trajectory():
 
 
 @pytest.mark.parametrize("edit, message", [
+    ({"n_robots": 4.9}, "n_robots must be an integer, got 4.9"),
+    ({"n_robots": True}, "n_robots must be an integer, got True"),
+    ({"n_robots": "4"}, "n_robots must be an integer, got '4'"),
+    ({"meas_windows": [[45.0, 50.0, 1.9, 2]]}, "meas_windows observer must be an integer"),
+    ({"meas_windows": [[45.0, 50.0, 1, False]]}, "meas_windows landmark must be an integer"),
+    ({"dropout_windows": [[4.5, 135.0, 140.0]]}, "dropout_windows robot must be an integer"),
+    ({"seed": 2.7}, "seed must be an integer, got 2.7"),
+    ({"seed": math.nan}, "seed must be an integer, got nan"),
+    ({"perturb_initial": "false"}, "perturb_initial must be true or false, got 'false'"),
+    ({"perturb_initial": 0}, "perturb_initial must be true or false, got 0"),
+], ids=["count-fraction", "count-bool", "count-string", "observer-fraction",
+        "landmark-bool", "dropout-robot-fraction", "seed-fraction", "seed-nan",
+        "flag-string", "flag-int"])
+def test_malformed_field_is_rejected(tmp_path, edit, message):
+    doc = {**_doc(), **edit}
+    with pytest.raises(ScenarioError, match=message):
+        Scenario.load(_write(tmp_path, json.dumps(doc)))
+
+
+def test_integral_numbers_load_as_integers(tmp_path):
+    doc = {**_doc(), "n_robots": 4.0, "seed": 9.0}
+    sc = Scenario.load(_write(tmp_path, json.dumps(doc)))
+    assert (sc.n_robots, sc.seed) == (4, 9)
+    assert type(sc.n_robots) is int and type(sc.seed) is int
+
+
+@pytest.mark.parametrize("edit, message", [
     ({"path": {"edge_time_s": 0.04}}, "path.edge_time_s must be at least one step"),
     ({"path": {"turn_time_s": 0.0}}, "path.turn_time_s must be at least one step"),
     ({"meas_period_s": 0.01}, "meas_period_s must be at least one step"),

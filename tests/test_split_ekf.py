@@ -312,6 +312,18 @@ class TestApplyUpdate:
         np.testing.assert_allclose(out.cov, seq.cov, atol=1e-12)
         np.testing.assert_array_equal(out.jac_accum, state.jac_accum)
 
+    def test_summed_update_keeps_the_covariance_exactly_symmetric(self):
+        # A M A' alone rounds differently above and below the diagonal for
+        # a few percent of these draws.
+        rng = np.random.default_rng(50)
+        for _ in range(2000):
+            state = make_state(rng, 1)
+            state.jac_accum = rng.uniform(-3, 3, 2)
+            parts = [rng.standard_normal((3, 2)) * 0.02 for _ in range(2)]
+            mat = sum(f @ f.T for f in parts)
+            out = split_ekf.apply_summed_update(state, rng.standard_normal(3), mat)
+            np.testing.assert_array_equal(out.cov, out.cov.T)
+
     def test_overly_large_factor_raises(self):
         rng = np.random.default_rng(48)
         state = make_state(rng, 1)

@@ -6,6 +6,7 @@ negative control (every store update with the wrong sign) must fail both.
 """
 
 from collections import defaultdict
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from splitcl.scenario import (
     MeasurementWindow,
     Scenario,
     build_table1_scenario,
+    measurement_schedule,
     strip_dropouts,
 )
 from splitcl.verify import check_dropout_equivalence, check_exact_equivalence
@@ -76,6 +78,39 @@ def test_table1_dropout_equivalence(table1):
     assert report.passed(TOL), report.summary()
     assert report.max_discrepancy() < GUARD and report.lone_steps_exact
     assert report.missed_updates_exact
+
+
+def test_a_dropout_zone_disconnects_a_measured_robot(table1):
+    # A small zone around robot 2's true position at the first epoch, in
+    # which robot 2 observes 3 and is observed by 1; robot 2 has no
+    # dropout window and there is no random loss, so only the zone can
+    # take it off the network.
+    truth = harness.simulate_truth(table1)
+    k = min(measurement_schedule(table1))
+    x, y = truth[1, k, :2]
+    sc = replace(table1, zones=((x - 0.01, y - 0.01, x + 0.01, y + 0.01),))
+    key = (sc.seed,)
+    reports = harness.delivery_reports(sc, harness.build_realization(sc, key, truth), key)
+    assert reports[k].missed == {2}
+    assert all(2 not in r.missed for t, r in reports.items() if t != k)
+
+    report = check_dropout_equivalence(sc, truth=truth)
+    assert report.passed(TOL), report.summary()
+    unreachable = {
+        (ev.time, ev.detail.split(" unreachable")[0])
+        for ev in report.events if ev.code == EVENT_PAIR_UNREACHABLE
+    }
+    assert {(k, "observer=1 landmark=2"), (k, "observer=2 landmark=3")} <= unreachable
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_split_covariances_are_exactly_symmetric(table1, seed):
+    # Table1's epochs carry several measurements, so its robots apply
+    # summed corrections as well as single ones.
+    rec = harness.run_once(table1, [harness.SA_SPLIT, harness.SA_SPLIT_DROPOUT], seed=seed)
+    for name in (harness.SA_SPLIT, harness.SA_SPLIT_DROPOUT):
+        cov = rec.covs[name]
+        np.testing.assert_array_equal(cov, np.swapaxes(cov, -1, -2), err_msg=name)
 
 
 @pytest.mark.parametrize("check", [check_exact_equivalence, check_dropout_equivalence])
