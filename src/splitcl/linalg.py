@@ -1,12 +1,22 @@
-"""Small dense linear-algebra helpers shared by both filter implementations."""
+"""Small dense linear-algebra helpers shared by both filter implementations.
+
+The 2x2 and 3x3 kernels run on Python floats (``.tolist()``): on matrices
+this small, numpy's per-call overhead costs several times the arithmetic.
+"""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 # Innovation covariances are rejected when an eigenvalue drops below this
 # fraction of the trace; an explicit failure beats silent NaN propagation.
 SPD_REL_TOL = 1e-12
+
+# Most negative covariance eigenvalue still taken as rounding: a covariance
+# ``P`` passes when ``P + EIG_TOL I`` has a Cholesky factor.
+EIG_TOL = 1e-9
 
 
 class NumericalError(RuntimeError):
@@ -32,18 +42,15 @@ def block_diag_sandwich(blocks: np.ndarray, team_matrix: np.ndarray) -> np.ndarr
     return np.ascontiguousarray(cols.T).reshape(n, 3, n, 3)
 
 
-def eig_bounds_2x2(s: np.ndarray) -> tuple[float, float]:
-    """(min, max) eigenvalues of a symmetric 2x2 matrix, closed form."""
-    half_tr = 0.5 * (s[0, 0] + s[1, 1])
-    radius = np.hypot(0.5 * (s[0, 0] - s[1, 1]), s[0, 1])
-    return half_tr - radius, half_tr + radius
-
-
 def check_spd_2x2(s: np.ndarray, context: str = "innovation covariance") -> None:
-    """Raise :class:`NumericalError` unless ``s`` is acceptably positive definite."""
-    lo, _ = eig_bounds_2x2(s)
-    trace = s[0, 0] + s[1, 1]
-    if not np.isfinite(trace) or lo < SPD_REL_TOL * trace:
+    """Raise :class:`NumericalError` unless the symmetric 2x2 ``s`` is
+    acceptably positive definite: finite, with its smaller eigenvalue, in
+    closed form, at least ``SPD_REL_TOL`` times its trace."""
+    (a, b), (_, d) = s.tolist()
+    trace = a + d
+    lo = 0.5 * trace - math.hypot(0.5 * (a - d), b)
+    # Written so that a NaN on or above the diagonal fails.
+    if not (math.isfinite(trace) and lo >= SPD_REL_TOL * trace):
         raise NumericalError(f"{context} is not positive definite (min eig {lo:.3e})")
 
 
@@ -52,18 +59,41 @@ def sqrt_and_inv_sqrt_2x2(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The symmetric root is required: the same factor multiplies both the
     residual and its own transpose downstream, so a triangular factor
-    would satisfy only one of the two identities it is used in.
+    would satisfy only one of the two identities it is used in. With
+    ``q = sqrt(det s)``, the root is ``(s + q I) / sqrt(trace s + 2 q)``;
+    its determinant is ``q``, so its adjugate over ``q`` is its inverse.
     """
-    det = s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]
-    trace = s[0, 0] + s[1, 1]
-    sq_det = np.sqrt(det)
-    scale = np.sqrt(trace + 2.0 * sq_det)
-    root = (s + sq_det * np.eye(2)) / scale
-    # det(root) == sq_det, so the adjugate gives the inverse directly.
-    inv_root = (
-        np.array([[root[1, 1], -root[0, 1]], [-root[1, 0], root[0, 0]]]) / sq_det
-    )
+    (a, b), (c, d) = s.tolist()
+    sq_det = math.sqrt(a * d - b * c)
+    scale = math.sqrt(a + d + 2.0 * sq_det)
+    r00, r01, r10, r11 = (a + sq_det) / scale, b / scale, c / scale, (d + sq_det) / scale
+    root = np.array([[r00, r01], [r10, r11]])
+    inv_root = np.array([[r11 / sq_det, -r01 / sq_det], [-r10 / sq_det, r00 / sq_det]])
     return root, inv_root
+
+
+def psd_3x3(m: np.ndarray) -> bool:
+    """Whether the symmetric 3x3 ``m`` is positive semidefinite up to rounding.
+
+    The test is the Cholesky test of ``m + EIG_TOL I`` that the equivalence
+    check applies to the joint covariance: the three pivots of its
+    ``L D L'`` factorization, in closed form from the lower triangle, must
+    all be positive. A matrix with a non-finite entry fails (so does one
+    whose entries sum beyond the float range).
+    """
+    rows = m.tolist()
+    if not math.isfinite(sum(rows[0]) + sum(rows[1]) + sum(rows[2])):
+        return False
+    (a, _, _), (b, c, _), (d, e, f) = rows
+    p0 = a + EIG_TOL
+    if not p0 > 0.0:
+        return False
+    l1, l2 = b / p0, d / p0
+    p1 = c + EIG_TOL - l1 * b
+    if not p1 > 0.0:
+        return False
+    e1 = e - l2 * b
+    return f + EIG_TOL - l2 * d - e1 * e1 / p1 > 0.0
 
 
 def min_eigenvalue(m: np.ndarray) -> float:

@@ -20,13 +20,20 @@ pairs of missed robots.
 
 Multiple measurements in the same epoch are processed one at a time in a
 fixed order (ascending ``(observer, landmark)``, absolutes after relatives).
-The server keeps a scratch copy of the measured robots' estimates so later
-measurements in the epoch are linearized against already-corrected values,
-and sends a single summed update message per touched robot at the end.
+The server keeps scratch copies of the reporting robots' states, stacked as
+one row per robot (``(k, 3)`` means, ``(k, 3, 3)`` covariances, ``(k, 2)``
+accumulated Jacobians), so later measurements in the epoch are linearized
+against already-corrected values. Each processed measurement corrects all
+rows in one batched step, the same correction each robot applies to itself,
+and every corrected row must pass the robots' own check
+(:func:`split_ekf.check_correction`), or the measurement is skipped whole.
+The server sends a single summed update message per touched robot at the
+end.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Sequence
 
@@ -131,6 +138,9 @@ class RobotNode:
 
         A message for a past timestep is discarded (the robot behaves as if
         it had missed the epoch); delayed-measurement replay is out of scope.
+        Raises :class:`NumericalError`, keeping the state as it is, for a
+        payload with a non-finite entry and for a correction that fails
+        :func:`split_ekf.check_correction`.
         """
         if msg.recipient != self.state.robot_id:
             raise ProtocolError(
@@ -138,6 +148,14 @@ class RobotNode:
             )
         if msg.time != self.state.time:
             return False
+        # A frame is outside input: refuse a non-finite payload before any
+        # arithmetic, which would spread it. (A sum overflowing the float
+        # range counts as non-finite too.)
+        payload = msg.residual_payload.tolist() + msg.gain_payload.ravel().tolist()
+        if not math.isfinite(sum(payload)):
+            raise NumericalError(
+                f"update for robot {self.state.robot_id} has a non-finite payload"
+            )
         if msg.kind == "single":
             self.state = split_ekf.apply_update(
                 self.state, msg.gain_payload, msg.residual_payload
@@ -195,6 +213,15 @@ class CooperationServer:
         no message. Measurements whose endpoints did not all reach the
         server are discarded with a logged event, as are measurements with
         a numerically invalid innovation.
+
+        The senders' scratch states are stacked rows, in the order of their
+        first messages. A measurement is linearized at the rows as the
+        earlier measurements left them, and corrects every row at once:
+        with ``D`` the rows' update factors, ``G = A D`` and the whitened
+        residual ``r``, ``mean += G r`` and ``cov -= G G'``. A row that
+        fails :func:`split_ekf.check_correction` (the first in row order
+        names the robot in the logged event) discards the measurement
+        whole: no row, no store block and no frame takes any part of it.
         """
         for msg in msgs:
             if msg.time != time:
@@ -231,43 +258,51 @@ class CooperationServer:
         if not usable:
             return {}
 
-        # Scratch copies of the measured robots, refreshed after every
-        # sub-measurement so later ones are linearized at corrected values.
-        shadow = {
-            rid: SplitRobotState(rid, s.mean.copy(), s.cov.copy(), s.jac_accum, time)
-            for rid, s in snapshots.items()
-        }
+        # Scratch copies of the senders' states, one row per sender, in the
+        # order of their first messages. Every processed measurement corrects
+        # all rows at once, so later ones are linearized at corrected values.
+        senders = list(snapshots)
+        rows = {rid: r for r, rid in enumerate(senders)}
+        sender_pos = [self.store.index[rid] for rid in senders]
+        mean = np.array([snapshots[rid].mean for rid in senders])
+        cov = np.array([snapshots[rid].cov for rid in senders])
+        accs = np.array([snapshots[rid].jac_accum for rid in senders])
 
-        index = self.store.index
+        def scratch(rid: int) -> SplitRobotState:
+            r = rows[rid]
+            return SplitRobotState(rid, mean[r], cov[r], accs[r], time)
+
         touched = np.zeros(len(self.team), dtype=bool)
         singles: list[tuple[np.ndarray, np.ndarray]] = []
         for m in usable:
             a = m.sender
-            observer = shadow[a]
+            observer = scratch(a)
             if m.landmark is None:
                 landmark = None
                 cross = None
             else:
-                landmark = shadow[m.landmark]
+                landmark = scratch(m.landmark)
                 cross = self.store.factor(a, m.landmark)
             try:
                 innov = split_ekf.innovation(
                     observer, landmark, cross, m.z, self.meas_noise_cov
                 )
                 factors = split_ekf.update_factors(self.store, observer, landmark, innov)
-                new_shadow = {
-                    rid: split_ekf.apply_update(state, factors[index[rid]], innov.white_residual)
-                    for rid, state in shadow.items()
-                }
+                gains = split_ekf.correction_gains(accs, factors[sender_pos])
+                steps = gains @ innov.white_residual
+                new_cov = cov - gains @ gains.transpose(0, 2, 1)
+                for rid, step, row_cov in zip(senders, steps, new_cov):
+                    split_ekf.check_correction(rid, step, row_cov)
             except NumericalError as exc:
                 # Skip the measurement atomically: neither the scratch
-                # beliefs nor the store absorb any part of it.
+                # rows nor the store absorb any part of it.
                 self.events.append(ProtocolEvent(
                     time, EVENT_NUMERIC_S,
                     f"observer={a} landmark={m.landmark} reason={exc}",
                 ))
                 continue
-            shadow = new_shadow
+            mean = mean + steps
+            cov = new_cov
             # The store returns the robots with a non-zero D_i: the only
             # ones whose blocks, payloads and messages this measurement
             # changes.

@@ -230,46 +230,51 @@ class Scenario:
         if missing:
             raise ScenarioError(f"missing scenario keys {sorted(missing)}")
         try:
+            p = d["path"]
             path = SpiralPath(
-                side0=float(d["path"]["side0"]),
-                growth=float(d["path"]["growth"]),
-                growth_mode=str(d["path"]["growth_mode"]),
-                edge_time_s=float(d["path"]["edge_time_s"]),
-                turn_time_s=float(d["path"]["turn_time_s"]),
-                center=tuple(float(c) for c in d["path"]["center"]),
+                side0=_real(p["side0"], "path.side0"),
+                growth=_real(p["growth"], "path.growth"),
+                growth_mode=str(p["growth_mode"]),
+                edge_time_s=_real(p["edge_time_s"], "path.edge_time_s"),
+                turn_time_s=_real(p["turn_time_s"], "path.turn_time_s"),
+                center=tuple(_real(c, "path.center") for c in p["center"]),
             )
             sc = cls(
                 n_robots=_integer(d["n_robots"], "n_robots"),
-                duration_s=float(d["duration_s"]),
-                dt_s=float(d["dt_s"]),
+                duration_s=_real(d["duration_s"], "duration_s"),
+                dt_s=_real(d["dt_s"], "dt_s"),
                 path=path,
                 path_scales=(
                     None
                     if d["path_scales"] is None
-                    else tuple(float(s) for s in d["path_scales"])
+                    else tuple(_real(s, "path_scales") for s in d["path_scales"])
                 ),
-                v_noise_frac=tuple(float(f) for f in d["v_noise_frac"]),
-                w_noise_frac=tuple(float(f) for f in d["w_noise_frac"]),
+                v_noise_frac=tuple(_real(f, "v_noise_frac") for f in d["v_noise_frac"]),
+                w_noise_frac=tuple(_real(f, "w_noise_frac") for f in d["w_noise_frac"]),
                 meas_windows=tuple(
                     MeasurementWindow(
-                        float(w[0]),
-                        float(w[1]),
+                        _real(w[0], "meas_windows start_s"),
+                        _real(w[1], "meas_windows end_s"),
                         _integer(w[2], "meas_windows observer"),
                         _integer(w[3], "meas_windows landmark"),
                     )
                     for w in d["meas_windows"]
                 ),
-                meas_period_s=float(d["meas_period_s"]),
-                meas_noise_std=float(d["meas_noise_std"]),
+                meas_period_s=_real(d["meas_period_s"], "meas_period_s"),
+                meas_noise_std=_real(d["meas_noise_std"], "meas_noise_std"),
                 dropout_windows=tuple(
                     DropoutWindowSpec(
-                        _integer(w[0], "dropout_windows robot"), float(w[1]), float(w[2])
+                        _integer(w[0], "dropout_windows robot"),
+                        _real(w[1], "dropout_windows start_s"),
+                        _real(w[2], "dropout_windows end_s"),
                     )
                     for w in d["dropout_windows"]
                 ),
-                bernoulli_p=float(d["bernoulli_p"]),
-                zones=tuple(tuple(float(v) for v in z) for z in d["zones"]),
-                initial_cov_diag=tuple(float(v) for v in d["initial_cov_diag"]),
+                bernoulli_p=_real(d["bernoulli_p"], "bernoulli_p"),
+                zones=tuple(tuple(_real(v, "zones") for v in z) for z in d["zones"]),
+                initial_cov_diag=tuple(
+                    _real(v, "initial_cov_diag") for v in d["initial_cov_diag"]
+                ),
                 perturb_initial=_flag(d["perturb_initial"], "perturb_initial"),
                 seed=_integer(d["seed"], "seed"),
             )
@@ -307,6 +312,18 @@ def _integer(value, name: str) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ScenarioError(f"{name} must be an integer, got {value!r}")
+
+
+def _real(value, name: str) -> float:
+    """A JSON number field as a float; a bool, a string or another type is
+    refused rather than converted. Non-finite values pass here and are
+    refused by :meth:`Scenario.validate`, which names every such field."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ScenarioError(f"{name} must be a number, got {value!r}")
 
 
 def _flag(value, name: str) -> bool:

@@ -42,13 +42,20 @@ team costs what its few block pairs cost, not what the team does.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import model
-from .linalg import NumericalError, block_diag_sandwich, check_spd_2x2, sqrt_and_inv_sqrt_2x2
+from .linalg import (
+    NumericalError,
+    block_diag_sandwich,
+    check_spd_2x2,
+    psd_3x3,
+    sqrt_and_inv_sqrt_2x2,
+)
 from .model import shear
 
 
@@ -215,8 +222,10 @@ def propagate_team(
 class WhitenedInnovation:
     """Innovation of one measurement, pre-whitened by ``inv_sqrt(cov)``.
 
-    Carries the measurement Jacobians so the factor computation does not
-    re-linearize at a different point.
+    Carries the measurement Jacobians ``H`` so the factor computation does
+    not re-linearize at a different point, and each one times its robot's
+    accumulated Jacobian, ``H A``, which both the innovation and the
+    factors use.
     """
 
     cov: np.ndarray
@@ -225,6 +234,16 @@ class WhitenedInnovation:
     white_residual: np.ndarray
     obs_jac: np.ndarray
     lm_jac: np.ndarray | None
+    obs_jac_acc: np.ndarray
+    lm_jac_acc: np.ndarray | None
+
+
+def _times_shear(h: np.ndarray, translation: np.ndarray) -> np.ndarray:
+    """``H S(s)`` for a ``(2, 3)`` Jacobian ``H``: ``H`` with ``H[:, :2] s``
+    added to its heading column."""
+    out = h.copy()
+    out[:, 2] += h[:, :2] @ translation
+    return out
 
 
 def innovation(
@@ -239,7 +258,8 @@ def innovation(
     ``cross_factor`` is the server's ``C_ab`` block oriented
     (observer, landmark); the observer-landmark cross covariance is
     reconstructed from it, so the result matches the centralized filter's
-    innovation covariance exactly.
+    innovation covariance exactly: its term ``H_a A_a C_ab A_b' H_b'`` is
+    formed from the two robots' ``H A``.
     """
     if landmark is not None and observer.time != landmark.time:
         raise ValueError(
@@ -249,16 +269,18 @@ def innovation(
     h_obs_full: np.ndarray
     if landmark is None:
         h_obs_full = model.absolute_jacobian()
-        h_lm = None
+        h_lm = hs_lm = None
         predicted = model.absolute_position(observer.mean)
         innov_cov += h_obs_full @ observer.cov @ h_obs_full.T
+        hs_obs = _times_shear(h_obs_full, observer.jac_accum)
     else:
         if cross_factor is None:
             raise ValueError("relative measurements need the pair's cross factor")
         h_obs_full, h_lm = model.relative_jacobians(observer.mean, landmark.mean)
         predicted = model.relative_position(observer.mean, landmark.mean)
-        cross_cov = shear(observer.jac_accum) @ cross_factor @ shear(landmark.jac_accum).T
-        mixed = h_obs_full @ cross_cov @ h_lm.T
+        hs_obs = _times_shear(h_obs_full, observer.jac_accum)
+        hs_lm = _times_shear(h_lm, landmark.jac_accum)
+        mixed = hs_obs @ cross_factor @ hs_lm.T
         innov_cov += (
             h_obs_full @ observer.cov @ h_obs_full.T
             + h_lm @ landmark.cov @ h_lm.T
@@ -275,6 +297,8 @@ def innovation(
         white_residual=inv_sqrt @ residual,
         obs_jac=h_obs_full,
         lm_jac=h_lm,
+        obs_jac_acc=hs_obs,
+        lm_jac_acc=hs_lm,
     )
 
 
@@ -371,20 +395,33 @@ def update_factors(
 
     Row ``store.index[i]`` holds ``D_i``, for which ``A_i D_i inv_sqrt(S)``
     equals the centralized gain. Each measured robot ``u`` contributes its
-    block column of the store times ``A_u' H_u'``, and its own covariance,
-    through ``A_u``'s exact inverse ``shear(-jac_accum)``, to its own row. A
-    robot with zero factors towards both measured robots gets a zero factor.
+    block column of the store times ``(H_u A_u)'``, and its own covariance,
+    through ``A_u``'s exact inverse ``S(-jac_accum)``, to its own row:
+    ``S(-s) P_u H_u'`` is ``P_u H_u'`` less ``s`` times its heading row in
+    its position rows. A robot with zero factors towards both measured
+    robots gets a zero factor.
     """
-    measured = [(observer, innov.obs_jac)]
+    measured = [(observer, innov.obs_jac, innov.obs_jac_acc)]
     if landmark is not None:
-        assert innov.lm_jac is not None
-        measured.append((landmark, innov.lm_jac))
+        assert innov.lm_jac is not None and innov.lm_jac_acc is not None
+        measured.append((landmark, innov.lm_jac, innov.lm_jac_acc))
     acc = np.zeros((len(store.team), 3, 2))
-    for state, h in measured:
+    for state, h, h_acc in measured:
         u = store.index[state.robot_id]
-        acc += store.blocks[:, :, u, :] @ (shear(state.jac_accum).T @ h.T)
-        acc[u] += shear(-state.jac_accum) @ state.cov @ h.T
+        acc += store.blocks[:, :, u, :] @ h_acc.T
+        own = state.cov @ h.T
+        own[:2] -= state.jac_accum[:, None] * own[2]
+        acc[u] += own
     return acc @ innov.inv_sqrt_cov
+
+
+def correction_gains(jac_accum: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """``A D`` for update factors ``D`` ``(..., 3, 2)`` and the matching
+    ``jac_accum`` ``(..., 2)``: ``D`` with ``s`` times its heading row added
+    to its position rows, the shear's only off-identity entries."""
+    out = factors.copy()
+    out[..., :2, :] += jac_accum[..., :, None] * factors[..., 2:3, :]
+    return out
 
 
 def apply_update(
@@ -395,7 +432,7 @@ def apply_update(
     The accumulated Jacobian is unchanged; the covariance loses the squared
     norm of the correction gain from its trace.
     """
-    gain = shear(state.jac_accum) @ factor
+    gain = correction_gains(state.jac_accum, factor)
     return apply_correction(state, gain @ white_residual, gain @ gain.T)
 
 
@@ -420,14 +457,27 @@ def apply_correction(
     """The robot with ``mean_step`` added to its mean and ``cov_drop``
     subtracted from its covariance; its accumulated Jacobian is unchanged.
 
-    Raises :class:`NumericalError` when the corrected covariance is
-    indefinite beyond rounding, before anything is changed.
+    The correction must pass :func:`check_correction`, else
+    :class:`NumericalError` is raised before anything is changed.
     """
     cov = state.cov - cov_drop
-    if float(np.linalg.eigvalsh(cov)[0]) < -1e-9:
-        raise NumericalError(
-            f"update drove robot {state.robot_id} covariance indefinite"
-        )
+    check_correction(state.robot_id, mean_step, cov)
     return SplitRobotState(
         state.robot_id, state.mean + mean_step, cov, state.jac_accum, state.time
     )
+
+
+def check_correction(robot_id: int, mean_step: np.ndarray, cov: np.ndarray) -> None:
+    """Raise :class:`NumericalError` unless robot ``robot_id`` may take a
+    correction by ``mean_step`` ``(3,)`` to the covariance ``cov``.
+
+    The corrected covariance must pass :func:`linalg.psd_3x3`, the
+    Cholesky test of ``cov + EIG_TOL I`` that the equivalence check applies
+    to the joint covariance, in closed form; a non-finite entry fails it.
+    The mean step must be finite. Corrections arrive as decoded frames,
+    i.e. as outside input, so this is checked, not assumed.
+    """
+    if not psd_3x3(cov):
+        raise NumericalError(f"update drove robot {robot_id} covariance indefinite")
+    if not math.isfinite(sum(mean_step.tolist())):
+        raise NumericalError(f"update gave robot {robot_id} a non-finite mean step")

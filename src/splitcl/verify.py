@@ -53,13 +53,11 @@ from .harness import (
     segments,
     split_steps,
 )
+from .linalg import EIG_TOL
 from .network import gate_measurement
 from .protocol import CooperationServer, ProtocolEvent, RobotNode
 
 DEFAULT_TOLERANCE = 1e-8
-
-# Most negative joint-covariance eigenvalue still taken as rounding.
-EIG_TOL = 1e-9
 
 
 @dataclass(slots=True)

@@ -158,3 +158,20 @@ def dense_store_update(store, factors, missed=frozenset()):
     frozen = np.array([store.index[r] for r in missed], dtype=int)
     product[frozen[:, None], :, frozen[None, :], :] = 0.0
     return store.blocks + product
+
+
+def eigenvalue_psd(m, tol=1e-9):
+    """The split filter's former covariance test, kept as the reference for
+    :func:`splitcl.linalg.psd_3x3`: LAPACK's smallest eigenvalue of the
+    symmetric ``m`` is at least ``-tol``."""
+    return not np.linalg.eigvalsh(m)[0] < -tol
+
+
+def numpy_sqrt_and_inv_sqrt_2x2(s):
+    """The symmetric root of an SPD 2x2 matrix and its inverse in numpy
+    arithmetic, the reference for :func:`splitcl.linalg.sqrt_and_inv_sqrt_2x2`."""
+    det = s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]
+    sq_det = np.sqrt(det)
+    root = (s + sq_det * np.eye(2)) / np.sqrt(s[0, 0] + s[1, 1] + 2.0 * sq_det)
+    inv_root = np.array([[root[1, 1], -root[0, 1]], [-root[1, 0], root[0, 0]]]) / sq_det
+    return root, inv_root

@@ -169,6 +169,19 @@ def test_fractional_team_size_is_invalid_input(tmp_path, capsys):
     assert err.count("error: n_robots must be an integer, got 4.9") == 2
 
 
+def test_boolean_step_length_is_invalid_input(tmp_path, capsys):
+    doc = Scenario().to_dict()
+    doc["dt_s"] = True
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", "--scenario", str(path), "--out", str(out_dir)]) == cli.EXIT_USAGE
+    assert not out_dir.exists()
+    assert cli.main(["verify", "--scenario", str(path)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("error: dt_s must be a number, got True") == 2
+
+
 def test_run_reports_a_diverged_estimator(tmp_path, monkeypatch, capsys):
     sc = Scenario(duration_s=10.0, meas_windows=(MeasurementWindow(2.0, 4.0, 1, 2),))
     path = tmp_path / "small.json"

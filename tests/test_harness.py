@@ -1,11 +1,14 @@
-"""Monte-Carlo aggregation in the harness."""
+"""Monte-Carlo aggregation and the split filter's measurement epoch in the harness."""
 
 import math
 
 import numpy as np
 import pytest
 
-from splitcl import harness
+from splitcl import harness, split_ekf
+from splitcl.messages import UpdateMessage
+from splitcl.network import perfect_report
+from splitcl.protocol import EVENT_NUMERIC_S, CooperationServer
 from splitcl.scenario import MeasurementWindow, Scenario, ScenarioError
 
 ESTIMATORS = (harness.DR, harness.JOINT_EKF, harness.SA_SPLIT)
@@ -58,3 +61,44 @@ def test_monte_carlo_refuses_a_bad_scenario_before_simulating(sc, message, monke
     with pytest.raises(ScenarioError, match=message):
         harness.run_monte_carlo(sc, 1, ESTIMATORS)
     assert not calls
+
+
+def test_a_non_finite_frame_is_dropped_with_an_event(monkeypatch):
+    # The frame for robot 2 arrives with a NaN whitened residual: robot 2
+    # keeps its propagated rows and the epoch logs why; robot 1 still
+    # applies its own frame.
+    sc = Scenario(duration_s=5.0, meas_windows=(MeasurementWindow(1.0, 3.0, 1, 2),))
+    real = harness.build_realization(sc, harness.seed_key(sc, 3))
+    k = min(real.measurements)
+    start = split_ekf.SplitTeamState.initialize(sc.robot_ids, real.init_means, sc.initial_cov())
+    *_, team = split_ekf.propagate_team(
+        start, real.controls_meas[:, :k], real.filter_q[:, :k], sc.dt_s
+    )
+    propagated = split_ekf.SplitTeamState(
+        team.team, team.index, team.mean.copy(), team.cov.copy(), team.jac_accum, team.time
+    )
+    server = CooperationServer(sc.robot_ids, sc.meas_noise_cov())
+    handle_epoch = server.handle_epoch
+
+    def corrupting(msgs, time, missed=frozenset()):
+        updates = handle_epoch(msgs, time, missed)
+        sent = updates[2]
+        residual = sent.residual_payload.copy()
+        residual[0] = np.nan
+        updates[2] = UpdateMessage(2, sent.time, sent.kind, residual, sent.gain_payload)
+        return updates
+
+    monkeypatch.setattr(server, "handle_epoch", corrupting)
+    events = []
+    out = harness._run_split_epoch(
+        team, server, real.measurements[k], perfect_report(sc.robot_ids, k), events
+    )
+
+    assert [e.as_line() for e in events] == [
+        f"t={k} {EVENT_NUMERIC_S} robot=2 reason=update for robot 2 has a non-finite payload"
+    ]
+    for rows in ("mean", "cov"):
+        np.testing.assert_array_equal(getattr(team, rows), getattr(propagated, rows))
+        np.testing.assert_array_equal(getattr(out, rows)[1], getattr(propagated, rows)[1])
+        assert not np.array_equal(getattr(out, rows)[0], getattr(propagated, rows)[0])
+    assert np.isfinite(out.mean).all() and np.isfinite(out.cov).all()

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from splitcl import joint_ekf, model, split_ekf
 from splitcl.linalg import NumericalError
@@ -148,6 +149,34 @@ class TestRobotNode:
         with pytest.raises(NumericalError, match="covariance indefinite"):
             node.apply_update(msg)
         assert node.state is before
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind, payload", [
+        ("single", "residual_payload"), ("single", "gain_payload"),
+        ("summed", "residual_payload"), ("summed", "gain_payload"),
+    ])
+    def test_non_finite_payload_raises_and_keeps_state(self, kind, payload, value):
+        # A decoded frame is outside input: a non-finite entry anywhere in
+        # either payload must be refused, not crash the robot or slip in.
+        rng = np.random.default_rng(75)
+        node = RobotNode(1, rng.uniform(-1, 1, 3), np.eye(3) * 0.1)
+        node.step(rng.uniform(-1, 1, (3, 2)), np.full((3, 2), 0.01), 0.1)
+        if kind == "single":
+            sound = {"residual_payload": np.ones(2), "gain_payload": np.full((3, 2), 0.01)}
+        else:
+            sound = {"residual_payload": np.ones(3), "gain_payload": np.eye(3) * 1e-3}
+        before = node.state
+        saved = before.copy()
+        for pos in np.ndindex(sound[payload].shape):
+            payloads = {k: v.copy() for k, v in sound.items()}
+            payloads[payload][pos] = value
+            msg = UpdateMessage(1, node.time, kind, **payloads)
+            with pytest.raises(NumericalError, match="robot 1"):
+                node.apply_update(UpdateMessage.decode(msg.encode()))
+            assert node.state is before
+            for name in ("mean", "cov", "jac_accum"):
+                np.testing.assert_array_equal(getattr(node.state, name), getattr(saved, name))
+        assert node.apply_update(UpdateMessage(1, node.time, kind, **sound))
 
     def test_storage_is_constant_in_team_size(self):
         node = RobotNode(1, np.zeros(3), np.eye(3))
@@ -442,3 +471,121 @@ class TestSparseUpdateFrames:
                 belief.mean[belief.index[i]], before_belief.mean[belief.index[i]]
             )
             np.testing.assert_array_equal(belief.block(i, i), before_belief.block(i, i))
+
+
+class TestServerScratchGate:
+    def test_indefinite_scratch_row_skips_the_measurement_whole(self):
+        # A planted factor C_12 = c n v' with H_1 A_1 n = 0 leaves the
+        # innovation of (1, 2) as it was, but robot 1's update factor, and
+        # with it the drop of its covariance, grows with c. The server must
+        # skip (1, 2) whole and still process the sound (3, 4).
+        rng = np.random.default_rng(92)
+        ids, nodes, server, _ = build_stack(rng, 4)
+        t = nodes[1].time
+        s1, s2 = nodes[1].state, nodes[2].state
+        h1, _ = model.relative_jacobians(s1.mean, s2.mean)
+        null = np.linalg.svd(h1 @ split_ekf.shear(s1.jac_accum))[2][-1]
+        planted = 1e3 * np.outer(null, [1.0, -1.0, 1.0])
+        server.store.blocks[0, :, 1, :] = planted
+        server.store.blocks[1, :, 0, :] = planted.T
+        z12, z34 = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
+        # The innovation alone passes its check.
+        split_ekf.innovation(s1, s2, server.store.factor(1, 2), z12, NOISE)
+
+        sound = CooperationServer(ids, NOISE)
+        sound.store = server.store.copy()
+        msgs = [
+            nodes[1].landmark_message(z=z12, landmark=2), nodes[2].landmark_message(),
+            nodes[3].landmark_message(z=z34, landmark=4), nodes[4].landmark_message(),
+        ]
+        updates = server.handle_epoch(msgs, t)
+        expected = sound.handle_epoch(msgs[2:], t)
+
+        # No frame and no store change from (1, 2): exactly what (3, 4)
+        # alone gives, and the planted blocks bit for bit.
+        assert set(updates) == set(expected) == {3, 4}
+        for i, msg in updates.items():
+            assert msg.kind == expected[i].kind == "single"
+            np.testing.assert_array_equal(msg.residual_payload, expected[i].residual_payload)
+            np.testing.assert_array_equal(msg.gain_payload, expected[i].gain_payload)
+        np.testing.assert_array_equal(server.store.blocks, sound.store.blocks)
+        np.testing.assert_array_equal(server.store.factor(1, 2), planted)
+        assert [e.as_line() for e in server.events] == [
+            f"t={t} {EVENT_NUMERIC_S} observer=1 landmark=2 "
+            "reason=update drove robot 1 covariance indefinite"
+        ]
+        assert sound.events == []
+
+
+@st.composite
+def server_epochs(draw):
+    """A team size, warm-up pairs, one epoch's measurements and its missed set.
+
+    Measurements are distinct ``(observer, landmark)`` pairs, ``landmark``
+    ``None`` for an absolute one, drawn from a few robots so that they
+    share robots. Missed robots are drawn from the whole team, so some
+    measurements lose an endpoint and are discarded.
+    """
+    n = draw(st.integers(2, 6))
+    robot = st.integers(1, n)
+    pair = st.tuples(robot, robot).filter(lambda p: p[0] != p[1])
+    warmup = draw(st.lists(pair, max_size=2, unique=True))
+    measurements = draw(st.lists(
+        st.tuples(robot, st.none() | robot).filter(lambda p: p[0] != p[1]),
+        min_size=1, max_size=4, unique=True,
+    ))
+    missed = frozenset(draw(st.sets(robot, max_size=n - 1)))
+    return n, warmup, measurements, missed, draw(st.integers(0, 2**32 - 1))
+
+
+class TestServerEpochProperty:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(server_epochs())
+    def test_epoch_equals_sequential_partial_updates(self, case):
+        # The frames the robots apply, with the server linearizing each
+        # measurement at its scratch rows as corrected by the earlier ones,
+        # equal the centralized partial-update filter applying the same
+        # measurements one after another in the server's order.
+        n, warmup, measurements, missed, seed = case
+        rng = np.random.default_rng(seed)
+        ids, nodes, server, belief = build_stack(rng, n, warmup_steps=6, warmup_pairs=warmup)
+        t = nodes[1].time
+        zs = {}
+        msgs = []
+        for a, b in measurements:
+            if b is None:
+                zs[a, b] = nodes[a].state.mean[:2] + rng.uniform(-0.2, 0.2, 2)
+            else:
+                zs[a, b] = rng.uniform(-1, 1, 2)
+            msgs.append(nodes[a].landmark_message(z=zs[a, b], landmark=b))
+        observers = {a for a, _ in measurements}
+        landmarks = {b for _, b in measurements if b is not None}
+        msgs += [nodes[i].landmark_message() for i in sorted(landmarks - observers)]
+
+        updates = server.handle_epoch(msgs, t, missed=missed)
+        for i, msg in updates.items():
+            if i not in missed:
+                nodes[i].apply_update(msg)
+
+        # The server's order: relatives by (observer, landmark), then absolutes.
+        order = sorted((m for m in measurements if m[1] is not None)) + sorted(
+            m for m in measurements if m[1] is None
+        )
+        applied = 0
+        for a, b in order:
+            if a in missed or b in missed:
+                continue
+            applied += 1
+            if b is None:
+                belief, _ = joint_ekf.partial_absolute_update(
+                    belief, model.AbsoluteMeasurement(a, zs[a, b], t), NOISE, missed
+                )
+            else:
+                belief, _ = joint_ekf.partial_update(
+                    belief, model.RelativeMeasurement(a, b, zs[a, b], t), NOISE, missed
+                )
+        assert bool(updates) == (applied > 0)
+        assert {m.kind for m in updates.values()} <= {"single" if applied == 1 else "summed"}
+        assert_matches_belief(ids, nodes, belief, tol=1e-10)
+        recon = server.store.reconstruct(np.array([nodes[i].state.jac_accum for i in ids]))
+        np.testing.assert_allclose(cross_blocks(recon), cross_blocks(belief.cov), atol=1e-10)

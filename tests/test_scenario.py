@@ -113,6 +113,40 @@ def test_malformed_field_is_rejected(tmp_path, edit, message):
         Scenario.load(_write(tmp_path, json.dumps(doc)))
 
 
+def _path_with(**edit):
+    return {**_doc()["path"], **edit}
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"dt_s": True}, "dt_s must be a number, got True"),
+    ({"dt_s": "abc"}, "dt_s must be a number, got 'abc'"),
+    ({"meas_noise_std": "0.05"}, "meas_noise_std must be a number, got '0.05'"),
+    ({"bernoulli_p": None}, "bernoulli_p must be a number, got None"),
+    ({"zones": [[True, "-1", 1, 1]]}, "zones must be a number, got True"),
+    ({"zones": [[0.0, "-1", 1, 1]]}, "zones must be a number, got '-1'"),
+    ({"path": _path_with(center=["0", 0.0])}, "path.center must be a number, got '0'"),
+    ({"path": _path_with(side0=False)}, "path.side0 must be a number, got False"),
+    ({"v_noise_frac": [0.35, 0.30, "0.25", 0.20]}, "v_noise_frac must be a number"),
+    ({"meas_windows": [["45", 50.0, 1, 2]]}, "meas_windows start_s must be a number"),
+    ({"dropout_windows": [[1, 135.0, [140.0]]]}, "dropout_windows end_s must be a number"),
+    ({"initial_cov_diag": [0.0025, True, 0.00274]}, "initial_cov_diag must be a number"),
+], ids=["dt-bool", "dt-string", "noise-string", "p-null", "zone-bool", "zone-string",
+        "center-string", "side-bool", "frac-string", "window-string", "dropout-list",
+        "cov-bool"])
+def test_non_numeric_real_field_is_rejected(tmp_path, edit, message):
+    doc = {**_doc(), **edit}
+    with pytest.raises(ScenarioError, match=message):
+        Scenario.load(_write(tmp_path, json.dumps(doc)))
+
+
+def test_integral_numbers_load_as_reals(tmp_path):
+    doc = {**_doc(), "duration_s": 300, "zones": [[0, -1, 1, 1]]}
+    sc = Scenario.load(_write(tmp_path, json.dumps(doc)))
+    assert sc.duration_s == 300.0 and type(sc.duration_s) is float
+    assert sc.zones == ((0.0, -1.0, 1.0, 1.0),)
+    assert all(type(v) is float for v in sc.zones[0])
+
+
 def test_integral_numbers_load_as_integers(tmp_path):
     doc = {**_doc(), "n_robots": 4.0, "seed": 9.0}
     sc = Scenario.load(_write(tmp_path, json.dumps(doc)))

@@ -331,6 +331,34 @@ class TestApplyUpdate:
         with pytest.raises(NumericalError):
             split_ekf.apply_update(state, factor, np.zeros(2))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_correction_raises(self, value):
+        rng = np.random.default_rng(49)
+        state = make_state(rng, 1)
+        for pos in range(3):
+            step = np.zeros(3)
+            step[pos] = value
+            with pytest.raises(NumericalError, match="robot 1 a non-finite mean step"):
+                split_ekf.apply_correction(state, step, np.zeros((3, 3)))
+        for pos in np.ndindex(3, 3):
+            drop = np.zeros((3, 3))
+            drop[pos] = value
+            with pytest.raises(NumericalError, match="robot 1 covariance indefinite"):
+                split_ekf.apply_correction(state, np.zeros(3), drop)
+
+    def test_correction_gains_are_the_shear_products(self):
+        # Row updates in place of S(s) D, for one robot and stacked.
+        rng = np.random.default_rng(51)
+        accs = rng.uniform(-5, 5, (6, 2))
+        factors = rng.standard_normal((6, 3, 2))
+        stacked = split_ekf.correction_gains(accs, factors)
+        for a in range(6):
+            expected = shear(accs[a]) @ factors[a]
+            np.testing.assert_allclose(stacked[a], expected, rtol=1e-15, atol=1e-15)
+            np.testing.assert_array_equal(
+                split_ekf.correction_gains(accs[a], factors[a]), stacked[a]
+            )
+
 
 class TestCrossFactorStore:
     def test_starts_at_zero_and_serves_transpose(self):
