@@ -72,28 +72,27 @@ def sqrt_and_inv_sqrt_2x2(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return root, inv_root
 
 
-def psd_3x3(m: np.ndarray) -> bool:
-    """Whether the symmetric 3x3 ``m`` is positive semidefinite up to rounding.
+def psd_3x3(a: float, b: float, c: float, d: float, e: float, f: float) -> bool:
+    """Whether the symmetric 3x3 matrix ``[[a, b, c], [b, d, e], [c, e, f]]``
+    is positive semidefinite up to rounding.
 
     The test is the Cholesky test of ``m + EIG_TOL I`` that the equivalence
     check applies to the joint covariance: the three pivots of its
-    ``L D L'`` factorization, in closed form from the lower triangle, must
-    all be positive. A matrix with a non-finite entry fails (so does one
-    whose entries sum beyond the float range).
+    ``L D L'`` factorization, in closed form, must all be positive. A
+    matrix with a non-finite entry fails (so does one whose entries sum
+    beyond the float range).
     """
-    rows = m.tolist()
-    if not math.isfinite(sum(rows[0]) + sum(rows[1]) + sum(rows[2])):
+    if not math.isfinite(a + b + c + d + e + f):
         return False
-    (a, _, _), (b, c, _), (d, e, f) = rows
     p0 = a + EIG_TOL
     if not p0 > 0.0:
         return False
-    l1, l2 = b / p0, d / p0
-    p1 = c + EIG_TOL - l1 * b
+    l1, l2 = b / p0, c / p0
+    p1 = d + EIG_TOL - l1 * b
     if not p1 > 0.0:
         return False
     e1 = e - l2 * b
-    return f + EIG_TOL - l2 * d - e1 * e1 / p1 > 0.0
+    return f + EIG_TOL - l2 * c - e1 * e1 / p1 > 0.0
 
 
 def min_eigenvalue(m: np.ndarray) -> float:

@@ -18,6 +18,8 @@ update (kind 3)     summed multi-measurement payload: recipient u32,
                     product 9xf64 (109 bytes)
 ==================  =======================================================
 
+A single update frame is the factored form ``(r, D)`` of the correction
+pair ``(D r, D D')``; a summed frame carries the summed pairs themselves.
 Matrices are row-major; ``jac_accum`` is the translation of the sender's
 accumulated Jacobian, a shear (see :mod:`split_ekf`). A landmark-role
 message carries no measurement (``z is None``); an observer's message
@@ -90,7 +92,8 @@ class LandmarkMessage:
     Every involved robot reports its predicted estimate, own covariance and
     accumulated Jacobian; the observer additionally reports the measurement
     value and which robot it observed (``landmark is None`` marks an
-    absolute measurement). Shapes are checked at construction.
+    absolute measurement). Shapes are checked at construction, and so is
+    the landmark: neither the sender nor robot 0, which encodes as none.
     """
 
     sender: int
@@ -104,6 +107,10 @@ class LandmarkMessage:
     def __post_init__(self) -> None:
         names = ("mean", "cov", "jac_accum") + (() if self.z is None else ("z",))
         _check_shapes(self, _KIND_LANDMARK, names)
+        if self.landmark == self.sender:
+            raise ProtocolError(f"robot {self.sender} cannot measure itself")
+        if self.landmark == 0:
+            raise ProtocolError("robot 0 cannot be a landmark: the frame encodes 0 as none")
 
     def encode(self) -> bytes:
         has_z = self.z is not None
@@ -127,10 +134,11 @@ class UpdateMessage:
     """Per-robot correction broadcast by the server after an epoch.
 
     ``kind == "single"``: ``residual_payload`` is the whitened residual
-    (length 2) and ``gain_payload`` the robot's 3x2 update factor.
+    ``r`` (length 2) and ``gain_payload`` the robot's 3x2 update factor
+    ``D``, the factored form of the correction pair ``(D r, D D')``.
 
-    ``kind == "summed"``: the payloads are the pre-combined corrections of a
-    multi-measurement epoch, a length-3 vector and a 3x3 outer-product sum.
+    ``kind == "summed"``: the payloads are the sum of a multi-measurement
+    epoch's pairs, a length-3 vector and a 3x3 outer-product sum.
     Either way the robot applies the message using only its own local state.
     """
 

@@ -24,11 +24,10 @@ The server keeps scratch copies of the reporting robots' states, stacked as
 one row per robot (``(k, 3)`` means, ``(k, 3, 3)`` covariances, ``(k, 2)``
 accumulated Jacobians), so later measurements in the epoch are linearized
 against already-corrected values. Each processed measurement corrects all
-rows in one batched step, the same correction each robot applies to itself,
-and every corrected row must pass the robots' own check
-(:func:`split_ekf.check_correction`), or the measurement is skipped whole.
-The server sends a single summed update message per touched robot at the
-end.
+rows with :func:`split_ekf.apply_update`, the call each robot makes on
+itself, and every row must pass its check, or the measurement is skipped
+whole. The server sends each touched robot one summed update message at
+the end, the sum of its ``(D_i r, D_i D_i')`` pairs over the epoch.
 """
 
 from __future__ import annotations
@@ -138,9 +137,10 @@ class RobotNode:
 
         A message for a past timestep is discarded (the robot behaves as if
         it had missed the epoch); delayed-measurement replay is out of scope.
-        Raises :class:`NumericalError`, keeping the state as it is, for a
-        payload with a non-finite entry and for a correction that fails
-        :func:`split_ekf.check_correction`.
+        A single frame ``(r, D)`` is turned into its pair ``(D r, D D')``;
+        either pair goes to :func:`split_ekf.apply_update`. Raises
+        :class:`NumericalError`, keeping the state as it is, for a payload
+        with a non-finite entry and for a correction that fails its check.
         """
         if msg.recipient != self.state.robot_id:
             raise ProtocolError(
@@ -157,13 +157,14 @@ class RobotNode:
                 f"update for robot {self.state.robot_id} has a non-finite payload"
             )
         if msg.kind == "single":
-            self.state = split_ekf.apply_update(
-                self.state, msg.gain_payload, msg.residual_payload
-            )
+            vec, mat = split_ekf.correction(msg.gain_payload, msg.residual_payload)
         else:
-            self.state = split_ekf.apply_summed_update(
-                self.state, msg.residual_payload, msg.gain_payload
-            )
+            vec, mat = msg.residual_payload, msg.gain_payload
+        s = self.state
+        mean, cov = split_ekf.apply_update(
+            (s.robot_id,), s.mean, s.cov, s.jac_accum, vec, mat
+        )
+        self.state = SplitRobotState(s.robot_id, mean, cov, s.jac_accum, s.time)
         return True
 
 
@@ -217,11 +218,11 @@ class CooperationServer:
         The senders' scratch states are stacked rows, in the order of their
         first messages. A measurement is linearized at the rows as the
         earlier measurements left them, and corrects every row at once:
-        with ``D`` the rows' update factors, ``G = A D`` and the whitened
-        residual ``r``, ``mean += G r`` and ``cov -= G G'``. A row that
-        fails :func:`split_ekf.check_correction` (the first in row order
-        names the robot in the logged event) discards the measurement
-        whole: no row, no store block and no frame takes any part of it.
+        with ``D`` the rows' update factors and ``r`` the whitened residual,
+        :func:`split_ekf.apply_update` applies the pairs ``(D r, D D')``. A
+        row that fails its check (the first in row order names the robot
+        in the logged event) discards the measurement whole: no row, no
+        store block and no frame takes any part of it.
         """
         for msg in msgs:
             if msg.time != time:
@@ -288,11 +289,10 @@ class CooperationServer:
                     observer, landmark, cross, m.z, self.meas_noise_cov
                 )
                 factors = split_ekf.update_factors(self.store, observer, landmark, innov)
-                gains = split_ekf.correction_gains(accs, factors[sender_pos])
-                steps = gains @ innov.white_residual
-                new_cov = cov - gains @ gains.transpose(0, 2, 1)
-                for rid, step, row_cov in zip(senders, steps, new_cov):
-                    split_ekf.check_correction(rid, step, row_cov)
+                mean, cov = split_ekf.apply_update(
+                    senders, mean, cov, accs,
+                    *split_ekf.correction(factors[sender_pos], innov.white_residual),
+                )
             except NumericalError as exc:
                 # Skip the measurement atomically: neither the scratch
                 # rows nor the store absorb any part of it.
@@ -301,8 +301,6 @@ class CooperationServer:
                     f"observer={a} landmark={m.landmark} reason={exc}",
                 ))
                 continue
-            mean = mean + steps
-            cov = new_cov
             # The store returns the robots with a non-zero D_i: the only
             # ones whose blocks, payloads and messages this measurement
             # changes.
@@ -330,9 +328,9 @@ class CooperationServer:
         vec_sum = np.zeros((len(positions), 3))
         mat_sum = np.zeros((len(positions), 3, 3))
         for white_residual, factors in singles:
-            rows = factors[positions]
-            vec_sum += rows @ white_residual
-            mat_sum += rows @ rows.transpose(0, 2, 1)
+            vec, mat = split_ekf.correction(factors[positions], white_residual)
+            vec_sum += vec
+            mat_sum += mat
         return {
             i: UpdateMessage(
                 recipient=i,

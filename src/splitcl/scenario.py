@@ -34,10 +34,10 @@ the following keys; distances are meters, times seconds, angles radians:
 
 Every robot starts at the spiral's center; in a team of N, robot r heads
 out at (r-1) * 360/N degrees and drives its own copy of the outward square
-spiral, rotated by that angle and scaled by its path scale, so no two
-robots share a trajectory (four robots head out 90 degrees apart). All
-robots reach their next corner at the same instant (straight edges at
-constant speed, turns in place). Cross-covariances always start at zero.
+spiral, rotated by that angle, so no two robots share a trajectory (four
+robots head out 90 degrees apart). All robots reach their next corner at
+the same instant (straight edges at constant speed, turns in place).
+Cross-covariances always start at zero.
 
 The 1e-6 floor on process-noise variances applies to the covariance the
 filters use, not to the injected noise, so a zero-noise scenario really is
@@ -75,24 +75,19 @@ class ScenarioError(ValueError):
 class SpiralPath:
     """Outward square-spiral track shared by the whole team.
 
-    ``growth_mode`` selects how edge lengths progress: ``"linear"`` adds
-    ``growth`` meters per edge, ``"geometric"`` multiplies by ``growth`` per
-    edge. Every robot drives its own copy of this track from the center,
-    rotated by (r-1) * 360/N degrees for robot r of N and scaled by its
-    path scale (see :func:`start_poses`); all robots corner simultaneously,
-    so a robot with a larger scale drives proportionally faster.
+    Edge ``m`` is ``side0 + m * growth`` meters long. Every robot drives its
+    own copy of this track from the center, rotated by (r-1) * 360/N degrees
+    for robot r of N (see :func:`start_poses`), and all robots corner
+    simultaneously.
     """
 
     side0: float = 1.0
     growth: float = 0.25
-    growth_mode: str = "linear"
     edge_time_s: float = 24.0
     turn_time_s: float = 1.0
     center: tuple[float, float] = (0.0, 0.0)
 
     def edge_length(self, m: int) -> float:
-        if self.growth_mode == "geometric":
-            return self.side0 * self.growth**m
         return self.side0 + m * self.growth
 
 
@@ -119,7 +114,6 @@ class Scenario:
     path: SpiralPath = field(default_factory=SpiralPath)
     v_noise_frac: tuple[float, ...] = (0.35, 0.30, 0.25, 0.20)
     w_noise_frac: tuple[float, ...] = (0.25, 0.20, 0.20, 0.15)
-    path_scales: tuple[float, ...] | None = None
     meas_windows: tuple[MeasurementWindow, ...] = ()
     meas_period_s: float = 1.0
     meas_noise_std: float = 0.05
@@ -174,17 +168,8 @@ class Scenario:
             raise ScenarioError("bernoulli_p must be in [0, 1)")
         if any(d <= 0 for d in self.initial_cov_diag):
             raise ScenarioError("initial covariance diagonal must be positive")
-        if self.path.growth_mode not in ("linear", "geometric"):
-            raise ScenarioError(f"unknown growth mode {self.path.growth_mode!r}")
         if self.path.side0 <= 0:
             raise ScenarioError("spiral side0 must be positive")
-        if self.path.growth_mode == "geometric" and self.path.growth <= 0:
-            raise ScenarioError("geometric growth ratio must be positive")
-        if self.path_scales is not None:
-            if len(self.path_scales) != self.n_robots:
-                raise ScenarioError("path_scales must have one entry per robot")
-            if any(s <= 0 for s in self.path_scales):
-                raise ScenarioError("path scales must be positive")
         ids = set(self.robot_ids)
         for w in self.meas_windows:
             if w.observer not in ids or w.landmark not in ids:
@@ -222,19 +207,15 @@ class Scenario:
         tag = d.get("format")
         if tag != FORMAT_TAG:
             raise ScenarioError(f"unsupported scenario format {tag!r}")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known - {"format"}
-        if unknown:
-            raise ScenarioError(f"unknown scenario keys {sorted(unknown)}")
-        missing = known - set(d)
-        if missing:
-            raise ScenarioError(f"missing scenario keys {sorted(missing)}")
+        _check_keys(d.keys() - {"format"}, cls, "scenario keys")
         try:
             p = d["path"]
+            if not isinstance(p, dict):
+                raise ScenarioError("path must be a JSON object")
+            _check_keys(set(p), SpiralPath, "path keys")
             path = SpiralPath(
                 side0=_real(p["side0"], "path.side0"),
                 growth=_real(p["growth"], "path.growth"),
-                growth_mode=str(p["growth_mode"]),
                 edge_time_s=_real(p["edge_time_s"], "path.edge_time_s"),
                 turn_time_s=_real(p["turn_time_s"], "path.turn_time_s"),
                 center=tuple(_real(c, "path.center") for c in p["center"]),
@@ -244,11 +225,6 @@ class Scenario:
                 duration_s=_real(d["duration_s"], "duration_s"),
                 dt_s=_real(d["dt_s"], "dt_s"),
                 path=path,
-                path_scales=(
-                    None
-                    if d["path_scales"] is None
-                    else tuple(_real(s, "path_scales") for s in d["path_scales"])
-                ),
                 v_noise_frac=tuple(_real(f, "v_noise_frac") for f in d["v_noise_frac"]),
                 w_noise_frac=tuple(_real(f, "w_noise_frac") for f in d["w_noise_frac"]),
                 meas_windows=tuple(
@@ -296,6 +272,18 @@ class Scenario:
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"scenario file {p} is not valid JSON: {exc}") from exc
         return cls.from_dict(doc)
+
+
+def _check_keys(keys: set[str], cls: type, what: str) -> None:
+    """Refuse ``keys`` unless they are the fields of the dataclass ``cls``,
+    naming the unknown or missing ones."""
+    known = set(cls.__dataclass_fields__)
+    unknown = keys - known
+    if unknown:
+        raise ScenarioError(f"unknown {what} {sorted(unknown)}")
+    missing = known - keys
+    if missing:
+        raise ScenarioError(f"missing {what} {sorted(missing)}")
 
 
 def _check_team_size(n_robots: int) -> None:
@@ -347,20 +335,13 @@ def seconds_to_step(t_s: float, dt_s: float) -> int:
     return int(round(t_s / dt_s))
 
 
-def robot_scales(sc: Scenario) -> np.ndarray:
-    if sc.path_scales is None:
-        return np.ones(sc.n_robots)
-    return np.asarray(sc.path_scales, dtype=float)
-
-
 def start_poses(sc: Scenario) -> np.ndarray:
     """True initial pose of each robot.
 
     Robot r of N drives its own copy of the base spiral, rotated by
-    (r-1) * 360/N degrees about the shared center and scaled by its path
-    scale, so the team fans out from the center in N distinct directions
-    while cornering in lockstep. For N = 4 the headings are the multiples
-    of 90 degrees, bit for bit.
+    (r-1) * 360/N degrees about the shared center, so the team fans out
+    from the center in N distinct directions while cornering in lockstep.
+    For N = 4 the headings are the multiples of 90 degrees, bit for bit.
     """
     poses = np.zeros((sc.n_robots, 3))
     cx, cy = sc.path.center
@@ -374,9 +355,9 @@ def true_controls(sc: Scenario) -> np.ndarray:
     """Commanded ``[v, omega]`` per robot and step, shape (N, T, 2).
 
     Each robot alternates a constant-speed straight edge with an in-place
-    quarter turn on its own scaled copy of the spiral; all robots corner at
-    the same steps. Steps past the last full edge-turn cycle are zero (the
-    robot waits).
+    quarter turn on its own rotated copy of the spiral, so all robots get
+    the same controls and corner at the same steps. Steps past the last
+    full edge-turn cycle are zero (the robot waits).
     """
     dt = sc.dt_s
     n_steps = sc.n_steps
@@ -388,15 +369,12 @@ def true_controls(sc: Scenario) -> np.ndarray:
     n_cycles = n_steps // cycle
     edge_lengths = np.array([sc.path.edge_length(m) for m in range(n_cycles)])
     turn_rate = (math.pi / 2) / (turn_steps * dt)
-    scales = robot_scales(sc)
-    controls = np.zeros((sc.n_robots, n_steps, 2))
-    for r in range(sc.n_robots):
-        for c in range(n_cycles):
-            v = scales[r] * edge_lengths[c] / (edge_steps * dt)
-            k0 = c * cycle
-            controls[r, k0:k0 + edge_steps, 0] = v
-            controls[r, k0 + edge_steps:k0 + cycle, 1] = turn_rate
-    return controls
+    controls = np.zeros((n_steps, 2))
+    for c in range(n_cycles):
+        k0 = c * cycle
+        controls[k0:k0 + edge_steps, 0] = edge_lengths[c] / (edge_steps * dt)
+        controls[k0 + edge_steps:k0 + cycle, 1] = turn_rate
+    return np.repeat(controls[None], sc.n_robots, axis=0)
 
 
 def process_noise_diags(sc: Scenario, controls: np.ndarray) -> np.ndarray:

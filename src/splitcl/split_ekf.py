@@ -27,10 +27,14 @@ The server keeps all factors in one dense team matrix
 order, symmetric, with zero diagonal blocks. At a measurement epoch the
 server turns the innovation into one whitened residual and the ``(N, 3, 2)``
 array ``D`` of per-robot update factors, such that ``A_i D_i inv_sqrt(S)``
-equals the centralized gain ``K_i``. A robot applies its correction knowing
-only ``A_i`` and the two numbers the server sends. The server folds the
-same factors into the store as the masked rank-2 update ``C <- C - D D'``,
-in which the blocks between two robots that both missed the update are
+equals the centralized gain ``K_i``. Every correction is one factor-space
+pair ``(v, M)``: ``(D_i r, D_i D_i')`` for one measurement with whitened
+residual ``r`` (:func:`correction`), or the sum of those over an epoch.
+:func:`apply_update` applies every pair, a robot's to itself and the
+server's to its shadow copies of the robots alike: ``A_i v`` is added to
+the mean and ``A_i M A_i'`` subtracted from the covariance. The server
+folds the same factors into the store as the masked rank-2 update
+``C <- C - D D'``, in which the blocks between two robots that both missed the update are
 masked out: they keep their old factor, which is exactly what the
 centralized filter does to the corresponding cross block. Only the
 measurement's *support* can change: the robots whose row ``D_i`` is
@@ -415,69 +419,62 @@ def update_factors(
     return acc @ innov.inv_sqrt_cov
 
 
-def correction_gains(jac_accum: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """``A D`` for update factors ``D`` ``(..., 3, 2)`` and the matching
-    ``jac_accum`` ``(..., 2)``: ``D`` with ``s`` times its heading row added
-    to its position rows, the shear's only off-identity entries."""
-    out = factors.copy()
-    out[..., :2, :] += jac_accum[..., :, None] * factors[..., 2:3, :]
-    return out
+def correction(factors: np.ndarray, white_residual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pair ``(D r, D D')`` of update factors ``D`` ``(..., 3, 2)`` and a
+    whitened residual ``r``. numpy forms each row of a stack as it forms
+    the row alone, so a row's pair is the same bits either way."""
+    return factors @ white_residual, factors @ factors.swapaxes(-1, -2)
 
 
 def apply_update(
-    state: SplitRobotState, factor: np.ndarray, white_residual: np.ndarray
-) -> SplitRobotState:
-    """Apply one (factor, whitened residual) correction to a robot.
+    robot_ids: Sequence[int],
+    mean: np.ndarray,
+    cov: np.ndarray,
+    jac_accum: np.ndarray,
+    vec: np.ndarray,
+    mat: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``mean + A v`` and ``cov - A M A'`` for one robot (``(3,)``, ``(3, 3)``
+    and ``(2,)`` arrays) or ``k`` stacked rows, with ``A = shear(jac_accum)``
+    and one id in ``robot_ids`` per row.
 
-    The accumulated Jacobian is unchanged; the covariance loses the squared
-    norm of the correction gain from its trace.
+    ``A M A'`` only adds ``s``-multiples of ``M``'s last row and column to
+    its position block; it is formed on Python floats, row by row, from the
+    upper triangles of ``mat`` and ``cov``, so each corrected covariance is
+    exactly symmetric and each row gets the same arithmetic alone or
+    stacked. Corrections arrive as decoded frames, i.e. as outside input,
+    so every row is checked: the entries of ``cov`` and ``mat`` and the
+    mean step must be finite, and the corrected covariance must pass
+    :func:`linalg.psd_3x3`, the Cholesky test of ``cov + EIG_TOL I`` that
+    the equivalence check applies to the joint covariance. Else
+    :class:`NumericalError` names the first failing robot.
     """
-    gain = correction_gains(state.jac_accum, factor)
-    return apply_correction(state, gain @ white_residual, gain @ gain.T)
-
-
-def apply_summed_update(
-    state: SplitRobotState, vec_sum: np.ndarray, mat_sum: np.ndarray
-) -> SplitRobotState:
-    """Apply the pre-combined corrections of a multi-measurement epoch.
-
-    ``vec_sum`` is the sum of ``D_i r`` and ``mat_sum`` that of ``D_i D_i'``
-    over the epoch's measurements; the robot maps both through ``A_i``.
-    ``A_i M A_i'`` rounds differently above and below its diagonal, so the
-    drop is averaged with its transpose, which leaves a symmetric one as is.
-    """
-    acc = shear(state.jac_accum)
-    drop = acc @ mat_sum @ acc.T
-    return apply_correction(state, acc @ vec_sum, 0.5 * (drop + drop.T))
-
-
-def apply_correction(
-    state: SplitRobotState, mean_step: np.ndarray, cov_drop: np.ndarray
-) -> SplitRobotState:
-    """The robot with ``mean_step`` added to its mean and ``cov_drop``
-    subtracted from its covariance; its accumulated Jacobian is unchanged.
-
-    The correction must pass :func:`check_correction`, else
-    :class:`NumericalError` is raised before anything is changed.
-    """
-    cov = state.cov - cov_drop
-    check_correction(state.robot_id, mean_step, cov)
-    return SplitRobotState(
-        state.robot_id, state.mean + mean_step, cov, state.jac_accum, state.time
+    rows = zip(
+        robot_ids,
+        mean.reshape(-1, 3).tolist(),
+        cov.reshape(-1, 9).tolist(),
+        jac_accum.reshape(-1, 2).tolist(),
+        vec.reshape(-1, 3).tolist(),
+        mat.reshape(-1, 9).tolist(),
     )
-
-
-def check_correction(robot_id: int, mean_step: np.ndarray, cov: np.ndarray) -> None:
-    """Raise :class:`NumericalError` unless robot ``robot_id`` may take a
-    correction by ``mean_step`` ``(3,)`` to the covariance ``cov``.
-
-    The corrected covariance must pass :func:`linalg.psd_3x3`, the
-    Cholesky test of ``cov + EIG_TOL I`` that the equivalence check applies
-    to the joint covariance, in closed form; a non-finite entry fails it.
-    The mean step must be finite. Corrections arrive as decoded frames,
-    i.e. as outside input, so this is checked, not assumed.
-    """
-    if not psd_3x3(cov):
-        raise NumericalError(f"update drove robot {robot_id} covariance indefinite")
-    if not math.isfinite(sum(mean_step.tolist())):
-        raise NumericalError(f"update gave robot {robot_id} a non-finite mean step")
+    means: list[float] = []
+    covs: list[float] = []
+    for rid, (x, y, h), p, (sx, sy), (v0, v1, v2), m in rows:
+        p00, p01, p02, _, p11, p12, _, _, p22 = p
+        m00, m01, m02, _, m11, m12, _, _, m22 = m
+        d02 = m02 + sx * m22
+        d12 = m12 + sy * m22
+        c00 = p00 - (m00 + sx * (m02 + d02))
+        c01 = p01 - (m01 + sx * m12 + sy * d02)
+        c02 = p02 - d02
+        c11 = p11 - (m11 + sy * (m12 + d12))
+        c12 = p12 - d12
+        c22 = p22 - m22
+        if not (math.isfinite(sum(p) + sum(m)) and psd_3x3(c00, c01, c02, c11, c12, c22)):
+            raise NumericalError(f"update drove robot {rid} covariance indefinite")
+        s0, s1 = v0 + sx * v2, v1 + sy * v2
+        if not math.isfinite(s0 + s1 + v2):
+            raise NumericalError(f"update gave robot {rid} a non-finite mean step")
+        means += (x + s0, y + s1, h + v2)
+        covs += (c00, c01, c02, c01, c11, c12, c02, c12, c22)
+    return np.array(means).reshape(mean.shape), np.array(covs).reshape(cov.shape)

@@ -9,8 +9,8 @@ mismatch.
 
 import numpy as np
 
-from splitcl import joint_ekf, model
-from splitcl.split_ekf import SplitTeamState
+from splitcl import joint_ekf, model, split_ekf
+from splitcl.split_ekf import SplitRobotState, SplitTeamState
 
 # Largest covariance deviation from a per-step reference, relative to the
 # largest entry of the robot's reference covariance, that a reordered
@@ -72,6 +72,26 @@ def assert_robotwise_close(got, want, rtol=ROBOTWISE_RTOL):
     diff = np.abs(got - want).max(axis=1)
     bound = rtol * np.abs(want).max(axis=1)
     assert (diff <= bound).all(), f"robotwise deviation {diff} exceeds {bound}"
+
+
+def apply_frame(state, factor, white_residual):
+    """``state`` after a single frame ``(r, D)``, applied as a robot does:
+    the pair ``(D r, D D')`` through :func:`split_ekf.apply_update`."""
+    mean, cov = split_ekf.apply_update(
+        (state.robot_id,), state.mean, state.cov, state.jac_accum,
+        *split_ekf.correction(factor, white_residual),
+    )
+    return SplitRobotState(state.robot_id, mean, cov, state.jac_accum, state.time)
+
+
+def gain_form_update(state, factor, white_residual):
+    """The robot's former single-frame arithmetic, kept as the reference for
+    :func:`apply_frame`: with the gain ``G = A D``, formed as ``D`` with
+    ``s`` times its heading row added to its position rows, the corrected
+    mean ``mean + G r`` and covariance ``cov - G G'``."""
+    gain = factor.copy()
+    gain[:2] += state.jac_accum[:, None] * factor[2]
+    return state.mean + gain @ white_residual, state.cov - gain @ gain.T
 
 
 def dense_propagate(x, p, controls, noises, dt):

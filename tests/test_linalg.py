@@ -18,6 +18,12 @@ from dense_oracle import eigenvalue_psd, numpy_sqrt_and_inv_sqrt_2x2
 EPS = np.finfo(float).eps
 
 
+def upper(m):
+    """The six distinct entries of a symmetric 3x3 ``m``, in the order
+    :func:`psd_3x3` takes them."""
+    return m[[0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]].tolist()
+
+
 def random_symmetric(rng, scale, lowest):
     """A symmetric 3x3 matrix with eigenvalues ``lowest`` and two in
     ``[0.1, 1] * scale``, in a random orthonormal basis."""
@@ -45,23 +51,23 @@ def test_psd_gate_decides_as_the_eigenvalue_rule(scale):
         if abs(np.linalg.eigvalsh(m)[0] + EIG_TOL) <= margin:
             continue
         expected = eigenvalue_psd(m, EIG_TOL)
-        assert psd_3x3(m) == expected, (m.tolist(), np.linalg.eigvalsh(m)[0])
+        assert psd_3x3(*upper(m)) == expected, (m.tolist(), np.linalg.eigvalsh(m)[0])
         outcomes.append(expected)
     # Both decisions were tested, many times each.
     assert min(outcomes.count(True), outcomes.count(False)) > 250
 
 
 def test_psd_gate_special_matrices():
-    assert psd_3x3(np.zeros((3, 3)))
-    assert psd_3x3(np.eye(3))
-    assert psd_3x3(np.diag([1.0, 1.0, -0.5 * EIG_TOL]))
-    assert not psd_3x3(np.diag([1.0, 1.0, -2.0 * EIG_TOL]))
-    assert not psd_3x3(-np.eye(3))
+    assert psd_3x3(*upper(np.zeros((3, 3))))
+    assert psd_3x3(*upper(np.eye(3)))
+    assert psd_3x3(*upper(np.diag([1.0, 1.0, -0.5 * EIG_TOL])))
+    assert not psd_3x3(*upper(np.diag([1.0, 1.0, -2.0 * EIG_TOL])))
+    assert not psd_3x3(*upper(-np.eye(3)))
     for value in (math.nan, math.inf, -math.inf):
         for pos in np.ndindex(3, 3):
             m = np.eye(3)
-            m[pos] = value
-            assert not psd_3x3(m), (pos, value)
+            m[pos] = m[pos[::-1]] = value
+            assert not psd_3x3(*upper(m)), (pos, value)
 
 
 def test_spd_2x2_check_decides_as_the_eigenvalues():

@@ -74,6 +74,27 @@ class TestLandmarkMessage:
             dataclasses.replace(msg, **{field: bad})
 
 
+    @pytest.mark.parametrize("sender, landmark, message", [
+        (3, 3, "robot 3 cannot measure itself"),
+        (3, 0, "robot 0 cannot be a landmark"),
+        (0, 0, "robot 0 cannot measure itself"),
+    ])
+    def test_unencodable_landmark_rejected_at_construction(self, sender, landmark, message):
+        # Landmark 0 would encode as "no landmark" and decode as an
+        # absolute fix; a robot measuring itself has no cross factor.
+        rng = np.random.default_rng(71)
+        with pytest.raises(ProtocolError, match=message):
+            sample_landmark(rng, sender=sender, landmark=landmark)
+        with pytest.raises(ProtocolError, match=message):
+            dataclasses.replace(sample_landmark(rng, sender=sender, landmark=7), landmark=landmark)
+
+    def test_frame_naming_its_sender_as_landmark_rejected_at_decode(self):
+        raw = bytearray(sample_landmark(np.random.default_rng(72), sender=3).encode())
+        raw[13:17] = struct.pack("<I", 3)
+        with pytest.raises(ProtocolError, match="robot 3 cannot measure itself"):
+            LandmarkMessage.decode(bytes(raw))
+
+
 class TestUpdateMessage:
     def test_single_round_trip(self):
         rng = np.random.default_rng(64)

@@ -1,12 +1,14 @@
 """Robot node and server behavior, checked against the centralized filter."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from splitcl import joint_ekf, model, split_ekf
 from splitcl.linalg import NumericalError
-from splitcl.messages import ProtocolError, UpdateMessage
+from splitcl.messages import LandmarkMessage, ProtocolError, UpdateMessage
 from splitcl.protocol import (
     EVENT_NUMERIC_S,
     EVENT_PAIR_UNREACHABLE,
@@ -14,7 +16,7 @@ from splitcl.protocol import (
     RobotNode,
 )
 
-from dense_oracle import cross_blocks, joint_step
+from dense_oracle import apply_frame, cross_blocks, joint_step
 
 NOISE = np.eye(2) * 0.02
 EQUIV_TOL = 1e-8
@@ -116,7 +118,7 @@ class TestRobotNode:
         node = RobotNode(1, rng.uniform(-1, 1, 3), np.eye(3) * 0.1)
         factor = rng.standard_normal((3, 2)) * 0.05
         white = rng.standard_normal(2)
-        expected = split_ekf.apply_update(node.state, factor, white)
+        expected = apply_frame(node.state, factor, white)
         node.apply_update(UpdateMessage(1, 0, "single", white, factor))
         np.testing.assert_array_equal(node.state.mean, expected.mean)
         np.testing.assert_array_equal(node.state.cov, expected.cov)
@@ -210,6 +212,35 @@ class TestServerSingleMeasurement:
         belief, _ = joint_ekf.update(belief, model.RelativeMeasurement(3, 4, z, t), NOISE)
         assert_matches_belief(ids, nodes, belief)
 
+    @pytest.mark.parametrize("landmark", [2, None])
+    def test_scratch_rows_are_the_senders_own_corrections(self, monkeypatch, landmark):
+        # The server's shadow of each sender, corrected in its stacked
+        # rows, is bit for bit what the sender computes from its frame.
+        rng = np.random.default_rng(89)
+        ids, nodes, server, _ = build_stack(rng, 4, warmup_pairs=[(1, 2), (2, 3)])
+        msgs = [nodes[1].landmark_message(z=rng.uniform(-1, 1, 2), landmark=landmark)]
+        if landmark is not None:
+            msgs.append(nodes[landmark].landmark_message())
+        shadows = []
+        original = split_ekf.apply_update
+
+        def recording(robot_ids, *rows):
+            out = original(robot_ids, *rows)
+            shadows.append((list(robot_ids), out))
+            return out
+
+        monkeypatch.setattr(split_ekf, "apply_update", recording)
+        updates = server.handle_epoch(msgs, nodes[1].time)
+        monkeypatch.undo()
+        assert server.events == []
+        ((senders, (means, covs)),) = shadows
+        assert senders == [m.sender for m in msgs]
+        assert set(senders) < set(updates)
+        for row, i in enumerate(senders):
+            assert nodes[i].apply_update(updates[i])
+            np.testing.assert_array_equal(nodes[i].state.mean, means[row])
+            np.testing.assert_array_equal(nodes[i].state.cov, covs[row])
+
     def test_mismatched_message_time_rejected(self):
         rng = np.random.default_rng(77)
         ids, nodes, server, _ = build_stack(rng, 2)
@@ -246,6 +277,29 @@ class TestServerSingleMeasurement:
         updates = server.handle_epoch([msg_a, msg_b], t)
         assert updates == {}
         assert server.events[-1].code == EVENT_NUMERIC_S
+
+    def test_self_measurement_frame_never_reaches_the_server(self):
+        # Decoding refuses the frame, so the server's store and event log
+        # are never touched, and the failure is a ProtocolError rather
+        # than the store's KeyError.
+        rng = np.random.default_rng(87)
+        ids, nodes, server, _ = build_stack(rng, 3, warmup_pairs=[(1, 2)])
+        raw = bytearray(nodes[1].landmark_message(z=np.zeros(2), landmark=2).encode())
+        raw[13:17] = struct.pack("<I", 1)
+        before = server.store.blocks.copy()
+        with pytest.raises(ProtocolError, match="robot 1 cannot measure itself"):
+            server.handle_epoch([LandmarkMessage.decode(bytes(raw))], nodes[1].time)
+        np.testing.assert_array_equal(server.store.blocks, before)
+        assert server.events == []
+
+    def test_robot_zero_cannot_be_announced_as_a_landmark(self):
+        # On the wire, landmark 0 means an absolute fix.
+        rng = np.random.default_rng(88)
+        node = RobotNode(1, rng.uniform(-1, 1, 3), np.eye(3) * 0.1)
+        server = CooperationServer((0, 1), NOISE)
+        with pytest.raises(ProtocolError, match="robot 0 cannot be a landmark"):
+            server.handle_epoch([node.landmark_message(z=np.zeros(2), landmark=0)], 0)
+        assert server.events == []
 
     def test_update_message_sizes_constant_in_team_size(self):
         sizes_single = set()

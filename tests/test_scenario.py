@@ -62,6 +62,21 @@ def test_missing_key_is_rejected(tmp_path):
         Scenario.load(_write(tmp_path, json.dumps(doc)))
 
 
+@pytest.mark.parametrize("edit, message", [
+    ({"path_scales": None}, r"unknown scenario keys \['path_scales'\]"),
+    ({"path_scales": [1.0, 1.0, 1.0, 1.0]}, r"unknown scenario keys \['path_scales'\]"),
+    ({"path": {**_doc()["path"], "growth_mode": "linear"}},
+     r"unknown path keys \['growth_mode'\]"),
+    ({"path": {k: v for k, v in _doc()["path"].items() if k != "growth"}},
+     r"missing path keys \['growth'\]"),
+    ({"path": [1.0, 0.25]}, "path must be a JSON object"),
+], ids=["path-scales-null", "path-scales", "growth-mode", "path-missing", "path-list"])
+def test_path_keys_are_checked_as_the_top_level_keys(tmp_path, edit, message):
+    doc = {**_doc(), **edit}
+    with pytest.raises(ScenarioError, match=message):
+        Scenario.load(_write(tmp_path, json.dumps(doc)))
+
+
 def test_out_of_range_value_is_rejected(tmp_path):
     doc = _doc()
     doc["bernoulli_p"] = 1

@@ -9,7 +9,15 @@ from splitcl.linalg import NumericalError, sqrt_and_inv_sqrt_2x2
 from splitcl.protocol import RobotNode
 from splitcl.split_ekf import CrossFactorStore, SplitRobotState, shear
 
-from dense_oracle import cross_blocks, dense_store_update, joint_step, one_step, random_belief
+from dense_oracle import (
+    apply_frame,
+    cross_blocks,
+    dense_store_update,
+    gain_form_update,
+    joint_step,
+    one_step,
+    random_belief,
+)
 
 GAIN_TOL = 1e-10
 
@@ -260,14 +268,66 @@ class TestUpdateFactors:
                 np.testing.assert_allclose(gain, oracle.gains[belief.index[i]], atol=GAIN_TOL)
 
 
+def feasible_frame(rng, state):
+    """A single frame ``(D, r)`` whose correction the robot can take: the
+    gain ``A D`` is ``L W`` for the Cholesky factor ``L`` of its covariance
+    and a random ``W`` of spectral norm 0.9."""
+    w = rng.standard_normal((3, 2))
+    gain = np.linalg.cholesky(state.cov) @ (w * (0.9 / np.linalg.norm(w, 2)))
+    return shear(-state.jac_accum) @ gain, rng.standard_normal(2)
+
+
+def apply_pair(state, vec, mat):
+    """``state``'s corrected mean and covariance for the pair ``(vec, mat)``."""
+    return split_ekf.apply_update(
+        (state.robot_id,), state.mean, state.cov, state.jac_accum, vec, mat
+    )
+
+
 class TestApplyUpdate:
-    def test_zero_factor_is_identity(self):
+    def test_zero_pair_is_identity(self):
         rng = np.random.default_rng(45)
         state = make_state(rng, 1)
-        out = split_ekf.apply_update(state, np.zeros((3, 2)), np.zeros(2))
+        mean, cov = apply_pair(state, np.zeros(3), np.zeros((3, 3)))
+        np.testing.assert_array_equal(mean, state.mean)
+        np.testing.assert_array_equal(cov, state.cov)
+        out = apply_frame(state, np.zeros((3, 2)), np.zeros(2))
         np.testing.assert_array_equal(out.mean, state.mean)
         np.testing.assert_array_equal(out.cov, state.cov)
         np.testing.assert_array_equal(out.jac_accum, state.jac_accum)
+
+    def test_correction_is_the_pair_of_products(self):
+        rng = np.random.default_rng(52)
+        factors = rng.standard_normal((6, 3, 2))
+        white = rng.standard_normal(2)
+        vec, mat = split_ekf.correction(factors, white)
+        for a in range(6):
+            np.testing.assert_allclose(vec[a], factors[a] @ white, rtol=1e-15, atol=1e-15)
+            np.testing.assert_allclose(mat[a], factors[a] @ factors[a].T, rtol=1e-15, atol=1e-15)
+            alone = split_ekf.correction(factors[a], white)
+            np.testing.assert_array_equal(alone[0], vec[a])
+            np.testing.assert_array_equal(alone[1], mat[a])
+        np.testing.assert_array_equal(mat, mat.transpose(0, 2, 1))
+
+    def test_single_frame_matches_the_gain_form(self):
+        # The robot's former arithmetic, G = A D, mean + G r, cov - G G',
+        # on robots up to 100 m from their start.
+        rng = np.random.default_rng(53)
+        for reach in (0.0, 1.0, 10.0, 100.0):
+            for _ in range(200):
+                state = make_state(rng, 1)
+                state.jac_accum = rng.uniform(-reach, reach, 2)
+                acc = shear(state.jac_accum)
+                state.cov = acc @ state.cov @ acc.T
+                state.cov = 0.5 * (state.cov + state.cov.T)
+                factor, white = feasible_frame(rng, state)
+                out = apply_frame(state, factor, white)
+                mean, cov = gain_form_update(state, factor, white)
+                scale = np.abs(state.cov).max()
+                np.testing.assert_allclose(out.cov, cov, rtol=0, atol=1e-15 * scale)
+                np.testing.assert_allclose(
+                    out.mean, mean, rtol=0, atol=1e-15 * np.abs(mean).max()
+                )
 
     def test_matches_joint_filter_block(self):
         rng = np.random.default_rng(46)
@@ -281,9 +341,7 @@ class TestApplyUpdate:
             meas = model.RelativeMeasurement(1, 2, z, 0)
             updated, _ = joint_ekf.update(belief, meas, noise)
             for i in belief.team:
-                out = split_ekf.apply_update(
-                    states[i], factors[store.index[i]], innov.white_residual
-                )
+                out = apply_frame(states[i], factors[store.index[i]], innov.white_residual)
                 np.testing.assert_allclose(out.mean, updated.mean[updated.index[i]], atol=GAIN_TOL)
                 np.testing.assert_allclose(out.cov, updated.block(i, i), atol=GAIN_TOL)
 
@@ -291,73 +349,114 @@ class TestApplyUpdate:
         rng = np.random.default_rng(47)
         state = make_state(rng, 1)
         factor = rng.standard_normal((3, 2)) * 0.1
-        out = split_ekf.apply_update(state, factor, rng.standard_normal(2))
+        out = apply_frame(state, factor, rng.standard_normal(2))
         gain = shear(state.jac_accum) @ factor
         assert np.trace(state.cov) - np.trace(out.cov) == pytest.approx(
             np.sum(gain**2), abs=1e-12
         )
 
-    def test_summed_update_equals_the_sequential_updates(self):
+    def test_summed_pair_equals_the_sequential_frames(self):
         rng = np.random.default_rng(49)
         state = make_state(rng, 1)
         state.jac_accum = rng.uniform(-2, 2, 2)
         parts = [(rng.standard_normal((3, 2)) * 0.05, rng.standard_normal(2)) for _ in range(3)]
         seq = state
         for factor, white in parts:
-            seq = split_ekf.apply_update(seq, factor, white)
-        vec = sum(f @ w for f, w in parts)
-        mat = sum(f @ f.T for f, _ in parts)
-        out = split_ekf.apply_summed_update(state, vec, mat)
-        np.testing.assert_allclose(out.mean, seq.mean, atol=1e-12)
-        np.testing.assert_allclose(out.cov, seq.cov, atol=1e-12)
-        np.testing.assert_array_equal(out.jac_accum, state.jac_accum)
+            seq = apply_frame(seq, factor, white)
+        pairs = [split_ekf.correction(f, w) for f, w in parts]
+        mean, cov = apply_pair(state, sum(v for v, _ in pairs), sum(m for _, m in pairs))
+        np.testing.assert_allclose(mean, seq.mean, atol=1e-12)
+        np.testing.assert_allclose(cov, seq.cov, atol=1e-12)
 
-    def test_summed_update_keeps_the_covariance_exactly_symmetric(self):
-        # A M A' alone rounds differently above and below the diagonal for
-        # a few percent of these draws.
+    @pytest.mark.parametrize("kind", ["single", "summed"])
+    def test_corrected_covariance_is_exactly_symmetric(self, kind):
+        # A M A' as a matrix product rounds differently above and below
+        # its diagonal for a few percent of these draws.
         rng = np.random.default_rng(50)
         for _ in range(2000):
             state = make_state(rng, 1)
             state.jac_accum = rng.uniform(-3, 3, 2)
             parts = [rng.standard_normal((3, 2)) * 0.02 for _ in range(2)]
-            mat = sum(f @ f.T for f in parts)
-            out = split_ekf.apply_summed_update(state, rng.standard_normal(3), mat)
-            np.testing.assert_array_equal(out.cov, out.cov.T)
+            if kind == "single":
+                out = apply_frame(state, parts[0], rng.standard_normal(2))
+                cov = out.cov
+            else:
+                mat = sum(f @ f.T for f in parts)
+                _, cov = apply_pair(state, rng.standard_normal(3), mat)
+            np.testing.assert_array_equal(cov, cov.T)
+
+    def test_rows_get_the_arithmetic_of_a_robot_alone(self):
+        rng = np.random.default_rng(51)
+        states = [make_state(rng, i) for i in range(1, 7)]
+        for s in states:
+            s.jac_accum = rng.uniform(-5, 5, 2)
+        factors = np.array([feasible_frame(rng, s)[0] for s in states])
+        white = rng.standard_normal(2)
+        means, covs = split_ekf.apply_update(
+            [s.robot_id for s in states],
+            np.array([s.mean for s in states]),
+            np.array([s.cov for s in states]),
+            np.array([s.jac_accum for s in states]),
+            *split_ekf.correction(factors, white),
+        )
+        for a, state in enumerate(states):
+            alone = apply_frame(state, factors[a], white)
+            np.testing.assert_array_equal(means[a], alone.mean)
+            np.testing.assert_array_equal(covs[a], alone.cov)
+            # A v and A M A' are the shear products, up to rounding at the
+            # scale of the terms that form them.
+            vec, mat = split_ekf.correction(factors[a], white)
+            acc = shear(state.jac_accum)
+            reach = (1.0 + np.abs(state.jac_accum).max()) ** 2
+            np.testing.assert_allclose(
+                means[a], state.mean + acc @ vec, rtol=0,
+                atol=1e-15 * (np.abs(state.mean).max() + reach * np.abs(vec).max()),
+            )
+            np.testing.assert_allclose(
+                covs[a], state.cov - acc @ mat @ acc.T, rtol=0,
+                atol=1e-15 * (np.abs(state.cov).max() + reach * np.abs(mat).max()),
+            )
 
     def test_overly_large_factor_raises(self):
         rng = np.random.default_rng(48)
         state = make_state(rng, 1)
         factor = np.ones((3, 2)) * 50.0
-        with pytest.raises(NumericalError):
-            split_ekf.apply_update(state, factor, np.zeros(2))
+        with pytest.raises(NumericalError, match="robot 1 covariance indefinite"):
+            apply_frame(state, factor, np.zeros(2))
+
+    def test_first_failing_row_is_named(self):
+        rng = np.random.default_rng(56)
+        states = [make_state(rng, i) for i in (4, 7, 9)]
+        factors = np.array([feasible_frame(rng, s)[0] for s in states])
+        factors[1:] *= 50.0
+        with pytest.raises(NumericalError, match="robot 7 covariance indefinite"):
+            split_ekf.apply_update(
+                (4, 7, 9),
+                np.array([s.mean for s in states]),
+                np.array([s.cov for s in states]),
+                np.array([s.jac_accum for s in states]),
+                *split_ekf.correction(factors, rng.standard_normal(2)),
+            )
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_correction_raises(self, value):
         rng = np.random.default_rng(49)
         state = make_state(rng, 1)
+        state.jac_accum = rng.uniform(-2, 2, 2)
         for pos in range(3):
-            step = np.zeros(3)
-            step[pos] = value
+            vec = np.zeros(3)
+            vec[pos] = value
             with pytest.raises(NumericalError, match="robot 1 a non-finite mean step"):
-                split_ekf.apply_correction(state, step, np.zeros((3, 3)))
+                apply_pair(state, vec, np.zeros((3, 3)))
         for pos in np.ndindex(3, 3):
-            drop = np.zeros((3, 3))
-            drop[pos] = value
-            with pytest.raises(NumericalError, match="robot 1 covariance indefinite"):
-                split_ekf.apply_correction(state, np.zeros(3), drop)
-
-    def test_correction_gains_are_the_shear_products(self):
-        # Row updates in place of S(s) D, for one robot and stacked.
-        rng = np.random.default_rng(51)
-        accs = rng.uniform(-5, 5, (6, 2))
-        factors = rng.standard_normal((6, 3, 2))
-        stacked = split_ekf.correction_gains(accs, factors)
-        for a in range(6):
-            expected = shear(accs[a]) @ factors[a]
-            np.testing.assert_allclose(stacked[a], expected, rtol=1e-15, atol=1e-15)
-            np.testing.assert_array_equal(
-                split_ekf.correction_gains(accs[a], factors[a]), stacked[a]
-            )
+            for name in ("mat", "cov"):
+                arrays = {"mat": np.zeros((3, 3)), "cov": state.cov.copy()}
+                arrays[name][pos] = value
+                with pytest.raises(NumericalError, match="robot 1 covariance indefinite"):
+                    split_ekf.apply_update(
+                        (1,), state.mean, arrays["cov"], state.jac_accum, np.zeros(3),
+                        arrays["mat"],
+                    )
 
 
 class TestCrossFactorStore:
@@ -520,7 +619,7 @@ class TestCrossFactorStore:
                 innov = split_ekf.innovation(states[a], states[b], store.factor(a, b), z, noise)
                 factors = split_ekf.update_factors(store, states[a], states[b], innov)
                 for i in states:
-                    states[i] = split_ekf.apply_update(
+                    states[i] = apply_frame(
                         states[i], factors[store.index[i]], innov.white_residual
                     )
                 store.update(factors)
