@@ -69,11 +69,11 @@ def _cmd_run(args) -> int:
         for flag, count in (("--mc", args.mc), ("--jobs", args.jobs)):
             if count < 1:
                 raise ValueError(f"{flag} must be at least 1, got {count}")
-    except (FileNotFoundError, ScenarioError, ValueError) as exc:
+        out_dir = Path(args.out or os.environ.get(OUT_DIR_ENV, "."))
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (OSError, ScenarioError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    out_dir = Path(args.out or os.environ.get(OUT_DIR_ENV, "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     report = harness.run_monte_carlo(
         sc, args.mc, estimators, seed=args.seed, jobs=args.jobs
@@ -108,7 +108,7 @@ def _cmd_verify(args) -> int:
         _check_seed(args.seed)
         if not 0.0 < args.tol < float("inf"):
             raise ValueError(f"--tol must be finite and positive, got {args.tol}")
-    except (FileNotFoundError, ScenarioError, ValueError) as exc:
+    except (OSError, ScenarioError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -143,13 +143,12 @@ def _cmd_scenario_gen(args) -> int:
                 seed=args.seed,
                 bernoulli_p=args.bernoulli_p,
             )
-    except (ScenarioError, ValueError) as exc:
+        out = Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        sc.save(out)
+    except (OSError, ScenarioError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    out = Path(args.out)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
-    sc.save(out)
     print(f"wrote scenario {args.template!r} to {out}")
     return EXIT_OK
 

@@ -13,32 +13,30 @@ attributable to the algorithms alone. Available estimators:
 ``partial_oracle``      centralized EKF applying the partial-update rule with
                         exactly the dropout run's missed sets
 
-Each filter has one step loop, a generator of its state at steps
-``0..T``: :func:`joint_steps` (centralized) and :func:`split_steps` (split
-stack). :func:`run_once` records what they yield and :mod:`splitcl.verify`
-compares them. The four filtering estimators differ only in the channel
-reports they get: none (perfect links) or the dropout run's.
-
 The simulator steps the whole team by segment, not by step. Between two
 measurement epochs a robot only dead-reckons, so the poses of every robot
 over a whole segment come from one :func:`model.propagate_pose` call
 (:func:`segments`): each filter makes one per stretch of steps between
 epochs, and ground truth and dead reckoning one per stretch of the run; no
 call takes more than about a thousand robot-steps, which bounds the
-temporaries of a call (twelve calls for the truth of table1). The split
-stack holds the robots' local states as one
-:class:`split_ekf.SplitTeamState` advanced by
-:func:`split_ekf.propagate_team`, which forms every step's covariances of
-a segment in closed form, and the centralized filter goes through
+temporaries of a call (twelve calls for the truth of table1). Each filter
+has one step loop, a generator of one block of steps per segment. The
+centralized one, :func:`joint_steps`, goes through
 :func:`joint_ekf.propagate_segment`, which keeps its covariance recurrence
-per step as the independent reference; both loops still yield every step.
-Only at a measurement epoch does a robot act on its own, as a
-:class:`RobotNode` over its rows of the team state: a measured robot builds
-its landmark message, and a robot the server sends an update message (one
-correlated with a measured robot) applies it, and its corrected rows go
-into a copy of the team. The per-robot arithmetic is the same either way,
-and the same for a robot stepped alone through :meth:`RobotNode.step`, as a
-team of one.
+per step as the independent reference. The split stack's,
+:func:`split_steps`, holds the robots' local states as one
+:class:`split_ekf.SplitTeamState` advanced by
+:func:`split_ekf.propagate_team`, which forms a segment's covariances in
+closed form. :func:`run_once` writes the blocks into its records and
+:mod:`splitcl.verify` compares them step by step. The four filtering
+estimators differ only in the channel reports they get: none (perfect
+links) or the dropout run's. Only at a measurement epoch does a robot act
+on its own, as a :class:`RobotNode` over its rows of the team state: a
+measured robot builds its landmark message, and a robot the server sends an
+update message (one correlated with a measured robot) applies it, and its
+corrected rows go into a copy of the team. The per-robot arithmetic is the
+same either way, and the same for a robot stepped alone through
+:meth:`RobotNode.step`, as a team of one.
 
 Randomness is derived from a seed key; stream tags keep motion noise,
 measurement noise, initial error and channel draws independent, and
@@ -232,13 +230,24 @@ def run_once(
         if name == DR:
             est = _trajectories(sc, real.init_means, real.controls_meas)
             cov = None
-        elif name in (JOINT_EKF, PARTIAL_ORACLE):
-            beliefs = joint_steps(sc, real, links, events, name)
-            est, cov = _stack(sc, ((b.mean, b.own_covs()) for b in beliefs))
         else:
+            est = np.empty((sc.n_robots, sc.n_steps + 1, 3))
+            cov = np.empty((sc.n_robots, sc.n_steps + 1, 3, 3))
+            est[:, 0], cov[:, 0] = real.init_means, sc.initial_cov()
+        if name in (JOINT_EKF, PARTIAL_ORACLE):
+            for beliefs in joint_steps(sc, real, links, events, name):
+                span = slice(beliefs[0].time, beliefs[-1].time + 1)
+                est[:, span] = np.stack([b.mean for b in beliefs], axis=1)
+                cov[:, span] = np.stack([b.own_covs() for b in beliefs], axis=1)
+                del beliefs  # hold no segment while the next one is formed
+        elif name in (SA_SPLIT, SA_SPLIT_DROPOUT):
             server = CooperationServer(sc.robot_ids, sc.meas_noise_cov())
             teams = split_steps(sc, real, links, server, events)
-            est, cov = _stack(sc, ((t.mean, t.cov) for _, t in teams))
+            for k0, k1, (means, team_covs, _), end in teams:
+                est[:, k0 + 1:k1 + 1] = means
+                cov[:, k0 + 1:k1 + 1] = team_covs.swapaxes(0, 1)
+                # The team at the segment's end, corrected if it is an epoch.
+                est[:, k1], cov[:, k1] = end.mean, end.cov
             events.extend(server.events)
         estimates[name] = est
         covs[name] = cov
@@ -256,18 +265,6 @@ def run_once(
     )
 
 
-def _stack(
-    sc: scen.Scenario, states: Iterable[tuple[np.ndarray, np.ndarray]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-step ``(mean, own covariances)`` pairs as ``(N, T+1, ...)`` traces."""
-    est = np.empty((sc.n_robots, sc.n_steps + 1, 3))
-    cov = np.empty((sc.n_robots, sc.n_steps + 1, 3, 3))
-    for k, (mean, own) in enumerate(states):
-        est[:, k] = mean
-        cov[:, k] = own
-    return est, cov
-
-
 def epoch_report(
     reports: Mapping[int, DeliveryReport], team: Sequence[int], k: int
 ) -> DeliveryReport:
@@ -281,39 +278,41 @@ def joint_steps(
     reports: Mapping[int, DeliveryReport],
     events: list[ProtocolEvent],
     name: str,
-) -> Iterator[joint_ekf.JointBelief]:
-    """The centralized belief at steps ``0..T``, updated with the partial-update
-    rule; a numerically invalid update is skipped and logged under ``name``."""
+) -> Iterator[list[joint_ekf.JointBelief]]:
+    """Each segment's centralized beliefs, the last updated by the partial-update
+    rule at an epoch; an invalid update is skipped and logged under ``name``."""
     ids = sc.robot_ids
     belief = joint_ekf.JointBelief.initialize(
         means={i: real.init_means[i - 1] for i in ids},
         covs={i: sc.initial_cov() for i in ids},
     )
     noise = sc.meas_noise_cov()
-    yield belief
     for k0, k1 in segments(sc, real.measurements):
         # The segment propagates from the belief it starts with; only its
         # last step can be an epoch, so no update is lost.
-        moved = joint_ekf.propagate_segment(
+        beliefs = joint_ekf.propagate_segment(
             belief, real.controls_meas[:, k0:k1], real.filter_q[:, k0:k1], sc.dt_s
         )
-        for k, belief in enumerate(moved, start=k0 + 1):
-            if k in real.measurements:
-                report = epoch_report(reports, ids, k)
-                for m in real.measurements[k]:
-                    if not gate_measurement(report, m):
-                        continue
-                    try:
-                        belief, _ = joint_ekf.partial_update(belief, m, noise, report.missed)
-                    except NumericalError as exc:
-                        # Beliefs are values, so the failed update left no
-                        # trace; skip the measurement as the server does.
-                        events.append(ProtocolEvent(
-                            k, EVENT_NUMERIC_S,
-                            f"estimator={name} observer={m.observer} landmark={m.landmark} "
-                            f"reason={exc}",
-                        ))
-            yield belief
+        belief = beliefs[-1]
+        if k1 in real.measurements:
+            report = epoch_report(reports, ids, k1)
+            for m in real.measurements[k1]:
+                if not gate_measurement(report, m):
+                    continue
+                try:
+                    belief, _ = joint_ekf.partial_update(belief, m, noise, report.missed)
+                except NumericalError as exc:
+                    # Beliefs are values, so the failed update left no
+                    # trace; skip the measurement as the server does.
+                    events.append(ProtocolEvent(
+                        k1, EVENT_NUMERIC_S,
+                        f"estimator={name} observer={m.observer} landmark={m.landmark} "
+                        f"reason={exc}",
+                    ))
+            beliefs[-1] = belief
+        yield beliefs
+        # Hold no segment while the next one is formed.
+        del beliefs
 
 
 def split_steps(
@@ -322,24 +321,23 @@ def split_steps(
     reports: Mapping[int, DeliveryReport],
     server: CooperationServer,
     events: list[ProtocolEvent],
-) -> Iterator[tuple[split_ekf.SplitTeamState, split_ekf.SplitTeamState]]:
-    """The split team at steps ``0..T`` as ``(propagated, corrected)`` pairs;
-    ``corrected`` is ``propagated`` itself when no measurement reached the
-    server. The epochs log to ``events``, the server to ``server.events``."""
+) -> Iterator[tuple[int, int, tuple[np.ndarray, ...], split_ekf.SplitTeamState]]:
+    """Per segment ``(k0, k1, block, end)``: :func:`split_ekf.propagate_team`'s
+    block of steps ``k0 + 1 .. k1`` and the team at ``k1``, corrected at an
+    epoch. The epochs log to ``events``, the server to ``server.events``."""
     ids = sc.robot_ids
     team = split_ekf.SplitTeamState.initialize(ids, real.init_means, sc.initial_cov())
-    yield team, team
     for k0, k1 in segments(sc, real.measurements):
         # As in joint_steps, only the segment's last step can be an epoch.
-        moved = split_ekf.propagate_team(
+        block = split_ekf.propagate_team(
             team, real.controls_meas[:, k0:k1], real.filter_q[:, k0:k1], sc.dt_s
         )
-        for k, propagated in enumerate(moved, start=k0 + 1):
-            team = propagated
-            if k in real.measurements:
-                report = epoch_report(reports, ids, k)
-                team = _run_split_epoch(team, server, real.measurements[k], report, events)
-            yield propagated, team
+        means, covs, accs = block
+        team = replace(team, mean=means[:, -1], cov=covs[-1], jac_accum=accs[:, -1], time=k1)
+        if k1 in real.measurements:
+            report = epoch_report(reports, ids, k1)
+            team = _run_split_epoch(team, server, real.measurements[k1], report, events)
+        yield k0, k1, block, team
 
 
 def _run_split_epoch(

@@ -33,7 +33,7 @@ Beliefs are values: every operation returns a new :class:`JointBelief`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Iterator, Mapping
+from typing import AbstractSet, Mapping
 
 import numpy as np
 
@@ -120,8 +120,8 @@ def propagate_segment(
     controls: np.ndarray,
     noise_diags: np.ndarray,
     dt: float,
-) -> Iterator[JointBelief]:
-    """Advance every robot ``L`` timesteps, yielding the belief after each.
+) -> list[JointBelief]:
+    """Advance every robot ``L`` timesteps; returns the beliefs at steps ``1..L``.
 
     ``controls`` are the ``(N, L, 2)`` measured velocities and
     ``noise_diags`` the ``(N, L, 2)`` diagonals of the process-noise
@@ -133,9 +133,10 @@ def propagate_segment(
     # Time-major, so each step's slice is one block of memory.
     f_jacs = model.shear(translations.transpose(1, 0, 2))
     noise = model.process_noise(g_jacs, noise_diags).transpose(1, 0, 2, 3)
+    beliefs = [belief]
     for step, f_jac in enumerate(f_jacs, start=1):
-        belief = propagate(belief, poses[:, step], f_jac, noise[step - 1])
-        yield belief
+        beliefs.append(propagate(beliefs[-1], poses[:, step], f_jac, noise[step - 1]))
+    return beliefs[1:]
 
 
 def propagate(

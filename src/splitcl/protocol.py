@@ -93,7 +93,7 @@ class RobotNode:
 
     def step(
         self, controls: np.ndarray, noise_diags: np.ndarray, dt: float
-    ) -> list[SplitRobotState]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Dead-reckon ``L`` timesteps; requires no communication.
 
         ``controls`` are the ``(L, 2)`` measured velocities and
@@ -101,18 +101,19 @@ class RobotNode:
         ``[q_v, q_omega]`` of the steps (``L = 1`` for a single step). The
         node is a team of one for :func:`split_ekf.propagate_team`, so it
         gets exactly its row's arithmetic in a team, the closed-form
-        covariances of the whole stretch included. Returns its state after
-        each step; the node keeps the last.
+        covariances of the whole stretch included. Returns its row of the
+        segment's block; the node keeps the block's last step as its state.
         """
-        rid = self.state.robot_id
-        alone = SplitTeamState.initialize((rid,), self.state.mean, self.state.cov, self.state.time)
-        alone.jac_accum[0] = self.state.jac_accum
-        controls, noise_diags = np.asarray(controls)[None], np.asarray(noise_diags)[None]
-        states = []
-        for team in split_ekf.propagate_team(alone, controls, noise_diags, dt):
-            self.state = team.robot(rid)
-            states.append(self.state)
-        return states
+        s = self.state
+        alone = SplitTeamState.initialize((s.robot_id,), s.mean, s.cov, s.time)
+        alone.jac_accum[0] = s.jac_accum
+        means, covs, accs = split_ekf.propagate_team(
+            alone, np.asarray(controls)[None], np.asarray(noise_diags)[None], dt
+        )
+        self.state = SplitRobotState(
+            s.robot_id, means[0, -1], covs[-1, 0], accs[0, -1], s.time + len(covs)
+        )
+        return means[0], covs[:, 0], accs[0]
 
     def landmark_message(
         self, z: np.ndarray | None = None, landmark: int | None = None
@@ -148,16 +149,17 @@ class RobotNode:
             )
         if msg.time != self.state.time:
             return False
-        # A frame is outside input: refuse a non-finite payload before any
-        # arithmetic, which would spread it. (A sum overflowing the float
-        # range counts as non-finite too.)
+        # A frame is outside input: refuse a non-finite payload (or one whose
+        # sum overflows) before any arithmetic, which would spread it. A
+        # product that overflows is left to the correction's check.
         payload = msg.residual_payload.tolist() + msg.gain_payload.ravel().tolist()
         if not math.isfinite(sum(payload)):
             raise NumericalError(
                 f"update for robot {self.state.robot_id} has a non-finite payload"
             )
         if msg.kind == "single":
-            vec, mat = split_ekf.correction(msg.gain_payload, msg.residual_payload)
+            with np.errstate(over="ignore", invalid="ignore"):
+                vec, mat = split_ekf.correction(msg.gain_payload, msg.residual_payload)
         else:
             vec, mat = msg.residual_payload, msg.gain_payload
         s = self.state
@@ -285,14 +287,16 @@ class CooperationServer:
                 landmark = scratch(m.landmark)
                 cross = self.store.factor(a, m.landmark)
             try:
-                innov = split_ekf.innovation(
-                    observer, landmark, cross, m.z, self.meas_noise_cov
-                )
-                factors = split_ekf.update_factors(self.store, observer, landmark, innov)
-                mean, cov = split_ekf.apply_update(
-                    senders, mean, cov, accs,
-                    *split_ekf.correction(factors[sender_pos], innov.white_residual),
-                )
+                # Finite frames can still overflow; the checks refuse the result.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    innov = split_ekf.innovation(
+                        observer, landmark, cross, m.z, self.meas_noise_cov
+                    )
+                    factors = split_ekf.update_factors(self.store, observer, landmark, innov)
+                    mean, cov = split_ekf.apply_update(
+                        senders, mean, cov, accs,
+                        *split_ekf.correction(factors[sender_pos], innov.white_residual),
+                    )
             except NumericalError as exc:
                 # Skip the measurement atomically: neither the scratch
                 # rows nor the store absorb any part of it.

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Iterator, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 import numpy as np
 
@@ -156,12 +156,14 @@ class SplitTeamState:
 
 def propagate_team(
     team: SplitTeamState, controls: np.ndarray, noise_diags: np.ndarray, dt: float
-) -> Iterator[SplitTeamState]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Advance every robot of the team ``L`` timesteps; no cross term is touched.
 
     ``controls`` are the ``(N, L, 2)`` measured velocities and
     ``noise_diags`` the ``(N, L, 2)`` diagonals of the robots' process-noise
-    covariances, both in team order. Yields the team after each step. One
+    covariances, both in team order. Returns the team at steps ``1..L`` as
+    means ``(N, L, 3)``, covariances ``(L, N, 3, 3)`` and accumulated
+    Jacobians ``(N, L, 2)``, the segment's block. One
     :func:`model.propagate_pose` call gives every mean and, as running
     sums of the steps' shear translations, every accumulated Jacobian
     ``F A``. The covariances of every step come in closed form, with no
@@ -177,7 +179,6 @@ def propagate_team(
     symmetric matrix are formed, so every covariance comes out exactly
     symmetric, and every operation is elementwise per robot and step, so
     each row of a team gets exactly the arithmetic that robot gets alone.
-    The yielded covariances are views of one ``(L, N, 3, 3)`` array.
     """
     poses, translations, g_jacs = model.propagate_pose(team.mean, controls, dt)
     accs = np.concatenate([team.jac_accum[:, None], translations], axis=1)
@@ -215,11 +216,7 @@ def propagate_team(
     cov[..., 0, 2] = cov[..., 2, 0] = p02
     cov[..., 1, 2] = cov[..., 2, 1] = p12
     cov[..., 2, 2] = b22
-    for step in range(1, steps + 1):
-        yield SplitTeamState(
-            team.team, team.index, poses[:, step], cov[step - 1], accs[:, step],
-            team.time + step,
-        )
+    return poses[:, 1:], cov, accs[:, 1:]
 
 
 @dataclass(slots=True)

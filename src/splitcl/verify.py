@@ -14,24 +14,24 @@ that a robot that misses an epoch keeps exactly its propagated state.
 Verify runs no filter of its own: it drives the loops that
 :func:`harness.run_once` runs, :func:`harness.split_steps` and
 :func:`harness.joint_steps`, on one realization and only compares what
-they yield. After every step the robots' stacked means and own covariances
-are compared with the joint belief's means and diagonal blocks, and the
-store's reconstruction ``A C A'`` with every off-diagonal block, reduced
-to one deviation per robot (a cross block counts for its lower-id robot).
-The step and robot of the largest deviation are reported.
+they hand over, one block per segment (:func:`harness.segments`); it
+walks each block's steps itself. After every step the robots' stacked
+means and own covariances are compared with the joint belief's means and
+diagonal blocks, and the store's reconstruction ``A C A'`` with every
+off-diagonal block, reduced to one deviation per robot (a cross block
+counts for its lower-id robot). The step and robot of the largest
+deviation are reported.
 
 Both checks also police three properties along the way: the centralized
 joint covariance stays positive semidefinite (to tolerance), no received
-update ever increases a robot's covariance trace, and per segment
-(:func:`harness.segments`) one robot in turn, stepped alone through the
-whole segment by one :meth:`RobotNode.step` call from its rows of the team
-the segment starts from, lands bit for bit on its row of the team at every
-step. Both loops step the team by segment and still yield every step, so
-every check here sees every step. The split side forms a segment's
-covariances in closed form while the centralized filter runs its
-``F P F' + G Q G'`` recurrence step by step, so the comparison also checks
-the closed form against an independent recursion. A caller may pass the
-noise-free ``truth`` to skip simulating it.
+update ever increases a robot's covariance trace, and per segment one
+robot in turn, stepped alone through the whole segment by one
+:meth:`RobotNode.step` call from its rows of the team the segment starts
+from, lands bit for bit on its row of the segment's block. The split side
+forms a segment's covariances in closed form while the centralized filter
+runs its ``F P F' + G Q G'`` recurrence step by step, so the comparison
+also checks the closed form against an independent recursion. A caller
+may pass the noise-free ``truth`` to skip simulating it.
 """
 
 from __future__ import annotations
@@ -50,12 +50,12 @@ from .harness import (
     epoch_report,
     joint_steps,
     seed_key,
-    segments,
     split_steps,
 )
 from .linalg import EIG_TOL
 from .network import gate_measurement
 from .protocol import CooperationServer, ProtocolEvent, RobotNode
+from .split_ekf import SplitTeamState
 
 DEFAULT_TOLERANCE = 1e-8
 
@@ -151,10 +151,8 @@ def _run_side_by_side(
         ids, sc.meas_noise_cov(), corrupt_cross_sign=corrupt_cross_sign
     )
     events: list[ProtocolEvent] = []
-    steps = zip(
-        split_steps(sc, real, reports, server, events),
-        joint_steps(sc, real, reports, events, PARTIAL_ORACLE if dropouts else JOINT_EKF),
-    )
+    split = split_steps(sc, real, reports, server, events)
+    joint = joint_steps(sc, real, reports, events, PARTIAL_ORACLE if dropouts else JOINT_EKF)
     n = len(ids)
     # Blocks on and below the block diagonal: a cross block counts for its lower-id robot.
     robot = np.arange(3 * n) // 3
@@ -171,53 +169,55 @@ def _run_side_by_side(
     lone_exact = True
     n_epochs = n_meas = 0
 
-    (_, team), _ = next(steps)
-    for s, (k0, k1) in enumerate(segments(sc, real.measurements)):
+    start = SplitTeamState.initialize(ids, real.init_means, sc.initial_cov())
+    # The split loop hands a segment over after its epoch: the steps before
+    # the epoch are checked against the store as the segment found it.
+    prior = server.store.copy()
+    for s, (k0, k1, (means, covs, accs), end) in enumerate(split):
         # One robot per segment, in turn, also steps the segment alone from its
         # rows of the team at its start; the team must match it at every step.
         a = s % n
-        alone = RobotNode.over(team.robot(ids[a])).step(
+        alone = RobotNode.over(start.robot(ids[a])).step(
             real.controls_meas[a, k0:k1], real.filter_q[a, k0:k1], sc.dt_s
         )
-        for k, lone in enumerate(alone, start=k0 + 1):
-            (propagated, team), belief = next(steps)
-            lone_exact = lone_exact and (
-                np.array_equal(lone.mean, propagated.mean[a])
-                and np.array_equal(lone.cov, propagated.cov[a])
-                and np.array_equal(lone.jac_accum, propagated.jac_accum[a])
-            )
+        lone_exact &= all(map(np.array_equal, alone, (means[a], covs[:, a], accs[a])))
 
-            if k in real.measurements:
-                report = epoch_report(reports, ids, k)
-                gated = [m for m in real.measurements[k] if gate_measurement(report, m)]
-                if gated:
-                    n_epochs += 1
-                    n_meas += len(gated)
-                    missed = np.isin(ids, list(report.missed))
-                    missed_exact = missed_exact and (
-                        np.array_equal(team.mean[missed], propagated.mean[missed])
-                        and np.array_equal(team.cov[missed], propagated.cov[missed])
-                    )
-                    delta = np.trace(team.cov, axis1=1, axis2=2) - np.trace(
-                        propagated.cov, axis1=1, axis2=2
-                    )
-                    max_trace_increase = max(max_trace_increase, float(delta[~missed].max()))
+        if k1 in real.measurements:
+            report = epoch_report(reports, ids, k1)
+            gated = [m for m in real.measurements[k1] if gate_measurement(report, m)]
+            if gated:
+                n_epochs += 1
+                n_meas += len(gated)
+                missed = np.isin(ids, list(report.missed))
+                missed_exact = missed_exact and (
+                    np.array_equal(end.mean[missed], means[missed, -1])
+                    and np.array_equal(end.cov[missed], covs[-1, missed])
+                )
+                delta = np.trace(end.cov, axis1=1, axis2=2) - np.trace(covs[-1], axis1=1, axis2=2)
+                max_trace_increase = max(max_trace_increase, float(delta[~missed].max()))
 
+        # The segment's joint beliefs are held only by this loop.
+        for j, belief in enumerate(next(joint)):
+            k = k0 + 1 + j
+            last = k == k1
+            mean, cov = (end.mean, end.cov) if last else (means[:, j], covs[j])
             if k in real.measurements or k == sc.n_steps or not _cholesky_passes(belief, shift):
                 min_eig = min(min_eig, belief.min_eigenvalue())
-            offset = team.mean - belief.mean
+            offset = mean - belief.mean
             own = np.diagonal(belief.cov, axis1=0, axis2=2).transpose(2, 0, 1)
             # Zeros copied in, not multiplied in, which would make a masked inf a NaN.
-            cross = np.abs(server.store.reconstruct(team.jac_accum) - belief.cov)
+            cross = np.abs((server.store if last else prior).reconstruct(accs[:, j]) - belief.cov)
             np.copyto(cross, 0.0, where=below)
             diffs = np.array([
                 np.abs(offset[:, :2]).max(axis=1),
                 np.abs(np.arctan2(np.sin(offset[:, 2]), np.cos(offset[:, 2]))),
-                np.abs(team.cov - own).max(axis=(1, 2)),
+                np.abs(cov - own).max(axis=(1, 2)),
                 cross.reshape(n, -1).max(axis=1),
             ])
             max_diffs = np.maximum(max_diffs, diffs.max(axis=1))
             local[k - 1] = diffs.max(axis=0)
+        start = end
+        prior = server.store.copy()
     events.extend(server.events)
 
     worst_step, worst_pos = np.unravel_index(np.argmax(local), local.shape)

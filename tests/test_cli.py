@@ -90,6 +90,23 @@ def test_verify_missing_scenario_file_is_invalid_input(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--scenario", "{dir}", "--out", "{dir}/out"],
+    ["verify", "--scenario", "{dir}"],
+    ["scenario-gen", "table1", "--out", "{dir}"],
+    ["scenario-gen", "table1", "--out", "{file}/x.json"],
+    ["run", "--scenario", "table1", "--out", "{file}"],
+], ids=["run-scenario-dir", "verify-scenario-dir", "gen-out-dir", "gen-out-under-file",
+        "run-out-file"])
+def test_unusable_path_is_invalid_input(argv, tmp_path, capsys):
+    # A directory where a file belongs, or a file where a directory belongs.
+    (tmp_path / "file").write_text("")
+    argv = [arg.format(dir=tmp_path, file=tmp_path / "file") for arg in argv]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_without_monte_carlo_runs_is_invalid_input(tmp_path, capsys):
     out_dir = tmp_path / "out"
     argv = ["run", "--scenario", "table1", "--mc", "0", "--out", str(out_dir)]

@@ -71,8 +71,11 @@ def test_a_non_finite_frame_is_dropped_with_an_event(monkeypatch):
     real = harness.build_realization(sc, harness.seed_key(sc, 3))
     k = min(real.measurements)
     start = split_ekf.SplitTeamState.initialize(sc.robot_ids, real.init_means, sc.initial_cov())
-    *_, team = split_ekf.propagate_team(
+    means, covs, accs = split_ekf.propagate_team(
         start, real.controls_meas[:, :k], real.filter_q[:, :k], sc.dt_s
+    )
+    team = split_ekf.SplitTeamState(
+        start.team, start.index, means[:, -1], covs[-1], accs[:, -1], k
     )
     propagated = split_ekf.SplitTeamState(
         team.team, team.index, team.mean.copy(), team.cov.copy(), team.jac_accum, team.time

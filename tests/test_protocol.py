@@ -70,14 +70,15 @@ class TestRobotNode:
         controls = rng.uniform(-1, 1, (5, 2))
         q = np.full((5, 2), 0.01)
         alone = split_ekf.SplitTeamState.initialize((1,), node.state.mean, node.state.cov)
-        expected = list(split_ekf.propagate_team(alone, controls[None], q[None], 0.1))
-        states = node.step(controls, q, 0.1)
-        assert [s.time for s in states] == [1, 2, 3, 4, 5]
-        for got, want in zip(states, expected, strict=True):
-            np.testing.assert_array_equal(got.mean, want.mean[0])
-            np.testing.assert_array_equal(got.cov, want.cov[0])
-            np.testing.assert_array_equal(got.jac_accum, want.jac_accum[0])
-        assert node.state is states[-1]
+        means, covs, accs = split_ekf.propagate_team(alone, controls[None], q[None], 0.1)
+        block = node.step(controls, q, 0.1)
+        for got, want in zip(block, (means[0], covs[:, 0], accs[0]), strict=True):
+            np.testing.assert_array_equal(got, want)
+        assert [len(rows) for rows in block] == [5, 5, 5]
+        # The node keeps the last step.
+        assert node.time == 5
+        for got, rows in zip((node.state.mean, node.state.cov, node.state.jac_accum), block):
+            np.testing.assert_array_equal(got, rows[-1])
 
     def test_landmark_message_mirrors_state(self):
         rng = np.random.default_rng(71)
@@ -139,14 +140,16 @@ class TestRobotNode:
         np.testing.assert_allclose(node_summed.state.mean, node_seq.state.mean, atol=1e-12)
         np.testing.assert_allclose(node_summed.state.cov, node_seq.state.cov, atol=1e-12)
 
-    @pytest.mark.parametrize("kind", ["single", "summed"])
-    def test_indefinite_correction_raises_and_keeps_state(self, kind):
-        # Either frame kind removes far more than the robot's 0.1 * I.
+    @pytest.mark.parametrize("kind, residual, gain", [
+        ("single", np.ones(2), np.ones((3, 2))),
+        ("summed", np.ones(3), np.eye(3) * 2.0),
+        # Every entry finite, but D D' overflows the float range.
+        ("single", np.ones(2), np.full((3, 2), 1e200)),
+    ], ids=["single", "summed", "single-overflow"])
+    def test_indefinite_correction_raises_and_keeps_state(self, kind, residual, gain):
+        # Each frame removes far more than the robot's 0.1 * I.
         node = RobotNode(1, np.array([0.5, -0.5, 0.1]), np.eye(3) * 0.1)
-        if kind == "single":
-            msg = UpdateMessage(1, 0, kind, np.ones(2), np.ones((3, 2)))
-        else:
-            msg = UpdateMessage(1, 0, kind, np.ones(3), np.eye(3) * 2.0)
+        msg = UpdateMessage(1, 0, kind, residual, gain)
         before = node.state
         with pytest.raises(NumericalError, match="covariance indefinite"):
             node.apply_update(msg)
@@ -277,6 +280,24 @@ class TestServerSingleMeasurement:
         updates = server.handle_epoch([msg_a, msg_b], t)
         assert updates == {}
         assert server.events[-1].code == EVENT_NUMERIC_S
+
+    def test_overflowing_frame_skipped_with_event(self):
+        # Every entry of the frames is finite, but H P H' overflows the float
+        # range: the innovation check refuses it and no store block changes.
+        rng = np.random.default_rng(81)
+        ids, nodes, server, _ = build_stack(rng, 3, warmup_pairs=[(1, 2)])
+        t = nodes[1].time
+        state_a, state_b = nodes[1].state, nodes[2].state
+        msg_a = LandmarkMessage(
+            1, t, state_a.mean, np.full((3, 3), 1e300), state_a.jac_accum, 2, np.zeros(2)
+        )
+        msg_b = LandmarkMessage(2, t, np.array([1e5, 1e5, 0.0]), state_b.cov, state_b.jac_accum)
+        before = server.store.blocks.copy()
+        assert before.any()
+        msgs = [LandmarkMessage.decode(m.encode()) for m in (msg_a, msg_b)]
+        assert server.handle_epoch(msgs, t) == {}
+        assert server.events[-1].code == EVENT_NUMERIC_S
+        np.testing.assert_array_equal(server.store.blocks, before)
 
     def test_self_measurement_frame_never_reaches_the_server(self):
         # Decoding refuses the frame, so the server's store and event log

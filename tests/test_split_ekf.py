@@ -63,8 +63,9 @@ def set_factor(store, i, j, block):
 
 def step_alone(state, control, q, dt=0.1):
     """``state`` one step on, through a node of its own."""
-    (out,) = RobotNode.over(state).step([control], [q], dt)
-    return out
+    node = RobotNode.over(state)
+    node.step([control], [q], dt)
+    return node.state
 
 
 class TestPropagate:
@@ -84,12 +85,12 @@ class TestPropagate:
         rng = np.random.default_rng(31)
         state = make_state(rng, 2)
         controls = rng.uniform(-1, 1, (25, 2))
-        states = RobotNode.over(state).step(controls, np.tile([0.01, 0.004], (25, 1)), 0.1)
+        means, _, accs = RobotNode.over(state).step(controls, np.tile([0.01, 0.004], (25, 1)), 0.1)
         product = np.eye(3)
-        for before, control, after in zip([state, *states], controls, states):
-            _, f, _ = one_step(before.mean, control, 0.1)
+        for before, control, acc in zip([state.mean, *means], controls, accs):
+            _, f, _ = one_step(before, control, 0.1)
             product = f @ product
-            np.testing.assert_array_equal(shear(after.jac_accum), product)
+            np.testing.assert_array_equal(shear(acc), product)
 
     def test_trajectory_matches_joint_filter_block(self):
         rng = np.random.default_rng(32)

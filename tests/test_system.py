@@ -165,7 +165,11 @@ def test_frames_go_only_to_robots_a_measurement_touches(monkeypatch):
     monkeypatch.setattr(UpdateMessage, "encode", counting_encode)
     monkeypatch.setattr(joint_ekf, "partial_update", recording_update)
     server = CooperationServer(sc.robot_ids, sc.meas_noise_cov())
-    steps = list(harness.split_steps(sc, real, reports, server, []))
+    # The propagated rows and the team at the end of each segment.
+    ends = {
+        k1: (means[:, -1], covs[-1], end)
+        for _, k1, (means, covs, _), end in harness.split_steps(sc, real, reports, server, [])
+    }
     for _ in harness.joint_steps(sc, real, reports, [], harness.PARTIAL_ORACLE):
         pass
 
@@ -175,9 +179,9 @@ def test_frames_go_only_to_robots_a_measurement_touches(monkeypatch):
     rows = np.array(untouched) - 1
     for k in real.measurements:
         assert sorted(frames[k]) == sorted(gained[k] - reports[k].missed), k
-        propagated, corrected = steps[k]
-        np.testing.assert_array_equal(corrected.mean[rows], propagated.mean[rows])
-        np.testing.assert_array_equal(corrected.cov[rows], propagated.cov[rows])
+        mean, cov, corrected = ends[k]
+        np.testing.assert_array_equal(corrected.mean[rows], mean[rows])
+        np.testing.assert_array_equal(corrected.cov[rows], cov[rows])
     assert not any(set(untouched) & set(sent) for sent in frames.values())
 
     assert check_exact_equivalence(strip_dropouts(sc)).passed(TOL)

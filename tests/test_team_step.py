@@ -145,8 +145,13 @@ def test_batched_split_step_is_the_per_robot_step(seed):
     ref = [(means[a], covs[a], np.eye(3)) for a in range(N_ROBOTS)]
     wrapped_far = False
     for k0, k1 in SEGMENTS:
-        segment = split_ekf.propagate_team(team, controls[:, k0:k1], q_diags[:, k0:k1], DT)
-        for k, team in enumerate(segment, start=k0):
+        means, covs, accs = split_ekf.propagate_team(
+            team, controls[:, k0:k1], q_diags[:, k0:k1], DT
+        )
+        assert (means.shape, covs.shape, accs.shape) == (
+            (N_ROBOTS, k1 - k0, 3), (k1 - k0, N_ROBOTS, 3, 3), (N_ROBOTS, k1 - k0, 2)
+        )
+        for j, k in enumerate(range(k0, k1)):
             wrapped_far |= bool(
                 (np.abs(ref[0][0][2] + controls[0, k, 1] * DT) >= 3 * math.pi)
                 or (np.abs(ref[1][0][2] + controls[1, k, 1] * DT) >= 3 * math.pi)
@@ -155,11 +160,11 @@ def test_batched_split_step_is_the_per_robot_step(seed):
                 ref_split_propagate(*ref[a], controls[a, k], np.diag(q_diags[a, k]), DT)
                 for a in range(N_ROBOTS)
             ]
-            np.testing.assert_array_equal(team.mean, [r[0] for r in ref])
-            assert_robotwise_close(team.cov, [r[1] for r in ref])
-            assert_is_shear_of(team.jac_accum, [r[2] for r in ref])
-            assert team.time == k + 1
-    assert team.time == N_STEPS
+            np.testing.assert_array_equal(means[:, j], [r[0] for r in ref])
+            assert_robotwise_close(covs[j], [r[1] for r in ref])
+            assert_is_shear_of(accs[:, j], [r[2] for r in ref])
+        # The next segment starts from this one's last step.
+        team = SplitTeamState(team.team, team.index, means[:, -1], covs[-1], accs[:, -1], k1)
     assert wrapped_far
 
 
@@ -169,16 +174,22 @@ def test_robot_node_step_is_the_per_robot_step():
         node = RobotNode(a + 1, means[a], covs[a])
         mean, cov, acc = means[a], covs[a], np.eye(3)
         for k0, k1 in SEGMENTS:
-            states = node.step(controls[a, k0:k1], q_diags[a, k0:k1], DT)
-            assert len(states) == k1 - k0
-            for k, state in enumerate(states, start=k0):
+            means, covs, accs = node.step(controls[a, k0:k1], q_diags[a, k0:k1], DT)
+            assert (means.shape, covs.shape, accs.shape) == (
+                (k1 - k0, 3), (k1 - k0, 3, 3), (k1 - k0, 2)
+            )
+            for j, k in enumerate(range(k0, k1)):
                 mean, cov, acc = ref_split_propagate(
                     mean, cov, acc, controls[a, k], np.diag(q_diags[a, k]), DT
                 )
-                np.testing.assert_array_equal(state.mean, mean)
-                assert_robotwise_close(state.cov[None], cov[None])
-                assert_is_shear_of(state.jac_accum, acc)
-                assert state.time == k + 1
+                np.testing.assert_array_equal(means[j], mean)
+                assert_robotwise_close(covs[j][None], cov[None])
+                assert_is_shear_of(accs[j], acc)
+            # The node keeps the last step.
+            assert node.time == k1
+            for got, rows in zip((node.state.mean, node.state.cov, node.state.jac_accum),
+                                 (means, covs, accs)):
+                np.testing.assert_array_equal(got, rows[-1])
         assert node.time == N_STEPS
 
 
@@ -268,12 +279,12 @@ def test_mid_segment_non_finite_control_is_rejected():
     with pytest.raises(ModelError, match="non-finite"):
         model.propagate_pose(means, controls, DT)
     with pytest.raises(ModelError, match="non-finite"):
-        next(split_ekf.propagate_team(team_from(means, covs), controls, q_diags, DT))
+        split_ekf.propagate_team(team_from(means, covs), controls, q_diags, DT)
     belief = joint_ekf.JointBelief.initialize(
         {a + 1: means[a] for a in range(N_ROBOTS)}, {a + 1: covs[a] for a in range(N_ROBOTS)}
     )
     with pytest.raises(ModelError, match="non-finite"):
-        next(joint_ekf.propagate_segment(belief, controls, q_diags, DT))
+        joint_ekf.propagate_segment(belief, controls, q_diags, DT)
 
 
 @pytest.mark.parametrize("robot", range(N_ROBOTS))
@@ -284,7 +295,7 @@ def test_non_finite_control_of_any_robot_is_rejected(robot, bad, column):
     step = controls[:, :1].copy()
     step[robot, 0, column] = bad
     with pytest.raises(ModelError, match="non-finite"):
-        next(split_ekf.propagate_team(team_from(means, covs), step, q_diags[:, :1], DT))
+        split_ekf.propagate_team(team_from(means, covs), step, q_diags[:, :1], DT)
     controls[robot, 7, column] = bad
     with pytest.raises(ModelError, match="non-finite"):
         model.propagate_pose(means, controls, DT)
@@ -296,26 +307,29 @@ def test_non_finite_pose_of_any_robot_is_rejected(robot, column):
     means, covs, controls, q_diags = random_team(6)
     means[robot, column] = math.nan
     with pytest.raises(ModelError, match="non-finite"):
-        next(split_ekf.propagate_team(team_from(means, covs), controls, q_diags, DT))
+        split_ekf.propagate_team(team_from(means, covs), controls, q_diags, DT)
 
 
 def test_non_positive_dt_is_rejected():
     means, covs, controls, q_diags = random_team(7)
     for dt in (0.0, -0.1):
         with pytest.raises(ModelError, match="dt must be positive"):
-            next(split_ekf.propagate_team(team_from(means, covs), controls, q_diags, dt))
+            split_ekf.propagate_team(team_from(means, covs), controls, q_diags, dt)
 
 
 def test_lone_robot_state_is_one_team_row():
     means, covs, controls, q_diags = random_team(8)
-    teams = split_ekf.propagate_team(team_from(means, covs), controls, q_diags, DT)
-    alone = RobotNode(3, means[2], covs[2]).step(controls[2], q_diags[2], DT)
-    for team, lone in zip(teams, alone, strict=True):
-        row = team.robot(3)
-        for field in ("mean", "cov", "jac_accum"):
-            np.testing.assert_array_equal(getattr(lone, field), getattr(row, field))
-        assert (lone.robot_id, lone.time) == (row.robot_id, row.time)
-    assert lone.time == N_STEPS
+    team_means, team_covs, team_accs = split_ekf.propagate_team(
+        team_from(means, covs), controls, q_diags, DT
+    )
+    node = RobotNode(3, means[2], covs[2])
+    alone = node.step(controls[2], q_diags[2], DT)
+    rows = (team_means[2], team_covs[:, 2], team_accs[2])
+    for lone, row in zip(alone, rows, strict=True):
+        np.testing.assert_array_equal(lone, row)
+    for field, row in zip(("mean", "cov", "jac_accum"), rows):
+        np.testing.assert_array_equal(getattr(node.state, field), row[-1])
+    assert (node.state.robot_id, node.time) == (3, N_STEPS)
 
 
 @pytest.mark.parametrize("n, steps", [(N_ROBOTS, 1), (N_ROBOTS, 2), (1, 1024), (4, 256)])
@@ -334,16 +348,14 @@ def test_closed_form_covariances_are_the_per_step_recurrence(n, steps, motion):
     else:
         controls[..., 1] *= 80.0
     q_diags = rng.uniform(1e-6, 0.05, (n, steps, 2))
-    got = list(split_ekf.propagate_team(team, controls, q_diags, DT))
+    means, covs, accs = split_ekf.propagate_team(team, controls, q_diags, DT)
     want = list(ref_split_segment(team, controls, q_diags, DT))
-    assert len(got) == len(want) == steps
-    for g, w in zip(got, want):
-        np.testing.assert_array_equal(g.mean, w.mean)
-        np.testing.assert_array_equal(g.jac_accum, w.jac_accum)
-        assert_robotwise_close(g.cov, w.cov)
-        np.testing.assert_array_equal(g.cov, g.cov.swapaxes(1, 2))
-        assert (g.team, g.index, g.time) == (w.team, w.index, w.time)
-    assert got[-1].time == 40 + steps
+    assert len(covs) == len(want) == steps
+    for j, w in enumerate(want):
+        np.testing.assert_array_equal(means[:, j], w.mean)
+        np.testing.assert_array_equal(accs[:, j], w.jac_accum)
+        assert_robotwise_close(covs[j], w.cov)
+        np.testing.assert_array_equal(covs[j], covs[j].swapaxes(1, 2))
 
 
 def test_run_once_calls_the_kernel_once_per_segment(monkeypatch):
@@ -481,6 +493,17 @@ def case_realization(case):
     return sc, real, harness.delivery_reports(sc, real, key)
 
 
+def assert_split_close(k, first_epoch, got, want):
+    """A split-team mean or accumulated Jacobian at step ``k`` against the
+    reference: a correction moves the means, and through the headings the
+    later Jacobians, by what the covariances moved, so they are bit for bit
+    only before the first epoch."""
+    if k < first_epoch:
+        np.testing.assert_array_equal(got, want)
+    else:
+        assert_robotwise_close(got, want)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(segment_cases())
 def test_segment_loops_equal_the_per_step_reference(case):
@@ -491,30 +514,50 @@ def test_segment_loops_equal_the_per_step_reference(case):
         ref_server = CooperationServer(sc.robot_ids, sc.meas_noise_cov())
         split = list(harness.split_steps(sc, real, reports, server, events))
         ref_split = list(ref_split_steps(sc, real, reports, ref_server, ref_events))
-        assert len(split) == len(ref_split) == sc.n_steps + 1
+        spans = [(k0, k1) for k0, k1, *_ in split]
+        assert spans == list(harness.segments(sc, real.measurements))
+        assert len(ref_split) == sc.n_steps + 1
         first_epoch = min(real.measurements, default=sc.n_steps + 1)
-        for states, ref_states in zip(split, ref_split):
-            for got, want in zip(states, ref_states):
-                # A correction moves the means, and through the headings
-                # the later Jacobians, by what the covariances moved.
-                for field in ("mean", "jac_accum"):
-                    if got.time < first_epoch:
-                        np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
-                    else:
-                        assert_robotwise_close(getattr(got, field), getattr(want, field))
-                assert_robotwise_close(got.cov, want.cov)
-                assert got.time == want.time
+        for k0, k1, (means, covs, accs), end in split:
+            # The block holds the propagated team, end the corrected one.
+            for j, k in enumerate(range(k0 + 1, k1 + 1)):
+                want, _ = ref_split[k]
+                assert_split_close(k, first_epoch, means[:, j], want.mean)
+                assert_split_close(k, first_epoch, accs[:, j], want.jac_accum)
+                assert_robotwise_close(covs[j], want.cov)
+            _, want = ref_split[k1]
+            assert_split_close(k1, first_epoch, end.mean, want.mean)
+            assert_split_close(k1, first_epoch, end.jac_accum, want.jac_accum)
+            assert_robotwise_close(end.cov, want.cov)
+            assert end.time == want.time == k1
         assert_robotwise_close(server.store.blocks, ref_server.store.blocks)
         assert events == ref_events and server.events == ref_server.events
 
         joint = list(harness.joint_steps(sc, real, reports, events, "partial_oracle"))
         ref_joint = list(ref_joint_steps(sc, real, reports, ref_events, "partial_oracle"))
-        assert len(joint) == len(ref_joint)
-        for got, want in zip(joint, ref_joint):
+        assert [len(beliefs) for beliefs in joint] == [k1 - k0 for k0, k1 in spans]
+        beliefs = [belief for block in joint for belief in block]
+        for got, want in zip(beliefs, ref_joint[1:], strict=True):
             np.testing.assert_array_equal(got.mean, want.mean)
             np.testing.assert_array_equal(got.cov, want.cov)
             assert got.time == want.time
         assert events == ref_events
+
+        # run_once writes each block with one slice and the segment's end
+        # over its last step: its records must be the references' every step.
+        with mock.patch.object(harness, "build_realization", lambda *args, **kwargs: real):
+            rec = harness.run_once(
+                sc, (harness.SA_SPLIT_DROPOUT, harness.PARTIAL_ORACLE), seed=case["seed"]
+            )
+    split_est = rec.estimates[harness.SA_SPLIT_DROPOUT]
+    split_cov = rec.covs[harness.SA_SPLIT_DROPOUT]
+    joint_est = rec.estimates[harness.PARTIAL_ORACLE]
+    joint_cov = rec.covs[harness.PARTIAL_ORACLE]
+    for k, ((_, want), belief) in enumerate(zip(ref_split, ref_joint, strict=True)):
+        assert_split_close(k, first_epoch, split_est[:, k], want.mean)
+        assert_robotwise_close(split_cov[:, k], want.cov)
+        np.testing.assert_array_equal(joint_est[:, k], belief.mean)
+        np.testing.assert_array_equal(joint_cov[:, k], belief.own_covs())
 
 
 def test_segments_end_at_every_epoch_and_cover_the_run():

@@ -3,11 +3,13 @@
 A 1e-6 error is planted for one step only, into one server store block or
 into one robot's own covariance; the report must name that step and robot
 and fail the 1e-8 gate, while every other deviation stays at rounding level.
-Planted into a robot stepped alone, it must fail the lone-step check.
+Planted into a robot stepped alone, it must fail the lone-step check, and
+planted into a robot that missed an epoch, the missed-update check.
 An indefinite joint covariance planted between epochs must fail it too.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,18 +73,14 @@ def test_robot_covariance_error_is_named_by_step_and_robot(table1, monkeypatch):
     original = split_ekf.propagate_team
 
     def propagate_with_error(team, controls, noise_diags, dt):
-        for out in original(team, controls, noise_diags, dt):
-            # A robot stepped alone by the lone-step check passes through.
-            if len(team.team) == 1 or out.time != step:
-                yield out
-                continue
-            a = team.index[robot]
-            saved = out.cov[a].copy()
-            out.cov[a] += PLANT * CORNER
-            yield out
-            # Only the yielded step is off: the segment steps on from the
-            # true covariance.
-            out.cov[a] = saved
+        means, covs, accs = original(team, controls, noise_diags, dt)
+        j = step - team.time - 1
+        # A robot stepped alone by the lone-step check passes through.
+        if len(team.team) > 1 and 0 <= j < len(covs):
+            # Only that step is off: the next segment starts from the last.
+            assert j < len(covs) - 1
+            covs[j, team.index[robot]] += PLANT * CORNER
+        return means, covs, accs
 
     monkeypatch.setattr(split_ekf, "propagate_team", propagate_with_error)
     report = check_exact_equivalence(table1)
@@ -94,15 +92,15 @@ def test_robot_covariance_error_is_named_by_step_and_robot(table1, monkeypatch):
 
 
 def plant_in_lone_steps(monkeypatch, step, field):
-    """Every lone robot's state at ``step`` comes back ``PLANT`` off in ``field``."""
+    """Every lone robot's block comes back ``PLANT`` off in ``field`` at ``step``."""
     original = RobotNode.step
 
     def step_with_error(self, controls, noise_diags, dt):
-        states = original(self, controls, noise_diags, dt)
-        for state in states:
-            if state.time == step:
-                setattr(state, field, getattr(state, field) + PLANT)
-        return states
+        k0 = self.time
+        block = original(self, controls, noise_diags, dt)
+        if k0 < step <= self.time:
+            block[("mean", "cov", "jac_accum").index(field)][step - k0 - 1] += PLANT
+        return block
 
     monkeypatch.setattr(RobotNode, "step", step_with_error)
 
@@ -134,6 +132,24 @@ def test_lone_step_off_inside_a_segment_fails_the_check(monkeypatch):
     assert not report.passed(TOL)
 
 
+def test_missed_robot_moved_at_an_epoch_fails_the_check(monkeypatch):
+    # A robot that missed an epoch must keep exactly its propagated rows.
+    sc = build_table1_scenario()
+    original = harness._run_split_epoch
+
+    def moving_a_missed_robot(team, server, measurements, report, events):
+        out = original(team, server, measurements, report, events)
+        if report.missed:
+            out = replace(out, mean=out.mean.copy())
+            out.mean[team.index[min(report.missed)]] += PLANT
+        return out
+
+    monkeypatch.setattr(harness, "_run_split_epoch", moving_a_missed_robot)
+    report = check_dropout_equivalence(sc)
+    assert not report.missed_updates_exact
+    assert not report.passed(TOL)
+
+
 def test_scenario_shorter_than_one_step_is_rejected():
     with pytest.raises(ScenarioError, match="at least one step"):
         check_exact_equivalence(Scenario(duration_s=0.04, dt_s=0.1))
@@ -146,12 +162,14 @@ def test_indefinite_joint_covariance_between_epochs_fails_the_check(table1, monk
     assert step not in measurement_schedule(table1)
     original = verify.joint_steps
 
+    def planted(belief):
+        belief = belief.copy()
+        belief.cov[0, 0, 0, 0] = -1e-3
+        return belief
+
     def joint_steps_with_plant(*args):
-        for k, belief in enumerate(original(*args)):
-            if k == step:
-                belief = belief.copy()
-                belief.cov[0, 0, 0, 0] = -1e-3
-            yield belief
+        for beliefs in original(*args):
+            yield [planted(b) if b.time == step else b for b in beliefs]
 
     monkeypatch.setattr(verify, "joint_steps", joint_steps_with_plant)
     report = check_exact_equivalence(table1)
