@@ -70,6 +70,13 @@ def _cmd_run(args) -> int:
             if count < 1:
                 raise ValueError(f"{flag} must be at least 1, got {count}")
         out_dir = Path(args.out or os.environ.get(OUT_DIR_ENV, "."))
+        metrics_path = out_dir / "metrics.csv"
+        events_path = out_dir / "events.log"
+        # Refuse an output file that cannot be written before the run,
+        # not after it.
+        for path in (metrics_path, events_path):
+            if path.exists() and not path.is_file():
+                raise ValueError(f"output {path} exists and is not a file")
         out_dir.mkdir(parents=True, exist_ok=True)
     except (OSError, ScenarioError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -78,10 +85,12 @@ def _cmd_run(args) -> int:
     report = harness.run_monte_carlo(
         sc, args.mc, estimators, seed=args.seed, jobs=args.jobs
     )
-    metrics_path = out_dir / "metrics.csv"
-    events_path = out_dir / "events.log"
-    harness.export_metrics(report, metrics_path)
-    harness.write_event_log(report.events, events_path)
+    try:
+        harness.export_metrics(report, metrics_path)
+        harness.write_event_log(report.events, events_path)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     print(f"scenario: {args.scenario} ({sc.n_robots} robots, {sc.duration_s:.0f} s)")
     print(f"runs: {report.runs_total}, estimators: {', '.join(estimators)}")

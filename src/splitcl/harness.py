@@ -351,7 +351,7 @@ def _run_split_epoch(
 
     Each robot takes part through a :class:`RobotNode` over its rows of
     ``team``. Returns a corrected copy of ``team``, or ``team`` itself when
-    no measurement reached the server.
+    no correction was applied.
     """
     k = report.time
     accepted = []
@@ -375,7 +375,7 @@ def _run_split_epoch(
         wire.append(RobotNode.over(team.robot(i)).landmark_message().encode())
     msgs = [LandmarkMessage.decode(raw) for raw in wire]
     updates = server.handle_epoch(msgs, k, missed=report.missed)
-    corrected = replace(team, mean=team.mean.copy(), cov=team.cov.copy())
+    applied = []
     for i, msg in updates.items():
         if i not in report.delivered:
             continue
@@ -387,7 +387,14 @@ def _run_split_epoch(
             # just like a lost message, but with its own reason code.
             events.append(ProtocolEvent(k, EVENT_NUMERIC_S, f"robot={i} reason={exc}"))
             continue
-        corrected.write_back(node.state)
+        applied.append(node.state)
+    if not applied:
+        return team
+    # The team's rows are the last step of the segment's block, which keeps
+    # the propagated values; the corrected rows go into a copy.
+    corrected = replace(team, mean=team.mean.copy(), cov=team.cov.copy())
+    for state in applied:
+        corrected.write_back(state)
     return corrected
 
 

@@ -236,7 +236,8 @@ def _apply_terms(
     innov_cov = np.asarray(noise_cov, dtype=float).copy()
     for u, h_u in terms:
         innov_cov += h_u @ pht[belief.index[u]]
-    check_spd_2x2(innov_cov)
+    (s00, s01), (_, s11) = innov_cov.tolist()
+    check_spd_2x2(s00, s01, s11)
 
     # The same gain serves both roles: state correction for the robots that
     # receive the update, cross-term correction for the rest.

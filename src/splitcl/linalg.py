@@ -1,7 +1,13 @@
 """Small dense linear-algebra helpers shared by both filter implementations.
 
-The 2x2 and 3x3 kernels run on Python floats (``.tolist()``): on matrices
-this small, numpy's per-call overhead costs several times the arithmetic.
+The 2x2 and 3x3 kernels take and return Python floats, the distinct
+entries of symmetric matrices: on matrices this small, numpy's per-call
+overhead costs several times the arithmetic, and a caller that already
+works on floats (the split filter's innovation, its corrections) passes
+them on without building an array. Python floats do not warn: an overflow
+gives ``inf`` and an invalid operation ``nan``, so every kernel checks its
+input before it divides or takes a root, and a failed check raises
+:class:`NumericalError`.
 """
 
 from __future__ import annotations
@@ -42,20 +48,30 @@ def block_diag_sandwich(blocks: np.ndarray, team_matrix: np.ndarray) -> np.ndarr
     return np.ascontiguousarray(cols.T).reshape(n, 3, n, 3)
 
 
-def check_spd_2x2(s: np.ndarray, context: str = "innovation covariance") -> None:
-    """Raise :class:`NumericalError` unless the symmetric 2x2 ``s`` is
-    acceptably positive definite: finite, with its smaller eigenvalue, in
-    closed form, at least ``SPD_REL_TOL`` times its trace."""
-    (a, b), (_, d) = s.tolist()
+def check_spd_2x2(a: float, b: float, d: float, context: str = "innovation covariance") -> float:
+    """Determinant of the symmetric 2x2 ``[[a, b], [b, d]]``, or
+    :class:`NumericalError` unless the matrix is acceptably positive
+    definite: its smaller eigenvalue, in closed form, positive and at least
+    ``SPD_REL_TOL`` times its trace, and its determinant a positive float.
+    The last rule refuses a matrix whose determinant overflows (a diagonal
+    of 1e300) or underflows to zero (subnormal entries), whose roots
+    :func:`sqrt_and_inv_sqrt_2x2` could not form."""
     trace = a + d
     lo = 0.5 * trace - math.hypot(0.5 * (a - d), b)
-    # Written so that a NaN on or above the diagonal fails.
-    if not (math.isfinite(trace) and lo >= SPD_REL_TOL * trace):
-        raise NumericalError(f"{context} is not positive definite (min eig {lo:.3e})")
+    det = a * d - b * b
+    # Written so that a NaN anywhere fails.
+    if not (lo > 0.0 and lo >= SPD_REL_TOL * trace and 0.0 < det < math.inf):
+        raise NumericalError(
+            f"{context} is not positive definite (min eig {lo:.3e}, det {det:.3e})"
+        )
+    return det
 
 
-def sqrt_and_inv_sqrt_2x2(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric square root of an SPD 2x2 matrix and its inverse.
+def sqrt_and_inv_sqrt_2x2(
+    a: float, b: float, d: float
+) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
+    """Symmetric square root of ``[[a, b], [b, d]]`` and its inverse, each
+    as its upper triangle ``(00, 01, 11)``, after :func:`check_spd_2x2`.
 
     The symmetric root is required: the same factor multiplies both the
     residual and its own transpose downstream, so a triangular factor
@@ -63,13 +79,10 @@ def sqrt_and_inv_sqrt_2x2(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``q = sqrt(det s)``, the root is ``(s + q I) / sqrt(trace s + 2 q)``;
     its determinant is ``q``, so its adjugate over ``q`` is its inverse.
     """
-    (a, b), (c, d) = s.tolist()
-    sq_det = math.sqrt(a * d - b * c)
+    sq_det = math.sqrt(check_spd_2x2(a, b, d))
     scale = math.sqrt(a + d + 2.0 * sq_det)
-    r00, r01, r10, r11 = (a + sq_det) / scale, b / scale, c / scale, (d + sq_det) / scale
-    root = np.array([[r00, r01], [r10, r11]])
-    inv_root = np.array([[r11 / sq_det, -r01 / sq_det], [-r10 / sq_det, r00 / sq_det]])
-    return root, inv_root
+    r00, r01, r11 = (a + sq_det) / scale, b / scale, (d + sq_det) / scale
+    return (r00, r01, r11), (r11 / sq_det, -r01 / sq_det, r00 / sq_det)
 
 
 def psd_3x3(a: float, b: float, c: float, d: float, e: float, f: float) -> bool:

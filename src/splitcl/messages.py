@@ -60,8 +60,17 @@ class ProtocolError(ValueError):
 
 
 def _check_shapes(msg, kind: int, names: tuple[str, ...]) -> None:
+    """Every payload named ``names`` has its field's shape in frame ``kind``.
+
+    Runs on every message construction, decoded ones included, so it reads
+    an array's ``shape`` directly and leaves ``np.shape`` to other
+    payloads (lists, say).
+    """
+    frame = _FRAMES[kind]
     for name in names:
-        want, got = _FRAMES[kind][name].shape, np.shape(getattr(msg, name))
+        value = getattr(msg, name)
+        got = value.shape if type(value) is np.ndarray else np.shape(value)
+        want = frame[name].shape
         if got != want:
             raise ProtocolError(f"{name} must have shape {want}, got {got}")
 

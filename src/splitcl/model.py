@@ -14,6 +14,12 @@ Conventions shared by every estimator in the package:
 - an absolute measurement is a direct readout of the robot's own position in
   the world frame.
 
+Each measurement model is defined once, on Python floats
+(:func:`relative_terms`, :func:`absolute_terms`): the split filter's
+server calls these kernels directly, and the array functions the
+centralized filter and the simulated truth use wrap them, so the two
+filters linearize with the same arithmetic.
+
 The motion model steps a whole team through a whole stretch of time at
 once: :func:`propagate_pose`, the one motion kernel, takes the team's
 ``(N, 3)`` poses and ``(N, L, 2)`` controls and returns every pose of the
@@ -231,41 +237,59 @@ def process_noise(g_jacs: np.ndarray, q_diags: np.ndarray) -> np.ndarray:
     return out
 
 
+_Row = tuple[float, float, float]
+
+
+def relative_terms(
+    x: float, y: float, heading: float, xb: float, yb: float
+) -> tuple[tuple[float, float], tuple[_Row, _Row], tuple[_Row, _Row]]:
+    """The relative measurement of a landmark at ``(xb, yb)`` from an
+    observer at ``(x, y, heading)``, on floats: the predicted value, then
+    the rows of its Jacobians w.r.t. the observer's and the landmark's pose.
+
+    This is the one definition of the relative model. The landmark
+    Jacobian's heading column is identically zero: the model does not
+    depend on the landmark's orientation. Float and ``np.float64``
+    arithmetic round alike, so the result does not depend on which the
+    caller passes.
+    """
+    c = math.cos(heading)
+    s = math.sin(heading)
+    dx = xb - x
+    dy = yb - y
+    return (
+        (c * dx + s * dy, -s * dx + c * dy),
+        ((-c, -s, -s * dx + c * dy), (s, -c, -c * dx - s * dy)),
+        ((c, s, 0.0), (-s, c, 0.0)),
+    )
+
+
 def relative_position(observer_pose: np.ndarray, landmark_pose: np.ndarray) -> np.ndarray:
-    """Landmark position in the observer body frame."""
-    c = math.cos(observer_pose[2])
-    s = math.sin(observer_pose[2])
-    dx = landmark_pose[0] - observer_pose[0]
-    dy = landmark_pose[1] - observer_pose[1]
-    return np.array([c * dx + s * dy, -s * dx + c * dy])
+    """Landmark position in the observer body frame (:func:`relative_terms`)."""
+    predicted, _, _ = relative_terms(*observer_pose[:3], *landmark_pose[:2])
+    return np.array(predicted)
 
 
 def relative_jacobians(observer_pose: np.ndarray, landmark_pose: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobians of :func:`relative_position` w.r.t. observer and landmark pose.
+    """Jacobians of :func:`relative_position` w.r.t. observer and landmark
+    pose (:func:`relative_terms`)."""
+    _, h_obs, h_lm = relative_terms(*observer_pose[:3], *landmark_pose[:2])
+    return np.array(h_obs), np.array(h_lm)
 
-    The landmark Jacobian's heading column is identically zero: the model does
-    not depend on the landmark's orientation.
-    """
-    c = math.cos(observer_pose[2])
-    s = math.sin(observer_pose[2])
-    dx = landmark_pose[0] - observer_pose[0]
-    dy = landmark_pose[1] - observer_pose[1]
-    h_obs = np.array([
-        [-c, -s, -s * dx + c * dy],
-        [s, -c, -c * dx - s * dy],
-    ])
-    h_lm = np.array([
-        [c, s, 0.0],
-        [-s, c, 0.0],
-    ])
-    return h_obs, h_lm
+
+def absolute_terms(x: float, y: float) -> tuple[tuple[float, float], tuple[_Row, _Row]]:
+    """The absolute measurement of a robot at ``(x, y)``, on floats: the
+    predicted value and the rows of its constant Jacobian."""
+    return (x, y), ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
 
 
 def absolute_position(pose: np.ndarray) -> np.ndarray:
-    """World-frame position readout ``[x, y]``."""
-    return np.array([pose[0], pose[1]])
+    """World-frame position readout ``[x, y]`` (:func:`absolute_terms`)."""
+    predicted, _ = absolute_terms(pose[0], pose[1])
+    return np.array(predicted)
 
 
 def absolute_jacobian() -> np.ndarray:
-    """Constant Jacobian of :func:`absolute_position`."""
-    return np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    """Constant Jacobian of :func:`absolute_position` (:func:`absolute_terms`)."""
+    _, h = absolute_terms(0.0, 0.0)
+    return np.array(h)

@@ -16,7 +16,9 @@ The summed payloads of a multi-measurement epoch are formed once, at the
 end, over the recipients' rows only.
 Robots that receive the message apply it; robots that miss it simply keep
 their propagated estimate, and the server skips the store blocks between
-pairs of missed robots.
+pairs of missed robots. A message checks its payload shapes when it is
+constructed, a decoded one included (:mod:`messages`), so the server and
+the robots do not check them again.
 
 Multiple measurements in the same epoch are processed one at a time in a
 fixed order (ascending ``(observer, landmark)``, absolutes after relatives).
@@ -231,24 +233,19 @@ class CooperationServer:
                 raise ProtocolError(
                     f"message from robot {msg.sender} is for t={msg.time}, epoch is t={time}"
                 )
-            if msg.sender not in self.team:
+            if msg.sender not in self.store.index:
                 raise ProtocolError(f"unknown robot {msg.sender}")
 
         # Latest state snapshot per sender; observers may send several
         # announcements but their (mean, cov, jac_accum) snapshots agree.
         snapshots = {msg.sender: msg for msg in msgs}
-        announcements = [m for m in msgs if m.z is not None]
-        relative = sorted(
-            (m for m in announcements if m.landmark is not None),
-            key=lambda m: (m.sender, m.landmark),
-        )
-        absolute = sorted(
-            (m for m in announcements if m.landmark is None),
-            key=lambda m: m.sender,
+        announced = sorted(
+            (m for m in msgs if m.z is not None),
+            key=lambda m: (m.landmark is None, m.sender, m.landmark or 0),
         )
 
         usable: list[LandmarkMessage] = []
-        for m in relative + absolute:
+        for m in announced:
             endpoints = (m.sender,) if m.landmark is None else (m.sender, m.landmark)
             bad = [r for r in endpoints if r in missed or r not in snapshots]
             if bad:
@@ -266,7 +263,7 @@ class CooperationServer:
         # all rows at once, so later ones are linearized at corrected values.
         senders = list(snapshots)
         rows = {rid: r for r, rid in enumerate(senders)}
-        sender_pos = [self.store.index[rid] for rid in senders]
+        sender_pos = np.array([self.store.index[rid] for rid in senders])
         mean = np.array([snapshots[rid].mean for rid in senders])
         cov = np.array([snapshots[rid].cov for rid in senders])
         accs = np.array([snapshots[rid].jac_accum for rid in senders])
@@ -277,44 +274,46 @@ class CooperationServer:
 
         touched = np.zeros(len(self.team), dtype=bool)
         singles: list[tuple[np.ndarray, np.ndarray]] = []
-        for m in usable:
-            a = m.sender
-            observer = scratch(a)
-            if m.landmark is None:
-                landmark = None
-                cross = None
-            else:
-                landmark = scratch(m.landmark)
-                cross = self.store.factor(a, m.landmark)
-            try:
-                # Finite frames can still overflow; the checks refuse the result.
-                with np.errstate(over="ignore", invalid="ignore"):
+        # The measured pair's arithmetic runs on floats, which do not warn;
+        # the team-sized products can still overflow on finite frames, and
+        # the checks then refuse the result.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for m in usable:
+                a = m.sender
+                observer = scratch(a)
+                if m.landmark is None:
+                    landmark = None
+                    cross = None
+                else:
+                    landmark = scratch(m.landmark)
+                    cross = self.store.factor(a, m.landmark)
+                try:
                     innov = split_ekf.innovation(
                         observer, landmark, cross, m.z, self.meas_noise_cov
                     )
-                    factors = split_ekf.update_factors(self.store, observer, landmark, innov)
+                    factors = split_ekf.update_factors(self.store, innov)
                     mean, cov = split_ekf.apply_update(
                         senders, mean, cov, accs,
                         *split_ekf.correction(factors[sender_pos], innov.white_residual),
                     )
-            except NumericalError as exc:
-                # Skip the measurement atomically: neither the scratch
-                # rows nor the store absorb any part of it.
-                self.events.append(ProtocolEvent(
-                    time, EVENT_NUMERIC_S,
-                    f"observer={a} landmark={m.landmark} reason={exc}",
-                ))
-                continue
-            # The store returns the robots with a non-zero D_i: the only
-            # ones whose blocks, payloads and messages this measurement
-            # changes.
-            touched |= self.store.update(factors, missed)
-            singles.append((innov.white_residual, factors))
+                except NumericalError as exc:
+                    # Skip the measurement atomically: neither the scratch
+                    # rows nor the store absorb any part of it.
+                    self.events.append(ProtocolEvent(
+                        time, EVENT_NUMERIC_S,
+                        f"observer={a} landmark={m.landmark} reason={exc}",
+                    ))
+                    continue
+                # The store returns the robots with a non-zero D_i: the only
+                # ones whose blocks, payloads and messages this measurement
+                # changes.
+                touched |= self.store.update(factors, missed)
+                singles.append((innov.white_residual, factors))
 
         if not singles:
             return {}
         positions = touched.nonzero()[0]
-        recipients = [(pos, self.team[pos]) for pos in positions]
+        recipients = [(pos, self.store.team[pos]) for pos in positions]
         if len(singles) == 1:
             white_residual, factors = singles[0]
             return {
@@ -322,19 +321,18 @@ class CooperationServer:
                     recipient=i,
                     time=time,
                     kind="single",
-                    residual_payload=white_residual.copy(),
-                    gain_payload=factors[pos].copy(),
+                    residual_payload=white_residual,
+                    gain_payload=factors[pos],
                 )
                 for pos, i in recipients
             }
         # Each recipient's corrections summed over the epoch's measurements,
-        # in their processing order.
-        vec_sum = np.zeros((len(positions), 3))
-        mat_sum = np.zeros((len(positions), 3, 3))
-        for white_residual, factors in singles:
-            vec, mat = split_ekf.correction(factors[positions], white_residual)
-            vec_sum += vec
-            mat_sum += mat
+        # as one product: with the measurements' factors side by side and
+        # their whitened residuals stacked, D r and D D' are the sums.
+        factors = np.concatenate([factors for _, factors in singles], axis=2)[positions]
+        vec_sum, mat_sum = split_ekf.correction(
+            factors, np.concatenate([white_residual for white_residual, _ in singles])
+        )
         return {
             i: UpdateMessage(
                 recipient=i,

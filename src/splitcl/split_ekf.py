@@ -42,6 +42,19 @@ non-zero, i.e. the measured robots and those correlated with them. The
 store forms the product over the support rows and updates just the block
 pairs within the support, so a measurement between two robots of a large
 team costs what its few block pairs cost, not what the team does.
+
+A measurement's work on the measured pair is a few hundred flops on 2x2,
+2x3 and 3x3 matrices, where numpy's per-call overhead costs several times
+the arithmetic, so it runs on Python floats: :func:`innovation` takes the
+prediction and Jacobians from the measurement model's float kernels
+(:func:`model.relative_terms`, :func:`model.absolute_terms`) and forms
+``S`` and its inverse symmetric root in closed form, and
+:func:`update_factors` whitens the measured robots' 3x2 terms, as
+:func:`apply_update` corrects each row. What grows with the team stays in
+numpy: the block-column product of :func:`update_factors` and the store
+update over the support. Floats do not warn on overflow, so every check
+refuses a non-finite result, and an arithmetic exception on the floats (a
+heading with no cosine, say) becomes a :class:`NumericalError`.
 """
 
 from __future__ import annotations
@@ -53,13 +66,7 @@ from typing import AbstractSet, Iterable, Sequence
 import numpy as np
 
 from . import model
-from .linalg import (
-    NumericalError,
-    block_diag_sandwich,
-    check_spd_2x2,
-    psd_3x3,
-    sqrt_and_inv_sqrt_2x2,
-)
+from .linalg import NumericalError, block_diag_sandwich, psd_3x3, sqrt_and_inv_sqrt_2x2
 from .model import shear
 
 
@@ -219,32 +226,58 @@ def propagate_team(
     return poses[:, 1:], cov, accs[:, 1:]
 
 
+Pairs = tuple[tuple[float, float], ...]
+
+
 @dataclass(slots=True)
 class WhitenedInnovation:
-    """Innovation of one measurement, pre-whitened by ``inv_sqrt(cov)``.
+    """Innovation of one measurement, pre-whitened by ``inv_sqrt(S)``.
 
-    Carries the measurement Jacobians ``H`` so the factor computation does
-    not re-linearize at a different point, and each one times its robot's
-    accumulated Jacobian, ``H A``, which both the innovation and the
-    factors use.
+    The symmetric 2x2 matrices are held as their upper triangles
+    ``(00, 01, 11)`` of Python floats: ``s`` the innovation covariance
+    ``S`` and ``w`` its inverse symmetric root. ``white_residual`` is
+    ``w`` times ``residual``, as the array a single update frame carries.
+    ``measured`` holds, per measured robot (the observer first), its id and
+    the two 3x2 matrices its update factor is made of, each as three rows
+    of float pairs: its own term ``A^-1 P H'`` and ``(H A)'``.
     """
 
-    cov: np.ndarray
-    inv_sqrt_cov: np.ndarray
-    residual: np.ndarray
+    s: tuple[float, float, float]
+    w: tuple[float, float, float]
+    residual: tuple[float, float]
     white_residual: np.ndarray
-    obs_jac: np.ndarray
-    lm_jac: np.ndarray | None
-    obs_jac_acc: np.ndarray
-    lm_jac_acc: np.ndarray | None
+    measured: tuple[tuple[int, Pairs, Pairs], ...]
 
 
-def _times_shear(h: np.ndarray, translation: np.ndarray) -> np.ndarray:
-    """``H S(s)`` for a ``(2, 3)`` Jacobian ``H``: ``H`` with ``H[:, :2] s``
-    added to its heading column."""
-    out = h.copy()
-    out[:, 2] += h[:, :2] @ translation
-    return out
+def _project(
+    state: SplitRobotState, h0: tuple[float, float, float], h1: tuple[float, float, float]
+) -> tuple[Pairs, Pairs, tuple[float, float, float]]:
+    """``A^-1 P H'``, ``(H A)'`` and the upper triangle of ``H P H'`` for
+    one robot and the rows ``h0``, ``h1`` of its measurement Jacobian ``H``.
+
+    ``P`` is read from the upper triangle of the robot's covariance. For
+    the shear ``A`` of translation ``s``, ``H A`` is ``H`` with
+    ``H[:, :2] s`` added to its heading column, and ``A^-1 P H'`` is
+    ``P H'`` less ``s`` times its heading row in its position rows.
+    """
+    (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.cov.tolist()
+    sx, sy = state.jac_accum.tolist()
+    a0, a1, a2 = h0
+    b0, b1, b2 = h1
+    t00 = p00 * a0 + p01 * a1 + p02 * a2
+    t10 = p01 * a0 + p11 * a1 + p12 * a2
+    t20 = p02 * a0 + p12 * a1 + p22 * a2
+    t01 = p00 * b0 + p01 * b1 + p02 * b2
+    t11 = p01 * b0 + p11 * b1 + p12 * b2
+    t21 = p02 * b0 + p12 * b1 + p22 * b2
+    own = ((t00 - sx * t20, t01 - sx * t21), (t10 - sy * t20, t11 - sy * t21), (t20, t21))
+    hat = ((a0, b0), (a1, b1), (a2 + a0 * sx + a1 * sy, b2 + b0 * sx + b1 * sy))
+    hph = (
+        a0 * t00 + a1 * t10 + a2 * t20,
+        a0 * t01 + a1 * t11 + a2 * t21,
+        b0 * t01 + b1 * t11 + b2 * t21,
+    )
+    return own, hat, hph
 
 
 def innovation(
@@ -259,47 +292,61 @@ def innovation(
     ``cross_factor`` is the server's ``C_ab`` block oriented
     (observer, landmark); the observer-landmark cross covariance is
     reconstructed from it, so the result matches the centralized filter's
-    innovation covariance exactly: its term ``H_a A_a C_ab A_b' H_b'`` is
-    formed from the two robots' ``H A``.
+    innovation covariance: its term ``H_a A_a C_ab A_b' H_b'`` is formed
+    from the two robots' ``H A``. The measured pair's arithmetic, a few
+    hundred flops, runs on Python floats: the prediction and the Jacobians
+    come from :func:`model.relative_terms` or :func:`model.absolute_terms`,
+    the float kernels behind the centralized filter's model functions, and
+    ``S`` is formed as its upper triangle, so it is exactly symmetric.
+    Raises :class:`NumericalError` when ``S`` fails
+    :func:`linalg.check_spd_2x2` or the arithmetic fails (a non-finite
+    heading, say).
     """
     if landmark is not None and observer.time != landmark.time:
         raise ValueError(
             f"states are at different timesteps ({observer.time} vs {landmark.time})"
         )
-    innov_cov = np.asarray(noise_cov, dtype=float).copy()
-    h_obs_full: np.ndarray
-    if landmark is None:
-        h_obs_full = model.absolute_jacobian()
-        h_lm = hs_lm = None
-        predicted = model.absolute_position(observer.mean)
-        innov_cov += h_obs_full @ observer.cov @ h_obs_full.T
-        hs_obs = _times_shear(h_obs_full, observer.jac_accum)
-    else:
-        if cross_factor is None:
-            raise ValueError("relative measurements need the pair's cross factor")
-        h_obs_full, h_lm = model.relative_jacobians(observer.mean, landmark.mean)
-        predicted = model.relative_position(observer.mean, landmark.mean)
-        hs_obs = _times_shear(h_obs_full, observer.jac_accum)
-        hs_lm = _times_shear(h_lm, landmark.jac_accum)
-        mixed = hs_obs @ cross_factor @ hs_lm.T
-        innov_cov += (
-            h_obs_full @ observer.cov @ h_obs_full.T
-            + h_lm @ landmark.cov @ h_lm.T
-            + mixed
-            + mixed.T
-        )
-    check_spd_2x2(innov_cov)
-    _, inv_sqrt = sqrt_and_inv_sqrt_2x2(innov_cov)
-    residual = np.asarray(z, dtype=float) - predicted
+    if landmark is not None and cross_factor is None:
+        raise ValueError("relative measurements need the pair's cross factor")
+    (n00, n01), (_, n11) = np.asarray(noise_cov, dtype=float).tolist()
+    z0, z1 = np.asarray(z, dtype=float).tolist()
+    x, y, heading = observer.mean.tolist()
+    try:
+        if landmark is None:
+            (p0, p1), h_obs = model.absolute_terms(x, y)
+            own, hat, (s00, s01, s11) = _project(observer, *h_obs)
+            measured = ((observer.robot_id, own, hat),)
+        else:
+            xb, yb, _ = landmark.mean.tolist()
+            (p0, p1), h_obs, h_lm = model.relative_terms(x, y, heading, xb, yb)
+            own, hat, (a00, a01, a11) = _project(observer, *h_obs)
+            own_b, hat_b, (b00, b01, b11) = _project(landmark, *h_lm)
+            measured = ((observer.robot_id, own, hat), (landmark.robot_id, own_b, hat_b))
+            # (H_a A_a) C_ab (H_b A_b)': C_ab times (H_b A_b)' first.
+            (u0, v0), (u1, v1), (u2, v2) = hat
+            (x0, y0), (x1, y1), (x2, y2) = hat_b
+            (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = cross_factor.tolist()
+            g00, g01 = c00 * x0 + c01 * x1 + c02 * x2, c00 * y0 + c01 * y1 + c02 * y2
+            g10, g11 = c10 * x0 + c11 * x1 + c12 * x2, c10 * y0 + c11 * y1 + c12 * y2
+            g20, g21 = c20 * x0 + c21 * x1 + c22 * x2, c20 * y0 + c21 * y1 + c22 * y2
+            m00 = u0 * g00 + u1 * g10 + u2 * g20
+            m01 = u0 * g01 + u1 * g11 + u2 * g21
+            m10 = v0 * g00 + v1 * g10 + v2 * g20
+            m11 = v0 * g01 + v1 * g11 + v2 * g21
+            s00 = a00 + b00 + m00 + m00
+            s01 = a01 + b01 + m01 + m10
+            s11 = a11 + b11 + m11 + m11
+        s00, s01, s11 = n00 + s00, n01 + s01, n11 + s11
+        _, (w00, w01, w11) = sqrt_and_inv_sqrt_2x2(s00, s01, s11)
+    except (ArithmeticError, ValueError) as exc:
+        raise NumericalError(f"innovation arithmetic failed: {exc}") from exc
+    r0, r1 = z0 - p0, z1 - p1
     return WhitenedInnovation(
-        cov=innov_cov,
-        inv_sqrt_cov=inv_sqrt,
-        residual=residual,
-        white_residual=inv_sqrt @ residual,
-        obs_jac=h_obs_full,
-        lm_jac=h_lm,
-        obs_jac_acc=hs_obs,
-        lm_jac_acc=hs_lm,
+        s=(s00, s01, s11),
+        w=(w00, w01, w11),
+        residual=(r0, r1),
+        white_residual=np.array([w00 * r0 + w01 * r1, w01 * r0 + w11 * r1]),
+        measured=measured,
     )
 
 
@@ -343,24 +390,32 @@ class CrossFactorStore:
         the blocks between two robots in ``missed``: those pairs keep their
         factor, as the centralized partial update keeps their cross block.
         Only the support, the robots whose row ``D_i`` is non-zero, can
-        change, so the product is formed over the support rows alone. Each
-        block above the diagonal is added as computed and, transposed, below
-        it, which keeps the store exactly symmetric whatever the rounding of
-        the matrix product. Returns the support as a boolean mask over team
-        positions. Raises ``KeyError`` for a missed robot outside the team,
-        before any block changes.
+        change, so the product is formed over the support rows alone. Its
+        entry ``(i, j)`` is ``d_i0 d_j0 + d_i1 d_j1``, two elementwise
+        products and a sum, which are the same operations for ``(j, i)``:
+        the product, and with it the store, is exactly symmetric, and an
+        entry does not depend on which other rows are in the product. The
+        skipped blocks are zeroed in the product; adding a zero leaves a
+        store entry as it is. Returns the support as a boolean mask over
+        team positions. Raises ``KeyError`` for a missed robot outside the
+        team, before any block changes.
         """
-        held = np.zeros(len(self.team), dtype=bool)
-        held[[self.index[r] for r in missed]] = True
+        held = [self.index[r] for r in missed]
         nonzero = factors.any(axis=(1, 2))
         support = nonzero.nonzero()[0]
         k = len(support)
-        rows = factors[support].reshape(3 * k, 2)
-        product = ((self._update_sign * rows) @ rows.T).reshape(k, 3, k, 3)
-        held = held[support]
-        upper = (support[:, None] < support) & ~(held[:, None] & held)
-        half = np.where(upper[:, None, :, None], product, 0.0)
-        change = half + half.transpose(2, 3, 0, 1)
+        d0, d1 = factors[support].reshape(3 * k, 2).T
+        change = d0[:, None] * d0 + d1[:, None] * d1
+        change *= self._update_sign
+        change = change.reshape(k, 3, k, 3)
+        # The diagonal blocks, where a support position meets itself.
+        skip = support[:, None] == support
+        if held:
+            frozen = np.zeros(len(self.team), dtype=bool)
+            frozen[held] = True
+            frozen = frozen[support]
+            skip |= frozen[:, None] & frozen
+        np.copyto(change, 0.0, where=skip[:, None, :, None])
         if k == len(self.team):
             # Every robot is in the support, as on a small team whose robots
             # are all correlated: the indexed add below would cost several
@@ -386,40 +441,39 @@ class CrossFactorStore:
         return dup
 
 
-def update_factors(
-    store: CrossFactorStore,
-    observer: SplitRobotState,
-    landmark: SplitRobotState | None,
-    innov: WhitenedInnovation,
-) -> np.ndarray:
+def update_factors(store: CrossFactorStore, innov: WhitenedInnovation) -> np.ndarray:
     """Update factors ``D_i`` of every robot for one measurement, shape ``(N, 3, 2)``.
 
     Row ``store.index[i]`` holds ``D_i``, for which ``A_i D_i inv_sqrt(S)``
     equals the centralized gain. Each measured robot ``u`` contributes its
-    block column of the store times ``(H_u A_u)'``, and its own covariance,
-    through ``A_u``'s exact inverse ``S(-jac_accum)``, to its own row:
-    ``S(-s) P_u H_u'`` is ``P_u H_u'`` less ``s`` times its heading row in
-    its position rows. A robot with zero factors towards both measured
-    robots gets a zero factor.
+    block column of the store times ``(H_u A_u)' inv_sqrt(S)``, one product
+    per measured robot and the only work that grows with the team, and its
+    own term ``A_u^-1 P_u H_u' inv_sqrt(S)`` to its own row. The 3x2
+    factors are whitened on floats. A robot with zero factors towards every
+    measured robot gets an exactly zero factor.
     """
-    measured = [(observer, innov.obs_jac, innov.obs_jac_acc)]
-    if landmark is not None:
-        assert innov.lm_jac is not None and innov.lm_jac_acc is not None
-        measured.append((landmark, innov.lm_jac, innov.lm_jac_acc))
-    acc = np.zeros((len(store.team), 3, 2))
-    for state, h, h_acc in measured:
-        u = store.index[state.robot_id]
-        acc += store.blocks[:, :, u, :] @ h_acc.T
-        own = state.cov @ h.T
-        own[:2] -= state.jac_accum[:, None] * own[2]
-        acc[u] += own
-    return acc @ innov.inv_sqrt_cov
+    w00, w01, w11 = innov.w
+
+    def whiten(rows: Pairs) -> list[tuple[float, float]]:
+        return [(x * w00 + y * w01, x * w01 + y * w11) for x, y in rows]
+
+    n = len(store.team)
+    flat = None
+    for rid, _, hat in innov.measured:
+        term = store.blocks[:, :, store.index[rid], :].reshape(3 * n, 3) @ whiten(hat)
+        flat = term if flat is None else flat + term
+    factors = flat.reshape(n, 3, 2)
+    for rid, own, _ in innov.measured:
+        factors[store.index[rid]] += whiten(own)
+    return factors
 
 
 def correction(factors: np.ndarray, white_residual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The pair ``(D r, D D')`` of update factors ``D`` ``(..., 3, 2)`` and a
     whitened residual ``r``. numpy forms each row of a stack as it forms
-    the row alone, so a row's pair is the same bits either way."""
+    the row alone, so a row's pair is the same bits either way. Several
+    measurements' factors side by side, ``(..., 3, 2m)`` with their
+    residuals stacked, give the sum of their pairs."""
     return factors @ white_residual, factors @ factors.swapaxes(-1, -2)
 
 

@@ -23,6 +23,14 @@ def stack(belief):
     return belief.mean.reshape(-1).copy(), belief.joint_matrix().copy()
 
 
+def symmetric_2x2(upper):
+    """The symmetric 2x2 array of an upper triangle ``(00, 01, 11)``, the
+    form in which ``split_ekf.WhitenedInnovation`` holds ``S`` and its
+    inverse root."""
+    m00, m01, m11 = upper
+    return np.array([[m00, m01], [m01, m11]])
+
+
 def cross_blocks(team_matrix):
     """The off-diagonal 3x3 blocks of an ``(N, 3, N, 3)`` array, shape ``(N(N-1), 3, 3)``."""
     n = team_matrix.shape[0]
@@ -168,11 +176,13 @@ def dense_store_update(store, factors, missed=frozenset()):
 
     ``-D D'`` (with the store's ``_update_sign``) is formed over the whole
     team, its diagonal blocks and the blocks between two ``missed`` robots
-    are zeroed, and the rest is added to a copy of ``store.blocks``.
+    are zeroed, and the rest is added to a copy of ``store.blocks``. Each
+    entry of the product is its two elementwise products summed, as in the
+    store, so the two agree bit for bit at any team size.
     """
     n = len(store.team)
-    flat = factors.reshape(3 * n, 2)
-    product = ((store._update_sign * flat) @ flat.T).reshape(n, 3, n, 3)
+    d0, d1 = factors.reshape(3 * n, 2).T
+    product = (store._update_sign * (d0[:, None] * d0 + d1[:, None] * d1)).reshape(n, 3, n, 3)
     diag = np.arange(n)
     product[diag, :, diag, :] = 0.0
     frozen = np.array([store.index[r] for r in missed], dtype=int)

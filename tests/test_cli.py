@@ -96,15 +96,37 @@ def test_verify_missing_scenario_file_is_invalid_input(tmp_path, capsys):
     ["scenario-gen", "table1", "--out", "{dir}"],
     ["scenario-gen", "table1", "--out", "{file}/x.json"],
     ["run", "--scenario", "table1", "--out", "{file}"],
+    ["run", "--scenario", "table1", "--mc", "1", "--estimators", "dr", "--out", "{dir}/busy"],
+    ["run", "--scenario", "table1", "--mc", "1", "--estimators", "dr", "--out", "{dir}/busy2"],
 ], ids=["run-scenario-dir", "verify-scenario-dir", "gen-out-dir", "gen-out-under-file",
-        "run-out-file"])
-def test_unusable_path_is_invalid_input(argv, tmp_path, capsys):
+        "run-out-file", "run-metrics-file-dir", "run-events-file-dir"])
+def test_unusable_path_is_invalid_input(argv, tmp_path, capsys, monkeypatch):
     # A directory where a file belongs, or a file where a directory belongs.
     (tmp_path / "file").write_text("")
+    (tmp_path / "busy" / "metrics.csv").mkdir(parents=True)
+    (tmp_path / "busy2" / "events.log").mkdir(parents=True)
+    # Refused before the run, not after it.
+    monkeypatch.setattr(harness, "run_monte_carlo", None)
     argv = [arg.format(dir=tmp_path, file=tmp_path / "file") for arg in argv]
     assert cli.main(argv) == cli.EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out").exists()
+    assert [p.name for p in (tmp_path / "busy").iterdir()] == ["metrics.csv"]
+    assert [p.name for p in (tmp_path / "busy2").iterdir()] == ["events.log"]
+
+
+@pytest.mark.parametrize("writer", ["export_metrics", "write_event_log"])
+def test_output_write_failure_is_invalid_input(writer, tmp_path, capsys, monkeypatch):
+    # An output file that fails to be written after the run, as a full disk
+    # would, ends as a one-line error and exit 2, not a traceback.
+    def failing(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(harness, writer, failing)
+    argv = ["run", "--scenario", "table1", "--mc", "1", "--estimators", "dr",
+            "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
 
 
 def test_run_without_monte_carlo_runs_is_invalid_input(tmp_path, capsys):

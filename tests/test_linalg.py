@@ -24,6 +24,11 @@ def upper(m):
     return m[[0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]].tolist()
 
 
+def sym(m):
+    """The three distinct entries ``(00, 01, 11)`` of a symmetric 2x2 ``m``."""
+    return m[[0, 0, 1], [0, 1, 1]].tolist()
+
+
 def random_symmetric(rng, scale, lowest):
     """A symmetric 3x3 matrix with eigenvalues ``lowest`` and two in
     ``[0.1, 1] * scale``, in a random orthonormal basis."""
@@ -82,10 +87,10 @@ def test_spd_2x2_check_decides_as_the_eigenvalues():
         if abs(lo - bound) <= 32 * EPS * scale * np.abs(s).max():
             continue
         if lo >= bound:
-            check_spd_2x2(s)
+            check_spd_2x2(*sym(s))
         else:
             with pytest.raises(NumericalError, match="not positive definite"):
-                check_spd_2x2(s)
+                check_spd_2x2(*sym(s))
 
 
 @pytest.mark.parametrize("pos", [(0, 0), (0, 1), (1, 1)])
@@ -94,7 +99,7 @@ def test_spd_2x2_check_refuses_non_finite_entries(pos, value):
     s = np.eye(2)
     s[pos] = s[pos[::-1]] = value
     with pytest.raises(NumericalError):
-        check_spd_2x2(s)
+        check_spd_2x2(*sym(s))
 
 
 def test_symmetric_root_equals_the_numpy_arithmetic():
@@ -103,7 +108,35 @@ def test_symmetric_root_equals_the_numpy_arithmetic():
     for _ in range(500):
         root = rng.standard_normal((2, 2)) * 10.0 ** rng.uniform(-3, 3)
         s = root @ root.T + 1e-3 * np.eye(2)
-        got = sqrt_and_inv_sqrt_2x2(s)
+        got = sqrt_and_inv_sqrt_2x2(*sym(s))
         want = numpy_sqrt_and_inv_sqrt_2x2(s)
         for g, w in zip(got, want, strict=True):
-            np.testing.assert_array_equal(g, w)
+            assert list(g) == sym(w)
+
+
+@pytest.mark.parametrize("entries", [
+    (0.0, 0.0, 0.0),
+    (5e-324, 0.0, 5e-324),
+    (1e-310, 0.0, 1e-310),
+    (1e300, 0.0, 1e300),
+    (1e200, 1e150, 1e200),
+], ids=["zero", "smallest-subnormal", "subnormal", "diagonal-1e300", "det-overflow"])
+def test_spd_2x2_check_refuses_matrices_without_a_usable_root(entries):
+    # Each passes the relative eigenvalue rule (or sits on it), but its
+    # determinant is zero or not a float, so its roots would divide by
+    # zero or come out NaN.
+    with pytest.raises(NumericalError, match="not positive definite"):
+        check_spd_2x2(*entries)
+    with pytest.raises(NumericalError, match="not positive definite"):
+        sqrt_and_inv_sqrt_2x2(*entries)
+
+
+def test_spd_2x2_roots_are_finite_at_the_range_ends():
+    for a, b, d in [(1e-150, 0.0, 1e-150), (1e150, 1e149, 1e150), (1e-12, 0.0, 1.0)]:
+        root, inv_root = sqrt_and_inv_sqrt_2x2(a, b, d)
+        assert all(map(math.isfinite, root + inv_root))
+        r00, r01, r11 = root
+        np.testing.assert_allclose(
+            [r00 * r00 + r01 * r01, r00 * r01 + r01 * r11, r01 * r01 + r11 * r11],
+            [a, b, d], rtol=1e-12,
+        )

@@ -299,6 +299,70 @@ class TestServerSingleMeasurement:
         assert server.events[-1].code == EVENT_NUMERIC_S
         np.testing.assert_array_equal(server.store.blocks, before)
 
+    @pytest.mark.parametrize("cov_scale, noise_scale", [
+        (0.0, 0.0),          # S = 0: its root would divide by zero
+        (1e-310, 0.0),       # subnormal S: its determinant underflows to zero
+        (1e300, 0.02),       # diagonal of 1e300: its determinant overflows
+    ], ids=["zero", "subnormal", "huge"])
+    def test_innovation_without_a_usable_root_skipped_with_event(self, cov_scale, noise_scale):
+        # Two frames at t = 5 whose innovation covariance passes the
+        # relative eigenvalue rule but has no usable square root: the
+        # server logs NUMERIC_S and returns no frame, and the store keeps
+        # every block.
+        server = CooperationServer((1, 2), np.eye(2) * noise_scale)
+        cov = np.eye(3) * cov_scale
+        msgs = [
+            LandmarkMessage(1, 5, np.array([0.0, 0.0, 0.3]), cov, np.zeros(2), 2, np.ones(2)),
+            LandmarkMessage(2, 5, np.array([1.0, 0.5, -0.2]), cov, np.zeros(2)),
+        ]
+        before = server.store.blocks.copy()
+        with np.errstate(all="raise"):
+            assert server.handle_epoch(msgs, 5) == {}
+        assert [e.code for e in server.events] == [EVENT_NUMERIC_S]
+        assert "not positive definite" in server.events[0].detail
+        np.testing.assert_array_equal(server.store.blocks, before)
+
+    def test_frame_whose_factors_overflow_skipped_with_event(self):
+        # The landmark's finite frame has a position-heading covariance of
+        # 1e200, which its measurement does not see: S is sound, but the
+        # landmark's update factor is about 1e200 and D D' overflows numpy's
+        # products. The checks refuse the result, without a warning.
+        rng = np.random.default_rng(90)
+        ids, nodes, server, _ = build_stack(rng, 3, warmup_pairs=[(1, 2)])
+        t = nodes[1].time
+        state = nodes[2].state
+        cov = state.cov.copy()
+        cov[0, 2] = cov[2, 0] = 1e200
+        msgs = [
+            nodes[1].landmark_message(z=np.zeros(2), landmark=2),
+            LandmarkMessage(2, t, state.mean, cov, state.jac_accum),
+        ]
+        before = server.store.blocks.copy()
+        assert server.handle_epoch([LandmarkMessage.decode(m.encode()) for m in msgs], t) == {}
+        assert server.events[-1].code == EVENT_NUMERIC_S
+        assert "robot 2" in server.events[-1].detail
+        np.testing.assert_array_equal(server.store.blocks, before)
+
+    @pytest.mark.parametrize("heading", [np.inf, -np.inf, np.nan])
+    def test_non_finite_observer_heading_skipped_with_event(self, heading):
+        # A decoded frame is outside input: a heading with no cosine makes
+        # the innovation's arithmetic fail, which is a NUMERIC_S event, not
+        # an exception out of the server.
+        rng = np.random.default_rng(89)
+        ids, nodes, server, _ = build_stack(rng, 3, warmup_pairs=[(1, 2)])
+        t = nodes[1].time
+        state = nodes[1].state
+        mean = state.mean.copy()
+        mean[2] = heading
+        msgs = [
+            LandmarkMessage(1, t, mean, state.cov, state.jac_accum, 2, np.zeros(2)),
+            nodes[2].landmark_message(),
+        ]
+        before = server.store.blocks.copy()
+        assert server.handle_epoch([LandmarkMessage.decode(m.encode()) for m in msgs], t) == {}
+        assert server.events[-1].code == EVENT_NUMERIC_S
+        np.testing.assert_array_equal(server.store.blocks, before)
+
     def test_self_measurement_frame_never_reaches_the_server(self):
         # Decoding refuses the frame, so the server's store and event log
         # are never touched, and the failure is a ProtocolError rather
