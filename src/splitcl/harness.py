@@ -31,11 +31,11 @@ closed form. :func:`run_once` writes the blocks into its records and
 :mod:`splitcl.verify` compares them step by step. The four filtering
 estimators differ only in the channel reports they get: none (perfect
 links) or the dropout run's. Only at a measurement epoch does a robot act
-on its own, as a :class:`RobotNode` over its rows of the team state: a
-measured robot builds its landmark message, and a robot the server sends an
-update message (one correlated with a measured robot) applies it, and its
-corrected rows go into a copy of the team. The per-robot arithmetic is the
-same either way, and the same for a robot stepped alone through
+on its own: a measured robot sends the landmark message of its rows of the
+team state, and a robot the server sends an update message (one correlated
+with a measured robot) applies it as a :class:`RobotNode` over its rows of
+a copy of the team, which it corrects in place. The per-robot arithmetic
+is the same either way, and the same for a robot stepped alone through
 :meth:`RobotNode.step`, as a team of one.
 
 Randomness is derived from a seed key; stream tags keep motion noise,
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -333,7 +333,9 @@ def split_steps(
             team, real.controls_meas[:, k0:k1], real.filter_q[:, k0:k1], sc.dt_s
         )
         means, covs, accs = block
-        team = replace(team, mean=means[:, -1], cov=covs[-1], jac_accum=accs[:, -1], time=k1)
+        team = split_ekf.SplitTeamState(
+            team.team, team.index, means[:, -1], covs[-1], accs[:, -1], k1
+        )
         if k1 in real.measurements:
             report = epoch_report(reports, ids, k1)
             team = _run_split_epoch(team, server, real.measurements[k1], report, events)
@@ -349,8 +351,11 @@ def _run_split_epoch(
 ) -> split_ekf.SplitTeamState:
     """One measurement epoch over the lossy channel, wire encoding included.
 
-    Each robot takes part through a :class:`RobotNode` over its rows of
-    ``team``. Returns a corrected copy of ``team``, or ``team`` itself when
+    Each robot of an accepted measurement sends the landmark frame of its
+    rows of ``team``, the segment block's last step. Each robot sent an
+    update frame applies it as a :class:`RobotNode` over its rows of one
+    copy of the team, in place; a single frame ``(r, D)`` becomes its pair
+    ``(D r, D D')`` only there. Returns the copy, or ``team`` itself when
     no correction was applied.
     """
     k = report.time
@@ -366,36 +371,33 @@ def _run_split_epoch(
             ))
     if not accepted:
         return team
-    wire: list[bytes] = []
     landmark_only = {m.landmark for m in accepted} - {m.observer for m in accepted}
-    for m in accepted:
-        node = RobotNode.over(team.robot(m.observer))
-        wire.append(node.landmark_message(z=m.z, landmark=m.landmark).encode())
-    for i in sorted(landmark_only):
-        wire.append(RobotNode.over(team.robot(i)).landmark_message().encode())
+    senders = [(m.observer, m.landmark, m.z) for m in accepted]
+    senders += [(i, None, None) for i in sorted(landmark_only)]
+    wire = []
+    for i, landmark, z in senders:
+        a = team.index[i]
+        frame = LandmarkMessage(i, k, team.mean[a], team.cov[a], team.jac_accum[a], landmark, z)
+        wire.append(frame.encode())
     msgs = [LandmarkMessage.decode(raw) for raw in wire]
     updates = server.handle_epoch(msgs, k, missed=report.missed)
-    applied = []
+    if not updates:
+        return team
+    corrected = split_ekf.SplitTeamState(
+        team.team, team.index, team.mean.copy(), team.cov.copy(), team.jac_accum, team.time
+    )
+    applied = False
     for i, msg in updates.items():
         if i not in report.delivered:
             continue
-        node = RobotNode.over(team.robot(i))
+        node = RobotNode.over(corrected.robot(i))
         try:
-            node.apply_update(UpdateMessage.decode(msg.encode()))
+            applied |= node.apply_update(UpdateMessage.decode(msg.encode()))
         except NumericalError as exc:
             # Keep the propagated state; an invalid correction is dropped
             # just like a lost message, but with its own reason code.
             events.append(ProtocolEvent(k, EVENT_NUMERIC_S, f"robot={i} reason={exc}"))
-            continue
-        applied.append(node.state)
-    if not applied:
-        return team
-    # The team's rows are the last step of the segment's block, which keeps
-    # the propagated values; the corrected rows go into a copy.
-    corrected = replace(team, mean=team.mean.copy(), cov=team.cov.copy())
-    for state in applied:
-        corrected.write_back(state)
-    return corrected
+    return corrected if applied else team
 
 
 @dataclass(slots=True)

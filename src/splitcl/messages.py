@@ -2,7 +2,8 @@
 
 Both message kinds serialize to a fixed-length little-endian binary frame so
 the payload size provably does not depend on the team size. Each kind is one
-packed numpy record in ``_FRAMES``; its ``itemsize`` is the frame length:
+precompiled :class:`struct.Struct` in ``_FRAMES``; its ``size`` is the frame
+length:
 
 ==================  =======================================================
 frame               layout
@@ -22,14 +23,16 @@ A single update frame is the factored form ``(r, D)`` of the correction
 pair ``(D r, D D')``; a summed frame carries the summed pairs themselves.
 Matrices are row-major; ``jac_accum`` is the translation of the sender's
 accumulated Jacobian, a shear (see :mod:`split_ekf`). A landmark-role
-message carries no measurement (``z is None``); an observer's message
-carries ``z`` plus the landmark id, or ``z`` alone for an absolute
-measurement.
+message carries no measurement (``z is None``, zero ``z`` bytes) and names
+no landmark; an observer's message carries ``z`` plus the landmark id, or
+``z`` alone for an absolute measurement. Decoding refuses a frame that
+would not encode back to its own bytes.
 """
 
 from __future__ import annotations
 
 import operator
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,21 +40,16 @@ import numpy as np
 FORMAT_TAG = b"SCL2"
 _KIND_LANDMARK = 1
 _UPDATE_KINDS = {"single": 2, "summed": 3}
-_HEADER = [("tag", "S4"), ("kind", "u1")]
 _FRAMES = {
-    _KIND_LANDMARK: np.dtype(_HEADER + [
-        ("sender", "<u4"), ("time", "<u4"), ("landmark", "<u4"), ("has_z", "u1"),
-        ("z", "<f8", (2,)), ("mean", "<f8", (3,)), ("cov", "<f8", (3, 3)),
-        ("jac_accum", "<f8", (2,)),
-    ]),
-    _UPDATE_KINDS["single"]: np.dtype(_HEADER + [
-        ("recipient", "<u4"), ("time", "<u4"),
-        ("residual_payload", "<f8", (2,)), ("gain_payload", "<f8", (3, 2)),
-    ]),
-    _UPDATE_KINDS["summed"]: np.dtype(_HEADER + [
-        ("recipient", "<u4"), ("time", "<u4"),
-        ("residual_payload", "<f8", (3,)), ("gain_payload", "<f8", (3, 3)),
-    ]),
+    _KIND_LANDMARK: struct.Struct("<4sBIIIB16d"),
+    _UPDATE_KINDS["single"]: struct.Struct("<4sBII8d"),
+    _UPDATE_KINDS["summed"]: struct.Struct("<4sBII12d"),
+}
+_LANDMARK_SHAPES = {"mean": (3,), "cov": (3, 3), "jac_accum": (2,)}
+_OBSERVER_SHAPES = {**_LANDMARK_SHAPES, "z": (2,)}
+_UPDATE_SHAPES = {
+    "single": {"residual_payload": (2,), "gain_payload": (3, 2)},
+    "summed": {"residual_payload": (3,), "gain_payload": (3, 3)},
 }
 
 
@@ -59,39 +57,46 @@ class ProtocolError(ValueError):
     """Malformed message or payload."""
 
 
-def _check_shapes(msg, kind: int, names: tuple[str, ...]) -> None:
-    """Every payload named ``names`` has its field's shape in frame ``kind``.
-
-    Runs on every message construction, decoded ones included, so it reads
-    an array's ``shape`` directly and leaves ``np.shape`` to other
-    payloads (lists, say).
-    """
-    frame = _FRAMES[kind]
-    for name in names:
+def _check_shapes(msg, shapes: dict[str, tuple[int, ...]]) -> None:
+    """Every payload named in ``shapes`` has its shape there. Runs on every
+    construction, so an array's ``shape`` is read directly."""
+    for name, want in shapes.items():
         value = getattr(msg, name)
         got = value.shape if type(value) is np.ndarray else np.shape(value)
-        want = frame[name].shape
         if got != want:
             raise ProtocolError(f"{name} must have shape {want}, got {got}")
 
 
-def _pack(kind: int, ints: tuple, floats: tuple) -> bytes:
-    """One frame; a non-integer or out-of-range integer field raises."""
-    fields = (FORMAT_TAG, kind, *map(operator.index, ints), *floats)
-    return np.array(fields, _FRAMES[kind]).tobytes()
+def _floats(payload) -> list[float]:
+    """A payload's entries in row-major order."""
+    if type(payload) is not np.ndarray:
+        payload = np.asarray(payload, dtype=float)
+    return payload.ravel().tolist()
 
 
-def _unpack(raw: bytes, *kinds: int) -> np.void:
-    """The record of a frame of one of ``kinds``, or :class:`ProtocolError`."""
+def _pack(kind: int, ints: tuple, floats: list[float]) -> bytes:
+    """One frame; a non-integer id raises ``TypeError``, one outside u32
+    ``OverflowError``."""
+    try:
+        return _FRAMES[kind].pack(FORMAT_TAG, kind, *ints, *floats)
+    except struct.error:
+        for value in ints:
+            if not 0 <= operator.index(value) < 2 ** 32:
+                raise OverflowError(f"id {value} does not fit in u32") from None
+        raise
+
+
+def _unpack(raw: bytes, *kinds: int) -> tuple:
+    """The fields of a frame of one of ``kinds``, or :class:`ProtocolError`."""
     if raw[:4] != FORMAT_TAG:
         raise ProtocolError(f"unknown format tag {bytes(raw[:4])!r}")
     kind = raw[4] if len(raw) > 4 else None
     if kind not in kinds:
         raise ProtocolError(f"unexpected message kind {kind}")
     frame = _FRAMES[kind]
-    if len(raw) != frame.itemsize:
-        raise ProtocolError(f"kind {kind} frame has {len(raw)} bytes, not {frame.itemsize}")
-    return np.frombuffer(raw, frame)[0]
+    if len(raw) != frame.size:
+        raise ProtocolError(f"kind {kind} frame has {len(raw)} bytes, not {frame.size}")
+    return frame.unpack(raw)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,7 +107,8 @@ class LandmarkMessage:
     accumulated Jacobian; the observer additionally reports the measurement
     value and which robot it observed (``landmark is None`` marks an
     absolute measurement). Shapes are checked at construction, and so is
-    the landmark: neither the sender nor robot 0, which encodes as none.
+    the landmark: named only with a measurement, and neither the sender
+    nor robot 0, which encodes as none.
     """
 
     sender: int
@@ -114,8 +120,11 @@ class LandmarkMessage:
     z: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        names = ("mean", "cov", "jac_accum") + (() if self.z is None else ("z",))
-        _check_shapes(self, _KIND_LANDMARK, names)
+        _check_shapes(self, _LANDMARK_SHAPES if self.z is None else _OBSERVER_SHAPES)
+        if self.z is None and self.landmark is not None:
+            raise ProtocolError(
+                f"robot {self.sender} names landmark {self.landmark} without a measurement"
+            )
         if self.landmark == self.sender:
             raise ProtocolError(f"robot {self.sender} cannot measure itself")
         if self.landmark == 0:
@@ -123,18 +132,24 @@ class LandmarkMessage:
 
     def encode(self) -> bytes:
         has_z = self.z is not None
-        return _pack(
-            _KIND_LANDMARK, (self.sender, self.time, self.landmark or 0, has_z),
-            (self.z if has_z else np.zeros(2), self.mean, self.cov, self.jac_accum),
-        )
+        floats = [
+            *(_floats(self.z) if has_z else (0.0, 0.0)),
+            *_floats(self.mean), *_floats(self.cov), *_floats(self.jac_accum),
+        ]
+        return _pack(_KIND_LANDMARK, (self.sender, self.time, self.landmark or 0, has_z), floats)
 
     @classmethod
     def decode(cls, raw: bytes) -> "LandmarkMessage":
-        rec = _unpack(raw, _KIND_LANDMARK)
+        _, _, sender, time, landmark, has_z, *floats = _unpack(raw, _KIND_LANDMARK)
+        if has_z > 1:
+            raise ProtocolError(f"has_z byte is {has_z}, not 0 or 1")
+        # Without a measurement the z bytes are the zeros encode writes.
+        if not has_z and raw[18:34] != bytes(16):
+            raise ProtocolError("a frame without a measurement must carry zero z bytes")
+        values = np.array(floats)
         return cls(
-            int(rec["sender"]), int(rec["time"]), rec["mean"].copy(), rec["cov"].copy(),
-            rec["jac_accum"].copy(), int(rec["landmark"]) or None,
-            rec["z"].copy() if rec["has_z"] else None,
+            sender, time, values[2:5], values[5:14].reshape(3, 3), values[14:],
+            landmark or None, values[:2] if has_z else None,
         )
 
 
@@ -158,21 +173,18 @@ class UpdateMessage:
     gain_payload: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.kind not in _UPDATE_KINDS:
+        if self.kind not in _UPDATE_SHAPES:
             raise ProtocolError(f"unknown update-message kind {self.kind!r}")
-        _check_shapes(self, _UPDATE_KINDS[self.kind], ("residual_payload", "gain_payload"))
+        _check_shapes(self, _UPDATE_SHAPES[self.kind])
 
     def encode(self) -> bytes:
-        return _pack(
-            _UPDATE_KINDS[self.kind], (self.recipient, self.time),
-            (self.residual_payload, self.gain_payload),
-        )
+        floats = [*_floats(self.residual_payload), *_floats(self.gain_payload)]
+        return _pack(_UPDATE_KINDS[self.kind], (self.recipient, self.time), floats)
 
     @classmethod
     def decode(cls, raw: bytes) -> "UpdateMessage":
-        rec = _unpack(raw, *_UPDATE_KINDS.values())
-        return cls(
-            int(rec["recipient"]), int(rec["time"]),
-            "single" if rec["kind"] == _UPDATE_KINDS["single"] else "summed",
-            rec["residual_payload"].copy(), rec["gain_payload"].copy(),
-        )
+        _, byte, recipient, time, *floats = _unpack(raw, *_UPDATE_KINDS.values())
+        kind = "single" if byte == _UPDATE_KINDS["single"] else "summed"
+        (n,) = _UPDATE_SHAPES[kind]["residual_payload"]
+        values = np.array(floats)
+        return cls(recipient, time, kind, values[:n], values[n:].reshape(3, n))

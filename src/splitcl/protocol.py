@@ -26,15 +26,17 @@ The server keeps scratch copies of the reporting robots' states, stacked as
 one row per robot (``(k, 3)`` means, ``(k, 3, 3)`` covariances, ``(k, 2)``
 accumulated Jacobians), so later measurements in the epoch are linearized
 against already-corrected values. Each processed measurement corrects all
-rows with :func:`split_ekf.apply_update`, the call each robot makes on
-itself, and every row must pass its check, or the measurement is skipped
-whole. The server sends each touched robot one summed update message at
-the end, the sum of its ``(D_i r, D_i D_i')`` pairs over the epoch.
+rows in place with :func:`split_ekf.apply_update`, the call each robot
+makes on itself, given the measurement's single frame ``(r, D)``; the call
+forms each row's pair ``(D_i r, D_i D_i')`` on floats, so a row is bit for
+bit what its robot computes from that frame. Every row must pass its
+check, or the measurement is skipped whole. The server sends each touched
+robot that frame or, after several measurements, one summed update
+message, the sum of its pairs over the epoch.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Sequence
 
@@ -66,15 +68,15 @@ class RobotNode:
 
     Holds one :class:`SplitRobotState` (pose estimate, 3x3 covariance, the
     accumulated Jacobian's 2-vector shear), independent of the team size.
-    The simulator does not step nodes one by one: it advances the whole
-    team as one :class:`split_ekf.SplitTeamState`, a whole segment between
-    two measurement epochs per kernel call, and, at an epoch, wraps each
-    robot's rows in a node (:meth:`over`) to
-    build its :class:`LandmarkMessage` and apply its :class:`UpdateMessage`,
-    then writes the corrected state back. Only robots whose update factor is
-    non-zero receive a message; for the others the correction would be an
-    exact no-op, so they keep their propagated rows. :meth:`step` is the
-    same propagation for a node on its own, as a team of one.
+    A correction changes the state's mean and covariance in place. The
+    simulator advances the whole team as one
+    :class:`split_ekf.SplitTeamState`, a segment between two epochs per
+    kernel call, and at an epoch wraps a robot's rows of the corrected copy
+    of the team in a node (:meth:`over`) to apply its
+    :class:`UpdateMessage`. Only robots whose update factor is non-zero
+    receive a message; for the others the correction would be an exact
+    no-op. :meth:`step` is the same propagation for a node on its own, as a
+    team of one.
     """
 
     __slots__ = ("state",)
@@ -104,7 +106,8 @@ class RobotNode:
         node is a team of one for :func:`split_ekf.propagate_team`, so it
         gets exactly its row's arithmetic in a team, the closed-form
         covariances of the whole stretch included. Returns its row of the
-        segment's block; the node keeps the block's last step as its state.
+        segment's block; the node keeps a copy of the block's last step as
+        its state, which its corrections change.
         """
         s = self.state
         alone = SplitTeamState.initialize((s.robot_id,), s.mean, s.cov, s.time)
@@ -112,9 +115,8 @@ class RobotNode:
         means, covs, accs = split_ekf.propagate_team(
             alone, np.asarray(controls)[None], np.asarray(noise_diags)[None], dt
         )
-        self.state = SplitRobotState(
-            s.robot_id, means[0, -1], covs[-1, 0], accs[0, -1], s.time + len(covs)
-        )
+        mean, cov = means[0, -1].copy(), covs[-1, 0].copy()
+        self.state = SplitRobotState(s.robot_id, mean, cov, accs[0, -1], s.time + len(covs))
         return means[0], covs[:, 0], accs[0]
 
     def landmark_message(
@@ -140,10 +142,12 @@ class RobotNode:
 
         A message for a past timestep is discarded (the robot behaves as if
         it had missed the epoch); delayed-measurement replay is out of scope.
-        A single frame ``(r, D)`` is turned into its pair ``(D r, D D')``;
-        either pair goes to :func:`split_ekf.apply_update`. Raises
-        :class:`NumericalError`, keeping the state as it is, for a payload
-        with a non-finite entry and for a correction that fails its check.
+        The payloads go to :func:`split_ekf.apply_update` as they are, which
+        corrects the state in place; a single frame ``(r, D)`` becomes its
+        pair ``(D r, D D')`` there, exactly as on the server's shadow of this
+        robot. Raises :class:`NumericalError`, keeping the state as it is,
+        for a payload with a non-finite entry and for a correction that
+        fails its check.
         """
         if msg.recipient != self.state.robot_id:
             raise ProtocolError(
@@ -151,24 +155,10 @@ class RobotNode:
             )
         if msg.time != self.state.time:
             return False
-        # A frame is outside input: refuse a non-finite payload (or one whose
-        # sum overflows) before any arithmetic, which would spread it. A
-        # product that overflows is left to the correction's check.
-        payload = msg.residual_payload.tolist() + msg.gain_payload.ravel().tolist()
-        if not math.isfinite(sum(payload)):
-            raise NumericalError(
-                f"update for robot {self.state.robot_id} has a non-finite payload"
-            )
-        if msg.kind == "single":
-            with np.errstate(over="ignore", invalid="ignore"):
-                vec, mat = split_ekf.correction(msg.gain_payload, msg.residual_payload)
-        else:
-            vec, mat = msg.residual_payload, msg.gain_payload
         s = self.state
-        mean, cov = split_ekf.apply_update(
-            (s.robot_id,), s.mean, s.cov, s.jac_accum, vec, mat
+        split_ekf.apply_update(
+            (s.robot_id,), s.mean, s.cov, s.jac_accum, msg.residual_payload, msg.gain_payload
         )
-        self.state = SplitRobotState(s.robot_id, mean, cov, s.jac_accum, s.time)
         return True
 
 
@@ -221,9 +211,8 @@ class CooperationServer:
 
         The senders' scratch states are stacked rows, in the order of their
         first messages. A measurement is linearized at the rows as the
-        earlier measurements left them, and corrects every row at once:
-        with ``D`` the rows' update factors and ``r`` the whitened residual,
-        :func:`split_ekf.apply_update` applies the pairs ``(D r, D D')``. A
+        earlier measurements left them, and corrects every row at once in
+        :func:`split_ekf.apply_update`, given ``r`` and the rows' ``D``. A
         row that fails its check (the first in row order names the robot
         in the logged event) discards the measurement whole: no row, no
         store block and no frame takes any part of it.
@@ -292,9 +281,8 @@ class CooperationServer:
                         observer, landmark, cross, m.z, self.meas_noise_cov
                     )
                     factors = split_ekf.update_factors(self.store, innov)
-                    mean, cov = split_ekf.apply_update(
-                        senders, mean, cov, accs,
-                        *split_ekf.correction(factors[sender_pos], innov.white_residual),
+                    split_ekf.apply_update(
+                        senders, mean, cov, accs, innov.white_residual, factors[sender_pos]
                     )
                 except NumericalError as exc:
                     # Skip the measurement atomically: neither the scratch

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -140,7 +140,7 @@ class Scenario:
 
     def validate(self) -> None:
         """Raise :class:`ScenarioError` unless the scenario can be run."""
-        non_finite = [name for name, value in asdict(self).items() if not _all_finite(value)]
+        non_finite = [name for name, value in vars(self).items() if not _all_finite(value)]
         if non_finite:
             raise ScenarioError(f"non-finite values in {non_finite}")
         _check_team_size(self.n_robots)
@@ -321,14 +321,13 @@ def _flag(value, name: str) -> bool:
 
 
 def _all_finite(value) -> bool:
-    """Whether every float in a field value, nested lists and dicts included, is finite."""
+    """Whether every float in a field value, nested sequences and dataclasses
+    included, is finite."""
     if isinstance(value, float):
         return math.isfinite(value)
-    if isinstance(value, dict):
-        value = value.values()
-    elif not isinstance(value, (list, tuple)):
-        return True
-    return all(_all_finite(v) for v in value)
+    if isinstance(value, (list, tuple)):
+        return all(map(_all_finite, value))
+    return not is_dataclass(value) or all(map(_all_finite, vars(value).values()))
 
 
 def seconds_to_step(t_s: float, dt_s: float) -> int:

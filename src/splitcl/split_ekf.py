@@ -29,10 +29,11 @@ server turns the innovation into one whitened residual and the ``(N, 3, 2)``
 array ``D`` of per-robot update factors, such that ``A_i D_i inv_sqrt(S)``
 equals the centralized gain ``K_i``. Every correction is one factor-space
 pair ``(v, M)``: ``(D_i r, D_i D_i')`` for one measurement with whitened
-residual ``r`` (:func:`correction`), or the sum of those over an epoch.
-:func:`apply_update` applies every pair, a robot's to itself and the
-server's to its shadow copies of the robots alike: ``A_i v`` is added to
-the mean and ``A_i M A_i'`` subtracted from the covariance. The server
+residual ``r``, or the sum of those over an epoch (:func:`correction`).
+:func:`apply_update` applies a frame in place, a robot's to itself and
+the server's to its shadow copies of the robots alike, with the same bits
+for both: ``A_i v`` is added to the mean and ``A_i M A_i'`` subtracted
+from the covariance. The server
 folds the same factors into the store as the masked rank-2 update
 ``C <- C - D D'``, in which the blocks between two robots that both missed the update are
 masked out: they keep their old factor, which is exactly what the
@@ -149,16 +150,6 @@ class SplitTeamState:
         return SplitRobotState(
             robot_id, self.mean[a], self.cov[a], self.jac_accum[a], self.time
         )
-
-    def write_back(self, state: SplitRobotState) -> None:
-        """Write a corrected robot state back into its rows.
-
-        Measurement updates change a robot's mean and covariance only; its
-        accumulated Jacobian and the team time stay as they are.
-        """
-        a = self.index[state.robot_id]
-        self.mean[a] = state.mean
-        self.cov[a] = state.cov
 
 
 def propagate_team(
@@ -470,10 +461,9 @@ def update_factors(store: CrossFactorStore, innov: WhitenedInnovation) -> np.nda
 
 def correction(factors: np.ndarray, white_residual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The pair ``(D r, D D')`` of update factors ``D`` ``(..., 3, 2)`` and a
-    whitened residual ``r``. numpy forms each row of a stack as it forms
-    the row alone, so a row's pair is the same bits either way. Several
-    measurements' factors side by side, ``(..., 3, 2m)`` with their
-    residuals stacked, give the sum of their pairs."""
+    whitened residual ``r``. Several measurements' factors side by side,
+    ``(..., 3, 2m)`` with their residuals stacked, give the sum of their
+    pairs, a summed frame's payloads."""
     return factors @ white_residual, factors @ factors.swapaxes(-1, -2)
 
 
@@ -482,37 +472,52 @@ def apply_update(
     mean: np.ndarray,
     cov: np.ndarray,
     jac_accum: np.ndarray,
-    vec: np.ndarray,
-    mat: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``mean + A v`` and ``cov - A M A'`` for one robot (``(3,)``, ``(3, 3)``
-    and ``(2,)`` arrays) or ``k`` stacked rows, with ``A = shear(jac_accum)``
-    and one id in ``robot_ids`` per row.
+    residual: np.ndarray,
+    gain: np.ndarray,
+) -> None:
+    """Correct ``mean`` to ``mean + A v`` and ``cov`` to ``cov - A M A'`` in
+    place, for one robot (``(3,)``, ``(3, 3)`` and ``(2,)`` arrays) or ``k``
+    stacked rows, with ``A = shear(jac_accum)`` and one id in
+    ``robot_ids`` per row.
 
-    ``A M A'`` only adds ``s``-multiples of ``M``'s last row and column to
-    its position block; it is formed on Python floats, row by row, from the
-    upper triangles of ``mat`` and ``cov``, so each corrected covariance is
-    exactly symmetric and each row gets the same arithmetic alone or
-    stacked. Corrections arrive as decoded frames, i.e. as outside input,
-    so every row is checked: the entries of ``cov`` and ``mat`` and the
-    mean step must be finite, and the corrected covariance must pass
-    :func:`linalg.psd_3x3`, the Cholesky test of ``cov + EIG_TOL I`` that
-    the equivalence check applies to the joint covariance. Else
-    :class:`NumericalError` names the first failing robot.
+    ``residual`` and ``gain`` are a frame's payloads: a summed frame's pair
+    ``(v, M)`` per row, or a single frame's ``(r, D)``, one residual for all
+    rows and a 3x2 factor per row, whose pair ``(D r, D D')`` is formed on
+    the row's floats. ``A M A'`` only adds ``s``-multiples of ``M``'s last
+    row and column to its position block, formed from the upper triangles
+    of ``M`` and ``cov``: each corrected covariance is exactly symmetric,
+    and each row gets the same arithmetic alone or stacked. Every row is
+    checked before any is written: the payload, ``cov`` and the mean step
+    must be finite, and the corrected covariance must pass
+    :func:`linalg.psd_3x3`. Else :class:`NumericalError` names the first
+    failing robot.
     """
+    single = gain.shape[-1] == 2
+    gains = gain.reshape(-1, 6 if single else 9).tolist()
+    vecs = [residual.tolist()] * len(gains) if single else residual.reshape(-1, 3).tolist()
     rows = zip(
         robot_ids,
         mean.reshape(-1, 3).tolist(),
         cov.reshape(-1, 9).tolist(),
         jac_accum.reshape(-1, 2).tolist(),
-        vec.reshape(-1, 3).tolist(),
-        mat.reshape(-1, 9).tolist(),
+        vecs,
+        gains,
     )
     means: list[float] = []
     covs: list[float] = []
-    for rid, (x, y, h), p, (sx, sy), (v0, v1, v2), m in rows:
+    for rid, (x, y, h), p, (sx, sy), v, g in rows:
+        if not math.isfinite(sum(v) + sum(g)):
+            raise NumericalError(f"update for robot {rid} has a non-finite payload")
         p00, p01, p02, _, p11, p12, _, _, p22 = p
-        m00, m01, m02, _, m11, m12, _, _, m22 = m
+        if single:
+            r0, r1 = v
+            d00, d01, d10, d11, d20, d21 = g
+            v0, v1, v2 = d00 * r0 + d01 * r1, d10 * r0 + d11 * r1, d20 * r0 + d21 * r1
+            m00, m01, m02 = d00 * d00 + d01 * d01, d00 * d10 + d01 * d11, d00 * d20 + d01 * d21
+            m11, m12, m22 = d10 * d10 + d11 * d11, d10 * d20 + d11 * d21, d20 * d20 + d21 * d21
+        else:
+            v0, v1, v2 = v
+            m00, m01, m02, _, m11, m12, _, _, m22 = g
         d02 = m02 + sx * m22
         d12 = m12 + sy * m22
         c00 = p00 - (m00 + sx * (m02 + d02))
@@ -521,11 +526,12 @@ def apply_update(
         c11 = p11 - (m11 + sy * (m12 + d12))
         c12 = p12 - d12
         c22 = p22 - m22
-        if not (math.isfinite(sum(p) + sum(m)) and psd_3x3(c00, c01, c02, c11, c12, c22)):
+        if not (math.isfinite(sum(p)) and psd_3x3(c00, c01, c02, c11, c12, c22)):
             raise NumericalError(f"update drove robot {rid} covariance indefinite")
         s0, s1 = v0 + sx * v2, v1 + sy * v2
         if not math.isfinite(s0 + s1 + v2):
             raise NumericalError(f"update gave robot {rid} a non-finite mean step")
         means += (x + s0, y + s1, h + v2)
         covs += (c00, c01, c02, c01, c11, c12, c02, c12, c22)
-    return np.array(means).reshape(mean.shape), np.array(covs).reshape(cov.shape)
+    mean.flat = means
+    cov.flat = covs

@@ -10,7 +10,7 @@ mismatch.
 import numpy as np
 
 from splitcl import joint_ekf, model, split_ekf
-from splitcl.split_ekf import SplitRobotState, SplitTeamState
+from splitcl.split_ekf import SplitTeamState
 
 # Largest covariance deviation from a per-step reference, relative to the
 # largest entry of the robot's reference covariance, that a reordered
@@ -84,12 +84,13 @@ def assert_robotwise_close(got, want, rtol=ROBOTWISE_RTOL):
 
 def apply_frame(state, factor, white_residual):
     """``state`` after a single frame ``(r, D)``, applied as a robot does:
-    the pair ``(D r, D D')`` through :func:`split_ekf.apply_update`."""
-    mean, cov = split_ekf.apply_update(
-        (state.robot_id,), state.mean, state.cov, state.jac_accum,
-        *split_ekf.correction(factor, white_residual),
+    the frame's payloads through :func:`split_ekf.apply_update`, which
+    expands the pair ``(D r, D D')`` on floats; ``state`` is left as it is."""
+    out = state.copy()
+    split_ekf.apply_update(
+        (out.robot_id,), out.mean, out.cov, out.jac_accum, white_residual, factor
     )
-    return SplitRobotState(state.robot_id, mean, cov, state.jac_accum, state.time)
+    return out
 
 
 def gain_form_update(state, factor, white_residual):

@@ -1,10 +1,12 @@
 """Wire-format round trips and size invariance."""
 
 import dataclasses
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from splitcl.messages import (
     FORMAT_TAG,
@@ -93,6 +95,36 @@ class TestLandmarkMessage:
         raw[13:17] = struct.pack("<I", 3)
         with pytest.raises(ProtocolError, match="robot 3 cannot measure itself"):
             LandmarkMessage.decode(bytes(raw))
+
+    def test_landmark_without_measurement_rejected_at_construction(self):
+        # It would encode as a landmark-role frame, which names no landmark.
+        with pytest.raises(ProtocolError, match="robot 3 names landmark 4 without a measurement"):
+            LandmarkMessage(3, 0, np.zeros(3), np.eye(3), np.zeros(2), landmark=4)
+
+    def test_non_canonical_frames_rejected_at_decode(self):
+        # Each of these frames would decode to a message that encodes to
+        # other bytes.
+        rng = np.random.default_rng(73)
+        observer = bytearray(sample_landmark(rng, sender=3, landmark=5).encode())
+        role = bytearray(sample_landmark(rng, sender=3, with_z=False).encode())
+        assert observer[17] == 1 and role[17] == 0 and role[18:34] == bytes(16)
+
+        has_z_two = bytearray(observer)
+        has_z_two[17] = 2
+        with pytest.raises(ProtocolError, match="has_z byte is 2"):
+            LandmarkMessage.decode(bytes(has_z_two))
+
+        named_without_z = bytearray(observer)
+        named_without_z[17] = 0
+        named_without_z[18:34] = bytes(16)
+        with pytest.raises(ProtocolError, match="names landmark 5 without a measurement"):
+            LandmarkMessage.decode(bytes(named_without_z))
+
+        for z in (1.0, -0.0, 5e-324):
+            stray_z = bytearray(role)
+            stray_z[26:34] = struct.pack("<d", z)
+            with pytest.raises(ProtocolError, match="zero z bytes"):
+                LandmarkMessage.decode(bytes(stray_z))
 
 
 class TestUpdateMessage:
@@ -224,3 +256,73 @@ def test_ids_outside_u32_raise_at_encode(bad, error):
     for msg in messages:
         with pytest.raises(error):
             msg.encode()
+
+
+# Every 64-bit pattern is a float: signed zeros, subnormals, infinities and
+# NaNs with any payload, signalling ones included.
+any_float = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072009e-308, math.inf, -math.inf, math.nan]),
+    st.floats(),
+    st.integers(0, 2 ** 64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]),
+)
+u32 = st.integers(0, 2 ** 32 - 1)
+
+
+@st.composite
+def frames(draw):
+    """``(codec, raw, ids, floats)``: a valid frame of any kind, packed field
+    by field independently of the codec, with the fields it carries."""
+    role = draw(st.sampled_from(["observer", "absolute", "landmark-role", "single", "summed"]))
+    first, time = draw(u32), draw(u32)
+    if role in ("single", "summed"):
+        floats = draw(st.lists(any_float, min_size=8, max_size=8) if role == "single"
+                      else st.lists(any_float, min_size=12, max_size=12))
+        kind = 2 if role == "single" else 3
+        raw = struct.pack(f"<4sBII{len(floats)}d", b"SCL2", kind, first, time, *floats)
+        return UpdateMessage, raw, (first, time, role), floats
+    landmark = draw(u32.filter(lambda b: b not in (0, first))) if role == "observer" else 0
+    has_z = role != "landmark-role"
+    floats = draw(st.lists(any_float, min_size=16, max_size=16))
+    if not has_z:
+        floats[:2] = [0.0, 0.0]
+    raw = struct.pack("<4sBIIIB16d", b"SCL2", 1, first, time, landmark, has_z, *floats)
+    return LandmarkMessage, raw, (first, time, landmark or None, has_z), floats
+
+
+def float_bits(values) -> bytes:
+    """The IEEE bytes of ``values``, to compare floats bit for bit."""
+    values = [float(v) for v in values]
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+class TestCodecProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(frame=frames())
+    def test_every_frame_round_trips_bit_for_bit(self, frame):
+        codec, raw, ids, floats = frame
+        msg = codec.decode(raw)
+        assert msg.encode() == raw
+        if codec is LandmarkMessage:
+            assert (msg.sender, msg.time, msg.landmark, msg.z is not None) == ids
+            z = [0.0, 0.0] if msg.z is None else msg.z
+            payloads = (z, msg.mean, msg.cov, msg.jac_accum)
+            assert [np.shape(p) for p in payloads] == [(2,), (3,), (3, 3), (2,)]
+        else:
+            assert (msg.recipient, msg.time, msg.kind) == ids
+            payloads = (msg.residual_payload, msg.gain_payload)
+        assert float_bits(np.concatenate([np.ravel(p) for p in payloads])) == float_bits(floats)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(frame=frames(), pos=st.sampled_from(range(18)) | st.integers(0, 145),
+           byte=st.sampled_from([0, 1, 2, 3, 255]) | st.integers(0, 255))
+    def test_corrupted_frame_is_refused_or_reads_as_itself(self, frame, pos, byte):
+        # Header bytes and small values are drawn often, so the tag, the
+        # kind, the ids and the has_z byte are all hit.
+        codec, raw, _, _ = frame
+        bad = bytearray(raw)
+        bad[pos % len(raw)] = byte
+        try:
+            msg = codec.decode(bytes(bad))
+        except ProtocolError:
+            return
+        assert msg.encode() == bytes(bad)

@@ -215,34 +215,53 @@ class TestServerSingleMeasurement:
         belief, _ = joint_ekf.update(belief, model.RelativeMeasurement(3, 4, z, t), NOISE)
         assert_matches_belief(ids, nodes, belief)
 
-    @pytest.mark.parametrize("landmark", [2, None])
-    def test_scratch_rows_are_the_senders_own_corrections(self, monkeypatch, landmark):
-        # The server's shadow of each sender, corrected in its stacked
-        # rows, is bit for bit what the sender computes from its frame.
+    @pytest.mark.parametrize("pairs", [[(1, 2)], [(1, None)], [(1, 2), (3, 4)]],
+                             ids=["relative", "absolute", "summed"])
+    def test_scratch_rows_are_the_senders_own_corrections(self, monkeypatch, pairs):
+        # The server corrects its shadow of each sender, one stacked row per
+        # sender, with the kernel call the sender makes on a single frame:
+        # after each measurement of the epoch, every row is bit for bit
+        # what its sender computes from that measurement's single frame.
+        # A single-measurement epoch sends that frame; a two-measurement
+        # epoch sends the summed pair, which agrees to rounding.
         rng = np.random.default_rng(89)
         ids, nodes, server, _ = build_stack(rng, 4, warmup_pairs=[(1, 2), (2, 3)])
-        msgs = [nodes[1].landmark_message(z=rng.uniform(-1, 1, 2), landmark=landmark)]
-        if landmark is not None:
-            msgs.append(nodes[landmark].landmark_message())
+        t = nodes[1].time
+        msgs = []
+        for a, b in pairs:
+            msgs.append(nodes[a].landmark_message(z=rng.uniform(-1, 1, 2), landmark=b))
+            if b is not None:
+                msgs.append(nodes[b].landmark_message())
         shadows = []
         original = split_ekf.apply_update
 
-        def recording(robot_ids, *rows):
-            out = original(robot_ids, *rows)
-            shadows.append((list(robot_ids), out))
-            return out
+        def recording(robot_ids, mean, cov, jac_accum, residual, gain):
+            original(robot_ids, mean, cov, jac_accum, residual, gain)
+            shadows.append((list(robot_ids), residual, gain, mean.copy(), cov.copy()))
 
         monkeypatch.setattr(split_ekf, "apply_update", recording)
-        updates = server.handle_epoch(msgs, nodes[1].time)
+        updates = server.handle_epoch(msgs, t)
         monkeypatch.undo()
         assert server.events == []
-        ((senders, (means, covs)),) = shadows
-        assert senders == [m.sender for m in msgs]
-        assert set(senders) < set(updates)
+        assert len(shadows) == len(pairs)
+        senders = [m.sender for m in msgs]
+        assert set(senders) <= set(updates)
         for row, i in enumerate(senders):
+            alone = RobotNode.over(nodes[i].state.copy())
+            for robot_ids, residual, gain, means, covs in shadows:
+                assert robot_ids == senders and gain.shape == (len(senders), 3, 2)
+                assert alone.apply_update(UpdateMessage(i, t, "single", residual, gain[row]))
+                np.testing.assert_array_equal(alone.state.mean, means[row])
+                np.testing.assert_array_equal(alone.state.cov, covs[row])
             assert nodes[i].apply_update(updates[i])
-            np.testing.assert_array_equal(nodes[i].state.mean, means[row])
-            np.testing.assert_array_equal(nodes[i].state.cov, covs[row])
+            if len(pairs) == 1:
+                assert updates[i].kind == "single"
+                np.testing.assert_array_equal(nodes[i].state.mean, alone.state.mean)
+                np.testing.assert_array_equal(nodes[i].state.cov, alone.state.cov)
+            else:
+                assert updates[i].kind == "summed"
+                np.testing.assert_allclose(nodes[i].state.mean, alone.state.mean, atol=1e-14)
+                np.testing.assert_allclose(nodes[i].state.cov, alone.state.cov, atol=1e-14)
 
     def test_mismatched_message_time_rejected(self):
         rng = np.random.default_rng(77)

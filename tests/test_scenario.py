@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from splitcl import harness
 from splitcl.model import wrap_angle
 from splitcl.scenario import (
     MAX_ROBOTS,
+    DropoutWindowSpec,
     MeasurementWindow,
     Scenario,
     ScenarioError,
@@ -190,6 +192,22 @@ def test_unrunnable_scenario_is_rejected(tmp_path, edit, message):
             doc[key] = value
     with pytest.raises(ScenarioError, match=message):
         Scenario.load(_write(tmp_path, json.dumps(doc)))
+
+
+@pytest.mark.parametrize("edit, name", [
+    (lambda sc: {"path": replace(sc.path, center=(0.0, -math.inf))}, "path"),
+    (lambda sc: {"meas_windows": (*sc.meas_windows[:3], MeasurementWindow(45.0, math.nan, 1, 2))},
+     "meas_windows"),
+    (lambda sc: {"dropout_windows": (DropoutWindowSpec(2, math.nan, 60.0),)}, "dropout_windows"),
+    (lambda sc: {"zones": ((0.0, -1.0, math.inf, 1.0),)}, "zones"),
+], ids=["path-center", "window-end", "dropout-start", "zone-corner"])
+def test_nested_non_finite_field_is_named(edit, name):
+    # validate walks the fields in place, into the path and the windows,
+    # and names the top-level field that holds the non-finite value.
+    table1 = build_table1_scenario()
+    table1.validate()
+    with pytest.raises(ScenarioError, match=rf"^non-finite values in \['{name}'\]$"):
+        replace(table1, **edit(table1)).validate()
 
 
 def test_shortest_runnable_spans_are_accepted():

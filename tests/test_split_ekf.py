@@ -359,10 +359,11 @@ def feasible_frame(rng, state):
 
 
 def apply_pair(state, vec, mat):
-    """``state``'s corrected mean and covariance for the pair ``(vec, mat)``."""
-    return split_ekf.apply_update(
-        (state.robot_id,), state.mean, state.cov, state.jac_accum, vec, mat
-    )
+    """``state``'s corrected mean and covariance for the pair ``(vec, mat)``;
+    ``state`` is left as it is."""
+    mean, cov = state.mean.copy(), state.cov.copy()
+    split_ekf.apply_update((state.robot_id,), mean, cov, state.jac_accum, vec, mat)
+    return mean, cov
 
 
 class TestApplyUpdate:
@@ -473,17 +474,28 @@ class TestApplyUpdate:
             s.jac_accum = rng.uniform(-5, 5, 2)
         factors = np.array([feasible_frame(rng, s)[0] for s in states])
         white = rng.standard_normal(2)
-        means, covs = split_ekf.apply_update(
+        rows = (
             [s.robot_id for s in states],
             np.array([s.mean for s in states]),
             np.array([s.cov for s in states]),
             np.array([s.jac_accum for s in states]),
-            *split_ekf.correction(factors, white),
+        )
+        # The stacked single frame, as the server corrects its shadow rows.
+        ids, means, covs, accs = rows
+        means, covs = means.copy(), covs.copy()
+        split_ekf.apply_update(ids, means, covs, accs, white, factors)
+        # The stacked pairs, as of summed frames.
+        ids, pair_means, pair_covs, accs = rows
+        split_ekf.apply_update(
+            ids, pair_means, pair_covs, accs, *split_ekf.correction(factors, white)
         )
         for a, state in enumerate(states):
             alone = apply_frame(state, factors[a], white)
             np.testing.assert_array_equal(means[a], alone.mean)
             np.testing.assert_array_equal(covs[a], alone.cov)
+            pair_mean, pair_cov = apply_pair(state, *split_ekf.correction(factors[a], white))
+            np.testing.assert_array_equal(pair_means[a], pair_mean)
+            np.testing.assert_array_equal(pair_covs[a], pair_cov)
             # A v and A M A' are the shear products, up to rounding at the
             # scale of the terms that form them.
             vec, mat = split_ekf.correction(factors[a], white)
@@ -510,34 +522,42 @@ class TestApplyUpdate:
         states = [make_state(rng, i) for i in (4, 7, 9)]
         factors = np.array([feasible_frame(rng, s)[0] for s in states])
         factors[1:] *= 50.0
-        with pytest.raises(NumericalError, match="robot 7 covariance indefinite"):
-            split_ekf.apply_update(
-                (4, 7, 9),
-                np.array([s.mean for s in states]),
-                np.array([s.cov for s in states]),
-                np.array([s.jac_accum for s in states]),
-                *split_ekf.correction(factors, rng.standard_normal(2)),
-            )
+        means = np.array([s.mean for s in states])
+        covs = np.array([s.cov for s in states])
+        accs = np.array([s.jac_accum for s in states])
+        for payloads in ((rng.standard_normal(2), factors),
+                         split_ekf.correction(factors, rng.standard_normal(2))):
+            with pytest.raises(NumericalError, match="robot 7 covariance indefinite"):
+                split_ekf.apply_update((4, 7, 9), means, covs, accs, *payloads)
+            # No row is written, the sound first one neither.
+            for a, s in enumerate(states):
+                np.testing.assert_array_equal(means[a], s.mean)
+                np.testing.assert_array_equal(covs[a], s.cov)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_correction_raises(self, value):
         rng = np.random.default_rng(49)
         state = make_state(rng, 1)
         state.jac_accum = rng.uniform(-2, 2, 2)
-        for pos in range(3):
-            vec = np.zeros(3)
-            vec[pos] = value
-            with pytest.raises(NumericalError, match="robot 1 a non-finite mean step"):
-                apply_pair(state, vec, np.zeros((3, 3)))
+        # Every entry of either frame's payloads.
+        for residual, gain in ((np.zeros(2), np.zeros((3, 2))), (np.zeros(3), np.zeros((3, 3)))):
+            for payload in (residual, gain):
+                for pos in np.ndindex(payload.shape):
+                    payload[pos] = value
+                    with pytest.raises(NumericalError, match="robot 1 has a non-finite payload"):
+                        apply_pair(state, residual, gain)
+                    payload[pos] = 0.0
         for pos in np.ndindex(3, 3):
-            for name in ("mat", "cov"):
-                arrays = {"mat": np.zeros((3, 3)), "cov": state.cov.copy()}
-                arrays[name][pos] = value
-                with pytest.raises(NumericalError, match="robot 1 covariance indefinite"):
-                    split_ekf.apply_update(
-                        (1,), state.mean, arrays["cov"], state.jac_accum, np.zeros(3),
-                        arrays["mat"],
-                    )
+            cov = state.cov.copy()
+            cov[pos] = value
+            with pytest.raises(NumericalError, match="robot 1 covariance indefinite"):
+                split_ekf.apply_update(
+                    (1,), state.mean.copy(), cov, state.jac_accum, np.zeros(3), np.zeros((3, 3))
+                )
+        # A finite step that the shear carries beyond the float range.
+        state.jac_accum = np.array([2.0, 2.0])
+        with pytest.raises(NumericalError, match="robot 1 a non-finite mean step"):
+            apply_pair(state, np.array([0.0, 0.0, 1e308]), np.zeros((3, 3)))
 
 
 class TestCrossFactorStore:
