@@ -16,27 +16,30 @@ attributable to the algorithms alone. Available estimators:
 The simulator steps the whole team by segment, not by step. Between two
 measurement epochs a robot only dead-reckons, so the poses of every robot
 over a whole segment come from one :func:`model.propagate_pose` call
-(:func:`segments`): each filter makes one per stretch of steps between
-epochs, and ground truth and dead reckoning one per stretch of the run; no
-call takes more than about a thousand robot-steps, which bounds the
-temporaries of a call (twelve calls for the truth of table1). Each filter
-has one step loop, a generator of one block of steps per segment. The
-centralized one, :func:`joint_steps`, goes through
-:func:`joint_ekf.propagate_segment`, which keeps its covariance recurrence
-per step as the independent reference. The split stack's,
-:func:`split_steps`, holds the robots' local states as one
-:class:`split_ekf.SplitTeamState` advanced by
-:func:`split_ekf.propagate_team`, which forms a segment's covariances in
-closed form. :func:`run_once` writes the blocks into its records and
-:mod:`splitcl.verify` compares them step by step. The four filtering
-estimators differ only in the channel reports they get: none (perfect
-links) or the dropout run's. Only at a measurement epoch does a robot act
-on its own: a measured robot sends the landmark message of its rows of the
-team state, and a robot the server sends an update message (one correlated
-with a measured robot) applies it as a :class:`RobotNode` over its rows of
-a copy of the team, which it corrects in place. The per-robot arithmetic
-is the same either way, and the same for a robot stepped alone through
-:meth:`RobotNode.step`, as a team of one.
+(:func:`segments`): the filters make one per stretch of steps between
+epochs, and ground truth and dead reckoning one per stretch of the run. A
+filter's segments hold at most about a thousand robot-steps, which bounds
+the temporaries of a call (twelve calls for the truth of table1). Each
+centralized filter has one step loop, :func:`joint_steps`, a generator of
+one block of steps per segment through :func:`joint_ekf.propagate_segment`,
+which keeps its covariance recurrence per step as the independent
+reference. All split filters of a run share one loop, :func:`split_steps`:
+each is a lane of one stacked :class:`split_ekf.SplitTeamState`, with its
+own channel reports, server and event list, and one
+:func:`split_ekf.propagate_team` call per segment, which forms the
+segment's covariances in closed form, advances every lane.
+:func:`run_once` writes the blocks into its records and
+:mod:`splitcl.verify` runs one lane and compares it step by step. The four
+filtering estimators differ only in the channel reports they get: none
+(perfect links) or the dropout run's. Only at a measurement epoch does a
+robot act on its own, in its lane alone: a measured robot sends the
+landmark message of its rows of the team state, and a robot the server
+sends an update message (one correlated with a measured robot) applies it
+as a :class:`RobotNode` over its rows of a copy of the lane, which it
+corrects in place. The per-robot arithmetic is the same either way, and
+the same for a robot stepped alone through :meth:`RobotNode.step`, as a
+team of one, so every estimator's record is bit for bit its record in a
+run on its own.
 
 Randomness is derived from a seed key; stream tags keep motion noise,
 measurement noise, initial error and channel draws independent, and
@@ -99,7 +102,11 @@ def segments(sc: scen.Scenario, epochs: Iterable[int]) -> Iterator[tuple[int, in
     as ``(k0, k1)``, through steps ``1..T`` in order.
 
     Each ends at a measurement epoch, at the last step, or after at most
-    ``_SEGMENT_ROBOT_STEPS / N`` steps, so no epoch falls inside one.
+    ``_SEGMENT_ROBOT_STEPS / N`` steps, so no epoch falls inside one. The
+    bound is per filter, for ``N`` robots, also where several filters run
+    as lanes of one call: the closed-form covariances depend on where a
+    segment starts, so a filter's segments, and with them its bits, do not
+    depend on what it runs next to.
     """
     longest = max(1, _SEGMENT_ROBOT_STEPS // sc.n_robots)
     k0 = 0
@@ -206,7 +213,12 @@ def run_once(
     seed=None,
     _cached_truth: np.ndarray | None = None,
 ) -> RunRecord:
-    """Simulate one noise realization and run the requested estimators on it."""
+    """Simulate one noise realization and run the requested estimators on it.
+
+    The split filters run as lanes of one :func:`split_steps` loop. The
+    events come estimator by estimator, in the order requested, each as in
+    a run of that estimator alone.
+    """
     wanted = tuple(dict.fromkeys(estimators))
     if not wanted:
         raise ValueError("at least one estimator must be requested")
@@ -221,34 +233,49 @@ def run_once(
     if SA_SPLIT_DROPOUT in wanted or PARTIAL_ORACLE in wanted:
         reports = delivery_reports(sc, real, key)
 
+    def links(name: str) -> Mapping[int, DeliveryReport]:
+        return reports if name in (SA_SPLIT_DROPOUT, PARTIAL_ORACLE) else {}
+
+    logs: dict[str, list[ProtocolEvent]] = {name: [] for name in wanted}
+    split = [name for name in wanted if name in (SA_SPLIT, SA_SPLIT_DROPOUT)]
+    if split:
+        lanes = [
+            (links(name), CooperationServer(sc.robot_ids, sc.meas_noise_cov()), logs[name])
+            for name in split
+        ]
+        # One record per lane, written for every lane at once through its
+        # flat view, in which lane e holds rows e N .. (e + 1) N as in the stack.
+        shape = (len(split), sc.n_robots, sc.n_steps + 1)
+        lane_est, lane_cov = np.empty((*shape, 3)), np.empty((*shape, 3, 3))
+        lane_est[:, :, 0], lane_cov[:, :, 0] = real.init_means, sc.initial_cov()
+        flat_est = lane_est.reshape(-1, shape[2], 3)
+        flat_cov = lane_cov.reshape(-1, shape[2], 3, 3)
+        for k0, k1, (means, team_covs, _), end in split_steps(sc, real, lanes):
+            flat_est[:, k0 + 1:k1 + 1] = means
+            flat_cov[:, k0 + 1:k1 + 1] = team_covs.swapaxes(0, 1)
+            # The lanes at the segment's end, corrected if it is an epoch.
+            flat_est[:, k1], flat_cov[:, k1] = end.mean, end.cov
+        for _, server, log in lanes:
+            log.extend(server.events)
+
     estimates: dict[str, np.ndarray] = {}
     covs: dict[str, np.ndarray | None] = {}
-    events: list[ProtocolEvent] = []
     flagged: dict[str, bool] = {}
     for name in wanted:
-        links = reports if name in (SA_SPLIT_DROPOUT, PARTIAL_ORACLE) else {}
         if name == DR:
             est = _trajectories(sc, real.init_means, real.controls_meas)
             cov = None
+        elif name in split:
+            est, cov = lane_est[split.index(name)], lane_cov[split.index(name)]
         else:
             est = np.empty((sc.n_robots, sc.n_steps + 1, 3))
             cov = np.empty((sc.n_robots, sc.n_steps + 1, 3, 3))
             est[:, 0], cov[:, 0] = real.init_means, sc.initial_cov()
-        if name in (JOINT_EKF, PARTIAL_ORACLE):
-            for beliefs in joint_steps(sc, real, links, events, name):
+            for beliefs in joint_steps(sc, real, links(name), logs[name], name):
                 span = slice(beliefs[0].time, beliefs[-1].time + 1)
                 est[:, span] = np.stack([b.mean for b in beliefs], axis=1)
                 cov[:, span] = np.stack([b.own_covs() for b in beliefs], axis=1)
                 del beliefs  # hold no segment while the next one is formed
-        elif name in (SA_SPLIT, SA_SPLIT_DROPOUT):
-            server = CooperationServer(sc.robot_ids, sc.meas_noise_cov())
-            teams = split_steps(sc, real, links, server, events)
-            for k0, k1, (means, team_covs, _), end in teams:
-                est[:, k0 + 1:k1 + 1] = means
-                cov[:, k0 + 1:k1 + 1] = team_covs.swapaxes(0, 1)
-                # The team at the segment's end, corrected if it is an epoch.
-                est[:, k1], cov[:, k1] = end.mean, end.cov
-            events.extend(server.events)
         estimates[name] = est
         covs[name] = cov
         flagged[name] = not bool(np.isfinite(est).all())
@@ -260,7 +287,7 @@ def run_once(
         controls_meas=real.controls_meas,
         estimates=estimates,
         covs=covs,
-        events=events,
+        events=[ev for name in wanted for ev in logs[name]],
         flagged=flagged,
     )
 
@@ -315,31 +342,68 @@ def joint_steps(
         del beliefs
 
 
+# One split filter of a run: its channel reports (empty for perfect links),
+# its server and the list its epochs log to.
+Lane = tuple[Mapping[int, DeliveryReport], CooperationServer, list[ProtocolEvent]]
+
+
 def split_steps(
-    sc: scen.Scenario,
-    real: Realization,
-    reports: Mapping[int, DeliveryReport],
-    server: CooperationServer,
-    events: list[ProtocolEvent],
+    sc: scen.Scenario, real: Realization, lanes: Sequence[Lane]
 ) -> Iterator[tuple[int, int, tuple[np.ndarray, ...], split_ekf.SplitTeamState]]:
-    """Per segment ``(k0, k1, block, end)``: :func:`split_ekf.propagate_team`'s
-    block of steps ``k0 + 1 .. k1`` and the team at ``k1``, corrected at an
-    epoch. The epochs log to ``events``, the server to ``server.events``."""
+    """Per segment ``(k0, k1, block, end)`` for every split filter of a run.
+
+    Lane ``e`` of ``lanes`` owns rows ``e N .. (e + 1) N`` of one stacked
+    :class:`split_ekf.SplitTeamState`, so one :func:`split_ekf.propagate_team`
+    call per segment advances every lane: ``block`` holds steps
+    ``k0 + 1 .. k1`` and ``end`` the stack at ``k1``. The segments are one
+    filter's (:func:`segments` for ``N`` robots, not ``E N``), however many
+    lanes share the call. At an epoch each lane runs :func:`_run_split_epoch`
+    on its own rows, with its own reports and server, and its corrections
+    go back into those rows only. A lane's epochs log to its list, its
+    server to ``server.events``. Every row gets its robot's arithmetic, so a
+    lane's rows are bit for bit what that filter run alone gives; one lane
+    is the stack itself.
+    """
     ids = sc.robot_ids
-    team = split_ekf.SplitTeamState.initialize(ids, real.init_means, sc.initial_cov())
+    n, width = len(ids), len(lanes)
+    start = split_ekf.SplitTeamState.initialize(ids, real.init_means, sc.initial_cov())
+    stacked = (_lanes(x, width) for x in (start.mean, start.cov, start.jac_accum))
+    team = split_ekf.SplitTeamState(start.team, start.index, *stacked)
+    controls, noise = _lanes(real.controls_meas, width), _lanes(real.filter_q, width)
+    rows = [slice(e * n, (e + 1) * n) for e in range(width)]
     for k0, k1 in segments(sc, real.measurements):
         # As in joint_steps, only the segment's last step can be an epoch.
-        block = split_ekf.propagate_team(
-            team, real.controls_meas[:, k0:k1], real.filter_q[:, k0:k1], sc.dt_s
-        )
+        block = split_ekf.propagate_team(team, controls[:, k0:k1], noise[:, k0:k1], sc.dt_s)
         means, covs, accs = block
         team = split_ekf.SplitTeamState(
             team.team, team.index, means[:, -1], covs[-1], accs[:, -1], k1
         )
         if k1 in real.measurements:
-            report = epoch_report(reports, ids, k1)
-            team = _run_split_epoch(team, server, real.measurements[k1], report, events)
+            owns, ends = [], []
+            for lane, (reports, server, events) in zip(rows, lanes):
+                own = split_ekf.SplitTeamState(
+                    team.team, team.index,
+                    team.mean[lane], team.cov[lane], team.jac_accum[lane], k1,
+                )
+                report = epoch_report(reports, ids, k1)
+                owns.append(own)
+                ends.append(_run_split_epoch(own, server, real.measurements[k1], report, events))
+            if any(end is not own for own, end in zip(owns, ends)):
+                # The block keeps the propagated rows; a corrected lane is a
+                # copy, and so is the stack it goes into, unless it is the stack.
+                team = ends[0] if width == 1 else split_ekf.SplitTeamState(
+                    team.team, team.index,
+                    np.concatenate([end.mean for end in ends]),
+                    np.concatenate([end.cov for end in ends]),
+                    team.jac_accum, k1,
+                )
         yield k0, k1, block, team
+
+
+def _lanes(x: np.ndarray, width: int) -> np.ndarray:
+    """``width`` copies of ``x`` stacked along its first axis; for one lane,
+    a read-only view of ``x`` itself, with nothing copied."""
+    return np.broadcast_to(x, (width, *x.shape)).reshape(width * len(x), *x.shape[1:])
 
 
 def _run_split_epoch(

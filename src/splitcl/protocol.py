@@ -69,10 +69,10 @@ class RobotNode:
     Holds one :class:`SplitRobotState` (pose estimate, 3x3 covariance, the
     accumulated Jacobian's 2-vector shear), independent of the team size.
     A correction changes the state's mean and covariance in place. The
-    simulator advances the whole team as one
-    :class:`split_ekf.SplitTeamState`, a segment between two epochs per
+    simulator advances the whole team, each split filter's copy a lane of
+    one :class:`split_ekf.SplitTeamState`, a segment between two epochs per
     kernel call, and at an epoch wraps a robot's rows of the corrected copy
-    of the team in a node (:meth:`over`) to apply its
+    of its lane in a node (:meth:`over`) to apply its
     :class:`UpdateMessage`. Only robots whose update factor is non-zero
     receive a message; for the others the correction would be an exact
     no-op. :meth:`step` is the same propagation for a node on its own, as a

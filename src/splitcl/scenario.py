@@ -412,7 +412,8 @@ def build_table1_scenario(**overrides) -> Scenario:
 
     Six five-second measurement bursts spread over a 300 s run, twelve
     observer-landmark window entries in total, and two scheduled
-    disconnection windows for robot 4.
+    disconnection windows for robot 4. Any field can be overridden,
+    the windows included.
     """
     windows = (
         MeasurementWindow(45.0, 50.0, 1, 2),
@@ -432,7 +433,7 @@ def build_table1_scenario(**overrides) -> Scenario:
         DropoutWindowSpec(4, 135.0, 140.0),
         DropoutWindowSpec(4, 180.0, 185.0),
     )
-    sc = Scenario(meas_windows=windows, dropout_windows=dropouts, **overrides)
+    sc = Scenario(**{"meas_windows": windows, "dropout_windows": dropouts, **overrides})
     sc.validate()
     return sc
 

@@ -117,7 +117,9 @@ class SplitTeamState:
     the robots share one ``time``. Each row is still one robot's O(1)
     state: stacking only lets :func:`propagate_team` advance every robot
     through a segment with one kernel call, with the same arithmetic per
-    robot as for a team of one.
+    robot as for a team of one. Several filters' copies of one team can
+    share a stack as lanes (:func:`harness.split_steps`): lane ``e`` holds
+    rows ``e N .. (e + 1) N``, its robot ``i`` at ``e N + index[i]``.
     """
 
     team: tuple[int, ...]
@@ -191,7 +193,7 @@ def propagate_team(
     # bracket, P_0 first. N's last column is (0, 0, w), so S(-s) N S(-s)' is
     # N plus w s s' in the position block and -w s beside it.
     steps = shift.shape[0]
-    sums = np.empty((steps + 1, 6, len(team.team)))
+    sums = np.empty((steps + 1, 6, len(team.mean)))
     sums[0] = team.cov[:, [0, 0, 1, 0, 1, 2], [0, 1, 1, 2, 2, 2]].T
     terms = sums[1:]
     np.add(noise[..., 0, 0], wx * sx, out=terms[:, 0])

@@ -12,8 +12,8 @@ driven by the identical per-epoch missed sets, and additionally verifies
 that a robot that misses an epoch keeps exactly its propagated state.
 
 Verify runs no filter of its own: it drives the loops that
-:func:`harness.run_once` runs, :func:`harness.split_steps` and
-:func:`harness.joint_steps`, on one realization and only compares what
+:func:`harness.run_once` runs, :func:`harness.split_steps` with one lane
+and :func:`harness.joint_steps`, on one realization and only compares what
 they hand over, one block per segment (:func:`harness.segments`); it
 walks each block's steps itself. After every step the robots' stacked
 means and own covariances are compared with the joint belief's means and
@@ -151,7 +151,7 @@ def _run_side_by_side(
         ids, sc.meas_noise_cov(), corrupt_cross_sign=corrupt_cross_sign
     )
     events: list[ProtocolEvent] = []
-    split = split_steps(sc, real, reports, server, events)
+    split = split_steps(sc, real, [(reports, server, events)])
     joint = joint_steps(sc, real, reports, events, PARTIAL_ORACLE if dropouts else JOINT_EKF)
     n = len(ids)
     # Blocks on and below the block diagonal: a cross block counts for its lower-id robot.

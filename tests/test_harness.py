@@ -1,6 +1,7 @@
 """Monte-Carlo aggregation and the split filter's measurement epoch in the harness."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +9,14 @@ import pytest
 from splitcl import harness, split_ekf
 from splitcl.messages import UpdateMessage
 from splitcl.network import perfect_report
-from splitcl.protocol import EVENT_NUMERIC_S, CooperationServer
-from splitcl.scenario import MeasurementWindow, Scenario, ScenarioError
+from splitcl.protocol import EVENT_NUMERIC_S, EVENT_PAIR_UNREACHABLE, CooperationServer
+from splitcl.scenario import (
+    MeasurementWindow,
+    Scenario,
+    ScenarioError,
+    build_table1_scenario,
+    random_scenario,
+)
 
 ESTIMATORS = (harness.DR, harness.JOINT_EKF, harness.SA_SPLIT)
 
@@ -105,3 +112,59 @@ def test_a_non_finite_frame_is_dropped_with_an_event(monkeypatch):
         np.testing.assert_array_equal(getattr(out, rows)[1], getattr(propagated, rows)[1])
         assert not np.array_equal(getattr(out, rows)[0], getattr(propagated, rows)[0])
     assert np.isfinite(out.mean).all() and np.isfinite(out.cov).all()
+
+
+# --- Split filters as lanes of one stack ----------------------------------
+
+# Table1, and an eight-robot team on lossy links, where the two split
+# filters part at the first epoch with a missed robot.
+LANE_CASES = {
+    "table1": (build_table1_scenario(), 7),
+    "random8": (random_scenario(8, 5, bernoulli_p=0.3), 5),
+}
+
+
+def run_alone(rec: harness.RunRecord, sc, seed, name) -> list:
+    """Check ``name``'s record in ``rec`` against its run alone, bit for
+    bit, and return the events of that run."""
+    alone = harness.run_once(sc, [name], seed=seed)
+    np.testing.assert_array_equal(rec.estimates[name], alone.estimates[name])
+    np.testing.assert_array_equal(rec.covs[name], alone.covs[name])
+    assert rec.flagged[name] == alone.flagged[name]
+    return alone.events
+
+
+@pytest.mark.parametrize("case", LANE_CASES)
+def test_each_estimator_of_a_run_is_its_run_alone(case):
+    sc, seed = LANE_CASES[case]
+    # The dropout lane first: lane order follows the request.
+    names = (harness.SA_SPLIT_DROPOUT, harness.DR, harness.JOINT_EKF, harness.SA_SPLIT,
+             harness.PARTIAL_ORACLE)
+    rec = harness.run_once(sc, names, seed=seed)
+    assert rec.events == [ev for name in names for ev in run_alone(rec, sc, seed, name)]
+    assert any(ev.code == EVENT_PAIR_UNREACHABLE for ev in rec.events)
+    assert not np.array_equal(
+        rec.estimates[harness.SA_SPLIT], rec.estimates[harness.SA_SPLIT_DROPOUT]
+    )
+
+
+def test_a_lane_correction_stays_in_its_own_rows(monkeypatch):
+    # Every robot of the dropout lane is moved at each epoch with a missed
+    # robot; the perfect-link lane, whose epochs miss no one, runs as alone.
+    sc, seed = LANE_CASES["random8"]
+    names = (harness.SA_SPLIT_DROPOUT, harness.SA_SPLIT)
+    clean = harness.run_once(sc, names, seed=seed)
+    original = harness._run_split_epoch
+
+    def moving_the_lossy_lane(team, server, measurements, report, events):
+        out = original(team, server, measurements, report, events)
+        if report.missed:
+            out = replace(out, mean=out.mean + 1e-3)
+        return out
+
+    monkeypatch.setattr(harness, "_run_split_epoch", moving_the_lossy_lane)
+    rec = harness.run_once(sc, names, seed=seed)
+    assert run_alone(rec, sc, seed, harness.SA_SPLIT) == []  # perfect links log nothing
+    assert rec.events == clean.events
+    moved = rec.estimates[harness.SA_SPLIT_DROPOUT] - clean.estimates[harness.SA_SPLIT_DROPOUT]
+    assert np.abs(moved).max() > 1e-4

@@ -235,3 +235,21 @@ def test_team_size_is_bounded(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", None)
     with pytest.raises(ScenarioError, match="at most 1024, got 100000000"):
         random_scenario(100_000_000, 1)
+
+
+def test_table1_windows_can_be_overridden():
+    table1 = build_table1_scenario()
+    assert len(table1.meas_windows) == 12
+    assert table1.meas_windows[0] == MeasurementWindow(45.0, 50.0, 1, 2)
+    assert table1.dropout_windows == (
+        DropoutWindowSpec(4, 135.0, 140.0), DropoutWindowSpec(4, 180.0, 185.0)
+    )
+    assert table1 == build_table1_scenario(
+        meas_windows=table1.meas_windows, dropout_windows=table1.dropout_windows
+    )
+    windows = (MeasurementWindow(10.0, 20.0, 1, 3),)
+    dropouts = (DropoutWindowSpec(2, 0.0, 300.0),)
+    assert build_table1_scenario(meas_windows=windows) == replace(table1, meas_windows=windows)
+    assert build_table1_scenario(dropout_windows=()) == replace(table1, dropout_windows=())
+    both = build_table1_scenario(meas_windows=windows, dropout_windows=dropouts, seed=5)
+    assert both == replace(table1, meas_windows=windows, dropout_windows=dropouts, seed=5)

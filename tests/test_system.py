@@ -13,13 +13,16 @@ import pytest
 
 from splitcl import harness, joint_ekf
 from splitcl.linalg import NumericalError
-from splitcl.messages import UpdateMessage
+from splitcl.messages import LandmarkMessage, UpdateMessage
+from splitcl.network import gate_measurement
 from splitcl.protocol import EVENT_NUMERIC_S, EVENT_PAIR_UNREACHABLE, CooperationServer
 from splitcl.scenario import (
+    DropoutWindowSpec,
     MeasurementWindow,
     Scenario,
     build_table1_scenario,
     measurement_schedule,
+    random_scenario,
     strip_dropouts,
 )
 from splitcl.verify import check_dropout_equivalence, check_exact_equivalence
@@ -168,7 +171,7 @@ def test_frames_go_only_to_robots_a_measurement_touches(monkeypatch):
     # The propagated rows and the team at the end of each segment.
     ends = {
         k1: (means[:, -1], covs[-1], end)
-        for _, k1, (means, covs, _), end in harness.split_steps(sc, real, reports, server, [])
+        for _, k1, (means, covs, _), end in harness.split_steps(sc, real, [(reports, server, [])])
     }
     for _ in harness.joint_steps(sc, real, reports, [], harness.PARTIAL_ORACLE):
         pass
@@ -224,3 +227,75 @@ def test_dropout_check_and_simulator_log_the_same_unreachable_pairs(table1):
 
     assert unreachable(report.events)
     assert unreachable(report.events) == unreachable(rec.events)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_lossless_and_cut_off_links_give_the_deterministic_ends(seed):
+    # With perfect links the lossy-channel estimators are their perfect
+    # twins; with every robot cut off for the whole run they only dead-reckon.
+    lossless = strip_dropouts(build_table1_scenario())
+    rec = harness.run_once(lossless, harness.ALL_ESTIMATORS, seed=seed)
+    twins = ((harness.SA_SPLIT_DROPOUT, harness.SA_SPLIT),
+             (harness.PARTIAL_ORACLE, harness.JOINT_EKF))
+    for lossy, perfect in twins:
+        np.testing.assert_array_equal(rec.estimates[lossy], rec.estimates[perfect])
+        np.testing.assert_array_equal(rec.covs[lossy], rec.covs[perfect])
+
+    cut_off = build_table1_scenario(
+        dropout_windows=tuple(DropoutWindowSpec(r, 0.0, 300.0) for r in range(1, 5))
+    )
+    names = (harness.DR, harness.SA_SPLIT_DROPOUT, harness.PARTIAL_ORACLE)
+    rec = harness.run_once(cut_off, names, seed=seed)
+    for name in names[1:]:
+        np.testing.assert_array_equal(rec.estimates[name], rec.estimates[harness.DR])
+    n_meas = sum(len(pairs) for pairs in measurement_schedule(cut_off).values())
+    assert [ev.code for ev in rec.events] == [EVENT_PAIR_UNREACHABLE] * n_meas
+
+
+@pytest.mark.parametrize("n", [4, 16, 64, 256])
+def test_robot_state_and_frames_do_not_grow_with_the_team(n, monkeypatch):
+    # The abstract's claims at any team size: O(1) state and frames per
+    # robot, a robot transmits only when a measurement involves it, and an
+    # epoch without a usable measurement costs the server nothing.
+    sc = random_scenario(n, 1, duration_s=20.0, window_every_s=2.0, bernoulli_p=0.2)
+    key = harness.seed_key(sc, None)
+    real = harness.build_realization(sc, key)
+    reports = harness.delivery_reports(sc, real, key)
+    senders, recipients, lengths = defaultdict(set), defaultdict(set), defaultdict(set)
+    encode_landmark, encode_update = LandmarkMessage.encode, UpdateMessage.encode
+
+    def recording_landmark(self):
+        frame = encode_landmark(self)
+        senders[self.time].add(self.sender)
+        lengths["landmark"].add(len(frame))
+        return frame
+
+    def recording_update(self):
+        frame = encode_update(self)
+        recipients[self.time].add(self.recipient)
+        lengths[self.kind].add(len(frame))
+        return frame
+
+    monkeypatch.setattr(LandmarkMessage, "encode", recording_landmark)
+    monkeypatch.setattr(UpdateMessage, "encode", recording_update)
+    server = CooperationServer(sc.robot_ids, sc.meas_noise_cov())
+    store = server.store.blocks.copy()
+    unusable = unreachable = 0
+    for _, k1, _, end in harness.split_steps(sc, real, [(reports, server, [])]):
+        if k1 not in real.measurements:
+            continue
+        gated = [m for m in real.measurements[k1] if gate_measurement(reports[k1], m)]
+        unreachable += len(real.measurements[k1]) - len(gated)
+        assert senders[k1] == {r for m in gated for r in (m.observer, m.landmark)}
+        if not gated:
+            unusable += 1
+            assert not recipients[k1]
+            np.testing.assert_array_equal(server.store.blocks, store)
+        store = server.store.blocks.copy()
+
+    assert unusable and unreachable and recipients
+    assert {k for k, sent in senders.items() if sent} <= set(real.measurements)
+    assert dict(lengths) == {"landmark": {146}, "single": {77}, "summed": {109}}
+    for i in sc.robot_ids:
+        state = end.robot(i)
+        assert [x.shape for x in (state.mean, state.cov, state.jac_accum)] == [(3,), (3, 3), (2,)]

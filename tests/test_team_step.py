@@ -361,10 +361,11 @@ def test_closed_form_covariances_are_the_per_step_recurrence(n, steps, motion):
 def test_run_once_calls_the_kernel_once_per_segment(monkeypatch):
     sc = build_table1_scenario()
     original = model.propagate_pose
-    lengths = []
+    lengths, rows = [], []
 
     def counting(start, controls, dt):
         lengths.append(controls.shape[1])
+        rows.append(len(start))
         return original(start, controls, dt)
 
     monkeypatch.setattr(model, "propagate_pose", counting)
@@ -372,10 +373,12 @@ def test_run_once_calls_the_kernel_once_per_segment(monkeypatch):
     n_segments = len(list(harness.segments(sc, harness.scen.measurement_schedule(sc))))
     n_stretches = len(list(harness.segments(sc, ())))
     # Truth and dead reckoning take one call per stretch of the run, each
-    # filter one per segment between epochs.
+    # joint filter one per segment between epochs, and the two split
+    # filters one per segment together, as one stack of both teams.
     assert n_segments < 60 and n_stretches == 12
-    assert len(lengths) == 2 * n_stretches + 4 * n_segments
-    assert sum(lengths) == 6 * sc.n_steps
+    assert len(lengths) == 2 * n_stretches + 3 * n_segments
+    assert sum(lengths) == 5 * sc.n_steps
+    assert rows.count(2 * sc.n_robots) == n_segments
 
 
 # --- Segment loops against a per-step reference loop ----------------------
@@ -512,7 +515,7 @@ def test_segment_loops_equal_the_per_step_reference(case):
         events, ref_events = [], []
         server = CooperationServer(sc.robot_ids, sc.meas_noise_cov())
         ref_server = CooperationServer(sc.robot_ids, sc.meas_noise_cov())
-        split = list(harness.split_steps(sc, real, reports, server, events))
+        split = list(harness.split_steps(sc, real, [(reports, server, events)]))
         ref_split = list(ref_split_steps(sc, real, reports, ref_server, ref_events))
         spans = [(k0, k1) for k0, k1, *_ in split]
         assert spans == list(harness.segments(sc, real.measurements))
