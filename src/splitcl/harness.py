@@ -35,11 +35,11 @@ filtering estimators differ only in the channel reports they get: none
 robot act on its own, in its lane alone: a measured robot sends the
 landmark message of its rows of the team state, and a robot the server
 sends an update message (one correlated with a measured robot) applies it
-as a :class:`RobotNode` over its rows of a copy of the lane, which it
-corrects in place. The per-robot arithmetic is the same either way, and
-the same for a robot stepped alone through :meth:`RobotNode.step`, as a
-team of one, so every estimator's record is bit for bit its record in a
-run on its own.
+as a :class:`RobotNode` over its rows of the segment's end, a copy the
+loop owns, correcting them in place. The per-robot arithmetic is the same
+either way, and the same for a robot stepped alone through
+:meth:`RobotNode.step`, as a team of one, so every estimator's record is
+bit for bit its record in a run on its own.
 
 Randomness is derived from a seed key; stream tags keep motion noise,
 measurement noise, initial error and channel draws independent, and
@@ -357,12 +357,14 @@ def split_steps(
     call per segment advances every lane: ``block`` holds steps
     ``k0 + 1 .. k1`` and ``end`` the stack at ``k1``. The segments are one
     filter's (:func:`segments` for ``N`` robots, not ``E N``), however many
-    lanes share the call. At an epoch each lane runs :func:`_run_split_epoch`
-    on its own rows, with its own reports and server, and its corrections
-    go back into those rows only. A lane's epochs log to its list, its
-    server to ``server.events``. Every row gets its robot's arithmetic, so a
-    lane's rows are bit for bit what that filter run alone gives; one lane
-    is the stack itself.
+    lanes share the call. ``end`` belongs to the loop: it is a copy of the
+    block's last step, which the block keeps as propagated. At an epoch
+    each lane runs :func:`_run_split_epoch` on its own rows of ``end``,
+    with its own reports and server, which corrects those rows in place.
+    A later segment starts from a new copy, so no yielded ``end`` changes
+    after its segment. A lane's epochs log to its list, its server to
+    ``server.events``. Every row gets its robot's arithmetic, so a lane's
+    rows are bit for bit what that filter run alone gives.
     """
     ids = sc.robot_ids
     n, width = len(ids), len(lanes)
@@ -375,28 +377,18 @@ def split_steps(
         # As in joint_steps, only the segment's last step can be an epoch.
         block = split_ekf.propagate_team(team, controls[:, k0:k1], noise[:, k0:k1], sc.dt_s)
         means, covs, accs = block
+        # A copy: an epoch corrects it in place, and the block stays propagated.
         team = split_ekf.SplitTeamState(
-            team.team, team.index, means[:, -1], covs[-1], accs[:, -1], k1
+            team.team, team.index, means[:, -1].copy(), covs[-1].copy(), accs[:, -1], k1
         )
         if k1 in real.measurements:
-            owns, ends = [], []
             for lane, (reports, server, events) in zip(rows, lanes):
                 own = split_ekf.SplitTeamState(
                     team.team, team.index,
                     team.mean[lane], team.cov[lane], team.jac_accum[lane], k1,
                 )
                 report = epoch_report(reports, ids, k1)
-                owns.append(own)
-                ends.append(_run_split_epoch(own, server, real.measurements[k1], report, events))
-            if any(end is not own for own, end in zip(owns, ends)):
-                # The block keeps the propagated rows; a corrected lane is a
-                # copy, and so is the stack it goes into, unless it is the stack.
-                team = ends[0] if width == 1 else split_ekf.SplitTeamState(
-                    team.team, team.index,
-                    np.concatenate([end.mean for end in ends]),
-                    np.concatenate([end.cov for end in ends]),
-                    team.jac_accum, k1,
-                )
+                _run_split_epoch(own, server, real.measurements[k1], report, events)
         yield k0, k1, block, team
 
 
@@ -412,15 +404,15 @@ def _run_split_epoch(
     measurements: Sequence[model.RelativeMeasurement],
     report: DeliveryReport,
     events: list[ProtocolEvent],
-) -> split_ekf.SplitTeamState:
+) -> None:
     """One measurement epoch over the lossy channel, wire encoding included.
 
     Each robot of an accepted measurement sends the landmark frame of its
-    rows of ``team``, the segment block's last step. Each robot sent an
-    update frame applies it as a :class:`RobotNode` over its rows of one
-    copy of the team, in place; a single frame ``(r, D)`` becomes its pair
-    ``(D r, D D')`` only there. Returns the copy, or ``team`` itself when
-    no correction was applied.
+    rows of ``team``, the segment's end. Each robot sent an update frame
+    applies it as a :class:`RobotNode` over its rows of ``team``, in place;
+    a single frame ``(r, D)`` becomes its pair ``(D r, D D')`` only there.
+    A rejected correction leaves the robot's rows as they were, since
+    :func:`split_ekf.apply_update` checks every row before it writes any.
     """
     k = report.time
     accepted = []
@@ -434,7 +426,7 @@ def _run_split_epoch(
                 f"unreachable={sorted(report.missed & {m.observer, m.landmark})}",
             ))
     if not accepted:
-        return team
+        return
     landmark_only = {m.landmark for m in accepted} - {m.observer for m in accepted}
     senders = [(m.observer, m.landmark, m.z) for m in accepted]
     senders += [(i, None, None) for i in sorted(landmark_only)]
@@ -445,23 +437,16 @@ def _run_split_epoch(
         wire.append(frame.encode())
     msgs = [LandmarkMessage.decode(raw) for raw in wire]
     updates = server.handle_epoch(msgs, k, missed=report.missed)
-    if not updates:
-        return team
-    corrected = split_ekf.SplitTeamState(
-        team.team, team.index, team.mean.copy(), team.cov.copy(), team.jac_accum, team.time
-    )
-    applied = False
     for i, msg in updates.items():
         if i not in report.delivered:
             continue
-        node = RobotNode.over(corrected.robot(i))
+        node = RobotNode.over(team.robot(i))
         try:
-            applied |= node.apply_update(UpdateMessage.decode(msg.encode()))
+            node.apply_update(UpdateMessage.decode(msg.encode()))
         except NumericalError as exc:
             # Keep the propagated state; an invalid correction is dropped
             # just like a lost message, but with its own reason code.
             events.append(ProtocolEvent(k, EVENT_NUMERIC_S, f"robot={i} reason={exc}"))
-    return corrected if applied else team
 
 
 @dataclass(slots=True)

@@ -71,12 +71,12 @@ class RobotNode:
     A correction changes the state's mean and covariance in place. The
     simulator advances the whole team, each split filter's copy a lane of
     one :class:`split_ekf.SplitTeamState`, a segment between two epochs per
-    kernel call, and at an epoch wraps a robot's rows of the corrected copy
-    of its lane in a node (:meth:`over`) to apply its
-    :class:`UpdateMessage`. Only robots whose update factor is non-zero
-    receive a message; for the others the correction would be an exact
-    no-op. :meth:`step` is the same propagation for a node on its own, as a
-    team of one.
+    kernel call, and at an epoch wraps a robot's rows of its lane at the
+    segment's end in a node (:meth:`over`) to apply its
+    :class:`UpdateMessage` there, in place. Only robots whose update factor
+    is non-zero receive a message; for the others the correction would be
+    an exact no-op. :meth:`step` is the same propagation for a node on its
+    own, as a team of one.
     """
 
     __slots__ = ("state",)

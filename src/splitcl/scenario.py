@@ -30,7 +30,7 @@ the following keys; distances are meters, times seconds, angles radians:
 ``perturb_initial``     draw the initial estimate error from the initial
                         covariance (true start poses are given by
                         ``start_poses``)
-``seed``                default RNG seed for runs of this scenario
+``seed``                default RNG seed for runs of this scenario, at least 0
 
 Every robot starts at the spiral's center; in a team of N, robot r heads
 out at (r-1) * 360/N degrees and drives its own copy of the outward square
@@ -166,6 +166,12 @@ class Scenario:
             raise ScenarioError("noise fractions must be non-negative")
         if not 0.0 <= self.bernoulli_p < 1.0:
             raise ScenarioError("bernoulli_p must be in [0, 1)")
+        if self.seed < 0:
+            raise ScenarioError(f"seed must be non-negative, got {self.seed}")
+        for name, entries, width in (("path.center", self.path.center, 2),
+                                     ("initial_cov_diag", self.initial_cov_diag, 3)):
+            if len(entries) != width:
+                raise ScenarioError(f"{name} must have {width} entries, got {len(entries)}")
         if any(d <= 0 for d in self.initial_cov_diag):
             raise ScenarioError("initial covariance diagonal must be positive")
         if self.path.side0 <= 0:
@@ -234,7 +240,7 @@ class Scenario:
                         _integer(w[2], "meas_windows observer"),
                         _integer(w[3], "meas_windows landmark"),
                     )
-                    for w in d["meas_windows"]
+                    for w in (_row(row, 4, "meas_windows") for row in d["meas_windows"])
                 ),
                 meas_period_s=_real(d["meas_period_s"], "meas_period_s"),
                 meas_noise_std=_real(d["meas_noise_std"], "meas_noise_std"),
@@ -244,7 +250,7 @@ class Scenario:
                         _real(w[1], "dropout_windows start_s"),
                         _real(w[2], "dropout_windows end_s"),
                     )
-                    for w in d["dropout_windows"]
+                    for w in (_row(row, 3, "dropout_windows") for row in d["dropout_windows"])
                 ),
                 bernoulli_p=_real(d["bernoulli_p"], "bernoulli_p"),
                 zones=tuple(tuple(_real(v, "zones") for v in z) for z in d["zones"]),
@@ -254,7 +260,7 @@ class Scenario:
                 perturb_initial=_flag(d["perturb_initial"], "perturb_initial"),
                 seed=_integer(d["seed"], "seed"),
             )
-        except (KeyError, TypeError, IndexError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ScenarioError(f"malformed scenario field: {exc}") from exc
         sc.validate()
         return sc
@@ -312,6 +318,13 @@ def _real(value, name: str) -> float:
         except OverflowError:
             pass
     raise ScenarioError(f"{name} must be a number, got {value!r}")
+
+
+def _row(value, width: int, name: str) -> list:
+    """One row of a list field, refused unless it has exactly ``width`` entries."""
+    if not isinstance(value, (list, tuple)) or len(value) != width:
+        raise ScenarioError(f"{name} rows must have {width} entries, got {value!r}")
+    return value
 
 
 def _flag(value, name: str) -> bool:

@@ -221,6 +221,24 @@ def test_boolean_step_length_is_invalid_input(tmp_path, capsys):
     assert err.count("error: dt_s must be a number, got True") == 2
 
 
+@pytest.mark.parametrize("edit, message", [
+    ({"seed": -1}, "seed must be non-negative, got -1"),
+    ({"path": {**Scenario().to_dict()["path"], "center": [0.0, 0.0, 0.0]}},
+     "path.center must have 2 entries, got 3"),
+    ({"initial_cov_diag": [0.0025, 0.0025]}, "initial_cov_diag must have 3 entries, got 2"),
+    ({"meas_windows": [[1.0, 2.0, 1, 2, 3]]}, "meas_windows rows must have 4 entries"),
+], ids=["seed-negative", "center-3", "cov-2", "window-5"])
+def test_scenario_of_the_wrong_sign_or_width_is_invalid_input(edit, message, tmp_path, capsys):
+    # These loaded before and ended in a traceback deep in the run.
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps({**Scenario().to_dict(), **edit}))
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", "--scenario", str(path), "--out", str(out_dir)]) == cli.EXIT_USAGE
+    assert not out_dir.exists()
+    assert cli.main(["verify", "--scenario", str(path)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.count(f"error: {message}") == 2
+
+
 def test_run_reports_a_diverged_estimator(tmp_path, monkeypatch, capsys):
     sc = Scenario(duration_s=10.0, meas_windows=(MeasurementWindow(2.0, 4.0, 1, 2),))
     path = tmp_path / "small.json"

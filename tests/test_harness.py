@@ -1,7 +1,6 @@
 """Monte-Carlo aggregation and the split filter's measurement epoch in the harness."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -81,11 +80,9 @@ def test_a_non_finite_frame_is_dropped_with_an_event(monkeypatch):
     means, covs, accs = split_ekf.propagate_team(
         start, real.controls_meas[:, :k], real.filter_q[:, :k], sc.dt_s
     )
+    # The segment's end as split_steps makes it: a copy the epoch corrects.
     team = split_ekf.SplitTeamState(
-        start.team, start.index, means[:, -1], covs[-1], accs[:, -1], k
-    )
-    propagated = split_ekf.SplitTeamState(
-        team.team, team.index, team.mean.copy(), team.cov.copy(), team.jac_accum, team.time
+        start.team, start.index, means[:, -1].copy(), covs[-1].copy(), accs[:, -1], k
     )
     server = CooperationServer(sc.robot_ids, sc.meas_noise_cov())
     handle_epoch = server.handle_epoch
@@ -100,18 +97,19 @@ def test_a_non_finite_frame_is_dropped_with_an_event(monkeypatch):
 
     monkeypatch.setattr(server, "handle_epoch", corrupting)
     events = []
-    out = harness._run_split_epoch(
+    assert harness._run_split_epoch(
         team, server, real.measurements[k], perfect_report(sc.robot_ids, k), events
-    )
+    ) is None
 
     assert [e.as_line() for e in events] == [
         f"t={k} {EVENT_NUMERIC_S} robot=2 reason=update for robot 2 has a non-finite payload"
     ]
-    for rows in ("mean", "cov"):
-        np.testing.assert_array_equal(getattr(team, rows), getattr(propagated, rows))
-        np.testing.assert_array_equal(getattr(out, rows)[1], getattr(propagated, rows)[1])
-        assert not np.array_equal(getattr(out, rows)[0], getattr(propagated, rows)[0])
-    assert np.isfinite(out.mean).all() and np.isfinite(out.cov).all()
+    # The team passed in is corrected in place: robot 1's rows moved, robot
+    # 2's are still the block's last step.
+    for got, propagated in ((team.mean, means[:, -1]), (team.cov, covs[-1])):
+        np.testing.assert_array_equal(got[1], propagated[1])
+        assert not np.array_equal(got[0], propagated[0])
+    assert np.isfinite(team.mean).all() and np.isfinite(team.cov).all()
 
 
 # --- Split filters as lanes of one stack ----------------------------------
@@ -157,10 +155,9 @@ def test_a_lane_correction_stays_in_its_own_rows(monkeypatch):
     original = harness._run_split_epoch
 
     def moving_the_lossy_lane(team, server, measurements, report, events):
-        out = original(team, server, measurements, report, events)
+        original(team, server, measurements, report, events)
         if report.missed:
-            out = replace(out, mean=out.mean + 1e-3)
-        return out
+            team.mean += 1e-3
 
     monkeypatch.setattr(harness, "_run_split_epoch", moving_the_lossy_lane)
     rec = harness.run_once(sc, names, seed=seed)
@@ -168,3 +165,59 @@ def test_a_lane_correction_stays_in_its_own_rows(monkeypatch):
     assert rec.events == clean.events
     moved = rec.estimates[harness.SA_SPLIT_DROPOUT] - clean.estimates[harness.SA_SPLIT_DROPOUT]
     assert np.abs(moved).max() > 1e-4
+
+
+def test_an_epoch_corrects_only_the_loops_own_segment_end():
+    # Table1 with both split filters as lanes. Each yielded end is
+    # snapshotted when it is yielded and checked once the loop is done.
+    sc, seed = build_table1_scenario(), 7
+    key = harness.seed_key(sc, seed)
+    real = harness.build_realization(sc, key)
+    ids, n = sc.robot_ids, sc.n_robots
+    lanes = [({}, CooperationServer(ids, sc.meas_noise_cov()), []),
+             (harness.delivery_reports(sc, real, key),
+              CooperationServer(ids, sc.meas_noise_cov()), [])]
+    # The rows each epoch corrects: the recipients of an update frame that
+    # the lane's channel delivers.
+    corrected = {}
+    for e, (reports, server, _) in enumerate(lanes):
+        def recording(msgs, time, missed=frozenset(), e=e, handle=server.handle_epoch,
+                      reports=reports):
+            updates = handle(msgs, time, missed)
+            delivered = harness.epoch_report(reports, ids, time).delivered
+            rows = corrected.setdefault(time, np.zeros(2 * n, dtype=bool))
+            rows[[e * n + ids.index(i) for i in updates if i in delivered]] = True
+            return updates
+        server.handle_epoch = recording
+
+    controls = harness._lanes(real.controls_meas, 2)
+    noise = harness._lanes(real.filter_q, 2)
+    ends, snapshots = [], []
+    start = split_ekf.SplitTeamState.initialize(ids, real.init_means, sc.initial_cov())
+    prior = split_ekf.SplitTeamState(
+        start.team, start.index,
+        *(harness._lanes(x, 2).copy() for x in (start.mean, start.cov, start.jac_accum)),
+    )
+    for k0, k1, (means, covs, accs), end in harness.split_steps(sc, real, lanes):
+        # The block's last step is the propagation of the previous end, uncorrected.
+        want = split_ekf.propagate_team(prior, controls[:, k0:k1], noise[:, k0:k1], sc.dt_s)
+        for got, ref in zip((means, covs, accs), want):
+            np.testing.assert_array_equal(got, ref)
+        ends.append(end)
+        snapshots.append(tuple(x.copy() for x in (end.mean, end.cov, end.jac_accum)))
+        prior = split_ekf.SplitTeamState(end.team, end.index, *snapshots[-1], k1)
+        rows = corrected.get(k1, np.zeros(2 * n, dtype=bool))
+        # The end differs from the block's last step in the corrected rows only.
+        np.testing.assert_array_equal(end.mean[~rows], means[~rows, -1])
+        np.testing.assert_array_equal(end.cov[~rows], covs[-1, ~rows])
+        np.testing.assert_array_equal(end.jac_accum, accs[:, -1])
+        assert (end.mean[rows] != means[rows, -1]).any(axis=1).all()
+        assert (end.cov[rows] != covs[-1, rows]).any(axis=(1, 2)).all()
+    # The perfect-link lane corrected rows at every epoch, the dropout lane
+    # fewer at some.
+    assert all(rows[:n].any() for rows in corrected.values())
+    assert any(rows[:n].sum() > rows[n:].sum() for rows in corrected.values())
+    # No end changed after its segment.
+    for end, snapshot in zip(ends, snapshots):
+        for got, want in zip((end.mean, end.cov, end.jac_accum), snapshot):
+            np.testing.assert_array_equal(got, want)

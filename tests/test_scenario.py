@@ -121,9 +121,20 @@ def test_no_two_of_eight_robots_share_a_trajectory():
     ({"seed": math.nan}, "seed must be an integer, got nan"),
     ({"perturb_initial": "false"}, "perturb_initial must be true or false, got 'false'"),
     ({"perturb_initial": 0}, "perturb_initial must be true or false, got 0"),
+    # Each of these loaded, and then failed deep in a run or lost entries.
+    ({"seed": -1}, "seed must be non-negative, got -1"),
+    ({"path": {**_doc()["path"], "center": [0.0]}}, "path.center must have 2 entries, got 1"),
+    ({"path": {**_doc()["path"], "center": [0.0] * 3}}, "path.center must have 2 entries, got 3"),
+    ({"initial_cov_diag": [0.0025, 0.0025]}, "initial_cov_diag must have 3 entries, got 2"),
+    ({"initial_cov_diag": [0.0025] * 4}, "initial_cov_diag must have 3 entries, got 4"),
+    ({"meas_windows": [[45.0, 50.0, 1, 2, 3]]}, "meas_windows rows must have 4 entries"),
+    ({"meas_windows": [[45.0, 50.0, 1]]}, "meas_windows rows must have 4 entries"),
+    ({"dropout_windows": [[4, 135.0, 140.0, 1.0]]}, "dropout_windows rows must have 3 entries"),
+    ({"dropout_windows": [4]}, "dropout_windows rows must have 3 entries, got 4"),
 ], ids=["count-fraction", "count-bool", "count-string", "observer-fraction",
         "landmark-bool", "dropout-robot-fraction", "seed-fraction", "seed-nan",
-        "flag-string", "flag-int"])
+        "flag-string", "flag-int", "seed-negative", "center-1", "center-3", "cov-2", "cov-4",
+        "window-5", "window-3", "dropout-4", "dropout-number"])
 def test_malformed_field_is_rejected(tmp_path, edit, message):
     doc = {**_doc(), **edit}
     with pytest.raises(ScenarioError, match=message):

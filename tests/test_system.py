@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from splitcl import harness, joint_ekf
 from splitcl.linalg import NumericalError
@@ -20,6 +21,7 @@ from splitcl.scenario import (
     DropoutWindowSpec,
     MeasurementWindow,
     Scenario,
+    SpiralPath,
     build_table1_scenario,
     measurement_schedule,
     random_scenario,
@@ -299,3 +301,67 @@ def test_robot_state_and_frames_do_not_grow_with_the_team(n, monkeypatch):
     for i in sc.robot_ids:
         state = end.robot(i)
         assert [x.shape for x in (state.mean, state.cov, state.jac_accum)] == [(3,), (3, 3), (2,)]
+
+
+@st.composite
+def whole_runs(draw):
+    """A team of 2 to 8 robots over a 20 s run, with random spiral paths,
+    noise fractions, measurement and dropout windows and link loss.
+
+    The first two windows share their span, so each of their epochs
+    carries two measurements (a summed frame for a robot in both). The
+    first window's observer drops out in the first half of that span and
+    the second window's landmark in the second half.
+    """
+    n = draw(st.integers(2, 8))
+    pair = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] != p[1])
+    fracs = st.lists(st.floats(0.0, 0.4), min_size=n, max_size=n).map(tuple)
+    pairs = draw(st.lists(pair, min_size=2, max_size=4))
+    start = draw(st.integers(0, 14))
+    end = draw(st.integers(start + 3, 20))
+    spans = [(start, end)] * 2
+    for _ in pairs[2:]:
+        s = draw(st.integers(0, 19))
+        spans.append((s, draw(st.integers(s + 1, 20))))
+    mid = (start + end) / 2
+    dropouts = [
+        DropoutWindowSpec(pairs[0][0], float(start), mid),
+        DropoutWindowSpec(pairs[1][1], mid, float(end)),
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        s = draw(st.integers(0, 19))
+        dropouts.append(DropoutWindowSpec(draw(st.integers(1, n)), float(s),
+                                          float(draw(st.integers(s, 20)))))
+    sc = Scenario(
+        n_robots=n,
+        duration_s=20.0,
+        path=SpiralPath(
+            side0=draw(st.floats(0.5, 3.0)),
+            growth=draw(st.floats(0.0, 1.0)),
+            edge_time_s=draw(st.sampled_from([2.0, 4.0, 8.0])),
+            turn_time_s=draw(st.sampled_from([0.5, 1.0])),
+        ),
+        v_noise_frac=draw(fracs),
+        w_noise_frac=draw(fracs),
+        meas_windows=tuple(
+            MeasurementWindow(float(s), float(e), a, b) for (s, e), (a, b) in zip(spans, pairs)
+        ),
+        meas_period_s=draw(st.sampled_from([0.5, 1.0])),
+        dropout_windows=tuple(dropouts),
+        bernoulli_p=draw(st.sampled_from([0.0, 0.2, 0.5])),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    sc.validate()
+    return sc
+
+
+# Two checks of a 20 s run take about 0.1 s per example.
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(whole_runs())
+def test_random_whole_runs_match_the_centralized_filters(sc):
+    truth = harness.simulate_truth(sc)
+    dropout = check_dropout_equivalence(sc, truth=truth)
+    assert dropout.missed_updates_exact and dropout.lone_steps_exact
+    assert dropout.passed(TOL), dropout.summary()
+    exact = check_exact_equivalence(strip_dropouts(sc), truth=truth)
+    assert exact.passed(TOL), exact.summary()

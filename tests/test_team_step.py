@@ -402,10 +402,14 @@ def ref_split_steps(sc, real, reports, server, events):
             np.array([r[0] for r in rows]), np.array([r[1] for r in rows]),
             np.array([r[2][:2, 2] for r in rows]), team.time + 1,
         )
-        team = propagated
+        # The epoch corrects a copy in place, so propagated stays as it is.
+        team = SplitTeamState(
+            team.team, team.index, propagated.mean.copy(), propagated.cov.copy(),
+            propagated.jac_accum, propagated.time,
+        )
         if k in real.measurements:
             report = harness.epoch_report(reports, ids, k)
-            team = harness._run_split_epoch(team, server, real.measurements[k], report, events)
+            harness._run_split_epoch(team, server, real.measurements[k], report, events)
         yield propagated, team
 
 
