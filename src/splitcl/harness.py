@@ -543,8 +543,11 @@ def run_monte_carlo(
     events: list[tuple[int, ProtocolEvent]] = []
 
     tasks = [(sc, wanted, base, m, truth) for m in range(n_runs)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # A pool launches all its workers at the first task, so it gets no
+    # more than there are runs.
+    workers = min(jobs, n_runs)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_mc_worker, tasks))
     else:
         results = [_mc_worker(task) for task in tasks]

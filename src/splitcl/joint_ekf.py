@@ -15,9 +15,10 @@ symmetric.
 Propagation is ``F P F' + G Q G'`` with a block-diagonal ``F``. A segment
 of steps between two measurement epochs takes one motion-kernel call for
 every step's means and Jacobians, and then one ``(3N)^2`` sandwich per
-step. An update forms ``P H'`` from the measured robots' block columns, the
-gains ``K = P H' S^-1`` of every robot, and subtracts the symmetrized
-``K S K'`` as one product.
+step. An update, of a relative or an absolute measurement alike, is one
+:func:`partial_update`: it forms ``P H'`` from the measured robots' block
+columns, the gains ``K = P H' S^-1`` of every robot, and subtracts the
+symmetrized ``K S K'`` as one product.
 
 ``partial_update`` supports epochs where a subset of robots never receives
 the correction. The blocks of ``K S K'`` between two such robots are zeroed
@@ -25,7 +26,7 @@ before the subtraction and their rows of ``K r`` are zeroed before the mean
 correction, so their estimates, own covariances and mutual cross blocks stay
 bit for bit unchanged, while every cross block between them and the robots
 that did receive the update is still corrected with the minimum-variance
-gain. ``update`` is the special case with an empty missed set.
+gain. An empty missed set, the default, is the textbook update.
 
 Beliefs are values: every operation returns a new :class:`JointBelief`.
 """
@@ -159,83 +160,49 @@ def propagate(
     return JointBelief(belief.team, belief.index, mean, cov, belief.time + 1)
 
 
-def update(
-    belief: JointBelief,
-    meas: model.RelativeMeasurement,
-    noise_cov: np.ndarray,
-) -> tuple[JointBelief, Innovation]:
-    """Fuse one relative measurement into the whole team."""
-    return partial_update(belief, meas, noise_cov, missed=frozenset())
-
-
 def partial_update(
     belief: JointBelief,
-    meas: model.RelativeMeasurement,
+    meas: model.RelativeMeasurement | model.AbsoluteMeasurement,
     noise_cov: np.ndarray,
-    missed: AbstractSet[int],
+    missed: AbstractSet[int] = frozenset(),
 ) -> tuple[JointBelief, Innovation]:
-    """Fuse one relative measurement, skipping the robots in ``missed``.
+    """Fuse one relative or absolute measurement, skipping the robots in ``missed``.
 
-    The observer and landmark must not be in ``missed``; a measurement whose
-    endpoints cannot be reached is discarded upstream, never processed here.
+    The measured robots, the observer and a relative measurement's landmark,
+    must be in the team and not in ``missed``; a measurement whose robots
+    cannot be reached is discarded upstream, never processed here. The
+    prediction and the Jacobians come from one call of
+    :func:`model.relative_terms` or :func:`model.absolute_terms`.
     """
-    a, b = meas.observer, meas.landmark
-    if a not in belief.index or b not in belief.index:
-        raise ValueError(f"measurement endpoints ({a}, {b}) not in team {belief.team}")
-    if a in missed or b in missed:
+    if isinstance(meas, model.RelativeMeasurement):
+        measured = (meas.observer, meas.landmark)
+    else:
+        measured = (meas.observer,)
+    if any(r not in belief.index for r in measured):
+        raise ValueError(f"measured robots {measured} not in team {belief.team}")
+    if any(r in missed for r in measured):
         raise ValueError(
-            "observer and landmark must have received the update "
-            f"(got missed set containing {sorted(set(missed) & {a, b})})"
+            "measured robots must have received the update "
+            f"(got missed set containing {sorted(set(missed) & set(measured))})"
         )
-    pose_a = belief.mean[belief.index[a]]
-    pose_b = belief.mean[belief.index[b]]
-    h_obs, h_lm = model.relative_jacobians(pose_a, pose_b)
-    residual = np.asarray(meas.z, dtype=float) - model.relative_position(pose_a, pose_b)
-    return _apply_terms(belief, [(a, h_obs), (b, h_lm)], residual, noise_cov, missed)
+    rows = [belief.index[r] for r in measured]
+    poses = belief.mean[rows].tolist()
+    if len(rows) == 2:
+        predicted, *jacobians = model.relative_terms(*poses[0], *poses[1][:2])
+    else:
+        predicted, *jacobians = model.absolute_terms(*poses[0][:2])
+    residual = np.asarray(meas.z, dtype=float) - predicted
 
-
-def absolute_update(
-    belief: JointBelief,
-    meas: model.AbsoluteMeasurement,
-    noise_cov: np.ndarray,
-) -> tuple[JointBelief, Innovation]:
-    """Fuse one absolute position measurement into the whole team."""
-    return partial_absolute_update(belief, meas, noise_cov, missed=frozenset())
-
-
-def partial_absolute_update(
-    belief: JointBelief,
-    meas: model.AbsoluteMeasurement,
-    noise_cov: np.ndarray,
-    missed: AbstractSet[int],
-) -> tuple[JointBelief, Innovation]:
-    """Absolute-measurement analogue of :func:`partial_update`."""
-    a = meas.observer
-    if a not in belief.index:
-        raise ValueError(f"robot {a} not in team {belief.team}")
-    if a in missed:
-        raise ValueError("the measured robot must have received the update")
-    pose = belief.mean[belief.index[a]]
-    residual = np.asarray(meas.z, dtype=float) - model.absolute_position(pose)
-    return _apply_terms(belief, [(a, model.absolute_jacobian())], residual, noise_cov, missed)
-
-
-def _apply_terms(
-    belief: JointBelief,
-    terms: list[tuple[int, np.ndarray]],
-    residual: np.ndarray,
-    noise_cov: np.ndarray,
-    missed: AbstractSet[int],
-) -> tuple[JointBelief, Innovation]:
     n = len(belief.team)
     # P H' is one block column per measured robot; H P H' takes the measured
     # robots' rows of it, cross-covariance contributions included.
+    terms = [(row, np.array(jac)) for row, jac in zip(rows, jacobians)]
     pht = np.zeros((n, 3, 2))
-    for u, h_u in terms:
-        pht += belief.cov[:, :, belief.index[u], :] @ h_u.T
+    for row, h_u in terms:
+        pht += belief.cov[:, :, row, :] @ h_u.T
     innov_cov = np.asarray(noise_cov, dtype=float).copy()
-    for u, h_u in terms:
-        innov_cov += h_u @ pht[belief.index[u]]
+    for row, h_u in terms:
+        innov_cov += h_u @ pht[row]
     (s00, s01), (_, s11) = innov_cov.tolist()
     check_spd_2x2(s00, s01, s11)
 

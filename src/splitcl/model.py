@@ -16,9 +16,9 @@ Conventions shared by every estimator in the package:
 
 Each measurement model is defined once, on Python floats
 (:func:`relative_terms`, :func:`absolute_terms`): the split filter's
-server calls these kernels directly, and the array functions the
-centralized filter and the simulated truth use wrap them, so the two
-filters linearize with the same arithmetic.
+server and the centralized filter both call these kernels directly, so the
+two filters linearize with the same arithmetic. :func:`relative_position`,
+the one array wrapper, draws the simulated truth's measurements.
 
 The motion model steps a whole team through a whole stretch of time at
 once: :func:`propagate_pose`, the one motion kernel, takes the team's
@@ -270,26 +270,7 @@ def relative_position(observer_pose: np.ndarray, landmark_pose: np.ndarray) -> n
     return np.array(predicted)
 
 
-def relative_jacobians(observer_pose: np.ndarray, landmark_pose: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobians of :func:`relative_position` w.r.t. observer and landmark
-    pose (:func:`relative_terms`)."""
-    _, h_obs, h_lm = relative_terms(*observer_pose[:3], *landmark_pose[:2])
-    return np.array(h_obs), np.array(h_lm)
-
-
 def absolute_terms(x: float, y: float) -> tuple[tuple[float, float], tuple[_Row, _Row]]:
     """The absolute measurement of a robot at ``(x, y)``, on floats: the
     predicted value and the rows of its constant Jacobian."""
     return (x, y), ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
-
-
-def absolute_position(pose: np.ndarray) -> np.ndarray:
-    """World-frame position readout ``[x, y]`` (:func:`absolute_terms`)."""
-    predicted, _ = absolute_terms(pose[0], pose[1])
-    return np.array(predicted)
-
-
-def absolute_jacobian() -> np.ndarray:
-    """Constant Jacobian of :func:`absolute_position` (:func:`absolute_terms`)."""
-    _, h = absolute_terms(0.0, 0.0)
-    return np.array(h)

@@ -289,8 +289,8 @@ def innovation(
     from the two robots' ``H A``. The measured pair's arithmetic, a few
     hundred flops, runs on Python floats: the prediction and the Jacobians
     come from :func:`model.relative_terms` or :func:`model.absolute_terms`,
-    the float kernels behind the centralized filter's model functions, and
-    ``S`` is formed as its upper triangle, so it is exactly symmetric.
+    the float kernels the centralized filter's update calls too, and ``S``
+    is formed as its upper triangle, so it is exactly symmetric.
     Raises :class:`NumericalError` when ``S`` fails
     :func:`linalg.check_spd_2x2` or the arithmetic fails (a non-finite
     heading, say).

@@ -122,16 +122,14 @@ def dense_measurement_row(x, n, obs_idx, lm_idx):
     h_row = np.zeros((2, 3 * n))
     a = slice(3 * obs_idx, 3 * obs_idx + 3)
     if lm_idx is None:
-        h_obs = model.absolute_jacobian()
+        predicted, h_obs = model.absolute_terms(*x[a][:2])
         h_row[:, a] = h_obs
-        predicted = model.absolute_position(x[a])
     else:
         b = slice(3 * lm_idx, 3 * lm_idx + 3)
-        h_obs, h_lm = model.relative_jacobians(x[a], x[b])
+        predicted, h_obs, h_lm = model.relative_terms(*x[a], *x[b][:2])
         h_row[:, a] = h_obs
         h_row[:, b] = h_lm
-        predicted = model.relative_position(x[a], x[b])
-    return h_row, predicted
+    return h_row, np.array(predicted)
 
 
 def dense_update(x, p, z, noise_cov, obs_idx, lm_idx, missed_idx=()):

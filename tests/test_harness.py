@@ -56,6 +56,37 @@ def test_nees_mean_matches_a_per_step_loop_and_skips_flagged_runs(monkeypatch):
         np.testing.assert_allclose(report.nees_mean[name], want, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("jobs, n_runs, want_workers", [
+    (1, 3, None), (2, 3, 2), (64, 3, 3), (64, 1, None),
+], ids=["serial", "fewer-jobs", "more-jobs", "one-run"])
+def test_monte_carlo_pool_has_no_more_workers_than_runs(jobs, n_runs, want_workers, monkeypatch):
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    sc = Scenario(duration_s=2.0, meas_windows=(MeasurementWindow(0.5, 1.5, 1, 2),))
+    report = harness.run_monte_carlo(sc, n_runs, ESTIMATORS, seed=4, jobs=jobs)
+    serial = harness.run_monte_carlo(sc, n_runs, ESTIMATORS, seed=4)
+
+    assert pools == ([] if want_workers is None else [want_workers])
+    for name in ESTIMATORS:
+        np.testing.assert_array_equal(report.per_run_pos_err[name], serial.per_run_pos_err[name])
+        np.testing.assert_array_equal(report.rms_pos[name], serial.rms_pos[name])
+    assert report.events == serial.events
+
+
 @pytest.mark.parametrize("sc, message", [
     (Scenario(n_robots=1025, duration_s=1.0), "at most 1024"),
     (Scenario(dt_s=math.nan), "non-finite"),

@@ -75,7 +75,7 @@ class TestUpdate:
             belief = random_belief(rng, 3)
             meas = model.RelativeMeasurement(1, 3, rng.uniform(-2, 2, 2), belief.time)
             noise = np.eye(2) * 0.01
-            out, innov = joint_ekf.update(belief, meas, noise)
+            out, innov = joint_ekf.partial_update(belief, meas, noise)
             x, p = stack(belief)
             x_d, p_d, s_d, k_d = dense_update(x, p, meas.z, noise, 0, 2)
             unpack(out, x_d, p_d)
@@ -91,8 +91,9 @@ class TestUpdate:
         )
         meas = model.RelativeMeasurement(1, 2, np.zeros(2), 0)
         noise = np.eye(2) * 0.05
-        _, innov = joint_ekf.update(belief, meas, noise)
-        h_obs, h_lm = model.relative_jacobians(belief.mean[0], belief.mean[1])
+        _, innov = joint_ekf.partial_update(belief, meas, noise)
+        terms = model.relative_terms(*belief.mean[0], *belief.mean[1, :2])
+        _, h_obs, h_lm = map(np.array, terms)
         expected = (
             noise + h_obs @ belief.block(1, 1) @ h_obs.T + h_lm @ belief.block(2, 2) @ h_lm.T
         )
@@ -103,7 +104,7 @@ class TestUpdate:
         for _ in range(50):
             belief = random_belief(rng, 4)
             meas = model.RelativeMeasurement(2, 4, rng.uniform(-2, 2, 2), 0)
-            out, _ = joint_ekf.update(belief, meas, np.eye(2) * 0.02)
+            out, _ = joint_ekf.partial_update(belief, meas, np.eye(2) * 0.02)
             for i in belief.team:
                 assert np.trace(out.block(i, i)) <= np.trace(belief.block(i, i)) + 1e-12
 
@@ -111,7 +112,7 @@ class TestUpdate:
         belief = joint_ekf.JointBelief.initialize({1: np.zeros(3)}, {1: np.eye(3)})
         meas = model.RelativeMeasurement(1, 9, np.zeros(2), 0)
         with pytest.raises(ValueError):
-            joint_ekf.update(belief, meas, np.eye(2))
+            joint_ekf.partial_update(belief, meas, np.eye(2))
 
     def test_indefinite_innovation_raises(self):
         belief = joint_ekf.JointBelief.initialize(
@@ -123,28 +124,18 @@ class TestUpdate:
         belief.block(2, 2)[:] = -np.eye(3)
         meas = model.RelativeMeasurement(1, 2, np.zeros(2), 0)
         with pytest.raises(NumericalError):
-            joint_ekf.update(belief, meas, np.eye(2) * 1e-12)
+            joint_ekf.partial_update(belief, meas, np.eye(2) * 1e-12)
 
     def test_symmetry_preserved(self):
         rng = np.random.default_rng(15)
         belief = random_belief(rng, 3)
         meas = model.RelativeMeasurement(3, 1, rng.uniform(-1, 1, 2), 0)
-        out, _ = joint_ekf.update(belief, meas, np.eye(2) * 0.02)
+        out, _ = joint_ekf.partial_update(belief, meas, np.eye(2) * 0.02)
         joint = out.joint_matrix()
         np.testing.assert_array_equal(joint, joint.T)
 
 
 class TestPartialUpdate:
-    def test_empty_missed_identical_to_full(self):
-        rng = np.random.default_rng(16)
-        belief = random_belief(rng, 3)
-        meas = model.RelativeMeasurement(1, 2, rng.uniform(-1, 1, 2), 0)
-        noise = np.eye(2) * 0.01
-        full, _ = joint_ekf.update(belief, meas, noise)
-        part, _ = joint_ekf.partial_update(belief, meas, noise, missed=frozenset())
-        np.testing.assert_array_equal(full.mean, part.mean)
-        np.testing.assert_array_equal(full.cov, part.cov)
-
     def test_branch_structure_when_only_pair_updates(self):
         rng = np.random.default_rng(17)
         belief = random_belief(rng, 4)
@@ -172,12 +163,20 @@ class TestPartialUpdate:
             x_d, p_d, _, _ = dense_update(x, p, meas.z, noise, 1, 2, missed_idx=(3,))
             unpack(out, x_d, p_d)
 
-    def test_measuring_pair_must_be_reachable(self):
+    @pytest.mark.parametrize(
+        "meas, missed, reason",
+        [
+            (model.RelativeMeasurement(1, 2, np.zeros(2), 0), frozenset({2}), "received"),
+            (model.AbsoluteMeasurement(1, np.zeros(2), 0), frozenset({1, 3}), "received"),
+            (model.RelativeMeasurement(1, 4, np.zeros(2), 0), frozenset(), "not in team"),
+        ],
+        ids=["missed-landmark", "missed-absolute-observer", "robot-outside-team"],
+    )
+    def test_measuring_pair_must_be_reachable(self, meas, missed, reason):
         rng = np.random.default_rng(19)
         belief = random_belief(rng, 3)
-        meas = model.RelativeMeasurement(1, 2, np.zeros(2), 0)
-        with pytest.raises(ValueError):
-            joint_ekf.partial_update(belief, meas, np.eye(2), missed=frozenset({2}))
+        with pytest.raises(ValueError, match=reason):
+            joint_ekf.partial_update(belief, meas, np.eye(2), missed)
 
     def test_updated_trace_beats_randomly_perturbed_gains(self):
         # The chosen gain minimizes the posterior trace of the receiving
@@ -195,7 +194,8 @@ class TestPartialUpdate:
         x, p = stack(belief)
         m = len(updated)
         p_sub = p[: 3 * m, : 3 * m]
-        h_obs, h_lm = model.relative_jacobians(belief.mean[0], belief.mean[1])
+        terms = model.relative_terms(*belief.mean[0], *belief.mean[1, :2])
+        _, h_obs, h_lm = map(np.array, terms)
         h_row = np.zeros((2, 3 * m))
         h_row[:, 0:3] = h_obs
         h_row[:, 3:6] = h_lm
@@ -214,7 +214,7 @@ class TestAbsoluteUpdate:
         )
         z = np.array([1.5, -0.5])
         meas = model.AbsoluteMeasurement(1, z, 0)
-        out, _ = joint_ekf.absolute_update(belief, meas, np.eye(2) * 1e-12)
+        out, _ = joint_ekf.partial_update(belief, meas, np.eye(2) * 1e-12)
         np.testing.assert_allclose(out.mean[0, :2], z, atol=1e-5)
 
     def test_zero_correlation_touches_only_observer(self):
@@ -224,7 +224,7 @@ class TestAbsoluteUpdate:
             {1: np.eye(3) * 0.2, 2: np.eye(3) * 0.2},
         )
         meas = model.AbsoluteMeasurement(1, rng.uniform(-1, 1, 2), 0)
-        out, _ = joint_ekf.absolute_update(belief, meas, np.eye(2) * 0.01)
+        out, _ = joint_ekf.partial_update(belief, meas, np.eye(2) * 0.01)
         np.testing.assert_array_equal(out.mean[1], belief.mean[1])
         np.testing.assert_array_equal(out.block(2, 2), belief.block(2, 2))
 
@@ -234,7 +234,7 @@ class TestAbsoluteUpdate:
             belief = random_belief(rng, 3)
             meas = model.AbsoluteMeasurement(2, rng.uniform(-2, 2, 2), 0)
             noise = np.eye(2) * 0.01
-            out, _ = joint_ekf.absolute_update(belief, meas, noise)
+            out, _ = joint_ekf.partial_update(belief, meas, noise)
             x, p = stack(belief)
             x_d, p_d, _, _ = dense_update(x, p, meas.z, noise, 1, None)
             unpack(out, x_d, p_d)
@@ -327,7 +327,7 @@ class TestPartialUpdateProperties:
                 z = rng.uniform(-2, 2, 2)
                 if landmark is None:
                     meas = model.AbsoluteMeasurement(observer, z, belief.time)
-                    out, _ = joint_ekf.partial_absolute_update(belief, meas, noise, missed)
+                    out, _ = joint_ekf.partial_update(belief, meas, noise, missed)
                     lm_idx = None
                 else:
                     meas = model.RelativeMeasurement(observer, landmark, z, belief.time)

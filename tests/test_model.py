@@ -217,21 +217,21 @@ class TestRelativeMeasurementModel:
         np.testing.assert_allclose(model.relative_position(pa, pb), expected, atol=1e-15)
 
     def test_jacobian_identity_frame(self):
-        _, h_lm = model.relative_jacobians(np.zeros(3), np.array([1.0, 0.0, 0.0]))
+        _, _, h_lm = model.relative_terms(0.0, 0.0, 0.0, 1.0, 0.0)
         np.testing.assert_allclose(h_lm, [[1, 0, 0], [0, 1, 0]])
 
     def test_landmark_heading_column_is_zero(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
             pa, pb = rng.uniform(-5, 5, (2, 3))
-            _, h_lm = model.relative_jacobians(pa, pb)
-            np.testing.assert_array_equal(h_lm[:, 2], np.zeros(2))
+            _, _, h_lm = model.relative_terms(*pa, *pb[:2])
+            np.testing.assert_array_equal(np.array(h_lm)[:, 2], np.zeros(2))
 
     def test_jacobians_match_finite_differences(self):
         rng = np.random.default_rng(6)
         for _ in range(1000):
             pa, pb = rng.uniform(-5, 5, (2, 3))
-            h_obs, h_lm = model.relative_jacobians(pa, pb)
+            _, h_obs, h_lm = model.relative_terms(*pa, *pb[:2])
             fd_obs = np.column_stack([
                 central_diff(lambda p: model.relative_position(p, pb), pa, i)
                 for i in range(3)
@@ -246,25 +246,28 @@ class TestRelativeMeasurementModel:
 
 class TestAbsoluteMeasurementModel:
     def test_projection(self):
-        np.testing.assert_allclose(
-            model.absolute_position(np.array([2.0, 3.0, 1.1])), [2.0, 3.0]
-        )
+        predicted, _ = model.absolute_terms(2.0, 3.0)
+        assert predicted == (2.0, 3.0)
 
     def test_jacobian_constant(self):
         rng = np.random.default_rng(7)
-        expected = model.absolute_jacobian()
+        _, expected = model.absolute_terms(0.0, 0.0)
         for _ in range(20):
-            np.testing.assert_array_equal(model.absolute_jacobian(), expected)
+            _, h = model.absolute_terms(*rng.uniform(-5, 5, 2))
+            assert h == expected
 
     def test_jacobian_matches_finite_differences(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
             pose = rng.uniform(-5, 5, 3)
             fd = np.column_stack([
-                central_diff(model.absolute_position, pose, i, step=1e-5)
+                central_diff(
+                    lambda p: np.array(model.absolute_terms(*p[:2])[0]), pose, i, step=1e-5
+                )
                 for i in range(3)
             ])
-            np.testing.assert_allclose(model.absolute_jacobian(), fd, atol=1e-9)
+            _, h = model.absolute_terms(*pose[:2])
+            np.testing.assert_allclose(h, fd, atol=1e-9)
 
 
 class TestMeasurementRecords:

@@ -51,7 +51,7 @@ def build_stack(rng, n_robots, warmup_steps=20, warmup_pairs=()):
                 updates = server.handle_epoch(msgs, t)
                 for i, msg in updates.items():
                     nodes[i].apply_update(msg)
-                belief, _ = joint_ekf.update(
+                belief, _ = joint_ekf.partial_update(
                     belief, model.RelativeMeasurement(a, b, z, t), NOISE
                 )
     return ids, nodes, server, belief
@@ -212,7 +212,7 @@ class TestServerSingleMeasurement:
         assert all(m.kind == "single" for m in updates.values())
         for i, msg in updates.items():
             nodes[i].apply_update(msg)
-        belief, _ = joint_ekf.update(belief, model.RelativeMeasurement(3, 4, z, t), NOISE)
+        belief, _ = joint_ekf.partial_update(belief, model.RelativeMeasurement(3, 4, z, t), NOISE)
         assert_matches_belief(ids, nodes, belief)
 
     @pytest.mark.parametrize("pairs", [[(1, 2)], [(1, None)], [(1, 2), (3, 4)]],
@@ -439,8 +439,8 @@ class TestServerSequentialEpoch:
         for i, msg in updates.items():
             nodes[i].apply_update(msg)
         # same fixed ordering: ascending (observer, landmark)
-        belief, _ = joint_ekf.update(belief, model.RelativeMeasurement(1, 2, z12, t), NOISE)
-        belief, _ = joint_ekf.update(belief, model.RelativeMeasurement(3, 4, z34, t), NOISE)
+        belief, _ = joint_ekf.partial_update(belief, model.RelativeMeasurement(1, 2, z12, t), NOISE)
+        belief, _ = joint_ekf.partial_update(belief, model.RelativeMeasurement(3, 4, z34, t), NOISE)
         assert_matches_belief(ids, nodes, belief)
 
     def test_shared_robot_between_measurements_uses_fresh_linearization(self):
@@ -459,8 +459,8 @@ class TestServerSequentialEpoch:
         updates = server.handle_epoch(msgs, t)
         for i, msg in updates.items():
             nodes[i].apply_update(msg)
-        belief, _ = joint_ekf.update(belief, model.RelativeMeasurement(1, 2, z12, t), NOISE)
-        belief, _ = joint_ekf.update(belief, model.RelativeMeasurement(2, 3, z23, t), NOISE)
+        belief, _ = joint_ekf.partial_update(belief, model.RelativeMeasurement(1, 2, z12, t), NOISE)
+        belief, _ = joint_ekf.partial_update(belief, model.RelativeMeasurement(2, 3, z23, t), NOISE)
         assert_matches_belief(ids, nodes, belief)
 
     def test_missed_robot_keeps_propagated_state_partial_oracle_agrees(self):
@@ -548,7 +548,7 @@ class TestServerAbsolute:
         for i in (1, 3):
             np.testing.assert_array_equal(nodes[i].state.mean, before[i].mean)
 
-    def test_matches_joint_absolute_update(self):
+    def test_matches_joint_update_of_absolute_measurement(self):
         rng = np.random.default_rng(87)
         ids, nodes, server, belief = build_stack(rng, 3, warmup_pairs=[(1, 2)])
         t = nodes[1].time
@@ -556,7 +556,7 @@ class TestServerAbsolute:
         updates = server.handle_epoch([nodes[1].landmark_message(z=z)], t)
         for i, msg in updates.items():
             nodes[i].apply_update(msg)
-        belief, _ = joint_ekf.absolute_update(
+        belief, _ = joint_ekf.partial_update(
             belief, model.AbsoluteMeasurement(1, z, t), NOISE
         )
         assert_matches_belief(ids, nodes, belief)
@@ -573,7 +573,7 @@ class TestServerAbsolute:
         for i, msg in updates.items():
             nodes[i].apply_update(msg)
         assert not np.array_equal(nodes[2].state.mean, before2)
-        belief, _ = joint_ekf.absolute_update(
+        belief, _ = joint_ekf.partial_update(
             belief, model.AbsoluteMeasurement(1, z, t), NOISE
         )
         assert_matches_belief(ids, nodes, belief)
@@ -603,13 +603,13 @@ class TestSparseUpdateFrames:
             if b is None:
                 z = nodes[a].state.mean[:2] + rng.uniform(-0.1, 0.1, 2)
                 msgs.append(nodes[a].landmark_message(z=z))
-                belief, innov = joint_ekf.absolute_update(
+                belief, innov = joint_ekf.partial_update(
                     belief, model.AbsoluteMeasurement(a, z, t), NOISE
                 )
             else:
                 z = rng.uniform(-1, 1, 2)
                 msgs += [nodes[a].landmark_message(z=z, landmark=b), nodes[b].landmark_message()]
-                belief, innov = joint_ekf.update(
+                belief, innov = joint_ekf.partial_update(
                     belief, model.RelativeMeasurement(a, b, z, t), NOISE
                 )
             gained |= {i for i in ids if innov.gains[belief.index[i]].any()}
@@ -641,7 +641,7 @@ class TestServerScratchGate:
         ids, nodes, server, _ = build_stack(rng, 4)
         t = nodes[1].time
         s1, s2 = nodes[1].state, nodes[2].state
-        h1, _ = model.relative_jacobians(s1.mean, s2.mean)
+        h1 = np.array(model.relative_terms(*s1.mean, *s2.mean[:2])[1])
         null = np.linalg.svd(h1 @ split_ekf.shear(s1.jac_accum))[2][-1]
         planted = 1e3 * np.outer(null, [1.0, -1.0, 1.0])
         server.store.blocks[0, :, 1, :] = planted
@@ -735,7 +735,7 @@ class TestServerEpochProperty:
                 continue
             applied += 1
             if b is None:
-                belief, _ = joint_ekf.partial_absolute_update(
+                belief, _ = joint_ekf.partial_update(
                     belief, model.AbsoluteMeasurement(a, zs[a, b], t), NOISE, missed
                 )
             else:

@@ -132,7 +132,7 @@ class TestInnovation:
         noise = np.eye(2) * 0.02
         innov = split_ekf.innovation(states[1], states[2], store.factor(1, 2), z, noise)
         meas = model.RelativeMeasurement(1, 2, z, 0)
-        _, oracle = joint_ekf.update(belief, meas, noise)
+        _, oracle = joint_ekf.partial_update(belief, meas, noise)
         np.testing.assert_allclose(symmetric_2x2(innov.s), oracle.cov, atol=1e-12)
 
     def test_matches_joint_innovation_with_correlation(self):
@@ -144,7 +144,7 @@ class TestInnovation:
             noise = np.eye(2) * 0.02
             innov = split_ekf.innovation(states[2], states[3], store.factor(2, 3), z, noise)
             meas = model.RelativeMeasurement(2, 3, z, 0)
-            _, oracle = joint_ekf.update(belief, meas, noise)
+            _, oracle = joint_ekf.partial_update(belief, meas, noise)
             np.testing.assert_allclose(symmetric_2x2(innov.s), oracle.cov, atol=1e-10)
             np.testing.assert_allclose(innov.residual, oracle.residual, atol=1e-12)
 
@@ -212,7 +212,8 @@ class TestUpdateFactors:
         noise = np.eye(2) * 0.02
         innov = split_ekf.innovation(states[1], states[2], store.factor(1, 2), z, noise)
         factors = split_ekf.update_factors(store, innov)
-        h_obs, _ = model.relative_jacobians(states[1].mean, states[2].mean)
+        terms = model.relative_terms(*states[1].mean, *states[2].mean[:2])
+        h_obs = np.array(terms[1])
         expected = states[1].cov @ h_obs.T @ symmetric_2x2(innov.w)
         np.testing.assert_allclose(factors[store.index[1]], expected, atol=1e-12)
 
@@ -228,7 +229,7 @@ class TestUpdateFactors:
             innov = split_ekf.innovation(states[2], states[4], store.factor(2, 4), z, noise)
             factors = split_ekf.update_factors(store, innov)
             meas = model.RelativeMeasurement(2, 4, z, 0)
-            _, oracle = joint_ekf.update(belief, meas, noise)
+            _, oracle = joint_ekf.partial_update(belief, meas, noise)
             for i in belief.team:
                 gain = shear(states[i].jac_accum) @ factors[store.index[i]] @ symmetric_2x2(innov.w)
                 np.testing.assert_allclose(gain, oracle.gains[belief.index[i]], atol=GAIN_TOL)
@@ -242,7 +243,7 @@ class TestUpdateFactors:
         innov = split_ekf.innovation(states[1], states[3], store.factor(1, 3), z, noise)
         factors = split_ekf.update_factors(store, innov)
         meas = model.RelativeMeasurement(1, 3, z, 0)
-        _, oracle = joint_ekf.update(belief, meas, noise)
+        _, oracle = joint_ekf.partial_update(belief, meas, noise)
         d = {i: factors[store.index[i]] for i in belief.team}
         k = {i: oracle.gains[belief.index[i]] for i in belief.team}
         for i in belief.team:
@@ -271,7 +272,7 @@ class TestUpdateFactors:
             innov = split_ekf.innovation(states[2], states[3], store.factor(2, 3), z, noise)
             factors = split_ekf.update_factors(store, innov)
             meas = model.RelativeMeasurement(2, 3, z, 0)
-            _, oracle = joint_ekf.update(belief, meas, noise)
+            _, oracle = joint_ekf.partial_update(belief, meas, noise)
             for i in belief.team:
                 gain = shear(states[i].jac_accum) @ factors[store.index[i]] @ symmetric_2x2(innov.w)
                 np.testing.assert_allclose(gain, oracle.gains[belief.index[i]], atol=GAIN_TOL)
@@ -293,7 +294,7 @@ class TestFloatKernelsProperty:
     (1e-10 allowed); at 10 m both stay below 4e-14.
     """
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(
         n=st.integers(2, 5),
         seed=st.integers(0, 2**32 - 1),
@@ -421,7 +422,7 @@ class TestApplyUpdate:
             innov = split_ekf.innovation(states[1], states[2], store.factor(1, 2), z, noise)
             factors = split_ekf.update_factors(store, innov)
             meas = model.RelativeMeasurement(1, 2, z, 0)
-            updated, _ = joint_ekf.update(belief, meas, noise)
+            updated, _ = joint_ekf.partial_update(belief, meas, noise)
             for i in belief.team:
                 out = apply_frame(states[i], factors[store.index[i]], innov.white_residual)
                 np.testing.assert_allclose(out.mean, updated.mean[updated.index[i]], atol=GAIN_TOL)
@@ -619,7 +620,7 @@ class TestCrossFactorStore:
             for pos in range(n):
                 np.testing.assert_array_equal(store.blocks[pos, :, pos, :], np.zeros((3, 3)))
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(
         n=st.one_of(st.integers(2, 12), st.integers(2, 64), st.sampled_from([66, 68, 130])),
         seed=st.integers(0, 2**32 - 1),
@@ -717,7 +718,7 @@ class TestCrossFactorStore:
                         states[i], factors[store.index[i]], innov.white_residual
                     )
                 store.update(factors)
-                belief, _ = joint_ekf.update(
+                belief, _ = joint_ekf.partial_update(
                     belief, model.RelativeMeasurement(a, b, z, belief.time), noise
                 )
             recon = store.reconstruct(np.array([states[i].jac_accum for i in store.team]))

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from splitcl import harness, joint_ekf
 from splitcl.linalg import NumericalError
@@ -355,8 +355,15 @@ def whole_runs(draw):
     return sc
 
 
-# Two checks of a 20 s run take about 0.1 s per example.
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+# Two checks of a 20 s run take about 0.1 s per example. A failing example
+# is reported as drawn: shrinking it would rerun whole runs for minutes.
+@settings(
+    max_examples=25,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    phases=[p for p in Phase if p is not Phase.shrink],
+)
 @given(whole_runs())
 def test_random_whole_runs_match_the_centralized_filters(sc):
     truth = harness.simulate_truth(sc)
