@@ -34,7 +34,7 @@ from .model import (
 from .network import DeliveryReport, channel_epoch, gate_measurement
 from .protocol import CooperationServer, RobotNode
 from .scenario import Scenario, build_table1_scenario, random_scenario
-from .split_ekf import CrossFactorStore, SplitRobotState
+from .split_ekf import CrossFactorStore, SplitTeamState
 from .verify import check_dropout_equivalence, check_exact_equivalence
 
 __version__ = "0.1.0"
@@ -57,7 +57,7 @@ __all__ = [
     "RobotNode",
     "RunRecord",
     "Scenario",
-    "SplitRobotState",
+    "SplitTeamState",
     "UpdateMessage",
     "build_table1_scenario",
     "channel_epoch",

@@ -193,9 +193,7 @@ def delivery_reports(
 class RunRecord:
     """Per-timestep traces of one run for every requested estimator."""
 
-    times: np.ndarray
     truth: np.ndarray
-    controls_meas: np.ndarray
     estimates: dict[str, np.ndarray]
     covs: dict[str, np.ndarray | None]
     events: list[ProtocolEvent]
@@ -280,11 +278,8 @@ def run_once(
         covs[name] = cov
         flagged[name] = not bool(np.isfinite(est).all())
 
-    times = np.arange(sc.n_steps + 1) * sc.dt_s
     return RunRecord(
-        times=times,
         truth=real.truth,
-        controls_meas=real.controls_meas,
         estimates=estimates,
         covs=covs,
         events=[ev for name in wanted for ev in logs[name]],

@@ -22,14 +22,14 @@ the robots do not check them again.
 
 Multiple measurements in the same epoch are processed one at a time in a
 fixed order (ascending ``(observer, landmark)``, absolutes after relatives).
-The server keeps scratch copies of the reporting robots' states, stacked as
-one row per robot (``(k, 3)`` means, ``(k, 3, 3)`` covariances, ``(k, 2)``
-accumulated Jacobians), so later measurements in the epoch are linearized
-against already-corrected values. Each processed measurement corrects all
-rows in place with :func:`split_ekf.apply_update`, the call each robot
-makes on itself, given the measurement's single frame ``(r, D)``; the call
-forms each row's pair ``(D_i r, D_i D_i')`` on floats, so a row is bit for
-bit what its robot computes from that frame. Every row must pass its
+The server keeps shadow copies of the reporting robots' states, a
+:class:`split_ekf.SplitTeamState` of the senders with one row per robot, so
+later measurements in the epoch are linearized against already-corrected
+values. Each processed measurement corrects all rows in place with
+:func:`split_ekf.apply_update`, the call each robot makes on itself, given
+the measurement's single frame ``(r, D)``; the call forms each row's pair
+``(D_i r, D_i D_i')`` on floats, so a row is bit for bit what its robot
+computes from that frame. Every row must pass its
 check, or the measurement is skipped whole. The server sends each touched
 robot that frame or, after several measurements, one summed update
 message, the sum of its pairs over the epoch.
@@ -45,7 +45,7 @@ import numpy as np
 from . import split_ekf
 from .linalg import NumericalError
 from .messages import LandmarkMessage, ProtocolError, UpdateMessage
-from .split_ekf import CrossFactorStore, SplitRobotState, SplitTeamState
+from .split_ekf import CrossFactorStore, SplitTeamState
 
 EVENT_PAIR_UNREACHABLE = "PAIR_UNREACHABLE"
 EVENT_NUMERIC_S = "NUMERIC_S"
@@ -66,13 +66,13 @@ class ProtocolEvent:
 class RobotNode:
     """A robot's local protocol unit: report to the server, apply corrections.
 
-    Holds one :class:`SplitRobotState` (pose estimate, 3x3 covariance, the
-    accumulated Jacobian's 2-vector shear), independent of the team size.
-    A correction changes the state's mean and covariance in place. The
-    simulator advances the whole team, each split filter's copy a lane of
-    one :class:`split_ekf.SplitTeamState`, a segment between two epochs per
-    kernel call, and at an epoch wraps a robot's rows of its lane at the
-    segment's end in a node (:meth:`over`) to apply its
+    Holds its state as a :class:`split_ekf.SplitTeamState` of one row (pose
+    estimate, 3x3 covariance, the accumulated Jacobian's 2-vector shear),
+    independent of the team size. A correction changes the state's mean and
+    covariance in place. The simulator advances the whole team, each split
+    filter's copy a lane of one :class:`split_ekf.SplitTeamState`, a segment
+    between two epochs per kernel call, and at an epoch wraps a robot's view
+    of its lane at the segment's end in a node (:meth:`over`) to apply its
     :class:`UpdateMessage` there, in place. Only robots whose update factor
     is non-zero receive a message; for the others the correction would be
     an exact no-op. :meth:`step` is the same propagation for a node on its
@@ -82,11 +82,12 @@ class RobotNode:
     __slots__ = ("state",)
 
     def __init__(self, robot_id: int, mean: np.ndarray, cov: np.ndarray, time: int = 0):
-        self.state = SplitRobotState.initialize(robot_id, mean, cov, time)
+        self.state = SplitTeamState.initialize((robot_id,), mean, cov, time)
 
     @classmethod
-    def over(cls, state: SplitRobotState) -> "RobotNode":
-        """A node holding ``state`` as it is, e.g. a row of a team state."""
+    def over(cls, state: SplitTeamState) -> "RobotNode":
+        """A node holding the one-row ``state`` as it is, e.g. a robot's
+        view of a team state (:meth:`split_ekf.SplitTeamState.robot`)."""
         node = cls.__new__(cls)
         node.state = state
         return node
@@ -103,20 +104,19 @@ class RobotNode:
         ``controls`` are the ``(L, 2)`` measured velocities and
         ``noise_diags`` the ``(L, 2)`` process-noise diagonals
         ``[q_v, q_omega]`` of the steps (``L = 1`` for a single step). The
-        node is a team of one for :func:`split_ekf.propagate_team`, so it
-        gets exactly its row's arithmetic in a team, the closed-form
+        node's state is a team of one for :func:`split_ekf.propagate_team`,
+        so it gets exactly its row's arithmetic in a team, the closed-form
         covariances of the whole stretch included. Returns its row of the
         segment's block; the node keeps a copy of the block's last step as
         its state, which its corrections change.
         """
         s = self.state
-        alone = SplitTeamState.initialize((s.robot_id,), s.mean, s.cov, s.time)
-        alone.jac_accum[0] = s.jac_accum
         means, covs, accs = split_ekf.propagate_team(
-            alone, np.asarray(controls)[None], np.asarray(noise_diags)[None], dt
+            s, np.asarray(controls)[None], np.asarray(noise_diags)[None], dt
         )
-        mean, cov = means[0, -1].copy(), covs[-1, 0].copy()
-        self.state = SplitRobotState(s.robot_id, mean, cov, accs[0, -1], s.time + len(covs))
+        self.state = SplitTeamState(
+            s.team, s.index, means[:, -1].copy(), covs[-1].copy(), accs[:, -1], s.time + len(covs)
+        )
         return means[0], covs[:, 0], accs[0]
 
     def landmark_message(
@@ -127,12 +127,13 @@ class RobotNode:
         Called with ``z`` (and ``landmark`` for a relative measurement) when
         this robot observed, without arguments when it was observed.
         """
+        s = self.state
         return LandmarkMessage(
-            sender=self.state.robot_id,
-            time=self.state.time,
-            mean=self.state.mean.copy(),
-            cov=self.state.cov.copy(),
-            jac_accum=self.state.jac_accum.copy(),
+            sender=s.team[0],
+            time=s.time,
+            mean=s.mean[0].copy(),
+            cov=s.cov[0].copy(),
+            jac_accum=s.jac_accum[0].copy(),
             landmark=landmark,
             z=None if z is None else np.asarray(z, dtype=float).copy(),
         )
@@ -149,16 +150,12 @@ class RobotNode:
         for a payload with a non-finite entry and for a correction that
         fails its check.
         """
-        if msg.recipient != self.state.robot_id:
-            raise ProtocolError(
-                f"robot {self.state.robot_id} received update for {msg.recipient}"
-            )
+        (robot_id,) = self.state.team
+        if msg.recipient != robot_id:
+            raise ProtocolError(f"robot {robot_id} received update for {msg.recipient}")
         if msg.time != self.state.time:
             return False
-        s = self.state
-        split_ekf.apply_update(
-            (s.robot_id,), s.mean, s.cov, s.jac_accum, msg.residual_payload, msg.gain_payload
-        )
+        split_ekf.apply_update(self.state, msg.residual_payload, msg.gain_payload)
         return True
 
 
@@ -209,9 +206,10 @@ class CooperationServer:
         server are discarded with a logged event, as are measurements with
         a numerically invalid innovation.
 
-        The senders' scratch states are stacked rows, in the order of their
-        first messages. A measurement is linearized at the rows as the
-        earlier measurements left them, and corrects every row at once in
+        The senders' shadow states are the rows of one
+        :class:`split_ekf.SplitTeamState`, in the order of their first
+        messages. A measurement is linearized at the rows as the earlier
+        measurements left them, and corrects every row at once in
         :func:`split_ekf.apply_update`, given ``r`` and the rows' ``D``. A
         row that fails its check (the first in row order names the robot
         in the logged event) discards the measurement whole: no row, no
@@ -247,19 +245,19 @@ class CooperationServer:
         if not usable:
             return {}
 
-        # Scratch copies of the senders' states, one row per sender, in the
+        # Shadow copies of the senders' states, one row per sender, in the
         # order of their first messages. Every processed measurement corrects
         # all rows at once, so later ones are linearized at corrected values.
-        senders = list(snapshots)
-        rows = {rid: r for r, rid in enumerate(senders)}
+        senders = tuple(snapshots)
+        rows = SplitTeamState(
+            senders,
+            {rid: r for r, rid in enumerate(senders)},
+            np.array([snapshots[rid].mean for rid in senders]),
+            np.array([snapshots[rid].cov for rid in senders]),
+            np.array([snapshots[rid].jac_accum for rid in senders]),
+            time,
+        )
         sender_pos = np.array([self.store.index[rid] for rid in senders])
-        mean = np.array([snapshots[rid].mean for rid in senders])
-        cov = np.array([snapshots[rid].cov for rid in senders])
-        accs = np.array([snapshots[rid].jac_accum for rid in senders])
-
-        def scratch(rid: int) -> SplitRobotState:
-            r = rows[rid]
-            return SplitRobotState(rid, mean[r], cov[r], accs[r], time)
 
         touched = np.zeros(len(self.team), dtype=bool)
         singles: list[tuple[np.ndarray, np.ndarray]] = []
@@ -268,28 +266,17 @@ class CooperationServer:
         # the checks then refuse the result.
         with np.errstate(over="ignore", invalid="ignore"):
             for m in usable:
-                a = m.sender
-                observer = scratch(a)
-                if m.landmark is None:
-                    landmark = None
-                    cross = None
-                else:
-                    landmark = scratch(m.landmark)
-                    cross = self.store.factor(a, m.landmark)
+                a, b = m.sender, m.landmark
+                cross = None if b is None else self.store.factor(a, b)
                 try:
-                    innov = split_ekf.innovation(
-                        observer, landmark, cross, m.z, self.meas_noise_cov
-                    )
+                    innov = split_ekf.innovation(rows, a, b, cross, m.z, self.meas_noise_cov)
                     factors = split_ekf.update_factors(self.store, innov)
-                    split_ekf.apply_update(
-                        senders, mean, cov, accs, innov.white_residual, factors[sender_pos]
-                    )
+                    split_ekf.apply_update(rows, innov.white_residual, factors[sender_pos])
                 except NumericalError as exc:
-                    # Skip the measurement atomically: neither the scratch
+                    # Skip the measurement atomically: neither the shadow
                     # rows nor the store absorb any part of it.
                     self.events.append(ProtocolEvent(
-                        time, EVENT_NUMERIC_S,
-                        f"observer={a} landmark={m.landmark} reason={exc}",
+                        time, EVENT_NUMERIC_S, f"observer={a} landmark={b} reason={exc}",
                     ))
                     continue
                 # The store returns the robots with a non-zero D_i: the only

@@ -72,54 +72,22 @@ from .model import shear
 
 
 @dataclass(slots=True)
-class SplitRobotState:
-    """Everything a robot stores: O(1) in the team size.
-
-    ``jac_accum`` ``(2,)`` is the translation of ``A = shear(jac_accum)``,
-    the product of the robot's motion Jacobians since the start of the run;
-    it is zero at time zero and is never changed by measurement updates.
-    """
-
-    robot_id: int
-    mean: np.ndarray
-    cov: np.ndarray
-    jac_accum: np.ndarray
-    time: int = 0
-
-    @classmethod
-    def initialize(
-        cls, robot_id: int, mean: np.ndarray, cov: np.ndarray, time: int = 0
-    ) -> "SplitRobotState":
-        return cls(
-            robot_id=robot_id,
-            mean=np.asarray(mean, dtype=float).copy(),
-            cov=np.asarray(cov, dtype=float).copy(),
-            jac_accum=np.zeros(2),
-            time=time,
-        )
-
-    def copy(self) -> "SplitRobotState":
-        return SplitRobotState(
-            robot_id=self.robot_id,
-            mean=self.mean.copy(),
-            cov=self.cov.copy(),
-            jac_accum=self.jac_accum.copy(),
-            time=self.time,
-        )
-
-
-@dataclass(slots=True)
 class SplitTeamState:
-    """The local states of a whole team, stacked in team order.
+    """The local states of robots ``team``, one row per robot, in team order.
 
     Row ``index[i]`` of ``mean`` ``(N, 3)``, ``cov`` ``(N, 3, 3)`` and
-    ``jac_accum`` ``(N, 2)`` is robot ``i``'s :class:`SplitRobotState`;
-    the robots share one ``time``. Each row is still one robot's O(1)
-    state: stacking only lets :func:`propagate_team` advance every robot
-    through a segment with one kernel call, with the same arithmetic per
-    robot as for a team of one. Several filters' copies of one team can
-    share a stack as lanes (:func:`harness.split_steps`): lane ``e`` holds
-    rows ``e N .. (e + 1) N``, its robot ``i`` at ``e N + index[i]``.
+    ``jac_accum`` ``(N, 2)`` is everything robot ``i`` stores, O(1) in the
+    team size; the robots share one ``time``. ``jac_accum`` holds the
+    translation of ``A = shear(jac_accum)``, the product of the robot's
+    motion Jacobians since the start of the run: zero at time zero, and
+    never changed by a measurement update. A robot on its own holds a team
+    of one (:class:`protocol.RobotNode`), and the server's shadow copies of
+    an epoch's senders are a team of those senders. Stacking lets
+    :func:`propagate_team` advance every robot through a segment with one
+    kernel call, with the same arithmetic per robot as for a team of one.
+    Several filters' copies of one team can share a stack as lanes
+    (:func:`harness.split_steps`): lane ``e`` holds rows ``e N .. (e + 1) N``,
+    its robot ``i`` at ``e N + index[i]``.
     """
 
     team: tuple[int, ...]
@@ -146,11 +114,14 @@ class SplitTeamState:
             time=time,
         )
 
-    def robot(self, robot_id: int) -> SplitRobotState:
-        """Robot ``robot_id``'s state; its arrays are views of the team rows."""
+    def robot(self, robot_id: int) -> "SplitTeamState":
+        """Robot ``robot_id`` as a team of one whose arrays are views of its
+        rows: a correction of the view writes those rows and no other."""
         a = self.index[robot_id]
-        return SplitRobotState(
-            robot_id, self.mean[a], self.cov[a], self.jac_accum[a], self.time
+        rows = slice(a, a + 1)
+        return SplitTeamState(
+            (robot_id,), {robot_id: 0},
+            self.mean[rows], self.cov[rows], self.jac_accum[rows], self.time,
         )
 
 
@@ -243,18 +214,19 @@ class WhitenedInnovation:
 
 
 def _project(
-    state: SplitRobotState, h0: tuple[float, float, float], h1: tuple[float, float, float]
+    rows: SplitTeamState, a: int, h0: tuple[float, float, float], h1: tuple[float, float, float]
 ) -> tuple[Pairs, Pairs, tuple[float, float, float]]:
     """``A^-1 P H'``, ``(H A)'`` and the upper triangle of ``H P H'`` for
-    one robot and the rows ``h0``, ``h1`` of its measurement Jacobian ``H``.
+    the robot at row ``a`` of ``rows`` and the rows ``h0``, ``h1`` of its
+    measurement Jacobian ``H``.
 
     ``P`` is read from the upper triangle of the robot's covariance. For
     the shear ``A`` of translation ``s``, ``H A`` is ``H`` with
     ``H[:, :2] s`` added to its heading column, and ``A^-1 P H'`` is
     ``P H'`` less ``s`` times its heading row in its position rows.
     """
-    (p00, p01, p02), (_, p11, p12), (_, _, p22) = state.cov.tolist()
-    sx, sy = state.jac_accum.tolist()
+    (p00, p01, p02), (_, p11, p12), (_, _, p22) = rows.cov[a].tolist()
+    sx, sy = rows.jac_accum[a].tolist()
     a0, a1, a2 = h0
     b0, b1, b2 = h1
     t00 = p00 * a0 + p01 * a1 + p02 * a2
@@ -274,14 +246,16 @@ def _project(
 
 
 def innovation(
-    observer: SplitRobotState,
-    landmark: SplitRobotState | None,
+    rows: SplitTeamState,
+    observer: int,
+    landmark: int | None,
     cross_factor: np.ndarray | None,
     z: np.ndarray,
     noise_cov: np.ndarray,
 ) -> WhitenedInnovation:
     """Innovation of a relative (or, with ``landmark=None``, absolute) measurement.
 
+    The measured robots' states are read from ``rows`` by id.
     ``cross_factor`` is the server's ``C_ab`` block oriented
     (observer, landmark); the observer-landmark cross covariance is
     reconstructed from it, so the result matches the centralized filter's
@@ -295,26 +269,24 @@ def innovation(
     :func:`linalg.check_spd_2x2` or the arithmetic fails (a non-finite
     heading, say).
     """
-    if landmark is not None and observer.time != landmark.time:
-        raise ValueError(
-            f"states are at different timesteps ({observer.time} vs {landmark.time})"
-        )
     if landmark is not None and cross_factor is None:
         raise ValueError("relative measurements need the pair's cross factor")
     (n00, n01), (_, n11) = np.asarray(noise_cov, dtype=float).tolist()
     z0, z1 = np.asarray(z, dtype=float).tolist()
-    x, y, heading = observer.mean.tolist()
+    a = rows.index[observer]
+    x, y, heading = rows.mean[a].tolist()
     try:
         if landmark is None:
             (p0, p1), h_obs = model.absolute_terms(x, y)
-            own, hat, (s00, s01, s11) = _project(observer, *h_obs)
-            measured = ((observer.robot_id, own, hat),)
+            own, hat, (s00, s01, s11) = _project(rows, a, *h_obs)
+            measured = ((observer, own, hat),)
         else:
-            xb, yb, _ = landmark.mean.tolist()
+            b = rows.index[landmark]
+            xb, yb, _ = rows.mean[b].tolist()
             (p0, p1), h_obs, h_lm = model.relative_terms(x, y, heading, xb, yb)
-            own, hat, (a00, a01, a11) = _project(observer, *h_obs)
-            own_b, hat_b, (b00, b01, b11) = _project(landmark, *h_lm)
-            measured = ((observer.robot_id, own, hat), (landmark.robot_id, own_b, hat_b))
+            own, hat, (a00, a01, a11) = _project(rows, a, *h_obs)
+            own_b, hat_b, (b00, b01, b11) = _project(rows, b, *h_lm)
+            measured = ((observer, own, hat), (landmark, own_b, hat_b))
             # (H_a A_a) C_ab (H_b A_b)': C_ab times (H_b A_b)' first.
             (u0, v0), (u1, v1), (u2, v2) = hat
             (x0, y0), (x1, y1), (x2, y2) = hat_b
@@ -469,18 +441,9 @@ def correction(factors: np.ndarray, white_residual: np.ndarray) -> tuple[np.ndar
     return factors @ white_residual, factors @ factors.swapaxes(-1, -2)
 
 
-def apply_update(
-    robot_ids: Sequence[int],
-    mean: np.ndarray,
-    cov: np.ndarray,
-    jac_accum: np.ndarray,
-    residual: np.ndarray,
-    gain: np.ndarray,
-) -> None:
-    """Correct ``mean`` to ``mean + A v`` and ``cov`` to ``cov - A M A'`` in
-    place, for one robot (``(3,)``, ``(3, 3)`` and ``(2,)`` arrays) or ``k``
-    stacked rows, with ``A = shear(jac_accum)`` and one id in
-    ``robot_ids`` per row.
+def apply_update(rows: SplitTeamState, residual: np.ndarray, gain: np.ndarray) -> None:
+    """Correct every row of ``rows`` in place, its ``mean`` to ``mean + A v``
+    and its ``cov`` to ``cov - A M A'``, with ``A = shear(jac_accum)``.
 
     ``residual`` and ``gain`` are a frame's payloads: a summed frame's pair
     ``(v, M)`` per row, or a single frame's ``(r, D)``, one residual for all
@@ -497,17 +460,17 @@ def apply_update(
     single = gain.shape[-1] == 2
     gains = gain.reshape(-1, 6 if single else 9).tolist()
     vecs = [residual.tolist()] * len(gains) if single else residual.reshape(-1, 3).tolist()
-    rows = zip(
-        robot_ids,
-        mean.reshape(-1, 3).tolist(),
-        cov.reshape(-1, 9).tolist(),
-        jac_accum.reshape(-1, 2).tolist(),
+    entries = zip(
+        rows.team,
+        rows.mean.tolist(),
+        rows.cov.reshape(-1, 9).tolist(),
+        rows.jac_accum.tolist(),
         vecs,
         gains,
     )
     means: list[float] = []
     covs: list[float] = []
-    for rid, (x, y, h), p, (sx, sy), v, g in rows:
+    for rid, (x, y, h), p, (sx, sy), v, g in entries:
         if not math.isfinite(sum(v) + sum(g)):
             raise NumericalError(f"update for robot {rid} has a non-finite payload")
         p00, p01, p02, _, p11, p12, _, _, p22 = p
@@ -535,5 +498,5 @@ def apply_update(
             raise NumericalError(f"update gave robot {rid} a non-finite mean step")
         means += (x + s0, y + s1, h + v2)
         covs += (c00, c01, c02, c01, c11, c12, c02, c12, c22)
-    mean.flat = means
-    cov.flat = covs
+    rows.mean.flat = means
+    rows.cov.flat = covs

@@ -7,6 +7,8 @@ batching or masking bug in the implementations under test shows up as a
 mismatch.
 """
 
+import copy
+
 import numpy as np
 
 from splitcl import joint_ekf, model, split_ekf
@@ -82,25 +84,37 @@ def assert_robotwise_close(got, want, rtol=ROBOTWISE_RTOL):
     assert (diff <= bound).all(), f"robotwise deviation {diff} exceeds {bound}"
 
 
+def stack_rows(states):
+    """One :class:`SplitTeamState` of the rows of ``states``, in their order,
+    at the first one's time; the arrays are copies."""
+    team = tuple(rid for state in states for rid in state.team)
+    return SplitTeamState(
+        team,
+        {rid: a for a, rid in enumerate(team)},
+        np.concatenate([s.mean for s in states]),
+        np.concatenate([s.cov for s in states]),
+        np.concatenate([s.jac_accum for s in states]),
+        states[0].time,
+    )
+
+
 def apply_frame(state, factor, white_residual):
     """``state`` after a single frame ``(r, D)``, applied as a robot does:
     the frame's payloads through :func:`split_ekf.apply_update`, which
     expands the pair ``(D r, D D')`` on floats; ``state`` is left as it is."""
-    out = state.copy()
-    split_ekf.apply_update(
-        (out.robot_id,), out.mean, out.cov, out.jac_accum, white_residual, factor
-    )
+    out = copy.deepcopy(state)
+    split_ekf.apply_update(out, white_residual, factor)
     return out
 
 
 def gain_form_update(state, factor, white_residual):
     """The robot's former single-frame arithmetic, kept as the reference for
-    :func:`apply_frame`: with the gain ``G = A D``, formed as ``D`` with
-    ``s`` times its heading row added to its position rows, the corrected
-    mean ``mean + G r`` and covariance ``cov - G G'``."""
+    :func:`apply_frame`, for a one-row ``state``: with the gain ``G = A D``,
+    formed as ``D`` with ``s`` times its heading row added to its position
+    rows, the corrected mean ``mean + G r`` and covariance ``cov - G G'``."""
     gain = factor.copy()
-    gain[:2] += state.jac_accum[:, None] * factor[2]
-    return state.mean + gain @ white_residual, state.cov - gain @ gain.T
+    gain[:2] += state.jac_accum[0, :, None] * factor[2]
+    return state.mean[0] + gain @ white_residual, state.cov[0] - gain @ gain.T
 
 
 def dense_propagate(x, p, controls, noises, dt):

@@ -1,5 +1,6 @@
 """Robot node and server behavior, checked against the centralized filter."""
 
+import copy
 import struct
 
 import numpy as np
@@ -16,7 +17,7 @@ from splitcl.protocol import (
     RobotNode,
 )
 
-from dense_oracle import apply_frame, cross_blocks, joint_step
+from dense_oracle import apply_frame, cross_blocks, joint_step, stack_rows
 
 NOISE = np.eye(2) * 0.02
 EQUIV_TOL = 1e-8
@@ -59,8 +60,13 @@ def build_stack(rng, n_robots, warmup_steps=20, warmup_pairs=()):
 
 def assert_matches_belief(ids, nodes, belief, tol=EQUIV_TOL):
     for i in ids:
-        np.testing.assert_allclose(nodes[i].state.mean, belief.mean[belief.index[i]], atol=tol)
-        np.testing.assert_allclose(nodes[i].state.cov, belief.block(i, i), atol=tol)
+        np.testing.assert_allclose(nodes[i].state.mean[0], belief.mean[belief.index[i]], atol=tol)
+        np.testing.assert_allclose(nodes[i].state.cov[0], belief.block(i, i), atol=tol)
+
+
+def jac_accums(ids, nodes):
+    """The nodes' accumulated Jacobians ``(N, 2)``, in the order of ``ids``."""
+    return np.concatenate([nodes[i].state.jac_accum for i in ids])
 
 
 class TestRobotNode:
@@ -69,7 +75,7 @@ class TestRobotNode:
         node = RobotNode(1, rng.uniform(-1, 1, 3), np.eye(3) * 0.1)
         controls = rng.uniform(-1, 1, (5, 2))
         q = np.full((5, 2), 0.01)
-        alone = split_ekf.SplitTeamState.initialize((1,), node.state.mean, node.state.cov)
+        alone = copy.deepcopy(node.state)
         means, covs, accs = split_ekf.propagate_team(alone, controls[None], q[None], 0.1)
         block = node.step(controls, q, 0.1)
         for got, want in zip(block, (means[0], covs[:, 0], accs[0]), strict=True):
@@ -78,7 +84,7 @@ class TestRobotNode:
         # The node keeps the last step.
         assert node.time == 5
         for got, rows in zip((node.state.mean, node.state.cov, node.state.jac_accum), block):
-            np.testing.assert_array_equal(got, rows[-1])
+            np.testing.assert_array_equal(got, rows[-1:])
 
     def test_landmark_message_mirrors_state(self):
         rng = np.random.default_rng(71)
@@ -86,9 +92,9 @@ class TestRobotNode:
         node.step(np.array([[0.3, 0.0]]), np.array([[0.01, 0.01]]), 0.1)
         msg = node.landmark_message(z=np.array([1.0, 2.0]), landmark=4)
         assert msg.sender == 2 and msg.time == 1 and msg.landmark == 4
-        np.testing.assert_array_equal(msg.mean, node.state.mean)
-        np.testing.assert_array_equal(msg.cov, node.state.cov)
-        np.testing.assert_array_equal(msg.jac_accum, node.state.jac_accum)
+        np.testing.assert_array_equal(msg.mean, node.state.mean[0])
+        np.testing.assert_array_equal(msg.cov, node.state.cov[0])
+        np.testing.assert_array_equal(msg.jac_accum, node.state.jac_accum[0])
         plain = node.landmark_message()
         assert plain.z is None and plain.landmark is None
 
@@ -171,7 +177,7 @@ class TestRobotNode:
         else:
             sound = {"residual_payload": np.ones(3), "gain_payload": np.eye(3) * 1e-3}
         before = node.state
-        saved = before.copy()
+        saved = copy.deepcopy(before)
         for pos in np.ndindex(sound[payload].shape):
             payloads = {k: v.copy() for k, v in sound.items()}
             payloads[payload][pos] = value
@@ -183,12 +189,49 @@ class TestRobotNode:
                 np.testing.assert_array_equal(getattr(node.state, name), getattr(saved, name))
         assert node.apply_update(UpdateMessage(1, node.time, kind, **sound))
 
+    @pytest.mark.parametrize("kind", ["single", "summed"])
+    def test_correction_over_a_team_row_writes_that_row_only(self, kind):
+        # The in-place epoch corrects a robot through a node over its view of
+        # its lane (split_steps): lane 1 of a two-lane stack of robots 2, 5
+        # and 7. The frame must land in robot 5's row of that lane, bit for
+        # bit what a node holding a copy computes, and leave every other row
+        # of the stack as it was.
+        rng = np.random.default_rng(93)
+        ids = (2, 5, 7)
+        mean = rng.uniform(-1, 1, (6, 3))
+        cov = np.tile(np.eye(3) * 0.1, (6, 1, 1))
+        accs = rng.uniform(-2, 2, (6, 2))
+        lane = split_ekf.SplitTeamState(
+            ids, {rid: a for a, rid in enumerate(ids)}, mean[3:], cov[3:], accs[3:], 4
+        )
+        if kind == "single":
+            msg = UpdateMessage(5, 4, kind, rng.standard_normal(2), np.full((3, 2), 0.05))
+        else:
+            msg = UpdateMessage(5, 4, kind, rng.standard_normal(3), np.eye(3) * 0.01)
+        view = lane.robot(5)
+        assert view.team == (5,) and view.time == 4
+        assert all(map(np.shares_memory, (view.mean, view.cov), (mean, cov)))
+        alone = RobotNode.over(copy.deepcopy(view))
+        before = mean.copy(), cov.copy(), accs.copy()
+
+        assert RobotNode.over(view).apply_update(msg)
+        assert alone.apply_update(msg)
+        row = 3 + lane.index[5]
+        np.testing.assert_array_equal(mean[row:row + 1], alone.state.mean)
+        np.testing.assert_array_equal(cov[row:row + 1], alone.state.cov)
+        assert not np.array_equal(mean[row], before[0][row])
+        others = np.arange(6) != row
+        np.testing.assert_array_equal(mean[others], before[0][others])
+        np.testing.assert_array_equal(cov[others], before[1][others])
+        np.testing.assert_array_equal(accs, before[2])
+
     def test_storage_is_constant_in_team_size(self):
         node = RobotNode(1, np.zeros(3), np.eye(3))
         assert node.__slots__ == ("state",)
-        assert node.state.mean.shape == (3,)
-        assert node.state.cov.shape == (3, 3)
-        assert node.state.jac_accum.shape == (2,)
+        assert node.state.team == (1,)
+        assert node.state.mean.shape == (1, 3)
+        assert node.state.cov.shape == (1, 3, 3)
+        assert node.state.jac_accum.shape == (1, 2)
 
 
 class TestServerSingleMeasurement:
@@ -235,24 +278,24 @@ class TestServerSingleMeasurement:
         shadows = []
         original = split_ekf.apply_update
 
-        def recording(robot_ids, mean, cov, jac_accum, residual, gain):
-            original(robot_ids, mean, cov, jac_accum, residual, gain)
-            shadows.append((list(robot_ids), residual, gain, mean.copy(), cov.copy()))
+        def recording(rows, residual, gain):
+            original(rows, residual, gain)
+            shadows.append((rows.team, residual, gain, rows.mean.copy(), rows.cov.copy()))
 
         monkeypatch.setattr(split_ekf, "apply_update", recording)
         updates = server.handle_epoch(msgs, t)
         monkeypatch.undo()
         assert server.events == []
         assert len(shadows) == len(pairs)
-        senders = [m.sender for m in msgs]
+        senders = tuple(m.sender for m in msgs)
         assert set(senders) <= set(updates)
         for row, i in enumerate(senders):
-            alone = RobotNode.over(nodes[i].state.copy())
-            for robot_ids, residual, gain, means, covs in shadows:
-                assert robot_ids == senders and gain.shape == (len(senders), 3, 2)
+            alone = RobotNode.over(copy.deepcopy(nodes[i].state))
+            for team, residual, gain, means, covs in shadows:
+                assert team == senders and gain.shape == (len(senders), 3, 2)
                 assert alone.apply_update(UpdateMessage(i, t, "single", residual, gain[row]))
-                np.testing.assert_array_equal(alone.state.mean, means[row])
-                np.testing.assert_array_equal(alone.state.cov, covs[row])
+                np.testing.assert_array_equal(alone.state.mean[0], means[row])
+                np.testing.assert_array_equal(alone.state.cov[0], covs[row])
             assert nodes[i].apply_update(updates[i])
             if len(pairs) == 1:
                 assert updates[i].kind == "single"
@@ -306,7 +349,7 @@ class TestServerSingleMeasurement:
         rng = np.random.default_rng(81)
         ids, nodes, server, _ = build_stack(rng, 3, warmup_pairs=[(1, 2)])
         t = nodes[1].time
-        state_a, state_b = nodes[1].state, nodes[2].state
+        state_a, state_b = nodes[1].landmark_message(), nodes[2].landmark_message()
         msg_a = LandmarkMessage(
             1, t, state_a.mean, np.full((3, 3), 1e300), state_a.jac_accum, 2, np.zeros(2)
         )
@@ -349,7 +392,7 @@ class TestServerSingleMeasurement:
         rng = np.random.default_rng(90)
         ids, nodes, server, _ = build_stack(rng, 3, warmup_pairs=[(1, 2)])
         t = nodes[1].time
-        state = nodes[2].state
+        state = nodes[2].landmark_message()
         cov = state.cov.copy()
         cov[0, 2] = cov[2, 0] = 1e200
         msgs = [
@@ -370,7 +413,7 @@ class TestServerSingleMeasurement:
         rng = np.random.default_rng(89)
         ids, nodes, server, _ = build_stack(rng, 3, warmup_pairs=[(1, 2)])
         t = nodes[1].time
-        state = nodes[1].state
+        state = nodes[1].landmark_message()
         mean = state.mean.copy()
         mean[2] = heading
         msgs = [
@@ -470,7 +513,7 @@ class TestServerSequentialEpoch:
         missed = frozenset({4})
         z = rng.uniform(-1, 1, 2)
         msgs = [nodes[1].landmark_message(z=z, landmark=2), nodes[2].landmark_message()]
-        before4 = nodes[4].state.copy()
+        before4 = copy.deepcopy(nodes[4].state)
         updates = server.handle_epoch(msgs, t, missed=missed)
         for i, msg in updates.items():
             if i not in missed:
@@ -512,7 +555,7 @@ class TestServerSequentialEpoch:
                 belief, model.RelativeMeasurement(a, b, z, t), NOISE, missed
             )
         assert_matches_belief(ids, nodes, belief)
-        recon = server.store.reconstruct(np.array([nodes[i].state.jac_accum for i in ids]))
+        recon = server.store.reconstruct(jac_accums(ids, nodes))
         np.testing.assert_allclose(cross_blocks(recon), cross_blocks(belief.cov), atol=EQUIV_TOL)
 
     def test_store_rows_of_missed_robot_still_updated(self):
@@ -528,7 +571,7 @@ class TestServerSequentialEpoch:
         belief, _ = joint_ekf.partial_update(
             belief, model.RelativeMeasurement(1, 2, z, t), NOISE, frozenset({4})
         )
-        recon = server.store.reconstruct(np.array([nodes[i].state.jac_accum for i in ids]))
+        recon = server.store.reconstruct(jac_accums(ids, nodes))
         np.testing.assert_allclose(cross_blocks(recon), cross_blocks(belief.cov), atol=EQUIV_TOL)
 
 
@@ -537,9 +580,9 @@ class TestServerAbsolute:
         rng = np.random.default_rng(86)
         ids, nodes, server, belief = build_stack(rng, 3)
         t = nodes[1].time
-        z = nodes[2].state.mean[:2] + rng.uniform(-0.1, 0.1, 2)
+        z = nodes[2].state.mean[0, :2] + rng.uniform(-0.1, 0.1, 2)
         msg = nodes[2].landmark_message(z=z)
-        before = {i: nodes[i].state.copy() for i in ids}
+        before = {i: copy.deepcopy(nodes[i].state) for i in ids}
         updates = server.handle_epoch([msg], t)
         assert set(updates) == {2}
         for i, msg in updates.items():
@@ -601,7 +644,7 @@ class TestSparseUpdateFrames:
         before_belief = belief
         for a, b in self.EPOCHS[kind]:
             if b is None:
-                z = nodes[a].state.mean[:2] + rng.uniform(-0.1, 0.1, 2)
+                z = nodes[a].state.mean[0, :2] + rng.uniform(-0.1, 0.1, 2)
                 msgs.append(nodes[a].landmark_message(z=z))
                 belief, innov = joint_ekf.partial_update(
                     belief, model.AbsoluteMeasurement(a, z, t), NOISE
@@ -613,7 +656,7 @@ class TestSparseUpdateFrames:
                     belief, model.RelativeMeasurement(a, b, z, t), NOISE
                 )
             gained |= {i for i in ids if innov.gains[belief.index[i]].any()}
-        before = {i: nodes[i].state.copy() for i in ids}
+        before = {i: copy.deepcopy(nodes[i].state) for i in ids}
 
         updates = server.handle_epoch(msgs, t)
         assert set(updates) == gained
@@ -640,15 +683,15 @@ class TestServerScratchGate:
         rng = np.random.default_rng(92)
         ids, nodes, server, _ = build_stack(rng, 4)
         t = nodes[1].time
-        s1, s2 = nodes[1].state, nodes[2].state
-        h1 = np.array(model.relative_terms(*s1.mean, *s2.mean[:2])[1])
-        null = np.linalg.svd(h1 @ split_ekf.shear(s1.jac_accum))[2][-1]
+        rows = stack_rows([nodes[1].state, nodes[2].state])
+        h1 = np.array(model.relative_terms(*rows.mean[0], *rows.mean[1, :2])[1])
+        null = np.linalg.svd(h1 @ split_ekf.shear(rows.jac_accum[0]))[2][-1]
         planted = 1e3 * np.outer(null, [1.0, -1.0, 1.0])
         server.store.blocks[0, :, 1, :] = planted
         server.store.blocks[1, :, 0, :] = planted.T
         z12, z34 = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
         # The innovation alone passes its check.
-        split_ekf.innovation(s1, s2, server.store.factor(1, 2), z12, NOISE)
+        split_ekf.innovation(rows, 1, 2, server.store.factor(1, 2), z12, NOISE)
 
         sound = CooperationServer(ids, NOISE)
         sound.store = server.store.copy()
@@ -712,7 +755,7 @@ class TestServerEpochProperty:
         msgs = []
         for a, b in measurements:
             if b is None:
-                zs[a, b] = nodes[a].state.mean[:2] + rng.uniform(-0.2, 0.2, 2)
+                zs[a, b] = nodes[a].state.mean[0, :2] + rng.uniform(-0.2, 0.2, 2)
             else:
                 zs[a, b] = rng.uniform(-1, 1, 2)
             msgs.append(nodes[a].landmark_message(z=zs[a, b], landmark=b))
@@ -745,5 +788,5 @@ class TestServerEpochProperty:
         assert bool(updates) == (applied > 0)
         assert {m.kind for m in updates.values()} <= {"single" if applied == 1 else "summed"}
         assert_matches_belief(ids, nodes, belief, tol=1e-10)
-        recon = server.store.reconstruct(np.array([nodes[i].state.jac_accum for i in ids]))
+        recon = server.store.reconstruct(jac_accums(ids, nodes))
         np.testing.assert_allclose(cross_blocks(recon), cross_blocks(belief.cov), atol=1e-10)

@@ -1,5 +1,7 @@
 """Split-representation recursions against the centralized filter."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from splitcl import joint_ekf, model, split_ekf
 from splitcl.linalg import NumericalError, sqrt_and_inv_sqrt_2x2
 from splitcl.protocol import RobotNode
-from splitcl.split_ekf import CrossFactorStore, SplitRobotState, shear
+from splitcl.split_ekf import CrossFactorStore, SplitTeamState, shear
 
 from dense_oracle import (
     apply_frame,
@@ -20,35 +22,34 @@ from dense_oracle import (
     one_step,
     random_belief,
     stack,
+    stack_rows,
     symmetric_2x2,
 )
 
 GAIN_TOL = 1e-10
 
 
-def make_state(rng, robot_id, time=0):
+def make_state(rng, robot_id):
+    """A robot's state, a team of one, with a random mean and covariance."""
     mean = rng.uniform(-3, 3, 3)
     root = rng.standard_normal((3, 3)) * 0.3
-    state = SplitRobotState.initialize(robot_id, mean, root @ root.T + 0.05 * np.eye(3))
-    state.time = time
-    return state
+    return RobotNode(robot_id, mean, root @ root.T + 0.05 * np.eye(3)).state
 
 
-def split_team_from_belief(belief, n_steps_rng=None):
-    """Split states plus a factor store that reproduces a joint belief.
+def split_team_from_belief(belief):
+    """Split states, one row per robot in team order, plus a factor store
+    that reproduces a joint belief.
 
     Valid at time zero (identity accumulated Jacobians), where the factors
     are the cross blocks themselves.
     """
-    states = {
-        i: SplitRobotState.initialize(i, belief.mean[a], belief.block(i, i))
-        for a, i in enumerate(belief.team)
-    }
+    rows = SplitTeamState.initialize(belief.team, belief.mean, np.eye(3))
+    rows.cov[:] = belief.own_covs()
     store = CrossFactorStore(belief.team)
     store.blocks[:] = belief.cov
     diag = np.arange(len(belief.team))
     store.blocks[diag, :, diag, :] = 0.0
-    return states, store
+    return rows, store
 
 
 def decorrelate(belief):
@@ -80,7 +81,7 @@ class TestPropagate:
         q = np.array([0.01, 0.004])
         out = step_alone(state, control, q)
         _, f, _ = one_step(state.mean, control, 0.1)
-        np.testing.assert_array_equal(shear(out.jac_accum), f @ np.eye(3))
+        np.testing.assert_array_equal(shear(out.jac_accum[0]), f @ np.eye(3))
         assert out.time == 1
 
     def test_accumulator_is_product_of_step_jacobians(self):
@@ -99,17 +100,17 @@ class TestPropagate:
     def test_trajectory_matches_joint_filter_block(self):
         rng = np.random.default_rng(32)
         belief = random_belief(rng, 3)
-        states, _ = split_team_from_belief(belief)
+        rows, _ = split_team_from_belief(belief)
         q = np.tile([0.02, 0.01], (3, 1))
         controls = rng.uniform(-1, 1, (50, 3, 2))
         for step in controls:
             belief = joint_step(belief, step, q, 0.1)
-        for i in states:
+        for i in rows.team:
             a = belief.index[i]
-            node = RobotNode.over(states[i])
+            node = RobotNode.over(rows.robot(i))
             node.step(controls[:, a], np.tile(q[a], (50, 1)), 0.1)
-            np.testing.assert_allclose(node.state.mean, belief.mean[a], atol=1e-12)
-            np.testing.assert_allclose(node.state.cov, belief.block(i, i), atol=1e-12)
+            np.testing.assert_allclose(node.state.mean[0], belief.mean[a], atol=1e-12)
+            np.testing.assert_allclose(node.state.cov[0], belief.block(i, i), atol=1e-12)
 
     def test_per_robot_updates_commute(self):
         rng = np.random.default_rng(33)
@@ -127,10 +128,10 @@ class TestInnovation:
         rng = np.random.default_rng(34)
         belief = random_belief(rng, 2)
         decorrelate(belief)
-        states, store = split_team_from_belief(belief)
+        rows, store = split_team_from_belief(belief)
         z = rng.uniform(-1, 1, 2)
         noise = np.eye(2) * 0.02
-        innov = split_ekf.innovation(states[1], states[2], store.factor(1, 2), z, noise)
+        innov = split_ekf.innovation(rows, 1, 2, store.factor(1, 2), z, noise)
         meas = model.RelativeMeasurement(1, 2, z, 0)
         _, oracle = joint_ekf.partial_update(belief, meas, noise)
         np.testing.assert_allclose(symmetric_2x2(innov.s), oracle.cov, atol=1e-12)
@@ -139,10 +140,10 @@ class TestInnovation:
         rng = np.random.default_rng(35)
         for _ in range(25):
             belief = random_belief(rng, 3)
-            states, store = split_team_from_belief(belief)
+            rows, store = split_team_from_belief(belief)
             z = rng.uniform(-1, 1, 2)
             noise = np.eye(2) * 0.02
-            innov = split_ekf.innovation(states[2], states[3], store.factor(2, 3), z, noise)
+            innov = split_ekf.innovation(rows, 2, 3, store.factor(2, 3), z, noise)
             meas = model.RelativeMeasurement(2, 3, z, 0)
             _, oracle = joint_ekf.partial_update(belief, meas, noise)
             np.testing.assert_allclose(symmetric_2x2(innov.s), oracle.cov, atol=1e-10)
@@ -152,10 +153,10 @@ class TestInnovation:
         rng = np.random.default_rng(36)
         for _ in range(50):
             belief = random_belief(rng, 2)
-            states, store = split_team_from_belief(belief)
+            rows, store = split_team_from_belief(belief)
             z = rng.uniform(-1, 1, 2)
             innov = split_ekf.innovation(
-                states[1], states[2], store.factor(1, 2), z, np.eye(2) * 0.05
+                rows, 1, 2, store.factor(1, 2), z, np.eye(2) * 0.05
             )
             direct = innov.residual @ np.linalg.solve(symmetric_2x2(innov.s), innov.residual)
             assert innov.white_residual @ innov.white_residual == pytest.approx(
@@ -175,19 +176,12 @@ class TestInnovation:
             np.testing.assert_allclose(isq @ isq, np.linalg.inv(s), atol=1e-10)
             np.testing.assert_allclose(sq @ isq, np.eye(2), atol=1e-12)
 
-    def test_mismatched_times_rejected(self):
-        rng = np.random.default_rng(38)
-        sa, sb = make_state(rng, 1, time=3), make_state(rng, 2, time=4)
-        with pytest.raises(ValueError):
-            split_ekf.innovation(sa, sb, np.zeros((3, 3)), np.zeros(2), np.eye(2))
-
     def test_indefinite_innovation_raises(self):
         rng = np.random.default_rng(39)
-        sa, sb = make_state(rng, 1), make_state(rng, 2)
-        sa.cov = -np.eye(3)
-        sb.cov = -np.eye(3)
+        rows = stack_rows([make_state(rng, 1), make_state(rng, 2)])
+        rows.cov[:] = -np.eye(3)
         with pytest.raises(NumericalError):
-            split_ekf.innovation(sa, sb, np.zeros((3, 3)), np.zeros(2), np.eye(2) * 1e-12)
+            split_ekf.innovation(rows, 1, 2, np.zeros((3, 3)), np.zeros(2), np.eye(2) * 1e-12)
 
 
 class TestUpdateFactors:
@@ -195,9 +189,9 @@ class TestUpdateFactors:
         rng = np.random.default_rng(40)
         belief = random_belief(rng, 4)
         decorrelate(belief)
-        states, store = split_team_from_belief(belief)
+        rows, store = split_team_from_belief(belief)
         z = rng.uniform(-1, 1, 2)
-        innov = split_ekf.innovation(states[1], states[2], store.factor(1, 2), z, np.eye(2) * 0.02)
+        innov = split_ekf.innovation(rows, 1, 2, store.factor(1, 2), z, np.eye(2) * 0.02)
         factors = split_ekf.update_factors(store, innov)
         assert factors.shape == (4, 3, 2)
         np.testing.assert_array_equal(factors[store.index[3]], np.zeros((3, 2)))
@@ -207,14 +201,14 @@ class TestUpdateFactors:
         rng = np.random.default_rng(41)
         belief = random_belief(rng, 2)
         decorrelate(belief)
-        states, store = split_team_from_belief(belief)
+        rows, store = split_team_from_belief(belief)
         z = rng.uniform(-1, 1, 2)
         noise = np.eye(2) * 0.02
-        innov = split_ekf.innovation(states[1], states[2], store.factor(1, 2), z, noise)
+        innov = split_ekf.innovation(rows, 1, 2, store.factor(1, 2), z, noise)
         factors = split_ekf.update_factors(store, innov)
-        terms = model.relative_terms(*states[1].mean, *states[2].mean[:2])
+        terms = model.relative_terms(*rows.mean[0], *rows.mean[1, :2])
         h_obs = np.array(terms[1])
-        expected = states[1].cov @ h_obs.T @ symmetric_2x2(innov.w)
+        expected = rows.cov[0] @ h_obs.T @ symmetric_2x2(innov.w)
         np.testing.assert_allclose(factors[store.index[1]], expected, atol=1e-12)
 
     def test_gain_identity_against_joint_filter(self):
@@ -223,35 +217,36 @@ class TestUpdateFactors:
         rng = np.random.default_rng(42)
         for _ in range(25):
             belief = random_belief(rng, 4)
-            states, store = split_team_from_belief(belief)
+            rows, store = split_team_from_belief(belief)
             z = rng.uniform(-1, 1, 2)
             noise = np.eye(2) * 0.02
-            innov = split_ekf.innovation(states[2], states[4], store.factor(2, 4), z, noise)
+            innov = split_ekf.innovation(rows, 2, 4, store.factor(2, 4), z, noise)
             factors = split_ekf.update_factors(store, innov)
             meas = model.RelativeMeasurement(2, 4, z, 0)
             _, oracle = joint_ekf.partial_update(belief, meas, noise)
-            for i in belief.team:
-                gain = shear(states[i].jac_accum) @ factors[store.index[i]] @ symmetric_2x2(innov.w)
-                np.testing.assert_allclose(gain, oracle.gains[belief.index[i]], atol=GAIN_TOL)
+            gains = shear(rows.jac_accum) @ factors @ symmetric_2x2(innov.w)
+            np.testing.assert_allclose(gains, oracle.gains, atol=GAIN_TOL)
 
     def test_factor_products_reconstruct_gain_products(self):
         rng = np.random.default_rng(43)
         belief = random_belief(rng, 3)
-        states, store = split_team_from_belief(belief)
+        rows, store = split_team_from_belief(belief)
         z = rng.uniform(-1, 1, 2)
         noise = np.eye(2) * 0.02
-        innov = split_ekf.innovation(states[1], states[3], store.factor(1, 3), z, noise)
+        innov = split_ekf.innovation(rows, 1, 3, store.factor(1, 3), z, noise)
         factors = split_ekf.update_factors(store, innov)
         meas = model.RelativeMeasurement(1, 3, z, 0)
         _, oracle = joint_ekf.partial_update(belief, meas, noise)
+        acc = shear(rows.jac_accum)
         d = {i: factors[store.index[i]] for i in belief.team}
         k = {i: oracle.gains[belief.index[i]] for i in belief.team}
         for i in belief.team:
+            a = rows.index[i]
             for j in belief.team:
-                lhs = shear(states[i].jac_accum) @ d[i] @ d[j].T @ shear(states[j].jac_accum).T
+                lhs = acc[a] @ d[i] @ d[j].T @ acc[rows.index[j]].T
                 rhs = k[i] @ symmetric_2x2(innov.s) @ k[j].T
                 np.testing.assert_allclose(lhs, rhs, atol=GAIN_TOL)
-            lhs_vec = shear(states[i].jac_accum) @ d[i] @ innov.white_residual
+            lhs_vec = acc[a] @ d[i] @ innov.white_residual
             rhs_vec = k[i] @ innov.residual
             np.testing.assert_allclose(lhs_vec, rhs_vec, atol=GAIN_TOL)
 
@@ -262,20 +257,20 @@ class TestUpdateFactors:
         rng = np.random.default_rng(44)
         for _ in range(25):
             belief = random_belief(rng, 3)
-            states, store = split_team_from_belief(belief)
-            states[2].jac_accum = np.array([1e6, 5e5])
+            rows, store = split_team_from_belief(belief)
+            rows.jac_accum[rows.index[2]] = [1e6, 5e5]
+            inv = shear(-rows.jac_accum)
             for i, j in [(1, 2), (2, 3)]:
-                inv_i, inv_j = shear(-states[i].jac_accum), shear(-states[j].jac_accum)
+                inv_i, inv_j = inv[rows.index[i]], inv[rows.index[j]]
                 set_factor(store, i, j, inv_i @ belief.block(i, j) @ inv_j.T)
             z = rng.uniform(-1, 1, 2)
             noise = np.eye(2) * 0.02
-            innov = split_ekf.innovation(states[2], states[3], store.factor(2, 3), z, noise)
+            innov = split_ekf.innovation(rows, 2, 3, store.factor(2, 3), z, noise)
             factors = split_ekf.update_factors(store, innov)
             meas = model.RelativeMeasurement(2, 3, z, 0)
             _, oracle = joint_ekf.partial_update(belief, meas, noise)
-            for i in belief.team:
-                gain = shear(states[i].jac_accum) @ factors[store.index[i]] @ symmetric_2x2(innov.w)
-                np.testing.assert_allclose(gain, oracle.gains[belief.index[i]], atol=GAIN_TOL)
+            gains = shear(rows.jac_accum) @ factors @ symmetric_2x2(innov.w)
+            np.testing.assert_allclose(gains, oracle.gains, atol=GAIN_TOL)
 
 
 class TestFloatKernelsProperty:
@@ -309,11 +304,8 @@ class TestFloatKernelsProperty:
         a = data.draw(st.sampled_from(team))
         b = None if absolute else data.draw(st.sampled_from([i for i in team if i != a]))
         accs = rng.uniform(-reach, reach, (n, 2))
-        states = {
-            i: SplitRobotState(i, belief.mean[p], belief.block(i, i), accs[p])
-            for p, i in enumerate(team)
-        }
-        store = CrossFactorStore(team)
+        rows, store = split_team_from_belief(belief)
+        rows.jac_accum[:] = accs
         inv = shear(-accs)
         store.blocks[:] = np.einsum("aij,ajbk,blk->aibl", inv, belief.cov, inv)
         diag = np.arange(n)
@@ -322,8 +314,7 @@ class TestFloatKernelsProperty:
         noise = np.diag(rng.uniform(0.01, 0.1, 2))
 
         innov = split_ekf.innovation(
-            states[a], None if b is None else states[b],
-            None if b is None else store.factor(a, b), z, noise,
+            rows, a, b, None if b is None else store.factor(a, b), z, noise
         )
         factors = split_ekf.update_factors(store, innov)
 
@@ -351,20 +342,20 @@ class TestFloatKernelsProperty:
 
 
 def feasible_frame(rng, state):
-    """A single frame ``(D, r)`` whose correction the robot can take: the
-    gain ``A D`` is ``L W`` for the Cholesky factor ``L`` of its covariance
-    and a random ``W`` of spectral norm 0.9."""
+    """A single frame ``(D, r)`` whose correction the one-row ``state`` can
+    take: the gain ``A D`` is ``L W`` for the Cholesky factor ``L`` of its
+    covariance and a random ``W`` of spectral norm 0.9."""
     w = rng.standard_normal((3, 2))
-    gain = np.linalg.cholesky(state.cov) @ (w * (0.9 / np.linalg.norm(w, 2)))
-    return shear(-state.jac_accum) @ gain, rng.standard_normal(2)
+    gain = np.linalg.cholesky(state.cov[0]) @ (w * (0.9 / np.linalg.norm(w, 2)))
+    return shear(-state.jac_accum[0]) @ gain, rng.standard_normal(2)
 
 
 def apply_pair(state, vec, mat):
     """``state``'s corrected mean and covariance for the pair ``(vec, mat)``;
     ``state`` is left as it is."""
-    mean, cov = state.mean.copy(), state.cov.copy()
-    split_ekf.apply_update((state.robot_id,), mean, cov, state.jac_accum, vec, mat)
-    return mean, cov
+    out = copy.deepcopy(state)
+    split_ekf.apply_update(out, vec, mat)
+    return out.mean, out.cov
 
 
 class TestApplyUpdate:
@@ -399,49 +390,51 @@ class TestApplyUpdate:
         for reach in (0.0, 1.0, 10.0, 100.0):
             for _ in range(200):
                 state = make_state(rng, 1)
-                state.jac_accum = rng.uniform(-reach, reach, 2)
-                acc = shear(state.jac_accum)
-                state.cov = acc @ state.cov @ acc.T
-                state.cov = 0.5 * (state.cov + state.cov.T)
+                state.jac_accum[0] = rng.uniform(-reach, reach, 2)
+                acc = shear(state.jac_accum[0])
+                cov = acc @ state.cov[0] @ acc.T
+                state.cov[0] = 0.5 * (cov + cov.T)
                 factor, white = feasible_frame(rng, state)
                 out = apply_frame(state, factor, white)
                 mean, cov = gain_form_update(state, factor, white)
                 scale = np.abs(state.cov).max()
-                np.testing.assert_allclose(out.cov, cov, rtol=0, atol=1e-15 * scale)
+                np.testing.assert_allclose(out.cov[0], cov, rtol=0, atol=1e-15 * scale)
                 np.testing.assert_allclose(
-                    out.mean, mean, rtol=0, atol=1e-15 * np.abs(mean).max()
+                    out.mean[0], mean, rtol=0, atol=1e-15 * np.abs(mean).max()
                 )
 
     def test_matches_joint_filter_block(self):
         rng = np.random.default_rng(46)
         for _ in range(25):
             belief = random_belief(rng, 3)
-            states, store = split_team_from_belief(belief)
+            rows, store = split_team_from_belief(belief)
             z = rng.uniform(-1, 1, 2)
             noise = np.eye(2) * 0.02
-            innov = split_ekf.innovation(states[1], states[2], store.factor(1, 2), z, noise)
+            innov = split_ekf.innovation(rows, 1, 2, store.factor(1, 2), z, noise)
             factors = split_ekf.update_factors(store, innov)
             meas = model.RelativeMeasurement(1, 2, z, 0)
             updated, _ = joint_ekf.partial_update(belief, meas, noise)
             for i in belief.team:
-                out = apply_frame(states[i], factors[store.index[i]], innov.white_residual)
-                np.testing.assert_allclose(out.mean, updated.mean[updated.index[i]], atol=GAIN_TOL)
-                np.testing.assert_allclose(out.cov, updated.block(i, i), atol=GAIN_TOL)
+                out = apply_frame(rows.robot(i), factors[store.index[i]], innov.white_residual)
+                np.testing.assert_allclose(
+                    out.mean[0], updated.mean[updated.index[i]], atol=GAIN_TOL
+                )
+                np.testing.assert_allclose(out.cov[0], updated.block(i, i), atol=GAIN_TOL)
 
     def test_trace_drops_by_squared_correction_norm(self):
         rng = np.random.default_rng(47)
         state = make_state(rng, 1)
         factor = rng.standard_normal((3, 2)) * 0.1
         out = apply_frame(state, factor, rng.standard_normal(2))
-        gain = shear(state.jac_accum) @ factor
-        assert np.trace(state.cov) - np.trace(out.cov) == pytest.approx(
+        gain = shear(state.jac_accum[0]) @ factor
+        assert np.trace(state.cov[0]) - np.trace(out.cov[0]) == pytest.approx(
             np.sum(gain**2), abs=1e-12
         )
 
     def test_summed_pair_equals_the_sequential_frames(self):
         rng = np.random.default_rng(49)
         state = make_state(rng, 1)
-        state.jac_accum = rng.uniform(-2, 2, 2)
+        state.jac_accum[0] = rng.uniform(-2, 2, 2)
         parts = [(rng.standard_normal((3, 2)) * 0.05, rng.standard_normal(2)) for _ in range(3)]
         seq = state
         for factor, white in parts:
@@ -458,56 +451,47 @@ class TestApplyUpdate:
         rng = np.random.default_rng(50)
         for _ in range(2000):
             state = make_state(rng, 1)
-            state.jac_accum = rng.uniform(-3, 3, 2)
+            state.jac_accum[0] = rng.uniform(-3, 3, 2)
             parts = [rng.standard_normal((3, 2)) * 0.02 for _ in range(2)]
             if kind == "single":
                 out = apply_frame(state, parts[0], rng.standard_normal(2))
-                cov = out.cov
+                cov = out.cov[0]
             else:
                 mat = sum(f @ f.T for f in parts)
-                _, cov = apply_pair(state, rng.standard_normal(3), mat)
+                cov = apply_pair(state, rng.standard_normal(3), mat)[1][0]
             np.testing.assert_array_equal(cov, cov.T)
 
     def test_rows_get_the_arithmetic_of_a_robot_alone(self):
         rng = np.random.default_rng(51)
         states = [make_state(rng, i) for i in range(1, 7)]
         for s in states:
-            s.jac_accum = rng.uniform(-5, 5, 2)
+            s.jac_accum[0] = rng.uniform(-5, 5, 2)
         factors = np.array([feasible_frame(rng, s)[0] for s in states])
         white = rng.standard_normal(2)
-        rows = (
-            [s.robot_id for s in states],
-            np.array([s.mean for s in states]),
-            np.array([s.cov for s in states]),
-            np.array([s.jac_accum for s in states]),
-        )
         # The stacked single frame, as the server corrects its shadow rows.
-        ids, means, covs, accs = rows
-        means, covs = means.copy(), covs.copy()
-        split_ekf.apply_update(ids, means, covs, accs, white, factors)
+        rows = stack_rows(states)
+        split_ekf.apply_update(rows, white, factors)
         # The stacked pairs, as of summed frames.
-        ids, pair_means, pair_covs, accs = rows
-        split_ekf.apply_update(
-            ids, pair_means, pair_covs, accs, *split_ekf.correction(factors, white)
-        )
+        pairs = stack_rows(states)
+        split_ekf.apply_update(pairs, *split_ekf.correction(factors, white))
         for a, state in enumerate(states):
             alone = apply_frame(state, factors[a], white)
-            np.testing.assert_array_equal(means[a], alone.mean)
-            np.testing.assert_array_equal(covs[a], alone.cov)
+            np.testing.assert_array_equal(rows.mean[a:a + 1], alone.mean)
+            np.testing.assert_array_equal(rows.cov[a:a + 1], alone.cov)
             pair_mean, pair_cov = apply_pair(state, *split_ekf.correction(factors[a], white))
-            np.testing.assert_array_equal(pair_means[a], pair_mean)
-            np.testing.assert_array_equal(pair_covs[a], pair_cov)
+            np.testing.assert_array_equal(pairs.mean[a:a + 1], pair_mean)
+            np.testing.assert_array_equal(pairs.cov[a:a + 1], pair_cov)
             # A v and A M A' are the shear products, up to rounding at the
             # scale of the terms that form them.
             vec, mat = split_ekf.correction(factors[a], white)
-            acc = shear(state.jac_accum)
+            acc = shear(state.jac_accum[0])
             reach = (1.0 + np.abs(state.jac_accum).max()) ** 2
             np.testing.assert_allclose(
-                means[a], state.mean + acc @ vec, rtol=0,
+                rows.mean[a], state.mean[0] + acc @ vec, rtol=0,
                 atol=1e-15 * (np.abs(state.mean).max() + reach * np.abs(vec).max()),
             )
             np.testing.assert_allclose(
-                covs[a], state.cov - acc @ mat @ acc.T, rtol=0,
+                rows.cov[a], state.cov[0] - acc @ mat @ acc.T, rtol=0,
                 atol=1e-15 * (np.abs(state.cov).max() + reach * np.abs(mat).max()),
             )
 
@@ -523,23 +507,21 @@ class TestApplyUpdate:
         states = [make_state(rng, i) for i in (4, 7, 9)]
         factors = np.array([feasible_frame(rng, s)[0] for s in states])
         factors[1:] *= 50.0
-        means = np.array([s.mean for s in states])
-        covs = np.array([s.cov for s in states])
-        accs = np.array([s.jac_accum for s in states])
+        rows = stack_rows(states)
         for payloads in ((rng.standard_normal(2), factors),
                          split_ekf.correction(factors, rng.standard_normal(2))):
             with pytest.raises(NumericalError, match="robot 7 covariance indefinite"):
-                split_ekf.apply_update((4, 7, 9), means, covs, accs, *payloads)
+                split_ekf.apply_update(rows, *payloads)
             # No row is written, the sound first one neither.
             for a, s in enumerate(states):
-                np.testing.assert_array_equal(means[a], s.mean)
-                np.testing.assert_array_equal(covs[a], s.cov)
+                np.testing.assert_array_equal(rows.mean[a:a + 1], s.mean)
+                np.testing.assert_array_equal(rows.cov[a:a + 1], s.cov)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_correction_raises(self, value):
         rng = np.random.default_rng(49)
         state = make_state(rng, 1)
-        state.jac_accum = rng.uniform(-2, 2, 2)
+        state.jac_accum[0] = rng.uniform(-2, 2, 2)
         # Every entry of either frame's payloads.
         for residual, gain in ((np.zeros(2), np.zeros((3, 2))), (np.zeros(3), np.zeros((3, 3)))):
             for payload in (residual, gain):
@@ -549,14 +531,12 @@ class TestApplyUpdate:
                         apply_pair(state, residual, gain)
                     payload[pos] = 0.0
         for pos in np.ndindex(3, 3):
-            cov = state.cov.copy()
-            cov[pos] = value
+            sick = copy.deepcopy(state)
+            sick.cov[(0, *pos)] = value
             with pytest.raises(NumericalError, match="robot 1 covariance indefinite"):
-                split_ekf.apply_update(
-                    (1,), state.mean.copy(), cov, state.jac_accum, np.zeros(3), np.zeros((3, 3))
-                )
+                split_ekf.apply_update(sick, np.zeros(3), np.zeros((3, 3)))
         # A finite step that the shear carries beyond the float range.
-        state.jac_accum = np.array([2.0, 2.0])
+        state.jac_accum[0] = [2.0, 2.0]
         with pytest.raises(NumericalError, match="robot 1 a non-finite mean step"):
             apply_pair(state, np.array([0.0, 0.0, 1e308]), np.zeros((3, 3)))
 
@@ -698,7 +678,8 @@ class TestCrossFactorStore:
         # factors must keep reconstructing every joint cross block.
         rng = np.random.default_rng(50)
         belief = random_belief(rng, 3, corr_scale=0.0)
-        states, store = split_team_from_belief(belief)
+        rows, store = split_team_from_belief(belief)
+        states = {i: rows.robot(i) for i in rows.team}
         q = np.tile([0.02, 0.01], (3, 1))
         noise = np.eye(2) * 0.02
         pairs = [(1, 2), (2, 3), (3, 1)]
@@ -711,7 +692,8 @@ class TestCrossFactorStore:
             if step % 10 == 0:
                 a, b = pairs[(step // 10) % 3]
                 z = rng.uniform(-1, 1, 2)
-                innov = split_ekf.innovation(states[a], states[b], store.factor(a, b), z, noise)
+                rows = stack_rows([states[a], states[b]])
+                innov = split_ekf.innovation(rows, a, b, store.factor(a, b), z, noise)
                 factors = split_ekf.update_factors(store, innov)
                 for i in states:
                     states[i] = apply_frame(
@@ -721,13 +703,13 @@ class TestCrossFactorStore:
                 belief, _ = joint_ekf.partial_update(
                     belief, model.RelativeMeasurement(a, b, z, belief.time), noise
                 )
-            recon = store.reconstruct(np.array([states[i].jac_accum for i in store.team]))
+            rows = stack_rows([states[i] for i in store.team])
+            recon = store.reconstruct(rows.jac_accum)
             np.testing.assert_allclose(
                 cross_blocks(recon), cross_blocks(belief.cov), atol=1e-9
             )
-            for i in states:
-                np.testing.assert_allclose(states[i].mean, belief.mean[belief.index[i]], atol=1e-9)
-                np.testing.assert_allclose(states[i].cov, belief.block(i, i), atol=1e-9)
+            np.testing.assert_allclose(rows.mean, belief.mean, atol=1e-9)
+            np.testing.assert_allclose(rows.cov, belief.own_covs(), atol=1e-9)
 
     def test_reconstruct_is_the_per_pair_sandwich(self):
         rng = np.random.default_rng(54)

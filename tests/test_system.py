@@ -300,7 +300,9 @@ def test_robot_state_and_frames_do_not_grow_with_the_team(n, monkeypatch):
     assert dict(lengths) == {"landmark": {146}, "single": {77}, "summed": {109}}
     for i in sc.robot_ids:
         state = end.robot(i)
-        assert [x.shape for x in (state.mean, state.cov, state.jac_accum)] == [(3,), (3, 3), (2,)]
+        assert [x.shape for x in (state.mean, state.cov, state.jac_accum)] == [
+            (1, 3), (1, 3, 3), (1, 2)
+        ]
 
 
 @st.composite

@@ -14,12 +14,14 @@ import numpy as np
 import pytest
 
 from splitcl import harness, split_ekf, verify
+from splitcl.linalg import NumericalError
 from splitcl.protocol import RobotNode
 from splitcl.scenario import (
     Scenario,
     ScenarioError,
     build_table1_scenario,
     measurement_schedule,
+    random_scenario,
     strip_dropouts,
 )
 from splitcl.split_ekf import CrossFactorStore
@@ -178,3 +180,31 @@ def test_precomputed_truth_gives_the_same_report():
     sc = build_table1_scenario()
     truth = harness.simulate_truth(sc)
     assert check_dropout_equivalence(sc, truth=truth) == check_dropout_equivalence(sc)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 3: a robot's rejected correction does not reach the server as a miss",
+)
+def test_rejected_correction_keeps_dropout_equivalence(monkeypatch):
+    # ROADMAP item 3. One robot rejects one correction, the first update
+    # frame after t = 100: robot 5's at t = 210. The server has committed
+    # robot 5's store blocks as if it had applied the frame, so until the
+    # reject reaches the server as a miss the split stack leaves the
+    # partial-update filter for the rest of the run.
+    sc = strip_dropouts(random_scenario(8, 5))
+    original = RobotNode.apply_update
+    planted = []
+
+    def reject_once(self, msg):
+        if not planted and msg.time > 100:
+            planted.append((msg.recipient, msg.time))
+            raise NumericalError("planted reject")
+        return original(self, msg)
+
+    monkeypatch.setattr(RobotNode, "apply_update", reject_once)
+    report = check_dropout_equivalence(sc)
+    if planted != [(5, 210)]:
+        pytest.fail(f"the planted reject hit {planted}, not robot 5 at t = 210")
+    assert report.passed(TOL), report.summary()
