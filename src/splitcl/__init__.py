@@ -26,11 +26,7 @@ from .harness import (
 )
 from .joint_ekf import JointBelief
 from .messages import LandmarkMessage, UpdateMessage
-from .model import (
-    AbsoluteMeasurement,
-    RelativeMeasurement,
-    wrap_angle,
-)
+from .model import RelativeMeasurement, wrap_angle
 from .network import DeliveryReport, channel_epoch, gate_measurement
 from .protocol import CooperationServer, RobotNode
 from .scenario import Scenario, build_table1_scenario, random_scenario
@@ -46,7 +42,6 @@ __all__ = [
     "PARTIAL_ORACLE",
     "SA_SPLIT",
     "SA_SPLIT_DROPOUT",
-    "AbsoluteMeasurement",
     "CooperationServer",
     "CrossFactorStore",
     "DeliveryReport",

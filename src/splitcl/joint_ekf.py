@@ -15,10 +15,10 @@ symmetric.
 Propagation is ``F P F' + G Q G'`` with a block-diagonal ``F``. A segment
 of steps between two measurement epochs takes one motion-kernel call for
 every step's means and Jacobians, and then one ``(3N)^2`` sandwich per
-step. An update, of a relative or an absolute measurement alike, is one
-:func:`partial_update`: it forms ``P H'`` from the measured robots' block
-columns, the gains ``K = P H' S^-1`` of every robot, and subtracts the
-symmetrized ``K S K'`` as one product.
+step. An update of one relative measurement is one :func:`partial_update`:
+it forms ``P H'`` from the block columns of the two measured robots, the
+gains ``K = P H' S^-1`` of every robot, and subtracts the symmetrized
+``K S K'`` as one product.
 
 ``partial_update`` supports epochs where a subset of robots never receives
 the correction. The blocks of ``K S K'`` between two such robots are zeroed
@@ -162,22 +162,18 @@ def propagate(
 
 def partial_update(
     belief: JointBelief,
-    meas: model.RelativeMeasurement | model.AbsoluteMeasurement,
+    meas: model.RelativeMeasurement,
     noise_cov: np.ndarray,
     missed: AbstractSet[int] = frozenset(),
 ) -> tuple[JointBelief, Innovation]:
-    """Fuse one relative or absolute measurement, skipping the robots in ``missed``.
+    """Fuse one relative measurement, skipping the robots in ``missed``.
 
-    The measured robots, the observer and a relative measurement's landmark,
-    must be in the team and not in ``missed``; a measurement whose robots
-    cannot be reached is discarded upstream, never processed here. The
-    prediction and the Jacobians come from one call of
-    :func:`model.relative_terms` or :func:`model.absolute_terms`.
+    The measured robots, the observer and the landmark, must be in the team
+    and not in ``missed``; a measurement whose robots cannot be reached is
+    discarded upstream, never processed here. The prediction and the
+    Jacobians come from one call of :func:`model.relative_terms`.
     """
-    if isinstance(meas, model.RelativeMeasurement):
-        measured = (meas.observer, meas.landmark)
-    else:
-        measured = (meas.observer,)
+    measured = (meas.observer, meas.landmark)
     if any(r not in belief.index for r in measured):
         raise ValueError(f"measured robots {measured} not in team {belief.team}")
     if any(r in missed for r in measured):
@@ -187,10 +183,7 @@ def partial_update(
         )
     rows = [belief.index[r] for r in measured]
     poses = belief.mean[rows].tolist()
-    if len(rows) == 2:
-        predicted, *jacobians = model.relative_terms(*poses[0], *poses[1][:2])
-    else:
-        predicted, *jacobians = model.absolute_terms(*poses[0][:2])
+    predicted, *jacobians = model.relative_terms(*poses[0], *poses[1][:2])
     residual = np.asarray(meas.z, dtype=float) - predicted
 
     n = len(belief.team)

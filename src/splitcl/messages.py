@@ -22,11 +22,12 @@ update (kind 3)     summed multi-measurement payload: recipient u32,
 A single update frame is the factored form ``(r, D)`` of the correction
 pair ``(D r, D D')``; a summed frame carries the summed pairs themselves.
 Matrices are row-major; ``jac_accum`` is the translation of the sender's
-accumulated Jacobian, a shear (see :mod:`split_ekf`). A landmark-role
-message carries no measurement (``z is None``, zero ``z`` bytes) and names
-no landmark; an observer's message carries ``z`` plus the landmark id, or
-``z`` alone for an absolute measurement. Decoding refuses a frame that
-would not encode back to its own bytes.
+accumulated Jacobian, a shear (see :mod:`split_ekf`). Every measurement
+is relative, robot to robot, so a landmark frame has one of two roles: a
+landmark-role message carries no measurement (``z is None``, zero ``z``
+bytes) and names no landmark; an observer's message carries ``z`` and the
+landmark id. Decoding refuses a frame that would not encode back to its
+own bytes, and one that fits neither role.
 """
 
 from __future__ import annotations
@@ -105,9 +106,9 @@ class LandmarkMessage:
 
     Every involved robot reports its predicted estimate, own covariance and
     accumulated Jacobian; the observer additionally reports the measurement
-    value and which robot it observed (``landmark is None`` marks an
-    absolute measurement). Shapes are checked at construction, and so is
-    the landmark: named only with a measurement, and neither the sender
+    value ``z`` and which robot it observed, the ``landmark``. Shapes are
+    checked at construction, and so is the role: ``z`` and ``landmark``
+    come together or not at all, and the landmark is neither the sender
     nor robot 0, which encodes as none.
     """
 
@@ -125,6 +126,8 @@ class LandmarkMessage:
             raise ProtocolError(
                 f"robot {self.sender} names landmark {self.landmark} without a measurement"
             )
+        if self.z is not None and self.landmark is None:
+            raise ProtocolError(f"robot {self.sender} sends a measurement without a landmark")
         if self.landmark == self.sender:
             raise ProtocolError(f"robot {self.sender} cannot measure itself")
         if self.landmark == 0:

@@ -1,4 +1,4 @@
-"""Planar unicycle motion model and relative-position measurement models.
+"""Planar unicycle motion model and relative-position measurement model.
 
 Conventions shared by every estimator in the package:
 
@@ -9,16 +9,14 @@ Conventions shared by every estimator in the package:
   ``[[1, 0, a], [0, 1, b], [0, 0, 1]]`` with ``(a, b)`` the step's
   ``(-v dt sin(theta), v dt cos(theta))``; shears compose by adding their
   translations, which the split filter relies on;
-- a relative measurement is the landmark robot's position expressed in the
-  observer's body frame (2-vector, meters);
-- an absolute measurement is a direct readout of the robot's own position in
-  the world frame.
+- a measurement is relative, robot to robot: the landmark robot's position
+  expressed in the observer's body frame (2-vector, meters).
 
-Each measurement model is defined once, on Python floats
-(:func:`relative_terms`, :func:`absolute_terms`): the split filter's
-server and the centralized filter both call these kernels directly, so the
-two filters linearize with the same arithmetic. :func:`relative_position`,
-the one array wrapper, draws the simulated truth's measurements.
+The measurement model is defined once, on Python floats
+(:func:`relative_terms`): the split filter's server and the centralized
+filter both call this kernel directly, so the two filters linearize with
+the same arithmetic. :func:`relative_position`, the one array wrapper,
+draws the simulated truth's measurements.
 
 The motion model steps a whole team through a whole stretch of time at
 once: :func:`propagate_pose`, the one motion kernel, takes the team's
@@ -73,19 +71,6 @@ class RelativeMeasurement:
             raise ModelError("a robot cannot take a relative measurement of itself")
         if not np.all(np.isfinite(self.z)):
             raise ModelError("relative measurement value must be finite")
-
-
-@dataclass(slots=True, frozen=True)
-class AbsoluteMeasurement:
-    """Direct world-frame position measurement of a single robot."""
-
-    observer: int
-    z: np.ndarray
-    time: int
-
-    def __post_init__(self) -> None:
-        if not np.all(np.isfinite(self.z)):
-            raise ModelError("absolute measurement value must be finite")
 
 
 # A heading ``theta + omega dt`` of magnitude below ``3 pi`` wraps with one
@@ -268,9 +253,3 @@ def relative_position(observer_pose: np.ndarray, landmark_pose: np.ndarray) -> n
     """Landmark position in the observer body frame (:func:`relative_terms`)."""
     predicted, _, _ = relative_terms(*observer_pose[:3], *landmark_pose[:2])
     return np.array(predicted)
-
-
-def absolute_terms(x: float, y: float) -> tuple[tuple[float, float], tuple[_Row, _Row]]:
-    """The absolute measurement of a robot at ``(x, y)``, on floats: the
-    predicted value and the rows of its constant Jacobian."""
-    return (x, y), ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))

@@ -1,14 +1,14 @@
 """Robot and server state machines for server-assisted cooperative localization.
 
 One epoch goes as follows: every robot propagates locally. If a robot took a
-relative (or absolute) measurement it announces it, and every robot involved
-in any measurement sends the server a :class:`LandmarkMessage`. The server,
-which is the only party holding the cross-correlation factors, computes one
-whitened residual and one update factor per measurement, folds the factors
-into its store, and sends a fixed-size :class:`UpdateMessage` only to the
-robots whose update factor is non-zero: the measured robots and those
-correlated with them. Every other robot's factor is exactly zero, so its
-correction would be an exact no-op; it gets no message and does no work.
+relative measurement of another robot it announces it, and every robot
+involved in any measurement sends the server a :class:`LandmarkMessage`. The
+server, which is the only party holding the cross-correlation factors,
+computes one whitened residual and one update factor per measurement, folds
+the factors into its store, and sends a fixed-size :class:`UpdateMessage`
+only to the robots whose update factor is non-zero: the measured robots and
+those correlated with them. Every other robot's factor is exactly zero, so
+its correction would be an exact no-op; it gets no message and does no work.
 Those robots are the measurement's support. The store adds only the block
 pairs between two of them and returns the support, so the server collects
 the recipients without scanning the factors again.
@@ -21,7 +21,7 @@ constructed, a decoded one included (:mod:`messages`), so the server and
 the robots do not check them again.
 
 Multiple measurements in the same epoch are processed one at a time in a
-fixed order (ascending ``(observer, landmark)``, absolutes after relatives).
+fixed order (ascending ``(observer, landmark)``).
 The server keeps shadow copies of the reporting robots' states, a
 :class:`split_ekf.SplitTeamState` of the senders with one row per robot, so
 later measurements in the epoch are linearized against already-corrected
@@ -124,8 +124,8 @@ class RobotNode:
     ) -> LandmarkMessage:
         """Snapshot the local state for the server.
 
-        Called with ``z`` (and ``landmark`` for a relative measurement) when
-        this robot observed, without arguments when it was observed.
+        Called with ``z`` and ``landmark`` when this robot observed, without
+        arguments when it was observed.
         """
         s = self.state
         return LandmarkMessage(
@@ -228,13 +228,12 @@ class CooperationServer:
         snapshots = {msg.sender: msg for msg in msgs}
         announced = sorted(
             (m for m in msgs if m.z is not None),
-            key=lambda m: (m.landmark is None, m.sender, m.landmark or 0),
+            key=lambda m: (m.sender, m.landmark),
         )
 
         usable: list[LandmarkMessage] = []
         for m in announced:
-            endpoints = (m.sender,) if m.landmark is None else (m.sender, m.landmark)
-            bad = [r for r in endpoints if r in missed or r not in snapshots]
+            bad = [r for r in (m.sender, m.landmark) if r in missed or r not in snapshots]
             if bad:
                 self.events.append(ProtocolEvent(
                     time, EVENT_PAIR_UNREACHABLE,
@@ -267,9 +266,10 @@ class CooperationServer:
         with np.errstate(over="ignore", invalid="ignore"):
             for m in usable:
                 a, b = m.sender, m.landmark
-                cross = None if b is None else self.store.factor(a, b)
                 try:
-                    innov = split_ekf.innovation(rows, a, b, cross, m.z, self.meas_noise_cov)
+                    innov = split_ekf.innovation(
+                        rows, a, b, self.store.factor(a, b), m.z, self.meas_noise_cov
+                    )
                     factors = split_ekf.update_factors(self.store, innov)
                     split_ekf.apply_update(rows, innov.white_residual, factors[sender_pos])
                 except NumericalError as exc:

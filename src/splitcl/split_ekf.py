@@ -44,18 +44,17 @@ store forms the product over the support rows and updates just the block
 pairs within the support, so a measurement between two robots of a large
 team costs what its few block pairs cost, not what the team does.
 
-A measurement's work on the measured pair is a few hundred flops on 2x2,
-2x3 and 3x3 matrices, where numpy's per-call overhead costs several times
-the arithmetic, so it runs on Python floats: :func:`innovation` takes the
-prediction and Jacobians from the measurement model's float kernels
-(:func:`model.relative_terms`, :func:`model.absolute_terms`) and forms
-``S`` and its inverse symmetric root in closed form, and
-:func:`update_factors` whitens the measured robots' 3x2 terms, as
-:func:`apply_update` corrects each row. What grows with the team stays in
-numpy: the block-column product of :func:`update_factors` and the store
-update over the support. Floats do not warn on overflow, so every check
-refuses a non-finite result, and an arithmetic exception on the floats (a
-heading with no cosine, say) becomes a :class:`NumericalError`.
+A measurement's work on the measured pair is a few hundred flops on 2x2, 2x3
+and 3x3 matrices, where numpy's per-call overhead costs several times the
+arithmetic, so it runs on Python floats: :func:`innovation` takes the
+prediction and Jacobians from the measurement model's float kernel
+(:func:`model.relative_terms`) and forms ``S`` and its inverse symmetric
+root in closed form, and :func:`update_factors` whitens the measured robots'
+3x2 terms, as :func:`apply_update` corrects each row. What grows with the
+team stays in numpy: the block-column product of :func:`update_factors` and
+the store update over the support. Floats do not warn on overflow, so every
+check refuses a non-finite result, and an arithmetic exception on the floats
+(a heading with no cosine, say) becomes a :class:`NumericalError`.
 """
 
 from __future__ import annotations
@@ -201,16 +200,16 @@ class WhitenedInnovation:
     ``(00, 01, 11)`` of Python floats: ``s`` the innovation covariance
     ``S`` and ``w`` its inverse symmetric root. ``white_residual`` is
     ``w`` times ``residual``, as the array a single update frame carries.
-    ``measured`` holds, per measured robot (the observer first), its id and
-    the two 3x2 matrices its update factor is made of, each as three rows
-    of float pairs: its own term ``A^-1 P H'`` and ``(H A)'``.
+    ``measured`` holds, for the observer and then the landmark, the robot's
+    id and the two 3x2 matrices its update factor is made of, each as three
+    rows of float pairs: its own term ``A^-1 P H'`` and ``(H A)'``.
     """
 
     s: tuple[float, float, float]
     w: tuple[float, float, float]
     residual: tuple[float, float]
     white_residual: np.ndarray
-    measured: tuple[tuple[int, Pairs, Pairs], ...]
+    measured: tuple[tuple[int, Pairs, Pairs], tuple[int, Pairs, Pairs]]
 
 
 def _project(
@@ -248,60 +247,51 @@ def _project(
 def innovation(
     rows: SplitTeamState,
     observer: int,
-    landmark: int | None,
-    cross_factor: np.ndarray | None,
+    landmark: int,
+    cross_factor: np.ndarray,
     z: np.ndarray,
     noise_cov: np.ndarray,
 ) -> WhitenedInnovation:
-    """Innovation of a relative (or, with ``landmark=None``, absolute) measurement.
+    """Innovation of the relative measurement of ``landmark`` by ``observer``.
 
-    The measured robots' states are read from ``rows`` by id.
+    The two measured robots' states are read from ``rows`` by id.
     ``cross_factor`` is the server's ``C_ab`` block oriented
     (observer, landmark); the observer-landmark cross covariance is
     reconstructed from it, so the result matches the centralized filter's
     innovation covariance: its term ``H_a A_a C_ab A_b' H_b'`` is formed
     from the two robots' ``H A``. The measured pair's arithmetic, a few
     hundred flops, runs on Python floats: the prediction and the Jacobians
-    come from :func:`model.relative_terms` or :func:`model.absolute_terms`,
-    the float kernels the centralized filter's update calls too, and ``S``
-    is formed as its upper triangle, so it is exactly symmetric.
+    come from :func:`model.relative_terms`, the float kernel the
+    centralized filter's update calls too, and ``S`` is formed as its upper
+    triangle, so it is exactly symmetric.
     Raises :class:`NumericalError` when ``S`` fails
     :func:`linalg.check_spd_2x2` or the arithmetic fails (a non-finite
     heading, say).
     """
-    if landmark is not None and cross_factor is None:
-        raise ValueError("relative measurements need the pair's cross factor")
     (n00, n01), (_, n11) = np.asarray(noise_cov, dtype=float).tolist()
     z0, z1 = np.asarray(z, dtype=float).tolist()
     a = rows.index[observer]
     x, y, heading = rows.mean[a].tolist()
+    b = rows.index[landmark]
+    xb, yb, _ = rows.mean[b].tolist()
     try:
-        if landmark is None:
-            (p0, p1), h_obs = model.absolute_terms(x, y)
-            own, hat, (s00, s01, s11) = _project(rows, a, *h_obs)
-            measured = ((observer, own, hat),)
-        else:
-            b = rows.index[landmark]
-            xb, yb, _ = rows.mean[b].tolist()
-            (p0, p1), h_obs, h_lm = model.relative_terms(x, y, heading, xb, yb)
-            own, hat, (a00, a01, a11) = _project(rows, a, *h_obs)
-            own_b, hat_b, (b00, b01, b11) = _project(rows, b, *h_lm)
-            measured = ((observer, own, hat), (landmark, own_b, hat_b))
-            # (H_a A_a) C_ab (H_b A_b)': C_ab times (H_b A_b)' first.
-            (u0, v0), (u1, v1), (u2, v2) = hat
-            (x0, y0), (x1, y1), (x2, y2) = hat_b
-            (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = cross_factor.tolist()
-            g00, g01 = c00 * x0 + c01 * x1 + c02 * x2, c00 * y0 + c01 * y1 + c02 * y2
-            g10, g11 = c10 * x0 + c11 * x1 + c12 * x2, c10 * y0 + c11 * y1 + c12 * y2
-            g20, g21 = c20 * x0 + c21 * x1 + c22 * x2, c20 * y0 + c21 * y1 + c22 * y2
-            m00 = u0 * g00 + u1 * g10 + u2 * g20
-            m01 = u0 * g01 + u1 * g11 + u2 * g21
-            m10 = v0 * g00 + v1 * g10 + v2 * g20
-            m11 = v0 * g01 + v1 * g11 + v2 * g21
-            s00 = a00 + b00 + m00 + m00
-            s01 = a01 + b01 + m01 + m10
-            s11 = a11 + b11 + m11 + m11
-        s00, s01, s11 = n00 + s00, n01 + s01, n11 + s11
+        (p0, p1), h_obs, h_lm = model.relative_terms(x, y, heading, xb, yb)
+        own, hat, (a00, a01, a11) = _project(rows, a, *h_obs)
+        own_b, hat_b, (b00, b01, b11) = _project(rows, b, *h_lm)
+        # (H_a A_a) C_ab (H_b A_b)': C_ab times (H_b A_b)' first.
+        (u0, v0), (u1, v1), (u2, v2) = hat
+        (x0, y0), (x1, y1), (x2, y2) = hat_b
+        (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = cross_factor.tolist()
+        g00, g01 = c00 * x0 + c01 * x1 + c02 * x2, c00 * y0 + c01 * y1 + c02 * y2
+        g10, g11 = c10 * x0 + c11 * x1 + c12 * x2, c10 * y0 + c11 * y1 + c12 * y2
+        g20, g21 = c20 * x0 + c21 * x1 + c22 * x2, c20 * y0 + c21 * y1 + c22 * y2
+        m00 = u0 * g00 + u1 * g10 + u2 * g20
+        m01 = u0 * g01 + u1 * g11 + u2 * g21
+        m10 = v0 * g00 + v1 * g10 + v2 * g20
+        m11 = v0 * g01 + v1 * g11 + v2 * g21
+        s00 = n00 + (a00 + b00 + m00 + m00)
+        s01 = n01 + (a01 + b01 + m01 + m10)
+        s11 = n11 + (a11 + b11 + m11 + m11)
         _, (w00, w01, w11) = sqrt_and_inv_sqrt_2x2(s00, s01, s11)
     except (ArithmeticError, ValueError) as exc:
         raise NumericalError(f"innovation arithmetic failed: {exc}") from exc
@@ -311,7 +301,7 @@ def innovation(
         w=(w00, w01, w11),
         residual=(r0, r1),
         white_residual=np.array([w00 * r0 + w01 * r1, w01 * r0 + w11 * r1]),
-        measured=measured,
+        measured=((observer, own, hat), (landmark, own_b, hat_b)),
     )
 
 

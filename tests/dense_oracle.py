@@ -135,14 +135,10 @@ def dense_measurement_row(x, n, obs_idx, lm_idx):
     """Stacked measurement Jacobian, predicted value and block Jacobians."""
     h_row = np.zeros((2, 3 * n))
     a = slice(3 * obs_idx, 3 * obs_idx + 3)
-    if lm_idx is None:
-        predicted, h_obs = model.absolute_terms(*x[a][:2])
-        h_row[:, a] = h_obs
-    else:
-        b = slice(3 * lm_idx, 3 * lm_idx + 3)
-        predicted, h_obs, h_lm = model.relative_terms(*x[a], *x[b][:2])
-        h_row[:, a] = h_obs
-        h_row[:, b] = h_lm
+    b = slice(3 * lm_idx, 3 * lm_idx + 3)
+    predicted, h_obs, h_lm = model.relative_terms(*x[a], *x[b][:2])
+    h_row[:, a] = h_obs
+    h_row[:, b] = h_lm
     return h_row, np.array(predicted)
 
 

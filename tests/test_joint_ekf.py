@@ -167,10 +167,9 @@ class TestPartialUpdate:
         "meas, missed, reason",
         [
             (model.RelativeMeasurement(1, 2, np.zeros(2), 0), frozenset({2}), "received"),
-            (model.AbsoluteMeasurement(1, np.zeros(2), 0), frozenset({1, 3}), "received"),
             (model.RelativeMeasurement(1, 4, np.zeros(2), 0), frozenset(), "not in team"),
         ],
-        ids=["missed-landmark", "missed-absolute-observer", "robot-outside-team"],
+        ids=["missed-landmark", "robot-outside-team"],
     )
     def test_measuring_pair_must_be_reachable(self, meas, missed, reason):
         rng = np.random.default_rng(19)
@@ -205,39 +204,6 @@ class TestPartialUpdate:
             joseph = (np.eye(3 * m) - k_try @ h_row)
             p_try = joseph @ p_sub @ joseph.T + k_try @ noise @ k_try.T
             assert np.trace(p_try) >= best_trace - 1e-10
-
-
-class TestAbsoluteUpdate:
-    def test_near_perfect_measurement_pins_position(self):
-        belief = joint_ekf.JointBelief.initialize(
-            {1: np.array([0.0, 0.0, 0.3])}, {1: np.eye(3) * 0.5}
-        )
-        z = np.array([1.5, -0.5])
-        meas = model.AbsoluteMeasurement(1, z, 0)
-        out, _ = joint_ekf.partial_update(belief, meas, np.eye(2) * 1e-12)
-        np.testing.assert_allclose(out.mean[0, :2], z, atol=1e-5)
-
-    def test_zero_correlation_touches_only_observer(self):
-        rng = np.random.default_rng(21)
-        belief = joint_ekf.JointBelief.initialize(
-            {1: rng.uniform(-1, 1, 3), 2: rng.uniform(-1, 1, 3)},
-            {1: np.eye(3) * 0.2, 2: np.eye(3) * 0.2},
-        )
-        meas = model.AbsoluteMeasurement(1, rng.uniform(-1, 1, 2), 0)
-        out, _ = joint_ekf.partial_update(belief, meas, np.eye(2) * 0.01)
-        np.testing.assert_array_equal(out.mean[1], belief.mean[1])
-        np.testing.assert_array_equal(out.block(2, 2), belief.block(2, 2))
-
-    def test_matches_dense_on_random_three_robot_belief(self):
-        rng = np.random.default_rng(22)
-        for _ in range(25):
-            belief = random_belief(rng, 3)
-            meas = model.AbsoluteMeasurement(2, rng.uniform(-2, 2, 2), 0)
-            noise = np.eye(2) * 0.01
-            out, _ = joint_ekf.partial_update(belief, meas, noise)
-            x, p = stack(belief)
-            x_d, p_d, _, _ = dense_update(x, p, meas.z, noise, 1, None)
-            unpack(out, x_d, p_d)
 
 
 class TestJointBelief:
@@ -286,8 +252,8 @@ def update_sequences(draw):
     """A team size, a seed for the numbers, and a list of team operations.
 
     Each operation is ``None`` (propagate one step) or an update
-    ``(observer, landmark, missed)``; ``landmark`` is ``None`` for an
-    absolute measurement, and ``missed`` never contains an endpoint.
+    ``(observer, landmark, missed)`` of a relative measurement, and
+    ``missed`` never contains an endpoint.
     """
     n = draw(st.integers(2, 8))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -297,7 +263,7 @@ def update_sequences(draw):
             ops.append(None)
             continue
         observer = draw(st.integers(1, n))
-        landmark = draw(st.none() | st.integers(1, n).filter(lambda j: j != observer))
+        landmark = draw(st.integers(1, n).filter(lambda j: j != observer))
         others = sorted(set(range(1, n + 1)) - {observer, landmark})
         missed = frozenset(draw(st.sets(st.sampled_from(others)))) if others else frozenset()
         ops.append((observer, landmark, missed))
@@ -325,17 +291,12 @@ class TestPartialUpdateProperties:
             else:
                 observer, landmark, missed = op
                 z = rng.uniform(-2, 2, 2)
-                if landmark is None:
-                    meas = model.AbsoluteMeasurement(observer, z, belief.time)
-                    out, _ = joint_ekf.partial_update(belief, meas, noise, missed)
-                    lm_idx = None
-                else:
-                    meas = model.RelativeMeasurement(observer, landmark, z, belief.time)
-                    out, _ = joint_ekf.partial_update(belief, meas, noise, missed)
-                    lm_idx = belief.index[landmark]
+                meas = model.RelativeMeasurement(observer, landmark, z, belief.time)
+                out, _ = joint_ekf.partial_update(belief, meas, noise, missed)
                 frozen = np.array(sorted(belief.index[i] for i in missed), dtype=int)
                 x_d, p_d, _, _ = dense_update(
-                    x, p, z, noise, belief.index[observer], lm_idx, missed_idx=frozen
+                    x, p, z, noise, belief.index[observer], belief.index[landmark],
+                    missed_idx=frozen,
                 )
             unpack(out, x_d, p_d)
             np.testing.assert_array_equal(out.mean[frozen], belief.mean[frozen])

@@ -46,13 +46,6 @@ class TestLandmarkMessage:
         back = LandmarkMessage.decode(msg.encode())
         assert back.z is None and back.landmark is None
 
-    def test_absolute_announcement_round_trip(self):
-        rng = np.random.default_rng(62)
-        msg = dataclasses.replace(sample_landmark(rng), landmark=None)
-        back = LandmarkMessage.decode(msg.encode())
-        assert back.landmark is None
-        np.testing.assert_array_equal(back.z, msg.z)
-
     def test_byte_length_independent_of_content_and_fields_fixed(self):
         rng = np.random.default_rng(63)
         lengths = {
@@ -82,8 +75,9 @@ class TestLandmarkMessage:
         (0, 0, "robot 0 cannot measure itself"),
     ])
     def test_unencodable_landmark_rejected_at_construction(self, sender, landmark, message):
-        # Landmark 0 would encode as "no landmark" and decode as an
-        # absolute fix; a robot measuring itself has no cross factor.
+        # Landmark 0 would encode as "no landmark" and decode as a
+        # measurement without a landmark; a robot measuring itself has no
+        # cross factor.
         rng = np.random.default_rng(71)
         with pytest.raises(ProtocolError, match=message):
             sample_landmark(rng, sender=sender, landmark=landmark)
@@ -100,10 +94,14 @@ class TestLandmarkMessage:
         # It would encode as a landmark-role frame, which names no landmark.
         with pytest.raises(ProtocolError, match="robot 3 names landmark 4 without a measurement"):
             LandmarkMessage(3, 0, np.zeros(3), np.eye(3), np.zeros(2), landmark=4)
+        # Nor is a measurement sent without its landmark: the server would
+        # have no pair to correct.
+        with pytest.raises(ProtocolError, match="robot 3 sends a measurement without a landmark"):
+            LandmarkMessage(3, 0, np.zeros(3), np.eye(3), np.zeros(2), z=np.zeros(2))
 
     def test_non_canonical_frames_rejected_at_decode(self):
         # Each of these frames would decode to a message that encodes to
-        # other bytes.
+        # other bytes, or to one that fits neither role.
         rng = np.random.default_rng(73)
         observer = bytearray(sample_landmark(rng, sender=3, landmark=5).encode())
         role = bytearray(sample_landmark(rng, sender=3, with_z=False).encode())
@@ -119,6 +117,11 @@ class TestLandmarkMessage:
         named_without_z[18:34] = bytes(16)
         with pytest.raises(ProtocolError, match="names landmark 5 without a measurement"):
             LandmarkMessage.decode(bytes(named_without_z))
+
+        z_without_landmark = bytearray(observer)
+        z_without_landmark[13:17] = bytes(4)
+        with pytest.raises(ProtocolError, match="measurement without a landmark"):
+            LandmarkMessage.decode(bytes(z_without_landmark))
 
         for z in (1.0, -0.0, 5e-324):
             stray_z = bytearray(role)
@@ -272,7 +275,7 @@ u32 = st.integers(0, 2 ** 32 - 1)
 def frames(draw):
     """``(codec, raw, ids, floats)``: a valid frame of any kind, packed field
     by field independently of the codec, with the fields it carries."""
-    role = draw(st.sampled_from(["observer", "absolute", "landmark-role", "single", "summed"]))
+    role = draw(st.sampled_from(["observer", "landmark-role", "single", "summed"]))
     first, time = draw(u32), draw(u32)
     if role in ("single", "summed"):
         floats = draw(st.lists(any_float, min_size=8, max_size=8) if role == "single"
@@ -281,7 +284,7 @@ def frames(draw):
         raw = struct.pack(f"<4sBII{len(floats)}d", b"SCL2", kind, first, time, *floats)
         return UpdateMessage, raw, (first, time, role), floats
     landmark = draw(u32.filter(lambda b: b not in (0, first))) if role == "observer" else 0
-    has_z = role != "landmark-role"
+    has_z = role == "observer"
     floats = draw(st.lists(any_float, min_size=16, max_size=16))
     if not has_z:
         floats[:2] = [0.0, 0.0]

@@ -244,32 +244,6 @@ class TestRelativeMeasurementModel:
             np.testing.assert_allclose(h_lm, fd_lm, atol=FD_TOL)
 
 
-class TestAbsoluteMeasurementModel:
-    def test_projection(self):
-        predicted, _ = model.absolute_terms(2.0, 3.0)
-        assert predicted == (2.0, 3.0)
-
-    def test_jacobian_constant(self):
-        rng = np.random.default_rng(7)
-        _, expected = model.absolute_terms(0.0, 0.0)
-        for _ in range(20):
-            _, h = model.absolute_terms(*rng.uniform(-5, 5, 2))
-            assert h == expected
-
-    def test_jacobian_matches_finite_differences(self):
-        rng = np.random.default_rng(8)
-        for _ in range(50):
-            pose = rng.uniform(-5, 5, 3)
-            fd = np.column_stack([
-                central_diff(
-                    lambda p: np.array(model.absolute_terms(*p[:2])[0]), pose, i, step=1e-5
-                )
-                for i in range(3)
-            ])
-            _, h = model.absolute_terms(*pose[:2])
-            np.testing.assert_allclose(h, fd, atol=1e-9)
-
-
 class TestMeasurementRecords:
     def test_self_measurement_rejected(self):
         with pytest.raises(model.ModelError):
@@ -279,4 +253,4 @@ class TestMeasurementRecords:
         with pytest.raises(model.ModelError):
             model.RelativeMeasurement(observer=1, landmark=2, z=np.array([np.inf, 0]), time=0)
         with pytest.raises(model.ModelError):
-            model.AbsoluteMeasurement(observer=1, z=np.array([np.nan, 0]), time=0)
+            model.RelativeMeasurement(observer=1, landmark=2, z=np.array([np.nan, 0]), time=0)

@@ -258,8 +258,7 @@ class TestServerSingleMeasurement:
         belief, _ = joint_ekf.partial_update(belief, model.RelativeMeasurement(3, 4, z, t), NOISE)
         assert_matches_belief(ids, nodes, belief)
 
-    @pytest.mark.parametrize("pairs", [[(1, 2)], [(1, None)], [(1, 2), (3, 4)]],
-                             ids=["relative", "absolute", "summed"])
+    @pytest.mark.parametrize("pairs", [[(1, 2)], [(1, 2), (3, 4)]], ids=["relative", "summed"])
     def test_scratch_rows_are_the_senders_own_corrections(self, monkeypatch, pairs):
         # The server corrects its shadow of each sender, one stacked row per
         # sender, with the kernel call the sender makes on a single frame:
@@ -273,8 +272,7 @@ class TestServerSingleMeasurement:
         msgs = []
         for a, b in pairs:
             msgs.append(nodes[a].landmark_message(z=rng.uniform(-1, 1, 2), landmark=b))
-            if b is not None:
-                msgs.append(nodes[b].landmark_message())
+            msgs.append(nodes[b].landmark_message())
         shadows = []
         original = split_ekf.apply_update
 
@@ -440,7 +438,7 @@ class TestServerSingleMeasurement:
         assert server.events == []
 
     def test_robot_zero_cannot_be_announced_as_a_landmark(self):
-        # On the wire, landmark 0 means an absolute fix.
+        # On the wire, landmark 0 means the frame names no landmark.
         rng = np.random.default_rng(88)
         node = RobotNode(1, rng.uniform(-1, 1, 3), np.eye(3) * 0.1)
         server = CooperationServer((0, 1), NOISE)
@@ -575,63 +573,14 @@ class TestServerSequentialEpoch:
         np.testing.assert_allclose(cross_blocks(recon), cross_blocks(belief.cov), atol=EQUIV_TOL)
 
 
-class TestServerAbsolute:
-    def test_uncorrelated_team_only_observer_moves(self):
-        rng = np.random.default_rng(86)
-        ids, nodes, server, belief = build_stack(rng, 3)
-        t = nodes[1].time
-        z = nodes[2].state.mean[0, :2] + rng.uniform(-0.1, 0.1, 2)
-        msg = nodes[2].landmark_message(z=z)
-        before = {i: copy.deepcopy(nodes[i].state) for i in ids}
-        updates = server.handle_epoch([msg], t)
-        assert set(updates) == {2}
-        for i, msg in updates.items():
-            nodes[i].apply_update(msg)
-        assert not np.array_equal(nodes[2].state.mean, before[2].mean)
-        for i in (1, 3):
-            np.testing.assert_array_equal(nodes[i].state.mean, before[i].mean)
-
-    def test_matches_joint_update_of_absolute_measurement(self):
-        rng = np.random.default_rng(87)
-        ids, nodes, server, belief = build_stack(rng, 3, warmup_pairs=[(1, 2)])
-        t = nodes[1].time
-        z = rng.uniform(-2, 2, 2)
-        updates = server.handle_epoch([nodes[1].landmark_message(z=z)], t)
-        for i, msg in updates.items():
-            nodes[i].apply_update(msg)
-        belief, _ = joint_ekf.partial_update(
-            belief, model.AbsoluteMeasurement(1, z, t), NOISE
-        )
-        assert_matches_belief(ids, nodes, belief)
-
-    def test_correlation_spreads_absolute_benefit(self):
-        # after a relative update correlates robots 1 and 2, an absolute
-        # measurement of robot 1 moves robot 2 as well
-        rng = np.random.default_rng(88)
-        ids, nodes, server, belief = build_stack(rng, 2, warmup_pairs=[(1, 2)])
-        t = nodes[1].time
-        before2 = nodes[2].state.mean.copy()
-        z = rng.uniform(-2, 2, 2)
-        updates = server.handle_epoch([nodes[1].landmark_message(z=z)], t)
-        for i, msg in updates.items():
-            nodes[i].apply_update(msg)
-        assert not np.array_equal(nodes[2].state.mean, before2)
-        belief, _ = joint_ekf.partial_update(
-            belief, model.AbsoluteMeasurement(1, z, t), NOISE
-        )
-        assert_matches_belief(ids, nodes, belief)
-
-
 class TestSparseUpdateFrames:
     """The server messages exactly the robots the centralized gain touches."""
 
     # Warm-up correlates (1, 2) and (3, 4); robots 5 and 6 are never measured.
-    # Each epoch is a list of (observer, landmark) pairs, landmark None for
-    # an absolute measurement.
+    # Each epoch is a list of (observer, landmark) pairs.
     EPOCHS = {
         "single": [(2, 5)],
         "summed": [(1, 2), (2, 5)],
-        "absolute": [(3, None)],
     }
 
     @pytest.mark.parametrize("kind", sorted(EPOCHS))
@@ -643,18 +592,11 @@ class TestSparseUpdateFrames:
         gained = set()
         before_belief = belief
         for a, b in self.EPOCHS[kind]:
-            if b is None:
-                z = nodes[a].state.mean[0, :2] + rng.uniform(-0.1, 0.1, 2)
-                msgs.append(nodes[a].landmark_message(z=z))
-                belief, innov = joint_ekf.partial_update(
-                    belief, model.AbsoluteMeasurement(a, z, t), NOISE
-                )
-            else:
-                z = rng.uniform(-1, 1, 2)
-                msgs += [nodes[a].landmark_message(z=z, landmark=b), nodes[b].landmark_message()]
-                belief, innov = joint_ekf.partial_update(
-                    belief, model.RelativeMeasurement(a, b, z, t), NOISE
-                )
+            z = rng.uniform(-1, 1, 2)
+            msgs += [nodes[a].landmark_message(z=z, landmark=b), nodes[b].landmark_message()]
+            belief, innov = joint_ekf.partial_update(
+                belief, model.RelativeMeasurement(a, b, z, t), NOISE
+            )
             gained |= {i for i in ids if innov.gains[belief.index[i]].any()}
         before = {i: copy.deepcopy(nodes[i].state) for i in ids}
 
@@ -722,19 +664,15 @@ class TestServerScratchGate:
 def server_epochs(draw):
     """A team size, warm-up pairs, one epoch's measurements and its missed set.
 
-    Measurements are distinct ``(observer, landmark)`` pairs, ``landmark``
-    ``None`` for an absolute one, drawn from a few robots so that they
-    share robots. Missed robots are drawn from the whole team, so some
+    Measurements are distinct ``(observer, landmark)`` pairs, drawn from a
+    few robots so that they share robots. Missed robots are drawn from the whole team, so some
     measurements lose an endpoint and are discarded.
     """
     n = draw(st.integers(2, 6))
     robot = st.integers(1, n)
     pair = st.tuples(robot, robot).filter(lambda p: p[0] != p[1])
     warmup = draw(st.lists(pair, max_size=2, unique=True))
-    measurements = draw(st.lists(
-        st.tuples(robot, st.none() | robot).filter(lambda p: p[0] != p[1]),
-        min_size=1, max_size=4, unique=True,
-    ))
+    measurements = draw(st.lists(pair, min_size=1, max_size=4, unique=True))
     missed = frozenset(draw(st.sets(robot, max_size=n - 1)))
     return n, warmup, measurements, missed, draw(st.integers(0, 2**32 - 1))
 
@@ -754,13 +692,10 @@ class TestServerEpochProperty:
         zs = {}
         msgs = []
         for a, b in measurements:
-            if b is None:
-                zs[a, b] = nodes[a].state.mean[0, :2] + rng.uniform(-0.2, 0.2, 2)
-            else:
-                zs[a, b] = rng.uniform(-1, 1, 2)
+            zs[a, b] = rng.uniform(-1, 1, 2)
             msgs.append(nodes[a].landmark_message(z=zs[a, b], landmark=b))
         observers = {a for a, _ in measurements}
-        landmarks = {b for _, b in measurements if b is not None}
+        landmarks = {b for _, b in measurements}
         msgs += [nodes[i].landmark_message() for i in sorted(landmarks - observers)]
 
         updates = server.handle_epoch(msgs, t, missed=missed)
@@ -768,23 +703,15 @@ class TestServerEpochProperty:
             if i not in missed:
                 nodes[i].apply_update(msg)
 
-        # The server's order: relatives by (observer, landmark), then absolutes.
-        order = sorted((m for m in measurements if m[1] is not None)) + sorted(
-            m for m in measurements if m[1] is None
-        )
+        # The server's order: ascending (observer, landmark).
         applied = 0
-        for a, b in order:
+        for a, b in sorted(measurements):
             if a in missed or b in missed:
                 continue
             applied += 1
-            if b is None:
-                belief, _ = joint_ekf.partial_update(
-                    belief, model.AbsoluteMeasurement(a, zs[a, b], t), NOISE, missed
-                )
-            else:
-                belief, _ = joint_ekf.partial_update(
-                    belief, model.RelativeMeasurement(a, b, zs[a, b], t), NOISE, missed
-                )
+            belief, _ = joint_ekf.partial_update(
+                belief, model.RelativeMeasurement(a, b, zs[a, b], t), NOISE, missed
+            )
         assert bool(updates) == (applied > 0)
         assert {m.kind for m in updates.values()} <= {"single" if applied == 1 else "summed"}
         assert_matches_belief(ids, nodes, belief, tol=1e-10)
