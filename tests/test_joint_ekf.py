@@ -83,6 +83,49 @@ class TestUpdate:
             assert innov.gains.shape == (3, 3, 2)
             np.testing.assert_allclose(innov.gains, k_d.reshape(3, 3, 2), atol=DENSE_TOL)
 
+    def test_matches_dense_when_landmark_precedes_observer(self):
+        rng = np.random.default_rng(24)
+        for _ in range(25):
+            belief = random_belief(rng, 4)
+            meas = model.RelativeMeasurement(4, 2, rng.uniform(-2, 2, 2), belief.time)
+            noise = np.eye(2) * 0.01
+            out, innov = joint_ekf.partial_update(belief, meas, noise)
+            x, p = stack(belief)
+            x_d, p_d, s_d, _ = dense_update(x, p, meas.z, noise, 3, 1)
+            unpack(out, x_d, p_d)
+            np.testing.assert_allclose(innov.cov, s_d, atol=DENSE_TOL)
+
+    def test_near_perfect_measurement_satisfies_the_linearized_model(self):
+        # As the noise vanishes, the updated pair meets the measurement
+        # model linearized at the prior: h(x0) + H (x - x0) = z.
+        rng = np.random.default_rng(25)
+        for _ in range(10):
+            belief = random_belief(rng, 3)
+            z = rng.uniform(-2, 2, 2)
+            meas = model.RelativeMeasurement(1, 2, z, belief.time)
+            out, _ = joint_ekf.partial_update(belief, meas, np.eye(2) * 1e-12)
+            predicted, h_obs, h_lm = map(
+                np.array, model.relative_terms(*belief.mean[0], *belief.mean[1, :2])
+            )
+            moved = h_obs @ (out.mean[0] - belief.mean[0]) + h_lm @ (out.mean[1] - belief.mean[1])
+            np.testing.assert_allclose(predicted + moved, z, atol=1e-6)
+
+    def test_zero_correlation_touches_only_the_pair(self):
+        rng = np.random.default_rng(21)
+        belief = joint_ekf.JointBelief.initialize(
+            {i: rng.uniform(-1, 1, 3) for i in (1, 2, 3)},
+            {i: np.eye(3) * 0.2 for i in (1, 2, 3)},
+        )
+        meas = model.RelativeMeasurement(1, 2, rng.uniform(-1, 1, 2), 0)
+        out, innov = joint_ekf.partial_update(belief, meas, np.eye(2) * 0.01)
+        np.testing.assert_array_equal(innov.gains[2], np.zeros((3, 2)))
+        np.testing.assert_array_equal(out.mean[2], belief.mean[2])
+        np.testing.assert_array_equal(out.block(3, 3), belief.block(3, 3))
+        for i in (1, 2):
+            np.testing.assert_array_equal(out.block(i, 3), np.zeros((3, 3)))
+            assert not np.array_equal(out.mean[out.index[i]], belief.mean[belief.index[i]])
+        assert out.block(1, 2).any()
+
     def test_zero_correlation_innovation_has_no_cross_terms(self):
         rng = np.random.default_rng(13)
         belief = joint_ekf.JointBelief.initialize(
@@ -167,9 +210,10 @@ class TestPartialUpdate:
         "meas, missed, reason",
         [
             (model.RelativeMeasurement(1, 2, np.zeros(2), 0), frozenset({2}), "received"),
+            (model.RelativeMeasurement(1, 2, np.zeros(2), 0), frozenset({1, 3}), "received"),
             (model.RelativeMeasurement(1, 4, np.zeros(2), 0), frozenset(), "not in team"),
         ],
-        ids=["missed-landmark", "robot-outside-team"],
+        ids=["missed-landmark", "missed-observer", "robot-outside-team"],
     )
     def test_measuring_pair_must_be_reachable(self, meas, missed, reason):
         rng = np.random.default_rng(19)

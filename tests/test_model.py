@@ -243,6 +243,34 @@ class TestRelativeMeasurementModel:
             np.testing.assert_allclose(h_obs, fd_obs, atol=FD_TOL)
             np.testing.assert_allclose(h_lm, fd_lm, atol=FD_TOL)
 
+    def test_observer_position_columns_negate_the_landmark_columns(self):
+        # The model depends on the two positions only through their
+        # difference.
+        rng = np.random.default_rng(9)
+        for _ in range(100):
+            pa, pb = rng.uniform(-5, 5, (2, 3))
+            _, h_obs, h_lm = model.relative_terms(*pa, *pb[:2])
+            np.testing.assert_array_equal(np.array(h_obs)[:, :2], -np.array(h_lm)[:, :2])
+
+    def test_observer_heading_column_is_the_measurement_turned(self):
+        # Turning the observer by dθ turns the measured vector by -dθ.
+        rng = np.random.default_rng(10)
+        for _ in range(100):
+            pa, pb = rng.uniform(-5, 5, (2, 3))
+            (zx, zy), h_obs, _ = model.relative_terms(*pa, *pb[:2])
+            np.testing.assert_array_equal(np.array(h_obs)[:, 2], [zy, -zx])
+
+    def test_shifting_both_positions_leaves_the_terms_unchanged(self):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            pa, pb = rng.uniform(-5, 5, (2, 3))
+            shift = rng.uniform(-5, 5, 2)
+            moved_a = pa + np.append(shift, 0.0)
+            here = model.relative_terms(*pa, *pb[:2])
+            there = model.relative_terms(*moved_a, *(pb[:2] + shift))
+            for got, want in zip(there, here):
+                np.testing.assert_allclose(got, want, atol=1e-13)
+
 
 class TestMeasurementRecords:
     def test_self_measurement_rejected(self):

@@ -258,7 +258,44 @@ class TestServerSingleMeasurement:
         belief, _ = joint_ekf.partial_update(belief, model.RelativeMeasurement(3, 4, z, t), NOISE)
         assert_matches_belief(ids, nodes, belief)
 
-    @pytest.mark.parametrize("pairs", [[(1, 2)], [(1, 2), (3, 4)]], ids=["relative", "summed"])
+    def test_uncorrelated_team_only_the_pair_moves(self):
+        rng = np.random.default_rng(86)
+        ids, nodes, server, belief = build_stack(rng, 3)
+        t = nodes[1].time
+        z = rng.uniform(-1, 1, 2)
+        msgs = [nodes[2].landmark_message(z=z, landmark=3), nodes[3].landmark_message()]
+        before = {i: copy.deepcopy(nodes[i].state) for i in ids}
+        updates = server.handle_epoch(msgs, t)
+        assert set(updates) == {2, 3}
+        for i, msg in updates.items():
+            nodes[i].apply_update(msg)
+        for i in (2, 3):
+            assert not np.array_equal(nodes[i].state.mean, before[i].mean)
+        np.testing.assert_array_equal(nodes[1].state.mean, before[1].mean)
+        np.testing.assert_array_equal(nodes[1].state.cov, before[1].cov)
+        belief, _ = joint_ekf.partial_update(belief, model.RelativeMeasurement(2, 3, z, t), NOISE)
+        assert_matches_belief(ids, nodes, belief)
+
+    def test_correlation_spreads_the_benefit_to_a_third_robot(self):
+        # After a measurement correlates robots 1 and 2, measuring robot 1
+        # against robot 3 moves robot 2 as well.
+        rng = np.random.default_rng(87)
+        ids, nodes, server, belief = build_stack(rng, 3, warmup_pairs=[(1, 2)])
+        t = nodes[1].time
+        before2 = nodes[2].state.mean.copy()
+        z = rng.uniform(-1, 1, 2)
+        msgs = [nodes[1].landmark_message(z=z, landmark=3), nodes[3].landmark_message()]
+        updates = server.handle_epoch(msgs, t)
+        assert set(updates) == {1, 2, 3}
+        for i, msg in updates.items():
+            nodes[i].apply_update(msg)
+        assert not np.array_equal(nodes[2].state.mean, before2)
+        belief, _ = joint_ekf.partial_update(belief, model.RelativeMeasurement(1, 3, z, t), NOISE)
+        assert_matches_belief(ids, nodes, belief)
+
+    @pytest.mark.parametrize(
+        "pairs", [[(1, 2)], [(2, 1)], [(1, 2), (3, 4)]], ids=["relative", "reversed", "summed"]
+    )
     def test_scratch_rows_are_the_senders_own_corrections(self, monkeypatch, pairs):
         # The server corrects its shadow of each sender, one stacked row per
         # sender, with the kernel call the sender makes on a single frame:
@@ -504,6 +541,27 @@ class TestServerSequentialEpoch:
         belief, _ = joint_ekf.partial_update(belief, model.RelativeMeasurement(2, 3, z23, t), NOISE)
         assert_matches_belief(ids, nodes, belief)
 
+    def test_two_observers_of_one_landmark_match_sequential_joint_filter(self):
+        # Robot 3 is the landmark of both measurements and sends one frame.
+        rng = np.random.default_rng(85)
+        ids, nodes, server, belief = build_stack(rng, 3, warmup_pairs=[(1, 2)])
+        t = nodes[1].time
+        z13 = rng.uniform(-1, 1, 2)
+        z23 = rng.uniform(-1, 1, 2)
+        msgs = [
+            nodes[2].landmark_message(z=z23, landmark=3),
+            nodes[3].landmark_message(),
+            nodes[1].landmark_message(z=z13, landmark=3),
+        ]
+        updates = server.handle_epoch(msgs, t)
+        assert set(updates) == set(ids)
+        assert all(m.kind == "summed" for m in updates.values())
+        for i, msg in updates.items():
+            nodes[i].apply_update(msg)
+        belief, _ = joint_ekf.partial_update(belief, model.RelativeMeasurement(1, 3, z13, t), NOISE)
+        belief, _ = joint_ekf.partial_update(belief, model.RelativeMeasurement(2, 3, z23, t), NOISE)
+        assert_matches_belief(ids, nodes, belief)
+
     def test_missed_robot_keeps_propagated_state_partial_oracle_agrees(self):
         rng = np.random.default_rng(84)
         ids, nodes, server, belief = build_stack(rng, 4, warmup_pairs=[(1, 2), (2, 3)])
@@ -581,6 +639,8 @@ class TestSparseUpdateFrames:
     EPOCHS = {
         "single": [(2, 5)],
         "summed": [(1, 2), (2, 5)],
+        "warm-pair": [(4, 3)],
+        "fresh-pair": [(5, 6)],
     }
 
     @pytest.mark.parametrize("kind", sorted(EPOCHS))
