@@ -20,16 +20,18 @@ over a whole segment come from one :func:`model.propagate_pose` call
 epochs, and ground truth and dead reckoning one per stretch of the run. A
 filter's segments hold at most about a thousand robot-steps, which bounds
 the temporaries of a call (twelve calls for the truth of table1). Each
-centralized filter has one step loop, :func:`joint_steps`, a generator of
-one block of steps per segment through :func:`joint_ekf.propagate_segment`,
-which keeps its covariance recurrence per step as the independent
-reference. All split filters of a run share one loop, :func:`split_steps`:
-each is a lane of one stacked :class:`split_ekf.SplitTeamState`, with its
-own channel reports, server and event list, and one
+centralized filter has one step loop, :func:`joint_steps`, a stream of one
+belief per step from one :func:`joint_ekf.propagate_segment` call per
+segment, which keeps its covariance recurrence per step as the independent
+reference and forms a step's dense covariance only when the step is asked
+for. All split filters of a run share one loop, :func:`split_steps`: each
+is a lane of one stacked :class:`split_ekf.SplitTeamState`, with its own
+channel reports, server and event list, and one
 :func:`split_ekf.propagate_team` call per segment, which forms the
 segment's covariances in closed form, advances every lane.
-:func:`run_once` writes the blocks into its records and
-:mod:`splitcl.verify` runs one lane and compares it step by step. The four
+:func:`run_once` writes each joint belief and each split block into its
+records as it arrives, and :mod:`splitcl.verify` compares one split lane
+with the joint stream step by step. The four
 filtering estimators differ only in the channel reports they get: none
 (perfect links) or the dropout run's. Only at a measurement epoch does a
 robot act on its own, in its lane alone: a measured robot sends the
@@ -52,6 +54,7 @@ from __future__ import annotations
 import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -269,11 +272,9 @@ def run_once(
             est = np.empty((sc.n_robots, sc.n_steps + 1, 3))
             cov = np.empty((sc.n_robots, sc.n_steps + 1, 3, 3))
             est[:, 0], cov[:, 0] = real.init_means, sc.initial_cov()
-            for beliefs in joint_steps(sc, real, links(name), logs[name], name):
-                span = slice(beliefs[0].time, beliefs[-1].time + 1)
-                est[:, span] = np.stack([b.mean for b in beliefs], axis=1)
-                cov[:, span] = np.stack([b.own_covs() for b in beliefs], axis=1)
-                del beliefs  # hold no segment while the next one is formed
+            for belief in joint_steps(sc, real, links(name), logs[name], name):
+                est[:, belief.time] = belief.mean
+                cov[:, belief.time] = belief.own_covs()
         estimates[name] = est
         covs[name] = cov
         flagged[name] = not bool(np.isfinite(est).all())
@@ -300,9 +301,15 @@ def joint_steps(
     reports: Mapping[int, DeliveryReport],
     events: list[ProtocolEvent],
     name: str,
-) -> Iterator[list[joint_ekf.JointBelief]]:
-    """Each segment's centralized beliefs, the last updated by the partial-update
-    rule at an epoch; an invalid update is skipped and logged under ``name``."""
+) -> Iterator[joint_ekf.JointBelief]:
+    """The centralized belief at every step ``1..T``, one step at a time.
+
+    The beliefs come from :func:`joint_ekf.propagate_segment`, one call per
+    segment (:func:`segments`), and each is formed only when it is asked
+    for. The belief at a measurement epoch comes out updated by the
+    partial-update rule; an invalid update is skipped and logged under
+    ``name``.
+    """
     ids = sc.robot_ids
     belief = joint_ekf.JointBelief.initialize(
         means={i: real.init_means[i - 1] for i in ids},
@@ -310,12 +317,13 @@ def joint_steps(
     )
     noise = sc.meas_noise_cov()
     for k0, k1 in segments(sc, real.measurements):
-        # The segment propagates from the belief it starts with; only its
-        # last step can be an epoch, so no update is lost.
-        beliefs = joint_ekf.propagate_segment(
+        steps = joint_ekf.propagate_segment(
             belief, real.controls_meas[:, k0:k1], real.filter_q[:, k0:k1], sc.dt_s
         )
-        belief = beliefs[-1]
+        # Only the segment's last step can be an epoch, so no update is lost;
+        # the next segment propagates from that step's updated belief.
+        yield from islice(steps, k1 - k0 - 1)
+        belief = next(steps)
         if k1 in real.measurements:
             report = epoch_report(reports, ids, k1)
             for m in real.measurements[k1]:
@@ -331,10 +339,7 @@ def joint_steps(
                         f"estimator={name} observer={m.observer} landmark={m.landmark} "
                         f"reason={exc}",
                     ))
-            beliefs[-1] = belief
-        yield beliefs
-        # Hold no segment while the next one is formed.
-        del beliefs
+        yield belief
 
 
 # One split filter of a run: its channel reports (empty for perfect links),

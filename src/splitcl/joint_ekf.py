@@ -15,10 +15,10 @@ symmetric.
 Propagation is ``F P F' + G Q G'`` with a block-diagonal ``F``. A segment
 of steps between two measurement epochs takes one motion-kernel call for
 every step's means and Jacobians, and then one ``(3N)^2`` sandwich per
-step. An update of one relative measurement is one :func:`partial_update`:
-it forms ``P H'`` from the block columns of the two measured robots, the
-gains ``K = P H' S^-1`` of every robot, and subtracts the symmetrized
-``K S K'`` as one product.
+step, formed only when that step is asked for. An update of one relative
+measurement is one :func:`partial_update`: it forms ``P H'`` from the
+block columns of the two measured robots, the gains ``K = P H' S^-1`` of
+every robot, and subtracts the symmetrized ``K S K'`` as one product.
 
 ``partial_update`` supports epochs where a subset of robots never receives
 the correction. The blocks of ``K S K'`` between two such robots are zeroed
@@ -34,7 +34,7 @@ Beliefs are values: every operation returns a new :class:`JointBelief`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Mapping
+from typing import AbstractSet, Iterator, Mapping
 
 import numpy as np
 
@@ -121,23 +121,31 @@ def propagate_segment(
     controls: np.ndarray,
     noise_diags: np.ndarray,
     dt: float,
-) -> list[JointBelief]:
-    """Advance every robot ``L`` timesteps; returns the beliefs at steps ``1..L``.
+) -> Iterator[JointBelief]:
+    """Advance every robot ``L`` timesteps; a stream of the beliefs at steps ``1..L``.
 
     ``controls`` are the ``(N, L, 2)`` measured velocities and
     ``noise_diags`` the ``(N, L, 2)`` diagonals of the process-noise
     covariances, both in team order. One :func:`model.propagate_pose` call
-    gives every step's means and Jacobians; each step then goes through
-    :func:`propagate`.
+    gives every step's means and Jacobians when this function is called,
+    so bad input raises here, not at some later step. The returned
+    iterator runs :func:`propagate` for a step only when that step is
+    asked for: a consumer that keeps no belief it has been handed holds
+    only the covariance of the step it is on and of the one being formed.
     """
     poses, translations, g_jacs = model.propagate_pose(belief.mean, controls, dt)
     # Time-major, so each step's slice is one block of memory.
     f_jacs = model.shear(translations.transpose(1, 0, 2))
     noise = model.process_noise(g_jacs, noise_diags).transpose(1, 0, 2, 3)
-    beliefs = [belief]
+    return _steps(belief, poses, f_jacs, noise)
+
+
+def _steps(
+    belief: JointBelief, poses: np.ndarray, f_jacs: np.ndarray, noise: np.ndarray
+) -> Iterator[JointBelief]:
     for step, f_jac in enumerate(f_jacs, start=1):
-        beliefs.append(propagate(beliefs[-1], poses[:, step], f_jac, noise[step - 1]))
-    return beliefs[1:]
+        belief = propagate(belief, poses[:, step], f_jac, noise[step - 1])
+        yield belief
 
 
 def propagate(

@@ -30,7 +30,10 @@ class NumericalError(RuntimeError):
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
+    """``0.5 (m + m')``, bit for bit, with the sum as its one temporary."""
+    out = m + m.T
+    out *= 0.5
+    return out
 
 
 def block_diag_sandwich(blocks: np.ndarray, team_matrix: np.ndarray) -> np.ndarray:

@@ -14,13 +14,16 @@ that a robot that misses an epoch keeps exactly its propagated state.
 Verify runs no filter of its own: it drives the loops that
 :func:`harness.run_once` runs, :func:`harness.split_steps` with one lane
 and :func:`harness.joint_steps`, on one realization and only compares what
-they hand over, one block per segment (:func:`harness.segments`); it
-walks each block's steps itself. After every step the robots' stacked
-means and own covariances are compared with the joint belief's means and
-diagonal blocks, and the store's reconstruction ``A C A'`` with every
-off-diagonal block, reduced to one deviation per robot (a cross block
-counts for its lower-id robot). The step and robot of the largest
-deviation are reported.
+they hand over: the split side one block per segment
+(:func:`harness.segments`), the joint side one belief per step, taken as
+the step comes, so no more than one step's joint covariance is held. At
+each step that covariance gets its positive-semidefiniteness test, and
+the store's reconstruction ``A C A'`` is compared with its every
+off-diagonal block. After a segment's last step the robots' stacked means
+and own covariances are compared with the joint means and diagonal blocks
+of the whole segment at once. Each deviation is reduced to one per step
+and robot (a cross block counts for its lower-id robot), and the step and
+robot of the largest are reported.
 
 Both checks also police three properties along the way: the centralized
 joint covariance stays positive semidefinite (to tolerance), no received
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -196,26 +200,36 @@ def _run_side_by_side(
                 delta = np.trace(end.cov, axis1=1, axis2=2) - np.trace(covs[-1], axis1=1, axis2=2)
                 max_trace_increase = max(max_trace_increase, float(delta[~missed].max()))
 
-        # The segment's joint beliefs are held only by this loop.
-        for j, belief in enumerate(next(joint)):
+        # The joint stream is taken one belief at a time; the checks that
+        # need its covariance run now, the rest once over the segment.
+        steps = k1 - k0
+        joint_mean, joint_own = np.empty((steps, n, 3)), np.empty((steps, n, 3, 3))
+        cross_diff = np.empty((steps, n))
+        for j, belief in enumerate(islice(joint, steps)):
             k = k0 + 1 + j
-            last = k == k1
-            mean, cov = (end.mean, end.cov) if last else (means[:, j], covs[j])
             if k in real.measurements or k == sc.n_steps or not _cholesky_passes(belief, shift):
                 min_eig = min(min_eig, belief.min_eigenvalue())
-            offset = mean - belief.mean
-            own = np.diagonal(belief.cov, axis1=0, axis2=2).transpose(2, 0, 1)
+            joint_mean[j], joint_own[j] = belief.mean, belief.own_covs()
+            cross = (server.store if k == k1 else prior).reconstruct(accs[:, j])
+            np.subtract(cross, belief.cov, out=cross)
+            np.abs(cross, out=cross)
             # Zeros copied in, not multiplied in, which would make a masked inf a NaN.
-            cross = np.abs((server.store if last else prior).reconstruct(accs[:, j]) - belief.cov)
             np.copyto(cross, 0.0, where=below)
-            diffs = np.array([
-                np.abs(offset[:, :2]).max(axis=1),
-                np.abs(np.arctan2(np.sin(offset[:, 2]), np.cos(offset[:, 2]))),
-                np.abs(cov - own).max(axis=(1, 2)),
-                cross.reshape(n, -1).max(axis=1),
-            ])
-            max_diffs = np.maximum(max_diffs, diffs.max(axis=1))
-            local[k - 1] = diffs.max(axis=0)
+            cross_diff[j] = cross.reshape(n, -1).max(axis=1)
+
+        # Step k1 compares the segment's corrected end, the others its block.
+        offset = means.swapaxes(0, 1) - joint_mean
+        offset[-1] = end.mean - joint_mean[-1]
+        own = np.abs(covs - joint_own)
+        own[-1] = np.abs(end.cov - joint_own[-1])
+        diffs = np.stack([
+            np.abs(offset[..., :2]).max(axis=2),
+            np.abs(np.arctan2(np.sin(offset[..., 2]), np.cos(offset[..., 2]))),
+            own.max(axis=(2, 3)),
+            cross_diff,
+        ])
+        max_diffs = np.maximum(max_diffs, diffs.max(axis=(1, 2)))
+        local[k0:k1] = diffs.max(axis=0)
         start = end
         prior = server.store.copy()
     events.extend(server.events)

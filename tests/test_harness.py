@@ -1,11 +1,12 @@
 """Monte-Carlo aggregation and the split filter's measurement epoch in the harness."""
 
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
 
-from splitcl import harness, split_ekf
+from splitcl import harness, joint_ekf, split_ekf
 from splitcl.messages import UpdateMessage
 from splitcl.network import perfect_report
 from splitcl.protocol import EVENT_NUMERIC_S, EVENT_PAIR_UNREACHABLE, CooperationServer
@@ -252,3 +253,24 @@ def test_an_epoch_corrects_only_the_loops_own_segment_end():
     for end, snapshot in zip(ends, snapshots):
         for got, want in zip((end.mean, end.cov, end.jac_accum), snapshot):
             np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("taken", [1, 256, 257, 460, 461])
+def test_joint_stream_forms_each_belief_only_when_it_is_taken(monkeypatch, taken):
+    # table1's first segments are steps 1..256 and 257..460, an epoch: the
+    # stream forms no step ahead, across a segment's end or an epoch, so
+    # its consumer holds one step's covariance at a time.
+    sc = build_table1_scenario()
+    real = harness.build_realization(sc, harness.seed_key(sc, None))
+    assert min(real.measurements) == 460
+    original = joint_ekf.propagate
+    calls = []
+
+    def counting_propagate(*args):
+        calls.append(args[0].time + 1)
+        return original(*args)
+
+    monkeypatch.setattr(joint_ekf, "propagate", counting_propagate)
+    stream = harness.joint_steps(sc, real, {}, [], harness.JOINT_EKF)
+    times = [belief.time for belief in islice(stream, taken)]
+    assert times == calls == list(range(1, taken + 1))

@@ -68,6 +68,31 @@ class TestPropagate:
             joint_step(belief, np.zeros((1, 2)), np.ones((2, 2)), 0.1)
 
 
+    @pytest.mark.parametrize("n", [1, 4, 33, 66])
+    def test_is_the_written_out_recurrence_bit_for_bit(self, n):
+        # At 66 robots OpenBLAS's products are not their own transposes bit
+        # for bit, so no size may lean on the product's symmetry.
+        rng = np.random.default_rng(n)
+        belief = random_belief(rng, n)
+        controls = rng.uniform(-1, 1, (n, 1, 2))
+        poses, translations, g_jacs = model.propagate_pose(belief.mean, controls, 0.1)
+        f_jacs = model.shear(translations[:, 0])
+        noise = model.process_noise(g_jacs, rng.uniform(0.01, 0.1, (n, 1, 2)))[:, 0]
+        # Not bitwise symmetric, so the symmetrization is part of the bits.
+        assert not np.array_equal(noise, noise.swapaxes(1, 2))
+        out = joint_ekf.propagate(belief, poses[:, 1], f_jacs, noise)
+
+        m = np.empty_like(belief.cov)
+        for a in range(n):
+            for b in range(n):
+                m[a, :, b, :] = f_jacs[a] @ belief.cov[a, :, b, :] @ f_jacs[b].T
+            m[a, :, a, :] += noise[a]
+        m = m.reshape(3 * n, 3 * n)
+        np.testing.assert_array_equal(out.joint_matrix(), 0.5 * (m + m.T))
+        np.testing.assert_array_equal(out.mean, poses[:, 1])
+        assert out.time == belief.time + 1
+
+
 class TestUpdate:
     def test_matches_dense_on_random_three_robot_belief(self):
         rng = np.random.default_rng(12)

@@ -11,6 +11,7 @@ from splitcl.linalg import (
     check_spd_2x2,
     psd_3x3,
     sqrt_and_inv_sqrt_2x2,
+    symmetrize,
 )
 
 from dense_oracle import eigenvalue_psd, numpy_sqrt_and_inv_sqrt_2x2
@@ -140,3 +141,11 @@ def test_spd_2x2_roots_are_finite_at_the_range_ends():
             [r00 * r00 + r01 * r01, r00 * r01 + r01 * r11, r01 * r01 + r11 * r11],
             [a, b, d], rtol=1e-12,
         )
+
+
+@pytest.mark.parametrize("n", [1, 3, 12, 99, 198])
+def test_symmetrize_is_the_mean_with_the_transpose_bit_for_bit(n):
+    m = np.random.default_rng(n).standard_normal((n, n))
+    before = m.copy()
+    np.testing.assert_array_equal(symmetrize(m), 0.5 * (m + m.T))
+    np.testing.assert_array_equal(m, before)

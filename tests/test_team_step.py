@@ -540,18 +540,18 @@ def test_segment_loops_equal_the_per_step_reference(case):
         assert_robotwise_close(server.store.blocks, ref_server.store.blocks)
         assert events == ref_events and server.events == ref_server.events
 
-        joint = list(harness.joint_steps(sc, real, reports, events, "partial_oracle"))
+        joint = harness.joint_steps(sc, real, reports, events, "partial_oracle")
         ref_joint = list(ref_joint_steps(sc, real, reports, ref_events, "partial_oracle"))
-        assert [len(beliefs) for beliefs in joint] == [k1 - k0 for k0, k1 in spans]
-        beliefs = [belief for block in joint for belief in block]
-        for got, want in zip(beliefs, ref_joint[1:], strict=True):
+        # One belief per step 1..T, in order, through every segment.
+        for got, want in zip(joint, ref_joint[1:], strict=True):
             np.testing.assert_array_equal(got.mean, want.mean)
             np.testing.assert_array_equal(got.cov, want.cov)
             assert got.time == want.time
         assert events == ref_events
 
-        # run_once writes each block with one slice and the segment's end
-        # over its last step: its records must be the references' every step.
+        # run_once writes each split block with one slice and the segment's
+        # end over its last step, and each joint belief as it arrives: its
+        # records must be the references' every step.
         with mock.patch.object(harness, "build_realization", lambda *args, **kwargs: real):
             rec = harness.run_once(
                 sc, (harness.SA_SPLIT_DROPOUT, harness.PARTIAL_ORACLE), seed=case["seed"]

@@ -1,8 +1,9 @@
 """The side-by-side check localizes a planted error to its step and robot.
 
-A 1e-6 error is planted for one step only, into one server store block or
-into one robot's own covariance; the report must name that step and robot
-and fail the 1e-8 gate, while every other deviation stays at rounding level.
+A 1e-6 error is planted for one step only, into one server store block,
+into one robot's own covariance, or into the joint belief's position or
+own covariance of one robot; the report must name that step and robot and
+fail the 1e-8 gate, while every other deviation stays at rounding level.
 Planted into a robot stepped alone, it must fail the lone-step check, and
 planted into a robot that missed an epoch, the missed-update check.
 An indefinite joint covariance planted between epochs must fail it too.
@@ -154,25 +155,66 @@ def test_scenario_shorter_than_one_step_is_rejected():
         check_exact_equivalence(Scenario(duration_s=0.04, dt_s=0.1))
 
 
+def plant_in_joint_stream(monkeypatch, step, plant):
+    """The joint belief at ``step`` comes to verify as a copy changed by ``plant``."""
+    original = verify.joint_steps
+
+    def joint_steps_with_plant(*args):
+        for belief in original(*args):
+            if belief.time == step:
+                belief = belief.copy()
+                plant(belief)
+            yield belief
+
+    monkeypatch.setattr(verify, "joint_steps", joint_steps_with_plant)
+
+
 def test_indefinite_joint_covariance_between_epochs_fails_the_check(table1, monkeypatch):
     # Only epochs and the last step compute eigenvalues; the Cholesky test
     # at every other step must catch the plant and measure it.
     step = 1500
     assert step not in measurement_schedule(table1)
-    original = verify.joint_steps
 
     def planted(belief):
-        belief = belief.copy()
         belief.cov[0, 0, 0, 0] = -1e-3
-        return belief
 
-    def joint_steps_with_plant(*args):
-        for beliefs in original(*args):
-            yield [planted(b) if b.time == step else b for b in beliefs]
-
-    monkeypatch.setattr(verify, "joint_steps", joint_steps_with_plant)
+    plant_in_joint_stream(monkeypatch, step, planted)
     report = check_exact_equivalence(table1)
     assert report.min_joint_eigenvalue < -verify.EIG_TOL
+    assert not report.passed(TOL)
+
+
+@pytest.mark.parametrize("field", ["position", "covariance"])
+@pytest.mark.parametrize("at_epoch", [False, True], ids=["mid-segment", "epoch"])
+def test_joint_step_error_is_named_by_step_and_robot(table1, monkeypatch, field, at_epoch):
+    # A segment is compared as one block after its last step: its column j
+    # is step k0 + 1 + j, and at an epoch k1 the split side is the
+    # segment's corrected end, not its last propagated step.
+    epochs = measurement_schedule(table1)
+    k0, k1 = next(
+        (k0, k1) for k0, k1 in harness.segments(table1, epochs) if k0 in epochs and k1 in epochs
+    )
+    step, robot = (k1 if at_epoch else k0 + 2), 2
+    assert k0 < step <= k1 and (step in epochs) == at_epoch
+
+    def planted(belief):
+        a = belief.index[robot]
+        if field == "position":
+            belief.mean[a, 0] += PLANT
+        else:
+            belief.cov[a, 0, a, 0] += PLANT
+
+    plant_in_joint_stream(monkeypatch, step, planted)
+    report = check_exact_equivalence(table1)
+    diffs = {
+        "position": report.max_position_diff,
+        "covariance": report.max_cov_diff,
+        "heading": report.max_heading_diff,
+        "cross": report.max_cross_diff,
+    }
+    assert diffs.pop(field) == pytest.approx(PLANT, rel=1e-6)
+    assert (report.worst_time, report.worst_robot) == (step, robot)
+    assert max(diffs.values()) < 1e-12
     assert not report.passed(TOL)
 
 
