@@ -99,7 +99,7 @@ def _cmd_run(args) -> int:
             print(f"final RMS [{name}] none: all {report.runs_total} runs were flagged")
             continue
         final = ", ".join(
-            f"robot {r + 1}: {v:.4f} m" for r, v in enumerate(report.final_rms[name])
+            f"robot {r + 1}: {v:.4f} m" for r, v in enumerate(report.rms_pos[name][:, -1])
         )
         print(f"final RMS [{name}] {final}")
     print(f"metrics written to {metrics_path}")

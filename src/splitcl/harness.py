@@ -52,7 +52,6 @@ changes earlier runs.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -217,8 +216,8 @@ def run_once(
     """Simulate one noise realization and run the requested estimators on it.
 
     The split filters run as lanes of one :func:`split_steps` loop. The
-    events come estimator by estimator, in the order requested, each as in
-    a run of that estimator alone.
+    events come estimator by estimator, in the order requested, each
+    estimator's in time order and as in a run of it alone.
     """
     wanted = tuple(dict.fromkeys(estimators))
     if not wanted:
@@ -256,8 +255,6 @@ def run_once(
             flat_cov[:, k0 + 1:k1 + 1] = team_covs.swapaxes(0, 1)
             # The lanes at the segment's end, corrected if it is an epoch.
             flat_est[:, k1], flat_cov[:, k1] = end.mean, end.cov
-        for _, server, log in lanes:
-            log.extend(server.events)
 
     estimates: dict[str, np.ndarray] = {}
     covs: dict[str, np.ndarray | None] = {}
@@ -311,10 +308,7 @@ def joint_steps(
     ``name``.
     """
     ids = sc.robot_ids
-    belief = joint_ekf.JointBelief.initialize(
-        means={i: real.init_means[i - 1] for i in ids},
-        covs={i: sc.initial_cov() for i in ids},
-    )
+    belief = joint_ekf.JointBelief.initialize(ids, real.init_means, sc.initial_cov())
     noise = sc.meas_noise_cov()
     for k0, k1 in segments(sc, real.measurements):
         steps = joint_ekf.propagate_segment(
@@ -362,9 +356,9 @@ def split_steps(
     each lane runs :func:`_run_split_epoch` on its own rows of ``end``,
     with its own reports and server, which corrects those rows in place.
     A later segment starts from a new copy, so no yielded ``end`` changes
-    after its segment. A lane's epochs log to its list, its server to
-    ``server.events``. Every row gets its robot's arithmetic, so a lane's
-    rows are bit for bit what that filter run alone gives.
+    after its segment. A lane's epochs and its server log to its list, in
+    time order. Every row gets its robot's arithmetic, so a lane's rows are
+    bit for bit what that filter run alone gives.
     """
     ids = sc.robot_ids
     n, width = len(ids), len(lanes)
@@ -413,6 +407,7 @@ def _run_split_epoch(
     a single frame ``(r, D)`` becomes its pair ``(D r, D D')`` only there.
     A rejected correction leaves the robot's rows as they were, since
     :func:`split_ekf.apply_update` checks every row before it writes any.
+    What the epoch and the server log goes to ``events``, in that order.
     """
     k = report.time
     accepted = []
@@ -437,6 +432,8 @@ def _run_split_epoch(
         wire.append(frame.encode())
     msgs = [LandmarkMessage.decode(raw) for raw in wire]
     updates = server.handle_epoch(msgs, k, missed=report.missed)
+    events.extend(server.events)
+    server.events.clear()
     for i, msg in updates.items():
         if i not in report.delivered:
             continue
@@ -463,7 +460,6 @@ class MetricReport:
     estimators: tuple[str, ...]
     times: np.ndarray
     rms_pos: dict[str, np.ndarray]
-    final_rms: dict[str, np.ndarray]
     per_run_pos_err: dict[str, np.ndarray]
     nees_mean: dict[str, np.ndarray]
     runs_total: int
@@ -547,6 +543,10 @@ def run_monte_carlo(
     # more than there are runs.
     workers = min(jobs, n_runs)
     if workers > 1:
+        # Imported here, not with the module: the pool and multiprocessing
+        # slow every launch, also the launches that start no pool.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_mc_worker, tasks))
     else:
@@ -577,7 +577,6 @@ def run_monte_carlo(
         estimators=wanted,
         times=np.arange(t1) * sc.dt_s,
         rms_pos=rms,
-        final_rms={name: rms[name][:, -1].copy() for name in wanted},
         per_run_pos_err=per_run,
         nees_mean={
             name: nees_sum[name] / nees_count[name]

@@ -34,12 +34,12 @@ Beliefs are values: every operation returns a new :class:`JointBelief`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Iterator, Mapping
+from typing import AbstractSet, Iterator, Sequence
 
 import numpy as np
 
 from . import model
-from .linalg import block_diag_sandwich, check_spd_2x2, min_eigenvalue, symmetrize
+from .linalg import block_diag_sandwich, check_spd_2x2, min_eigenvalue, symmetrize, team_covs
 
 
 @dataclass(slots=True)
@@ -73,24 +73,22 @@ class JointBelief:
     time: int = 0
 
     @classmethod
-    def initialize(
-        cls,
-        means: Mapping[int, np.ndarray],
-        covs: Mapping[int, np.ndarray],
-        time: int = 0,
-    ) -> "JointBelief":
-        """Start a belief with zero cross-covariance between all pairs."""
-        team = tuple(sorted(means))
+    def initialize(cls, team: Sequence[int], means: np.ndarray, cov: np.ndarray) -> "JointBelief":
+        """Robots ``team``, ascending, at ``means`` (``(N, 3)``, in the same
+        order), with own covariances ``cov`` (:func:`linalg.team_covs`) and
+        zero cross-covariance between all pairs."""
+        team = tuple(team)
+        if list(team) != sorted(set(team)):
+            raise ValueError(f"team must be ascending robot ids, got {team}")
         n = len(team)
-        cov = np.zeros((n, 3, n, 3))
-        for a, i in enumerate(team):
-            cov[a, :, a, :] = covs[i]
+        joint = np.zeros((n, 3, n, 3))
+        diag = np.arange(n)
+        joint[diag, :, diag, :] = team_covs(cov, n)
         return cls(
             team=team,
             index={rid: pos for pos, rid in enumerate(team)},
-            mean=np.array([np.asarray(means[i], dtype=float) for i in team]).reshape(n, 3),
-            cov=cov,
-            time=time,
+            mean=np.array(means, dtype=float).reshape(n, 3),
+            cov=joint,
         )
 
     def block(self, i: int, j: int) -> np.ndarray:

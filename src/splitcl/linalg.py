@@ -51,7 +51,13 @@ def block_diag_sandwich(blocks: np.ndarray, team_matrix: np.ndarray) -> np.ndarr
     return np.ascontiguousarray(cols.T).reshape(n, 3, n, 3)
 
 
-def check_spd_2x2(a: float, b: float, d: float, context: str = "innovation covariance") -> float:
+def team_covs(cov: np.ndarray, n: int) -> np.ndarray:
+    """The ``(N, 3, 3)`` own covariances of ``n`` robots, a new array:
+    ``cov`` is one ``(3, 3)`` for every robot or an ``(N, 3, 3)`` stack."""
+    return np.array(np.broadcast_to(np.asarray(cov, dtype=float), (n, 3, 3)))
+
+
+def check_spd_2x2(a: float, b: float, d: float) -> float:
     """Determinant of the symmetric 2x2 ``[[a, b], [b, d]]``, or
     :class:`NumericalError` unless the matrix is acceptably positive
     definite: its smaller eigenvalue, in closed form, positive and at least
@@ -65,7 +71,7 @@ def check_spd_2x2(a: float, b: float, d: float, context: str = "innovation covar
     # Written so that a NaN anywhere fails.
     if not (lo > 0.0 and lo >= SPD_REL_TOL * trace and 0.0 < det < math.inf):
         raise NumericalError(
-            f"{context} is not positive definite (min eig {lo:.3e}, det {det:.3e})"
+            f"innovation covariance is not positive definite (min eig {lo:.3e}, det {det:.3e})"
         )
     return det
 

@@ -81,8 +81,8 @@ class RobotNode:
 
     __slots__ = ("state",)
 
-    def __init__(self, robot_id: int, mean: np.ndarray, cov: np.ndarray, time: int = 0):
-        self.state = SplitTeamState.initialize((robot_id,), mean, cov, time)
+    def __init__(self, robot_id: int, mean: np.ndarray, cov: np.ndarray):
+        self.state = SplitTeamState.initialize((robot_id,), mean, cov)
 
     @classmethod
     def over(cls, state: SplitTeamState) -> "RobotNode":
@@ -185,10 +185,6 @@ class CooperationServer:
         if corrupt_cross_sign:
             self.store._update_sign = 1.0
 
-    @property
-    def team(self) -> tuple[int, ...]:
-        return self.store.team
-
     def handle_epoch(
         self,
         msgs: Sequence[LandmarkMessage],
@@ -258,7 +254,7 @@ class CooperationServer:
         )
         sender_pos = np.array([self.store.index[rid] for rid in senders])
 
-        touched = np.zeros(len(self.team), dtype=bool)
+        touched = np.zeros(len(self.store.team), dtype=bool)
         singles: list[tuple[np.ndarray, np.ndarray]] = []
         # The measured pair's arithmetic runs on floats, which do not warn;
         # the team-sized products can still overflow on finite frames, and
@@ -288,33 +284,23 @@ class CooperationServer:
         if not singles:
             return {}
         positions = touched.nonzero()[0]
-        recipients = [(pos, self.store.team[pos]) for pos in positions]
         if len(singles) == 1:
-            white_residual, factors = singles[0]
-            return {
-                i: UpdateMessage(
-                    recipient=i,
-                    time=time,
-                    kind="single",
-                    residual_payload=white_residual,
-                    gain_payload=factors[pos],
-                )
-                for pos, i in recipients
-            }
-        # Each recipient's corrections summed over the epoch's measurements,
-        # as one product: with the measurements' factors side by side and
-        # their whitened residuals stacked, D r and D D' are the sums.
-        factors = np.concatenate([factors for _, factors in singles], axis=2)[positions]
-        vec_sum, mat_sum = split_ekf.correction(
-            factors, np.concatenate([white_residual for white_residual, _ in singles])
-        )
+            ((white_residual, factors),) = singles
+            kind, vecs, mats = "single", [white_residual] * len(positions), factors[positions]
+        else:
+            # Each recipient's corrections summed over the epoch's
+            # measurements, as one product: with the measurements' factors
+            # side by side and their whitened residuals stacked, D r and D D'
+            # are the sums.
+            kind = "summed"
+            vecs, mats = split_ekf.correction(
+                np.concatenate([factors for _, factors in singles], axis=2)[positions],
+                np.concatenate([white_residual for white_residual, _ in singles]),
+            )
+        recipients = [self.store.team[pos] for pos in positions]
         return {
             i: UpdateMessage(
-                recipient=i,
-                time=time,
-                kind="summed",
-                residual_payload=vec_sum[row],
-                gain_payload=mat_sum[row],
+                recipient=i, time=time, kind=kind, residual_payload=vec, gain_payload=mat
             )
-            for row, (_, i) in enumerate(recipients)
+            for i, vec, mat in zip(recipients, vecs, mats)
         }

@@ -67,6 +67,7 @@ import numpy as np
 
 from . import model
 from .linalg import NumericalError, block_diag_sandwich, psd_3x3, sqrt_and_inv_sqrt_2x2
+from .linalg import team_covs
 from .model import shear
 
 
@@ -98,19 +99,19 @@ class SplitTeamState:
 
     @classmethod
     def initialize(
-        cls, team: Sequence[int], means: np.ndarray, cov: np.ndarray, time: int = 0
+        cls, team: Sequence[int], means: np.ndarray, cov: np.ndarray
     ) -> "SplitTeamState":
-        """Robots ``team`` at ``means`` (``(N, 3)``, in the same order), each
-        with covariance ``cov`` and an identity accumulated Jacobian."""
+        """Robots ``team`` at ``means`` (``(N, 3)``, in the same order), with
+        own covariances ``cov`` (:func:`linalg.team_covs`) and an identity
+        accumulated Jacobian."""
         team = tuple(team)
         n = len(team)
         return cls(
             team=team,
             index={rid: pos for pos, rid in enumerate(team)},
             mean=np.array(means, dtype=float).reshape(n, 3),
-            cov=np.repeat(np.asarray(cov, dtype=float).reshape(1, 3, 3), n, axis=0),
+            cov=team_covs(cov, n),
             jac_accum=np.zeros((n, 2)),
-            time=time,
         )
 
     def robot(self, robot_id: int) -> "SplitTeamState":

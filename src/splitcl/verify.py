@@ -232,7 +232,6 @@ def _run_side_by_side(
         local[k0:k1] = diffs.max(axis=0)
         start = end
         prior = server.store.copy()
-    events.extend(server.events)
 
     worst_step, worst_pos = np.unravel_index(np.argmax(local), local.shape)
 

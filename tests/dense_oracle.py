@@ -175,7 +175,7 @@ def random_belief(rng, n_robots, corr_scale=0.1):
     means = {i: rng.uniform(-3, 3, 3) for i in ids}
     root = rng.standard_normal((3 * n_robots, 3 * n_robots)) * corr_scale
     joint = root @ root.T + np.eye(3 * n_robots) * 0.05
-    belief = JointBelief.initialize(means, {i: np.eye(3) for i in ids})
+    belief = JointBelief.initialize(ids, [means[i] for i in ids], np.eye(3))
     belief.cov[:] = (0.5 * (joint + joint.T)).reshape(n_robots, 3, n_robots, 3)
     return belief
 

@@ -1,15 +1,17 @@
 """Monte-Carlo aggregation and the split filter's measurement epoch in the harness."""
 
+import concurrent.futures
 import math
 from itertools import islice
 
 import numpy as np
 import pytest
 
-from splitcl import harness, joint_ekf, split_ekf
+from splitcl import harness, joint_ekf, split_ekf, verify
+from splitcl.linalg import NumericalError
 from splitcl.messages import UpdateMessage
 from splitcl.network import perfect_report
-from splitcl.protocol import EVENT_NUMERIC_S, EVENT_PAIR_UNREACHABLE, CooperationServer
+from splitcl.protocol import EVENT_NUMERIC_S, EVENT_PAIR_UNREACHABLE, CooperationServer, RobotNode
 from splitcl.scenario import (
     MeasurementWindow,
     Scenario,
@@ -76,7 +78,7 @@ def test_monte_carlo_pool_has_no_more_workers_than_runs(jobs, n_runs, want_worke
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     sc = Scenario(duration_s=2.0, meas_windows=(MeasurementWindow(0.5, 1.5, 1, 2),))
     report = harness.run_monte_carlo(sc, n_runs, ESTIMATORS, seed=4, jobs=jobs)
     serial = harness.run_monte_carlo(sc, n_runs, ESTIMATORS, seed=4)
@@ -197,6 +199,43 @@ def test_a_lane_correction_stays_in_its_own_rows(monkeypatch):
     assert rec.events == clean.events
     moved = rec.estimates[harness.SA_SPLIT_DROPOUT] - clean.estimates[harness.SA_SPLIT_DROPOUT]
     assert np.abs(moved).max() > 1e-4
+
+
+def test_a_split_filter_logs_in_time_order(monkeypatch):
+    # Table1's server refuses a measurement at its first epoch, and robot 3
+    # a correction at a later one: the run's log and verify's list the
+    # server's event first.
+    sc, seed = build_table1_scenario(), 3
+    innovation, apply_update = split_ekf.innovation, RobotNode.apply_update
+
+    def failing_at_460(rows, observer, *args):
+        if rows.time == 460 and observer == 1:
+            raise NumericalError("planted")
+        return innovation(rows, observer, *args)
+
+    def rejecting_at_2260(node, msg):
+        if msg.time == 2260 and msg.recipient == 3:
+            raise NumericalError("planted")
+        return apply_update(node, msg)
+
+    monkeypatch.setattr(split_ekf, "innovation", failing_at_460)
+    monkeypatch.setattr(RobotNode, "apply_update", rejecting_at_2260)
+    rec = harness.run_once(sc, [harness.SA_SPLIT], seed=seed)
+    report = verify.check_exact_equivalence(sc, seed=seed)
+    for events in (rec.events, report.events):
+        assert [(ev.time, ev.detail.split()[0]) for ev in events] == [
+            (460, "observer=1"), (2260, "robot=3")
+        ]
+
+
+@pytest.mark.parametrize("perturb", [False, True])
+def test_an_unperturbed_start_is_the_true_start(perturb):
+    sc = Scenario(
+        duration_s=5.0, meas_windows=(MeasurementWindow(1.0, 3.0, 1, 2),), perturb_initial=perturb
+    )
+    rec = harness.run_once(sc, harness.ALL_ESTIMATORS, seed=3)
+    for name in harness.ALL_ESTIMATORS:
+        assert np.array_equal(rec.estimates[name][:, 0], rec.truth[:, 0]) != perturb, name
 
 
 def test_an_epoch_corrects_only_the_loops_own_segment_end():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from splitcl import joint_ekf, model
+from splitcl.split_ekf import SplitTeamState
 from splitcl.linalg import NumericalError, block_diag_sandwich
 
 from dense_oracle import dense_propagate, dense_update, joint_step, one_step, random_belief, stack
@@ -30,9 +31,7 @@ def default_noises(ids):
 class TestPropagate:
     def test_zero_cross_stays_zero(self):
         rng = np.random.default_rng(10)
-        belief = joint_ekf.JointBelief.initialize(
-            {1: np.zeros(3), 2: np.ones(3)}, {1: np.eye(3), 2: np.eye(3)}
-        )
+        belief = joint_ekf.JointBelief.initialize((1, 2), [np.zeros(3), np.ones(3)], np.eye(3))
         out = joint_step(
             belief, default_controls(rng, (1, 2)), default_noises((1, 2)), 0.1
         )
@@ -41,7 +40,7 @@ class TestPropagate:
         assert out.time == belief.time + 1
 
     def test_single_robot_no_noise(self):
-        belief = joint_ekf.JointBelief.initialize({1: np.array([1.0, 0, 0.2])}, {1: np.eye(3) * 0.5})
+        belief = joint_ekf.JointBelief.initialize((1,), [1.0, 0, 0.2], np.eye(3) * 0.5)
         control = np.array([0.7, 0.1])
         out = joint_step(belief, control[None], np.zeros((1, 2)), 0.1)
         _, f, _ = one_step(belief.mean[0], control, 0.1)
@@ -61,7 +60,7 @@ class TestPropagate:
             unpack(out, x_d, p_d)
 
     def test_wrong_team_rejected(self):
-        belief = joint_ekf.JointBelief.initialize({1: np.zeros(3)}, {1: np.eye(3)})
+        belief = joint_ekf.JointBelief.initialize((1,), np.zeros(3), np.eye(3))
         with pytest.raises(ValueError):
             joint_step(belief, np.zeros((2, 2)), np.ones((1, 2)), 0.1)
         with pytest.raises(ValueError):
@@ -138,8 +137,7 @@ class TestUpdate:
     def test_zero_correlation_touches_only_the_pair(self):
         rng = np.random.default_rng(21)
         belief = joint_ekf.JointBelief.initialize(
-            {i: rng.uniform(-1, 1, 3) for i in (1, 2, 3)},
-            {i: np.eye(3) * 0.2 for i in (1, 2, 3)},
+            (1, 2, 3), rng.uniform(-1, 1, (3, 3)), np.eye(3) * 0.2
         )
         meas = model.RelativeMeasurement(1, 2, rng.uniform(-1, 1, 2), 0)
         out, innov = joint_ekf.partial_update(belief, meas, np.eye(2) * 0.01)
@@ -154,8 +152,7 @@ class TestUpdate:
     def test_zero_correlation_innovation_has_no_cross_terms(self):
         rng = np.random.default_rng(13)
         belief = joint_ekf.JointBelief.initialize(
-            {1: rng.uniform(-1, 1, 3), 2: rng.uniform(-1, 1, 3)},
-            {1: np.eye(3) * 0.2, 2: np.eye(3) * 0.3},
+            (1, 2), rng.uniform(-1, 1, (2, 3)), [np.eye(3) * 0.2, np.eye(3) * 0.3]
         )
         meas = model.RelativeMeasurement(1, 2, np.zeros(2), 0)
         noise = np.eye(2) * 0.05
@@ -177,16 +174,13 @@ class TestUpdate:
                 assert np.trace(out.block(i, i)) <= np.trace(belief.block(i, i)) + 1e-12
 
     def test_unknown_endpoint_rejected(self):
-        belief = joint_ekf.JointBelief.initialize({1: np.zeros(3)}, {1: np.eye(3)})
+        belief = joint_ekf.JointBelief.initialize((1,), np.zeros(3), np.eye(3))
         meas = model.RelativeMeasurement(1, 9, np.zeros(2), 0)
         with pytest.raises(ValueError):
             joint_ekf.partial_update(belief, meas, np.eye(2))
 
     def test_indefinite_innovation_raises(self):
-        belief = joint_ekf.JointBelief.initialize(
-            {1: np.zeros(3), 2: np.array([1.0, 0, 0])},
-            {1: np.eye(3), 2: np.eye(3)},
-        )
+        belief = joint_ekf.JointBelief.initialize((1, 2), [np.zeros(3), [1.0, 0, 0]], np.eye(3))
         # deliberately malformed own covariance, bypassing the constructor
         belief.block(1, 1)[:] = -np.eye(3)
         belief.block(2, 2)[:] = -np.eye(3)
@@ -299,6 +293,30 @@ class TestJointBelief:
         rng = np.random.default_rng(25)
         belief = random_belief(rng, 3)
         assert belief.min_eigenvalue() > 0
+
+    @pytest.mark.parametrize("team", [(2, 1), (1, 1)])
+    def test_initialize_refuses_a_team_out_of_order(self, team):
+        with pytest.raises(ValueError, match="ascending"):
+            joint_ekf.JointBelief.initialize(team, np.zeros((2, 3)), np.eye(3))
+
+    def test_one_start_covariance_is_a_stack_of_its_copies(self):
+        rng = np.random.default_rng(26)
+        team, means = (1, 2, 5, 9), rng.uniform(-1, 1, (4, 3))
+        root = rng.standard_normal((3, 3))
+        cov = root @ root.T + np.eye(3)
+        copies = np.stack([cov] * 4)
+        one = joint_ekf.JointBelief.initialize(team, means, cov)
+        stacked = joint_ekf.JointBelief.initialize(team, means, copies)
+        assert one.team == stacked.team == team and one.index == stacked.index
+        np.testing.assert_array_equal(one.mean, stacked.mean)
+        np.testing.assert_array_equal(one.cov, stacked.cov)
+        np.testing.assert_array_equal(one.own_covs(), copies)
+        # The split filter's start takes its covariances by the same rule.
+        for start in (cov, copies):
+            np.testing.assert_array_equal(SplitTeamState.initialize(team, means, start).cov, copies)
+        for init in (joint_ekf.JointBelief.initialize, SplitTeamState.initialize):
+            with pytest.raises(ValueError):
+                init(team, means, copies[:2])
 
 
 class TestBlockDiagSandwich:

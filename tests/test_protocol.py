@@ -34,7 +34,7 @@ def build_stack(rng, n_robots, warmup_steps=20, warmup_pairs=()):
     cov = np.eye(3) * 0.1
     nodes = {i: RobotNode(i, means[i], cov) for i in ids}
     server = CooperationServer(ids, NOISE)
-    belief = joint_ekf.JointBelief.initialize(means, {i: cov for i in ids})
+    belief = joint_ekf.JointBelief.initialize(ids, [means[i] for i in ids], cov)
     q = np.array([0.02, 0.01])
     for step in range(warmup_steps):
         controls = rng.uniform(-1, 1, (n_robots, 2))

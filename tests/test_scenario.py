@@ -36,6 +36,14 @@ def test_save_load_round_trip(sc, tmp_path):
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
+def test_unperturbed_start_round_trips(tmp_path):
+    sc = build_table1_scenario(perturb_initial=False)
+    path = tmp_path / "sc.json"
+    sc.save(path)
+    assert json.loads(path.read_text())["perturb_initial"] is False
+    assert Scenario.load(path) == sc
+
+
 def test_missing_file_is_not_found(tmp_path):
     with pytest.raises(FileNotFoundError):
         Scenario.load(tmp_path / "nope.json")

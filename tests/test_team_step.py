@@ -10,6 +10,7 @@ from them, are held to ``dense_oracle.ROBOTWISE_RTOL`` of each robot's
 largest entry.
 """
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -280,9 +281,7 @@ def test_mid_segment_non_finite_control_is_rejected():
         model.propagate_pose(means, controls, DT)
     with pytest.raises(ModelError, match="non-finite"):
         split_ekf.propagate_team(team_from(means, covs), controls, q_diags, DT)
-    belief = joint_ekf.JointBelief.initialize(
-        {a + 1: means[a] for a in range(N_ROBOTS)}, {a + 1: covs[a] for a in range(N_ROBOTS)}
-    )
+    belief = joint_ekf.JointBelief.initialize(range(1, N_ROBOTS + 1), means, covs)
     with pytest.raises(ModelError, match="non-finite"):
         joint_ekf.propagate_segment(belief, controls, q_diags, DT)
 
@@ -338,7 +337,8 @@ def test_closed_form_covariances_are_the_per_step_recurrence(n, steps, motion):
     rng = np.random.default_rng([n, steps])
     means = rng.uniform(-3, 3, (n, 3))
     roots = rng.standard_normal((n, 3, 3)) * 0.3
-    team = SplitTeamState.initialize(range(1, n + 1), means, np.eye(3), time=40)
+    team = SplitTeamState.initialize(range(1, n + 1), means, np.eye(3))
+    team = dataclasses.replace(team, time=40)
     team.cov[:] = roots @ roots.transpose(0, 2, 1) + 1e-4 * np.eye(3)
     # Far from the start of the run: the closed form works relative to the segment.
     team.jac_accum[:] = rng.uniform(-1e4, 1e4, (n, 2))
@@ -417,10 +417,7 @@ def ref_joint_steps(sc, real, reports, events, name):
     """``harness.joint_steps`` with the kernel replaced by the per-robot
     reference step, one :func:`joint_ekf.propagate` call per step."""
     ids = sc.robot_ids
-    belief = joint_ekf.JointBelief.initialize(
-        means={i: real.init_means[i - 1] for i in ids},
-        covs={i: sc.initial_cov() for i in ids},
-    )
+    belief = joint_ekf.JointBelief.initialize(ids, real.init_means, sc.initial_cov())
     noise = sc.meas_noise_cov()
     yield belief
     for k in range(1, sc.n_steps + 1):
