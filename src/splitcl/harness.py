@@ -34,14 +34,13 @@ records as it arrives, and :mod:`splitcl.verify` compares one split lane
 with the joint stream step by step. The four
 filtering estimators differ only in the channel reports they get: none
 (perfect links) or the dropout run's. Only at a measurement epoch does a
-robot act on its own, in its lane alone: a measured robot sends the
-landmark message of its rows of the team state, and a robot the server
-sends an update message (one correlated with a measured robot) applies it
-as a :class:`RobotNode` over its rows of the segment's end, a copy the
-loop owns, correcting them in place. The per-robot arithmetic is the same
-either way, and the same for a robot stepped alone through
-:meth:`RobotNode.step`, as a team of one, so every estimator's record is
-bit for bit its record in a run on its own.
+robot act on its own, in its lane alone, as a :class:`RobotNode` over its
+rows of the segment's end, a copy the loop owns: the node of a measured
+robot builds its landmark frame, and that of a robot the server sends an
+update message (one correlated with a measured robot) applies it, in
+place. The per-robot arithmetic is the same for a robot stepped alone
+through :meth:`RobotNode.step`, as a team of one, so every estimator's
+record is bit for bit its record in a run on its own.
 
 Randomness is derived from a seed key; stream tags keep motion noise,
 measurement noise, initial error and channel draws independent, and
@@ -401,13 +400,14 @@ def _run_split_epoch(
 ) -> None:
     """One measurement epoch over the lossy channel, wire encoding included.
 
-    Each robot of an accepted measurement sends the landmark frame of its
-    rows of ``team``, the segment's end. Each robot sent an update frame
-    applies it as a :class:`RobotNode` over its rows of ``team``, in place;
-    a single frame ``(r, D)`` becomes its pair ``(D r, D D')`` only there.
-    A rejected correction leaves the robot's rows as they were, since
-    :func:`split_ekf.apply_update` checks every row before it writes any.
-    What the epoch and the server log goes to ``events``, in that order.
+    Each robot of an accepted measurement, and each robot sent an update
+    frame, acts through a :class:`RobotNode` over its rows of ``team``, the
+    segment's end: the node builds the robot's landmark frame and applies
+    its update frame in place, where a single frame ``(r, D)`` becomes its
+    pair ``(D r, D D')``. A rejected correction leaves the robot's rows as
+    they were, since :func:`split_ekf.apply_update` checks every row before
+    it writes any. What the epoch and the server log goes to ``events``, in
+    that order.
     """
     k = report.time
     accepted = []
@@ -425,12 +425,8 @@ def _run_split_epoch(
     landmark_only = {m.landmark for m in accepted} - {m.observer for m in accepted}
     senders = [(m.observer, m.landmark, m.z) for m in accepted]
     senders += [(i, None, None) for i in sorted(landmark_only)]
-    wire = []
-    for i, landmark, z in senders:
-        a = team.index[i]
-        frame = LandmarkMessage(i, k, team.mean[a], team.cov[a], team.jac_accum[a], landmark, z)
-        wire.append(frame.encode())
-    msgs = [LandmarkMessage.decode(raw) for raw in wire]
+    frames = [RobotNode.over(team.robot(i)).landmark_message(z, b) for i, b, z in senders]
+    msgs = [LandmarkMessage.decode(frame.encode()) for frame in frames]
     updates = server.handle_epoch(msgs, k, missed=report.missed)
     events.extend(server.events)
     server.events.clear()

@@ -92,7 +92,9 @@ class JointBelief:
         )
 
     def block(self, i: int, j: int) -> np.ndarray:
-        """Covariance block between robots ``i`` and ``j``, a view into ``cov``."""
+        """Covariance block between robots ``i`` and ``j``, a view into ``cov``:
+        the dense belief's by-id accessor, the counterpart of
+        :meth:`split_ekf.CrossFactorStore.factor`, read by every oracle comparison."""
         return self.cov[self.index[i], :, self.index[j], :]
 
     def joint_matrix(self) -> np.ndarray:
@@ -107,11 +109,6 @@ class JointBelief:
 
     def min_eigenvalue(self) -> float:
         return min_eigenvalue(self.joint_matrix())
-
-    def copy(self) -> "JointBelief":
-        return JointBelief(
-            self.team, self.index, self.mean.copy(), self.cov.copy(), self.time
-        )
 
 
 def propagate_segment(

@@ -71,12 +71,13 @@ class RobotNode:
     independent of the team size. A correction changes the state's mean and
     covariance in place. The simulator advances the whole team, each split
     filter's copy a lane of one :class:`split_ekf.SplitTeamState`, a segment
-    between two epochs per kernel call, and at an epoch wraps a robot's view
-    of its lane at the segment's end in a node (:meth:`over`) to apply its
-    :class:`UpdateMessage` there, in place. Only robots whose update factor
-    is non-zero receive a message; for the others the correction would be
-    an exact no-op. :meth:`step` is the same propagation for a node on its
-    own, as a team of one.
+    between two epochs per kernel call. At an epoch a robot's part, sending
+    and applying, goes through a node over its view of its lane at the
+    segment's end (:meth:`over`): the node builds its landmark frame and
+    applies its :class:`UpdateMessage` there, in place. Only robots whose
+    update factor is non-zero receive a message; for the others the
+    correction would be an exact no-op. :meth:`step` is the same
+    propagation for a node on its own, as a team of one.
     """
 
     __slots__ = ("state",)
@@ -122,7 +123,8 @@ class RobotNode:
     def landmark_message(
         self, z: np.ndarray | None = None, landmark: int | None = None
     ) -> LandmarkMessage:
-        """Snapshot the local state for the server.
+        """Snapshot the local state for the server, as copies that a later
+        correction of the robot leaves as they are.
 
         Called with ``z`` and ``landmark`` when this robot observed, without
         arguments when it was observed.

@@ -19,11 +19,14 @@ they hand over: the split side one block per segment
 the step comes, so no more than one step's joint covariance is held. At
 each step that covariance gets its positive-semidefiniteness test, and
 the store's reconstruction ``A C A'`` is compared with its every
-off-diagonal block. After a segment's last step the robots' stacked means
-and own covariances are compared with the joint means and diagonal blocks
-of the whole segment at once. Each deviation is reduced to one per step
-and robot (a cross block counts for its lower-id robot), and the step and
-robot of the largest are reported.
+off-diagonal block. The store changes only at an epoch, so it is
+snapshotted after each epoch, not after every segment, and the steps
+before a segment's last are compared with that snapshot. After a
+segment's last step the robots' stacked means and own covariances are
+compared with the joint means and diagonal blocks of the whole segment at
+once. Each deviation is reduced to one per step and robot (a cross block
+counts for its lower-id robot), and the step and robot of the largest are
+reported.
 
 Both checks also police three properties along the way: the centralized
 joint covariance stays positive semidefinite (to tolerance), no received
@@ -231,7 +234,8 @@ def _run_side_by_side(
         max_diffs = np.maximum(max_diffs, diffs.max(axis=(1, 2)))
         local[k0:k1] = diffs.max(axis=0)
         start = end
-        prior = server.store.copy()
+        if k1 in real.measurements:
+            prior = server.store.copy()
 
     worst_step, worst_pos = np.unravel_index(np.argmax(local), local.shape)
 

@@ -9,7 +9,7 @@ import pytest
 
 from splitcl import harness, joint_ekf, split_ekf, verify
 from splitcl.linalg import NumericalError
-from splitcl.messages import UpdateMessage
+from splitcl.messages import LandmarkMessage, UpdateMessage
 from splitcl.network import perfect_report
 from splitcl.protocol import EVENT_NUMERIC_S, EVENT_PAIR_UNREACHABLE, CooperationServer, RobotNode
 from splitcl.scenario import (
@@ -144,6 +144,28 @@ def test_a_non_finite_frame_is_dropped_with_an_event(monkeypatch):
         np.testing.assert_array_equal(got[1], propagated[1])
         assert not np.array_equal(got[0], propagated[0])
     assert np.isfinite(team.mean).all() and np.isfinite(team.cov).all()
+
+
+def test_every_landmark_frame_comes_from_a_robot_node(monkeypatch):
+    # The frames the split filters put on the wire are the messages their
+    # robots' nodes snapshot, each encoded once; none is built beside them.
+    snapshot, encode = RobotNode.landmark_message, LandmarkMessage.encode
+    made, encoded = [], []
+
+    def recording_snapshot(self, *args):
+        made.append(snapshot(self, *args))
+        return made[-1]
+
+    def recording_encode(self):
+        encoded.append(self)
+        return encode(self)
+
+    monkeypatch.setattr(RobotNode, "landmark_message", recording_snapshot)
+    monkeypatch.setattr(LandmarkMessage, "encode", recording_encode)
+    harness.run_once(build_table1_scenario(), [harness.SA_SPLIT, harness.SA_SPLIT_DROPOUT])
+
+    assert len(made) == len(encoded) > 0
+    assert all(sent is node_made for sent, node_made in zip(encoded, made))
 
 
 # --- Split filters as lanes of one stack ----------------------------------

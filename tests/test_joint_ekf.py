@@ -280,15 +280,6 @@ class TestJointBelief:
             belief.joint_matrix()[3:6, 0:3], belief.block(2, 1)
         )
 
-    def test_copy_is_deep(self):
-        rng = np.random.default_rng(24)
-        belief = random_belief(rng, 2)
-        dup = belief.copy()
-        dup.mean[0, 0] += 1.0
-        dup.block(1, 2)[0, 0] += 1.0
-        assert belief.mean[0, 0] != dup.mean[0, 0]
-        assert belief.block(1, 2)[0, 0] != dup.block(1, 2)[0, 0]
-
     def test_min_eigenvalue_of_psd_matrix(self):
         rng = np.random.default_rng(25)
         belief = random_belief(rng, 3)

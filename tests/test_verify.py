@@ -9,6 +9,7 @@ planted into a robot that missed an epoch, the missed-update check.
 An indefinite joint covariance planted between epochs must fail it too.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -162,7 +163,9 @@ def plant_in_joint_stream(monkeypatch, step, plant):
     def joint_steps_with_plant(*args):
         for belief in original(*args):
             if belief.time == step:
-                belief = belief.copy()
+                belief = dataclasses.replace(
+                    belief, mean=belief.mean.copy(), cov=belief.cov.copy()
+                )
                 plant(belief)
             yield belief
 
@@ -222,6 +225,24 @@ def test_precomputed_truth_gives_the_same_report():
     sc = build_table1_scenario()
     truth = harness.simulate_truth(sc)
     assert check_dropout_equivalence(sc, truth=truth) == check_dropout_equivalence(sc)
+
+
+@pytest.mark.parametrize("sc", [
+    build_table1_scenario(),
+    random_scenario(32, 3, duration_s=60, window_every_s=10, bernoulli_p=0.1),
+], ids=["table1", "random32"])
+def test_store_is_copied_only_after_an_epoch(sc, monkeypatch):
+    # The store changes only at a measurement epoch, so verify snapshots it
+    # once at the start and once per epoch, not after every segment.
+    copy, copies = CrossFactorStore.copy, []
+
+    def counting_copy(self):
+        copies.append(self)
+        return copy(self)
+
+    monkeypatch.setattr(CrossFactorStore, "copy", counting_copy)
+    assert check_dropout_equivalence(sc).passed(TOL)
+    assert 0 < len(copies) <= 1 + len(measurement_schedule(sc))
 
 
 @pytest.mark.xfail(
