@@ -202,8 +202,12 @@ class RunRecord:
 
     def position_error(self, estimator: str) -> np.ndarray:
         """Euclidean position error per robot and timestep, shape (N, T+1)."""
-        diff = self.estimates[estimator][:, :, :2] - self.truth[:, :, :2]
-        return np.linalg.norm(diff, axis=2)
+        # Written out: np.linalg.norm's reduction over a length-2 axis costs
+        # more than the arithmetic, and gives the same floats.
+        est = self.estimates[estimator]
+        dx = est[:, :, 0] - self.truth[:, :, 0]
+        dy = est[:, :, 1] - self.truth[:, :, 1]
+        return np.sqrt(dx * dx + dy * dy)
 
 
 def run_once(

@@ -8,26 +8,32 @@ length:
 ==================  =======================================================
 frame               layout
 ==================  =======================================================
-common header       ``b"SCL2"`` format tag, 1 byte kind
+common header       ``b"SCL3"`` format tag, 1 byte kind
 landmark (kind 1)   sender u32, time u32, landmark u32 (0 = none),
-                    has_z u8, z 2xf64, mean 3xf64, cov 9xf64,
-                    jac_accum 2xf64  (146 bytes total)
+                    has_z u8, z 2xf64, mean 3xf64, cov 6xf64,
+                    jac_accum 2xf64  (122 bytes total)
 update (kind 2)     single-measurement payload: recipient u32, time u32,
                     whitened residual 2xf64, update factor 6xf64 (77 bytes)
 update (kind 3)     summed multi-measurement payload: recipient u32,
                     time u32, correction vector 3xf64, correction outer
-                    product 9xf64 (109 bytes)
+                    product 6xf64 (85 bytes)
 ==================  =======================================================
 
 A single update frame is the factored form ``(r, D)`` of the correction
 pair ``(D r, D D')``; a summed frame carries the summed pairs themselves.
-Matrices are row-major; ``jac_accum`` is the translation of the sender's
-accumulated Jacobian, a shear (see :mod:`split_ekf`). Every measurement
-is relative, robot to robot, so a landmark frame has one of two roles: a
-landmark-role message carries no measurement (``z is None``, zero ``z``
-bytes) and names no landmark; an observer's message carries ``z`` and the
-landmark id. Decoding refuses a frame that would not encode back to its
-own bytes, and one that fits neither role.
+The two symmetric 3x3 payloads, a landmark frame's ``cov`` and a summed
+frame's outer product, go on the wire as their upper triangle in row-major
+order ``(00, 01, 02, 11, 12, 22)``; the lower triangle of a payload handed
+to the encoder is not sent, and the decoder mirrors the six entries back
+into a symmetric 3x3. Their receivers read only the upper triangle. The
+3x2 update factor is sent whole, row-major. ``jac_accum`` is the
+translation of the sender's accumulated Jacobian, a shear (see
+:mod:`split_ekf`). Every measurement is relative, robot to robot, so a
+landmark frame has one of two roles: a landmark-role message carries no
+measurement (``z is None``, zero ``z`` bytes) and names no landmark; an
+observer's message carries ``z`` and the landmark id. Decoding refuses a
+frame that would not encode back to its own bytes, and one that fits
+neither role.
 """
 
 from __future__ import annotations
@@ -38,13 +44,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-FORMAT_TAG = b"SCL2"
+FORMAT_TAG = b"SCL3"
 _KIND_LANDMARK = 1
 _UPDATE_KINDS = {"single": 2, "summed": 3}
 _FRAMES = {
-    _KIND_LANDMARK: struct.Struct("<4sBIIIB16d"),
+    _KIND_LANDMARK: struct.Struct("<4sBIIIB13d"),
     _UPDATE_KINDS["single"]: struct.Struct("<4sBII8d"),
-    _UPDATE_KINDS["summed"]: struct.Struct("<4sBII12d"),
+    _UPDATE_KINDS["summed"]: struct.Struct("<4sBII9d"),
 }
 _LANDMARK_SHAPES = {"mean": (3,), "cov": (3, 3), "jac_accum": (2,)}
 _OBSERVER_SHAPES = {**_LANDMARK_SHAPES, "z": (2,)}
@@ -73,6 +79,22 @@ def _floats(payload) -> list[float]:
     if type(payload) is not np.ndarray:
         payload = np.asarray(payload, dtype=float)
     return payload.ravel().tolist()
+
+
+def _upper(payload) -> list[float]:
+    """A symmetric 3x3 payload's upper triangle in row-major order, the six
+    floats it is sent as; its lower triangle is not read."""
+    p00, p01, p02, _, p11, p12, _, _, p22 = _floats(payload)
+    return [p00, p01, p02, p11, p12, p22]
+
+
+# The position in the sent upper triangle of each entry of a row-major 3x3.
+_MIRROR = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])
+
+
+def _mirrored(upper: np.ndarray) -> np.ndarray:
+    """The symmetric 3x3 whose upper triangle is the six floats ``upper``."""
+    return upper[_MIRROR].reshape(3, 3)
 
 
 def _pack(kind: int, ints: tuple, floats: list[float]) -> bytes:
@@ -109,7 +131,9 @@ class LandmarkMessage:
     value ``z`` and which robot it observed, the ``landmark``. Shapes are
     checked at construction, and so is the role: ``z`` and ``landmark``
     come together or not at all, and the landmark is neither the sender
-    nor robot 0, which encodes as none.
+    nor robot 0, which encodes as none. ``cov`` is symmetric: only its
+    upper triangle is encoded, so its lower triangle is not part of the
+    message, and a decoded ``cov`` is the upper triangle mirrored.
     """
 
     sender: int
@@ -137,7 +161,7 @@ class LandmarkMessage:
         has_z = self.z is not None
         floats = [
             *(_floats(self.z) if has_z else (0.0, 0.0)),
-            *_floats(self.mean), *_floats(self.cov), *_floats(self.jac_accum),
+            *_floats(self.mean), *_upper(self.cov), *_floats(self.jac_accum),
         ]
         return _pack(_KIND_LANDMARK, (self.sender, self.time, self.landmark or 0, has_z), floats)
 
@@ -151,7 +175,7 @@ class LandmarkMessage:
             raise ProtocolError("a frame without a measurement must carry zero z bytes")
         values = np.array(floats)
         return cls(
-            sender, time, values[2:5], values[5:14].reshape(3, 3), values[14:],
+            sender, time, values[2:5], _mirrored(values[5:11]), values[11:],
             landmark or None, values[:2] if has_z else None,
         )
 
@@ -165,8 +189,11 @@ class UpdateMessage:
     ``D``, the factored form of the correction pair ``(D r, D D')``.
 
     ``kind == "summed"``: the payloads are the sum of a multi-measurement
-    epoch's pairs, a length-3 vector and a 3x3 outer-product sum.
-    Either way the robot applies the message using only its own local state.
+    epoch's pairs, a length-3 vector and a symmetric 3x3 outer-product
+    sum. Only that sum's upper triangle is encoded, so its lower triangle
+    is not part of the message, and a decoded one is the upper triangle
+    mirrored. Either way the robot applies the message using only its own
+    local state.
     """
 
     recipient: int
@@ -181,13 +208,14 @@ class UpdateMessage:
         _check_shapes(self, _UPDATE_SHAPES[self.kind])
 
     def encode(self) -> bytes:
-        floats = [*_floats(self.residual_payload), *_floats(self.gain_payload)]
+        gain = _upper if self.kind == "summed" else _floats
+        floats = [*_floats(self.residual_payload), *gain(self.gain_payload)]
         return _pack(_UPDATE_KINDS[self.kind], (self.recipient, self.time), floats)
 
     @classmethod
     def decode(cls, raw: bytes) -> "UpdateMessage":
         _, byte, recipient, time, *floats = _unpack(raw, *_UPDATE_KINDS.values())
-        kind = "single" if byte == _UPDATE_KINDS["single"] else "summed"
-        (n,) = _UPDATE_SHAPES[kind]["residual_payload"]
         values = np.array(floats)
-        return cls(recipient, time, kind, values[:n], values[n:].reshape(3, n))
+        if byte == _UPDATE_KINDS["single"]:
+            return cls(recipient, time, "single", values[:2], values[2:].reshape(3, 2))
+        return cls(recipient, time, "summed", values[:3], _mirrored(values[3:]))

@@ -59,6 +59,17 @@ def test_nees_mean_matches_a_per_step_loop_and_skips_flagged_runs(monkeypatch):
         np.testing.assert_allclose(report.nees_mean[name], want, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("sc, seed", [
+    (build_table1_scenario(), 2),
+    (random_scenario(8, 5, bernoulli_p=0.3), 5),
+], ids=["table1", "random8"])
+def test_position_error_is_the_norm_of_the_position_difference(sc, seed):
+    rec = harness.run_once(sc, harness.ALL_ESTIMATORS, seed=seed)
+    for name in harness.ALL_ESTIMATORS:
+        diff = rec.estimates[name][:, :, :2] - rec.truth[:, :, :2]
+        np.testing.assert_array_equal(rec.position_error(name), np.linalg.norm(diff, axis=2))
+
+
 @pytest.mark.parametrize("jobs, n_runs, want_workers", [
     (1, 3, None), (2, 3, 2), (64, 3, 3), (64, 1, None),
 ], ids=["serial", "fewer-jobs", "more-jobs", "one-run"])

@@ -16,12 +16,18 @@ from splitcl.messages import (
 )
 
 
+def symmetric(rng):
+    """A random symmetric 3x3, as a robot's covariance or a summed gain is."""
+    m = rng.uniform(-1, 1, (3, 3))
+    return np.triu(m) + np.triu(m, 1).T
+
+
 def sample_landmark(rng, sender=3, with_z=True, landmark=5):
     return LandmarkMessage(
         sender=sender,
         time=42,
         mean=rng.uniform(-2, 2, 3),
-        cov=rng.uniform(-1, 1, (3, 3)),
+        cov=symmetric(rng),
         jac_accum=rng.uniform(-1, 1, 2),
         landmark=landmark if with_z else None,
         z=rng.uniform(-1, 1, 2) if with_z else None,
@@ -152,11 +158,25 @@ class TestUpdateMessage:
             time=100,
             kind="summed",
             residual_payload=rng.uniform(-1, 1, 3),
-            gain_payload=rng.uniform(-1, 1, (3, 3)),
+            gain_payload=symmetric(rng),
         )
         back = UpdateMessage.decode(msg.encode())
         assert back.kind == "summed"
+        np.testing.assert_array_equal(back.residual_payload, msg.residual_payload)
         np.testing.assert_array_equal(back.gain_payload, msg.gain_payload)
+
+    def test_only_the_upper_triangle_of_a_symmetric_payload_is_sent(self):
+        # The lower triangle handed to the encoder is not part of the
+        # message: the decoded matrix is the upper triangle mirrored.
+        rng = np.random.default_rng(74)
+        upper = np.triu(rng.uniform(-1, 1, (3, 3)))
+        lopsided = upper + np.tril(rng.uniform(-1, 1, (3, 3)), -1)
+        mirrored = upper + np.triu(upper, 1).T
+        summed = UpdateMessage(9, 100, "summed", np.zeros(3), lopsided)
+        assert summed.encode() == UpdateMessage(9, 100, "summed", np.zeros(3), mirrored).encode()
+        np.testing.assert_array_equal(UpdateMessage.decode(summed.encode()).gain_payload, mirrored)
+        landmark = dataclasses.replace(sample_landmark(rng), cov=lopsided)
+        np.testing.assert_array_equal(LandmarkMessage.decode(landmark.encode()).cov, mirrored)
 
     def test_bad_shapes_rejected(self):
         bad = [
@@ -185,7 +205,12 @@ class TestUpdateMessage:
         raw[:4] = b"XXXX"
         with pytest.raises(ProtocolError):
             UpdateMessage.decode(bytes(raw))
-        assert FORMAT_TAG == b"SCL2"
+        assert FORMAT_TAG == b"SCL3"
+        # A frame of the previous layout, which sent symmetric payloads
+        # whole, is refused by its tag.
+        old = struct.pack("<4sBII12d", b"SCL2", 3, 1, 0, *np.zeros(12))
+        with pytest.raises(ProtocolError, match="unknown format tag b'SCL2'"):
+            UpdateMessage.decode(old)
 
     def test_truncated_and_padded_frames_rejected(self):
         raw = UpdateMessage(1, 0, "single", np.zeros(2), np.zeros((3, 2))).encode()
@@ -208,35 +233,41 @@ class TestUpdateMessage:
 
 
 def test_frame_lengths_match_the_documented_layout():
-    # 5-byte header + 13-byte ids + z, mean, cov, jac_accum (16 + 24 + 72 + 16)
+    # 5-byte header + 13-byte ids + z, mean, cov's upper triangle,
+    # jac_accum (16 + 24 + 48 + 16)
     rng = np.random.default_rng(67)
-    assert len(sample_landmark(rng).encode()) == 146
-    # 5-byte header + 8-byte ids + 2 + 6 floats, or 3 + 9 floats
+    assert len(sample_landmark(rng).encode()) == 122
+    # 5-byte header + 8-byte ids + 2 + 6 floats, or 3 + 6 floats
     assert len(UpdateMessage(1, 0, "single", np.zeros(2), np.zeros((3, 2))).encode()) == 77
-    assert len(UpdateMessage(1, 0, "summed", np.zeros(3), np.zeros((3, 3))).encode()) == 109
+    assert len(UpdateMessage(1, 0, "summed", np.zeros(3), np.zeros((3, 3))).encode()) == 85
+
+
+def upper_triangle(m):
+    """A 3x3's upper triangle, field by field in the order it is sent."""
+    return [m[0, 0], m[0, 1], m[0, 2], m[1, 1], m[1, 2], m[2, 2]]
 
 
 def test_frames_are_the_documented_bytes():
     # Each frame built field by field, independently of the codec.
     rng = np.random.default_rng(69)
     observer = sample_landmark(rng, sender=3, landmark=5)
-    floats = [*observer.z, *observer.mean, *observer.cov.ravel(), *observer.jac_accum]
-    assert observer.encode() == struct.pack("<4sBIIIB16d", b"SCL2", 1, 3, 42, 5, 1, *floats)
+    floats = [*observer.z, *observer.mean, *upper_triangle(observer.cov), *observer.jac_accum]
+    assert observer.encode() == struct.pack("<4sBIIIB13d", b"SCL3", 1, 3, 42, 5, 1, *floats)
 
     observed = sample_landmark(rng, sender=2 ** 32 - 1, with_z=False)
-    floats = [0.0, 0.0, *observed.mean, *observed.cov.ravel(), *observed.jac_accum]
+    floats = [0.0, 0.0, *observed.mean, *upper_triangle(observed.cov), *observed.jac_accum]
     assert observed.encode() == struct.pack(
-        "<4sBIIIB16d", b"SCL2", 1, 2 ** 32 - 1, 42, 0, 0, *floats
+        "<4sBIIIB13d", b"SCL3", 1, 2 ** 32 - 1, 42, 0, 0, *floats
     )
 
     r, g = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, (3, 2))
     single = UpdateMessage(7, 11, "single", r, g)
-    assert single.encode() == struct.pack("<4sBII8d", b"SCL2", 2, 7, 11, *r, *g.ravel())
+    assert single.encode() == struct.pack("<4sBII8d", b"SCL3", 2, 7, 11, *r, *g.ravel())
 
-    r, g = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, (3, 3))
+    r, g = rng.uniform(-1, 1, 3), symmetric(rng)
     summed = UpdateMessage(9, 2 ** 32 - 1, "summed", r, g)
     assert summed.encode() == struct.pack(
-        "<4sBII12d", b"SCL2", 3, 9, 2 ** 32 - 1, *r, *g.ravel()
+        "<4sBII9d", b"SCL3", 3, 9, 2 ** 32 - 1, *r, *upper_triangle(g)
     )
 
 
@@ -279,16 +310,16 @@ def frames(draw):
     first, time = draw(u32), draw(u32)
     if role in ("single", "summed"):
         floats = draw(st.lists(any_float, min_size=8, max_size=8) if role == "single"
-                      else st.lists(any_float, min_size=12, max_size=12))
+                      else st.lists(any_float, min_size=9, max_size=9))
         kind = 2 if role == "single" else 3
-        raw = struct.pack(f"<4sBII{len(floats)}d", b"SCL2", kind, first, time, *floats)
+        raw = struct.pack(f"<4sBII{len(floats)}d", b"SCL3", kind, first, time, *floats)
         return UpdateMessage, raw, (first, time, role), floats
     landmark = draw(u32.filter(lambda b: b not in (0, first))) if role == "observer" else 0
     has_z = role == "observer"
-    floats = draw(st.lists(any_float, min_size=16, max_size=16))
+    floats = draw(st.lists(any_float, min_size=13, max_size=13))
     if not has_z:
         floats[:2] = [0.0, 0.0]
-    raw = struct.pack("<4sBIIIB16d", b"SCL2", 1, first, time, landmark, has_z, *floats)
+    raw = struct.pack("<4sBIIIB13d", b"SCL3", 1, first, time, landmark, has_z, *floats)
     return LandmarkMessage, raw, (first, time, landmark or None, has_z), floats
 
 
@@ -305,18 +336,27 @@ class TestCodecProperties:
         codec, raw, ids, floats = frame
         msg = codec.decode(raw)
         assert msg.encode() == raw
+        # A symmetric payload is sent as its upper triangle and decodes to a
+        # 3x3 whose two triangles are the same floats, bit for bit.
         if codec is LandmarkMessage:
             assert (msg.sender, msg.time, msg.landmark, msg.z is not None) == ids
             z = [0.0, 0.0] if msg.z is None else msg.z
-            payloads = (z, msg.mean, msg.cov, msg.jac_accum)
-            assert [np.shape(p) for p in payloads] == [(2,), (3,), (3, 3), (2,)]
+            assert [np.shape(p) for p in (z, msg.mean, msg.cov, msg.jac_accum)] == [
+                (2,), (3,), (3, 3), (2,)
+            ]
+            payloads = (z, msg.mean, upper_triangle(msg.cov), msg.jac_accum)
+            mirrored = [msg.cov]
         else:
             assert (msg.recipient, msg.time, msg.kind) == ids
-            payloads = (msg.residual_payload, msg.gain_payload)
+            gain, summed = msg.gain_payload, msg.kind == "summed"
+            payloads = (msg.residual_payload, upper_triangle(gain) if summed else gain)
+            mirrored = [gain] if summed else []
+        for m in mirrored:
+            assert float_bits(m.ravel()) == float_bits(m.T.ravel())
         assert float_bits(np.concatenate([np.ravel(p) for p in payloads])) == float_bits(floats)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(frame=frames(), pos=st.sampled_from(range(18)) | st.integers(0, 145),
+    @given(frame=frames(), pos=st.sampled_from(range(18)) | st.integers(0, 121),
            byte=st.sampled_from([0, 1, 2, 3, 255]) | st.integers(0, 255))
     def test_corrupted_frame_is_refused_or_reads_as_itself(self, frame, pos, byte):
         # Header bytes and small values are drawn often, so the tag, the

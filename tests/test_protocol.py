@@ -167,8 +167,11 @@ class TestRobotNode:
         ("summed", "residual_payload"), ("summed", "gain_payload"),
     ])
     def test_non_finite_payload_raises_and_keeps_state(self, kind, payload, value):
-        # A decoded frame is outside input: a non-finite entry anywhere in
-        # either payload must be refused, not crash the robot or slip in.
+        # A decoded frame is outside input: a non-finite entry anywhere on
+        # the wire must be refused, not crash the robot or slip in. A summed
+        # gain is sent as its upper triangle: a value placed only in its
+        # lower triangle does not reach the robot, which decodes the upper
+        # triangle mirrored.
         rng = np.random.default_rng(75)
         node = RobotNode(1, rng.uniform(-1, 1, 3), np.eye(3) * 0.1)
         node.step(rng.uniform(-1, 1, (3, 2)), np.full((3, 2), 0.01), 0.1)
@@ -181,9 +184,12 @@ class TestRobotNode:
         for pos in np.ndindex(sound[payload].shape):
             payloads = {k: v.copy() for k, v in sound.items()}
             payloads[payload][pos] = value
-            msg = UpdateMessage(1, node.time, kind, **payloads)
+            decoded = UpdateMessage.decode(UpdateMessage(1, node.time, kind, **payloads).encode())
+            if kind == "summed" and payload == "gain_payload" and pos[0] > pos[1]:
+                np.testing.assert_array_equal(decoded.gain_payload, sound["gain_payload"])
+                continue
             with pytest.raises(NumericalError, match="robot 1"):
-                node.apply_update(UpdateMessage.decode(msg.encode()))
+                node.apply_update(decoded)
             assert node.state is before
             for name in ("mean", "cov", "jac_accum"):
                 np.testing.assert_array_equal(getattr(node.state, name), getattr(saved, name))

@@ -118,6 +118,49 @@ def test_split_covariances_are_exactly_symmetric(table1, seed):
         np.testing.assert_array_equal(cov, np.swapaxes(cov, -1, -2), err_msg=name)
 
 
+def float_bits(a) -> bytes:
+    """The IEEE bytes of ``a`` in row-major order, to compare floats bit for bit."""
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("sc, seed", [
+    (build_table1_scenario(), 7),
+    # Lossy links, and 5 s windows every 2 s: epochs with two measurements.
+    (random_scenario(16, 3, duration_s=60.0, window_every_s=2.0, bernoulli_p=0.2), 3),
+], ids=["table1", "random16"])
+def test_nothing_a_robot_holds_is_lost_on_the_wire(sc, seed, monkeypatch):
+    # Symmetric payloads go on the wire as their upper triangle. A robot's
+    # covariance is exactly symmetric, so its frame decodes to the sender's
+    # covariance bit for bit; a summed frame decodes to the upper triangle
+    # of the server's payload, the only part the robot reads.
+    sent = {LandmarkMessage: [], UpdateMessage: []}
+
+    def recording(cls):
+        encode = cls.encode
+
+        def recording_encode(self):
+            frame = encode(self)
+            payload = self.cov if cls is LandmarkMessage else self.gain_payload
+            sent[cls].append((self, np.array(payload), frame))
+            return frame
+        return recording_encode
+
+    for cls in sent:
+        monkeypatch.setattr(cls, "encode", recording(cls))
+    harness.run_once(sc, [harness.SA_SPLIT, harness.SA_SPLIT_DROPOUT], seed=seed)
+
+    assert sent[LandmarkMessage]
+    for _, cov, frame in sent[LandmarkMessage]:
+        assert float_bits(cov) == float_bits(cov.T)
+        assert float_bits(LandmarkMessage.decode(frame).cov) == float_bits(cov)
+    summed = [(gain, frame) for msg, gain, frame in sent[UpdateMessage] if msg.kind == "summed"]
+    assert summed
+    upper = np.triu_indices(3)
+    for gain, frame in summed:
+        decoded = UpdateMessage.decode(frame).gain_payload
+        assert float_bits(decoded[upper]) == float_bits(gain[upper])
+
+
 @pytest.mark.parametrize("check", [check_exact_equivalence, check_dropout_equivalence])
 def test_table1_negative_control_fails(table1, check):
     report = check(table1, corrupt_cross_sign=True)
@@ -297,7 +340,7 @@ def test_robot_state_and_frames_do_not_grow_with_the_team(n, monkeypatch):
 
     assert unusable and unreachable and recipients
     assert {k for k, sent in senders.items() if sent} <= set(real.measurements)
-    assert dict(lengths) == {"landmark": {146}, "single": {77}, "summed": {109}}
+    assert dict(lengths) == {"landmark": {122}, "single": {77}, "summed": {85}}
     for i in sc.robot_ids:
         state = end.robot(i)
         assert [x.shape for x in (state.mean, state.cov, state.jac_accum)] == [
