@@ -93,8 +93,8 @@ def _cmd_run(args) -> int:
         return EXIT_USAGE
 
     print(f"scenario: {args.scenario} ({sc.n_robots} robots, {sc.duration_s:.0f} s)")
-    print(f"runs: {report.runs_total}, estimators: {', '.join(estimators)}")
-    for name in estimators:
+    print(f"runs: {report.runs_total}, estimators: {', '.join(report.estimators)}")
+    for name in report.estimators:
         if report.runs_flagged[name] == report.runs_total:
             print(f"final RMS [{name}] none: all {report.runs_total} runs were flagged")
             continue

@@ -35,12 +35,12 @@ with the joint stream step by step. The four
 filtering estimators differ only in the channel reports they get: none
 (perfect links) or the dropout run's. Only at a measurement epoch does a
 robot act on its own, in its lane alone, as a :class:`RobotNode` over its
-rows of the segment's end, a copy the loop owns: the node of a measured
-robot builds its landmark frame, and that of a robot the server sends an
-update message (one correlated with a measured robot) applies it, in
-place. The per-robot arithmetic is the same for a robot stepped alone
-through :meth:`RobotNode.step`, as a team of one, so every estimator's
-record is bit for bit its record in a run on its own.
+rows of the segment's end (see :func:`split_ekf.propagate_team`): the
+node of a measured robot builds its landmark frame, and that of a robot
+the server sends an update message (one correlated with a measured robot)
+applies it, in place. The per-robot arithmetic is the same for a robot
+stepped alone through :meth:`RobotNode.step`, as a team of one, so every
+estimator's record is bit for bit its record in a run on its own.
 
 Randomness is derived from a seed key; stream tags keep motion noise,
 measurement noise, initial error and channel draws independent, and
@@ -351,14 +351,13 @@ def split_steps(
 
     Lane ``e`` of ``lanes`` owns rows ``e N .. (e + 1) N`` of one stacked
     :class:`split_ekf.SplitTeamState`, so one :func:`split_ekf.propagate_team`
-    call per segment advances every lane: ``block`` holds steps
-    ``k0 + 1 .. k1`` and ``end`` the stack at ``k1``. The segments are one
-    filter's (:func:`segments` for ``N`` robots, not ``E N``), however many
-    lanes share the call. ``end`` belongs to the loop: it is a copy of the
-    block's last step, which the block keeps as propagated. At an epoch
+    call per segment advances every lane and returns ``block``, steps
+    ``k0 + 1 .. k1``, and ``end``, the stack at ``k1``, by the rules stated
+    there. The segments are one filter's (:func:`segments` for ``N``
+    robots, not ``E N``), however many lanes share the call. At an epoch
     each lane runs :func:`_run_split_epoch` on its own rows of ``end``,
     with its own reports and server, which corrects those rows in place.
-    A later segment starts from a new copy, so no yielded ``end`` changes
+    The next call returns a new ``end``, so no yielded ``end`` changes
     after its segment. A lane's epochs and its server log to its list, in
     time order. Every row gets its robot's arithmetic, so a lane's rows are
     bit for bit what that filter run alone gives.
@@ -372,17 +371,12 @@ def split_steps(
     rows = [slice(e * n, (e + 1) * n) for e in range(width)]
     for k0, k1 in segments(sc, real.measurements):
         # As in joint_steps, only the segment's last step can be an epoch.
-        block = split_ekf.propagate_team(team, controls[:, k0:k1], noise[:, k0:k1], sc.dt_s)
-        means, covs, accs = block
-        # A copy: an epoch corrects it in place, and the block stays propagated.
-        team = split_ekf.SplitTeamState(
-            team.team, team.index, means[:, -1].copy(), covs[-1].copy(), accs[:, -1], k1
-        )
+        block, team = split_ekf.propagate_team(team, controls[:, k0:k1], noise[:, k0:k1], sc.dt_s)
         if k1 in real.measurements:
             for lane, (reports, server, events) in zip(rows, lanes):
                 own = split_ekf.SplitTeamState(
                     team.team, team.index,
-                    team.mean[lane], team.cov[lane], team.jac_accum[lane], k1,
+                    team.mean[lane], team.cov[lane], team.jac_accum[lane], team.time,
                 )
                 report = epoch_report(reports, ids, k1)
                 _run_split_epoch(own, server, real.measurements[k1], report, events)

@@ -108,15 +108,11 @@ class RobotNode:
         node's state is a team of one for :func:`split_ekf.propagate_team`,
         so it gets exactly its row's arithmetic in a team, the closed-form
         covariances of the whole stretch included. Returns its row of the
-        segment's block; the node keeps a copy of the block's last step as
-        its state, which its corrections change.
+        segment's block; the node keeps the call's ``end`` as its state,
+        which its corrections change.
         """
-        s = self.state
-        means, covs, accs = split_ekf.propagate_team(
-            s, np.asarray(controls)[None], np.asarray(noise_diags)[None], dt
-        )
-        self.state = SplitTeamState(
-            s.team, s.index, means[:, -1].copy(), covs[-1].copy(), accs[:, -1], s.time + len(covs)
+        (means, covs, accs), self.state = split_ekf.propagate_team(
+            self.state, np.asarray(controls)[None], np.asarray(noise_diags)[None], dt
         )
         return means[0], covs[:, 0], accs[0]
 

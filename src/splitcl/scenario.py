@@ -461,11 +461,19 @@ def random_scenario(
     """A reproducible randomized scenario for an ``n_robots`` team.
 
     One measurement window per ``window_every_s`` of run time, each pairing
-    two distinct randomly drawn robots.
+    two distinct randomly drawn robots. A non-finite ``duration_s``, or a
+    spacing that is not finite or under one step of ``dt_s``, is refused
+    before any window is drawn.
     """
     if n_robots < 2:
         raise ScenarioError("random scenarios need at least 2 robots")
     _check_team_size(n_robots)
+    if not math.isfinite(duration_s):
+        raise ScenarioError(f"duration_s must be finite, got {duration_s}")
+    if not math.isfinite(window_every_s) or seconds_to_step(window_every_s, Scenario.dt_s) < 1:
+        raise ScenarioError(
+            f"window_every_s must be at least one step of dt_s, got {window_every_s}"
+        )
     rng = np.random.default_rng(seed)
     windows = []
     t = window_every_s

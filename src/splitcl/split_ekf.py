@@ -127,14 +127,18 @@ class SplitTeamState:
 
 def propagate_team(
     team: SplitTeamState, controls: np.ndarray, noise_diags: np.ndarray, dt: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], SplitTeamState]:
     """Advance every robot of the team ``L`` timesteps; no cross term is touched.
 
     ``controls`` are the ``(N, L, 2)`` measured velocities and
     ``noise_diags`` the ``(N, L, 2)`` diagonals of the robots' process-noise
-    covariances, both in team order. Returns the team at steps ``1..L`` as
-    means ``(N, L, 3)``, covariances ``(L, N, 3, 3)`` and accumulated
-    Jacobians ``(N, L, 2)``, the segment's block. One
+    covariances, both in team order. Returns the segment's block, the team
+    at steps ``1..L`` as means ``(N, L, 3)``, covariances ``(L, N, 3, 3)``
+    and accumulated Jacobians ``(N, L, 2)``, and its end, the team at step
+    ``L`` for the next epoch to correct in place: the same ``team`` and
+    ``index``, ``time`` moved on by ``L``, and copies of the last step's
+    ``mean`` and ``cov`` (not of ``jac_accum``, which no correction
+    changes), so the block stays as propagated. One
     :func:`model.propagate_pose` call gives every mean and, as running
     sums of the steps' shear translations, every accumulated Jacobian
     ``F A``. The covariances of every step come in closed form, with no
@@ -187,7 +191,10 @@ def propagate_team(
     cov[..., 0, 2] = cov[..., 2, 0] = p02
     cov[..., 1, 2] = cov[..., 2, 1] = p12
     cov[..., 2, 2] = b22
-    return poses[:, 1:], cov, accs[:, 1:]
+    end = SplitTeamState(
+        team.team, team.index, poses[:, -1].copy(), cov[-1].copy(), accs[:, -1], team.time + steps
+    )
+    return (poses[:, 1:], cov, accs[:, 1:]), end
 
 
 Pairs = tuple[tuple[float, float], ...]

@@ -129,6 +129,17 @@ def test_output_write_failure_is_invalid_input(writer, tmp_path, capsys, monkeyp
     assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
 
 
+def test_a_repeated_estimator_is_run_and_printed_once(tmp_path, capsys):
+    argv = ["run", "--scenario", "table1", "--mc", "1", "--estimators", "dr,dr",
+            "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "runs: 1, estimators: dr\n" in out
+    assert out.count("final RMS [dr]") == 1
+    header = (tmp_path / "metrics.csv").read_text().splitlines()[0]
+    assert header == "time_s,robot,rms_dr"
+
+
 def test_run_without_monte_carlo_runs_is_invalid_input(tmp_path, capsys):
     out_dir = tmp_path / "out"
     argv = ["run", "--scenario", "table1", "--mc", "0", "--out", str(out_dir)]
@@ -295,6 +306,8 @@ def test_metrics_file_is_byte_identical_for_a_fixed_seed(tmp_path):
     for name, extra in (("a", []), ("b", []), ("jobs", ["--jobs", "2"])):
         out_dir = tmp_path / name
         assert cli.main(argv + extra + ["--out", str(out_dir)]) == cli.EXIT_OK
-        files.append((out_dir / "metrics.csv").read_bytes())
+        files.append(tuple((out_dir / f).read_bytes() for f in ("metrics.csv", "events.log")))
     assert files[0] == files[1] == files[2]
-    assert len(files[0].splitlines()) == 1 + 4 * 3001
+    metrics, events = files[0]
+    assert len(metrics.splitlines()) == 1 + 4 * 3001
+    assert events.count(b"PAIR_UNREACHABLE") == len(events.splitlines()) == 10

@@ -122,12 +122,9 @@ def test_a_non_finite_frame_is_dropped_with_an_event(monkeypatch):
     real = harness.build_realization(sc, harness.seed_key(sc, 3))
     k = min(real.measurements)
     start = split_ekf.SplitTeamState.initialize(sc.robot_ids, real.init_means, sc.initial_cov())
-    means, covs, accs = split_ekf.propagate_team(
+    # The segment's end as split_steps gets it: a copy the epoch corrects.
+    (means, covs, _), team = split_ekf.propagate_team(
         start, real.controls_meas[:, :k], real.filter_q[:, :k], sc.dt_s
-    )
-    # The segment's end as split_steps makes it: a copy the epoch corrects.
-    team = split_ekf.SplitTeamState(
-        start.team, start.index, means[:, -1].copy(), covs[-1].copy(), accs[:, -1], k
     )
     server = CooperationServer(sc.robot_ids, sc.meas_noise_cov())
     handle_epoch = server.handle_epoch
@@ -304,7 +301,7 @@ def test_an_epoch_corrects_only_the_loops_own_segment_end():
     )
     for k0, k1, (means, covs, accs), end in harness.split_steps(sc, real, lanes):
         # The block's last step is the propagation of the previous end, uncorrected.
-        want = split_ekf.propagate_team(prior, controls[:, k0:k1], noise[:, k0:k1], sc.dt_s)
+        want, _ = split_ekf.propagate_team(prior, controls[:, k0:k1], noise[:, k0:k1], sc.dt_s)
         for got, ref in zip((means, covs, accs), want):
             np.testing.assert_array_equal(got, ref)
         ends.append(end)

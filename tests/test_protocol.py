@@ -76,15 +76,16 @@ class TestRobotNode:
         controls = rng.uniform(-1, 1, (5, 2))
         q = np.full((5, 2), 0.01)
         alone = copy.deepcopy(node.state)
-        means, covs, accs = split_ekf.propagate_team(alone, controls[None], q[None], 0.1)
+        (means, covs, accs), end = split_ekf.propagate_team(alone, controls[None], q[None], 0.1)
         block = node.step(controls, q, 0.1)
         for got, want in zip(block, (means[0], covs[:, 0], accs[0]), strict=True):
             np.testing.assert_array_equal(got, want)
         assert [len(rows) for rows in block] == [5, 5, 5]
-        # The node keeps the last step.
-        assert node.time == 5
-        for got, rows in zip((node.state.mean, node.state.cov, node.state.jac_accum), block):
-            np.testing.assert_array_equal(got, rows[-1:])
+        # The node keeps the last step, the team of one's end.
+        assert node.time == end.time == 5
+        for field, rows in zip(("mean", "cov", "jac_accum"), block):
+            np.testing.assert_array_equal(getattr(node.state, field), rows[-1:])
+            np.testing.assert_array_equal(getattr(node.state, field), getattr(end, field))
 
     def test_landmark_message_mirrors_state(self):
         rng = np.random.default_rng(71)

@@ -256,6 +256,24 @@ def test_team_size_is_bounded(monkeypatch):
         random_scenario(100_000_000, 1)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"window_every_s": 0.0}, "window_every_s must be at least one step"),
+        ({"window_every_s": -1.0}, "window_every_s must be at least one step"),
+        ({"window_every_s": math.nan}, "window_every_s must be at least one step"),
+        ({"window_every_s": 1e-300}, "window_every_s must be at least one step"),
+        ({"duration_s": math.inf}, "duration_s must be finite"),
+    ],
+)
+def test_random_window_spacing_that_never_ends_is_refused(monkeypatch, kwargs, message):
+    # Each of these would draw windows without end; they are refused before
+    # the generator draws anything.
+    monkeypatch.setattr(np.random, "default_rng", None)
+    with pytest.raises(ScenarioError, match=message):
+        random_scenario(4, 1, **kwargs)
+
+
 def test_table1_windows_can_be_overridden():
     table1 = build_table1_scenario()
     assert len(table1.meas_windows) == 12

@@ -132,6 +132,23 @@ def random_team(seed):
     return means, covs, controls, q_diags
 
 
+def assert_is_segment_end(team, block, end):
+    """``end`` is ``team`` advanced to ``block``'s last step, its mean and
+    covariance copies that a correction changes without touching the block."""
+    means, covs, accs = block
+    assert end.team is team.team and end.index is team.index
+    assert end.time == team.time + len(covs)
+    for got, last in zip((end.mean, end.cov, end.jac_accum), (means[:, -1], covs[-1], accs[:, -1])):
+        np.testing.assert_array_equal(got, last)
+    kept = means.copy(), covs.copy()
+    for field in (end.mean, end.cov):
+        saved = field.copy()
+        field[:] = np.nan
+        np.testing.assert_array_equal(means, kept[0])
+        np.testing.assert_array_equal(covs, kept[1])
+        field[:] = saved
+
+
 def team_from(means, covs):
     ids = tuple(range(1, N_ROBOTS + 1))
     team = SplitTeamState.initialize(ids, means, np.eye(3))
@@ -146,7 +163,7 @@ def test_batched_split_step_is_the_per_robot_step(seed):
     ref = [(means[a], covs[a], np.eye(3)) for a in range(N_ROBOTS)]
     wrapped_far = False
     for k0, k1 in SEGMENTS:
-        means, covs, accs = split_ekf.propagate_team(
+        (means, covs, accs), end = split_ekf.propagate_team(
             team, controls[:, k0:k1], q_diags[:, k0:k1], DT
         )
         assert (means.shape, covs.shape, accs.shape) == (
@@ -165,7 +182,9 @@ def test_batched_split_step_is_the_per_robot_step(seed):
             assert_robotwise_close(covs[j], [r[1] for r in ref])
             assert_is_shear_of(accs[:, j], [r[2] for r in ref])
         # The next segment starts from this one's last step.
-        team = SplitTeamState(team.team, team.index, means[:, -1], covs[-1], accs[:, -1], k1)
+        assert_is_segment_end(team, (means, covs, accs), end)
+        assert end.time == k1
+        team = end
     assert wrapped_far
 
 
@@ -318,7 +337,7 @@ def test_non_positive_dt_is_rejected():
 
 def test_lone_robot_state_is_one_team_row():
     means, covs, controls, q_diags = random_team(8)
-    team_means, team_covs, team_accs = split_ekf.propagate_team(
+    (team_means, team_covs, team_accs), _ = split_ekf.propagate_team(
         team_from(means, covs), controls, q_diags, DT
     )
     node = RobotNode(3, means[2], covs[2])
@@ -348,7 +367,7 @@ def test_closed_form_covariances_are_the_per_step_recurrence(n, steps, motion):
     else:
         controls[..., 1] *= 80.0
     q_diags = rng.uniform(1e-6, 0.05, (n, steps, 2))
-    means, covs, accs = split_ekf.propagate_team(team, controls, q_diags, DT)
+    (means, covs, accs), end = split_ekf.propagate_team(team, controls, q_diags, DT)
     want = list(ref_split_segment(team, controls, q_diags, DT))
     assert len(covs) == len(want) == steps
     for j, w in enumerate(want):
@@ -356,6 +375,20 @@ def test_closed_form_covariances_are_the_per_step_recurrence(n, steps, motion):
         np.testing.assert_array_equal(accs[:, j], w.jac_accum)
         assert_robotwise_close(covs[j], w.cov)
         np.testing.assert_array_equal(covs[j], covs[j].swapaxes(1, 2))
+    assert_is_segment_end(team, (means, covs, accs), end)
+    # Two lanes of the team in one stack: each lane's rows are the team's.
+    lanes = SplitTeamState(
+        team.team, team.index,
+        *(harness._lanes(x, 2) for x in (team.mean, team.cov, team.jac_accum)), team.time,
+    )
+    block, end = split_ekf.propagate_team(
+        lanes, harness._lanes(controls, 2), harness._lanes(q_diags, 2), DT
+    )
+    for lane in (slice(0, n), slice(n, 2 * n)):
+        rows = (block[0][lane], block[1][:, lane], block[2][lane])
+        for got, one_lane in zip(rows, (means, covs, accs), strict=True):
+            np.testing.assert_array_equal(got, one_lane)
+    assert_is_segment_end(lanes, block, end)
 
 
 def test_run_once_calls_the_kernel_once_per_segment(monkeypatch):

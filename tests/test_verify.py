@@ -76,14 +76,14 @@ def test_robot_covariance_error_is_named_by_step_and_robot(table1, monkeypatch):
     original = split_ekf.propagate_team
 
     def propagate_with_error(team, controls, noise_diags, dt):
-        means, covs, accs = original(team, controls, noise_diags, dt)
+        (means, covs, accs), end = original(team, controls, noise_diags, dt)
         j = step - team.time - 1
         # A robot stepped alone by the lone-step check passes through.
         if len(team.team) > 1 and 0 <= j < len(covs):
             # Only that step is off: the next segment starts from the last.
             assert j < len(covs) - 1
             covs[j, team.index[robot]] += PLANT * CORNER
-        return means, covs, accs
+        return (means, covs, accs), end
 
     monkeypatch.setattr(split_ekf, "propagate_team", propagate_with_error)
     report = check_exact_equivalence(table1)
