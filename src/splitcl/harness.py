@@ -210,6 +210,17 @@ class RunRecord:
         return np.sqrt(dx * dx + dy * dy)
 
 
+def _wanted(estimators: Iterable[str]) -> tuple[str, ...]:
+    """The requested estimators, each once in request order; none or an unknown one is refused."""
+    wanted = tuple(dict.fromkeys(estimators))
+    if not wanted:
+        raise ValueError("at least one estimator must be requested")
+    unknown = [e for e in wanted if e not in ALL_ESTIMATORS]
+    if unknown:
+        raise ValueError(f"unknown estimators {unknown}; choose from {ALL_ESTIMATORS}")
+    return wanted
+
+
 def run_once(
     sc: scen.Scenario,
     estimators: Iterable[str],
@@ -222,12 +233,7 @@ def run_once(
     events come estimator by estimator, in the order requested, each
     estimator's in time order and as in a run of it alone.
     """
-    wanted = tuple(dict.fromkeys(estimators))
-    if not wanted:
-        raise ValueError("at least one estimator must be requested")
-    unknown = [e for e in wanted if e not in ALL_ESTIMATORS]
-    if unknown:
-        raise ValueError(f"unknown estimators {unknown}; choose from {ALL_ESTIMATORS}")
+    wanted = _wanted(estimators)
     sc.validate()
     key = seed_key(sc, seed)
     real = build_realization(sc, key, truth=_cached_truth)
@@ -520,7 +526,7 @@ def run_monte_carlo(
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
     sc.validate()
-    wanted = tuple(dict.fromkeys(estimators))
+    wanted = _wanted(estimators)
     base = sc.seed if seed is None else int(seed)
     truth = simulate_truth(sc)
     n = sc.n_robots

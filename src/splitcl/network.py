@@ -66,7 +66,7 @@ def channel_epoch(
         for x_min, y_min, x_max, y_max in sc.zones:
             lost |= (x_min <= x) & (x <= x_max) & (y_min <= y) & (y <= y_max)
         if sc.bernoulli_p > 0.0:
-            seed_key = [seed] if isinstance(seed, int) else list(seed)
+            seed_key = [seed] if isinstance(seed, (int, np.integer)) else list(seed)
             draws = np.random.default_rng(seed_key + [t]).random(sc.n_robots + 1)
             lost |= draws[1:] < sc.bernoulli_p
         missed.update((np.flatnonzero(lost) + 1).tolist())

@@ -1,7 +1,9 @@
 """Scenario definition: trajectories, measurement schedule, channel behavior.
 
-A scenario is a plain JSON document (format tag ``splitcl-scenario/1``) with
-the following keys; distances are meters, times seconds, angles radians:
+A scenario is a plain JSON document (format tag ``splitcl-scenario/1``) that
+follows the fields of :class:`Scenario`: an object per nested dataclass, a row
+per listed dataclass with its fields in order, a list per other tuple. The
+keys, with distances in meters, times in seconds and angles in radians:
 
 ``n_robots``            team size N, at most ``MAX_ROBOTS``; robots are
                         labelled 1..N
@@ -46,10 +48,12 @@ noise free.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from dataclasses import dataclass, field, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -143,6 +147,11 @@ class Scenario:
         non_finite = [name for name, value in vars(self).items() if not _all_finite(value)]
         if non_finite:
             raise ScenarioError(f"non-finite values in {non_finite}")
+        for name, kind in _field_types(type(self)).items():
+            # Each scalar as its reader returns it: range() needs 4, not 4.0.
+            value = getattr(self, name)
+            if kind in _SCALARS and _SCALARS[kind](value, name) is not value and kind is int:
+                raise ScenarioError(f"{name} must be an integer, got {value!r}")
         _check_team_size(self.n_robots)
         if self.dt_s <= 0 or self.duration_s <= 0:
             raise ScenarioError("dt_s and duration_s must be positive")
@@ -194,17 +203,7 @@ class Scenario:
                 raise ScenarioError(f"zone {z} is not a valid rectangle")
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["format"] = FORMAT_TAG
-        d["path"] = asdict(self.path)
-        d["meas_windows"] = [
-            [w.start_s, w.end_s, w.observer, w.landmark] for w in self.meas_windows
-        ]
-        d["dropout_windows"] = [
-            [w.robot, w.start_s, w.end_s] for w in self.dropout_windows
-        ]
-        d["zones"] = [list(z) for z in self.zones]
-        return d
+        return {"format": FORMAT_TAG, **_to_json(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
@@ -213,53 +212,9 @@ class Scenario:
         tag = d.get("format")
         if tag != FORMAT_TAG:
             raise ScenarioError(f"unsupported scenario format {tag!r}")
-        _check_keys(d.keys() - {"format"}, cls, "scenario keys")
+        body = {key: value for key, value in d.items() if key != "format"}
         try:
-            p = d["path"]
-            if not isinstance(p, dict):
-                raise ScenarioError("path must be a JSON object")
-            _check_keys(set(p), SpiralPath, "path keys")
-            path = SpiralPath(
-                side0=_real(p["side0"], "path.side0"),
-                growth=_real(p["growth"], "path.growth"),
-                edge_time_s=_real(p["edge_time_s"], "path.edge_time_s"),
-                turn_time_s=_real(p["turn_time_s"], "path.turn_time_s"),
-                center=tuple(_real(c, "path.center") for c in p["center"]),
-            )
-            sc = cls(
-                n_robots=_integer(d["n_robots"], "n_robots"),
-                duration_s=_real(d["duration_s"], "duration_s"),
-                dt_s=_real(d["dt_s"], "dt_s"),
-                path=path,
-                v_noise_frac=tuple(_real(f, "v_noise_frac") for f in d["v_noise_frac"]),
-                w_noise_frac=tuple(_real(f, "w_noise_frac") for f in d["w_noise_frac"]),
-                meas_windows=tuple(
-                    MeasurementWindow(
-                        _real(w[0], "meas_windows start_s"),
-                        _real(w[1], "meas_windows end_s"),
-                        _integer(w[2], "meas_windows observer"),
-                        _integer(w[3], "meas_windows landmark"),
-                    )
-                    for w in (_row(row, 4, "meas_windows") for row in d["meas_windows"])
-                ),
-                meas_period_s=_real(d["meas_period_s"], "meas_period_s"),
-                meas_noise_std=_real(d["meas_noise_std"], "meas_noise_std"),
-                dropout_windows=tuple(
-                    DropoutWindowSpec(
-                        _integer(w[0], "dropout_windows robot"),
-                        _real(w[1], "dropout_windows start_s"),
-                        _real(w[2], "dropout_windows end_s"),
-                    )
-                    for w in (_row(row, 3, "dropout_windows") for row in d["dropout_windows"])
-                ),
-                bernoulli_p=_real(d["bernoulli_p"], "bernoulli_p"),
-                zones=tuple(tuple(_real(v, "zones") for v in z) for z in d["zones"]),
-                initial_cov_diag=tuple(
-                    _real(v, "initial_cov_diag") for v in d["initial_cov_diag"]
-                ),
-                perturb_initial=_flag(d["perturb_initial"], "perturb_initial"),
-                seed=_integer(d["seed"], "seed"),
-            )
+            sc = _from_object(cls, body, "scenario keys", "")
         except (KeyError, TypeError) as exc:
             raise ScenarioError(f"malformed scenario field: {exc}") from exc
         sc.validate()
@@ -280,16 +235,50 @@ class Scenario:
         return cls.from_dict(doc)
 
 
-def _check_keys(keys: set[str], cls: type, what: str) -> None:
-    """Refuse ``keys`` unless they are the fields of the dataclass ``cls``,
-    naming the unknown or missing ones."""
-    known = set(cls.__dataclass_fields__)
-    unknown = keys - known
+# A dataclass's field types by name, in field order, resolved once.
+_field_types = functools.cache(get_type_hints)
+
+
+def _from_object(cls: type, d: dict, what: str, prefix: str):
+    """The dataclass ``cls`` from ``d``, keyed by exactly its fields; errors
+    name the keys by ``what`` and each field by ``prefix`` and its name."""
+    hints = _field_types(cls)
+    unknown = d.keys() - hints.keys()
     if unknown:
         raise ScenarioError(f"unknown {what} {sorted(unknown)}")
-    missing = known - keys
+    missing = hints.keys() - d.keys()
     if missing:
         raise ScenarioError(f"missing {what} {sorted(missing)}")
+    return cls(**{name: _from_json(kind, d[name], prefix + name) for name, kind in hints.items()})
+
+
+def _from_json(kind, value, name: str):
+    """``value`` read from JSON as a field of type ``kind``, which errors call
+    ``name``; see the module docstring for the form of each type."""
+    if kind in _SCALARS:
+        return _SCALARS[kind](value, name)
+    if is_dataclass(kind):
+        if not isinstance(value, dict):
+            raise ScenarioError(f"{name} must be a JSON object")
+        return _from_object(kind, value, f"{name} keys", f"{name}.")
+    item = get_args(kind)[0]
+    if is_dataclass(item):
+        # A row is an object keyed by position.
+        columns = _field_types(item)
+        return tuple(
+            _from_object(item, dict(zip(columns, _row(row, len(columns), name))), "", f"{name} ")
+            for row in value
+        )
+    return tuple(_from_json(item, entry, name) for entry in value)
+
+
+def _to_json(value):
+    """A field value in its JSON form, the inverse of :func:`_from_json`."""
+    if is_dataclass(value):
+        return {name: _to_json(getattr(value, name)) for name in _field_types(type(value))}
+    if isinstance(value, tuple):
+        return [list(_to_json(v).values()) if is_dataclass(v) else _to_json(v) for v in value]
+    return value
 
 
 def _check_team_size(n_robots: int) -> None:
@@ -331,6 +320,10 @@ def _flag(value, name: str) -> bool:
     if not isinstance(value, bool):
         raise ScenarioError(f"{name} must be true or false, got {value!r}")
     return value
+
+
+# The reader of each scalar field type, for the file and for validate.
+_SCALARS = {bool: _flag, int: _integer, float: _real}
 
 
 def _all_finite(value) -> bool:

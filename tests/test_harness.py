@@ -101,6 +101,22 @@ def test_monte_carlo_pool_has_no_more_workers_than_runs(jobs, n_runs, want_worke
     assert report.events == serial.events
 
 
+@pytest.mark.parametrize("estimators, message", [
+    ([], "at least one estimator must be requested"),
+    ([harness.DR, "dr2", harness.DR], r"unknown estimators \['dr2'\]; choose from"),
+], ids=["none", "unknown"])
+def test_bad_estimators_are_refused_before_a_pool_starts(estimators, message, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    sc = Scenario(duration_s=2.0)
+    with pytest.raises(ValueError, match=message):
+        harness.run_monte_carlo(sc, 2, estimators, jobs=2)
+    with pytest.raises(ValueError, match=message):
+        harness.run_once(sc, estimators)
+
+
 @pytest.mark.parametrize("sc, message", [
     (Scenario(n_robots=1025, duration_s=1.0), "at most 1024"),
     (Scenario(dt_s=math.nan), "non-finite"),

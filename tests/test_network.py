@@ -42,6 +42,13 @@ def test_same_seed_gives_the_same_report():
     assert channel_epoch(sc, positions, 11, (5, 4)).missed != report.missed
 
 
+def test_a_numpy_integer_seed_is_the_int_seed():
+    sc, positions = team(), team_positions()
+    report = channel_epoch(sc, positions, 10, 3)
+    assert channel_epoch(sc, positions, 10, np.int64(3)) == report
+    assert channel_epoch(sc, positions, 10, (3,)) == report
+
+
 def test_windows_cover_their_steps_and_zones_their_edges():
     sc = team(bernoulli_p=0.0, zones=((-1.0, -1.0, 1.0, 1.0), (3.0, 5.0, 4.0, 6.0)))
     positions = team_positions()

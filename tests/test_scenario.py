@@ -44,6 +44,95 @@ def test_unperturbed_start_round_trips(tmp_path):
     assert Scenario.load(path) == sc
 
 
+# Every key kind of the format: a nested object, both kinds of row, a list
+# of lists, a false flag and floats with integral values.
+GOLDEN = Scenario(
+    n_robots=2,
+    duration_s=20.0,
+    dt_s=0.5,
+    path=SpiralPath(side0=2.0, growth=0.5, edge_time_s=4.0, turn_time_s=1.0, center=(1.0, -2.0)),
+    v_noise_frac=(0.3, 0.2),
+    w_noise_frac=(0.1, 0.25),
+    meas_windows=(MeasurementWindow(2.0, 5.0, 1, 2),),
+    dropout_windows=(DropoutWindowSpec(2, 6.0, 8.0),),
+    bernoulli_p=0.1,
+    zones=((0.0, -1.0, 1.0, 1.0),),
+    initial_cov_diag=(0.01, 0.01, 0.002),
+    perturb_initial=False,
+    seed=7,
+)
+
+GOLDEN_TEXT = """\
+{
+  "bernoulli_p": 0.1,
+  "dropout_windows": [
+    [
+      2,
+      6.0,
+      8.0
+    ]
+  ],
+  "dt_s": 0.5,
+  "duration_s": 20.0,
+  "format": "splitcl-scenario/1",
+  "initial_cov_diag": [
+    0.01,
+    0.01,
+    0.002
+  ],
+  "meas_noise_std": 0.05,
+  "meas_period_s": 1.0,
+  "meas_windows": [
+    [
+      2.0,
+      5.0,
+      1,
+      2
+    ]
+  ],
+  "n_robots": 2,
+  "path": {
+    "center": [
+      1.0,
+      -2.0
+    ],
+    "edge_time_s": 4.0,
+    "growth": 0.5,
+    "side0": 2.0,
+    "turn_time_s": 1.0
+  },
+  "perturb_initial": false,
+  "seed": 7,
+  "v_noise_frac": [
+    0.3,
+    0.2
+  ],
+  "w_noise_frac": [
+    0.1,
+    0.25
+  ],
+  "zones": [
+    [
+      0.0,
+      -1.0,
+      1.0,
+      1.0
+    ]
+  ]
+}
+"""
+
+
+def test_saved_file_is_the_pinned_text(tmp_path):
+    # Round trips pass for any format that reads back what it writes; this
+    # pins the bytes a saved scenario file holds.
+    GOLDEN.validate()
+    path = tmp_path / "sc.json"
+    GOLDEN.save(path)
+    assert path.read_bytes() == GOLDEN_TEXT.encode()
+    assert Scenario.load(path) == GOLDEN
+
+
 def test_missing_file_is_not_found(tmp_path):
     with pytest.raises(FileNotFoundError):
         Scenario.load(tmp_path / "nope.json")
@@ -147,6 +236,28 @@ def test_malformed_field_is_rejected(tmp_path, edit, message):
     doc = {**_doc(), **edit}
     with pytest.raises(ScenarioError, match=message):
         Scenario.load(_write(tmp_path, json.dumps(doc)))
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"seed": True}, "seed must be an integer, got True"),
+    ({"seed": np.int64(3)}, "seed must be an integer"),
+    ({"n_robots": 4.0}, "n_robots must be an integer, got 4.0"),
+    ({"n_robots": np.int64(4)}, "n_robots must be an integer"),
+    ({"perturb_initial": 0}, "perturb_initial must be true or false, got 0"),
+    ({"dt_s": True}, "dt_s must be a number, got True"),
+], ids=["seed-bool", "seed-numpy", "count-float", "count-numpy", "flag-int", "dt-bool"])
+def test_validate_refuses_a_field_the_file_cannot_carry(overrides, message):
+    # Each of these validated, and then save wrote a file that load refused,
+    # or save could not write one, or the run failed with a TypeError.
+    with pytest.raises(ScenarioError, match=message):
+        build_table1_scenario(**overrides)
+
+
+def test_an_int_stands_for_a_float(tmp_path):
+    sc = build_table1_scenario(duration_s=300, meas_noise_std=np.float64(0.05))
+    path = tmp_path / "sc.json"
+    sc.save(path)
+    assert Scenario.load(path) == sc
 
 
 def _path_with(**edit):
