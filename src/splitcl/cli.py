@@ -26,7 +26,6 @@ from .scenario import (
     ScenarioError,
     build_table1_scenario,
     random_scenario,
-    strip_dropouts,
 )
 
 EXIT_OK = 0
@@ -43,18 +42,6 @@ def _load_scenario(spec: str) -> Scenario:
     return Scenario.load(spec)
 
 
-def _parse_estimators(text: str) -> tuple[str, ...]:
-    names = tuple(part.strip() for part in text.split(",") if part.strip())
-    unknown = [n for n in names if n not in harness.ALL_ESTIMATORS]
-    if unknown:
-        raise ValueError(
-            f"unknown estimators {unknown}; choose from {', '.join(harness.ALL_ESTIMATORS)}"
-        )
-    if not names:
-        raise ValueError("estimator list is empty")
-    return names
-
-
 def _check_seed(seed: int | None) -> None:
     # numpy seed sequences take non-negative integers only.
     if seed is not None and seed < 0:
@@ -64,7 +51,9 @@ def _check_seed(seed: int | None) -> None:
 def _cmd_run(args) -> int:
     try:
         sc = _load_scenario(args.scenario)
-        estimators = _parse_estimators(args.estimators)
+        estimators = harness._wanted(
+            part.strip() for part in args.estimators.split(",") if part.strip()
+        )
         _check_seed(args.seed)
         for flag, count in (("--mc", args.mc), ("--jobs", args.jobs)):
             if count < 1:
@@ -122,9 +111,7 @@ def _cmd_verify(args) -> int:
         return EXIT_USAGE
 
     truth = harness.simulate_truth(sc)
-    exact = verify.check_exact_equivalence(
-        strip_dropouts(sc), args.seed, args.corrupt_cross_sign, truth
-    )
+    exact = verify.check_exact_equivalence(sc, args.seed, args.corrupt_cross_sign, truth)
     dropout = verify.check_dropout_equivalence(sc, args.seed, args.corrupt_cross_sign, truth)
     ok = True
     for rep in (exact, dropout):

@@ -32,8 +32,10 @@ segment's covariances in closed form, advances every lane.
 :func:`run_once` writes each joint belief and each split block into its
 records as it arrives, and :mod:`splitcl.verify` compares one split lane
 with the joint stream step by step. The four
-filtering estimators differ only in the channel reports they get: none
-(perfect links) or the dropout run's. Only at a measurement epoch does a
+filtering estimators differ only in the channel they read, one
+:class:`network.DeliveryReport` per epoch: that of the scenario without
+its dropouts (perfect links, :func:`scenario.strip_dropouts`) or the
+dropout run's. Only at a measurement epoch does a
 robot act on its own, in its lane alone, as a :class:`RobotNode` over its
 rows of the segment's end (see :func:`split_ekf.propagate_team`): the
 node of a measured robot builds its landmark frame, and that of a robot
@@ -61,7 +63,7 @@ import numpy as np
 from . import joint_ekf, model, scenario as scen, split_ekf
 from .linalg import NumericalError
 from .messages import LandmarkMessage, UpdateMessage
-from .network import DeliveryReport, channel_epoch, gate_measurement, perfect_report
+from .network import DeliveryReport, channel_epoch, gate_measurement
 from .protocol import (
     EVENT_NUMERIC_S,
     EVENT_PAIR_UNREACHABLE,
@@ -238,18 +240,18 @@ def run_once(
     key = seed_key(sc, seed)
     real = build_realization(sc, key, truth=_cached_truth)
 
-    reports: dict[int, DeliveryReport] = {}
-    if SA_SPLIT_DROPOUT in wanted or PARTIAL_ORACLE in wanted:
-        reports = delivery_reports(sc, real, key)
-
-    def links(name: str) -> Mapping[int, DeliveryReport]:
-        return reports if name in (SA_SPLIT_DROPOUT, PARTIAL_ORACLE) else {}
+    # One channel per kind of link, read by both filters of the kind.
+    links: dict[str, dict[int, DeliveryReport]] = {}
+    for kind, link_sc in (((JOINT_EKF, SA_SPLIT), scen.strip_dropouts(sc)),
+                          ((PARTIAL_ORACLE, SA_SPLIT_DROPOUT), sc)):
+        if any(name in wanted for name in kind):
+            links.update(dict.fromkeys(kind, delivery_reports(link_sc, real, key)))
 
     logs: dict[str, list[ProtocolEvent]] = {name: [] for name in wanted}
     split = [name for name in wanted if name in (SA_SPLIT, SA_SPLIT_DROPOUT)]
     if split:
         lanes = [
-            (links(name), CooperationServer(sc.robot_ids, sc.meas_noise_cov()), logs[name])
+            (links[name], CooperationServer(sc.robot_ids, sc.meas_noise_cov()), logs[name])
             for name in split
         ]
         # One record per lane, written for every lane at once through its
@@ -278,7 +280,7 @@ def run_once(
             est = np.empty((sc.n_robots, sc.n_steps + 1, 3))
             cov = np.empty((sc.n_robots, sc.n_steps + 1, 3, 3))
             est[:, 0], cov[:, 0] = real.init_means, sc.initial_cov()
-            for belief in joint_steps(sc, real, links(name), logs[name], name):
+            for belief in joint_steps(sc, real, links[name], logs[name], name):
                 est[:, belief.time] = belief.mean
                 cov[:, belief.time] = belief.own_covs()
         estimates[name] = est
@@ -292,13 +294,6 @@ def run_once(
         events=[ev for name in wanted for ev in logs[name]],
         flagged=flagged,
     )
-
-
-def epoch_report(
-    reports: Mapping[int, DeliveryReport], team: Sequence[int], k: int
-) -> DeliveryReport:
-    """Connectivity at measurement epoch ``k``; empty ``reports`` mean perfect links."""
-    return reports[k] if reports else perfect_report(team, k)
 
 
 def joint_steps(
@@ -328,7 +323,7 @@ def joint_steps(
         yield from islice(steps, k1 - k0 - 1)
         belief = next(steps)
         if k1 in real.measurements:
-            report = epoch_report(reports, ids, k1)
+            report = reports[k1]
             for m in real.measurements[k1]:
                 if not gate_measurement(report, m):
                     continue
@@ -345,8 +340,8 @@ def joint_steps(
         yield belief
 
 
-# One split filter of a run: its channel reports (empty for perfect links),
-# its server and the list its epochs log to.
+# One split filter of a run: its channel, one report per epoch, its server
+# and the list its epochs log to.
 Lane = tuple[Mapping[int, DeliveryReport], CooperationServer, list[ProtocolEvent]]
 
 
@@ -384,8 +379,7 @@ def split_steps(
                     team.team, team.index,
                     team.mean[lane], team.cov[lane], team.jac_accum[lane], team.time,
                 )
-                report = epoch_report(reports, ids, k1)
-                _run_split_epoch(own, server, real.measurements[k1], report, events)
+                _run_split_epoch(own, server, real.measurements[k1], reports[k1], events)
         yield k0, k1, block, team
 
 
@@ -525,6 +519,8 @@ def run_monte_carlo(
     """
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     sc.validate()
     wanted = _wanted(estimators)
     base = sc.seed if seed is None else int(seed)

@@ -44,10 +44,6 @@ class DeliveryReport:
             raise ValueError("a robot cannot be both delivered and missed")
 
 
-def perfect_report(team: Sequence[int], t: int) -> DeliveryReport:
-    return DeliveryReport(time=t, delivered=frozenset(team), missed=frozenset())
-
-
 def channel_epoch(
     sc: Scenario,
     positions: np.ndarray,

@@ -143,15 +143,14 @@ class Scenario:
         return np.diag(self.initial_cov_diag)
 
     def validate(self) -> None:
-        """Raise :class:`ScenarioError` unless the scenario can be run."""
-        non_finite = [name for name, value in vars(self).items() if not _all_finite(value)]
+        """Raise :class:`ScenarioError` unless the scenario can be run, and
+        saved: every scalar, nested ones included, must be one its file holds."""
+        non_finite = [
+            name for name, kind in _field_types(type(self)).items()
+            if not _finite_field(kind, getattr(self, name), name)
+        ]
         if non_finite:
             raise ScenarioError(f"non-finite values in {non_finite}")
-        for name, kind in _field_types(type(self)).items():
-            # Each scalar as its reader returns it: range() needs 4, not 4.0.
-            value = getattr(self, name)
-            if kind in _SCALARS and _SCALARS[kind](value, name) is not value and kind is int:
-                raise ScenarioError(f"{name} must be an integer, got {value!r}")
         _check_team_size(self.n_robots)
         if self.dt_s <= 0 or self.duration_s <= 0:
             raise ScenarioError("dt_s and duration_s must be positive")
@@ -326,14 +325,27 @@ def _flag(value, name: str) -> bool:
 _SCALARS = {bool: _flag, int: _integer, float: _real}
 
 
-def _all_finite(value) -> bool:
-    """Whether every float in a field value, nested sequences and dataclasses
-    included, is finite."""
-    if isinstance(value, float):
-        return math.isfinite(value)
-    if isinstance(value, (list, tuple)):
-        return all(map(_all_finite, value))
-    return not is_dataclass(value) or all(map(_all_finite, vars(value).values()))
+def _finite_field(kind, value, name: str) -> bool:
+    """Whether every number in ``value``, a field of type ``kind`` that
+    errors call ``name``, is finite. Each scalar, nested rows and tuples
+    included, is read as :func:`_from_json` reads it from the file, so a
+    value the file could not hold is refused here."""
+    if kind in _SCALARS:
+        read = _SCALARS[kind](value, name)
+        # range() needs 4, not 4.0, and the file an int, not a numpy integer.
+        if kind is int and read is not value:
+            raise ScenarioError(f"{name} must be an integer, got {value!r}")
+        return kind is not float or math.isfinite(read)
+    if is_dataclass(kind):
+        fields = _field_types(kind).items()
+        return all([_finite_field(t, getattr(value, f), f"{name}.{f}") for f, t in fields])
+    item = get_args(kind)[0]
+    if is_dataclass(item):
+        columns = _field_types(item).items()
+        return all([
+            _finite_field(t, getattr(row, f), f"{name} {f}") for row in value for f, t in columns
+        ])
+    return all([_finite_field(item, entry, name) for entry in value])
 
 
 def seconds_to_step(t_s: float, dt_s: float) -> int:

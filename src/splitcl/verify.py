@@ -1,8 +1,9 @@
 """Executable equivalence checks for the split protocol stack.
 
 ``check_exact_equivalence`` runs the full message-passing stack and the
-centralized EKF side by side on one realization under perfect communication
-and reports the largest deviation between them over the whole run. The two
+centralized EKF side by side on one realization under perfect communication,
+the channel of the scenario without its dropouts, and reports the largest
+deviation between them over the whole run. The two
 must agree to floating-point accumulation error; a tolerance of 1e-8 over
 hundreds of steps is the acceptance gate.
 
@@ -13,8 +14,9 @@ that a robot that misses an epoch keeps exactly its propagated state.
 
 Verify runs no filter of its own: it drives the loops that
 :func:`harness.run_once` runs, :func:`harness.split_steps` with one lane
-and :func:`harness.joint_steps`, on one realization and only compares what
-they hand over: the split side one block per segment
+and :func:`harness.joint_steps`, on one realization and one channel,
+which both read a report from at every epoch, and only compares what they
+hand over: the split side one block per segment
 (:func:`harness.segments`), the joint side one belief per step, taken as
 the step comes, so no more than one step's joint covariance is held. At
 each step that covariance gets its positive-semidefiniteness test, and
@@ -54,7 +56,6 @@ from .harness import (
     PARTIAL_ORACLE,
     build_realization,
     delivery_reports,
-    epoch_report,
     joint_steps,
     seed_key,
     split_steps,
@@ -125,8 +126,9 @@ class EquivalenceReport:
 def check_exact_equivalence(
     sc: scen.Scenario, seed=None, corrupt_cross_sign: bool = False, truth=None
 ) -> EquivalenceReport:
-    """Split stack vs centralized EKF under perfect communication."""
-    return _run_side_by_side(sc, seed, False, corrupt_cross_sign, truth)
+    """Split stack vs centralized EKF under perfect communication: the
+    channel of ``sc`` without its dropouts."""
+    return _run_side_by_side(scen.strip_dropouts(sc), seed, False, corrupt_cross_sign, truth)
 
 
 def check_dropout_equivalence(
@@ -151,7 +153,7 @@ def _run_side_by_side(
     sc.validate()
     key = seed_key(sc, seed)
     real = build_realization(sc, key, truth=truth)
-    reports = delivery_reports(sc, real, key) if dropouts else {}
+    reports = delivery_reports(sc, real, key)
 
     ids = sc.robot_ids
     server = CooperationServer(
@@ -190,7 +192,7 @@ def _run_side_by_side(
         lone_exact &= all(map(np.array_equal, alone, (means[a], covs[:, a], accs[a])))
 
         if k1 in real.measurements:
-            report = epoch_report(reports, ids, k1)
+            report = reports[k1]
             gated = [m for m in real.measurements[k1] if gate_measurement(report, m)]
             if gated:
                 n_epochs += 1

@@ -140,6 +140,21 @@ def test_a_repeated_estimator_is_run_and_printed_once(tmp_path, capsys):
     assert header == "time_s,robot,rms_dr"
 
 
+@pytest.mark.parametrize("text, names", [
+    ("dr,bogus", ["dr", "bogus"]),
+    (",", []),
+], ids=["unknown", "empty"])
+def test_bad_estimator_list_is_invalid_input(text, names, tmp_path, capsys):
+    # The CLI refuses the list with the library's own check and wording.
+    with pytest.raises(ValueError) as refused:
+        harness._wanted(names)
+    out_dir = tmp_path / "out"
+    argv = ["run", "--scenario", "table1", "--estimators", text, "--out", str(out_dir)]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {refused.value}\n"
+    assert not out_dir.exists()
+
+
 def test_run_without_monte_carlo_runs_is_invalid_input(tmp_path, capsys):
     out_dir = tmp_path / "out"
     argv = ["run", "--scenario", "table1", "--mc", "0", "--out", str(out_dir)]

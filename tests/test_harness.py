@@ -10,7 +10,6 @@ import pytest
 from splitcl import harness, joint_ekf, split_ekf, verify
 from splitcl.linalg import NumericalError
 from splitcl.messages import LandmarkMessage, UpdateMessage
-from splitcl.network import perfect_report
 from splitcl.protocol import EVENT_NUMERIC_S, EVENT_PAIR_UNREACHABLE, CooperationServer, RobotNode
 from splitcl.scenario import (
     MeasurementWindow,
@@ -18,6 +17,7 @@ from splitcl.scenario import (
     ScenarioError,
     build_table1_scenario,
     random_scenario,
+    strip_dropouts,
 )
 
 ESTIMATORS = (harness.DR, harness.JOINT_EKF, harness.SA_SPLIT)
@@ -117,6 +117,15 @@ def test_bad_estimators_are_refused_before_a_pool_starts(estimators, message, mo
         harness.run_once(sc, estimators)
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_monte_carlo_refuses_fewer_than_one_job_before_simulating(jobs, monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "simulate_truth", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+        harness.run_monte_carlo(Scenario(duration_s=2.0), 2, ESTIMATORS, jobs=jobs)
+    assert not calls
+
+
 @pytest.mark.parametrize("sc, message", [
     (Scenario(n_robots=1025, duration_s=1.0), "at most 1024"),
     (Scenario(dt_s=math.nan), "non-finite"),
@@ -135,7 +144,8 @@ def test_a_non_finite_frame_is_dropped_with_an_event(monkeypatch):
     # keeps its propagated rows and the epoch logs why; robot 1 still
     # applies its own frame.
     sc = Scenario(duration_s=5.0, meas_windows=(MeasurementWindow(1.0, 3.0, 1, 2),))
-    real = harness.build_realization(sc, harness.seed_key(sc, 3))
+    key = harness.seed_key(sc, 3)
+    real = harness.build_realization(sc, key)
     k = min(real.measurements)
     start = split_ekf.SplitTeamState.initialize(sc.robot_ids, real.init_means, sc.initial_cov())
     # The segment's end as split_steps gets it: a copy the epoch corrects.
@@ -156,7 +166,7 @@ def test_a_non_finite_frame_is_dropped_with_an_event(monkeypatch):
     monkeypatch.setattr(server, "handle_epoch", corrupting)
     events = []
     assert harness._run_split_epoch(
-        team, server, real.measurements[k], perfect_report(sc.robot_ids, k), events
+        team, server, real.measurements[k], harness.delivery_reports(sc, real, key)[k], events
     ) is None
 
     assert [e.as_line() for e in events] == [
@@ -226,6 +236,36 @@ def test_each_estimator_of_a_run_is_its_run_alone(case):
     )
 
 
+def test_the_filters_of_one_kind_of_link_read_one_channel(monkeypatch):
+    # Both filters of a kind of link read one dict with a report at every
+    # epoch; the perfect links are the channel of the lossless scenario.
+    sc, seed = build_table1_scenario(), 3
+    split_steps, joint_steps = harness.split_steps, harness.joint_steps
+    read = {}
+
+    def recording_split(sc, real, lanes):
+        read[harness.SA_SPLIT], read[harness.SA_SPLIT_DROPOUT] = (lane[0] for lane in lanes)
+        return split_steps(sc, real, lanes)
+
+    def recording_joint(sc, real, reports, events, name):
+        read[name] = reports
+        return joint_steps(sc, real, reports, events, name)
+
+    monkeypatch.setattr(harness, "split_steps", recording_split)
+    monkeypatch.setattr(harness, "joint_steps", recording_joint)
+    harness.run_once(sc, harness.ALL_ESTIMATORS, seed=seed)
+
+    assert read[harness.SA_SPLIT] is read[harness.JOINT_EKF]
+    assert read[harness.SA_SPLIT_DROPOUT] is read[harness.PARTIAL_ORACLE]
+    key = harness.seed_key(sc, seed)
+    real = harness.build_realization(sc, key)
+    for name in harness.ALL_ESTIMATORS[1:]:
+        assert read[name].keys() == real.measurements.keys(), name
+    assert read[harness.SA_SPLIT] == harness.delivery_reports(strip_dropouts(sc), real, key)
+    assert not any(report.missed for report in read[harness.SA_SPLIT].values())
+    assert read[harness.SA_SPLIT_DROPOUT] == harness.delivery_reports(sc, real, key)
+
+
 def test_a_lane_correction_stays_in_its_own_rows(monkeypatch):
     # Every robot of the dropout lane is moved at each epoch with a missed
     # robot; the perfect-link lane, whose epochs miss no one, runs as alone.
@@ -291,7 +331,8 @@ def test_an_epoch_corrects_only_the_loops_own_segment_end():
     key = harness.seed_key(sc, seed)
     real = harness.build_realization(sc, key)
     ids, n = sc.robot_ids, sc.n_robots
-    lanes = [({}, CooperationServer(ids, sc.meas_noise_cov()), []),
+    lanes = [(harness.delivery_reports(strip_dropouts(sc), real, key),
+              CooperationServer(ids, sc.meas_noise_cov()), []),
              (harness.delivery_reports(sc, real, key),
               CooperationServer(ids, sc.meas_noise_cov()), [])]
     # The rows each epoch corrects: the recipients of an update frame that
@@ -301,7 +342,7 @@ def test_an_epoch_corrects_only_the_loops_own_segment_end():
         def recording(msgs, time, missed=frozenset(), e=e, handle=server.handle_epoch,
                       reports=reports):
             updates = handle(msgs, time, missed)
-            delivered = harness.epoch_report(reports, ids, time).delivered
+            delivered = reports[time].delivered
             rows = corrected.setdefault(time, np.zeros(2 * n, dtype=bool))
             rows[[e * n + ids.index(i) for i in updates if i in delivered]] = True
             return updates
@@ -346,7 +387,8 @@ def test_joint_stream_forms_each_belief_only_when_it_is_taken(monkeypatch, taken
     # stream forms no step ahead, across a segment's end or an epoch, so
     # its consumer holds one step's covariance at a time.
     sc = build_table1_scenario()
-    real = harness.build_realization(sc, harness.seed_key(sc, None))
+    key = harness.seed_key(sc, None)
+    real = harness.build_realization(sc, key)
     assert min(real.measurements) == 460
     original = joint_ekf.propagate
     calls = []
@@ -356,6 +398,7 @@ def test_joint_stream_forms_each_belief_only_when_it_is_taken(monkeypatch, taken
         return original(*args)
 
     monkeypatch.setattr(joint_ekf, "propagate", counting_propagate)
-    stream = harness.joint_steps(sc, real, {}, [], harness.JOINT_EKF)
+    reports = harness.delivery_reports(strip_dropouts(sc), real, key)
+    stream = harness.joint_steps(sc, real, reports, [], harness.JOINT_EKF)
     times = [belief.time for belief in islice(stream, taken)]
     assert times == calls == list(range(1, taken + 1))

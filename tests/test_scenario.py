@@ -253,6 +253,36 @@ def test_validate_refuses_a_field_the_file_cannot_carry(overrides, message):
         build_table1_scenario(**overrides)
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"meas_windows": (MeasurementWindow(45.0, 50.0, True, 2),)},
+     "meas_windows observer must be an integer, got True"),
+    ({"meas_windows": (MeasurementWindow(45.0, 50.0, np.int64(1), 2),)},
+     "meas_windows observer must be an integer"),
+    ({"dropout_windows": (DropoutWindowSpec(4, 135.0, np.int64(140)),)},
+     "dropout_windows end_s must be a number"),
+    ({"v_noise_frac": (True, 0.30, 0.25, 0.20)}, "v_noise_frac must be a number, got True"),
+    ({"path": SpiralPath(side0=True)}, "path.side0 must be a number, got True"),
+    ({"path": SpiralPath(center=(0.0, np.int64(0)))}, "path.center must be a number"),
+    ({"zones": ((0.0, -1.0, 1.0, False),)}, "zones must be a number, got False"),
+], ids=["observer-bool", "observer-numpy", "dropout-end-numpy", "frac-bool", "side-bool",
+        "center-numpy", "zone-bool"])
+def test_validate_refuses_a_nested_value_the_file_cannot_carry(overrides, message):
+    # Each of these validated, and then load refused the saved file or
+    # save could not write one.
+    with pytest.raises(ScenarioError, match=f"^{message}"):
+        build_table1_scenario(**overrides)
+
+
+def test_numpy_floats_in_rows_save_and_load(tmp_path):
+    sc = build_table1_scenario(
+        meas_windows=(MeasurementWindow(np.float64(45.0), 50.0, 1, 2),),
+        zones=((0.0, -1.0, np.float64(1.0), 1),),
+    )
+    path = tmp_path / "sc.json"
+    sc.save(path)
+    assert Scenario.load(path) == sc
+
+
 def test_an_int_stands_for_a_float(tmp_path):
     sc = build_table1_scenario(duration_s=300, meas_noise_std=np.float64(0.05))
     path = tmp_path / "sc.json"

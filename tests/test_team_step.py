@@ -441,8 +441,7 @@ def ref_split_steps(sc, real, reports, server, events):
             propagated.jac_accum, propagated.time,
         )
         if k in real.measurements:
-            report = harness.epoch_report(reports, ids, k)
-            harness._run_split_epoch(team, server, real.measurements[k], report, events)
+            harness._run_split_epoch(team, server, real.measurements[k], reports[k], events)
         yield propagated, team
 
 
@@ -463,7 +462,7 @@ def ref_joint_steps(sc, real, reports, events, name):
             gqg.append(g_jac @ np.diag(q) @ g_jac.T)
         belief = joint_ekf.propagate(belief, np.array(mean), np.array(f_jacs), np.array(gqg))
         if k in real.measurements:
-            report = harness.epoch_report(reports, ids, k)
+            report = reports[k]
             for m in real.measurements[k]:
                 if not gate_measurement(report, m):
                     continue

@@ -229,6 +229,14 @@ def test_precomputed_truth_gives_the_same_report():
 
 @pytest.mark.parametrize("sc", [
     build_table1_scenario(),
+    random_scenario(8, 5, bernoulli_p=0.3),
+], ids=["table1", "random8"])
+def test_exact_check_runs_on_perfect_links_whatever_the_dropouts(sc):
+    assert check_exact_equivalence(sc) == check_exact_equivalence(strip_dropouts(sc))
+
+
+@pytest.mark.parametrize("sc", [
+    build_table1_scenario(),
     random_scenario(32, 3, duration_s=60, window_every_s=10, bernoulli_p=0.1),
 ], ids=["table1", "random32"])
 def test_store_is_copied_only_after_an_epoch(sc, monkeypatch):
