@@ -42,19 +42,13 @@ def _load_scenario(spec: str) -> Scenario:
     return Scenario.load(spec)
 
 
-def _check_seed(seed: int | None) -> None:
-    # numpy seed sequences take non-negative integers only.
-    if seed is not None and seed < 0:
-        raise ValueError(f"--seed must be non-negative, got {seed}")
-
-
 def _cmd_run(args) -> int:
     try:
         sc = _load_scenario(args.scenario)
         estimators = harness._wanted(
             part.strip() for part in args.estimators.split(",") if part.strip()
         )
-        _check_seed(args.seed)
+        harness.seed_key(sc, args.seed)
         for flag, count in (("--mc", args.mc), ("--jobs", args.jobs)):
             if count < 1:
                 raise ValueError(f"{flag} must be at least 1, got {count}")
@@ -103,7 +97,7 @@ def _cmd_run(args) -> int:
 def _cmd_verify(args) -> int:
     try:
         sc = _load_scenario(args.scenario)
-        _check_seed(args.seed)
+        harness.seed_key(sc, args.seed)
         if not 0.0 < args.tol < float("inf"):
             raise ValueError(f"--tol must be finite and positive, got {args.tol}")
     except (OSError, ScenarioError, ValueError) as exc:
@@ -130,7 +124,6 @@ def _cmd_verify(args) -> int:
 
 def _cmd_scenario_gen(args) -> int:
     try:
-        _check_seed(args.seed)
         if args.template == "table1":
             sc = build_table1_scenario()
         else:

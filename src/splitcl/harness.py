@@ -44,10 +44,11 @@ applies it, in place. The per-robot arithmetic is the same for a robot
 stepped alone through :meth:`RobotNode.step`, as a team of one, so every
 estimator's record is bit for bit its record in a run on its own.
 
-Randomness is derived from a seed key; stream tags keep motion noise,
-measurement noise, initial error and channel draws independent, and
-Monte-Carlo run ``m`` uses key ``(base_seed, m)`` so enlarging a batch never
-changes earlier runs.
+Randomness is derived from a seed key (:func:`seed_key`); stream tags keep
+motion noise, measurement noise, initial error and channel draws
+independent, and Monte-Carlo run ``m`` appends ``m`` to the batch's key so
+enlarging a batch never changes earlier runs. A scenario is checked when
+it is built (:class:`scenario.Scenario`), and not again here.
 """
 
 from __future__ import annotations
@@ -86,12 +87,12 @@ _STREAM_CHANNEL = 4
 
 
 def seed_key(sc: scen.Scenario, seed) -> tuple[int, ...]:
-    """The run's seed key: the scenario's seed, an int, or a tuple of ints."""
+    """The run's seed key: the scenario's seed, an int, or a tuple of ints, none negative."""
     if seed is None:
         return (sc.seed,)
     if isinstance(seed, (int, np.integer)):
-        return (int(seed),)
-    return tuple(int(s) for s in seed)
+        seed = (seed,)
+    return tuple(scen.check_seed(int(s)) for s in seed)
 
 
 # Robot-steps per kernel call: bounds the temporaries of a segment, about 300
@@ -236,7 +237,6 @@ def run_once(
     estimator's in time order and as in a run of it alone.
     """
     wanted = _wanted(estimators)
-    sc.validate()
     key = seed_key(sc, seed)
     real = build_realization(sc, key, truth=_cached_truth)
 
@@ -498,8 +498,8 @@ def _nees(err: np.ndarray, cov: np.ndarray) -> np.ndarray:
 
 
 def _mc_worker(args) -> tuple[int, dict, dict, dict, list]:
-    sc, estimators, base_seed, m, truth = args
-    rec = run_once(sc, estimators, seed=(base_seed, m), _cached_truth=truth)
+    sc, estimators, base, m, truth = args
+    rec = run_once(sc, estimators, seed=(*base, m), _cached_truth=truth)
     return (m, *_reduce_run(rec))
 
 
@@ -512,18 +512,18 @@ def run_monte_carlo(
 ) -> MetricReport:
     """Run ``n_runs`` independent realizations and aggregate error metrics.
 
-    Run ``m`` uses seed key ``(base, m)``: results for the first runs do not
-    change when the batch grows. Diverged (non-finite) estimator runs are
-    excluded from the aggregates and counted in ``runs_flagged``; an
-    estimator whose every run was flagged has NaN RMS errors.
+    Run ``m`` uses seed key ``(*seed_key(sc, seed), m)``: results for the
+    first runs do not change when the batch grows. Diverged (non-finite)
+    estimator runs are excluded from the aggregates and counted in
+    ``runs_flagged``; an estimator whose every run was flagged has NaN RMS
+    errors.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    sc.validate()
     wanted = _wanted(estimators)
-    base = sc.seed if seed is None else int(seed)
+    base = seed_key(sc, seed)
     truth = simulate_truth(sc)
     n = sc.n_robots
     t1 = sc.n_steps + 1

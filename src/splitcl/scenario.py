@@ -11,8 +11,8 @@ keys, with distances in meters, times in seconds and angles in radians:
 ``dt_s``                integration step
 ``path``                square-spiral geometry, object with ``side0``
                         (innermost edge length), ``growth`` (length added
-                        per edge), ``edge_time_s``, ``turn_time_s``,
-                        ``center`` ([x, y])
+                        per edge, at least 0), ``edge_time_s``,
+                        ``turn_time_s``, ``center`` ([x, y])
 ``v_noise_frac``        per-robot std of linear-velocity noise as a fraction
                         of the commanded speed (list of N floats)
 ``w_noise_frac``        same for angular velocity
@@ -44,6 +44,9 @@ Cross-covariances always start at zero.
 The 1e-6 floor on process-noise variances applies to the covariance the
 filters use, not to the injected noise, so a zero-noise scenario really is
 noise free.
+
+A :class:`Scenario` is checked when it is built: construction runs
+:meth:`Scenario.validate`, so no scenario that fails it exists.
 """
 
 from __future__ import annotations
@@ -142,9 +145,13 @@ class Scenario:
     def initial_cov(self) -> np.ndarray:
         return np.diag(self.initial_cov_diag)
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         """Raise :class:`ScenarioError` unless the scenario can be run, and
-        saved: every scalar, nested ones included, must be one its file holds."""
+        saved: every scalar, nested ones included, must be one its file holds.
+        Construction runs it, so it passes on every built scenario."""
         non_finite = [
             name for name, kind in _field_types(type(self)).items()
             if not _finite_field(kind, getattr(self, name), name)
@@ -174,8 +181,7 @@ class Scenario:
             raise ScenarioError("noise fractions must be non-negative")
         if not 0.0 <= self.bernoulli_p < 1.0:
             raise ScenarioError("bernoulli_p must be in [0, 1)")
-        if self.seed < 0:
-            raise ScenarioError(f"seed must be non-negative, got {self.seed}")
+        check_seed(self.seed)
         for name, entries, width in (("path.center", self.path.center, 2),
                                      ("initial_cov_diag", self.initial_cov_diag, 3)):
             if len(entries) != width:
@@ -184,6 +190,8 @@ class Scenario:
             raise ScenarioError("initial covariance diagonal must be positive")
         if self.path.side0 <= 0:
             raise ScenarioError("spiral side0 must be positive")
+        if self.path.growth < 0:
+            raise ScenarioError(f"path.growth must be non-negative, got {self.path.growth}")
         ids = set(self.robot_ids)
         for w in self.meas_windows:
             if w.observer not in ids or w.landmark not in ids:
@@ -213,11 +221,9 @@ class Scenario:
             raise ScenarioError(f"unsupported scenario format {tag!r}")
         body = {key: value for key, value in d.items() if key != "format"}
         try:
-            sc = _from_object(cls, body, "scenario keys", "")
+            return _from_object(cls, body, "scenario keys", "")
         except (KeyError, TypeError) as exc:
             raise ScenarioError(f"malformed scenario field: {exc}") from exc
-        sc.validate()
-        return sc
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
@@ -285,6 +291,13 @@ def _check_team_size(n_robots: int) -> None:
         raise ScenarioError("n_robots must be at least 1")
     if n_robots > MAX_ROBOTS:
         raise ScenarioError(f"n_robots must be at most {MAX_ROBOTS}, got {n_robots}")
+
+
+def check_seed(seed: int) -> int:
+    """``seed``, refused unless numpy can seed a generator from it."""
+    if seed < 0:
+        raise ScenarioError(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 def _integer(value, name: str) -> int:
@@ -380,8 +393,6 @@ def true_controls(sc: Scenario) -> np.ndarray:
     n_steps = sc.n_steps
     edge_steps = seconds_to_step(sc.path.edge_time_s, dt)
     turn_steps = seconds_to_step(sc.path.turn_time_s, dt)
-    if edge_steps < 1 or turn_steps < 1:
-        raise ScenarioError("edge and turn times must be at least one step long")
     cycle = edge_steps + turn_steps
     n_cycles = n_steps // cycle
     edge_lengths = np.array([sc.path.edge_length(m) for m in range(n_cycles)])
@@ -412,8 +423,6 @@ def filter_noise_diags(sc: Scenario, controls: np.ndarray) -> np.ndarray:
 def measurement_schedule(sc: Scenario) -> dict[int, list[tuple[int, int]]]:
     """Map epoch step -> (observer, landmark) pairs in processing order."""
     period = seconds_to_step(sc.meas_period_s, sc.dt_s)
-    if period < 1:
-        raise ScenarioError("meas_period_s must be at least one step")
     schedule: dict[int, list[tuple[int, int]]] = {}
     for w in sc.meas_windows:
         start = seconds_to_step(w.start_s, sc.dt_s)
@@ -451,9 +460,7 @@ def build_table1_scenario(**overrides) -> Scenario:
         DropoutWindowSpec(4, 135.0, 140.0),
         DropoutWindowSpec(4, 180.0, 185.0),
     )
-    sc = Scenario(**{"meas_windows": windows, "dropout_windows": dropouts, **overrides})
-    sc.validate()
-    return sc
+    return Scenario(**{"meas_windows": windows, "dropout_windows": dropouts, **overrides})
 
 
 def random_scenario(
@@ -466,13 +473,14 @@ def random_scenario(
     """A reproducible randomized scenario for an ``n_robots`` team.
 
     One measurement window per ``window_every_s`` of run time, each pairing
-    two distinct randomly drawn robots. A non-finite ``duration_s``, or a
-    spacing that is not finite or under one step of ``dt_s``, is refused
-    before any window is drawn.
+    two distinct randomly drawn robots. A negative ``seed``, a non-finite
+    ``duration_s``, or a spacing that is not finite or under one step of
+    ``dt_s``, is refused before any window is drawn.
     """
     if n_robots < 2:
         raise ScenarioError("random scenarios need at least 2 robots")
     _check_team_size(n_robots)
+    check_seed(seed)
     if not math.isfinite(duration_s):
         raise ScenarioError(f"duration_s must be finite, got {duration_s}")
     if not math.isfinite(window_every_s) or seconds_to_step(window_every_s, Scenario.dt_s) < 1:
@@ -487,7 +495,7 @@ def random_scenario(
         windows.append(MeasurementWindow(t, t + 5.0, int(observer), int(landmark)))
         t += window_every_s
     fracs = rng.uniform(0.15, 0.35, size=(2, n_robots))
-    sc = Scenario(
+    return Scenario(
         n_robots=n_robots,
         duration_s=duration_s,
         v_noise_frac=tuple(round(f, 3) for f in fracs[0]),
@@ -496,8 +504,6 @@ def random_scenario(
         bernoulli_p=bernoulli_p,
         seed=seed,
     )
-    sc.validate()
-    return sc
 
 
 def strip_dropouts(sc: Scenario) -> Scenario:

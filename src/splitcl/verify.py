@@ -39,7 +39,8 @@ from, lands bit for bit on its row of the segment's block. The split side
 forms a segment's covariances in closed form while the centralized filter
 runs its ``F P F' + G Q G'`` recurrence step by step, so the comparison
 also checks the closed form against an independent recursion. A caller
-may pass the noise-free ``truth`` to skip simulating it.
+may pass the noise-free ``truth`` to skip simulating it. A scenario is
+checked when it is built (:class:`scenario.Scenario`), and not again here.
 """
 
 from __future__ import annotations
@@ -150,7 +151,6 @@ def _cholesky_passes(belief, shift: np.ndarray) -> bool:
 def _run_side_by_side(
     sc: scen.Scenario, seed, dropouts: bool, corrupt_cross_sign: bool, truth
 ) -> EquivalenceReport:
-    sc.validate()
     key = seed_key(sc, seed)
     real = build_realization(sc, key, truth=truth)
     reports = delivery_reports(sc, real, key)

@@ -15,7 +15,7 @@ import pytest
 from splitcl import cli, harness, joint_ekf, verify
 from splitcl.linalg import NumericalError
 from splitcl.protocol import EVENT_NUMERIC_S
-from splitcl.scenario import MeasurementWindow, Scenario
+from splitcl.scenario import MeasurementWindow, Scenario, build_table1_scenario
 
 
 def test_verify_table1_passes(capsys):
@@ -165,20 +165,20 @@ def test_run_without_monte_carlo_runs_is_invalid_input(tmp_path, capsys):
 
 def test_verify_negative_seed_is_invalid_input(capsys):
     assert cli.main(["verify", "--scenario", "table1", "--seed", "-1"]) == cli.EXIT_USAGE
-    assert "error: --seed must be non-negative, got -1" in capsys.readouterr().err
+    assert "error: seed must be non-negative, got -1" in capsys.readouterr().err
 
 
 def test_run_negative_seed_is_invalid_input(tmp_path, capsys):
     out_dir = tmp_path / "out"
     argv = ["run", "--scenario", "table1", "--seed", "-1", "--out", str(out_dir)]
     assert cli.main(argv) == cli.EXIT_USAGE
-    assert "error: --seed must be non-negative, got -1" in capsys.readouterr().err
+    assert "error: seed must be non-negative, got -1" in capsys.readouterr().err
     assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("argv, message", [
     (["scenario-gen", "random", "--seed", "-1", "--out", "out/x.json"],
-     "--seed must be non-negative, got -1"),
+     "seed must be non-negative, got -1"),
     (["scenario-gen", "random", "--robots", "100000000", "--out", "out/x.json"],
      "n_robots must be at most 1024, got 100000000"),
     (["verify", "--scenario", "table1", "--tol", "nan"], "--tol must be finite and positive"),
@@ -195,9 +195,19 @@ def test_out_of_range_argument_is_invalid_input(argv, message, tmp_path, monkeyp
     assert not (tmp_path / "out").exists()
 
 
+def test_table1_template_ignores_seed_and_team_size(tmp_path):
+    # --seed and --robots shape the random template only.
+    out = tmp_path / "table1.json"
+    argv = ["scenario-gen", "table1", "--seed", "-1", "--robots", "7", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert Scenario.load(out) == build_table1_scenario()
+
+
 def test_non_finite_scenario_is_invalid_input(tmp_path, capsys):
+    # Written by hand: a scenario holding a NaN cannot be built, so not saved.
+    doc = {**Scenario().to_dict(), "meas_noise_std": math.nan}
     path = tmp_path / "nan.json"
-    Scenario(meas_noise_std=math.nan).save(path)
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     out_dir = tmp_path / "out"
     argv = ["run", "--scenario", str(path), "--out", str(out_dir)]
     assert cli.main(argv) == cli.EXIT_USAGE

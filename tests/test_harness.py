@@ -126,16 +126,40 @@ def test_monte_carlo_refuses_fewer_than_one_job_before_simulating(jobs, monkeypa
     assert not calls
 
 
-@pytest.mark.parametrize("sc, message", [
-    (Scenario(n_robots=1025, duration_s=1.0), "at most 1024"),
-    (Scenario(dt_s=math.nan), "non-finite"),
-    (Scenario(n_robots=0), "at least 1"),
+@pytest.mark.parametrize("fields, message", [
+    ({"n_robots": 1025, "duration_s": 1.0}, "at most 1024"),
+    ({"dt_s": math.nan}, "non-finite"),
+    ({"n_robots": 0}, "at least 1"),
 ], ids=["too-many", "dt-nan", "no-robots"])
-def test_monte_carlo_refuses_a_bad_scenario_before_simulating(sc, message, monkeypatch):
+def test_monte_carlo_refuses_a_bad_scenario_before_simulating(fields, message, monkeypatch):
+    # The scenario refuses itself when it is built, so no run can start.
     calls = []
     monkeypatch.setattr(harness, "simulate_truth", lambda *args: calls.append(args))
     with pytest.raises(ScenarioError, match=message):
-        harness.run_monte_carlo(sc, 1, ESTIMATORS)
+        harness.run_monte_carlo(Scenario(**fields), 1, ESTIMATORS)
+    assert not calls
+
+
+@pytest.mark.parametrize("seed", [-1, (3, -1), np.int64(-1)], ids=["int", "tuple-entry", "numpy"])
+def test_a_negative_seed_is_refused_in_the_scenarios_wording(seed):
+    with pytest.raises(ScenarioError, match=r"^seed must be non-negative, got -1$"):
+        harness.seed_key(Scenario(), seed)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda sc: harness.run_once(sc, ESTIMATORS, seed=-1),
+    lambda sc: harness.run_monte_carlo(sc, 2, ESTIMATORS, seed=-1, jobs=2),
+    lambda sc: verify.check_exact_equivalence(sc, seed=-1),
+    lambda sc: verify.check_dropout_equivalence(sc, seed=-1),
+], ids=["run_once", "run_monte_carlo", "exact", "dropout"])
+def test_every_entry_refuses_a_negative_seed_before_simulating(entry, monkeypatch):
+    calls = []
+    for module, name in ((harness, "simulate_truth"), (harness, "build_realization"),
+                         (verify, "build_realization"),
+                         (concurrent.futures, "ProcessPoolExecutor")):
+        monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ScenarioError, match=r"^seed must be non-negative, got -1$"):
+        entry(Scenario(duration_s=2.0))
     assert not calls
 
 

@@ -10,7 +10,7 @@ from splitcl.scenario import DropoutWindowSpec, Scenario
 def team(n=40, bernoulli_p=0.4, windows=(DropoutWindowSpec(3, 0.5, 2.0),),
          zones=((-1.0, -1.0, 1.0, 1.0),)) -> Scenario:
     """``n`` robots; with dt 0.1 s robot 3's window covers steps 6..20."""
-    sc = Scenario(
+    return Scenario(
         n_robots=n,
         duration_s=60.0,
         v_noise_frac=(0.2,) * n,
@@ -19,8 +19,6 @@ def team(n=40, bernoulli_p=0.4, windows=(DropoutWindowSpec(3, 0.5, 2.0),),
         bernoulli_p=bernoulli_p,
         zones=zones,
     )
-    sc.validate()
-    return sc
 
 
 def team_positions(n=40):

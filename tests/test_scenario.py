@@ -19,6 +19,7 @@ from splitcl.scenario import (
     build_table1_scenario,
     random_scenario,
     start_poses,
+    true_controls,
 )
 
 
@@ -341,8 +342,9 @@ def test_integral_numbers_load_as_integers(tmp_path):
     ({"path": {"center": [0.0, -math.inf]}}, r"non-finite values in \['path'\]"),
     ({"v_noise_frac": [0.35, 0.30, math.nan, 0.20]}, "v_noise_frac"),
     ({"meas_windows": [[45.0, math.nan, 1, 2]]}, "meas_windows"),
+    ({"path": {"growth": -0.5}}, "path.growth must be non-negative, got -0.5"),
 ], ids=["edge", "turn", "meas-period", "noise-nan", "cov-nan", "duration-inf",
-        "center-inf", "frac-nan", "window-nan"])
+        "center-inf", "frac-nan", "window-nan", "inward"])
 def test_unrunnable_scenario_is_rejected(tmp_path, edit, message):
     doc = _doc()
     for key, value in edit.items():
@@ -379,7 +381,6 @@ def test_shortest_runnable_spans_are_accepted():
         meas_windows=(MeasurementWindow(0.0, 2.0, 1, 2),),
         meas_period_s=0.06,
     )
-    sc.validate()
     rec = harness.run_once(sc, ["sa_split"], seed=1)
     assert np.isfinite(rec.estimates["sa_split"]).all()
 
@@ -388,9 +389,8 @@ def test_team_size_is_bounded(monkeypatch):
     assert MAX_ROBOTS == 1024
     assert random_scenario(MAX_ROBOTS, 3, duration_s=30.0).n_robots == MAX_ROBOTS
     fracs = (0.2,) * (MAX_ROBOTS + 1)
-    too_many = Scenario(n_robots=MAX_ROBOTS + 1, v_noise_frac=fracs, w_noise_frac=fracs)
     with pytest.raises(ScenarioError, match="n_robots must be at most 1024, got 1025"):
-        too_many.validate()
+        Scenario(n_robots=MAX_ROBOTS + 1, v_noise_frac=fracs, w_noise_frac=fracs)
     # Refused before the generator draws anything.
     monkeypatch.setattr(np.random, "default_rng", None)
     with pytest.raises(ScenarioError, match="at most 1024, got 100000000"):
@@ -413,6 +413,39 @@ def test_random_window_spacing_that_never_ends_is_refused(monkeypatch, kwargs, m
     monkeypatch.setattr(np.random, "default_rng", None)
     with pytest.raises(ScenarioError, match=message):
         random_scenario(4, 1, **kwargs)
+
+
+def test_random_scenario_refuses_a_negative_seed_before_drawing(monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", None)
+    with pytest.raises(ScenarioError, match=r"^seed must be non-negative, got -1$"):
+        random_scenario(4, -1)
+
+
+@pytest.mark.parametrize("build, message", [
+    # Each of these was built, and then failed where it was used: a
+    # ZeroDivisionError simulating the truth, a broadcast ValueError
+    # drawing the noise, every robot dropped by the channel, and an
+    # IndexError in the measurement schedule.
+    (lambda: Scenario(dt_s=0.0), "dt_s and duration_s must be positive"),
+    (lambda: Scenario(n_robots=3), "noise fraction lists must have one entry per robot"),
+    (lambda: Scenario(bernoulli_p=1.5), r"bernoulli_p must be in \[0, 1\)"),
+    (lambda: build_table1_scenario(meas_windows=(MeasurementWindow(45.0, 50.0, 1, 9),)),
+     r"measurement window MeasurementWindow\(start_s=45.0, end_s=50.0, observer=1, "
+     r"landmark=9\) names an unknown robot"),
+], ids=["dt-zero", "fractions-for-four", "loss-above-one", "window-robot-9"])
+def test_a_scenario_that_fails_validate_cannot_be_built(build, message):
+    with pytest.raises(ScenarioError, match=f"^{message}$"):
+        build()
+
+
+def test_an_inward_spiral_is_refused():
+    # Its edges shrink to negative lengths: the last of table1 would be
+    # -1.75 m long, driven backwards.
+    with pytest.raises(ScenarioError, match=r"^path.growth must be non-negative, got -0.25$"):
+        build_table1_scenario(path=SpiralPath(growth=-0.25))
+    square = build_table1_scenario(path=SpiralPath(growth=0.0))
+    speeds = true_controls(square)[:, :, 0]
+    assert speeds.min() == 0.0 and np.unique(speeds[speeds > 0]).size == 1
 
 
 def test_table1_windows_can_be_overridden():

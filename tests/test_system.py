@@ -52,7 +52,7 @@ def overlapping_team_scenario() -> Scenario:
         MeasurementWindow(2.0, 28.0, 4, 3),
         MeasurementWindow(8.0, 22.0, 2, 3),
     )
-    sc = Scenario(
+    return Scenario(
         n_robots=n,
         duration_s=30.0,
         v_noise_frac=tuple(0.15 + 0.01 * r for r in range(n)),
@@ -62,8 +62,6 @@ def overlapping_team_scenario() -> Scenario:
         bernoulli_p=0.3,
         seed=5,
     )
-    sc.validate()
-    return sc
 
 
 @pytest.fixture(scope="module")
@@ -377,7 +375,7 @@ def whole_runs(draw):
         s = draw(st.integers(0, 19))
         dropouts.append(DropoutWindowSpec(draw(st.integers(1, n)), float(s),
                                           float(draw(st.integers(s, 20)))))
-    sc = Scenario(
+    return Scenario(
         n_robots=n,
         duration_s=20.0,
         path=SpiralPath(
@@ -396,8 +394,6 @@ def whole_runs(draw):
         bernoulli_p=draw(st.sampled_from([0.0, 0.2, 0.5])),
         seed=draw(st.integers(0, 2**16)),
     )
-    sc.validate()
-    return sc
 
 
 # Two checks of a 20 s run take about 0.1 s per example. A failing example

@@ -224,7 +224,9 @@ def test_trajectories_are_the_per_robot_steps():
             expected[a, k + 1] = pose
     np.testing.assert_array_equal(model.propagate_pose(means, controls, DT)[0], expected)
     # Truth and dead reckoning, in stretches of 13 steps.
-    sc = Scenario(n_robots=N_ROBOTS, duration_s=N_STEPS * DT, dt_s=DT)
+    fracs = (0.2,) * N_ROBOTS
+    sc = Scenario(n_robots=N_ROBOTS, duration_s=N_STEPS * DT, dt_s=DT,
+                  v_noise_frac=fracs, w_noise_frac=fracs)
     with mock.patch.object(harness, "_SEGMENT_ROBOT_STEPS", 13 * N_ROBOTS):
         np.testing.assert_array_equal(harness._trajectories(sc, means, controls), expected)
 
