@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -87,12 +86,11 @@ _STREAM_CHANNEL = 4
 
 
 def seed_key(sc: scen.Scenario, seed) -> tuple[int, ...]:
-    """The run's seed key: the scenario's seed, an int, or a tuple of ints, none negative."""
+    """The run's seed key: the scenario's seed, an int, or a tuple or list of ints."""
     if seed is None:
         return (sc.seed,)
-    if isinstance(seed, (int, np.integer)):
-        seed = (seed,)
-    return tuple(scen.check_seed(int(s)) for s in seed)
+    entries = seed if isinstance(seed, (tuple, list)) else (seed,)
+    return tuple(scen.check_seed(s) for s in entries)
 
 
 # Robot-steps per kernel call: bounds the temporaries of a segment, about 300
@@ -152,6 +150,13 @@ def build_realization(
     key: tuple[int, ...],
     truth: np.ndarray | None = None,
 ) -> Realization:
+    """Draw the randomness of run ``key`` of ``sc``, each part from its own
+    stream of ``key``: the measured controls, the epochs' relative
+    measurements and, if the scenario perturbs them, the initial means. The
+    motion noise has the injected variances; the filters' ``filter_q`` are
+    those floored at :data:`scenario.PROCESS_NOISE_FLOOR`. A batch passes
+    ``truth``, :func:`simulate_truth` of ``sc``, in once for all its runs.
+    """
     if truth is None:
         truth = simulate_truth(sc)
     controls = scen.true_controls(sc)
@@ -178,7 +183,7 @@ def build_realization(
     return Realization(
         truth=truth,
         controls_meas=controls_meas,
-        filter_q=scen.filter_noise_diags(sc, controls),
+        filter_q=np.maximum(inject_q, scen.PROCESS_NOISE_FLOOR),
         measurements=measurements,
         init_means=init_means,
     )
@@ -305,39 +310,36 @@ def joint_steps(
 ) -> Iterator[joint_ekf.JointBelief]:
     """The centralized belief at every step ``1..T``, one step at a time.
 
-    The beliefs come from :func:`joint_ekf.propagate_segment`, one call per
-    segment (:func:`segments`), and each is formed only when it is asked
-    for. The belief at a measurement epoch comes out updated by the
-    partial-update rule; an invalid update is skipped and logged under
-    ``name``.
+    One loop per segment (:func:`segments`) runs over the beliefs of one
+    :func:`joint_ekf.propagate_segment` call, each formed only when it is
+    asked for. A belief whose step is a measurement epoch is updated by the
+    partial-update rule before it is yielded; an invalid update is skipped
+    and logged under ``name``.
     """
-    ids = sc.robot_ids
-    belief = joint_ekf.JointBelief.initialize(ids, real.init_means, sc.initial_cov())
+    belief = joint_ekf.JointBelief.initialize(sc.robot_ids, real.init_means, sc.initial_cov())
     noise = sc.meas_noise_cov()
     for k0, k1 in segments(sc, real.measurements):
         steps = joint_ekf.propagate_segment(
             belief, real.controls_meas[:, k0:k1], real.filter_q[:, k0:k1], sc.dt_s
         )
-        # Only the segment's last step can be an epoch, so no update is lost;
-        # the next segment propagates from that step's updated belief.
-        yield from islice(steps, k1 - k0 - 1)
-        belief = next(steps)
-        if k1 in real.measurements:
-            report = reports[k1]
-            for m in real.measurements[k1]:
-                if not gate_measurement(report, m):
+        # Only a segment's last step can be an epoch, so the next segment
+        # propagates from that step's updated belief and no update is lost.
+        for belief in steps:
+            k = belief.time
+            for m in real.measurements.get(k, ()):
+                if not gate_measurement(reports[k], m):
                     continue
                 try:
-                    belief, _ = joint_ekf.partial_update(belief, m, noise, report.missed)
+                    belief, _ = joint_ekf.partial_update(belief, m, noise, reports[k].missed)
                 except NumericalError as exc:
                     # Beliefs are values, so the failed update left no
                     # trace; skip the measurement as the server does.
                     events.append(ProtocolEvent(
-                        k1, EVENT_NUMERIC_S,
+                        k, EVENT_NUMERIC_S,
                         f"estimator={name} observer={m.observer} landmark={m.landmark} "
                         f"reason={exc}",
                     ))
-        yield belief
+            yield belief
 
 
 # One split filter of a run: its channel, one report per epoch, its server
@@ -518,10 +520,11 @@ def run_monte_carlo(
     ``runs_flagged``; an estimator whose every run was flagged has NaN RMS
     errors.
     """
-    if n_runs < 1:
-        raise ValueError("n_runs must be at least 1")
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    for arg, count in (("n_runs", n_runs), ("jobs", jobs)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise ValueError(f"{arg} must be an integer, got {count!r}")
+        if count < 1:
+            raise ValueError(f"{arg} must be at least 1, got {count}")
     wanted = _wanted(estimators)
     base = seed_key(sc, seed)
     truth = simulate_truth(sc)

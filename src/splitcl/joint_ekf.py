@@ -39,7 +39,7 @@ from typing import AbstractSet, Iterator, Sequence
 import numpy as np
 
 from . import model
-from .linalg import block_diag_sandwich, check_spd_2x2, min_eigenvalue, symmetrize, team_covs
+from .linalg import block_diag_sandwich, check_spd_2x2, symmetrize, team_covs
 
 
 @dataclass(slots=True)
@@ -108,7 +108,8 @@ class JointBelief:
         return self.cov[diag, :, diag, :]
 
     def min_eigenvalue(self) -> float:
-        return min_eigenvalue(self.joint_matrix())
+        """Smallest eigenvalue of the joint covariance."""
+        return float(np.linalg.eigvalsh(self.joint_matrix())[0])
 
 
 def propagate_segment(

@@ -115,8 +115,3 @@ def psd_3x3(a: float, b: float, c: float, d: float, e: float, f: float) -> bool:
         return False
     e1 = e - l2 * b
     return f + EIG_TOL - l2 * c - e1 * e1 / p1 > 0.0
-
-
-def min_eigenvalue(m: np.ndarray) -> float:
-    """Smallest eigenvalue of a symmetric matrix."""
-    return float(np.linalg.eigvalsh(m)[0])

@@ -54,6 +54,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass, field, is_dataclass, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -293,8 +294,12 @@ def _check_team_size(n_robots: int) -> None:
         raise ScenarioError(f"n_robots must be at most {MAX_ROBOTS}, got {n_robots}")
 
 
-def check_seed(seed: int) -> int:
-    """``seed``, refused unless numpy can seed a generator from it."""
+def check_seed(seed) -> int:
+    """``seed`` as an int, refused unless numpy can seed a generator from it:
+    an integer, not a bool, and not negative."""
+    if isinstance(seed, (bool, np.bool_)) or not hasattr(seed, "__index__"):
+        raise ScenarioError(f"seed must be an integer, got {seed!r}")
+    seed = operator.index(seed)
     if seed < 0:
         raise ScenarioError(f"seed must be non-negative, got {seed}")
     return seed
@@ -413,11 +418,6 @@ def process_noise_diags(sc: Scenario, controls: np.ndarray) -> np.ndarray:
     out[:, :, 0] = (v_frac * np.abs(controls[:, :, 0])) ** 2
     out[:, :, 1] = (w_frac * np.abs(controls[:, :, 1])) ** 2
     return out
-
-
-def filter_noise_diags(sc: Scenario, controls: np.ndarray) -> np.ndarray:
-    """Filter-side process noise: injected variances with the SPD floor."""
-    return np.maximum(process_noise_diags(sc, controls), PROCESS_NOISE_FLOOR)
 
 
 def measurement_schedule(sc: Scenario) -> dict[int, list[tuple[int, int]]]:

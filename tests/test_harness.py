@@ -7,7 +7,7 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from splitcl import harness, joint_ekf, split_ekf, verify
+from splitcl import harness, joint_ekf, scenario, split_ekf, verify
 from splitcl.linalg import NumericalError
 from splitcl.messages import LandmarkMessage, UpdateMessage
 from splitcl.protocol import EVENT_NUMERIC_S, EVENT_PAIR_UNREACHABLE, CooperationServer, RobotNode
@@ -126,6 +126,33 @@ def test_monte_carlo_refuses_fewer_than_one_job_before_simulating(jobs, monkeypa
     assert not calls
 
 
+@pytest.mark.parametrize("n_runs, jobs, message", [
+    (2.0, 1, "n_runs must be an integer, got 2.0"),
+    (True, 1, "n_runs must be an integer, got True"),
+    ("2", 1, "n_runs must be an integer, got '2'"),
+    (2, 1.5, "jobs must be an integer, got 1.5"),
+    (2, False, "jobs must be an integer, got False"),
+    (0, 2, "n_runs must be at least 1, got 0"),
+], ids=["float-runs", "bool-runs", "string-runs", "float-jobs", "bool-jobs", "no-runs"])
+def test_monte_carlo_refuses_a_non_integer_count_before_simulating(n_runs, jobs, message,
+                                                                     monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "simulate_truth", lambda *args: calls.append(args))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        harness.run_monte_carlo(Scenario(duration_s=2.0), n_runs, ESTIMATORS, jobs=jobs)
+    assert not calls
+
+
+def test_monte_carlo_takes_numpy_integer_counts():
+    sc = Scenario(duration_s=2.0)
+    report = harness.run_monte_carlo(sc, np.int64(2), [harness.DR], jobs=np.int64(1))
+    assert report.runs_total == 2
+    want = harness.run_monte_carlo(sc, 2, [harness.DR])
+    assert np.array_equal(report.rms_pos[harness.DR], want.rms_pos[harness.DR])
+
+
 @pytest.mark.parametrize("fields, message", [
     ({"n_robots": 1025, "duration_s": 1.0}, "at most 1024"),
     ({"dt_s": math.nan}, "non-finite"),
@@ -146,20 +173,38 @@ def test_a_negative_seed_is_refused_in_the_scenarios_wording(seed):
         harness.seed_key(Scenario(), seed)
 
 
+@pytest.mark.parametrize("seed", [(1.5, 2.9), "12", (-0.5,), True, 1.5, np.True_],
+                         ids=["fractions", "string", "negative-fraction", "bool", "float",
+                              "numpy-bool"])
+def test_a_non_integer_seed_is_refused_in_the_scenarios_wording(seed):
+    entry = seed[0] if isinstance(seed, tuple) else seed
+    with pytest.raises(ScenarioError, match=rf"^seed must be an integer, got {entry!r}$"):
+        harness.seed_key(Scenario(), seed)
+
+
+def test_numpy_integer_seeds_read_as_ints():
+    key = harness.seed_key(Scenario(), (np.int64(3), np.uint8(4), 5))
+    assert key == (3, 4, 5) and all(type(s) is int for s in key)
+    assert harness.seed_key(Scenario(), [np.int32(7)]) == (7,)
+
+
 @pytest.mark.parametrize("entry", [
-    lambda sc: harness.run_once(sc, ESTIMATORS, seed=-1),
-    lambda sc: harness.run_monte_carlo(sc, 2, ESTIMATORS, seed=-1, jobs=2),
-    lambda sc: verify.check_exact_equivalence(sc, seed=-1),
-    lambda sc: verify.check_dropout_equivalence(sc, seed=-1),
+    lambda sc, seed: harness.run_once(sc, ESTIMATORS, seed=seed),
+    lambda sc, seed: harness.run_monte_carlo(sc, 2, ESTIMATORS, seed=seed, jobs=2),
+    lambda sc, seed: verify.check_exact_equivalence(sc, seed=seed),
+    lambda sc, seed: verify.check_dropout_equivalence(sc, seed=seed),
 ], ids=["run_once", "run_monte_carlo", "exact", "dropout"])
 def test_every_entry_refuses_a_negative_seed_before_simulating(entry, monkeypatch):
+    # A non-integer seed is refused at the same point, in the scenario's wording.
     calls = []
     for module, name in ((harness, "simulate_truth"), (harness, "build_realization"),
                          (verify, "build_realization"),
                          (concurrent.futures, "ProcessPoolExecutor")):
         monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(args))
-    with pytest.raises(ScenarioError, match=r"^seed must be non-negative, got -1$"):
-        entry(Scenario(duration_s=2.0))
+    for seed, message in ((-1, "seed must be non-negative, got -1"),
+                          (1.5, "seed must be an integer, got 1.5")):
+        with pytest.raises(ScenarioError, match=rf"^{message}$"):
+            entry(Scenario(duration_s=2.0), seed)
     assert not calls
 
 
@@ -335,6 +380,44 @@ def test_a_split_filter_logs_in_time_order(monkeypatch):
     for events in (rec.events, report.events):
         assert [(ev.time, ev.detail.split()[0]) for ev in events] == [
             (460, "observer=1"), (2260, "robot=3")
+        ]
+
+
+def test_without_noise_dead_reckoning_is_the_truth_and_the_filters_get_the_floor():
+    # The floor is the filters' alone: it adds no noise to the run.
+    sc = Scenario(duration_s=20.0, v_noise_frac=(0.0,) * 4, w_noise_frac=(0.0,) * 4,
+                  perturb_initial=False)
+    real = harness.build_realization(sc, harness.seed_key(sc, 3))
+    assert np.array_equal(real.controls_meas, scenario.true_controls(sc))
+    assert (real.filter_q == scenario.PROCESS_NOISE_FLOOR).all()
+    rec = harness.run_once(sc, [harness.DR], seed=3)
+    assert np.array_equal(rec.estimates[harness.DR], rec.truth)
+
+
+def test_the_filters_variances_are_the_injected_ones_floored():
+    sc = build_table1_scenario()
+    controls = scenario.true_controls(sc)
+    injected = scenario.process_noise_diags(sc, controls)
+    real = harness.build_realization(sc, harness.seed_key(sc, 5))
+    floored = injected < scenario.PROCESS_NOISE_FLOOR
+    # table1 has both: straight edges turn no noise on w, turns none on v.
+    assert floored.any() and not floored.all()
+    assert np.array_equal(real.filter_q, np.maximum(injected, scenario.PROCESS_NOISE_FLOOR))
+    # Where no noise is injected, the measured control is the commanded one.
+    assert np.array_equal(real.controls_meas[injected == 0], controls[injected == 0])
+
+
+def test_a_realization_with_the_truth_passed_in_is_the_one_drawn_alone():
+    sc = build_table1_scenario()
+    key = harness.seed_key(sc, (2, 7))
+    alone = harness.build_realization(sc, key)
+    given = harness.build_realization(sc, key, truth=harness.simulate_truth(sc))
+    for field in ("truth", "controls_meas", "filter_q", "init_means"):
+        assert np.array_equal(getattr(alone, field), getattr(given, field)), field
+    assert alone.measurements.keys() == given.measurements.keys()
+    for k, ms in alone.measurements.items():
+        assert [(m.observer, m.landmark, m.time, m.z.tolist()) for m in ms] == [
+            (m.observer, m.landmark, m.time, m.z.tolist()) for m in given.measurements[k]
         ]
 
 
