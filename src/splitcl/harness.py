@@ -87,10 +87,7 @@ _STREAM_CHANNEL = 4
 
 def seed_key(sc: scen.Scenario, seed) -> tuple[int, ...]:
     """The run's seed key: the scenario's seed, an int, or a tuple or list of ints."""
-    if seed is None:
-        return (sc.seed,)
-    entries = seed if isinstance(seed, (tuple, list)) else (seed,)
-    return tuple(scen.check_seed(s) for s in entries)
+    return (sc.seed,) if seed is None else scen.check_seed_key(seed)
 
 
 # Robot-steps per kernel call: bounds the temporaries of a segment, about 300
@@ -444,13 +441,16 @@ def _run_split_epoch(
 
 @dataclass(slots=True)
 class MetricReport:
-    """Aggregated Monte-Carlo metrics.
+    """Aggregated Monte-Carlo metrics, per requested estimator.
 
-    ``rms_pos[name]`` is the RMS position error over non-flagged runs per
-    robot and timestep; ``per_run_pos_err[name]`` keeps the raw per-run error
-    norms (flagged runs hold NaN); ``nees_mean`` is the run-averaged
-    normalized estimation error squared for estimators that report a
-    covariance.
+    ``per_run_pos_err[name]`` holds each run's position errors, shape
+    ``(runs_total, N, T+1)``, with a NaN row for each run flagged as
+    diverged (non-finite); ``runs_flagged[name]`` counts those runs.
+    ``rms_pos[name]`` is the RMS position error per robot and timestep over
+    the other runs, NaN when every run is flagged. ``nees_mean[name]`` is
+    the normalized estimation error squared averaged over the unflagged
+    runs, for the estimators that report a covariance and have such a run.
+    ``events`` pairs each event with its run index, in run order.
     """
 
     estimators: tuple[str, ...]
@@ -467,18 +467,6 @@ def _wrapped_error(est: np.ndarray, truth: np.ndarray) -> np.ndarray:
     err = est - truth
     err[..., 2] = np.arctan2(np.sin(err[..., 2]), np.cos(err[..., 2]))
     return err
-
-
-def _reduce_run(rec: RunRecord) -> tuple[dict, dict, dict, list]:
-    pos_err = {}
-    nees = {}
-    for name in rec.estimates:
-        pos_err[name] = rec.position_error(name)
-        c = rec.covs[name]
-        if c is not None and not rec.flagged[name]:
-            e = _wrapped_error(rec.estimates[name], rec.truth)
-            nees[name] = _nees(e, c)
-    return pos_err, nees, dict(rec.flagged), list(rec.events)
 
 
 def _nees(err: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -499,10 +487,18 @@ def _nees(err: np.ndarray, cov: np.ndarray) -> np.ndarray:
     return quad / (a * cof[0][0] + b * cof[0][1] + c * cof[0][2])
 
 
-def _mc_worker(args) -> tuple[int, dict, dict, dict, list]:
-    sc, estimators, base, m, truth = args
-    rec = run_once(sc, estimators, seed=(*base, m), _cached_truth=truth)
-    return (m, *_reduce_run(rec))
+def _mc_worker(args) -> tuple[dict, dict, dict, list]:
+    """One run of a batch, reduced: every estimator's position errors, the
+    NEES of each unflagged estimator that has a covariance, the flags and
+    the events."""
+    sc, wanted, key, truth = args
+    rec = run_once(sc, wanted, seed=key, _cached_truth=truth)
+    nees = {
+        name: _nees(_wrapped_error(rec.estimates[name], rec.truth), cov)
+        for name, cov in rec.covs.items()
+        if cov is not None and not rec.flagged[name]
+    }
+    return {name: rec.position_error(name) for name in wanted}, nees, rec.flagged, rec.events
 
 
 def run_monte_carlo(
@@ -515,10 +511,13 @@ def run_monte_carlo(
     """Run ``n_runs`` independent realizations and aggregate error metrics.
 
     Run ``m`` uses seed key ``(*seed_key(sc, seed), m)``: results for the
-    first runs do not change when the batch grows. Diverged (non-finite)
-    estimator runs are excluded from the aggregates and counted in
-    ``runs_flagged``; an estimator whose every run was flagged has NaN RMS
-    errors.
+    first runs do not change when the batch grows, and each equals its run
+    alone. The batch is the list of its runs' reductions, aggregated once
+    per estimator: a run whose estimate is not finite is flagged and holds
+    a NaN row of position errors; the RMS error runs over the other runs
+    and is NaN when every run is flagged; ``nees_mean`` averages the
+    unflagged runs of the estimators that have a covariance; the events
+    come in run order.
     """
     for arg, count in (("n_runs", n_runs), ("jobs", jobs)):
         if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
@@ -528,16 +527,7 @@ def run_monte_carlo(
     wanted = _wanted(estimators)
     base = seed_key(sc, seed)
     truth = simulate_truth(sc)
-    n = sc.n_robots
-    t1 = sc.n_steps + 1
-
-    per_run = {name: np.full((n_runs, n, t1), np.nan) for name in wanted}
-    nees_sum = {name: np.zeros((n, t1)) for name in wanted}
-    nees_count = {name: 0 for name in wanted}
-    flagged_count = {name: 0 for name in wanted}
-    events: list[tuple[int, ProtocolEvent]] = []
-
-    tasks = [(sc, wanted, base, m, truth) for m in range(n_runs)]
+    tasks = [(sc, wanted, (*base, m), truth) for m in range(n_runs)]
     # A pool launches all its workers at the first task, so it gets no
     # more than there are runs.
     workers = min(jobs, n_runs)
@@ -547,44 +537,37 @@ def run_monte_carlo(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_mc_worker, tasks))
+            reductions = list(pool.map(_mc_worker, tasks))
     else:
-        results = [_mc_worker(task) for task in tasks]
+        reductions = [_mc_worker(task) for task in tasks]
 
-    for m, pos_err, nees, flagged, run_events in results:
-        for name in wanted:
-            if flagged[name]:
-                flagged_count[name] += 1
-                continue
-            per_run[name][m] = pos_err[name]
-            if name in nees:
-                nees_sum[name] += nees[name]
-                nees_count[name] += 1
-        events.extend((m, ev) for ev in run_events)
-
-    # Flagged runs hold NaN, so the mean runs over the others; with every
-    # run flagged there is no RMS error at all, and it stays NaN.
-    rms = {
-        name: (
-            np.full((n, t1), np.nan)
-            if flagged_count[name] == n_runs
+    pos_errs, run_nees, flags, run_events = zip(*reductions)
+    per_run, rms, nees_mean, flagged = {}, {}, {}, {}
+    for name in wanted:
+        per_run[name] = np.stack([
+            np.full_like(err[name], np.nan) if flag[name] else err[name]
+            for err, flag in zip(pos_errs, flags)
+        ])
+        flagged[name] = sum(flag[name] for flag in flags)
+        # Flagged runs hold NaN, so the mean runs over the others; with every
+        # run flagged there is no RMS error at all, and it stays NaN.
+        rms[name] = (
+            np.full(per_run[name].shape[1:], np.nan)
+            if flagged[name] == n_runs
             else np.sqrt(np.nanmean(per_run[name] ** 2, axis=0))
         )
-        for name in wanted
-    }
+        reported = [nees[name] for nees in run_nees if name in nees]
+        if reported:
+            nees_mean[name] = sum(reported) / len(reported)
     return MetricReport(
         estimators=wanted,
-        times=np.arange(t1) * sc.dt_s,
+        times=np.arange(sc.n_steps + 1) * sc.dt_s,
         rms_pos=rms,
         per_run_pos_err=per_run,
-        nees_mean={
-            name: nees_sum[name] / nees_count[name]
-            for name in wanted
-            if nees_count[name] > 0
-        },
+        nees_mean=nees_mean,
         runs_total=n_runs,
-        runs_flagged=flagged_count,
-        events=events,
+        runs_flagged=flagged,
+        events=[(m, ev) for m, events in enumerate(run_events) for ev in events],
     )
 
 

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import RelativeMeasurement
-from .scenario import Scenario, seconds_to_step
+from .scenario import Scenario, check_seed_key, seconds_to_step
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,9 @@ def channel_epoch(
     seed: int | Sequence[int],
 ) -> DeliveryReport:
     """Connectivity of every robot of ``sc`` at step ``t``, given the team's
-    true poses ``positions`` ``(N, 3)`` at ``t``; deterministic given ``seed``."""
+    true poses ``positions`` ``(N, 3)`` at ``t``; deterministic given ``seed``,
+    an int or a tuple or list of ints (:func:`scenario.check_seed_key`)."""
+    key = check_seed_key(seed)
     missed = {
         w.robot for w in sc.dropout_windows
         if seconds_to_step(w.start_s, sc.dt_s) < t <= seconds_to_step(w.end_s, sc.dt_s)
@@ -62,8 +64,7 @@ def channel_epoch(
         for x_min, y_min, x_max, y_max in sc.zones:
             lost |= (x_min <= x) & (x <= x_max) & (y_min <= y) & (y <= y_max)
         if sc.bernoulli_p > 0.0:
-            seed_key = [seed] if isinstance(seed, (int, np.integer)) else list(seed)
-            draws = np.random.default_rng(seed_key + [t]).random(sc.n_robots + 1)
+            draws = np.random.default_rng([*key, t]).random(sc.n_robots + 1)
             lost |= draws[1:] < sc.bernoulli_p
         missed.update((np.flatnonzero(lost) + 1).tolist())
     return DeliveryReport(

@@ -305,6 +305,13 @@ def check_seed(seed) -> int:
     return seed
 
 
+def check_seed_key(seed) -> tuple[int, ...]:
+    """A seed key as a tuple of ints, from an int or a tuple or list of
+    ints, each entry refused as :func:`check_seed` refuses it."""
+    entries = seed if isinstance(seed, (tuple, list)) else (seed,)
+    return tuple(check_seed(s) for s in entries)
+
+
 def _integer(value, name: str) -> int:
     """A JSON integer field as an int; a bool or a fractional number is refused."""
     if isinstance(value, int) and not isinstance(value, bool):

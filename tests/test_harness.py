@@ -101,6 +101,42 @@ def test_monte_carlo_pool_has_no_more_workers_than_runs(jobs, n_runs, want_worke
     assert report.events == serial.events
 
 
+def test_a_real_pool_gives_the_serial_report_bit_for_bit():
+    sc = build_table1_scenario()
+    pooled = harness.run_monte_carlo(sc, 3, harness.ALL_ESTIMATORS, seed=4, jobs=2)
+    serial = harness.run_monte_carlo(sc, 3, harness.ALL_ESTIMATORS, seed=4, jobs=1)
+    for field in ("per_run_pos_err", "rms_pos", "nees_mean"):
+        want = getattr(serial, field)
+        assert getattr(pooled, field).keys() == want.keys(), field
+        for name, value in want.items():
+            np.testing.assert_array_equal(getattr(pooled, field)[name], value, err_msg=field)
+    assert pooled.runs_flagged == serial.runs_flagged
+    assert pooled.events == serial.events
+
+
+@pytest.mark.parametrize("sc, seed", [
+    (build_table1_scenario(), 2),
+    (random_scenario(8, 5, bernoulli_p=0.3), 6),
+], ids=["table1", "random8"])
+def test_each_run_of_a_batch_is_that_run_alone(sc, seed):
+    # Run m of a batch uses seed key (*base, m): a batch is a prefix of any
+    # larger one, and each of its runs can be replayed alone.
+    n_runs = 5
+    report = harness.run_monte_carlo(sc, n_runs, harness.ALL_ESTIMATORS, seed=seed)
+    events = []
+    for m in range(n_runs):
+        alone = harness.run_once(sc, harness.ALL_ESTIMATORS, seed=(seed, m))
+        for name in harness.ALL_ESTIMATORS:
+            want = alone.position_error(name)
+            if alone.flagged[name]:
+                want = np.full_like(want, np.nan)
+            np.testing.assert_array_equal(report.per_run_pos_err[name][m], want,
+                                          err_msg=f"run {m} {name}")
+        events += [(m, ev) for ev in alone.events]
+    # Each run's events, as in that run alone, in run order.
+    assert report.events == events
+
+
 @pytest.mark.parametrize("estimators, message", [
     ([], "at least one estimator must be requested"),
     ([harness.DR, "dr2", harness.DR], r"unknown estimators \['dr2'\]; choose from"),

@@ -2,9 +2,10 @@
 the seed and the step."""
 
 import numpy as np
+import pytest
 
 from splitcl.network import channel_epoch
-from splitcl.scenario import DropoutWindowSpec, Scenario
+from splitcl.scenario import DropoutWindowSpec, Scenario, ScenarioError
 
 
 def team(n=40, bernoulli_p=0.4, windows=(DropoutWindowSpec(3, 0.5, 2.0),),
@@ -45,6 +46,21 @@ def test_a_numpy_integer_seed_is_the_int_seed():
     report = channel_epoch(sc, positions, 10, 3)
     assert channel_epoch(sc, positions, 10, np.int64(3)) == report
     assert channel_epoch(sc, positions, 10, (3,)) == report
+
+
+@pytest.mark.parametrize("seed, message", [
+    (True, "seed must be an integer, got True"),
+    (1.5, "seed must be an integer, got 1.5"),
+    ((5, 1.5), "seed must be an integer, got 1.5"),
+    (-1, "seed must be non-negative, got -1"),
+    ([5, -1], "seed must be non-negative, got -1"),
+], ids=["bool", "float", "float-entry", "negative", "negative-entry"])
+def test_a_bad_seed_is_refused_in_the_scenarios_wording(seed, message):
+    # The channel reads its seed as the run does (scenario.check_seed_key),
+    # drawn from or not.
+    for sc in (team(), team(bernoulli_p=0.0)):
+        with pytest.raises(ScenarioError, match=rf"^{message}$"):
+            channel_epoch(sc, team_positions(), 10, seed)
 
 
 def test_windows_cover_their_steps_and_zones_their_edges():
