@@ -242,11 +242,13 @@ def run_once(
     key = seed_key(sc, seed)
     real = build_realization(sc, key, truth=_cached_truth)
 
-    # One channel per kind of link, read by both filters of the kind.
+    # One channel per kind of link, read by both filters of the kind; the
+    # perfect links' scenario is built only when one of its filters is wanted.
     links: dict[str, dict[int, DeliveryReport]] = {}
-    for kind, link_sc in (((JOINT_EKF, SA_SPLIT), scen.strip_dropouts(sc)),
-                          ((PARTIAL_ORACLE, SA_SPLIT_DROPOUT), sc)):
+    for kind, perfect in (((JOINT_EKF, SA_SPLIT), True),
+                          ((PARTIAL_ORACLE, SA_SPLIT_DROPOUT), False)):
         if any(name in wanted for name in kind):
+            link_sc = scen.strip_dropouts(sc) if perfect else sc
             links.update(dict.fromkeys(kind, delivery_reports(link_sc, real, key)))
 
     logs: dict[str, list[ProtocolEvent]] = {name: [] for name in wanted}

@@ -22,17 +22,18 @@ the robots do not check them again.
 
 Multiple measurements in the same epoch are processed one at a time in a
 fixed order (ascending ``(observer, landmark)``).
-The server keeps shadow copies of the reporting robots' states, a
-:class:`split_ekf.SplitTeamState` of the senders with one row per robot, so
-later measurements in the epoch are linearized against already-corrected
-values. Each processed measurement corrects all rows in place with
-:func:`split_ekf.apply_update`, the call each robot makes on itself, given
-the measurement's single frame ``(r, D)``; the call forms each row's pair
-``(D_i r, D_i D_i')`` on floats, so a row is bit for bit what its robot
-computes from that frame. Every row must pass its
-check, or the measurement is skipped whole. The server sends each touched
-robot that frame or, after several measurements, one summed update
-message, the sum of its pairs over the epoch.
+The server keeps shadow copies of the reporting robots' states as floats,
+one :data:`split_ekf.Row` per sender read from its decoded frame, so later
+measurements in the epoch are linearized against already-corrected values.
+Each processed measurement corrects every shadow with
+:func:`split_ekf.correct_row`, the row kernel through which each robot
+corrects itself, given the measurement's single frame ``(r, D)``: the
+kernel forms each row's pair ``(D_i r, D_i D_i')`` on floats, so a shadow
+is bit for bit what its robot computes from that frame. Every shadow must
+pass its check, or the measurement is skipped whole. The server sends each
+touched robot that frame or, after several measurements, one summed update
+message, the sum of its pairs over the epoch. What an epoch's measurements
+share, such as the mask of the missed robots, is built once per epoch.
 """
 
 from __future__ import annotations
@@ -165,6 +166,9 @@ class CooperationServer:
     missed robots are frozen for that epoch so the store keeps mirroring the
     centralized filter's cross covariances.
 
+    ``meas_noise_cov`` must be a finite, exactly symmetric, positive
+    semidefinite 2x2 (zero allowed), else ``ValueError``; it is read once.
+
     ``corrupt_cross_sign`` is a negative-control hook for the verification
     suite: it flips the sign of every store update, which must break the
     equivalence checks.
@@ -178,7 +182,13 @@ class CooperationServer:
         corrupt_cross_sign: bool = False,
     ):
         self.store = CrossFactorStore(team)
-        self.meas_noise_cov = np.asarray(meas_noise_cov, dtype=float).copy()
+        noise = np.asarray(meas_noise_cov, dtype=float)
+        if noise.shape != (2, 2) or not np.isfinite(noise).all():
+            raise ValueError(f"measurement noise covariance is not a finite 2x2: {noise.tolist()}")
+        (n00, n01), (n10, n11) = noise.tolist()
+        if not (n01 == n10 and n00 >= 0.0 and n11 >= 0.0 and n00 * n11 >= n01 * n01):
+            raise ValueError(f"measurement noise covariance is not symmetric PSD: {noise.tolist()}")
+        self.meas_noise = (n00, n01, n11)
         self.events: list[ProtocolEvent] = []
         if corrupt_cross_sign:
             self.store._update_sign = 1.0
@@ -200,14 +210,15 @@ class CooperationServer:
         server are discarded with a logged event, as are measurements with
         a numerically invalid innovation.
 
-        The senders' shadow states are the rows of one
-        :class:`split_ekf.SplitTeamState`, in the order of their first
-        messages. A measurement is linearized at the rows as the earlier
-        measurements left them, and corrects every row at once in
-        :func:`split_ekf.apply_update`, given ``r`` and the rows' ``D``. A
-        row that fails its check (the first in row order names the robot
-        in the logged event) discards the measurement whole: no row, no
-        store block and no frame takes any part of it.
+        The senders' shadow states are :data:`split_ekf.Row` floats, one per
+        sender, in the order of their first messages. A measurement is
+        linearized at the shadows as the earlier measurements left them,
+        and corrects each with :func:`split_ekf.correct_row`, given ``r``
+        and its ``D_i``, before it keeps any: a shadow that fails its check
+        (the first names the robot in the logged event) discards the
+        measurement whole, and no shadow, store block or frame takes any
+        part of it. A ``missed`` robot outside the team raises ``KeyError``
+        before any block changes.
         """
         for msg in msgs:
             if msg.time != time:
@@ -238,19 +249,15 @@ class CooperationServer:
         if not usable:
             return {}
 
-        # Shadow copies of the senders' states, one row per sender, in the
-        # order of their first messages. Every processed measurement corrects
-        # all rows at once, so later ones are linearized at corrected values.
-        senders = tuple(snapshots)
-        rows = SplitTeamState(
-            senders,
-            {rid: r for r, rid in enumerate(senders)},
-            np.array([snapshots[rid].mean for rid in senders]),
-            np.array([snapshots[rid].cov for rid in senders]),
-            np.array([snapshots[rid].jac_accum for rid in senders]),
-            time,
-        )
-        sender_pos = np.array([self.store.index[rid] for rid in senders])
+        # Shadow copies of the senders' states as floats, in the order of
+        # their first messages. Every processed measurement corrects all of
+        # them, so later ones are linearized at corrected values.
+        shadows = {
+            rid: (msg.mean.tolist(), msg.cov.ravel().tolist(), msg.jac_accum.tolist())
+            for rid, msg in snapshots.items()
+        }
+        sender_pos = np.array([self.store.index[rid] for rid in shadows])
+        frozen = self.store.mask(missed) if missed else None
 
         touched = np.zeros(len(self.store.team), dtype=bool)
         singles: list[tuple[np.ndarray, np.ndarray]] = []
@@ -262,21 +269,27 @@ class CooperationServer:
                 a, b = m.sender, m.landmark
                 try:
                     innov = split_ekf.innovation(
-                        rows, a, b, self.store.factor(a, b), m.z, self.meas_noise_cov
+                        shadows, a, b, self.store.factor(a, b), m.z, self.meas_noise
                     )
                     factors = split_ekf.update_factors(self.store, innov)
-                    split_ekf.apply_update(rows, innov.white_residual, factors[sender_pos])
+                    white = innov.white_residual.tolist()
+                    gains = factors.reshape(-1, 6).take(sender_pos, axis=0).tolist()
+                    corrected = [
+                        split_ekf.correct_row(rid, *row, white, gain)
+                        for (rid, row), gain in zip(shadows.items(), gains)
+                    ]
                 except NumericalError as exc:
-                    # Skip the measurement atomically: neither the shadow
-                    # rows nor the store absorb any part of it.
+                    # Skip the measurement atomically: neither the shadows
+                    # nor the store absorb any part of it.
                     self.events.append(ProtocolEvent(
                         time, EVENT_NUMERIC_S, f"observer={a} landmark={b} reason={exc}",
                     ))
                     continue
+                shadows = dict(zip(shadows, corrected))
                 # The store returns the robots with a non-zero D_i: the only
                 # ones whose blocks, payloads and messages this measurement
                 # changes.
-                touched |= self.store.update(factors, missed)
+                touched |= self.store.update(factors, frozen)
                 singles.append((innov.white_residual, factors))
 
         if not singles:
@@ -289,10 +302,10 @@ class CooperationServer:
             # Each recipient's corrections summed over the epoch's
             # measurements, as one product: with the measurements' factors
             # side by side and their whitened residuals stacked, D r and D D'
-            # are the sums.
+            # are the sums. Only the recipients' rows are gathered.
             kind = "summed"
             vecs, mats = split_ekf.correction(
-                np.concatenate([factors for _, factors in singles], axis=2)[positions],
+                np.concatenate([factors[positions] for _, factors in singles], axis=2),
                 np.concatenate([white_residual for white_residual, _ in singles]),
             )
         recipients = [self.store.team[pos] for pos in positions]

@@ -30,19 +30,22 @@ array ``D`` of per-robot update factors, such that ``A_i D_i inv_sqrt(S)``
 equals the centralized gain ``K_i``. Every correction is one factor-space
 pair ``(v, M)``: ``(D_i r, D_i D_i')`` for one measurement with whitened
 residual ``r``, or the sum of those over an epoch (:func:`correction`).
-:func:`apply_update` applies a frame in place, a robot's to itself and
-the server's to its shadow copies of the robots alike, with the same bits
-for both: ``A_i v`` is added to the mean and ``A_i M A_i'`` subtracted
-from the covariance. The server
-folds the same factors into the store as the masked rank-2 update
-``C <- C - D D'``, in which the blocks between two robots that both missed the update are
-masked out: they keep their old factor, which is exactly what the
-centralized filter does to the corresponding cross block. Only the
-measurement's *support* can change: the robots whose row ``D_i`` is
-non-zero, i.e. the measured robots and those correlated with them. The
-store forms the product over the support rows and updates just the block
-pairs within the support, so a measurement between two robots of a large
-team costs what its few block pairs cost, not what the team does.
+:func:`correct_row` applies a frame to one robot's floats: ``A_i v`` is
+added to the mean and ``A_i M A_i'`` subtracted from the covariance. It is
+the one copy of that arithmetic. A robot corrects itself through
+:func:`apply_update`, which reads its rows once, corrects each with
+:func:`correct_row` and writes them once; the server corrects its float
+shadows of the robots with :func:`correct_row` directly, so a shadow has
+its robot's bits by construction. The server folds the same factors into
+the store as the masked rank-2 update ``C <- C - D D'``, in which the
+blocks between two robots that both missed the update are masked out:
+they keep their old factor, which is exactly what the centralized filter
+does to the corresponding cross block. Only the measurement's *support* can
+change: the robots whose row ``D_i`` is non-zero, i.e. the measured robots
+and those correlated with them. The store forms the product over the
+support rows and updates just the block pairs within the support, so a
+measurement between two robots of a large team costs what its few block
+pairs cost, not what the team does.
 
 A measurement's work on the measured pair is a few hundred flops on 2x2, 2x3
 and 3x3 matrices, where numpy's per-call overhead costs several times the
@@ -50,7 +53,7 @@ arithmetic, so it runs on Python floats: :func:`innovation` takes the
 prediction and Jacobians from the measurement model's float kernel
 (:func:`model.relative_terms`) and forms ``S`` and its inverse symmetric
 root in closed form, and :func:`update_factors` whitens the measured robots'
-3x2 terms, as :func:`apply_update` corrects each row. What grows with the
+3x2 terms, as :func:`correct_row` corrects each row. What grows with the
 team stays in numpy: the block-column product of :func:`update_factors` and
 the store update over the support. Floats do not warn on overflow, so every
 check refuses a non-finite result, and an arithmetic exception on the floats
@@ -61,7 +64,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -81,8 +84,7 @@ class SplitTeamState:
     translation of ``A = shear(jac_accum)``, the product of the robot's
     motion Jacobians since the start of the run: zero at time zero, and
     never changed by a measurement update. A robot on its own holds a team
-    of one (:class:`protocol.RobotNode`), and the server's shadow copies of
-    an epoch's senders are a team of those senders. Stacking lets
+    of one (:class:`protocol.RobotNode`). Stacking lets
     :func:`propagate_team` advance every robot through a segment with one
     kernel call, with the same arithmetic per robot as for a team of one.
     Several filters' copies of one team can share a stack as lanes
@@ -198,6 +200,8 @@ def propagate_team(
 
 
 Pairs = tuple[tuple[float, float], ...]
+# A robot's mean, row-major covariance and accumulated Jacobian, as floats.
+Row = tuple[Sequence[float], Sequence[float], Sequence[float]]
 
 
 @dataclass(slots=True)
@@ -221,19 +225,20 @@ class WhitenedInnovation:
 
 
 def _project(
-    rows: SplitTeamState, a: int, h0: tuple[float, float, float], h1: tuple[float, float, float]
+    cov: Sequence[float], jac_accum: Sequence[float],
+    h0: tuple[float, float, float], h1: tuple[float, float, float],
 ) -> tuple[Pairs, Pairs, tuple[float, float, float]]:
-    """``A^-1 P H'``, ``(H A)'`` and the upper triangle of ``H P H'`` for
-    the robot at row ``a`` of ``rows`` and the rows ``h0``, ``h1`` of its
-    measurement Jacobian ``H``.
+    """``A^-1 P H'``, ``(H A)'`` and the upper triangle of ``H P H'`` for a
+    robot's ``cov`` and ``jac_accum`` (of its :data:`Row`) and the rows
+    ``h0``, ``h1`` of its measurement Jacobian ``H``.
 
-    ``P`` is read from the upper triangle of the robot's covariance. For
-    the shear ``A`` of translation ``s``, ``H A`` is ``H`` with
-    ``H[:, :2] s`` added to its heading column, and ``A^-1 P H'`` is
-    ``P H'`` less ``s`` times its heading row in its position rows.
+    ``P`` is read from its upper triangle. For the shear ``A`` of
+    translation ``s``, ``H A`` is ``H`` with ``H[:, :2] s`` added to its
+    heading column, and ``A^-1 P H'`` is ``P H'`` less ``s`` times its
+    heading row in its position rows.
     """
-    (p00, p01, p02), (_, p11, p12), (_, _, p22) = rows.cov[a].tolist()
-    sx, sy = rows.jac_accum[a].tolist()
+    p00, p01, p02, _, p11, p12, _, _, p22 = cov
+    sx, sy = jac_accum
     a0, a1, a2 = h0
     b0, b1, b2 = h1
     t00 = p00 * a0 + p01 * a1 + p02 * a2
@@ -253,39 +258,39 @@ def _project(
 
 
 def innovation(
-    rows: SplitTeamState,
+    rows: Mapping[int, Row],
     observer: int,
     landmark: int,
     cross_factor: np.ndarray,
     z: np.ndarray,
-    noise_cov: np.ndarray,
+    noise: tuple[float, float, float],
 ) -> WhitenedInnovation:
     """Innovation of the relative measurement of ``landmark`` by ``observer``.
 
-    The two measured robots' states are read from ``rows`` by id.
-    ``cross_factor`` is the server's ``C_ab`` block oriented
-    (observer, landmark); the observer-landmark cross covariance is
-    reconstructed from it, so the result matches the centralized filter's
-    innovation covariance: its term ``H_a A_a C_ab A_b' H_b'`` is formed
-    from the two robots' ``H A``. The measured pair's arithmetic, a few
-    hundred flops, runs on Python floats: the prediction and the Jacobians
-    come from :func:`model.relative_terms`, the float kernel the
-    centralized filter's update calls too, and ``S`` is formed as its upper
-    triangle, so it is exactly symmetric.
+    The two measured robots' states are read from ``rows``, robot id to
+    :data:`Row`, as the server holds its shadows; ``noise`` is the upper
+    triangle ``(00, 01, 11)`` of the measurement-noise covariance.
+    ``cross_factor`` is the server's ``C_ab`` block oriented (observer,
+    landmark); the observer-landmark cross covariance is reconstructed from
+    it, so the result matches the centralized filter's innovation
+    covariance: its term ``H_a A_a C_ab A_b' H_b'`` is formed from the two
+    robots' ``H A``. The measured pair's arithmetic, a few hundred flops,
+    runs on Python floats: the prediction and the Jacobians come from
+    :func:`model.relative_terms`, the float kernel the centralized filter's
+    update calls too, and ``S`` is formed as its upper triangle, so it is
+    exactly symmetric.
     Raises :class:`NumericalError` when ``S`` fails
     :func:`linalg.check_spd_2x2` or the arithmetic fails (a non-finite
     heading, say).
     """
-    (n00, n01), (_, n11) = np.asarray(noise_cov, dtype=float).tolist()
+    n00, n01, n11 = noise
     z0, z1 = np.asarray(z, dtype=float).tolist()
-    a = rows.index[observer]
-    x, y, heading = rows.mean[a].tolist()
-    b = rows.index[landmark]
-    xb, yb, _ = rows.mean[b].tolist()
+    (x, y, heading), cov, jac_accum = rows[observer]
+    (xb, yb, _), cov_b, jac_accum_b = rows[landmark]
     try:
         (p0, p1), h_obs, h_lm = model.relative_terms(x, y, heading, xb, yb)
-        own, hat, (a00, a01, a11) = _project(rows, a, *h_obs)
-        own_b, hat_b, (b00, b01, b11) = _project(rows, b, *h_lm)
+        own, hat, (a00, a01, a11) = _project(cov, jac_accum, *h_obs)
+        own_b, hat_b, (b00, b01, b11) = _project(cov_b, jac_accum_b, *h_lm)
         # (H_a A_a) C_ab (H_b A_b)': C_ab times (H_b A_b)' first.
         (u0, v0), (u1, v1), (u2, v2) = hat
         (x0, y0), (x1, y1), (x2, y2) = hat_b
@@ -345,12 +350,20 @@ class CrossFactorStore:
             raise KeyError("cross factors are defined for distinct robots only")
         return self.blocks[self.index[i], :, self.index[j], :]
 
-    def update(self, factors: np.ndarray, missed: AbstractSet[int] = frozenset()) -> np.ndarray:
+    def mask(self, ids: Iterable[int]) -> np.ndarray:
+        """Boolean mask over team positions of the robots ``ids``, as :meth:`update`
+        takes its missed robots; ``KeyError`` for a robot outside the team."""
+        held = np.zeros(len(self.team), dtype=bool)
+        held[[self.index[r] for r in ids]] = True
+        return held
+
+    def update(self, factors: np.ndarray, missed: np.ndarray | None = None) -> np.ndarray:
         """Fold one measurement's update factors into the store.
 
-        ``factors`` is the ``(N, 3, 2)`` array ``D`` of :func:`update_factors`.
-        The store absorbs ``-D D'`` without its diagonal blocks and without
-        the blocks between two robots in ``missed``: those pairs keep their
+        ``factors`` is the ``(N, 3, 2)`` array ``D`` of :func:`update_factors`
+        and ``missed``, when given, the :meth:`mask` of the robots that
+        missed the update. The store absorbs ``-D D'`` without its diagonal blocks and without
+        the blocks between two missed robots: those pairs keep their
         factor, as the centralized partial update keeps their cross block.
         Only the support, the robots whose row ``D_i`` is non-zero, can
         change, so the product is formed over the support rows alone. Its
@@ -360,10 +373,8 @@ class CrossFactorStore:
         entry does not depend on which other rows are in the product. The
         skipped blocks are zeroed in the product; adding a zero leaves a
         store entry as it is. Returns the support as a boolean mask over
-        team positions. Raises ``KeyError`` for a missed robot outside the
-        team, before any block changes.
+        team positions.
         """
-        held = [self.index[r] for r in missed]
         nonzero = factors.any(axis=(1, 2))
         support = nonzero.nonzero()[0]
         k = len(support)
@@ -373,11 +384,9 @@ class CrossFactorStore:
         change = change.reshape(k, 3, k, 3)
         # The diagonal blocks, where a support position meets itself.
         skip = support[:, None] == support
-        if held:
-            frozen = np.zeros(len(self.team), dtype=bool)
-            frozen[held] = True
-            frozen = frozen[support]
-            skip |= frozen[:, None] & frozen
+        if missed is not None:
+            held = missed[support]
+            skip |= held[:, None] & held
         np.copyto(change, 0.0, where=skip[:, None, :, None])
         if k == len(self.team):
             # Every robot is in the support, as on a small team whose robots
@@ -439,21 +448,59 @@ def correction(factors: np.ndarray, white_residual: np.ndarray) -> tuple[np.ndar
     return factors @ white_residual, factors @ factors.swapaxes(-1, -2)
 
 
+def correct_row(
+    robot: int, mean: Sequence[float], cov: Sequence[float], jac_accum: Sequence[float],
+    residual: Sequence[float], gain: Sequence[float],
+) -> Row:
+    """Robot ``robot``'s :data:`Row` corrected by the floats of a summed
+    frame's pair ``(v, M)`` or of a single frame's ``(r, D)``, whose pair
+    ``(D r, D D')`` is formed here: ``mean + A v``, ``cov - A M A'`` and
+    ``jac_accum``, with ``A = shear(jac_accum)``. ``A M A'`` only adds
+    ``s``-multiples of ``M``'s last row and column to its position block,
+    formed from upper triangles, so the corrected covariance is exactly
+    symmetric. The payload, ``cov`` and the mean step must be finite, and
+    the corrected covariance must pass :func:`linalg.psd_3x3`; else
+    :class:`NumericalError` names the robot.
+    """
+    if not math.isfinite(sum(residual) + sum(gain)):
+        raise NumericalError(f"update for robot {robot} has a non-finite payload")
+    x, y, h = mean
+    p00, p01, p02, _, p11, p12, _, _, p22 = cov
+    sx, sy = jac_accum
+    if len(residual) == 2:
+        r0, r1 = residual
+        d00, d01, d10, d11, d20, d21 = gain
+        v0, v1, v2 = d00 * r0 + d01 * r1, d10 * r0 + d11 * r1, d20 * r0 + d21 * r1
+        m00, m01, m02 = d00 * d00 + d01 * d01, d00 * d10 + d01 * d11, d00 * d20 + d01 * d21
+        m11, m12, m22 = d10 * d10 + d11 * d11, d10 * d20 + d11 * d21, d20 * d20 + d21 * d21
+    else:
+        v0, v1, v2 = residual
+        m00, m01, m02, _, m11, m12, _, _, m22 = gain
+    d02 = m02 + sx * m22
+    d12 = m12 + sy * m22
+    c00 = p00 - (m00 + sx * (m02 + d02))
+    c01 = p01 - (m01 + sx * m12 + sy * d02)
+    c02 = p02 - d02
+    c11 = p11 - (m11 + sy * (m12 + d12))
+    c12 = p12 - d12
+    c22 = p22 - m22
+    if not (math.isfinite(sum(cov)) and psd_3x3(c00, c01, c02, c11, c12, c22)):
+        raise NumericalError(f"update drove robot {robot} covariance indefinite")
+    s0, s1 = v0 + sx * v2, v1 + sy * v2
+    if not math.isfinite(s0 + s1 + v2):
+        raise NumericalError(f"update gave robot {robot} a non-finite mean step")
+    return (x + s0, y + s1, h + v2), (c00, c01, c02, c01, c11, c12, c02, c12, c22), jac_accum
+
+
 def apply_update(rows: SplitTeamState, residual: np.ndarray, gain: np.ndarray) -> None:
-    """Correct every row of ``rows`` in place, its ``mean`` to ``mean + A v``
-    and its ``cov`` to ``cov - A M A'``, with ``A = shear(jac_accum)``.
+    """Correct every row of ``rows`` in place with :func:`correct_row`.
 
     ``residual`` and ``gain`` are a frame's payloads: a summed frame's pair
     ``(v, M)`` per row, or a single frame's ``(r, D)``, one residual for all
-    rows and a 3x2 factor per row, whose pair ``(D r, D D')`` is formed on
-    the row's floats. ``A M A'`` only adds ``s``-multiples of ``M``'s last
-    row and column to its position block, formed from the upper triangles
-    of ``M`` and ``cov``: each corrected covariance is exactly symmetric,
+    rows and a 3x2 factor per row. The rows are read once and written once,
     and each row gets the same arithmetic alone or stacked. Every row is
-    checked before any is written: the payload, ``cov`` and the mean step
-    must be finite, and the corrected covariance must pass
-    :func:`linalg.psd_3x3`. Else :class:`NumericalError` names the first
-    failing robot.
+    corrected before any is written, so when :class:`NumericalError` names
+    the first failing robot, no row has changed.
     """
     single = gain.shape[-1] == 2
     gains = gain.reshape(-1, 6 if single else 9).tolist()
@@ -466,35 +513,6 @@ def apply_update(rows: SplitTeamState, residual: np.ndarray, gain: np.ndarray) -
         vecs,
         gains,
     )
-    means: list[float] = []
-    covs: list[float] = []
-    for rid, (x, y, h), p, (sx, sy), v, g in entries:
-        if not math.isfinite(sum(v) + sum(g)):
-            raise NumericalError(f"update for robot {rid} has a non-finite payload")
-        p00, p01, p02, _, p11, p12, _, _, p22 = p
-        if single:
-            r0, r1 = v
-            d00, d01, d10, d11, d20, d21 = g
-            v0, v1, v2 = d00 * r0 + d01 * r1, d10 * r0 + d11 * r1, d20 * r0 + d21 * r1
-            m00, m01, m02 = d00 * d00 + d01 * d01, d00 * d10 + d01 * d11, d00 * d20 + d01 * d21
-            m11, m12, m22 = d10 * d10 + d11 * d11, d10 * d20 + d11 * d21, d20 * d20 + d21 * d21
-        else:
-            v0, v1, v2 = v
-            m00, m01, m02, _, m11, m12, _, _, m22 = g
-        d02 = m02 + sx * m22
-        d12 = m12 + sy * m22
-        c00 = p00 - (m00 + sx * (m02 + d02))
-        c01 = p01 - (m01 + sx * m12 + sy * d02)
-        c02 = p02 - d02
-        c11 = p11 - (m11 + sy * (m12 + d12))
-        c12 = p12 - d12
-        c22 = p22 - m22
-        if not (math.isfinite(sum(p)) and psd_3x3(c00, c01, c02, c11, c12, c22)):
-            raise NumericalError(f"update drove robot {rid} covariance indefinite")
-        s0, s1 = v0 + sx * v2, v1 + sy * v2
-        if not math.isfinite(s0 + s1 + v2):
-            raise NumericalError(f"update gave robot {rid} a non-finite mean step")
-        means += (x + s0, y + s1, h + v2)
-        covs += (c00, c01, c02, c01, c11, c12, c02, c12, c22)
-    rows.mean.flat = means
-    rows.cov.flat = covs
+    corrected = [correct_row(*entry) for entry in entries]
+    rows.mean.flat = [x for mean, _, _ in corrected for x in mean]
+    rows.cov.flat = [x for _, cov, _ in corrected for x in cov]

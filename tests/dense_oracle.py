@@ -98,6 +98,22 @@ def stack_rows(states):
     )
 
 
+def float_rows(rows):
+    """The rows of a :class:`SplitTeamState` as ``split_ekf.innovation``
+    reads them, the form of the server's shadows: robot id to its
+    ``split_ekf.Row`` of floats."""
+    return {
+        rid: (rows.mean[a].tolist(), rows.cov[a].reshape(9).tolist(), rows.jac_accum[a].tolist())
+        for rid, a in rows.index.items()
+    }
+
+
+def upper_2x2(m):
+    """The upper triangle ``(00, 01, 11)`` of a 2x2 array, as floats; the
+    inverse of :func:`symmetric_2x2`."""
+    return m[0, 0].item(), m[0, 1].item(), m[1, 1].item()
+
+
 def apply_frame(state, factor, white_residual):
     """``state`` after a single frame ``(r, D)``, applied as a robot does:
     the frame's payloads through :func:`split_ekf.apply_update`, which

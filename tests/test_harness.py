@@ -371,6 +371,26 @@ def test_the_filters_of_one_kind_of_link_read_one_channel(monkeypatch):
     assert read[harness.SA_SPLIT_DROPOUT] == harness.delivery_reports(sc, real, key)
 
 
+@pytest.mark.parametrize("estimators, stripped", [
+    ([harness.SA_SPLIT_DROPOUT], 0),
+    ([harness.SA_SPLIT], 1),
+    ([harness.JOINT_EKF, harness.SA_SPLIT, harness.SA_SPLIT_DROPOUT], 1),
+], ids=["lossy-links-only", "perfect-links-only", "both"])
+def test_the_perfect_links_scenario_is_built_only_for_its_filters(
+    estimators, stripped, monkeypatch
+):
+    sc, calls = build_table1_scenario(), []
+    original = scenario.strip_dropouts
+
+    def counting(sc):
+        calls.append(sc)
+        return original(sc)
+
+    monkeypatch.setattr(scenario, "strip_dropouts", counting)
+    harness.run_once(sc, estimators, seed=3)
+    assert len(calls) == stripped
+
+
 def test_a_lane_correction_stays_in_its_own_rows(monkeypatch):
     # Every robot of the dropout lane is moved at each epoch with a missed
     # robot; the perfect-link lane, whose epochs miss no one, runs as alone.
@@ -398,9 +418,14 @@ def test_a_split_filter_logs_in_time_order(monkeypatch):
     # server's event first.
     sc, seed = build_table1_scenario(), 3
     innovation, apply_update = split_ekf.innovation, RobotNode.apply_update
+    handle_epoch, epoch = CooperationServer.handle_epoch, []
+
+    def at_epoch(server, msgs, time, *args, **kwargs):
+        epoch[:] = [time]
+        return handle_epoch(server, msgs, time, *args, **kwargs)
 
     def failing_at_460(rows, observer, *args):
-        if rows.time == 460 and observer == 1:
+        if epoch == [460] and observer == 1:
             raise NumericalError("planted")
         return innovation(rows, observer, *args)
 
@@ -409,6 +434,7 @@ def test_a_split_filter_logs_in_time_order(monkeypatch):
             raise NumericalError("planted")
         return apply_update(node, msg)
 
+    monkeypatch.setattr(CooperationServer, "handle_epoch", at_epoch)
     monkeypatch.setattr(split_ekf, "innovation", failing_at_460)
     monkeypatch.setattr(RobotNode, "apply_update", rejecting_at_2260)
     rec = harness.run_once(sc, [harness.SA_SPLIT], seed=seed)

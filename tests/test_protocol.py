@@ -17,7 +17,7 @@ from splitcl.protocol import (
     RobotNode,
 )
 
-from dense_oracle import apply_frame, cross_blocks, joint_step, stack_rows
+from dense_oracle import apply_frame, cross_blocks, float_rows, joint_step, stack_rows, upper_2x2
 
 NOISE = np.eye(2) * 0.02
 EQUIV_TOL = 1e-8
@@ -318,26 +318,29 @@ class TestServerSingleMeasurement:
             msgs.append(nodes[a].landmark_message(z=rng.uniform(-1, 1, 2), landmark=b))
             msgs.append(nodes[b].landmark_message())
         shadows = []
-        original = split_ekf.apply_update
+        original = split_ekf.correct_row
 
-        def recording(rows, residual, gain):
-            original(rows, residual, gain)
-            shadows.append((rows.team, residual, gain, rows.mean.copy(), rows.cov.copy()))
+        def recording(robot, mean, cov, jac_accum, residual, gain):
+            out = original(robot, mean, cov, jac_accum, residual, gain)
+            shadows.append((robot, residual, gain, out))
+            return out
 
-        monkeypatch.setattr(split_ekf, "apply_update", recording)
+        monkeypatch.setattr(split_ekf, "correct_row", recording)
         updates = server.handle_epoch(msgs, t)
         monkeypatch.undo()
         assert server.events == []
-        assert len(shadows) == len(pairs)
         senders = tuple(m.sender for m in msgs)
+        # Each measurement corrects every shadow, in the senders' order.
+        assert len(shadows) == len(pairs) * len(senders)
         assert set(senders) <= set(updates)
         for row, i in enumerate(senders):
             alone = RobotNode.over(copy.deepcopy(nodes[i].state))
-            for team, residual, gain, means, covs in shadows:
-                assert team == senders and gain.shape == (len(senders), 3, 2)
-                assert alone.apply_update(UpdateMessage(i, t, "single", residual, gain[row]))
-                np.testing.assert_array_equal(alone.state.mean[0], means[row])
-                np.testing.assert_array_equal(alone.state.cov[0], covs[row])
+            for robot, residual, gain, (mean, cov, _) in shadows[row::len(senders)]:
+                assert robot == i and len(residual) == 2 and len(gain) == 6
+                frame = UpdateMessage(i, t, "single", np.array(residual), np.reshape(gain, (3, 2)))
+                assert alone.apply_update(frame)
+                np.testing.assert_array_equal(alone.state.mean[0], mean)
+                np.testing.assert_array_equal(alone.state.cov[0], np.reshape(cov, (3, 3)))
             assert nodes[i].apply_update(updates[i])
             if len(pairs) == 1:
                 assert updates[i].kind == "single"
@@ -374,13 +377,13 @@ class TestServerSingleMeasurement:
 
     def test_sick_innovation_skipped_with_event(self):
         rng = np.random.default_rng(80)
-        ids, nodes, server, _ = build_stack(rng, 2)
+        ids, nodes, _, _ = build_stack(rng, 2)
+        server = CooperationServer(ids, np.eye(2) * 1e-12)
         t = nodes[1].time
         msg_a = nodes[1].landmark_message(z=np.zeros(2), landmark=2)
         msg_b = nodes[2].landmark_message()
         object.__setattr__(msg_a, "cov", -np.eye(3))
         object.__setattr__(msg_b, "cov", -np.eye(3))
-        server.meas_noise_cov = np.eye(2) * 1e-12
         updates = server.handle_epoch([msg_a, msg_b], t)
         assert updates == {}
         assert server.events[-1].code == EVENT_NUMERIC_S
@@ -506,6 +509,31 @@ class TestServerSingleMeasurement:
         assert len(sizes_landmark) == 1
 
 
+class TestServerNoiseCovariance:
+    @pytest.mark.parametrize("noise", [
+        [[0.01, 0.005], [0.0, 0.01]],
+        np.eye(3) * 0.01,
+        [0.01, 0.01],
+        [[0.01, 0.0], [0.0, -0.01]],
+        [[0.01, 0.02], [0.02, 0.01]],
+        [[np.nan, 0.0], [0.0, 0.01]],
+        [[np.inf, 0.0], [0.0, 0.01]],
+    ], ids=["asymmetric", "3x3", "vector", "negative-variance", "indefinite", "nan", "inf"])
+    def test_malformed_noise_refused_at_construction(self, noise):
+        with pytest.raises(ValueError, match="measurement noise covariance"):
+            CooperationServer((1, 2), noise)
+
+    @pytest.mark.parametrize("noise", [
+        np.zeros((2, 2)),
+        [[0.01, 0.01], [0.01, 0.01]],
+        [[0.01, -0.004], [-0.004, 0.02]],
+    ], ids=["zero", "singular", "correlated"])
+    def test_sound_noise_kept_as_its_upper_triangle(self, noise):
+        server = CooperationServer((1, 2), noise)
+        assert server.meas_noise == upper_2x2(np.asarray(noise, dtype=float))
+        assert all(type(x) is float for x in server.meas_noise)
+
+
 class TestServerSequentialEpoch:
     def test_concurrent_measurements_match_sequential_joint_filter(self):
         rng = np.random.default_rng(82)
@@ -621,6 +649,50 @@ class TestServerSequentialEpoch:
         recon = server.store.reconstruct(jac_accums(ids, nodes))
         np.testing.assert_allclose(cross_blocks(recon), cross_blocks(belief.cov), atol=EQUIV_TOL)
 
+    def test_two_supports_holding_the_same_missed_pair_keep_its_block(self):
+        # The warm-up correlates robots 5 and 6 with each other and with
+        # both measured pairs, so both supports of the epoch hold the missed
+        # pair (5, 6); robots 7 to 10 stay outside. Its block keeps its
+        # factor bit for bit through both store updates.
+        rng = np.random.default_rng(93)
+        ids, nodes, server, belief = build_stack(
+            rng, 10, warmup_pairs=[(5, 6), (1, 5), (2, 6), (3, 5), (4, 6)]
+        )
+        t = nodes[1].time
+        missed = frozenset({5, 6})
+        z12, z34 = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
+        msgs = [
+            nodes[3].landmark_message(z=z34, landmark=4), nodes[4].landmark_message(),
+            nodes[1].landmark_message(z=z12, landmark=2), nodes[2].landmark_message(),
+        ]
+        before = server.store.factor(5, 6).copy()
+        assert before.any()
+        updates = server.handle_epoch(msgs, t, missed=missed)
+        assert set(updates) == {1, 2, 3, 4, 5, 6}
+        np.testing.assert_array_equal(server.store.factor(5, 6), before)
+        np.testing.assert_array_equal(server.store.factor(6, 5), before.T)
+        for i, msg in updates.items():
+            if i not in missed:
+                nodes[i].apply_update(msg)
+        for a, b, z in ((1, 2, z12), (3, 4, z34)):
+            belief, _ = joint_ekf.partial_update(
+                belief, model.RelativeMeasurement(a, b, z, t), NOISE, missed
+            )
+        assert_matches_belief(ids, nodes, belief)
+        recon = server.store.reconstruct(jac_accums(ids, nodes))
+        np.testing.assert_allclose(cross_blocks(recon), cross_blocks(belief.cov), atol=EQUIV_TOL)
+
+    def test_unknown_missed_robot_raises_before_any_block_changes(self):
+        rng = np.random.default_rng(94)
+        ids, nodes, server, _ = build_stack(rng, 4, warmup_pairs=[(1, 2), (2, 3)])
+        t = nodes[1].time
+        msgs = [nodes[1].landmark_message(z=np.zeros(2), landmark=2), nodes[2].landmark_message()]
+        before = server.store.blocks.copy()
+        with pytest.raises(KeyError):
+            server.handle_epoch(msgs, t, missed=frozenset({3, 99}))
+        np.testing.assert_array_equal(server.store.blocks, before)
+        assert server.events == []
+
     def test_store_rows_of_missed_robot_still_updated(self):
         rng = np.random.default_rng(85)
         ids, nodes, server, belief = build_stack(rng, 4, warmup_pairs=[(3, 4), (1, 4)])
@@ -700,7 +772,9 @@ class TestServerScratchGate:
         server.store.blocks[1, :, 0, :] = planted.T
         z12, z34 = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
         # The innovation alone passes its check.
-        split_ekf.innovation(rows, 1, 2, server.store.factor(1, 2), z12, NOISE)
+        split_ekf.innovation(
+            float_rows(rows), 1, 2, server.store.factor(1, 2), z12, upper_2x2(NOISE)
+        )
 
         sound = CooperationServer(ids, NOISE)
         sound.store = server.store.copy()
