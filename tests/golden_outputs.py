@@ -19,6 +19,11 @@ entry holds the sha256 of the bytes below and a few float summaries:
     ``none``, and ``True``/``False`` for ``flagged``; then each event's
     line and a newline, in the record's order. Summary: per estimator, the
     final position error, root mean square over the robots.
+``frames <scenario> seed=<s>``
+    Every frame that ``LandmarkMessage.encode`` and ``UpdateMessage.encode``
+    return during that same ``run_once`` call, in call order. The two
+    methods are wrapped here for the call and restored after it. Summary:
+    the number of frames.
 ``verify exact|dropout <scenario> seed=<s>``
     ``repr`` of ``check_exact_equivalence(sc, seed)`` or
     ``check_dropout_equivalence(sc, seed)``. Summary: the report's four max
@@ -53,6 +58,7 @@ import numpy as np
 
 from splitcl import cli
 from splitcl.harness import ALL_ESTIMATORS, run_monte_carlo, run_once
+from splitcl.messages import LandmarkMessage, UpdateMessage
 from splitcl.scenario import build_table1_scenario, random_scenario
 from splitcl.verify import check_dropout_equivalence, check_exact_equivalence
 
@@ -93,15 +99,39 @@ def _final_rms(errors: np.ndarray) -> float:
     return math.sqrt(float(np.mean(errors[:, -1] ** 2)))
 
 
-def _run_once_entry(sc, seed: int) -> dict:
-    rec = run_once(sc, ALL_ESTIMATORS, seed)
+@contextlib.contextmanager
+def _recorded_frames():
+    """The list of every frame the two encoders return while the block runs."""
+    frames = []
+    originals = {codec: codec.encode for codec in (LandmarkMessage, UpdateMessage)}
+
+    def recording(encode):
+        def wrapper(msg):
+            frames.append(encode(msg))
+            return frames[-1]
+        return wrapper
+
+    try:
+        for codec, encode in originals.items():
+            codec.encode = recording(encode)
+        yield frames
+    finally:
+        for codec, encode in originals.items():
+            codec.encode = encode
+
+
+def _run_once_entries(sc, seed: int) -> tuple[dict, dict]:
+    """The ``run_once`` entry and the ``frames`` entry of one run."""
+    with _recorded_frames() as frames:
+        rec = run_once(sc, ALL_ESTIMATORS, seed)
     chunks = []
     for name in sorted(rec.estimates):
         cov = rec.covs[name]
         chunks += [name, rec.estimates[name].tobytes(),
                    "none" if cov is None else cov.tobytes(), str(rec.flagged[name])]
     chunks += [ev.as_line() + "\n" for ev in rec.events]
-    return _entry(chunks, {name: _final_rms(rec.position_error(name)) for name in sorted(rec.estimates)})
+    run = _entry(chunks, {name: _final_rms(rec.position_error(name)) for name in sorted(rec.estimates)})
+    return run, _entry(frames, {"frames": len(frames)})
 
 
 def _verify_entry(report) -> dict:
@@ -139,7 +169,9 @@ def compute() -> dict[str, dict]:
     for label, build in SCENARIOS.items():
         sc = build()
         for seed in SEEDS:
-            entries[f"run_once {label} seed={seed}"] = _run_once_entry(sc, seed)
+            run, frames = _run_once_entries(sc, seed)
+            entries[f"run_once {label} seed={seed}"] = run
+            entries[f"frames {label} seed={seed}"] = frames
             entries[f"verify exact {label} seed={seed}"] = _verify_entry(check_exact_equivalence(sc, seed))
             entries[f"verify dropout {label} seed={seed}"] = _verify_entry(check_dropout_equivalence(sc, seed))
     entries["run_monte_carlo table1 n_runs=3 seed=4"] = _monte_carlo_entry()
