@@ -36,11 +36,12 @@ filtering estimators differ only in the channel they read, one
 :class:`network.DeliveryReport` per epoch: that of the scenario without
 its dropouts (perfect links, :func:`scenario.strip_dropouts`) or the
 dropout run's. Only at a measurement epoch does a
-robot act on its own, in its lane alone, as a :class:`RobotNode` over its
-rows of the segment's end (see :func:`split_ekf.propagate_team`): the
-node of a measured robot builds its landmark frame, and that of a robot
-the server sends an update message (one correlated with a measured robot)
-applies it, in place. The per-robot arithmetic is the same for a robot
+robot act on its own, in its lane alone, as a :class:`RobotNode`, a view
+of its row of the segment's end (see :func:`split_ekf.propagate_team`):
+the node of a measured robot builds its landmark frame from the row's
+floats, and that of a robot the server sends an update message (one
+correlated with a measured robot) applies the decoded frame's floats to
+the row, in place. The per-robot arithmetic is the same for a robot
 stepped alone through :meth:`RobotNode.step`, as a team of one, so every
 estimator's record is bit for bit its record in a run on its own.
 
@@ -400,13 +401,12 @@ def _run_split_epoch(
     """One measurement epoch over the lossy channel, wire encoding included.
 
     Each robot of an accepted measurement, and each robot sent an update
-    frame, acts through a :class:`RobotNode` over its rows of ``team``, the
+    frame, acts through a :class:`RobotNode` over its row of ``team``, the
     segment's end: the node builds the robot's landmark frame and applies
     its update frame in place, where a single frame ``(r, D)`` becomes its
-    pair ``(D r, D D')``. A rejected correction leaves the robot's rows as
-    they were, since :func:`split_ekf.apply_update` checks every row before
-    it writes any. What the epoch and the server log goes to ``events``, in
-    that order.
+    pair ``(D r, D D')``. A rejected correction leaves the robot's row as
+    it was, since :func:`split_ekf.apply_update` checks it before writing.
+    What the epoch and the server log goes to ``events``, in that order.
     """
     k = report.time
     accepted = []
@@ -424,17 +424,18 @@ def _run_split_epoch(
     landmark_only = {m.landmark for m in accepted} - {m.observer for m in accepted}
     senders = [(m.observer, m.landmark, m.z) for m in accepted]
     senders += [(i, None, None) for i in sorted(landmark_only)]
-    frames = [RobotNode.over(team.robot(i)).landmark_message(z, b) for i, b, z in senders]
-    msgs = [LandmarkMessage.decode(frame.encode()) for frame in frames]
+    msgs = [
+        LandmarkMessage.decode(RobotNode.over(team, i).landmark_message(z, b).encode())
+        for i, b, z in senders
+    ]
     updates = server.handle_epoch(msgs, k, missed=report.missed)
     events.extend(server.events)
     server.events.clear()
     for i, msg in updates.items():
         if i not in report.delivered:
             continue
-        node = RobotNode.over(team.robot(i))
         try:
-            node.apply_update(UpdateMessage.decode(msg.encode()))
+            RobotNode.over(team, i).apply_update(UpdateMessage.decode(msg.encode()))
         except NumericalError as exc:
             # Keep the propagated state; an invalid correction is dropped
             # just like a lost message, but with its own reason code.

@@ -25,15 +25,20 @@ The two symmetric 3x3 payloads, a landmark frame's ``cov`` and a summed
 frame's outer product, go on the wire as their upper triangle in row-major
 order ``(00, 01, 02, 11, 12, 22)``; the lower triangle of a payload handed
 to the encoder is not sent, and the decoder mirrors the six entries back
-into a symmetric 3x3. Their receivers read only the upper triangle. The
-3x2 update factor is sent whole, row-major. ``jac_accum`` is the
-translation of the sender's accumulated Jacobian, a shear (see
-:mod:`split_ekf`). Every measurement is relative, robot to robot, so a
-landmark frame has one of two roles: a landmark-role message carries no
-measurement (``z is None``, zero ``z`` bytes) and names no landmark; an
-observer's message carries ``z`` and the landmark id. Decoding refuses a
-frame that would not encode back to its own bytes, and one that fits
-neither role.
+into nine. Their receivers read only the upper triangle. The 3x2 update
+factor is sent whole, row-major. ``jac_accum`` is the translation of the
+sender's accumulated Jacobian, a shear (see :mod:`split_ekf`). Every
+measurement is relative, robot to robot, so a landmark frame has one of two
+roles: a landmark-role message carries no measurement (``z is None``, zero
+``z`` bytes) and names no landmark; an observer's message carries ``z`` and
+the landmark id. Decoding refuses a frame that would not encode back to its
+own bytes, and one that fits neither role.
+
+A message holds each payload as the tuple of its floats, row-major (a 3x3
+as nine), the layout :func:`split_ekf.correct_row` and the server's
+:data:`split_ekf.Row` read: a decoded frame's payloads are the floats the
+kernels take, sliced from the unpacked frame. A constructor also takes an
+array of a payload's documented shape and turns it into floats once.
 """
 
 from __future__ import annotations
@@ -52,11 +57,12 @@ _FRAMES = {
     _UPDATE_KINDS["single"]: struct.Struct("<4sBII8d"),
     _UPDATE_KINDS["summed"]: struct.Struct("<4sBII9d"),
 }
-_LANDMARK_SHAPES = {"mean": (3,), "cov": (3, 3), "jac_accum": (2,)}
-_OBSERVER_SHAPES = {**_LANDMARK_SHAPES, "z": (2,)}
-_UPDATE_SHAPES = {
-    "single": {"residual_payload": (2,), "gain_payload": (3, 2)},
-    "summed": {"residual_payload": (3,), "gain_payload": (3, 3)},
+# Each payload's name, array shape and number of floats.
+_LANDMARK_PAYLOADS = (("mean", (3,), 3), ("cov", (3, 3), 9), ("jac_accum", (2,), 2))
+_OBSERVER_PAYLOADS = (*_LANDMARK_PAYLOADS, ("z", (2,), 2))
+_UPDATE_PAYLOADS = {
+    "single": (("residual_payload", (2,), 2), ("gain_payload", (3, 2), 6)),
+    "summed": (("residual_payload", (3,), 3), ("gain_payload", (3, 3), 9)),
 }
 
 
@@ -64,48 +70,49 @@ class ProtocolError(ValueError):
     """Malformed message or payload."""
 
 
-def _check_shapes(msg, shapes: dict[str, tuple[int, ...]]) -> None:
-    """Every payload named in ``shapes`` has its shape there. Runs on every
-    construction, so an array's ``shape`` is read directly."""
-    for name, want in shapes.items():
+def _take_payloads(msg, payloads: tuple) -> None:
+    """Hold each ``(name, shape, length)`` payload of ``msg`` as the tuple
+    of its ``length`` floats: such a tuple as it is, an array of ``shape``
+    turned into its floats, any other form refused. Runs on every
+    construction."""
+    for name, shape, length in payloads:
         value = getattr(msg, name)
-        got = value.shape if type(value) is np.ndarray else np.shape(value)
-        if got != want:
-            raise ProtocolError(f"{name} must have shape {want}, got {got}")
+        if type(value) is tuple and len(value) == length:
+            continue
+        if isinstance(value, np.ndarray) and value.shape == shape:
+            setattr(msg, name, tuple(value.ravel().tolist()))
+            continue
+        got = value.shape if isinstance(value, np.ndarray) else type(value).__name__
+        raise ProtocolError(
+            f"{name} must be an array of shape {shape} or a tuple of {length} floats, got {got}"
+        )
 
 
-def _floats(payload) -> list[float]:
-    """A payload's entries in row-major order."""
-    if type(payload) is not np.ndarray:
-        payload = np.asarray(payload, dtype=float)
-    return payload.ravel().tolist()
+def _upper(m: tuple) -> tuple:
+    """The six floats sent for the nine of a symmetric 3x3, its upper triangle."""
+    m00, m01, m02, _, m11, m12, _, _, m22 = m
+    return m00, m01, m02, m11, m12, m22
 
 
-def _upper(payload) -> list[float]:
-    """A symmetric 3x3 payload's upper triangle in row-major order, the six
-    floats it is sent as; its lower triangle is not read."""
-    p00, p01, p02, _, p11, p12, _, _, p22 = _floats(payload)
-    return [p00, p01, p02, p11, p12, p22]
+def _mirrored(u: tuple) -> tuple:
+    """The nine floats of the symmetric 3x3 whose upper triangle is ``u``."""
+    u00, u01, u02, u11, u12, u22 = u
+    return u00, u01, u02, u01, u11, u12, u02, u12, u22
 
 
-# The position in the sent upper triangle of each entry of a row-major 3x3.
-_MIRROR = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])
-
-
-def _mirrored(upper: np.ndarray) -> np.ndarray:
-    """The symmetric 3x3 whose upper triangle is the six floats ``upper``."""
-    return upper[_MIRROR].reshape(3, 3)
-
-
-def _pack(kind: int, ints: tuple, floats: list[float]) -> bytes:
+def _pack(kind: int, ids: dict[str, int], floats: tuple) -> bytes:
     """One frame; a non-integer id raises ``TypeError``, one outside u32
-    ``OverflowError``."""
+    ``OverflowError``, each naming its field."""
     try:
-        return _FRAMES[kind].pack(FORMAT_TAG, kind, *ints, *floats)
+        return _FRAMES[kind].pack(FORMAT_TAG, kind, *ids.values(), *floats)
     except struct.error:
-        for value in ints:
-            if not 0 <= operator.index(value) < 2 ** 32:
-                raise OverflowError(f"id {value} does not fit in u32") from None
+        for name, value in ids.items():
+            try:
+                fits = 0 <= operator.index(value) < 2 ** 32
+            except TypeError:
+                raise TypeError(f"{name} {value} is not an integer") from None
+            if not fits:
+                raise OverflowError(f"{name} {value} does not fit in u32") from None
         raise
 
 
@@ -122,14 +129,14 @@ def _unpack(raw: bytes, *kinds: int) -> tuple:
     return frame.unpack(raw)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class LandmarkMessage:
     """A robot's contribution to one measurement epoch.
 
     Every involved robot reports its predicted estimate, own covariance and
     accumulated Jacobian; the observer additionally reports the measurement
-    value ``z`` and which robot it observed, the ``landmark``. Shapes are
-    checked at construction, and so is the role: ``z`` and ``landmark``
+    value ``z`` and which robot it observed, the ``landmark``. Payload forms
+    are checked at construction, and so is the role: ``z`` and ``landmark``
     come together or not at all, and the landmark is neither the sender
     nor robot 0, which encodes as none. ``cov`` is symmetric: only its
     upper triangle is encoded, so its lower triangle is not part of the
@@ -138,14 +145,14 @@ class LandmarkMessage:
 
     sender: int
     time: int
-    mean: np.ndarray
-    cov: np.ndarray
-    jac_accum: np.ndarray
+    mean: tuple
+    cov: tuple
+    jac_accum: tuple
     landmark: int | None = None
-    z: np.ndarray | None = None
+    z: tuple | None = None
 
     def __post_init__(self) -> None:
-        _check_shapes(self, _LANDMARK_SHAPES if self.z is None else _OBSERVER_SHAPES)
+        _take_payloads(self, _LANDMARK_PAYLOADS if self.z is None else _OBSERVER_PAYLOADS)
         if self.z is None and self.landmark is not None:
             raise ProtocolError(
                 f"robot {self.sender} names landmark {self.landmark} without a measurement"
@@ -158,29 +165,27 @@ class LandmarkMessage:
             raise ProtocolError("robot 0 cannot be a landmark: the frame encodes 0 as none")
 
     def encode(self) -> bytes:
-        has_z = self.z is not None
-        floats = [
-            *(_floats(self.z) if has_z else (0.0, 0.0)),
-            *_floats(self.mean), *_upper(self.cov), *_floats(self.jac_accum),
-        ]
-        return _pack(_KIND_LANDMARK, (self.sender, self.time, self.landmark or 0, has_z), floats)
+        ids = {"sender": self.sender, "time": self.time, "landmark": self.landmark or 0,
+               "has_z": self.z is not None}
+        floats = (*(self.z or (0.0, 0.0)), *self.mean, *_upper(self.cov), *self.jac_accum)
+        return _pack(_KIND_LANDMARK, ids, floats)
 
     @classmethod
     def decode(cls, raw: bytes) -> "LandmarkMessage":
-        _, _, sender, time, landmark, has_z, *floats = _unpack(raw, _KIND_LANDMARK)
+        fields = _unpack(raw, _KIND_LANDMARK)
+        _, _, sender, time, landmark, has_z = fields[:6]
         if has_z > 1:
             raise ProtocolError(f"has_z byte is {has_z}, not 0 or 1")
         # Without a measurement the z bytes are the zeros encode writes.
         if not has_z and raw[18:34] != bytes(16):
             raise ProtocolError("a frame without a measurement must carry zero z bytes")
-        values = np.array(floats)
         return cls(
-            sender, time, values[2:5], _mirrored(values[5:11]), values[11:],
-            landmark or None, values[:2] if has_z else None,
+            sender, time, fields[8:11], _mirrored(fields[11:17]), fields[17:],
+            landmark or None, fields[6:8] if has_z else None,
         )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class UpdateMessage:
     """Per-robot correction broadcast by the server after an epoch.
 
@@ -199,23 +204,23 @@ class UpdateMessage:
     recipient: int
     time: int
     kind: str
-    residual_payload: np.ndarray
-    gain_payload: np.ndarray
+    residual_payload: tuple
+    gain_payload: tuple
 
     def __post_init__(self) -> None:
-        if self.kind not in _UPDATE_SHAPES:
+        if self.kind not in _UPDATE_PAYLOADS:
             raise ProtocolError(f"unknown update-message kind {self.kind!r}")
-        _check_shapes(self, _UPDATE_SHAPES[self.kind])
+        _take_payloads(self, _UPDATE_PAYLOADS[self.kind])
 
     def encode(self) -> bytes:
-        gain = _upper if self.kind == "summed" else _floats
-        floats = [*_floats(self.residual_payload), *gain(self.gain_payload)]
-        return _pack(_UPDATE_KINDS[self.kind], (self.recipient, self.time), floats)
+        gain = _upper(self.gain_payload) if self.kind == "summed" else self.gain_payload
+        ids = {"recipient": self.recipient, "time": self.time}
+        return _pack(_UPDATE_KINDS[self.kind], ids, (*self.residual_payload, *gain))
 
     @classmethod
     def decode(cls, raw: bytes) -> "UpdateMessage":
-        _, byte, recipient, time, *floats = _unpack(raw, *_UPDATE_KINDS.values())
-        values = np.array(floats)
+        fields = _unpack(raw, *_UPDATE_KINDS.values())
+        _, byte, recipient, time = fields[:4]
         if byte == _UPDATE_KINDS["single"]:
-            return cls(recipient, time, "single", values[:2], values[2:].reshape(3, 2))
-        return cls(recipient, time, "summed", values[:3], _mirrored(values[3:]))
+            return cls(recipient, time, "single", fields[4:6], fields[6:])
+        return cls(recipient, time, "summed", fields[4:7], _mirrored(fields[7:]))

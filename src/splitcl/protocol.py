@@ -16,15 +16,16 @@ The summed payloads of a multi-measurement epoch are formed once, at the
 end, over the recipients' rows only.
 Robots that receive the message apply it; robots that miss it simply keep
 their propagated estimate, and the server skips the store blocks between
-pairs of missed robots. A message checks its payload shapes when it is
+pairs of missed robots. A message checks its payload forms when it is
 constructed, a decoded one included (:mod:`messages`), so the server and
 the robots do not check them again.
 
 Multiple measurements in the same epoch are processed one at a time in a
 fixed order (ascending ``(observer, landmark)``).
 The server keeps shadow copies of the reporting robots' states as floats,
-one :data:`split_ekf.Row` per sender read from its decoded frame, so later
-measurements in the epoch are linearized against already-corrected values.
+one :data:`split_ekf.Row` per sender, its decoded frame's payloads as they
+are, so later measurements in the epoch are linearized against
+already-corrected values.
 Each processed measurement corrects every shadow with
 :func:`split_ekf.correct_row`, the row kernel through which each robot
 corrects itself, given the measurement's single frame ``(r, D)``: the
@@ -67,36 +68,36 @@ class ProtocolEvent:
 class RobotNode:
     """A robot's local protocol unit: report to the server, apply corrections.
 
-    Holds its state as a :class:`split_ekf.SplitTeamState` of one row (pose
-    estimate, 3x3 covariance, the accumulated Jacobian's 2-vector shear),
-    independent of the team size. A correction changes the state's mean and
-    covariance in place. The simulator advances the whole team, each split
-    filter's copy a lane of one :class:`split_ekf.SplitTeamState`, a segment
-    between two epochs per kernel call. At an epoch a robot's part, sending
-    and applying, goes through a node over its view of its lane at the
-    segment's end (:meth:`over`): the node builds its landmark frame and
-    applies its :class:`UpdateMessage` there, in place. Only robots whose
-    update factor is non-zero receive a message; for the others the
+    A node is a view of the ``robot``'s row of the
+    :class:`split_ekf.SplitTeamState` ``team`` (pose estimate, 3x3
+    covariance, the accumulated Jacobian's 2-vector shear), O(1) in the
+    team size; a node built on its own holds a team of one. The simulator
+    advances each split filter's team as a lane of one stack. At an epoch
+    a robot's part goes through a node over its lane (:meth:`over`): the
+    node builds its landmark frame from its row's floats and applies its
+    :class:`UpdateMessage`'s floats to that row, in place. Only robots
+    whose update factor is non-zero receive a message; for the others the
     correction would be an exact no-op. :meth:`step` is the same
     propagation for a node on its own, as a team of one.
     """
 
-    __slots__ = ("state",)
+    __slots__ = ("robot", "team")
 
     def __init__(self, robot_id: int, mean: np.ndarray, cov: np.ndarray):
-        self.state = SplitTeamState.initialize((robot_id,), mean, cov)
+        self.robot = robot_id
+        self.team = SplitTeamState.initialize((robot_id,), mean, cov)
 
     @classmethod
-    def over(cls, state: SplitTeamState) -> "RobotNode":
-        """A node holding the one-row ``state`` as it is, e.g. a robot's
-        view of a team state (:meth:`split_ekf.SplitTeamState.robot`)."""
+    def over(cls, team: SplitTeamState, robot_id: int) -> "RobotNode":
+        """A node over robot ``robot_id``'s row of ``team``: its corrections
+        write that row and no other."""
         node = cls.__new__(cls)
-        node.state = state
+        node.robot, node.team = robot_id, team
         return node
 
     @property
     def time(self) -> int:
-        return self.state.time
+        return self.team.time
 
     def step(
         self, controls: np.ndarray, noise_diags: np.ndarray, dt: float
@@ -106,35 +107,34 @@ class RobotNode:
         ``controls`` are the ``(L, 2)`` measured velocities and
         ``noise_diags`` the ``(L, 2)`` process-noise diagonals
         ``[q_v, q_omega]`` of the steps (``L = 1`` for a single step). The
-        node's state is a team of one for :func:`split_ekf.propagate_team`,
-        so it gets exactly its row's arithmetic in a team, the closed-form
+        node's row is a team of one for :func:`split_ekf.propagate_team`,
+        so it gets exactly its arithmetic in a team, the closed-form
         covariances of the whole stretch included. Returns its row of the
-        segment's block; the node keeps the call's ``end`` as its state,
-        which its corrections change.
+        segment's block. The node then holds the call's ``end``, a team of
+        one, which its corrections change; the team it was over is left as
+        it is.
         """
-        (means, covs, accs), self.state = split_ekf.propagate_team(
-            self.state, np.asarray(controls)[None], np.asarray(noise_diags)[None], dt
+        t, rid = self.team, self.robot
+        rows = slice(t.index[rid], t.index[rid] + 1)
+        alone = SplitTeamState((rid,), {rid: 0}, t.mean[rows], t.cov[rows], t.jac_accum[rows], t.time)
+        (means, covs, accs), self.team = split_ekf.propagate_team(
+            alone, np.asarray(controls)[None], np.asarray(noise_diags)[None], dt
         )
         return means[0], covs[:, 0], accs[0]
 
     def landmark_message(
         self, z: np.ndarray | None = None, landmark: int | None = None
     ) -> LandmarkMessage:
-        """Snapshot the local state for the server, as copies that a later
-        correction of the robot leaves as they are.
+        """Snapshot the node's row for the server, as floats.
 
         Called with ``z`` and ``landmark`` when this robot observed, without
         arguments when it was observed.
         """
-        s = self.state
+        t = self.team
+        a = t.index[self.robot]
         return LandmarkMessage(
-            sender=s.team[0],
-            time=s.time,
-            mean=s.mean[0].copy(),
-            cov=s.cov[0].copy(),
-            jac_accum=s.jac_accum[0].copy(),
-            landmark=landmark,
-            z=None if z is None else np.asarray(z, dtype=float).copy(),
+            self.robot, t.time, tuple(t.mean[a].tolist()), tuple(t.cov[a].ravel().tolist()),
+            tuple(t.jac_accum[a].tolist()), landmark, z,
         )
 
     def apply_update(self, msg: UpdateMessage) -> bool:
@@ -142,19 +142,18 @@ class RobotNode:
 
         A message for a past timestep is discarded (the robot behaves as if
         it had missed the epoch); delayed-measurement replay is out of scope.
-        The payloads go to :func:`split_ekf.apply_update` as they are, which
-        corrects the state in place; a single frame ``(r, D)`` becomes its
-        pair ``(D r, D D')`` there, exactly as on the server's shadow of this
-        robot. Raises :class:`NumericalError`, keeping the state as it is,
-        for a payload with a non-finite entry and for a correction that
-        fails its check.
+        The payload floats go to :func:`split_ekf.apply_update` as they are,
+        which corrects the node's row in place with
+        :func:`split_ekf.correct_row`, the kernel the server's shadow of
+        this robot runs on the same single frame ``(r, D)``. Raises
+        :class:`NumericalError`, keeping the row as it is, for a payload
+        with a non-finite entry and for a correction that fails its check.
         """
-        (robot_id,) = self.state.team
-        if msg.recipient != robot_id:
-            raise ProtocolError(f"robot {robot_id} received update for {msg.recipient}")
-        if msg.time != self.state.time:
+        if msg.recipient != self.robot:
+            raise ProtocolError(f"robot {self.robot} received update for {msg.recipient}")
+        if msg.time != self.team.time:
             return False
-        split_ekf.apply_update(self.state, msg.residual_payload, msg.gain_payload)
+        split_ekf.apply_update(self.team, self.robot, msg.residual_payload, msg.gain_payload)
         return True
 
 
@@ -252,10 +251,7 @@ class CooperationServer:
         # Shadow copies of the senders' states as floats, in the order of
         # their first messages. Every processed measurement corrects all of
         # them, so later ones are linearized at corrected values.
-        shadows = {
-            rid: (msg.mean.tolist(), msg.cov.ravel().tolist(), msg.jac_accum.tolist())
-            for rid, msg in snapshots.items()
-        }
+        shadows = {rid: (msg.mean, msg.cov, msg.jac_accum) for rid, msg in snapshots.items()}
         sender_pos = np.array([self.store.index[rid] for rid in shadows])
         frozen = self.store.mask(missed) if missed else None
 
@@ -295,9 +291,10 @@ class CooperationServer:
         if not singles:
             return {}
         positions = touched.nonzero()[0]
+        k = len(positions)
         if len(singles) == 1:
             ((white_residual, factors),) = singles
-            kind, vecs, mats = "single", [white_residual] * len(positions), factors[positions]
+            kind, vecs, mats = "single", [white_residual.tolist()] * k, factors[positions]
         else:
             # Each recipient's corrections summed over the epoch's
             # measurements, as one product: with the measurements' factors
@@ -308,10 +305,9 @@ class CooperationServer:
                 np.concatenate([factors[positions] for _, factors in singles], axis=2),
                 np.concatenate([white_residual for white_residual, _ in singles]),
             )
+            vecs = vecs.tolist()
         recipients = [self.store.team[pos] for pos in positions]
         return {
-            i: UpdateMessage(
-                recipient=i, time=time, kind=kind, residual_payload=vec, gain_payload=mat
-            )
-            for i, vec, mat in zip(recipients, vecs, mats)
+            i: UpdateMessage(i, time, kind, tuple(vec), tuple(mat))
+            for i, vec, mat in zip(recipients, vecs, mats.reshape(k, -1).tolist())
         }

@@ -32,15 +32,15 @@ pair ``(v, M)``: ``(D_i r, D_i D_i')`` for one measurement with whitened
 residual ``r``, or the sum of those over an epoch (:func:`correction`).
 :func:`correct_row` applies a frame to one robot's floats: ``A_i v`` is
 added to the mean and ``A_i M A_i'`` subtracted from the covariance. It is
-the one copy of that arithmetic. A robot corrects itself through
-:func:`apply_update`, which reads its rows once, corrects each with
-:func:`correct_row` and writes them once; the server corrects its float
-shadows of the robots with :func:`correct_row` directly, so a shadow has
-its robot's bits by construction. The server folds the same factors into
-the store as the masked rank-2 update ``C <- C - D D'``, in which the
-blocks between two robots that both missed the update are masked out:
-they keep their old factor, which is exactly what the centralized filter
-does to the corresponding cross block. Only the measurement's *support* can
+the one copy of that arithmetic, on a decoded frame's payload floats. A
+robot corrects its row through :func:`apply_update`, which reads the row's
+floats, corrects them with :func:`correct_row` and writes them back once;
+the server corrects its float shadows of the robots with :func:`correct_row`
+directly, so a shadow has its robot's bits by construction. The server
+folds the same factors into the store as the masked rank-2 update
+``C <- C - D D'``, in which the blocks between two robots that both missed
+the update are masked out: they keep their old factor, which is exactly
+what the centralized filter does to the corresponding cross block. Only the measurement's *support* can
 change: the robots whose row ``D_i`` is non-zero, i.e. the measured robots
 and those correlated with them. The store forms the product over the
 support rows and updates just the block pairs within the support, so a
@@ -114,16 +114,6 @@ class SplitTeamState:
             mean=np.array(means, dtype=float).reshape(n, 3),
             cov=team_covs(cov, n),
             jac_accum=np.zeros((n, 2)),
-        )
-
-    def robot(self, robot_id: int) -> "SplitTeamState":
-        """Robot ``robot_id`` as a team of one whose arrays are views of its
-        rows: a correction of the view writes those rows and no other."""
-        a = self.index[robot_id]
-        rows = slice(a, a + 1)
-        return SplitTeamState(
-            (robot_id,), {robot_id: 0},
-            self.mean[rows], self.cov[rows], self.jac_accum[rows], self.time,
         )
 
 
@@ -262,14 +252,15 @@ def innovation(
     observer: int,
     landmark: int,
     cross_factor: np.ndarray,
-    z: np.ndarray,
+    z: Sequence[float],
     noise: tuple[float, float, float],
 ) -> WhitenedInnovation:
     """Innovation of the relative measurement of ``landmark`` by ``observer``.
 
     The two measured robots' states are read from ``rows``, robot id to
-    :data:`Row`, as the server holds its shadows; ``noise`` is the upper
-    triangle ``(00, 01, 11)`` of the measurement-noise covariance.
+    :data:`Row`, as the server holds its shadows; ``z`` is two floats or
+    their array; ``noise`` is the upper triangle ``(00, 01, 11)`` of the
+    measurement-noise covariance.
     ``cross_factor`` is the server's ``C_ab`` block oriented (observer,
     landmark); the observer-landmark cross covariance is reconstructed from
     it, so the result matches the centralized filter's innovation
@@ -284,7 +275,7 @@ def innovation(
     heading, say).
     """
     n00, n01, n11 = noise
-    z0, z1 = np.asarray(z, dtype=float).tolist()
+    z0, z1 = map(float, z)
     (x, y, heading), cov, jac_accum = rows[observer]
     (xb, yb, _), cov_b, jac_accum_b = rows[landmark]
     try:
@@ -492,27 +483,21 @@ def correct_row(
     return (x + s0, y + s1, h + v2), (c00, c01, c02, c01, c11, c12, c02, c12, c22), jac_accum
 
 
-def apply_update(rows: SplitTeamState, residual: np.ndarray, gain: np.ndarray) -> None:
-    """Correct every row of ``rows`` in place with :func:`correct_row`.
+def apply_update(
+    team: SplitTeamState, robot: int, residual: Sequence[float], gain: Sequence[float]
+) -> None:
+    """Correct robot ``robot``'s row of ``team`` in place with :func:`correct_row`.
 
-    ``residual`` and ``gain`` are a frame's payloads: a summed frame's pair
-    ``(v, M)`` per row, or a single frame's ``(r, D)``, one residual for all
-    rows and a 3x2 factor per row. The rows are read once and written once,
-    and each row gets the same arithmetic alone or stacked. Every row is
-    corrected before any is written, so when :class:`NumericalError` names
-    the first failing robot, no row has changed.
+    ``residual`` and ``gain`` are a frame's payload floats, as a decoded
+    :class:`messages.UpdateMessage` holds them: a summed frame's pair
+    ``(v, M)`` or a single frame's ``(r, D)``. The row is read once and
+    written once, after it passed every check, so when
+    :class:`NumericalError` names the robot, the row has not changed.
     """
-    single = gain.shape[-1] == 2
-    gains = gain.reshape(-1, 6 if single else 9).tolist()
-    vecs = [residual.tolist()] * len(gains) if single else residual.reshape(-1, 3).tolist()
-    entries = zip(
-        rows.team,
-        rows.mean.tolist(),
-        rows.cov.reshape(-1, 9).tolist(),
-        rows.jac_accum.tolist(),
-        vecs,
-        gains,
+    a = team.index[robot]
+    mean, cov, _ = correct_row(
+        robot, team.mean[a].tolist(), team.cov[a].ravel().tolist(), team.jac_accum[a].tolist(),
+        residual, gain,
     )
-    corrected = [correct_row(*entry) for entry in entries]
-    rows.mean.flat = [x for mean, _, _ in corrected for x in mean]
-    rows.cov.flat = [x for _, cov, _ in corrected for x in cov]
+    team.mean[a] = mean
+    team.cov[a].ravel()[:] = cov

@@ -186,7 +186,7 @@ def _run_side_by_side(
         # One robot per segment, in turn, also steps the segment alone from its
         # rows of the team at its start; the team must match it at every step.
         a = s % n
-        alone = RobotNode.over(start.robot(ids[a])).step(
+        alone = RobotNode.over(start, ids[a]).step(
             real.controls_meas[a, k0:k1], real.filter_q[a, k0:k1], sc.dt_s
         )
         lone_exact &= all(map(np.array_equal, alone, (means[a], covs[:, a], accs[a])))

@@ -114,13 +114,30 @@ def upper_2x2(m):
     return m[0, 0].item(), m[0, 1].item(), m[1, 1].item()
 
 
+def robot_row(rows, robot):
+    """Robot ``robot``'s row of the :class:`SplitTeamState` ``rows`` as a
+    team of one, with copies of its arrays."""
+    a = rows.index[robot]
+    return SplitTeamState(
+        (robot,), {robot: 0},
+        *(x[a:a + 1].copy() for x in (rows.mean, rows.cov, rows.jac_accum)), rows.time,
+    )
+
+
+def apply_payloads(state, residual, gain):
+    """The one-row ``state`` after a frame's payloads, given as arrays, are
+    applied as a robot does: their floats, row-major, through
+    :func:`split_ekf.apply_update`; ``state`` is left as it is."""
+    out = copy.deepcopy(state)
+    split_ekf.apply_update(out, out.team[0], np.ravel(residual).tolist(), np.ravel(gain).tolist())
+    return out
+
+
 def apply_frame(state, factor, white_residual):
     """``state`` after a single frame ``(r, D)``, applied as a robot does:
-    the frame's payloads through :func:`split_ekf.apply_update`, which
-    expands the pair ``(D r, D D')`` on floats; ``state`` is left as it is."""
-    out = copy.deepcopy(state)
-    split_ekf.apply_update(out, white_residual, factor)
-    return out
+    :func:`split_ekf.apply_update` expands the pair ``(D r, D D')`` on
+    floats; ``state`` is left as it is."""
+    return apply_payloads(state, white_residual, factor)
 
 
 def gain_form_update(state, factor, white_residual):

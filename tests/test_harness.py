@@ -263,8 +263,7 @@ def test_a_non_finite_frame_is_dropped_with_an_event(monkeypatch):
     def corrupting(msgs, time, missed=frozenset()):
         updates = handle_epoch(msgs, time, missed)
         sent = updates[2]
-        residual = sent.residual_payload.copy()
-        residual[0] = np.nan
+        residual = (np.nan, *sent.residual_payload[1:])
         updates[2] = UpdateMessage(2, sent.time, sent.kind, residual, sent.gain_payload)
         return updates
 

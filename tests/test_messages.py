@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import struct
 
 import numpy as np
@@ -174,9 +175,10 @@ class TestUpdateMessage:
         mirrored = upper + np.triu(upper, 1).T
         summed = UpdateMessage(9, 100, "summed", np.zeros(3), lopsided)
         assert summed.encode() == UpdateMessage(9, 100, "summed", np.zeros(3), mirrored).encode()
-        np.testing.assert_array_equal(UpdateMessage.decode(summed.encode()).gain_payload, mirrored)
+        mirrored_floats = tuple(mirrored.ravel().tolist())
+        assert UpdateMessage.decode(summed.encode()).gain_payload == mirrored_floats
         landmark = dataclasses.replace(sample_landmark(rng), cov=lopsided)
-        np.testing.assert_array_equal(LandmarkMessage.decode(landmark.encode()).cov, mirrored)
+        assert LandmarkMessage.decode(landmark.encode()).cov == mirrored_floats
 
     def test_bad_shapes_rejected(self):
         bad = [
@@ -192,11 +194,11 @@ class TestUpdateMessage:
             with pytest.raises(ProtocolError):
                 UpdateMessage(1, 0, kind, residual, gain)
 
-    def test_right_shaped_list_payloads_round_trip(self):
-        msg = UpdateMessage(4, 3, "single", [0.5, -1.0], [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    def test_float_tuple_payloads_round_trip(self):
+        msg = UpdateMessage(4, 3, "single", (0.5, -1.0), (1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
         back = UpdateMessage.decode(msg.encode())
-        np.testing.assert_array_equal(back.residual_payload, [0.5, -1.0])
-        np.testing.assert_array_equal(back.gain_payload, msg.gain_payload)
+        assert back.residual_payload == (0.5, -1.0)
+        assert back.gain_payload == msg.gain_payload
 
     def test_format_tag_checked(self):
         raw = bytearray(
@@ -243,7 +245,9 @@ def test_frame_lengths_match_the_documented_layout():
 
 
 def upper_triangle(m):
-    """A 3x3's upper triangle, field by field in the order it is sent."""
+    """A 3x3's upper triangle, field by field in the order it is sent; ``m``
+    is an array or its nine floats, row-major."""
+    m = np.reshape(m, (3, 3))
     return [m[0, 0], m[0, 1], m[0, 2], m[1, 1], m[1, 2], m[2, 2]]
 
 
@@ -279,17 +283,124 @@ def test_frames_are_the_documented_bytes():
     (3.7, TypeError),
 ])
 def test_ids_outside_u32_raise_at_encode(bad, error):
+    # The error names the field that does not fit, e.g. "time -1 does not
+    # fit in u32", not every field an id.
     rng = np.random.default_rng(70)
     messages = [
-        UpdateMessage(bad, 0, "single", np.zeros(2), np.zeros((3, 2))),
-        UpdateMessage(1, bad, "summed", np.zeros(3), np.zeros((3, 3))),
-        dataclasses.replace(sample_landmark(rng), sender=bad),
-        dataclasses.replace(sample_landmark(rng), time=bad),
-        dataclasses.replace(sample_landmark(rng), landmark=bad),
+        ("recipient", UpdateMessage(bad, 0, "single", np.zeros(2), np.zeros((3, 2)))),
+        ("time", UpdateMessage(1, bad, "summed", np.zeros(3), np.zeros((3, 3)))),
+        ("sender", dataclasses.replace(sample_landmark(rng), sender=bad)),
+        ("time", dataclasses.replace(sample_landmark(rng), time=bad)),
+        ("landmark", dataclasses.replace(sample_landmark(rng), landmark=bad)),
     ]
-    for msg in messages:
-        with pytest.raises(error):
+    for field, msg in messages:
+        with pytest.raises(error, match=rf"^{field} {re.escape(str(bad))} "):
             msg.encode()
+
+
+def as_floats(payload):
+    """An array payload as the tuple of its floats, row-major."""
+    return tuple(np.ravel(payload).tolist())
+
+
+class TestPayloadForms:
+    """A payload is taken as an array of its documented shape or as a tuple
+    of its documented number of floats; any other form names the field."""
+
+    def test_arrays_and_float_tuples_make_the_same_message(self):
+        rng = np.random.default_rng(76)
+        arrays = sample_landmark(rng)
+        floats = LandmarkMessage(
+            arrays.sender, arrays.time, arrays.mean, arrays.cov, arrays.jac_accum,
+            arrays.landmark, arrays.z,
+        )
+        assert floats.encode() == arrays.encode()
+        for name in ("mean", "cov", "jac_accum", "z"):
+            assert type(getattr(arrays, name)) is tuple
+            assert getattr(floats, name) == getattr(arrays, name)
+        r, g = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, (3, 2))
+        single = UpdateMessage(7, 11, "single", r, g)
+        assert (single.residual_payload, single.gain_payload) == (as_floats(r), as_floats(g))
+        again = UpdateMessage(7, 11, "single", as_floats(r), as_floats(g))
+        assert again.encode() == single.encode()
+        v, m = rng.uniform(-1, 1, 3), symmetric(rng)
+        summed = UpdateMessage(9, 2, "summed", v, m)
+        assert (summed.residual_payload, summed.gain_payload) == (as_floats(v), as_floats(m))
+        assert UpdateMessage(9, 2, "summed", as_floats(v), as_floats(m)).encode() == summed.encode()
+
+    @pytest.mark.parametrize("bad", [
+        pytest.param(lambda v: list(np.ravel(v)), id="list"),
+        pytest.param(lambda v: as_floats(v)[:-1], id="short-tuple"),
+        pytest.param(lambda v: (*as_floats(v), 0.0), id="long-tuple"),
+        pytest.param(lambda v: np.ravel(v)[:-1], id="short-array"),
+        pytest.param(lambda v: np.reshape(v, (1, -1)), id="reshaped-array"),
+        pytest.param(lambda v: tuple(np.atleast_2d(v)), id="tuple-of-rows"),
+        pytest.param(lambda v: 1.0, id="float"),
+        pytest.param(lambda v: None, id="none"),
+    ])
+    @pytest.mark.parametrize("field", ["mean", "cov", "jac_accum", "z"])
+    def test_other_landmark_forms_are_refused_naming_the_field(self, field, bad):
+        msg = sample_landmark(np.random.default_rng(77))
+        value = np.reshape(getattr(msg, field), {"cov": (3, 3)}.get(field, -1))
+        if field == "z" and bad(value) is None:
+            return  # a frame without z is the landmark role
+        with pytest.raises(ProtocolError, match=rf"^{field} must be an array of shape"):
+            dataclasses.replace(msg, **{field: bad(value)})
+
+    @pytest.mark.parametrize("kind, field, shape", [
+        ("single", "residual_payload", (2,)), ("single", "gain_payload", (3, 2)),
+        ("summed", "residual_payload", (3,)), ("summed", "gain_payload", (3, 3)),
+    ])
+    def test_other_update_forms_are_refused_naming_the_field(self, kind, field, shape):
+        sound = {
+            "residual_payload": np.zeros(3 if kind == "summed" else 2),
+            "gain_payload": np.zeros((3, 3) if kind == "summed" else (3, 2)),
+        }
+        value = np.ones(shape)
+        bads = [list(value.ravel()), as_floats(value)[1:], value.ravel()[1:],
+                value.reshape(1, -1), tuple(np.atleast_2d(value)), 0.0, None]
+        if value.T.shape != shape:
+            bads.append(value.T)
+        for bad in bads:
+            with pytest.raises(ProtocolError, match=rf"^{field} must be an array of shape"):
+                UpdateMessage(1, 0, kind, **{**sound, field: bad})
+
+
+# Signed zeros, the smallest and largest subnormals, and quiet and
+# signalling NaNs with payload bits, as raw 64-bit patterns.
+SPECIAL_BITS = [
+    0x8000000000000000, 0x0000000000000001, 0x800FFFFFFFFFFFFF,
+    0x7FF8000000000123, 0xFFF8DEADBEEF0001, 0x7FF0000000000001, 0xFFF4000000000000,
+]
+
+
+def from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+@pytest.mark.parametrize("shift", range(len(SPECIAL_BITS)))
+def test_decoded_frames_reencode_to_their_bytes_with_special_floats(shift):
+    # Each payload slot gets every special pattern in turn: the decoded
+    # frame's floats carry the sent bits, and it encodes to its own bytes.
+    def floats(n):
+        return [from_bits(SPECIAL_BITS[(shift + i) % len(SPECIAL_BITS)]) for i in range(n)]
+
+    frames = [
+        (LandmarkMessage, struct.pack("<4sBIIIB13d", b"SCL3", 1, 3, 42, 5, 1, *floats(13))),
+        (LandmarkMessage, struct.pack("<4sBIIIB13d", b"SCL3", 1, 3, 42, 0, 0, 0.0, 0.0,
+                                      *floats(11))),
+        (UpdateMessage, struct.pack("<4sBII8d", b"SCL3", 2, 7, 11, *floats(8))),
+        (UpdateMessage, struct.pack("<4sBII9d", b"SCL3", 3, 9, 11, *floats(9))),
+    ]
+    for codec, raw in frames:
+        msg = codec.decode(raw)
+        assert msg.encode() == raw
+        if codec is LandmarkMessage:
+            sent = [*(msg.z or (0.0, 0.0)), *msg.mean, *upper_triangle(msg.cov), *msg.jac_accum]
+        else:
+            gain = msg.gain_payload
+            sent = [*msg.residual_payload, *(upper_triangle(gain) if len(gain) == 9 else gain)]
+        assert float_bits(sent) == raw[-8 * len(sent):]
 
 
 # Every 64-bit pattern is a float: signed zeros, subnormals, infinities and
@@ -341,17 +452,19 @@ class TestCodecProperties:
         if codec is LandmarkMessage:
             assert (msg.sender, msg.time, msg.landmark, msg.z is not None) == ids
             z = [0.0, 0.0] if msg.z is None else msg.z
-            assert [np.shape(p) for p in (z, msg.mean, msg.cov, msg.jac_accum)] == [
-                (2,), (3,), (3, 3), (2,)
-            ]
+            # The payloads are the floats the row kernel takes: a 3x3 as
+            # nine, row-major.
+            assert [len(p) for p in (z, msg.mean, msg.cov, msg.jac_accum)] == [2, 3, 9, 2]
             payloads = (z, msg.mean, upper_triangle(msg.cov), msg.jac_accum)
             mirrored = [msg.cov]
         else:
             assert (msg.recipient, msg.time, msg.kind) == ids
             gain, summed = msg.gain_payload, msg.kind == "summed"
+            assert (len(msg.residual_payload), len(gain)) == ((3, 9) if summed else (2, 6))
             payloads = (msg.residual_payload, upper_triangle(gain) if summed else gain)
             mirrored = [gain] if summed else []
         for m in mirrored:
+            m = np.reshape(m, (3, 3))
             assert float_bits(m.ravel()) == float_bits(m.T.ravel())
         assert float_bits(np.concatenate([np.ravel(p) for p in payloads])) == float_bits(floats)
 

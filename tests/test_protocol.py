@@ -60,13 +60,13 @@ def build_stack(rng, n_robots, warmup_steps=20, warmup_pairs=()):
 
 def assert_matches_belief(ids, nodes, belief, tol=EQUIV_TOL):
     for i in ids:
-        np.testing.assert_allclose(nodes[i].state.mean[0], belief.mean[belief.index[i]], atol=tol)
-        np.testing.assert_allclose(nodes[i].state.cov[0], belief.block(i, i), atol=tol)
+        np.testing.assert_allclose(nodes[i].team.mean[0], belief.mean[belief.index[i]], atol=tol)
+        np.testing.assert_allclose(nodes[i].team.cov[0], belief.block(i, i), atol=tol)
 
 
 def jac_accums(ids, nodes):
     """The nodes' accumulated Jacobians ``(N, 2)``, in the order of ``ids``."""
-    return np.concatenate([nodes[i].state.jac_accum for i in ids])
+    return np.concatenate([nodes[i].team.jac_accum for i in ids])
 
 
 class TestRobotNode:
@@ -75,7 +75,7 @@ class TestRobotNode:
         node = RobotNode(1, rng.uniform(-1, 1, 3), np.eye(3) * 0.1)
         controls = rng.uniform(-1, 1, (5, 2))
         q = np.full((5, 2), 0.01)
-        alone = copy.deepcopy(node.state)
+        alone = copy.deepcopy(node.team)
         (means, covs, accs), end = split_ekf.propagate_team(alone, controls[None], q[None], 0.1)
         block = node.step(controls, q, 0.1)
         for got, want in zip(block, (means[0], covs[:, 0], accs[0]), strict=True):
@@ -84,8 +84,8 @@ class TestRobotNode:
         # The node keeps the last step, the team of one's end.
         assert node.time == end.time == 5
         for field, rows in zip(("mean", "cov", "jac_accum"), block):
-            np.testing.assert_array_equal(getattr(node.state, field), rows[-1:])
-            np.testing.assert_array_equal(getattr(node.state, field), getattr(end, field))
+            np.testing.assert_array_equal(getattr(node.team, field), rows[-1:])
+            np.testing.assert_array_equal(getattr(node.team, field), getattr(end, field))
 
     def test_landmark_message_mirrors_state(self):
         rng = np.random.default_rng(71)
@@ -93,9 +93,10 @@ class TestRobotNode:
         node.step(np.array([[0.3, 0.0]]), np.array([[0.01, 0.01]]), 0.1)
         msg = node.landmark_message(z=np.array([1.0, 2.0]), landmark=4)
         assert msg.sender == 2 and msg.time == 1 and msg.landmark == 4
-        np.testing.assert_array_equal(msg.mean, node.state.mean[0])
-        np.testing.assert_array_equal(msg.cov, node.state.cov[0])
-        np.testing.assert_array_equal(msg.jac_accum, node.state.jac_accum[0])
+        # The frame's payloads are the row's floats, the covariance row-major.
+        assert msg.mean == tuple(node.team.mean[0].tolist())
+        assert msg.cov == tuple(node.team.cov[0].ravel().tolist())
+        assert msg.jac_accum == tuple(node.team.jac_accum[0].tolist())
         plain = node.landmark_message()
         assert plain.z is None and plain.landmark is None
 
@@ -104,9 +105,9 @@ class TestRobotNode:
         node = RobotNode(1, rng.uniform(-1, 1, 3), np.eye(3) * 0.1)
         node.step(np.zeros((1, 2)), np.array([[0.01, 0.01]]), 0.1)
         stale = UpdateMessage(1, 0, "single", np.ones(2), np.ones((3, 2)) * 0.01)
-        before = node.state.mean.copy()
+        before = node.team.mean.copy()
         assert node.apply_update(stale) is False
-        np.testing.assert_array_equal(node.state.mean, before)
+        np.testing.assert_array_equal(node.team.mean, before)
 
     def test_wrong_recipient_rejected(self):
         node = RobotNode(1, np.zeros(3), np.eye(3) * 0.1)
@@ -116,25 +117,25 @@ class TestRobotNode:
 
     def test_zero_payload_is_noop(self):
         node = RobotNode(1, np.zeros(3), np.eye(3) * 0.1)
-        before = node.state.mean.copy()
+        before = node.team.mean.copy()
         assert node.apply_update(UpdateMessage(1, 0, "single", np.zeros(2), np.zeros((3, 2))))
         assert node.apply_update(UpdateMessage(1, 0, "summed", np.zeros(3), np.zeros((3, 3))))
-        np.testing.assert_array_equal(node.state.mean, before)
+        np.testing.assert_array_equal(node.team.mean, before)
 
     def test_single_payload_equals_split_update(self):
         rng = np.random.default_rng(73)
         node = RobotNode(1, rng.uniform(-1, 1, 3), np.eye(3) * 0.1)
         factor = rng.standard_normal((3, 2)) * 0.05
         white = rng.standard_normal(2)
-        expected = apply_frame(node.state, factor, white)
+        expected = apply_frame(node.team, factor, white)
         node.apply_update(UpdateMessage(1, 0, "single", white, factor))
-        np.testing.assert_array_equal(node.state.mean, expected.mean)
-        np.testing.assert_array_equal(node.state.cov, expected.cov)
+        np.testing.assert_array_equal(node.team.mean, expected.mean)
+        np.testing.assert_array_equal(node.team.cov, expected.cov)
 
     def test_summed_payload_equals_sequential_application(self):
         rng = np.random.default_rng(74)
         node_summed = RobotNode(1, rng.uniform(-1, 1, 3), np.eye(3) * 0.1)
-        node_seq = RobotNode(1, node_summed.state.mean, node_summed.state.cov)
+        node_seq = RobotNode(1, node_summed.team.mean, node_summed.team.cov)
         parts = [
             (rng.standard_normal((3, 2)) * 0.05, rng.standard_normal(2))
             for _ in range(2)
@@ -144,8 +145,8 @@ class TestRobotNode:
         node_summed.apply_update(UpdateMessage(1, 0, "summed", vec, mat))
         for f, w in parts:
             node_seq.apply_update(UpdateMessage(1, 0, "single", w, f))
-        np.testing.assert_allclose(node_summed.state.mean, node_seq.state.mean, atol=1e-12)
-        np.testing.assert_allclose(node_summed.state.cov, node_seq.state.cov, atol=1e-12)
+        np.testing.assert_allclose(node_summed.team.mean, node_seq.team.mean, atol=1e-12)
+        np.testing.assert_allclose(node_summed.team.cov, node_seq.team.cov, atol=1e-12)
 
     @pytest.mark.parametrize("kind, residual, gain", [
         ("single", np.ones(2), np.ones((3, 2))),
@@ -157,10 +158,11 @@ class TestRobotNode:
         # Each frame removes far more than the robot's 0.1 * I.
         node = RobotNode(1, np.array([0.5, -0.5, 0.1]), np.eye(3) * 0.1)
         msg = UpdateMessage(1, 0, kind, residual, gain)
-        before = node.state
+        before = copy.deepcopy(node.team)
         with pytest.raises(NumericalError, match="covariance indefinite"):
             node.apply_update(msg)
-        assert node.state is before
+        for name in ("mean", "cov", "jac_accum"):
+            np.testing.assert_array_equal(getattr(node.team, name), getattr(before, name))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("kind, payload", [
@@ -180,29 +182,27 @@ class TestRobotNode:
             sound = {"residual_payload": np.ones(2), "gain_payload": np.full((3, 2), 0.01)}
         else:
             sound = {"residual_payload": np.ones(3), "gain_payload": np.eye(3) * 1e-3}
-        before = node.state
-        saved = copy.deepcopy(before)
+        saved = copy.deepcopy(node.team)
         for pos in np.ndindex(sound[payload].shape):
             payloads = {k: v.copy() for k, v in sound.items()}
             payloads[payload][pos] = value
             decoded = UpdateMessage.decode(UpdateMessage(1, node.time, kind, **payloads).encode())
             if kind == "summed" and payload == "gain_payload" and pos[0] > pos[1]:
-                np.testing.assert_array_equal(decoded.gain_payload, sound["gain_payload"])
+                assert decoded.gain_payload == tuple(sound["gain_payload"].ravel().tolist())
                 continue
             with pytest.raises(NumericalError, match="robot 1"):
                 node.apply_update(decoded)
-            assert node.state is before
             for name in ("mean", "cov", "jac_accum"):
-                np.testing.assert_array_equal(getattr(node.state, name), getattr(saved, name))
+                np.testing.assert_array_equal(getattr(node.team, name), getattr(saved, name))
         assert node.apply_update(UpdateMessage(1, node.time, kind, **sound))
 
     @pytest.mark.parametrize("kind", ["single", "summed"])
     def test_correction_over_a_team_row_writes_that_row_only(self, kind):
-        # The in-place epoch corrects a robot through a node over its view of
-        # its lane (split_steps): lane 1 of a two-lane stack of robots 2, 5
-        # and 7. The frame must land in robot 5's row of that lane, bit for
-        # bit what a node holding a copy computes, and leave every other row
-        # of the stack as it was.
+        # The in-place epoch corrects a robot through a node over its lane
+        # (split_steps): lane 1 of a two-lane stack of robots 2, 5 and 7.
+        # The frame must land in robot 5's row of that lane, bit for bit
+        # what a node over a copy of the lane computes, and leave every
+        # other row of the stack as it was.
         rng = np.random.default_rng(93)
         ids = (2, 5, 7)
         mean = rng.uniform(-1, 1, (6, 3))
@@ -215,30 +215,54 @@ class TestRobotNode:
             msg = UpdateMessage(5, 4, kind, rng.standard_normal(2), np.full((3, 2), 0.05))
         else:
             msg = UpdateMessage(5, 4, kind, rng.standard_normal(3), np.eye(3) * 0.01)
-        view = lane.robot(5)
-        assert view.team == (5,) and view.time == 4
-        assert all(map(np.shares_memory, (view.mean, view.cov), (mean, cov)))
-        alone = RobotNode.over(copy.deepcopy(view))
+        node = RobotNode.over(lane, 5)
+        # The node is a view: it holds the lane itself, no row of its own.
+        assert node.team is lane and node.robot == 5 and node.time == 4
+        alone = RobotNode.over(copy.deepcopy(lane), 5)
         before = mean.copy(), cov.copy(), accs.copy()
 
-        assert RobotNode.over(view).apply_update(msg)
+        assert node.apply_update(msg)
         assert alone.apply_update(msg)
         row = 3 + lane.index[5]
-        np.testing.assert_array_equal(mean[row:row + 1], alone.state.mean)
-        np.testing.assert_array_equal(cov[row:row + 1], alone.state.cov)
+        np.testing.assert_array_equal(mean[row], alone.team.mean[lane.index[5]])
+        np.testing.assert_array_equal(cov[row], alone.team.cov[lane.index[5]])
         assert not np.array_equal(mean[row], before[0][row])
         others = np.arange(6) != row
         np.testing.assert_array_equal(mean[others], before[0][others])
         np.testing.assert_array_equal(cov[others], before[1][others])
         np.testing.assert_array_equal(accs, before[2])
 
+    def test_step_over_a_team_row_leaves_the_team_as_it_is(self):
+        # A node over a row steps that row alone, as a team of one, and
+        # then holds its own team of one; the team it was over keeps its
+        # rows and time.
+        rng = np.random.default_rng(94)
+        ids = (2, 5, 7)
+        team = split_ekf.SplitTeamState.initialize(ids, rng.uniform(-1, 1, (3, 3)), np.eye(3) * 0.1)
+        team.jac_accum[:] = rng.uniform(-2, 2, (3, 2))
+        saved = copy.deepcopy(team)
+        controls, q = rng.uniform(-1, 1, (4, 2)), np.full((4, 2), 0.01)
+        node = RobotNode.over(team, 5)
+        block = node.step(controls, q, 0.1)
+        row = split_ekf.SplitTeamState((5,), {5: 0}, *(
+            getattr(saved, name)[1:2].copy() for name in ("mean", "cov", "jac_accum")
+        ))
+        (means, covs, accs), end = split_ekf.propagate_team(row, controls[None], q[None], 0.1)
+        for got, want in zip(block, (means[0], covs[:, 0], accs[0]), strict=True):
+            np.testing.assert_array_equal(got, want)
+        assert node.team.team == (5,) and node.time == 4
+        for name in ("mean", "cov", "jac_accum"):
+            np.testing.assert_array_equal(getattr(node.team, name), getattr(end, name))
+            np.testing.assert_array_equal(getattr(team, name), getattr(saved, name))
+        assert team.time == 0
+
     def test_storage_is_constant_in_team_size(self):
         node = RobotNode(1, np.zeros(3), np.eye(3))
-        assert node.__slots__ == ("state",)
-        assert node.state.team == (1,)
-        assert node.state.mean.shape == (1, 3)
-        assert node.state.cov.shape == (1, 3, 3)
-        assert node.state.jac_accum.shape == (1, 2)
+        assert node.__slots__ == ("robot", "team")
+        assert node.robot == 1 and node.team.team == (1,)
+        assert node.team.mean.shape == (1, 3)
+        assert node.team.cov.shape == (1, 3, 3)
+        assert node.team.jac_accum.shape == (1, 2)
 
 
 class TestServerSingleMeasurement:
@@ -271,15 +295,15 @@ class TestServerSingleMeasurement:
         t = nodes[1].time
         z = rng.uniform(-1, 1, 2)
         msgs = [nodes[2].landmark_message(z=z, landmark=3), nodes[3].landmark_message()]
-        before = {i: copy.deepcopy(nodes[i].state) for i in ids}
+        before = {i: copy.deepcopy(nodes[i].team) for i in ids}
         updates = server.handle_epoch(msgs, t)
         assert set(updates) == {2, 3}
         for i, msg in updates.items():
             nodes[i].apply_update(msg)
         for i in (2, 3):
-            assert not np.array_equal(nodes[i].state.mean, before[i].mean)
-        np.testing.assert_array_equal(nodes[1].state.mean, before[1].mean)
-        np.testing.assert_array_equal(nodes[1].state.cov, before[1].cov)
+            assert not np.array_equal(nodes[i].team.mean, before[i].mean)
+        np.testing.assert_array_equal(nodes[1].team.mean, before[1].mean)
+        np.testing.assert_array_equal(nodes[1].team.cov, before[1].cov)
         belief, _ = joint_ekf.partial_update(belief, model.RelativeMeasurement(2, 3, z, t), NOISE)
         assert_matches_belief(ids, nodes, belief)
 
@@ -289,14 +313,14 @@ class TestServerSingleMeasurement:
         rng = np.random.default_rng(87)
         ids, nodes, server, belief = build_stack(rng, 3, warmup_pairs=[(1, 2)])
         t = nodes[1].time
-        before2 = nodes[2].state.mean.copy()
+        before2 = nodes[2].team.mean.copy()
         z = rng.uniform(-1, 1, 2)
         msgs = [nodes[1].landmark_message(z=z, landmark=3), nodes[3].landmark_message()]
         updates = server.handle_epoch(msgs, t)
         assert set(updates) == {1, 2, 3}
         for i, msg in updates.items():
             nodes[i].apply_update(msg)
-        assert not np.array_equal(nodes[2].state.mean, before2)
+        assert not np.array_equal(nodes[2].team.mean, before2)
         belief, _ = joint_ekf.partial_update(belief, model.RelativeMeasurement(1, 3, z, t), NOISE)
         assert_matches_belief(ids, nodes, belief)
 
@@ -334,22 +358,22 @@ class TestServerSingleMeasurement:
         assert len(shadows) == len(pairs) * len(senders)
         assert set(senders) <= set(updates)
         for row, i in enumerate(senders):
-            alone = RobotNode.over(copy.deepcopy(nodes[i].state))
+            alone = RobotNode.over(copy.deepcopy(nodes[i].team), i)
             for robot, residual, gain, (mean, cov, _) in shadows[row::len(senders)]:
                 assert robot == i and len(residual) == 2 and len(gain) == 6
                 frame = UpdateMessage(i, t, "single", np.array(residual), np.reshape(gain, (3, 2)))
                 assert alone.apply_update(frame)
-                np.testing.assert_array_equal(alone.state.mean[0], mean)
-                np.testing.assert_array_equal(alone.state.cov[0], np.reshape(cov, (3, 3)))
+                np.testing.assert_array_equal(alone.team.mean[0], mean)
+                np.testing.assert_array_equal(alone.team.cov[0], np.reshape(cov, (3, 3)))
             assert nodes[i].apply_update(updates[i])
             if len(pairs) == 1:
                 assert updates[i].kind == "single"
-                np.testing.assert_array_equal(nodes[i].state.mean, alone.state.mean)
-                np.testing.assert_array_equal(nodes[i].state.cov, alone.state.cov)
+                np.testing.assert_array_equal(nodes[i].team.mean, alone.team.mean)
+                np.testing.assert_array_equal(nodes[i].team.cov, alone.team.cov)
             else:
                 assert updates[i].kind == "summed"
-                np.testing.assert_allclose(nodes[i].state.mean, alone.state.mean, atol=1e-14)
-                np.testing.assert_allclose(nodes[i].state.cov, alone.state.cov, atol=1e-14)
+                np.testing.assert_allclose(nodes[i].team.mean, alone.team.mean, atol=1e-14)
+                np.testing.assert_allclose(nodes[i].team.cov, alone.team.cov, atol=1e-14)
 
     def test_mismatched_message_time_rejected(self):
         rng = np.random.default_rng(77)
@@ -438,7 +462,7 @@ class TestServerSingleMeasurement:
         ids, nodes, server, _ = build_stack(rng, 3, warmup_pairs=[(1, 2)])
         t = nodes[1].time
         state = nodes[2].landmark_message()
-        cov = state.cov.copy()
+        cov = np.reshape(state.cov, (3, 3)).copy()
         cov[0, 2] = cov[2, 0] = 1e200
         msgs = [
             nodes[1].landmark_message(z=np.zeros(2), landmark=2),
@@ -459,7 +483,7 @@ class TestServerSingleMeasurement:
         ids, nodes, server, _ = build_stack(rng, 3, warmup_pairs=[(1, 2)])
         t = nodes[1].time
         state = nodes[1].landmark_message()
-        mean = state.mean.copy()
+        mean = np.array(state.mean)
         mean[2] = heading
         msgs = [
             LandmarkMessage(1, t, mean, state.cov, state.jac_accum, 2, np.zeros(2)),
@@ -604,7 +628,7 @@ class TestServerSequentialEpoch:
         missed = frozenset({4})
         z = rng.uniform(-1, 1, 2)
         msgs = [nodes[1].landmark_message(z=z, landmark=2), nodes[2].landmark_message()]
-        before4 = copy.deepcopy(nodes[4].state)
+        before4 = copy.deepcopy(nodes[4].team)
         updates = server.handle_epoch(msgs, t, missed=missed)
         for i, msg in updates.items():
             if i not in missed:
@@ -613,8 +637,8 @@ class TestServerSequentialEpoch:
             belief, model.RelativeMeasurement(1, 2, z, t), NOISE, missed
         )
         assert_matches_belief(ids, nodes, belief)
-        np.testing.assert_array_equal(nodes[4].state.mean, before4.mean)
-        np.testing.assert_array_equal(nodes[4].state.cov, before4.cov)
+        np.testing.assert_array_equal(nodes[4].team.mean, before4.mean)
+        np.testing.assert_array_equal(nodes[4].team.cov, before4.cov)
 
     def test_small_supports_with_missed_robots_match_partial_filter(self):
         # 48 robots: measurement (1, 2) touches robots 1, 2, 5 and 6
@@ -737,7 +761,7 @@ class TestSparseUpdateFrames:
                 belief, model.RelativeMeasurement(a, b, z, t), NOISE
             )
             gained |= {i for i in ids if innov.gains[belief.index[i]].any()}
-        before = {i: copy.deepcopy(nodes[i].state) for i in ids}
+        before = {i: copy.deepcopy(nodes[i].team) for i in ids}
 
         updates = server.handle_epoch(msgs, t)
         assert set(updates) == gained
@@ -747,8 +771,8 @@ class TestSparseUpdateFrames:
         assert_matches_belief(ids, nodes, belief)
         # Without a message neither side moves that robot, bit for bit.
         for i in set(ids) - gained:
-            np.testing.assert_array_equal(nodes[i].state.mean, before[i].mean)
-            np.testing.assert_array_equal(nodes[i].state.cov, before[i].cov)
+            np.testing.assert_array_equal(nodes[i].team.mean, before[i].mean)
+            np.testing.assert_array_equal(nodes[i].team.cov, before[i].cov)
             np.testing.assert_array_equal(
                 belief.mean[belief.index[i]], before_belief.mean[belief.index[i]]
             )
@@ -764,7 +788,7 @@ class TestServerScratchGate:
         rng = np.random.default_rng(92)
         ids, nodes, server, _ = build_stack(rng, 4)
         t = nodes[1].time
-        rows = stack_rows([nodes[1].state, nodes[2].state])
+        rows = stack_rows([nodes[1].team, nodes[2].team])
         h1 = np.array(model.relative_terms(*rows.mean[0], *rows.mean[1, :2])[1])
         null = np.linalg.svd(h1 @ split_ekf.shear(rows.jac_accum[0]))[2][-1]
         planted = 1e3 * np.outer(null, [1.0, -1.0, 1.0])

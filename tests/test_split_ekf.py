@@ -13,6 +13,7 @@ from splitcl.split_ekf import CrossFactorStore, SplitTeamState, shear
 
 from dense_oracle import (
     apply_frame,
+    apply_payloads,
     cross_blocks,
     dense_measurement_row,
     dense_store_update,
@@ -22,6 +23,7 @@ from dense_oracle import (
     joint_step,
     one_step,
     random_belief,
+    robot_row,
     stack,
     stack_rows,
     symmetric_2x2,
@@ -35,7 +37,7 @@ def make_state(rng, robot_id):
     """A robot's state, a team of one, with a random mean and covariance."""
     mean = rng.uniform(-3, 3, 3)
     root = rng.standard_normal((3, 3)) * 0.3
-    return RobotNode(robot_id, mean, root @ root.T + 0.05 * np.eye(3)).state
+    return RobotNode(robot_id, mean, root @ root.T + 0.05 * np.eye(3)).team
 
 
 def split_team_from_belief(belief):
@@ -70,9 +72,9 @@ def set_factor(store, i, j, block):
 
 def step_alone(state, control, q, dt=0.1):
     """``state`` one step on, through a node of its own."""
-    node = RobotNode.over(state)
+    node = RobotNode.over(state, state.team[0])
     node.step([control], [q], dt)
-    return node.state
+    return node.team
 
 
 class TestPropagate:
@@ -92,7 +94,7 @@ class TestPropagate:
         rng = np.random.default_rng(31)
         state = make_state(rng, 2)
         controls = rng.uniform(-1, 1, (25, 2))
-        means, _, accs = RobotNode.over(state).step(controls, np.tile([0.01, 0.004], (25, 1)), 0.1)
+        means, _, accs = RobotNode.over(state, 2).step(controls, np.tile([0.01, 0.004], (25, 1)), 0.1)
         product = np.eye(3)
         for before, control, acc in zip([state.mean, *means], controls, accs):
             _, f, _ = one_step(before, control, 0.1)
@@ -109,10 +111,10 @@ class TestPropagate:
             belief = joint_step(belief, step, q, 0.1)
         for i in rows.team:
             a = belief.index[i]
-            node = RobotNode.over(rows.robot(i))
+            node = RobotNode.over(rows, i)
             node.step(controls[:, a], np.tile(q[a], (50, 1)), 0.1)
-            np.testing.assert_allclose(node.state.mean[0], belief.mean[a], atol=1e-12)
-            np.testing.assert_allclose(node.state.cov[0], belief.block(i, i), atol=1e-12)
+            np.testing.assert_allclose(node.team.mean[0], belief.mean[a], atol=1e-12)
+            np.testing.assert_allclose(node.team.cov[0], belief.block(i, i), atol=1e-12)
 
     def test_per_robot_updates_commute(self):
         rng = np.random.default_rng(33)
@@ -369,8 +371,7 @@ def feasible_frame(rng, state):
 def apply_pair(state, vec, mat):
     """``state``'s corrected mean and covariance for the pair ``(vec, mat)``;
     ``state`` is left as it is."""
-    out = copy.deepcopy(state)
-    split_ekf.apply_update(out, vec, mat)
+    out = apply_payloads(state, vec, mat)
     return out.mean, out.cov
 
 
@@ -433,7 +434,7 @@ class TestApplyUpdate:
             meas = model.RelativeMeasurement(1, 2, z, 0)
             updated, _ = joint_ekf.partial_update(belief, meas, noise)
             for i in belief.team:
-                out = apply_frame(rows.robot(i), factors[store.index[i]], innov.white_residual)
+                out = apply_frame(robot_row(rows, i), factors[store.index[i]], innov.white_residual)
                 np.testing.assert_allclose(
                     out.mean[0], updated.mean[updated.index[i]], atol=GAIN_TOL
                 )
@@ -486,12 +487,15 @@ class TestApplyUpdate:
             s.jac_accum[0] = rng.uniform(-5, 5, 2)
         factors = np.array([feasible_frame(rng, s)[0] for s in states])
         white = rng.standard_normal(2)
-        # The stacked single frame, as the server corrects its shadow rows.
-        rows = stack_rows(states)
-        split_ekf.apply_update(rows, white, factors)
-        # The stacked pairs, as of summed frames.
-        pairs = stack_rows(states)
-        split_ekf.apply_update(pairs, *split_ekf.correction(factors, white))
+        # Each robot's row of one stack corrected in place, as a robot's row
+        # of its lane is: by its single frame, and by its pair, as of a
+        # summed frame.
+        rows, pairs = stack_rows(states), stack_rows(states)
+        for a, state in enumerate(states):
+            i = state.team[0]
+            split_ekf.apply_update(rows, i, white.tolist(), factors[a].ravel().tolist())
+            vec, mat = split_ekf.correction(factors[a], white)
+            split_ekf.apply_update(pairs, i, vec.tolist(), mat.ravel().tolist())
         for a, state in enumerate(states):
             alone = apply_frame(state, factors[a], white)
             np.testing.assert_array_equal(rows.mean[a:a + 1], alone.mean)
@@ -520,17 +524,16 @@ class TestApplyUpdate:
         with pytest.raises(NumericalError, match="robot 1 covariance indefinite"):
             apply_frame(state, factor, np.zeros(2))
 
-    def test_first_failing_row_is_named(self):
+    def test_a_failing_row_is_named_and_no_row_changes(self):
         rng = np.random.default_rng(56)
         states = [make_state(rng, i) for i in (4, 7, 9)]
-        factors = np.array([feasible_frame(rng, s)[0] for s in states])
-        factors[1:] *= 50.0
+        factor = feasible_frame(rng, states[1])[0] * 50.0
         rows = stack_rows(states)
-        for payloads in ((rng.standard_normal(2), factors),
-                         split_ekf.correction(factors, rng.standard_normal(2))):
+        white = rng.standard_normal(2)
+        for payloads in ((white, factor), split_ekf.correction(factor, white)):
             with pytest.raises(NumericalError, match="robot 7 covariance indefinite"):
-                split_ekf.apply_update(rows, *payloads)
-            # No row is written, the sound first one neither.
+                split_ekf.apply_update(rows, 7, *(np.ravel(p).tolist() for p in payloads))
+            # No row is written, the failing one neither.
             for a, s in enumerate(states):
                 np.testing.assert_array_equal(rows.mean[a:a + 1], s.mean)
                 np.testing.assert_array_equal(rows.cov[a:a + 1], s.cov)
@@ -552,7 +555,7 @@ class TestApplyUpdate:
             sick = copy.deepcopy(state)
             sick.cov[(0, *pos)] = value
             with pytest.raises(NumericalError, match="robot 1 covariance indefinite"):
-                split_ekf.apply_update(sick, np.zeros(3), np.zeros((3, 3)))
+                apply_payloads(sick, np.zeros(3), np.zeros((3, 3)))
         # A finite step that the shear carries beyond the float range.
         state.jac_accum[0] = [2.0, 2.0]
         with pytest.raises(NumericalError, match="robot 1 a non-finite mean step"):
@@ -693,7 +696,7 @@ class TestCrossFactorStore:
         rng = np.random.default_rng(50)
         belief = random_belief(rng, 3, corr_scale=0.0)
         rows, store = split_team_from_belief(belief)
-        states = {i: rows.robot(i) for i in rows.team}
+        states = {i: robot_row(rows, i) for i in rows.team}
         q = np.tile([0.02, 0.01], (3, 1))
         noise = np.eye(2) * 0.02
         pairs = [(1, 2), (2, 3), (3, 1)]

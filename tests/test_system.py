@@ -16,7 +16,7 @@ from splitcl import harness, joint_ekf
 from splitcl.linalg import NumericalError
 from splitcl.messages import LandmarkMessage, UpdateMessage
 from splitcl.network import gate_measurement
-from splitcl.protocol import EVENT_NUMERIC_S, EVENT_PAIR_UNREACHABLE, CooperationServer
+from splitcl.protocol import EVENT_NUMERIC_S, EVENT_PAIR_UNREACHABLE, CooperationServer, RobotNode
 from splitcl.scenario import (
     DropoutWindowSpec,
     MeasurementWindow,
@@ -149,14 +149,16 @@ def test_nothing_a_robot_holds_is_lost_on_the_wire(sc, seed, monkeypatch):
 
     assert sent[LandmarkMessage]
     for _, cov, frame in sent[LandmarkMessage]:
+        cov = cov.reshape(3, 3)
         assert float_bits(cov) == float_bits(cov.T)
         assert float_bits(LandmarkMessage.decode(frame).cov) == float_bits(cov)
+        assert type(LandmarkMessage.decode(frame).cov) is tuple
     summed = [(gain, frame) for msg, gain, frame in sent[UpdateMessage] if msg.kind == "summed"]
     assert summed
     upper = np.triu_indices(3)
     for gain, frame in summed:
-        decoded = UpdateMessage.decode(frame).gain_payload
-        assert float_bits(decoded[upper]) == float_bits(gain[upper])
+        decoded = np.reshape(UpdateMessage.decode(frame).gain_payload, (3, 3))
+        assert float_bits(decoded[upper]) == float_bits(gain.reshape(3, 3)[upper])
 
 
 @pytest.mark.parametrize("check", [check_exact_equivalence, check_dropout_equivalence])
@@ -368,10 +370,9 @@ def test_robot_state_and_frames_do_not_grow_with_the_team(n, monkeypatch):
     assert {k for k, sent in senders.items() if sent} <= set(real.measurements)
     assert dict(lengths) == {"landmark": {122}, "single": {77}, "summed": {85}}
     for i in sc.robot_ids:
-        state = end.robot(i)
-        assert [x.shape for x in (state.mean, state.cov, state.jac_accum)] == [
-            (1, 3), (1, 3, 3), (1, 2)
-        ]
+        node = RobotNode.over(end, i)
+        msg = node.landmark_message()
+        assert [len(x) for x in (msg.mean, msg.cov, msg.jac_accum)] == [3, 9, 2]
 
 
 @st.composite

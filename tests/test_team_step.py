@@ -207,7 +207,7 @@ def test_robot_node_step_is_the_per_robot_step():
                 assert_is_shear_of(accs[j], acc)
             # The node keeps the last step.
             assert node.time == k1
-            for got, rows in zip((node.state.mean, node.state.cov, node.state.jac_accum),
+            for got, rows in zip((node.team.mean, node.team.cov, node.team.jac_accum),
                                  (means, covs, accs)):
                 np.testing.assert_array_equal(got, rows[-1:])
         assert node.time == N_STEPS
@@ -348,8 +348,8 @@ def test_lone_robot_state_is_one_team_row():
     for lone, row in zip(alone, rows, strict=True):
         np.testing.assert_array_equal(lone, row)
     for field, row in zip(("mean", "cov", "jac_accum"), rows):
-        np.testing.assert_array_equal(getattr(node.state, field), row[-1:])
-    assert (node.state.team, node.time) == ((3,), N_STEPS)
+        np.testing.assert_array_equal(getattr(node.team, field), row[-1:])
+    assert (node.team.team, node.time) == ((3,), N_STEPS)
 
 
 @pytest.mark.parametrize("n, steps", [(N_ROBOTS, 1), (N_ROBOTS, 2), (1, 1024), (4, 256)])
