@@ -115,8 +115,10 @@ class RobotNode:
         it is.
         """
         t, rid = self.team, self.robot
-        rows = slice(t.index[rid], t.index[rid] + 1)
-        alone = SplitTeamState((rid,), {rid: 0}, t.mean[rows], t.cov[rows], t.jac_accum[rows], t.time)
+        a = t.index[rid]
+        alone = SplitTeamState(
+            (rid,), {rid: 0}, t.mean[a:a + 1], t.cov[a:a + 1], t.jac_accum[a:a + 1], t.time
+        )
         (means, covs, accs), self.team = split_ekf.propagate_team(
             alone, np.asarray(controls)[None], np.asarray(noise_diags)[None], dt
         )

@@ -500,4 +500,4 @@ def apply_update(
         residual, gain,
     )
     team.mean[a] = mean
-    team.cov[a].ravel()[:] = cov
+    team.cov[a].flat = cov

@@ -491,11 +491,18 @@ class TestApplyUpdate:
         # of its lane is: by its single frame, and by its pair, as of a
         # summed frame.
         rows, pairs = stack_rows(states), stack_rows(states)
+        # A stack whose arrays are strided views gets the same writes.
+        strided = stack_rows(states)
+        strided.mean = np.asfortranarray(strided.mean)
+        strided.cov = np.asfortranarray(strided.cov)
         for a, state in enumerate(states):
             i = state.team[0]
             split_ekf.apply_update(rows, i, white.tolist(), factors[a].ravel().tolist())
+            split_ekf.apply_update(strided, i, white.tolist(), factors[a].ravel().tolist())
             vec, mat = split_ekf.correction(factors[a], white)
             split_ekf.apply_update(pairs, i, vec.tolist(), mat.ravel().tolist())
+        np.testing.assert_array_equal(strided.mean, rows.mean)
+        np.testing.assert_array_equal(strided.cov, rows.cov)
         for a, state in enumerate(states):
             alone = apply_frame(state, factors[a], white)
             np.testing.assert_array_equal(rows.mean[a:a + 1], alone.mean)
