@@ -18,7 +18,10 @@ Robots that receive the message apply it; robots that miss it simply keep
 their propagated estimate, and the server skips the store blocks between
 pairs of missed robots. A message checks its payload forms when it is
 constructed, a decoded one included (:mod:`messages`), so the server and
-the robots do not check them again.
+the robots do not check them again. A robot acts through a
+:class:`RobotNode`, a view of its row of a team's state: it builds its
+landmark frame from the row's floats, and a decoded update frame's payloads
+are exactly the floats :func:`split_ekf.correct_row` takes for that row.
 
 Multiple measurements in the same epoch are processed one at a time in a
 fixed order (ascending ``(observer, landmark)``).

@@ -40,12 +40,12 @@ directly, so a shadow has its robot's bits by construction. The server
 folds the same factors into the store as the masked rank-2 update
 ``C <- C - D D'``, in which the blocks between two robots that both missed
 the update are masked out: they keep their old factor, which is exactly
-what the centralized filter does to the corresponding cross block. Only the measurement's *support* can
-change: the robots whose row ``D_i`` is non-zero, i.e. the measured robots
-and those correlated with them. The store forms the product over the
-support rows and updates just the block pairs within the support, so a
-measurement between two robots of a large team costs what its few block
-pairs cost, not what the team does.
+what the centralized filter does to the corresponding cross block. Only
+the measurement's *support* can change: the robots whose row ``D_i`` is
+non-zero, i.e. the measured robots and those correlated with them. The
+store forms the product over the support rows and updates just the block
+pairs within the support, so a measurement between two robots of a large
+team costs what its few block pairs cost, not what the team does.
 
 A measurement's work on the measured pair is a few hundred flops on 2x2, 2x3
 and 3x3 matrices, where numpy's per-call overhead costs several times the
