@@ -40,8 +40,12 @@ robot act on its own, in its lane alone, as a :class:`RobotNode`, a view
 of its row of the segment's end (see :func:`split_ekf.propagate_team`):
 the node of a measured robot builds its landmark frame from the row's
 floats, and that of a robot the server sends an update message (one
-correlated with a measured robot) applies the decoded frame's floats to
-the row, in place. The per-robot arithmetic is the same for a robot
+correlated with a measured robot that the channel reaches) applies the
+decoded frame's floats to the row, in place. A robot that refuses its
+frame keeps its row; if it was not measured, its lane records the refusal
+as a miss in the channel's report of the epoch, the report that a
+centralized filter reading the same channel takes its missed set from.
+The per-robot arithmetic is the same for a robot
 stepped alone through :meth:`RobotNode.step`, as a team of one, so every
 estimator's record is bit for bit its record in a run on its own.
 
@@ -235,9 +239,12 @@ def run_once(
 ) -> RunRecord:
     """Simulate one noise realization and run the requested estimators on it.
 
-    The split filters run as lanes of one :func:`split_steps` loop. The
-    events come estimator by estimator, in the order requested, each
-    estimator's in time order and as in a run of it alone.
+    The split filters run as lanes of one :func:`split_steps` loop, before
+    the centralized filters, and ``sa_split`` reads the channel that
+    ``joint_ekf`` reads: a frame that an unmeasured robot refuses in
+    ``sa_split`` is a miss there, so ``joint_ekf`` freezes that robot at
+    that epoch too. The events come estimator by estimator, in the order
+    requested, each estimator's in time order and as in a run of it alone.
     """
     wanted = _wanted(estimators)
     key = seed_key(sc, seed)
@@ -343,8 +350,9 @@ def joint_steps(
 
 
 # One split filter of a run: its channel, one report per epoch, its server
-# and the list its epochs log to.
-Lane = tuple[Mapping[int, DeliveryReport], CooperationServer, list[ProtocolEvent]]
+# and the list its epochs log to. An epoch records a refused frame as a miss
+# in the channel, which the lane shares with its centralized reference.
+Lane = tuple[dict[int, DeliveryReport], CooperationServer, list[ProtocolEvent]]
 
 
 def split_steps(
@@ -359,7 +367,9 @@ def split_steps(
     there. The segments are one filter's (:func:`segments` for ``N``
     robots, not ``E N``), however many lanes share the call. At an epoch
     each lane runs :func:`_run_split_epoch` on its own rows of ``end``,
-    with its own reports and server, which corrects those rows in place.
+    with its own reports and server, which corrects those rows in place;
+    the report it returns, with a refused frame recorded as a miss,
+    replaces the epoch's in the lane's reports.
     The next call returns a new ``end``, so no yielded ``end`` changes
     after its segment. A lane's epochs and its server log to its list, in
     time order. Every row gets its robot's arithmetic, so a lane's rows are
@@ -381,7 +391,9 @@ def split_steps(
                     team.team, team.index,
                     team.mean[lane], team.cov[lane], team.jac_accum[lane], team.time,
                 )
-                _run_split_epoch(own, server, real.measurements[k1], reports[k1], events)
+                reports[k1] = _run_split_epoch(
+                    own, server, real.measurements[k1], reports[k1], events
+                )
         yield k0, k1, block, team
 
 
@@ -397,16 +409,20 @@ def _run_split_epoch(
     measurements: Sequence[model.RelativeMeasurement],
     report: DeliveryReport,
     events: list[ProtocolEvent],
-) -> None:
+) -> DeliveryReport:
     """One measurement epoch over the lossy channel, wire encoding included.
 
     Each robot of an accepted measurement, and each robot sent an update
     frame, acts through a :class:`RobotNode` over its row of ``team``, the
     segment's end: the node builds the robot's landmark frame and applies
     its update frame in place, where a single frame ``(r, D)`` becomes its
-    pair ``(D r, D D')``. A rejected correction leaves the robot's row as
-    it was, since :func:`split_ekf.apply_update` checks it before writing.
-    What the epoch and the server log goes to ``events``, in that order.
+    pair ``(D r, D D')``. The server frames only the robots that
+    ``report`` does not report missed. A rejected correction leaves the
+    robot's row as it was, since :func:`split_ekf.apply_update` checks it
+    before writing; for a robot not measured in the epoch it is a miss.
+    Returns the epoch's report as the lane leaves it: ``report``, with
+    each such robot moved from delivered to missed. What the epoch and the
+    server log goes to ``events``, in that order.
     """
     k = report.time
     accepted = []
@@ -420,7 +436,7 @@ def _run_split_epoch(
                 f"unreachable={sorted(report.missed & {m.observer, m.landmark})}",
             ))
     if not accepted:
-        return
+        return report
     landmark_only = {m.landmark for m in accepted} - {m.observer for m in accepted}
     senders = [(m.observer, m.landmark, m.z) for m in accepted]
     senders += [(i, None, None) for i in sorted(landmark_only)]
@@ -432,14 +448,17 @@ def _run_split_epoch(
     events.extend(server.events)
     server.events.clear()
     for i, msg in updates.items():
-        if i not in report.delivered:
-            continue
         try:
             RobotNode.over(team, i).apply_update(UpdateMessage.decode(msg.encode()))
         except NumericalError as exc:
             # Keep the propagated state; an invalid correction is dropped
-            # just like a lost message, but with its own reason code.
+            # just like a lost message, but with its own reason code. An
+            # unmeasured robot's refusal is a miss, which the centralized
+            # reference reads from the returned report.
             events.append(ProtocolEvent(k, EVENT_NUMERIC_S, f"robot={i} reason={exc}"))
+            if i not in {s for s, _, _ in senders}:
+                report = DeliveryReport(k, report.delivered - {i}, report.missed | {i})
+    return report
 
 
 @dataclass(slots=True)

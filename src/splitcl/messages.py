@@ -100,9 +100,11 @@ def _mirrored(u: tuple) -> tuple:
     return u00, u01, u02, u01, u11, u12, u02, u12, u22
 
 
-def _pack(kind: int, ids: dict[str, int], floats: tuple) -> bytes:
-    """One frame; a non-integer id raises ``TypeError``, one outside u32
-    ``OverflowError``, each naming its field."""
+def _pack(kind: int, ids: dict[str, int], floats: tuple, msg, payloads: tuple) -> bytes:
+    """One frame of ``msg``; a non-integer id raises ``TypeError``, one
+    outside u32 ``OverflowError``, each naming its field, and an entry of
+    one of its ``payloads`` that does not pack as a float
+    :class:`ProtocolError` naming that payload."""
     try:
         return _FRAMES[kind].pack(FORMAT_TAG, kind, *ids.values(), *floats)
     except struct.error:
@@ -113,6 +115,12 @@ def _pack(kind: int, ids: dict[str, int], floats: tuple) -> bytes:
                 raise TypeError(f"{name} {value} is not an integer") from None
             if not fits:
                 raise OverflowError(f"{name} {value} does not fit in u32") from None
+        for name, _, _ in payloads:
+            for value in getattr(msg, name):
+                try:
+                    struct.pack("<d", value)
+                except struct.error:
+                    raise ProtocolError(f"{name} entry {value!r} is not a float") from None
         raise
 
 
@@ -168,7 +176,8 @@ class LandmarkMessage:
         ids = {"sender": self.sender, "time": self.time, "landmark": self.landmark or 0,
                "has_z": self.z is not None}
         floats = (*(self.z or (0.0, 0.0)), *self.mean, *_upper(self.cov), *self.jac_accum)
-        return _pack(_KIND_LANDMARK, ids, floats)
+        payloads = _LANDMARK_PAYLOADS if self.z is None else _OBSERVER_PAYLOADS
+        return _pack(_KIND_LANDMARK, ids, floats, self, payloads)
 
     @classmethod
     def decode(cls, raw: bytes) -> "LandmarkMessage":
@@ -215,7 +224,8 @@ class UpdateMessage:
     def encode(self) -> bytes:
         gain = _upper(self.gain_payload) if self.kind == "summed" else self.gain_payload
         ids = {"recipient": self.recipient, "time": self.time}
-        return _pack(_UPDATE_KINDS[self.kind], ids, (*self.residual_payload, *gain))
+        floats = (*self.residual_payload, *gain)
+        return _pack(_UPDATE_KINDS[self.kind], ids, floats, self, _UPDATE_PAYLOADS[self.kind])
 
     @classmethod
     def decode(cls, raw: bytes) -> "UpdateMessage":

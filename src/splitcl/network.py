@@ -18,6 +18,10 @@ draws come from one generator stream per ``(seed, t)`` (numpy
 ``SeedSequence``/``default_rng``): robot ``r`` gets the stream's ``r``-th
 uniform. The stream is prefix-stable, so a robot's outcome does not depend
 on the size of the team, and it is replayable.
+
+A split filter's lane adds to an epoch's missed set each unmeasured robot
+that refused its update frame (:func:`harness.split_steps`), so the set
+is the one record of who did not take the epoch's correction.
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ pairs between two of them and returns the support, so the server collects
 the recipients without scanning the factors again.
 The summed payloads of a multi-measurement epoch are formed once, at the
 end, over the recipients' rows only.
-Robots that receive the message apply it; robots that miss it simply keep
-their propagated estimate, and the server skips the store blocks between
+The server sends no message to a robot that the channel reports missed,
+which keeps its propagated estimate, and it skips the store blocks between
 pairs of missed robots. A message checks its payload forms when it is
 constructed, a decoded one included (:mod:`messages`), so the server and
 the robots do not check them again. A robot acts through a
@@ -79,7 +79,8 @@ class RobotNode:
     a robot's part goes through a node over its lane (:meth:`over`): the
     node builds its landmark frame from its row's floats and applies its
     :class:`UpdateMessage`'s floats to that row, in place. Only robots
-    whose update factor is non-zero receive a message; for the others the
+    whose update factor is non-zero receive a message, and of those only
+    the ones the channel reaches; for a robot with a zero factor the
     correction would be an exact no-op. :meth:`step` is the same
     propagation for a node on its own, as a team of one.
     """
@@ -205,14 +206,15 @@ class CooperationServer:
     ) -> dict[int, UpdateMessage]:
         """Process every measurement announced for ``time``.
 
-        Returns one update message per robot whose update factor ``D_i`` is
-        non-zero in some processed measurement (empty when nothing was
-        processed, in which case the store is untouched). ``D_i`` is exactly
-        zero for a robot that is neither measured nor correlated with a
-        measured robot; its correction would be an exact no-op, so it gets
-        no message. Measurements whose endpoints did not all reach the
-        server are discarded with a logged event, as are measurements with
-        a numerically invalid innovation.
+        Returns one update message per robot outside ``missed`` whose update
+        factor ``D_i`` is non-zero in some processed measurement (empty when
+        nothing was processed, in which case the store is untouched). ``D_i``
+        is exactly zero for a robot that is neither measured nor correlated
+        with a measured robot; its correction would be an exact no-op, so it
+        gets no message. A ``missed`` robot gets none either: the channel
+        does not reach it. Measurements whose endpoints did not all reach
+        the server are discarded with a logged event, as are measurements
+        with a numerically invalid innovation.
 
         The senders' shadow states are :data:`split_ekf.Row` floats, one per
         sender, in the order of their first messages. A measurement is
@@ -221,8 +223,9 @@ class CooperationServer:
         and its ``D_i``, before it keeps any: a shadow that fails its check
         (the first names the robot in the logged event) discards the
         measurement whole, and no shadow, store block or frame takes any
-        part of it. A ``missed`` robot outside the team raises ``KeyError``
-        before any block changes.
+        part of it. A sender or landmark outside the team raises
+        :class:`ProtocolError`, and a ``missed`` robot outside the team
+        ``KeyError``, before any block changes.
         """
         for msg in msgs:
             if msg.time != time:
@@ -231,6 +234,8 @@ class CooperationServer:
                 )
             if msg.sender not in self.store.index:
                 raise ProtocolError(f"unknown robot {msg.sender}")
+            if msg.landmark is not None and msg.landmark not in self.store.index:
+                raise ProtocolError(f"robot {msg.sender} names unknown landmark {msg.landmark}")
 
         # Latest state snapshot per sender; observers may send several
         # announcements but their (mean, cov, jac_accum) snapshots agree.
@@ -295,7 +300,8 @@ class CooperationServer:
 
         if not singles:
             return {}
-        positions = touched.nonzero()[0]
+        # A missed robot gets no frame, though its store rows may have changed.
+        positions = (touched if frozen is None else touched & ~frozen).nonzero()[0]
         k = len(positions)
         if len(singles) == 1:
             ((white_residual, factors),) = singles

@@ -15,7 +15,8 @@ that a robot that misses an epoch keeps exactly its propagated state.
 Verify runs no filter of its own: it drives the loops that
 :func:`harness.run_once` runs, :func:`harness.split_steps` with one lane
 and :func:`harness.joint_steps`, on one realization and one channel,
-which both read a report from at every epoch, and only compares what they
+which both read a report from at every epoch (the split side first, which
+records a refused frame there as a miss), and only compares what they
 hand over: the split side one block per segment
 (:func:`harness.segments`), the joint side one belief per step, taken as
 the step comes, so no more than one step's joint covariance is held. At

@@ -247,7 +247,8 @@ def test_every_entry_refuses_a_negative_seed_before_simulating(entry, monkeypatc
 def test_a_non_finite_frame_is_dropped_with_an_event(monkeypatch):
     # The frame for robot 2 arrives with a NaN whitened residual: robot 2
     # keeps its propagated rows and the epoch logs why; robot 1 still
-    # applies its own frame.
+    # applies its own frame. Robot 2 is measured, so its refusal is not a
+    # miss: the epoch returns the channel's report as it was.
     sc = Scenario(duration_s=5.0, meas_windows=(MeasurementWindow(1.0, 3.0, 1, 2),))
     key = harness.seed_key(sc, 3)
     real = harness.build_realization(sc, key)
@@ -269,9 +270,8 @@ def test_a_non_finite_frame_is_dropped_with_an_event(monkeypatch):
 
     monkeypatch.setattr(server, "handle_epoch", corrupting)
     events = []
-    assert harness._run_split_epoch(
-        team, server, real.measurements[k], harness.delivery_reports(sc, real, key)[k], events
-    ) is None
+    report = harness.delivery_reports(sc, real, key)[k]
+    assert harness._run_split_epoch(team, server, real.measurements[k], report, events) is report
 
     assert [e.as_line() for e in events] == [
         f"t={k} {EVENT_NUMERIC_S} robot=2 reason=update for robot 2 has a non-finite payload"
@@ -399,9 +399,10 @@ def test_a_lane_correction_stays_in_its_own_rows(monkeypatch):
     original = harness._run_split_epoch
 
     def moving_the_lossy_lane(team, server, measurements, report, events):
-        original(team, server, measurements, report, events)
+        report = original(team, server, measurements, report, events)
         if report.missed:
             team.mean += 1e-3
+        return report
 
     monkeypatch.setattr(harness, "_run_split_epoch", moving_the_lossy_lane)
     rec = harness.run_once(sc, names, seed=seed)
@@ -503,16 +504,13 @@ def test_an_epoch_corrects_only_the_loops_own_segment_end():
               CooperationServer(ids, sc.meas_noise_cov()), []),
              (harness.delivery_reports(sc, real, key),
               CooperationServer(ids, sc.meas_noise_cov()), [])]
-    # The rows each epoch corrects: the recipients of an update frame that
-    # the lane's channel delivers.
+    # The rows each epoch corrects: the recipients of an update frame.
     corrected = {}
-    for e, (reports, server, _) in enumerate(lanes):
-        def recording(msgs, time, missed=frozenset(), e=e, handle=server.handle_epoch,
-                      reports=reports):
+    for e, (_, server, _) in enumerate(lanes):
+        def recording(msgs, time, missed=frozenset(), e=e, handle=server.handle_epoch):
             updates = handle(msgs, time, missed)
-            delivered = reports[time].delivered
             rows = corrected.setdefault(time, np.zeros(2 * n, dtype=bool))
-            rows[[e * n + ids.index(i) for i in updates if i in delivered]] = True
+            rows[[e * n + ids.index(i) for i in updates]] = True
             return updates
         server.handle_epoch = recording
 

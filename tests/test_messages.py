@@ -365,6 +365,24 @@ class TestPayloadForms:
             with pytest.raises(ProtocolError, match=rf"^{field} must be an array of shape"):
                 UpdateMessage(1, 0, kind, **{**sound, field: bad})
 
+    @pytest.mark.parametrize("entry", ["a", None], ids=["str", "none"])
+    def test_a_non_float_entry_is_refused_at_encode_naming_the_payload(self, entry):
+        # A tuple's entries are not checked at construction; encode, which
+        # packs them, names the payload instead of raising struct.error.
+        landmark = sample_landmark(np.random.default_rng(78))
+        messages = [
+            (name, dataclasses.replace(landmark, **{name: (entry, *getattr(landmark, name)[1:])}))
+            for name in ("mean", "cov", "jac_accum", "z")
+        ]
+        for kind, residual, gain in (("single", 2, 6), ("summed", 3, 9)):
+            sound = {"residual_payload": (0.0,) * residual, "gain_payload": (0.0,) * gain}
+            for name, floats in sound.items():
+                payloads = {**sound, name: (entry, *floats[1:])}
+                messages.append((name, UpdateMessage(1, 0, kind, **payloads)))
+        for name, msg in messages:
+            with pytest.raises(ProtocolError, match=rf"^{name} entry {entry!r} is not a float$"):
+                msg.encode()
+
 
 # Signed zeros, the smallest and largest subnormals, and quiet and
 # signalling NaNs with payload bits, as raw 64-bit patterns.

@@ -391,6 +391,26 @@ class TestServerSingleMeasurement:
         assert updates == {}
         assert [e.code for e in server.events] == [EVENT_PAIR_UNREACHABLE]
 
+    def test_robot_outside_the_team_refused_before_any_block_changes(self):
+        # A frame from robot 7, or one naming landmark 99, in a team of
+        # three: no robot of the team was lost, so neither is "unreachable".
+        # The server refuses the epoch before the valid (2, 3) changes a block.
+        rng = np.random.default_rng(95)
+        ids, nodes, server, _ = build_stack(rng, 3, warmup_pairs=[(1, 2)])
+        t = nodes[1].time
+        valid = [nodes[2].landmark_message(z=np.zeros(2), landmark=3), nodes[3].landmark_message()]
+        outside = LandmarkMessage(7, t, np.zeros(3), np.eye(3), np.zeros(2))
+        before = server.store.blocks.copy()
+        for msg, error in (
+            (outside, "unknown robot 7"),
+            (nodes[1].landmark_message(z=np.zeros(2), landmark=99),
+             "robot 1 names unknown landmark 99"),
+        ):
+            with pytest.raises(ProtocolError, match=f"^{error}$"):
+                server.handle_epoch([*valid, msg], t)
+            np.testing.assert_array_equal(server.store.blocks, before)
+            assert server.events == []
+
     def test_missing_landmark_message_discarded_with_event(self):
         rng = np.random.default_rng(79)
         ids, nodes, server, _ = build_stack(rng, 3)
@@ -631,8 +651,7 @@ class TestServerSequentialEpoch:
         before4 = copy.deepcopy(nodes[4].team)
         updates = server.handle_epoch(msgs, t, missed=missed)
         for i, msg in updates.items():
-            if i not in missed:
-                nodes[i].apply_update(msg)
+            nodes[i].apply_update(msg)
         belief, _ = joint_ekf.partial_update(
             belief, model.RelativeMeasurement(1, 2, z, t), NOISE, missed
         )
@@ -661,10 +680,9 @@ class TestServerSequentialEpoch:
             nodes[2].landmark_message(),
         ]
         updates = server.handle_epoch(msgs, t, missed=missed)
-        assert set(updates) == {1, 2, 5, 6, 7, 8}
+        assert set(updates) == {1, 2, 7, 8}
         for i, msg in updates.items():
-            if i not in missed:
-                nodes[i].apply_update(msg)
+            nodes[i].apply_update(msg)
         for a, b, z in ((1, 2, z12), (7, 8, z78)):
             belief, _ = joint_ekf.partial_update(
                 belief, model.RelativeMeasurement(a, b, z, t), NOISE, missed
@@ -692,12 +710,11 @@ class TestServerSequentialEpoch:
         before = server.store.factor(5, 6).copy()
         assert before.any()
         updates = server.handle_epoch(msgs, t, missed=missed)
-        assert set(updates) == {1, 2, 3, 4, 5, 6}
+        assert set(updates) == {1, 2, 3, 4}
         np.testing.assert_array_equal(server.store.factor(5, 6), before)
         np.testing.assert_array_equal(server.store.factor(6, 5), before.T)
         for i, msg in updates.items():
-            if i not in missed:
-                nodes[i].apply_update(msg)
+            nodes[i].apply_update(msg)
         for a, b, z in ((1, 2, z12), (3, 4, z34)):
             belief, _ = joint_ekf.partial_update(
                 belief, model.RelativeMeasurement(a, b, z, t), NOISE, missed
@@ -732,6 +749,20 @@ class TestServerSequentialEpoch:
         )
         recon = server.store.reconstruct(jac_accums(ids, nodes))
         np.testing.assert_allclose(cross_blocks(recon), cross_blocks(belief.cov), atol=EQUIV_TOL)
+
+    def test_missed_robot_gets_no_frame_though_its_blocks_changed(self):
+        # Robot 4 is correlated with robot 1, so measurement (1, 2) would
+        # send it a frame; it missed the epoch, so the server sends none,
+        # and still updates its store blocks with the delivered robots.
+        rng = np.random.default_rng(85)
+        ids, nodes, server, _ = build_stack(rng, 4, warmup_pairs=[(3, 4), (1, 4)])
+        t = nodes[1].time
+        msgs = [nodes[1].landmark_message(z=np.zeros(2), landmark=2), nodes[2].landmark_message()]
+        assert 4 in copy.deepcopy(server).handle_epoch(msgs, t)
+        before = server.store.factor(1, 4).copy()
+        updates = server.handle_epoch(msgs, t, missed=frozenset({4}))
+        assert not np.array_equal(server.store.factor(1, 4), before)
+        assert set(updates) == {1, 2, 3}
 
 
 class TestSparseUpdateFrames:
@@ -865,8 +896,7 @@ class TestServerEpochProperty:
 
         updates = server.handle_epoch(msgs, t, missed=missed)
         for i, msg in updates.items():
-            if i not in missed:
-                nodes[i].apply_update(msg)
+            nodes[i].apply_update(msg)
 
         # The server's order: ascending (observer, landmark).
         applied = 0

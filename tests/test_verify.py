@@ -17,7 +17,7 @@ import pytest
 
 from splitcl import harness, split_ekf, verify
 from splitcl.linalg import NumericalError
-from splitcl.protocol import RobotNode
+from splitcl.protocol import CooperationServer, RobotNode
 from splitcl.scenario import (
     Scenario,
     ScenarioError,
@@ -141,9 +141,10 @@ def test_missed_robot_moved_at_an_epoch_fails_the_check(monkeypatch):
     original = harness._run_split_epoch
 
     def moving_a_missed_robot(team, server, measurements, report, events):
-        original(team, server, measurements, report, events)
+        report = original(team, server, measurements, report, events)
         if report.missed:
             team.mean[team.index[min(report.missed)]] += PLANT
+        return report
 
     monkeypatch.setattr(harness, "_run_split_epoch", moving_a_missed_robot)
     report = check_dropout_equivalence(sc)
@@ -253,17 +254,65 @@ def test_store_is_copied_only_after_an_epoch(sc, monkeypatch):
     assert 0 < len(copies) <= 1 + len(measurement_schedule(sc))
 
 
+@pytest.mark.parametrize("check", [check_exact_equivalence, check_dropout_equivalence])
+@pytest.mark.parametrize("s, bernoulli_p", [
+    (5, 0.0), (6, 0.0), (7, 0.0), (5, 0.3), (6, 0.3), (7, 0.3), (8, 0.3),
+])
+def test_an_unmeasured_robots_refusal_is_a_miss(monkeypatch, check, s, bernoulli_p):
+    # ROADMAP item 3, step 1. One robot refuses one correction: the first
+    # update frame after t = 100 whose recipient was not measured in that
+    # epoch, in an epoch where the channel missed no robot whose store
+    # blocks the server changed. The lane records the refusal as a miss in
+    # the channel both sides read, so the centralized filter freezes that
+    # robot too, and verify checks that it kept its propagated rows.
+    sc = random_scenario(8, s, bernoulli_p=bernoulli_p)
+    if not bernoulli_p:
+        sc = strip_dropouts(sc)
+    handle_epoch, apply_update = CooperationServer.handle_epoch, RobotNode.apply_update
+    run_epoch = harness._run_split_epoch
+    measured, clean, left, planted = {}, {}, {}, []
+
+    def recording(self, msgs, time, missed=frozenset()):
+        before = self.store.blocks.copy()
+        updates = handle_epoch(self, msgs, time, missed)
+        changed = (self.store.blocks != before).any(axis=(1, 2, 3))
+        measured[time] = {m.sender for m in msgs}
+        clean[time] = not changed[[self.store.index[r] for r in missed]].any()
+        return updates
+
+    def refusing(self, msg):
+        t = msg.time
+        if not planted and t > 100 and self.robot not in measured[t] and clean[t]:
+            planted.append((self.robot, t))
+            raise NumericalError("planted refusal")
+        return apply_update(self, msg)
+
+    def keeping(team, server, measurements, report, events):
+        left[report.time] = run_epoch(team, server, measurements, report, events)
+        return left[report.time]
+
+    monkeypatch.setattr(CooperationServer, "handle_epoch", recording)
+    monkeypatch.setattr(RobotNode, "apply_update", refusing)
+    monkeypatch.setattr(harness, "_run_split_epoch", keeping)
+    report = check(sc)
+    assert len(planted) == 1
+    robot, k = planted[0]
+    assert robot in left[k].missed
+    assert report.passed(TOL), report.summary()
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="ROADMAP item 3: a robot's rejected correction does not reach the server as a miss",
+    reason="ROADMAP item 3: a measured robot's rejected correction does not reach the server",
 )
 def test_rejected_correction_keeps_dropout_equivalence(monkeypatch):
-    # ROADMAP item 3. One robot rejects one correction, the first update
-    # frame after t = 100: robot 5's at t = 210. The server has committed
-    # robot 5's store blocks as if it had applied the frame, so until the
-    # reject reaches the server as a miss the split stack leaves the
-    # partial-update filter for the rest of the run.
+    # ROADMAP item 3, step 3. One robot rejects one correction, the first
+    # update frame after t = 100: robot 5's at t = 210, the landmark of that
+    # epoch's measurement. The server has committed robot 5's store blocks
+    # and shadow as if it had applied the frame, and a measured robot's
+    # reject is not a miss, so the split stack leaves the partial-update
+    # filter for the rest of the run.
     sc = strip_dropouts(random_scenario(8, 5))
     original = RobotNode.apply_update
     planted = []
