@@ -52,13 +52,16 @@ estimator's record is bit for bit its record in a run on its own.
 Randomness is derived from a seed key (:func:`seed_key`); stream tags keep
 motion noise, measurement noise, initial error and channel draws
 independent, and Monte-Carlo run ``m`` appends ``m`` to the batch's key so
-enlarging a batch never changes earlier runs. A scenario is checked when
-it is built (:class:`scenario.Scenario`), and not again here.
+enlarging a batch never changes earlier runs. The noise-free truth is
+simulated once per scenario and kept for the last scenario only
+(:func:`simulate_truth`). A scenario is checked when it is built
+(:class:`scenario.Scenario`), and not again here.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -121,9 +124,14 @@ def segments(sc: scen.Scenario, epochs: Iterable[int]) -> Iterator[tuple[int, in
             k0 = k1
 
 
+@functools.lru_cache(maxsize=1)
 def simulate_truth(sc: scen.Scenario) -> np.ndarray:
-    """Noise-free trajectories from the commanded controls, shape (N, T+1, 3)."""
-    return _trajectories(sc, scen.start_poses(sc), scen.true_controls(sc))
+    """Noise-free trajectories from the commanded controls, shape (N, T+1, 3),
+    read-only: simulated once per scenario and kept for the last scenario
+    only, at most about 74 MB at :data:`scenario.MAX_ROBOTS` over 300 s."""
+    truth = _trajectories(sc, scen.start_poses(sc), scen.true_controls(sc))
+    truth.flags.writeable = False
+    return truth
 
 
 def _trajectories(sc: scen.Scenario, start: np.ndarray, controls: np.ndarray) -> np.ndarray:
@@ -147,20 +155,15 @@ class Realization:
     init_means: np.ndarray
 
 
-def build_realization(
-    sc: scen.Scenario,
-    key: tuple[int, ...],
-    truth: np.ndarray | None = None,
-) -> Realization:
+def build_realization(sc: scen.Scenario, key: tuple[int, ...]) -> Realization:
     """Draw the randomness of run ``key`` of ``sc``, each part from its own
     stream of ``key``: the measured controls, the epochs' relative
     measurements and, if the scenario perturbs them, the initial means. The
     motion noise has the injected variances; the filters' ``filter_q`` are
-    those floored at :data:`scenario.PROCESS_NOISE_FLOOR`. A batch passes
-    ``truth``, :func:`simulate_truth` of ``sc``, in once for all its runs.
+    those floored at :data:`scenario.PROCESS_NOISE_FLOOR`. The truth is
+    simulated once per scenario (:func:`simulate_truth`).
     """
-    if truth is None:
-        truth = simulate_truth(sc)
+    truth = simulate_truth(sc)
     controls = scen.true_controls(sc)
     inject_q = scen.process_noise_diags(sc, controls)
     rng_motion = np.random.default_rng([*key, _STREAM_MOTION])
@@ -231,12 +234,7 @@ def _wanted(estimators: Iterable[str]) -> tuple[str, ...]:
     return wanted
 
 
-def run_once(
-    sc: scen.Scenario,
-    estimators: Iterable[str],
-    seed=None,
-    _cached_truth: np.ndarray | None = None,
-) -> RunRecord:
+def run_once(sc: scen.Scenario, estimators: Iterable[str], seed=None) -> RunRecord:
     """Simulate one noise realization and run the requested estimators on it.
 
     The split filters run as lanes of one :func:`split_steps` loop, before
@@ -248,7 +246,7 @@ def run_once(
     """
     wanted = _wanted(estimators)
     key = seed_key(sc, seed)
-    real = build_realization(sc, key, truth=_cached_truth)
+    real = build_realization(sc, key)
 
     # One channel per kind of link, read by both filters of the kind; the
     # perfect links' scenario is built only when one of its filters is wanted.
@@ -513,8 +511,8 @@ def _mc_worker(args) -> tuple[dict, dict, dict, list]:
     """One run of a batch, reduced: every estimator's position errors, the
     NEES of each unflagged estimator that has a covariance, the flags and
     the events."""
-    sc, wanted, key, truth = args
-    rec = run_once(sc, wanted, seed=key, _cached_truth=truth)
+    sc, wanted, key = args
+    rec = run_once(sc, wanted, seed=key)
     nees = {
         name: _nees(_wrapped_error(rec.estimates[name], rec.truth), cov)
         for name, cov in rec.covs.items()
@@ -534,12 +532,13 @@ def run_monte_carlo(
 
     Run ``m`` uses seed key ``(*seed_key(sc, seed), m)``: results for the
     first runs do not change when the batch grows, and each equals its run
-    alone. The batch is the list of its runs' reductions, aggregated once
-    per estimator: a run whose estimate is not finite is flagged and holds
-    a NaN row of position errors; the RMS error runs over the other runs
-    and is NaN when every run is flagged; ``nees_mean`` averages the
-    unflagged runs of the estimators that have a covariance; the events
-    come in run order.
+    alone; the truth is simulated once per scenario in each process
+    (:func:`simulate_truth`). The batch is the list of its runs'
+    reductions, aggregated once per estimator: a run whose estimate is not
+    finite is flagged and holds a NaN row of position errors; the RMS error
+    runs over the other runs and is NaN when every run is flagged;
+    ``nees_mean`` averages the unflagged runs of the estimators that have a
+    covariance; the events come in run order.
     """
     for arg, count in (("n_runs", n_runs), ("jobs", jobs)):
         if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
@@ -548,8 +547,7 @@ def run_monte_carlo(
             raise ValueError(f"{arg} must be at least 1, got {count}")
     wanted = _wanted(estimators)
     base = seed_key(sc, seed)
-    truth = simulate_truth(sc)
-    tasks = [(sc, wanted, (*base, m), truth) for m in range(n_runs)]
+    tasks = [(sc, wanted, (*base, m)) for m in range(n_runs)]
     # A pool launches all its workers at the first task, so it gets no
     # more than there are runs.
     workers = min(jobs, n_runs)

@@ -208,7 +208,7 @@ class CooperationServer:
 
         Returns one update message per robot outside ``missed`` whose update
         factor ``D_i`` is non-zero in some processed measurement (empty when
-        nothing was processed, in which case the store is untouched). ``D_i``
+        there is none; the store is untouched when every ``D_i`` is zero). ``D_i``
         is exactly zero for a robot that is neither measured nor correlated
         with a measured robot; its correction would be an exact no-op, so it
         gets no message. A ``missed`` robot gets none either: the channel
@@ -255,8 +255,6 @@ class CooperationServer:
                 ))
                 continue
             usable.append(m)
-        if not usable:
-            return {}
 
         # Shadow copies of the senders' states as floats, in the order of
         # their first messages. Every processed measurement corrects all of
@@ -298,11 +296,11 @@ class CooperationServer:
                 touched |= self.store.update(factors, frozen)
                 singles.append((innov.white_residual, factors))
 
-        if not singles:
-            return {}
         # A missed robot gets no frame, though its store rows may have changed.
         positions = (touched if frozen is None else touched & ~frozen).nonzero()[0]
         k = len(positions)
+        if not k:
+            return {}
         if len(singles) == 1:
             ((white_residual, factors),) = singles
             kind, vecs, mats = "single", [white_residual.tolist()] * k, factors[positions]

@@ -150,15 +150,18 @@ class Scenario:
         self.validate()
 
     def validate(self) -> None:
-        """Raise :class:`ScenarioError` unless the scenario can be run, and
-        saved: every scalar, nested ones included, must be one its file holds.
-        Construction runs it, so it passes on every built scenario."""
+        """Raise :class:`ScenarioError` unless the scenario can be run and saved:
+        every scalar and container, nested ones included, must read back from
+        its file as it is, so it hashes. Construction runs it on every scenario."""
+        misfits: list[str] = []
         non_finite = [
             name for name, kind in _field_types(type(self)).items()
-            if not _finite_field(kind, getattr(self, name), name)
+            if not _finite_field(kind, getattr(self, name), name, misfits)
         ]
         if non_finite:
             raise ScenarioError(f"non-finite values in {non_finite}")
+        if misfits:
+            raise ScenarioError(misfits[0])
         _check_team_size(self.n_robots)
         if self.dt_s <= 0 or self.duration_s <= 0:
             raise ScenarioError("dt_s and duration_s must be positive")
@@ -183,10 +186,6 @@ class Scenario:
         if not 0.0 <= self.bernoulli_p < 1.0:
             raise ScenarioError("bernoulli_p must be in [0, 1)")
         check_seed(self.seed)
-        for name, entries, width in (("path.center", self.path.center, 2),
-                                     ("initial_cov_diag", self.initial_cov_diag, 3)):
-            if len(entries) != width:
-                raise ScenarioError(f"{name} must have {width} entries, got {len(entries)}")
         if any(d <= 0 for d in self.initial_cov_diag):
             raise ScenarioError("initial covariance diagonal must be positive")
         if self.path.side0 <= 0:
@@ -207,7 +206,7 @@ class Scenario:
             if not 0 <= d.start_s <= d.end_s <= self.duration_s:
                 raise ScenarioError(f"dropout window {d} is outside the run")
         for z in self.zones:
-            if len(z) != 4 or z[0] > z[2] or z[1] > z[3]:
+            if z[0] > z[2] or z[1] > z[3]:
                 raise ScenarioError(f"zone {z} is not a valid rectangle")
 
     def to_dict(self) -> dict:
@@ -350,27 +349,30 @@ def _flag(value, name: str) -> bool:
 _SCALARS = {bool: _flag, int: _integer, float: _real}
 
 
-def _finite_field(kind, value, name: str) -> bool:
-    """Whether every number in ``value``, a field of type ``kind`` that
-    errors call ``name``, is finite. Each scalar, nested rows and tuples
-    included, is read as :func:`_from_json` reads it from the file, so a
-    value the file could not hold is refused here."""
+def _finite_field(kind, value, name: str, misfits: list[str], sep: str = ".") -> bool:
+    """Whether every number in ``value``, a field of type ``kind`` that errors
+    call ``name`` (a dataclass's fields ``name``, ``sep``, their own), is finite.
+    Each scalar is read as :func:`_from_json` reads it from the file, so a value the
+    file could not hold is refused; a container of another type or width is a misfit."""
     if kind in _SCALARS:
         read = _SCALARS[kind](value, name)
         # range() needs 4, not 4.0, and the file an int, not a numpy integer.
         if kind is int and read is not value:
             raise ScenarioError(f"{name} must be an integer, got {value!r}")
         return kind is not float or math.isfinite(read)
+    container = kind if is_dataclass(kind) else tuple
+    if not isinstance(value, container):
+        misfits.append(f"{name} must be a {container.__name__}, got {value!r}")
+        return True
     if is_dataclass(kind):
         fields = _field_types(kind).items()
-        return all([_finite_field(t, getattr(value, f), f"{name}.{f}") for f, t in fields])
-    item = get_args(kind)[0]
-    if is_dataclass(item):
-        columns = _field_types(item).items()
         return all([
-            _finite_field(t, getattr(row, f), f"{name} {f}") for row in value for f, t in columns
+            _finite_field(t, getattr(value, f), f"{name}{sep}{f}", misfits) for f, t in fields
         ])
-    return all([_finite_field(item, entry, name) for entry in value])
+    items = get_args(kind)
+    if items[-1] is not Ellipsis and len(value) != len(items):
+        misfits.append(f"{name} must have {len(items)} entries, got {len(value)}")
+    return all([_finite_field(items[0], entry, name, misfits, " ") for entry in value])
 
 
 def seconds_to_step(t_s: float, dt_s: float) -> int:

@@ -39,9 +39,10 @@ robot in turn, stepped alone through the whole segment by one
 from, lands bit for bit on its row of the segment's block. The split side
 forms a segment's covariances in closed form while the centralized filter
 runs its ``F P F' + G Q G'`` recurrence step by step, so the comparison
-also checks the closed form against an independent recursion. A caller
-may pass the noise-free ``truth`` to skip simulating it. A scenario is
-checked when it is built (:class:`scenario.Scenario`), and not again here.
+also checks the closed form against an independent recursion. Both draw
+the realization of ``sc``, whose truth is simulated once per scenario
+(:func:`harness.simulate_truth`). A scenario is checked when it is built
+(:class:`scenario.Scenario`), and not again here.
 """
 
 from __future__ import annotations
@@ -126,18 +127,18 @@ class EquivalenceReport:
 
 
 def check_exact_equivalence(
-    sc: scen.Scenario, seed=None, corrupt_cross_sign: bool = False, truth=None
+    sc: scen.Scenario, seed=None, corrupt_cross_sign: bool = False
 ) -> EquivalenceReport:
     """Split stack vs centralized EKF under perfect communication: the
     channel of ``sc`` without its dropouts."""
-    return _run_side_by_side(scen.strip_dropouts(sc), seed, False, corrupt_cross_sign, truth)
+    return _run_side_by_side(sc, seed, False, corrupt_cross_sign)
 
 
 def check_dropout_equivalence(
-    sc: scen.Scenario, seed=None, corrupt_cross_sign: bool = False, truth=None
+    sc: scen.Scenario, seed=None, corrupt_cross_sign: bool = False
 ) -> EquivalenceReport:
     """Split stack vs partial-update centralized EKF under the scenario's dropouts."""
-    return _run_side_by_side(sc, seed, True, corrupt_cross_sign, truth)
+    return _run_side_by_side(sc, seed, True, corrupt_cross_sign)
 
 
 def _cholesky_passes(belief, shift: np.ndarray) -> bool:
@@ -150,11 +151,11 @@ def _cholesky_passes(belief, shift: np.ndarray) -> bool:
 
 
 def _run_side_by_side(
-    sc: scen.Scenario, seed, dropouts: bool, corrupt_cross_sign: bool, truth
+    sc: scen.Scenario, seed, dropouts: bool, corrupt_cross_sign: bool
 ) -> EquivalenceReport:
     key = seed_key(sc, seed)
-    real = build_realization(sc, key, truth=truth)
-    reports = delivery_reports(sc, real, key)
+    real = build_realization(sc, key)
+    reports = delivery_reports(sc if dropouts else scen.strip_dropouts(sc), real, key)
 
     ids = sc.robot_ids
     server = CooperationServer(

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from splitcl import cli, harness, joint_ekf, verify
+from splitcl import cli, harness, joint_ekf, scenario, verify
 from splitcl.linalg import NumericalError
 from splitcl.protocol import EVENT_NUMERIC_S
 from splitcl.scenario import MeasurementWindow, Scenario, build_table1_scenario
@@ -44,14 +44,17 @@ def test_verify_simulates_the_truth_once(tmp_path, monkeypatch, capsys):
     sc = Scenario(duration_s=10.0, meas_windows=(MeasurementWindow(2.0, 4.0, 1, 2),))
     path = tmp_path / "small.json"
     sc.save(path)
-    original = harness.simulate_truth
+    # start_poses has one caller, harness.simulate_truth, so it counts the
+    # simulations, past the memo, that both checks make together.
+    harness.simulate_truth.cache_clear()
+    original = scenario.start_poses
     calls = []
 
     def counting(*args):
         calls.append(1)
         return original(*args)
 
-    monkeypatch.setattr(harness, "simulate_truth", counting)
+    monkeypatch.setattr(scenario, "start_poses", counting)
     assert cli.main(["verify", "--scenario", str(path)]) == cli.EXIT_OK
     assert len(calls) == 1
     assert "OK: both checks" in capsys.readouterr().out

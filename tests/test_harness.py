@@ -1,6 +1,7 @@
 """Monte-Carlo aggregation and the split filter's measurement epoch in the harness."""
 
 import concurrent.futures
+import dataclasses
 import math
 from itertools import islice
 
@@ -469,18 +470,28 @@ def test_the_filters_variances_are_the_injected_ones_floored():
     assert np.array_equal(real.controls_meas[injected == 0], controls[injected == 0])
 
 
-def test_a_realization_with_the_truth_passed_in_is_the_one_drawn_alone():
-    sc = build_table1_scenario()
-    key = harness.seed_key(sc, (2, 7))
-    alone = harness.build_realization(sc, key)
-    given = harness.build_realization(sc, key, truth=harness.simulate_truth(sc))
-    for field in ("truth", "controls_meas", "filter_q", "init_means"):
-        assert np.array_equal(getattr(alone, field), getattr(given, field)), field
-    assert alone.measurements.keys() == given.measurements.keys()
-    for k, ms in alone.measurements.items():
-        assert [(m.observer, m.landmark, m.time, m.z.tolist()) for m in ms] == [
-            (m.observer, m.landmark, m.time, m.z.tolist()) for m in given.measurements[k]
-        ]
+def test_the_truth_is_simulated_once_per_scenario(monkeypatch):
+    sc = Scenario(duration_s=5.0, meas_windows=(MeasurementWindow(1.0, 3.0, 1, 2),))
+    truth = harness.simulate_truth(sc)
+    # An equal scenario, built apart, gets the same read-only array.
+    assert harness.simulate_truth(Scenario.from_dict(sc.to_dict())) is truth
+    with pytest.raises(ValueError, match="read-only"):
+        truth[0, 0, 0] = 1.0
+    other = dataclasses.replace(sc, path=scenario.SpiralPath(center=(1.0, -2.0)))
+    fresh = harness._trajectories(
+        other, scenario.start_poses(other), scenario.true_controls(other)
+    )
+    assert harness.simulate_truth(other) is not truth
+    assert np.array_equal(harness.simulate_truth(other), fresh)
+    assert not np.array_equal(fresh, truth)
+
+    # A batch simulates it once for all its runs: start_poses has one
+    # caller, simulate_truth.
+    harness.simulate_truth.cache_clear()
+    original, calls = scenario.start_poses, []
+    monkeypatch.setattr(scenario, "start_poses", lambda s: calls.append(s) or original(s))
+    report = harness.run_monte_carlo(sc, 3, ESTIMATORS)
+    assert report.runs_total == 3 and calls == [sc]
 
 
 @pytest.mark.parametrize("perturb", [False, True])

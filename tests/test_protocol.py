@@ -274,6 +274,18 @@ class TestServerSingleMeasurement:
         assert updates == {}
         np.testing.assert_array_equal(server.store.blocks, before)
 
+    def test_a_measurement_that_moves_no_robot_sends_no_frame(self):
+        # With zero covariances every update factor is exactly zero: the
+        # measurement is processed and leaves no recipient.
+        nodes = {i: RobotNode(i, np.array([i, 2.0, 0.0]), np.zeros((3, 3))) for i in (1, 2)}
+        server = CooperationServer((1, 2), np.eye(2) * 0.01)
+        before = server.store.blocks.copy()
+        msgs = [nodes[1].landmark_message(z=np.array([1.0, 2.0]), landmark=2),
+                nodes[2].landmark_message()]
+        assert server.handle_epoch(msgs, nodes[1].time) == {}
+        np.testing.assert_array_equal(server.store.blocks, before)
+        assert server.events == []
+
     def test_single_measurement_matches_joint_filter(self):
         rng = np.random.default_rng(76)
         ids, nodes, server, belief = build_stack(rng, 4, warmup_pairs=[(1, 2)])

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -35,6 +36,9 @@ def test_save_load_round_trip(sc, tmp_path):
     assert loaded == sc
     loaded.save(tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+    # A scenario keys the memo of its truth, so it must hash.
+    assert hash(sc) == hash(loaded)
+    assert Scenario.from_dict(sc.to_dict()) == sc
 
 
 def test_unperturbed_start_round_trips(tmp_path):
@@ -229,10 +233,13 @@ def test_no_two_of_eight_robots_share_a_trajectory():
     ({"meas_windows": [[45.0, 50.0, 1]]}, "meas_windows rows must have 4 entries"),
     ({"dropout_windows": [[4, 135.0, 140.0, 1.0]]}, "dropout_windows rows must have 3 entries"),
     ({"dropout_windows": [4]}, "dropout_windows rows must have 3 entries, got 4"),
+    # Refused as "not a valid rectangle" before the width of every tuple
+    # was read from its type, as the center's and the covariance's are.
+    ({"zones": [[0.0, -1.0, 1.0]]}, "zones must have 4 entries, got 3"),
 ], ids=["count-fraction", "count-bool", "count-string", "observer-fraction",
         "landmark-bool", "dropout-robot-fraction", "seed-fraction", "seed-nan",
         "flag-string", "flag-int", "seed-negative", "center-1", "center-3", "cov-2", "cov-4",
-        "window-5", "window-3", "dropout-4", "dropout-number"])
+        "window-5", "window-3", "dropout-4", "dropout-number", "zone-3"])
 def test_malformed_field_is_rejected(tmp_path, edit, message):
     doc = {**_doc(), **edit}
     with pytest.raises(ScenarioError, match=message):
@@ -246,11 +253,20 @@ def test_malformed_field_is_rejected(tmp_path, edit, message):
     ({"n_robots": np.int64(4)}, "n_robots must be an integer"),
     ({"perturb_initial": 0}, "perturb_initial must be true or false, got 0"),
     ({"dt_s": True}, "dt_s must be a number, got True"),
-], ids=["seed-bool", "seed-numpy", "count-float", "count-numpy", "flag-int", "dt-bool"])
+    ({"w_noise_frac": [0.25, 0.20, 0.20, 0.15]}, "w_noise_frac must be a tuple, got [0.25, "),
+    ({"meas_windows": [MeasurementWindow(45.0, 50.0, 1, 2)]},
+     "meas_windows must be a tuple, got [MeasurementWindow(start_s=45.0, "),
+    ({"zones": [(0.0, -1.0, 1.0, 1.0)]}, "zones must be a tuple, got [(0.0, -1.0, 1.0, 1.0)]"),
+    ({"initial_cov_diag": [0.0025, 0.0025, 0.00274]}, "initial_cov_diag must be a tuple, got ["),
+], ids=["seed-bool", "seed-numpy", "count-float", "count-numpy", "flag-int", "dt-bool",
+        "fracs-list", "windows-list", "zones-list", "cov-list"])
 def test_validate_refuses_a_field_the_file_cannot_carry(overrides, message):
-    # Each of these validated, and then save wrote a file that load refused,
-    # or save could not write one, or the run failed with a TypeError.
-    with pytest.raises(ScenarioError, match=message):
+    # The first six validated, and then save wrote a file that load refused,
+    # or save could not write one, or the run failed with a TypeError. Of
+    # the lists, the fractions raised a bare TypeError in validate, and the
+    # others validated unhashable: the windows did not save, and the zones
+    # and the covariance read back as tuples, unequal to the lists.
+    with pytest.raises(ScenarioError, match=re.escape(message)):
         build_table1_scenario(**overrides)
 
 
@@ -265,12 +281,20 @@ def test_validate_refuses_a_field_the_file_cannot_carry(overrides, message):
     ({"path": SpiralPath(side0=True)}, "path.side0 must be a number, got True"),
     ({"path": SpiralPath(center=(0.0, np.int64(0)))}, "path.center must be a number"),
     ({"zones": ((0.0, -1.0, 1.0, False),)}, "zones must be a number, got False"),
+    ({"meas_windows": ((1.0, 2.0, 1, 2),)},
+     "meas_windows must be a MeasurementWindow, got (1.0, 2.0, 1, 2)"),
+    ({"zones": ([0.0, -1.0, 1.0, 1.0],)}, "zones must be a tuple, got [0.0, -1.0, 1.0, 1.0]"),
+    ({"path": SpiralPath(center=[0.0, 0.0])}, "path.center must be a tuple, got [0.0, 0.0]"),
+    ({"path": (1.0, 0.25, 24.0, 1.0, (0.0, 0.0))}, "path must be a SpiralPath, got (1.0, "),
 ], ids=["observer-bool", "observer-numpy", "dropout-end-numpy", "frac-bool", "side-bool",
-        "center-numpy", "zone-bool"])
+        "center-numpy", "zone-bool", "window-tuple", "zone-list", "center-list",
+        "path-tuple"])
 def test_validate_refuses_a_nested_value_the_file_cannot_carry(overrides, message):
-    # Each of these validated, and then load refused the saved file or
-    # save could not write one.
-    with pytest.raises(ScenarioError, match=f"^{message}"):
+    # The first seven validated, and then load refused the saved file or
+    # save could not write one. The tuple window row and the tuple path
+    # raised a bare AttributeError in validate, and the list zone row and
+    # the list center validated unhashable and read back as tuples.
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}"):
         build_table1_scenario(**overrides)
 
 

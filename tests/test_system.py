@@ -93,11 +93,11 @@ def test_a_dropout_zone_disconnects_a_measured_robot(table1):
     x, y = truth[1, k, :2]
     sc = replace(table1, zones=((x - 0.01, y - 0.01, x + 0.01, y + 0.01),))
     key = (sc.seed,)
-    reports = harness.delivery_reports(sc, harness.build_realization(sc, key, truth), key)
+    reports = harness.delivery_reports(sc, harness.build_realization(sc, key), key)
     assert reports[k].missed == {2}
     assert all(2 not in r.missed for t, r in reports.items() if t != k)
 
-    report = check_dropout_equivalence(sc, truth=truth)
+    report = check_dropout_equivalence(sc)
     assert report.passed(TOL), report.summary()
     unreachable = {
         (ev.time, ev.detail.split(" unreachable")[0])
@@ -436,9 +436,8 @@ def whole_runs(draw):
 )
 @given(whole_runs())
 def test_random_whole_runs_match_the_centralized_filters(sc):
-    truth = harness.simulate_truth(sc)
-    dropout = check_dropout_equivalence(sc, truth=truth)
+    dropout = check_dropout_equivalence(sc)
     assert dropout.missed_updates_exact and dropout.lone_steps_exact
     assert dropout.passed(TOL), dropout.summary()
-    exact = check_exact_equivalence(strip_dropouts(sc), truth=truth)
+    exact = check_exact_equivalence(sc)
     assert exact.passed(TOL), exact.summary()

@@ -222,12 +222,6 @@ def test_joint_step_error_is_named_by_step_and_robot(table1, monkeypatch, field,
     assert not report.passed(TOL)
 
 
-def test_precomputed_truth_gives_the_same_report():
-    sc = build_table1_scenario()
-    truth = harness.simulate_truth(sc)
-    assert check_dropout_equivalence(sc, truth=truth) == check_dropout_equivalence(sc)
-
-
 @pytest.mark.parametrize("sc", [
     build_table1_scenario(),
     random_scenario(8, 5, bernoulli_p=0.3),
